@@ -1,6 +1,6 @@
 """Command line front end: generate instances, run solvers, verify results.
 
-Four subcommands:
+Three subcommands:
 
 - ``gen``     write a deterministic instance file for a (matroid, objective,
               n, seed) tuple, with optional shape knobs per matroid family
@@ -8,11 +8,10 @@ Four subcommands:
               write a result record with solution, value, and all counters
 - ``verify``  recheck a result record against its instance: feasibility,
               value, and the instrumented query budgets
-- ``bench``   time the batched evaluation kernels on both backends
 
 All files are UTF-8 JSON with an explicit ``version`` field.  ``gen`` and
-``run`` are byte-deterministic for a fixed seed, config, and backend, except
-for the wall-time field of result records.  Exit codes: 0 success, 1
+``run`` are byte-deterministic for a fixed seed and config, except for the
+wall-time field of result records.  Exit codes: 0 success, 1
 verification failure or corrupt data, 2 usage.
 """
 
@@ -24,9 +23,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from . import kernels
 from .core import greedy_basis_value
@@ -40,7 +37,7 @@ from .instances import (
 )
 from .objectives import set_eval_threads
 from .optimizer import DEFAULT_CONFIG, OptimizerConfig, run_pipeline
-from .oracles import brute_force_opt, feasibility_verify
+from .oracles import brute_force_opt
 
 RESULT_FORMAT_VERSION = 1
 
@@ -259,7 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             isinstance(e, int) and 0 <= e < instance.n for e in solution
         )
         good &= _check(report, "element range", in_range)
-        feasible = in_range and feasibility_verify(instance.matroid, solution)
+        feasible = in_range and instance.matroid.is_independent(solution)
         good &= _check(report, "feasibility", feasible)
         if in_range:
             recomputed = instance.build_objective().value(solution)
@@ -272,89 +269,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report.append(f"verify: {verdict}")
     print("\n".join(report))
     return 0 if good else 1
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _bench_callables(f, masks: np.ndarray, elems: np.ndarray):
-    if f.kind == "coverage":
-        return {
-            "numpy": (
-                lambda: kernels._coverage_values_np(
-                    masks, f.indptr, f.indices, f.universe_weights
-                ),
-                lambda: kernels._coverage_marginal_means_np(
-                    masks, elems, f.indptr, f.indices, f.universe_weights
-                ),
-            ),
-            "numba": (
-                lambda: kernels._coverage_values_nb(
-                    masks, f.indptr, f.indices, f.universe_weights
-                ),
-                lambda: kernels._coverage_marginal_means_nb(
-                    masks, elems, f.indptr, f.indices, f.universe_weights
-                ),
-            ),
-        }
-    return {
-        "numpy": (
-            lambda: kernels._facility_values_np(masks, f.similarity),
-            lambda: kernels._facility_marginal_means_np(masks, elems, f.similarity),
-        ),
-        "numba": (
-            lambda: kernels._facility_values_nb(masks, f.similarity),
-            lambda: kernels._facility_marginal_means_nb(masks, elems, f.similarity),
-        ),
-    }
-
-
-def _best_time(fn: Callable[[], np.ndarray], repeats: int) -> float:
-    best = math.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    instance = generate_instance(args.matroid, args.function, args.n, args.seed)
-    f = instance.build_objective()
-    rng = np.random.default_rng(args.seed)
-    masks = (rng.random((args.rows, instance.n)) < 0.5).astype(np.uint8)
-    elems = np.arange(min(16, instance.n), dtype=np.int64)
-    table = _bench_callables(f, masks, elems)
-    backends = ["numpy"] + (["numba"] if kernels.NUMBA_AVAILABLE else [])
-    timings: dict[str, tuple[float, float]] = {}
-    outputs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name in backends:
-        values_fn, marginals_fn = table[name]
-        outputs[name] = (values_fn(), marginals_fn())  # warm up / compile
-        timings[name] = (
-            _best_time(values_fn, args.repeats),
-            _best_time(marginals_fn, args.repeats),
-        )
-    print(
-        f"bench {args.function} n={args.n} rows={args.rows} "
-        f"elems={elems.shape[0]} repeats={args.repeats}"
-    )
-    for name in backends:
-        tv, tm = timings[name]
-        print(f"{name:>6}: batch_values {tv * 1e3:8.3f} ms   "
-              f"marginal_means {tm * 1e3:8.3f} ms")
-    if len(backends) == 2:
-        dv = float(np.abs(outputs["numpy"][0] - outputs["numba"][0]).max())
-        dm = float(np.abs(outputs["numpy"][1] - outputs["numba"][1]).max())
-        tvn, tmn = timings["numpy"]
-        tvb, tmb = timings["numba"]
-        print(f"speedup: batch_values {tvn / tvb:6.2f}x   "
-              f"marginal_means {tmn / tmb:6.2f}x")
-        print(f"max abs diff: batch_values {dv:.3e}   marginal_means {dm:.3e}")
-        if dv > 1e-9 or dm > 1e-9:
-            return _fail("backend outputs disagree")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -404,17 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("instance", help="instance file")
     verify.add_argument("result", help="result record file")
     verify.set_defaults(func=_cmd_verify)
-
-    bench = sub.add_parser("bench", help="time the evaluation kernels")
-    bench.add_argument("--matroid", default="laminar",
-                       choices=["laminar", "graphic", "transversal"])
-    bench.add_argument("--function", default="coverage",
-                       choices=["coverage", "facility"])
-    bench.add_argument("--n", type=int, default=64)
-    bench.add_argument("--rows", type=int, default=512)
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=5)
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

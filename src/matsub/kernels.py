@@ -2,10 +2,10 @@
 
 The sampling phases of the optimizer evaluate an objective on hundreds of
 random subsets per marginal estimate.  That work is dense array arithmetic and
-dominates end-to-end runtime, so it is implemented twice: once as numba
-``@njit`` loops and once in pure numpy.  The numba path is used when numba
-imports cleanly and the environment variable ``MATSUB_NO_NUMBA`` is not set to
-``1``; the numpy path is the fallback.  ``matsub bench`` times both.
+dominates end-to-end runtime, so each objective has one numpy kernel per
+batch entry point.  The kernels hold no state: anything derived from an
+objective's data, such as the coverage incidence matrix, is built and owned
+by the oracle that passes it in.
 
 Subset batches are ``(s, n)`` uint8 matrices, one row per sampled set.  Ground
 sets use element ids ``0..n-1`` throughout.
@@ -13,83 +13,20 @@ sets use element ids ``0..n-1`` throughout.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-USE_NUMBA = NUMBA_AVAILABLE and os.environ.get("MATSUB_NO_NUMBA", "0") != "1"
 
 
 # ---------------------------------------------------------------------------
-# coverage objectives: element e covers a list of universe items (CSR layout),
+# coverage objectives: element e covers a list of universe items (CSR layout,
+# plus the dense 0/1 ``(n, universe)`` incidence matrix of the same covers),
 # f(S) = total weight of items covered by S.
 
-def _coverage_values_py(sets, indptr, indices, weights):
-    s, n = sets.shape
-    out = np.zeros(s, dtype=np.float64)
-    nu = weights.shape[0]
-    mark = np.full(nu, -1, dtype=np.int64)
-    for row in range(s):
-        acc = 0.0
-        for e in range(n):
-            if sets[row, e]:
-                for k in range(indptr[e], indptr[e + 1]):
-                    u = indices[k]
-                    if mark[u] != row:
-                        mark[u] = row
-                        acc += weights[u]
-        out[row] = acc
-    return out
-
-
-def _coverage_marginal_means_py(sets, elems, indptr, indices, weights):
-    s, n = sets.shape
-    nu = weights.shape[0]
-    counts = np.zeros((s, nu), dtype=np.int32)
-    for row in range(s):
-        for e in range(n):
-            if sets[row, e]:
-                for k in range(indptr[e], indptr[e + 1]):
-                    counts[row, indices[k]] += 1
-    out = np.zeros(elems.shape[0], dtype=np.float64)
-    for qi in range(elems.shape[0]):
-        e = elems[qi]
-        acc = 0.0
-        for row in range(s):
-            present = 1 if sets[row, e] else 0
-            for k in range(indptr[e], indptr[e + 1]):
-                u = indices[k]
-                if counts[row, u] - present == 0:
-                    acc += weights[u]
-        out[qi] = acc / s
-    return out
-
-
-def _coverage_values_np(sets, indptr, indices, weights):
-    incidence = _coverage_incidence(indptr, indices, weights.shape[0])
+def coverage_values(sets, incidence, weights):
     covered = sets.astype(np.float64) @ incidence > 0.5
     return covered @ weights
 
 
-def _coverage_marginal_means_np(sets, elems, indptr, indices, weights):
-    incidence = _coverage_incidence(indptr, indices, weights.shape[0])
+def coverage_marginal_means(sets, elems, indptr, indices, incidence, weights):
     counts = sets.astype(np.float64) @ incidence
     out = np.zeros(elems.shape[0], dtype=np.float64)
     for qi, e in enumerate(elems):
@@ -101,81 +38,16 @@ def _coverage_marginal_means_np(sets, elems, indptr, indices, weights):
     return out
 
 
-# Dense incidence matrices for the numpy path, keyed by identity of the CSR
-# arrays.  The cached entry pins both arrays so the ids cannot be recycled.
-_INCIDENCE_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _coverage_incidence(indptr, indices, nu):
-    key = (id(indptr), id(indices))
-    cached = _INCIDENCE_CACHE.get(key)
-    if cached is not None and cached[0] is indptr and cached[1] is indices:
-        return cached[2]
-    n = indptr.shape[0] - 1
-    incidence = np.zeros((n, nu), dtype=np.float64)
-    for e in range(n):
-        incidence[e, indices[indptr[e]:indptr[e + 1]]] = 1.0
-    _INCIDENCE_CACHE[key] = (indptr, indices, incidence)
-    return incidence
-
-
 # ---------------------------------------------------------------------------
 # facility-location objectives: similarity matrix sim (n clients columns),
 # f(S) = sum over clients of the best similarity among selected elements.
 
-def _facility_values_py(sets, sim):
-    s, n = sets.shape
-    nc = sim.shape[1]
-    out = np.zeros(s, dtype=np.float64)
-    for row in range(s):
-        acc = 0.0
-        for c in range(nc):
-            best = 0.0
-            for e in range(n):
-                if sets[row, e] and sim[e, c] > best:
-                    best = sim[e, c]
-            acc += best
-        out[row] = acc
-    return out
-
-
-def _facility_marginal_means_py(sets, elems, sim):
-    s, n = sets.shape
-    nc = sim.shape[1]
-    top1 = np.zeros((s, nc), dtype=np.float64)
-    arg1 = np.full((s, nc), -1, dtype=np.int64)
-    top2 = np.zeros((s, nc), dtype=np.float64)
-    for row in range(s):
-        for e in range(n):
-            if sets[row, e]:
-                for c in range(nc):
-                    v = sim[e, c]
-                    if v > top1[row, c]:
-                        top2[row, c] = top1[row, c]
-                        top1[row, c] = v
-                        arg1[row, c] = e
-                    elif v > top2[row, c]:
-                        top2[row, c] = v
-    out = np.zeros(elems.shape[0], dtype=np.float64)
-    for qi in range(elems.shape[0]):
-        e = elems[qi]
-        acc = 0.0
-        for row in range(s):
-            for c in range(nc):
-                base = top2[row, c] if arg1[row, c] == e else top1[row, c]
-                v = sim[e, c]
-                if v > base:
-                    acc += v - base
-        out[qi] = acc / s
-    return out
-
-
-def _facility_values_np(sets, sim):
+def facility_values(sets, sim):
     masked = np.where(sets[:, :, None].astype(bool), sim[None, :, :], 0.0)
     return masked.max(axis=1).sum(axis=1)
 
 
-def _facility_marginal_means_np(sets, elems, sim):
+def facility_marginal_means(sets, elems, sim):
     masked = np.where(sets[:, :, None].astype(bool), sim[None, :, :], 0.0)
     order = np.argsort(masked, axis=1)
     top1 = np.take_along_axis(masked, order[:, -1:, :], axis=1)[:, 0, :]
@@ -190,26 +62,6 @@ def _facility_marginal_means_np(sets, elems, sim):
     return out
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-_coverage_values_nb = njit(cache=True)(_coverage_values_py)
-_coverage_marginal_means_nb = njit(cache=True)(_coverage_marginal_means_py)
-_facility_values_nb = njit(cache=True)(_facility_values_py)
-_facility_marginal_means_nb = njit(cache=True)(_facility_marginal_means_py)
-
-if USE_NUMBA:
-    coverage_values = _coverage_values_nb
-    coverage_marginal_means = _coverage_marginal_means_nb
-    facility_values = _facility_values_nb
-    facility_marginal_means = _facility_marginal_means_nb
-else:
-    coverage_values = _coverage_values_np
-    coverage_marginal_means = _coverage_marginal_means_np
-    facility_values = _facility_values_np
-    facility_marginal_means = _facility_marginal_means_np
-
-
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend, echoed into run records."""
+    return "numpy"

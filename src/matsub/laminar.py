@@ -1,12 +1,12 @@
 """Dynamic max-weight basis maintenance for laminar matroids.
 
-Both structures here keep the unique maximum-weight basis of the present
+``TopTreeLaminarBasis`` keeps the unique maximum-weight basis of the present
 elements under the capacity constraints of a laminar tree, where uniqueness
-comes from breaking weight ties toward larger element ids.  ``SlowLaminarBasis``
-walks the tree explicitly and serves as the differential-testing reference;
-``TopTreeLaminarBasis`` answers the same queries through a balanced cluster
-tree over a heavy path decomposition, so every operation touches a
-logarithmic number of clusters.
+comes from breaking weight ties toward larger element ids.  It answers its
+queries through a balanced cluster tree over a heavy path decomposition, so
+every operation touches a logarithmic number of clusters.  The test suite
+holds a slow mirror that walks the tree explicitly, as its differential
+reference.
 
 Supported mutations: insert a weighted element, delete one, lower a weight in
 place, and freeze a basis element so it can never be evicted.  Queries expose
@@ -18,214 +18,11 @@ drive both the optimizer and the rounding exchanges.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
 
 from .core import OracleChanges, weight_key
 from .instances import LaminarMatroid
 
 _BASE, _COMPRESS, _RAKE = 0, 1, 2
-
-
-class SlowLaminarBasis:
-    """Reference implementation; every operation walks the whole tree."""
-
-    def __init__(self, matroid: LaminarMatroid) -> None:
-        self.matroid = matroid
-        self.num_nodes = len(matroid.parents)
-        self.parents = list(matroid.parents)
-        self.caps = list(matroid.capacities)
-        self.node_of = {e: node for e, node in enumerate(matroid.element_nodes)}
-        self.elem_at = {node: e for e, node in self.node_of.items()}
-        self.weights: dict[int, float] = {}
-        self.in_basis: set[int] = set()
-        self.frozen: set[int] = set()
-        self.shadow: set[int] = set()
-        self.counts = [0] * self.num_nodes
-        self._basis_weight = 0.0
-
-    # -- bookkeeping ------------------------------------------------------
-
-    def _key(self, elem: int) -> tuple[float, int]:
-        if elem in self.frozen:
-            return (math.inf, elem)
-        return weight_key(self.weights[elem], elem)
-
-    def _path(self, node: int) -> list[int]:
-        out = []
-        v = node
-        while v != -1:
-            out.append(v)
-            v = self.parents[v]
-        return out
-
-    def _basis_add(self, elem: int, changes: OracleChanges) -> None:
-        self.in_basis.add(elem)
-        for v in self._path(self.node_of[elem]):
-            self.counts[v] += 1
-        self._basis_weight += self.weights[elem]
-        changes.added.append((elem, self.weights[elem]))
-
-    def _basis_remove(self, elem: int, changes: OracleChanges) -> None:
-        self.in_basis.remove(elem)
-        for v in self._path(self.node_of[elem]):
-            self.counts[v] -= 1
-        self._basis_weight -= self.weights[elem]
-        changes.removed.append(elem)
-
-    # -- queries ----------------------------------------------------------
-
-    def lowest_tight(self, elem: int) -> int | None:
-        for v in self._path(self.node_of[elem]):
-            if self.counts[v] >= self.caps[v]:
-                return v
-        return None
-
-    def min_basis_in(self, node: int) -> int | None:
-        best = None
-        for elem in self.in_basis:
-            if elem in self.frozen or elem in self.shadow:
-                continue
-            if node not in self._path(self.node_of[elem]):
-                continue
-            if best is None or self._key(elem) < self._key(best):
-                best = elem
-        return best
-
-    def _addable(self, elem: int, stop: int | None) -> bool:
-        """No tight node on the leaf-to-``stop`` path, ``stop`` excluded.
-
-        ``stop=None`` gates the full path root included, which is the
-        condition for joining the basis outright.
-        """
-        for v in self._path(self.node_of[elem]):
-            if v == stop:
-                return True
-            if self.counts[v] >= self.caps[v]:
-                return False
-        return stop is None
-
-    def max_addable_under(self, node: int) -> int | None:
-        best = None
-        for elem in self.weights:
-            if elem in self.in_basis or elem in self.shadow:
-                continue
-            if node not in self._path(self.node_of[elem]):
-                continue
-            if not self._addable(elem, node):
-                continue
-            if best is None or self._key(elem) > self._key(best):
-                best = elem
-        return best
-
-    def max_addable(self) -> int | None:
-        best = None
-        for elem in self.weights:
-            if elem in self.in_basis or elem in self.shadow:
-                continue
-            if not self._addable(elem, None):
-                continue
-            if best is None or self._key(elem) > self._key(best):
-                best = elem
-        return best
-
-    # -- mutations --------------------------------------------------------
-
-    def insert(self, elem: int, weight: float) -> OracleChanges:
-        if elem in self.weights:
-            raise ValueError(f"element {elem} already present")
-        if elem not in self.node_of:
-            raise ValueError(f"element {elem} is not a declared slot")
-        if weight < 0:
-            raise ValueError("weights must be nonnegative")
-        self.weights[elem] = weight
-        changes = OracleChanges()
-        tight = self.lowest_tight(elem)
-        if tight is None:
-            self._basis_add(elem, changes)
-            return changes
-        victim = self.min_basis_in(tight)
-        if victim is not None and self._key(victim) < self._key(elem):
-            self._basis_remove(victim, changes)
-            self._basis_add(elem, changes)
-        return changes
-
-    def delete(self, elem: int) -> OracleChanges:
-        if elem not in self.weights:
-            raise ValueError(f"element {elem} not present")
-        if elem in self.frozen:
-            raise ValueError("cannot delete a frozen element")
-        changes = OracleChanges()
-        if elem in self.in_basis:
-            self._basis_remove(elem, changes)
-            del self.weights[elem]
-            refill = self.max_addable()
-            if refill is not None:
-                self._basis_add(refill, changes)
-        else:
-            del self.weights[elem]
-        return changes
-
-    def decrement(self, elem: int, new_weight: float) -> OracleChanges:
-        if elem not in self.weights:
-            raise ValueError(f"element {elem} not present")
-        if elem in self.frozen:
-            raise ValueError("cannot decrement a frozen element")
-        if new_weight > self.weights[elem]:
-            raise ValueError("decrement cannot raise a weight")
-        changes = OracleChanges()
-        if elem not in self.in_basis:
-            self.weights[elem] = new_weight
-            return changes
-        self._basis_remove(elem, changes)
-        self.weights[elem] = new_weight
-        refill = self.max_addable()
-        # the demoted element stays addable, so the basis never shrinks here
-        self._basis_add(refill, changes)
-        return changes
-
-    def freeze(self, elem: int) -> None:
-        if elem not in self.in_basis:
-            raise ValueError("only basis elements can be frozen")
-        self.frozen.add(elem)
-
-    # -- primitives for rounding exchanges --------------------------------
-
-    def remove_from_basis(self, elem: int) -> None:
-        if elem not in self.in_basis:
-            raise ValueError(f"element {elem} not in basis")
-        self._basis_remove(elem, OracleChanges())
-
-    def add_to_basis(self, elem: int) -> None:
-        if elem not in self.weights or elem in self.in_basis:
-            raise ValueError(f"element {elem} cannot be force-added")
-        self._basis_add(elem, OracleChanges())
-
-    def set_shadow(self, elem: int, flag: bool) -> None:
-        if flag:
-            self.shadow.add(elem)
-        else:
-            self.shadow.discard(elem)
-
-    def make_present(self, elem: int, weight: float) -> None:
-        """Presence without basis logic; used to stage exchange structures."""
-        if elem in self.weights:
-            raise ValueError(f"element {elem} already present")
-        self.weights[elem] = weight
-
-    # -- inspection -------------------------------------------------------
-
-    def basis(self) -> list[int]:
-        return sorted(self.in_basis)
-
-    def weight_of(self, elem: int) -> float:
-        return self.weights[elem]
-
-    def approx_base_weight(self) -> float:
-        return self._basis_weight
-
-    @property
-    def op_counters(self) -> dict[str, int]:
-        return {"joins": 0, "splits": 0}
 
 
 def _kmax(a, b):
@@ -718,27 +515,3 @@ class TopTreeLaminarBasis:
     @property
     def op_counters(self) -> dict[str, int]:
         return {"joins": self.joins, "splits": self.splits}
-
-
-def greedy_laminar_basis(
-    matroid: LaminarMatroid,
-    weights: Mapping[int, float],
-    frozen: Iterable[int] = (),
-) -> list[int]:
-    """Independent greedy oracle for the unique max-weight basis.
-
-    Frozen elements sort above everything, mirroring the structures' promise
-    that they are never evicted.
-    """
-    frozen = set(frozen)
-
-    def key(e: int) -> tuple[float, int]:
-        return (math.inf, e) if e in frozen else weight_key(weights[e], e)
-
-    checker = matroid.checker()
-    chosen = []
-    for e in sorted(weights, key=key, reverse=True):
-        if checker.test(e):
-            checker.insert(e)
-            chosen.append(e)
-    return sorted(chosen)

@@ -10,6 +10,7 @@ instrumentation everywhere else trusts these counts.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,38 +30,52 @@ def set_eval_threads(count: int) -> None:
     _EVAL_THREADS = count
 
 
+class QueryCounter:
+    """Running total of value-oracle queries, shared by an oracle and its
+    contractions so one count covers every phase."""
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 class ValueOracle:
-    """Base class: query counting plus the batch entry points."""
+    """Base class: query counting, input checks and the batch entry points."""
 
     kind = "abstract"
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, counter: QueryCounter | None = None) -> None:
         if n <= 0:
             raise ValueError("ground set must be nonempty")
         self.n = n
-        self.query_count = 0
+        self.counter = QueryCounter() if counter is None else counter
+
+    @property
+    def query_count(self) -> int:
+        return self.counter.count
 
     # -- single-set queries -------------------------------------------------
 
     def value(self, subset: Iterable[int]) -> float:
-        self.query_count += 1
+        self.counter.count += 1
         return self._value(self._as_indices(subset))
 
     def marginal(self, elem: int, subset: Iterable[int]) -> float:
         """f(S + e) - f(S), counted as two queries."""
         base = self._as_indices(subset)
+        self._in_range(np.asarray([elem], dtype=np.int64))
         with_e = np.append(base, np.int64(elem)) if elem not in set(base.tolist()) else base
-        self.query_count += 2
+        self.counter.count += 2
         return self._value(with_e) - self._value(base)
 
     # -- batched queries ----------------------------------------------------
 
     def batch_values(self, sets: np.ndarray) -> np.ndarray:
         """Values for each row of an ``(s, n)`` uint8 subset matrix."""
-        if sets.ndim != 2 or sets.shape[1] != self.n:
-            raise ValueError("subset matrix shape mismatch")
-        self.query_count += sets.shape[0]
-        return self._batch_values(np.ascontiguousarray(sets, dtype=np.uint8))
+        rows = self._as_rows(sets)
+        self.counter.count += rows.shape[0]
+        return self._batch_values(rows)
 
     def batch_marginal_means(self, sets: np.ndarray, elems: Sequence[int]) -> np.ndarray:
         """Mean of f(R+e) - f(R-e) over the rows of ``sets``, per element.
@@ -68,15 +83,11 @@ class ValueOracle:
         Costs ``2 * len(elems) * rows`` queries: each sampled marginal is two
         value queries.
         """
-        if sets.ndim != 2 or sets.shape[1] != self.n:
-            raise ValueError("subset matrix shape mismatch")
-        q = np.asarray(elems, dtype=np.int64)
-        if q.size and (q.min() < 0 or q.max() >= self.n):
-            raise ValueError("element id out of range")
-        self.query_count += 2 * sets.shape[0] * q.shape[0]
+        rows = self._as_rows(sets)
+        q = self._in_range(np.asarray(elems, dtype=np.int64))
+        self.counter.count += 2 * rows.shape[0] * q.shape[0]
         if q.size == 0:
             return np.zeros(0, dtype=np.float64)
-        rows = np.ascontiguousarray(sets, dtype=np.uint8)
         workers = _EVAL_THREADS
         if workers > 1 and rows.shape[0] >= 2 * workers:
             chunks = np.array_split(rows, workers)
@@ -94,13 +105,22 @@ class ValueOracle:
             return (sizes[:, None] * stacked).sum(axis=0) / rows.shape[0]
         return self._batch_marginal_means(rows, q)
 
-    # -- helpers ------------------------------------------------------------
+    # -- input checks -------------------------------------------------------
 
-    def _as_indices(self, subset: Iterable[int]) -> np.ndarray:
-        idx = np.fromiter(subset, dtype=np.int64)
+    def _as_rows(self, sets: np.ndarray) -> np.ndarray:
+        if sets.ndim != 2 or sets.shape[1] != self.n:
+            raise ValueError("subset matrix shape mismatch")
+        return np.ascontiguousarray(sets, dtype=np.uint8)
+
+    def _in_range(self, idx: np.ndarray) -> np.ndarray:
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError("element id out of range")
         return idx
+
+    def _as_indices(self, subset: Iterable[int]) -> np.ndarray:
+        return self._in_range(np.fromiter(subset, dtype=np.int64))
+
+    # -- per-objective evaluation -------------------------------------------
 
     def _value(self, idx: np.ndarray) -> float:
         raise NotImplementedError
@@ -142,12 +162,20 @@ class CoverageOracle(ValueOracle):
             return 0.0
         return float(self.universe_weights[np.fromiter(covered, dtype=np.int64)].sum())
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Dense 0/1 ``(n, universe)`` cover matrix for the batch kernels,
+        built on the first batch query and freed with the oracle."""
+        incidence = np.zeros((self.n, self.universe_weights.shape[0]), dtype=np.float64)
+        incidence[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = 1.0
+        return incidence
+
     def _batch_values(self, sets: np.ndarray) -> np.ndarray:
-        return kernels.coverage_values(sets, self.indptr, self.indices, self.universe_weights)
+        return kernels.coverage_values(sets, self.incidence, self.universe_weights)
 
     def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
         return kernels.coverage_marginal_means(
-            sets, elems, self.indptr, self.indices, self.universe_weights
+            sets, elems, self.indptr, self.indices, self.incidence, self.universe_weights
         )
 
 
@@ -203,16 +231,16 @@ class AdditiveOracle(ValueOracle):
 class ResidualOracle(ValueOracle):
     """f(T | S0) = f(S0 + T) - f(S0), with queries counted on the base oracle.
 
-    Phase 2 runs on this contraction of the phase-1 output.  ``query_count``
-    on the residual mirrors the base oracle's count so one counter covers
-    both phases; callers read per-phase deltas.
+    Phase 2 runs on this contraction of the phase-1 output.  The residual
+    shares the base oracle's ``counter``, so one count covers both phases;
+    callers read per-phase deltas.
     """
 
     kind = "residual"
 
     def __init__(self, base: ValueOracle, frozen: Iterable[int]) -> None:
+        super().__init__(base.n, base.counter)
         self.base = base
-        ValueOracle.__init__(self, base.n)
         self.frozen = sorted(set(frozen))
         self._frozen_mask = np.zeros(base.n, dtype=np.uint8)
         for e in self.frozen:
@@ -220,41 +248,35 @@ class ResidualOracle(ValueOracle):
         self._offset = base._value(np.asarray(self.frozen, dtype=np.int64))
 
     def value(self, subset: Iterable[int]) -> float:
-        self.base.query_count += 1
+        self.counter.count += 1
         idx = self._as_indices(subset)
         merged = np.unique(np.concatenate([idx, np.asarray(self.frozen, dtype=np.int64)])) \
             if self.frozen else idx
         return self.base._value(merged) - self._offset
 
+    # these call the base's private kernels, never its public batch methods,
+    # so a profiler that wraps both classes' methods sees each query once
+
     def batch_values(self, sets: np.ndarray) -> np.ndarray:
-        self.base.query_count += sets.shape[0]
-        merged = np.maximum(np.ascontiguousarray(sets, dtype=np.uint8), self._frozen_mask)
-        return self.base._batch_values(merged) - self._offset
+        rows = self._as_rows(sets)
+        self.counter.count += rows.shape[0]
+        return self.base._batch_values(np.maximum(rows, self._frozen_mask)) - self._offset
 
     def batch_marginal_means(self, sets: np.ndarray, elems: Sequence[int]) -> np.ndarray:
-        q = np.asarray(elems, dtype=np.int64)
-        self.base.query_count += 2 * sets.shape[0] * q.shape[0]
+        rows = self._as_rows(sets)
+        q = self._in_range(np.asarray(elems, dtype=np.int64))
+        self.counter.count += 2 * rows.shape[0] * q.shape[0]
         if q.size == 0:
             return np.zeros(0, dtype=np.float64)
-        merged = np.maximum(np.ascontiguousarray(sets, dtype=np.uint8), self._frozen_mask)
-        return self.base._batch_marginal_means(merged, q)
+        return self.base._batch_marginal_means(np.maximum(rows, self._frozen_mask), q)
 
     def marginal(self, elem: int, subset: Iterable[int]) -> float:
-        self.base.query_count += 2
         idx = set(self._as_indices(subset).tolist()) | set(self.frozen)
+        self._in_range(np.asarray([elem], dtype=np.int64))
+        self.counter.count += 2
         lo = self.base._value(np.asarray(sorted(idx), dtype=np.int64))
         hi = self.base._value(np.asarray(sorted(idx | {elem}), dtype=np.int64))
         return hi - lo
-
-    @property  # type: ignore[override]
-    def query_count(self) -> int:
-        return self.base.query_count
-
-    @query_count.setter
-    def query_count(self, v: int) -> None:
-        # ValueOracle.__init__ assigns 0 once; redirect everything to the base
-        if v:
-            self.base.query_count = v
 
 
 def sample_subsets(x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -282,9 +304,3 @@ def estimate_marginals_on_point(
     sets = sample_subsets(x, samples, rng)
     return f.batch_marginal_means(sets, elems)
 
-
-def estimate_marginal_on_point(
-    f: ValueOracle, elem: int, x: np.ndarray, samples: int, rng: np.random.Generator
-) -> float:
-    """Single-element convenience wrapper around the batched estimator."""
-    return float(estimate_marginals_on_point(f, x, [elem], samples, rng)[0])

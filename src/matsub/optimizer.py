@@ -38,24 +38,27 @@ from .sampler import BucketLists
 from .transversal import DecMatching, LStableMatching
 
 
+# Analysis constants.  The phase-1 audit batch per iteration is
+# PHASE1_SAMPLE_SCALE * log n elements; phase 1 spends PHASE1_EPS_FRACTION of
+# the accuracy budget; a phase-2 marginal estimate averages
+# SAMPLE_COUNT_SCALE / eps * log(n / eps)^2 subset draws.
+PHASE1_SAMPLE_SCALE = 128.0
+PHASE1_EPS_FRACTION = 0.25
+SAMPLE_COUNT_SCALE = 1.0
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs that trade constants for speed without touching the guarantee.
 
-    ``threshold_factor`` scales the phase-1 stopping threshold, and
-    ``sample_scale`` the per-iteration audit batch; both match the analysis
-    defaults.  ``phase1_eps_fraction`` is the share of the accuracy budget
-    spent in phase 1.  ``stale_gate`` picks between the per-group count form
-    of the freshness test and the aggregate weight form.
+    ``threshold_factor`` scales the phase-1 stopping threshold and matches
+    the analysis default.  ``stale_gate`` picks between the per-group count
+    form of the freshness test and the aggregate weight form.
     """
 
     threshold_factor: float = 50.0
-    sample_scale: float = 128.0
-    sample_count_scale: float = 1.0
-    phase1_eps_fraction: float = 0.25
     stale_gate: str = "count"
     verify_rounding: bool = True
-    max_phase1_iterations: int | None = None
 
 
 DEFAULT_CONFIG = OptimizerConfig()
@@ -235,12 +238,10 @@ def lazy_sampling_greedy_plus(
     n = oracle.matroid.n
     classifier = oracle.classifier
     threshold = (config.threshold_factor / epsilon) * opt_estimate
-    t_param = config.sample_scale * math.log(max(n, 2))
-    cap = config.max_phase1_iterations
-    if cap is None:
-        # every iteration either reclasses an element downward or freezes
-        # one, so this budget is only hit on a broken structure
-        cap = 2 * n * (classifier.num_classes + 2) + 16
+    t_param = PHASE1_SAMPLE_SCALE * math.log(max(n, 2))
+    # every iteration either reclasses an element downward or freezes one,
+    # so this budget is only hit on a broken structure
+    cap = 2 * n * (classifier.num_classes + 2) + 16
     mask = np.zeros(n, dtype=np.uint8)
     current = f.value(())
     while oracle.approx_base_weight() >= threshold:
@@ -524,7 +525,6 @@ def continuous_greedy(
     opt_estimate: float,
     rng: np.random.Generator,
     variant: str | None = None,
-    config: OptimizerConfig = DEFAULT_CONFIG,
 ) -> tuple[FractionalSolution, dict[str, int]]:
     """Sampled continuous greedy over the contraction by ``frozen``.
 
@@ -554,7 +554,7 @@ def continuous_greedy(
     samples = max(
         1,
         math.ceil(
-            config.sample_count_scale
+            SAMPLE_COUNT_SCALE
             / epsilon
             * math.log(max(n, 2) / epsilon) ** 2
         ),
@@ -671,7 +671,7 @@ def run_pipeline(
             solution, value, [], None, counters, epsilon, seed, variant,
             m_est, time.perf_counter() - start,
         )
-    eps1 = config.phase1_eps_fraction * epsilon
+    eps1 = PHASE1_EPS_FRACTION * epsilon
     classifier = WeightClassifier(m_est, eps1, rank)
     oracle = build_phase1_oracle(f, matroid, classifier, eps1)
     state = lazy_sampling_greedy_plus(
@@ -695,7 +695,6 @@ def run_pipeline(
         m_est,
         stream_rng(seed, STREAM_MULTILINEAR),
         variant,
-        config,
     )
     counters.update(cg_counters)
     counters["phase2_f_queries"] = f.query_count - after_phase1

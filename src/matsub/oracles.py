@@ -1,42 +1,13 @@
-"""Reference oracles the differential tests compare against.
+"""Exact optimum by exhaustive search, the ``run --algorithm brute`` baseline.
 
-Everything here is deliberately simple and slow: straight-line definitional
-implementations with no shared state or code with the dynamic structures
-under test.
+Deliberately simple and slow: it shares no code with the optimizer and is
+capped to small ground sets.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import combinations
-from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .core import SetFunction
 from .instances import Matroid
-
-
-def feasibility_verify(matroid: Matroid, subset: Iterable[int]) -> bool:
-    """Definitional independence check for any supported matroid."""
-    return matroid.is_independent(subset)
-
-
-def max_weight_basis(matroid: Matroid, weights: Sequence[float]) -> list[int]:
-    """The unique max-weight basis under the (weight, id) tie-break.
-
-    Greedy over elements in decreasing (weight, id) order; this is the
-    yardstick every dynamic structure must reproduce exactly.
-    """
-    order = sorted(range(matroid.n), key=lambda e: (weights[e], e), reverse=True)
-    checker = matroid.checker()
-    basis = []
-    for e in order:
-        if checker.test(e):
-            checker.insert(e)
-            basis.append(e)
-    return sorted(basis)
 
 
 def brute_force_opt(
@@ -76,86 +47,3 @@ def brute_force_opt(
 
     explore(0, [], matroid.checker())
     return best_val, best_set
-
-
-def exhaustive_opt(f: SetFunction, matroid: Matroid, limit: int = 12) -> float:
-    """Plain scan of all subsets; cross-checks ``brute_force_opt``."""
-    n = matroid.n
-    if n > limit:
-        raise ValueError(f"exhaustive scan capped at {limit} elements, got {n}")
-    best = f.value(())
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            if matroid.is_independent(combo):
-                best = max(best, f.value(combo))
-    return best
-
-
-def hungarian_max_weight_matching(
-    adjacency: Sequence[Sequence[int]], weights: Sequence[float], num_right: int
-) -> float:
-    """Optimal total weight of a left-vertex-weighted bipartite matching.
-
-    Built on the assignment solver with dummy columns so leaving a vertex
-    unmatched is always an option and non-edges are never used.
-    """
-    nl = len(adjacency)
-    if nl == 0:
-        return 0.0
-    forbidden = -(max((abs(w) for w in weights), default=1.0) + 1.0) * (nl + 1)
-    cost = np.full((nl, num_right + nl), forbidden, dtype=np.float64)
-    for i, nbrs in enumerate(adjacency):
-        for r in nbrs:
-            cost[i, r] = weights[i]
-        cost[i, num_right + i] = 0.0  # the "stay unmatched" column
-    rows, cols = linear_sum_assignment(cost, maximize=True)
-    total = 0.0
-    for i, c in zip(rows, cols):
-        if c < num_right and cost[i, c] > forbidden / 2:
-            total += cost[i, c]
-    return total
-
-
-def hopcroft_karp(adjacency: Sequence[Sequence[int]], num_right: int) -> dict[int, int]:
-    """Maximum-cardinality bipartite matching; returns left -> right."""
-    nl = len(adjacency)
-    match_l = [-1] * nl
-    match_r = [-1] * num_right
-    INF = nl + num_right + 1
-    dist = [INF] * nl
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(nl):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for r in adjacency[u]:
-                w = match_r[r]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def dfs(u: int) -> bool:
-        for r in adjacency[u]:
-            w = match_r[r]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = r
-                match_r[r] = u
-                return True
-        dist[u] = INF
-        return False
-
-    while bfs():
-        for u in range(nl):
-            if match_l[u] == -1:
-                dfs(u)
-    return {u: match_l[u] for u in range(nl) if match_l[u] != -1}

@@ -1,0 +1,365 @@
+"""Slow, definitional references the differential tests compare against.
+
+Everything here is deliberately simple: straight-line implementations with
+no shared state or code with the structures under test.  None of it is
+needed to solve an instance, so it lives beside the tests rather than in
+the package.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+from scipy.optimize import linear_sum_assignment
+
+from matsub.core import OracleChanges, SetFunction, weight_key
+from matsub.instances import LaminarMatroid, Matroid
+from matsub.objectives import ValueOracle, estimate_marginals_on_point
+
+
+# ---------------------------------------------------------------------------
+# laminar bases
+
+
+class SlowLaminarBasis:
+    """Reference implementation; every operation walks the whole tree."""
+
+    def __init__(self, matroid: LaminarMatroid) -> None:
+        self.matroid = matroid
+        self.num_nodes = len(matroid.parents)
+        self.parents = list(matroid.parents)
+        self.caps = list(matroid.capacities)
+        self.node_of = {e: node for e, node in enumerate(matroid.element_nodes)}
+        self.elem_at = {node: e for e, node in self.node_of.items()}
+        self.weights: dict[int, float] = {}
+        self.in_basis: set[int] = set()
+        self.frozen: set[int] = set()
+        self.shadow: set[int] = set()
+        self.counts = [0] * self.num_nodes
+        self._basis_weight = 0.0
+
+    # -- bookkeeping ------------------------------------------------------
+
+    def _key(self, elem: int) -> tuple[float, int]:
+        if elem in self.frozen:
+            return (math.inf, elem)
+        return weight_key(self.weights[elem], elem)
+
+    def _path(self, node: int) -> list[int]:
+        out = []
+        v = node
+        while v != -1:
+            out.append(v)
+            v = self.parents[v]
+        return out
+
+    def _basis_add(self, elem: int, changes: OracleChanges) -> None:
+        self.in_basis.add(elem)
+        for v in self._path(self.node_of[elem]):
+            self.counts[v] += 1
+        self._basis_weight += self.weights[elem]
+        changes.added.append((elem, self.weights[elem]))
+
+    def _basis_remove(self, elem: int, changes: OracleChanges) -> None:
+        self.in_basis.remove(elem)
+        for v in self._path(self.node_of[elem]):
+            self.counts[v] -= 1
+        self._basis_weight -= self.weights[elem]
+        changes.removed.append(elem)
+
+    # -- queries ----------------------------------------------------------
+
+    def lowest_tight(self, elem: int) -> int | None:
+        for v in self._path(self.node_of[elem]):
+            if self.counts[v] >= self.caps[v]:
+                return v
+        return None
+
+    def min_basis_in(self, node: int) -> int | None:
+        best = None
+        for elem in self.in_basis:
+            if elem in self.frozen or elem in self.shadow:
+                continue
+            if node not in self._path(self.node_of[elem]):
+                continue
+            if best is None or self._key(elem) < self._key(best):
+                best = elem
+        return best
+
+    def _addable(self, elem: int, stop: int | None) -> bool:
+        """No tight node on the leaf-to-``stop`` path, ``stop`` excluded.
+
+        ``stop=None`` gates the full path root included, which is the
+        condition for joining the basis outright.
+        """
+        for v in self._path(self.node_of[elem]):
+            if v == stop:
+                return True
+            if self.counts[v] >= self.caps[v]:
+                return False
+        return stop is None
+
+    def max_addable_under(self, node: int) -> int | None:
+        best = None
+        for elem in self.weights:
+            if elem in self.in_basis or elem in self.shadow:
+                continue
+            if node not in self._path(self.node_of[elem]):
+                continue
+            if not self._addable(elem, node):
+                continue
+            if best is None or self._key(elem) > self._key(best):
+                best = elem
+        return best
+
+    def max_addable(self) -> int | None:
+        best = None
+        for elem in self.weights:
+            if elem in self.in_basis or elem in self.shadow:
+                continue
+            if not self._addable(elem, None):
+                continue
+            if best is None or self._key(elem) > self._key(best):
+                best = elem
+        return best
+
+    # -- mutations --------------------------------------------------------
+
+    def insert(self, elem: int, weight: float) -> OracleChanges:
+        if elem in self.weights:
+            raise ValueError(f"element {elem} already present")
+        if elem not in self.node_of:
+            raise ValueError(f"element {elem} is not a declared slot")
+        if weight < 0:
+            raise ValueError("weights must be nonnegative")
+        self.weights[elem] = weight
+        changes = OracleChanges()
+        tight = self.lowest_tight(elem)
+        if tight is None:
+            self._basis_add(elem, changes)
+            return changes
+        victim = self.min_basis_in(tight)
+        if victim is not None and self._key(victim) < self._key(elem):
+            self._basis_remove(victim, changes)
+            self._basis_add(elem, changes)
+        return changes
+
+    def delete(self, elem: int) -> OracleChanges:
+        if elem not in self.weights:
+            raise ValueError(f"element {elem} not present")
+        if elem in self.frozen:
+            raise ValueError("cannot delete a frozen element")
+        changes = OracleChanges()
+        if elem in self.in_basis:
+            self._basis_remove(elem, changes)
+            del self.weights[elem]
+            refill = self.max_addable()
+            if refill is not None:
+                self._basis_add(refill, changes)
+        else:
+            del self.weights[elem]
+        return changes
+
+    def decrement(self, elem: int, new_weight: float) -> OracleChanges:
+        if elem not in self.weights:
+            raise ValueError(f"element {elem} not present")
+        if elem in self.frozen:
+            raise ValueError("cannot decrement a frozen element")
+        if new_weight > self.weights[elem]:
+            raise ValueError("decrement cannot raise a weight")
+        changes = OracleChanges()
+        if elem not in self.in_basis:
+            self.weights[elem] = new_weight
+            return changes
+        self._basis_remove(elem, changes)
+        self.weights[elem] = new_weight
+        refill = self.max_addable()
+        # the demoted element stays addable, so the basis never shrinks here
+        self._basis_add(refill, changes)
+        return changes
+
+    def freeze(self, elem: int) -> None:
+        if elem not in self.in_basis:
+            raise ValueError("only basis elements can be frozen")
+        self.frozen.add(elem)
+
+    # -- primitives for rounding exchanges --------------------------------
+
+    def remove_from_basis(self, elem: int) -> None:
+        if elem not in self.in_basis:
+            raise ValueError(f"element {elem} not in basis")
+        self._basis_remove(elem, OracleChanges())
+
+    def add_to_basis(self, elem: int) -> None:
+        if elem not in self.weights or elem in self.in_basis:
+            raise ValueError(f"element {elem} cannot be force-added")
+        self._basis_add(elem, OracleChanges())
+
+    def set_shadow(self, elem: int, flag: bool) -> None:
+        if flag:
+            self.shadow.add(elem)
+        else:
+            self.shadow.discard(elem)
+
+    def make_present(self, elem: int, weight: float) -> None:
+        """Presence without basis logic; used to stage exchange structures."""
+        if elem in self.weights:
+            raise ValueError(f"element {elem} already present")
+        self.weights[elem] = weight
+
+    # -- inspection -------------------------------------------------------
+
+    def basis(self) -> list[int]:
+        return sorted(self.in_basis)
+
+    def weight_of(self, elem: int) -> float:
+        return self.weights[elem]
+
+    def approx_base_weight(self) -> float:
+        return self._basis_weight
+
+    @property
+    def op_counters(self) -> dict[str, int]:
+        return {"joins": 0, "splits": 0}
+
+
+def greedy_laminar_basis(
+    matroid: LaminarMatroid,
+    weights: Mapping[int, float],
+    frozen: Iterable[int] = (),
+) -> list[int]:
+    """Independent greedy oracle for the unique max-weight basis.
+
+    Frozen elements sort above everything, mirroring the structures' promise
+    that they are never evicted.
+    """
+    frozen = set(frozen)
+
+    def key(e: int) -> tuple[float, int]:
+        return (math.inf, e) if e in frozen else weight_key(weights[e], e)
+
+    checker = matroid.checker()
+    chosen = []
+    for e in sorted(weights, key=key, reverse=True):
+        if checker.test(e):
+            checker.insert(e)
+            chosen.append(e)
+    return sorted(chosen)
+
+
+# ---------------------------------------------------------------------------
+# generic matroid and matching references
+
+
+def max_weight_basis(matroid: Matroid, weights: Sequence[float]) -> list[int]:
+    """The unique max-weight basis under the (weight, id) tie-break.
+
+    Greedy over elements in decreasing (weight, id) order; this is the
+    yardstick every dynamic structure must reproduce exactly.
+    """
+    order = sorted(range(matroid.n), key=lambda e: (weights[e], e), reverse=True)
+    checker = matroid.checker()
+    basis = []
+    for e in order:
+        if checker.test(e):
+            checker.insert(e)
+            basis.append(e)
+    return sorted(basis)
+
+
+def exhaustive_opt(f: SetFunction, matroid: Matroid, limit: int = 12) -> float:
+    """Plain scan of all subsets; cross-checks ``brute_force_opt``."""
+    n = matroid.n
+    if n > limit:
+        raise ValueError(f"exhaustive scan capped at {limit} elements, got {n}")
+    best = f.value(())
+    for k in range(1, n + 1):
+        for combo in combinations(range(n), k):
+            if matroid.is_independent(combo):
+                best = max(best, f.value(combo))
+    return best
+
+
+def hungarian_max_weight_matching(
+    adjacency: Sequence[Sequence[int]], weights: Sequence[float], num_right: int
+) -> float:
+    """Optimal total weight of a left-vertex-weighted bipartite matching.
+
+    Built on the assignment solver with dummy columns so leaving a vertex
+    unmatched is always an option and non-edges are never used.
+    """
+    nl = len(adjacency)
+    if nl == 0:
+        return 0.0
+    forbidden = -(max((abs(w) for w in weights), default=1.0) + 1.0) * (nl + 1)
+    cost = np.full((nl, num_right + nl), forbidden, dtype=np.float64)
+    for i, nbrs in enumerate(adjacency):
+        for r in nbrs:
+            cost[i, r] = weights[i]
+        cost[i, num_right + i] = 0.0  # the "stay unmatched" column
+    rows, cols = linear_sum_assignment(cost, maximize=True)
+    total = 0.0
+    for i, c in zip(rows, cols):
+        if c < num_right and cost[i, c] > forbidden / 2:
+            total += cost[i, c]
+    return total
+
+
+def hopcroft_karp(adjacency: Sequence[Sequence[int]], num_right: int) -> dict[int, int]:
+    """Maximum-cardinality bipartite matching; returns left -> right."""
+    nl = len(adjacency)
+    match_l = [-1] * nl
+    match_r = [-1] * num_right
+    INF = nl + num_right + 1
+    dist = [INF] * nl
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(nl):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for r in adjacency[u]:
+                w = match_r[r]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def dfs(u: int) -> bool:
+        for r in adjacency[u]:
+            w = match_r[r]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u] = r
+                match_r[r] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in range(nl):
+            if match_l[u] == -1:
+                dfs(u)
+    return {u: match_l[u] for u in range(nl) if match_l[u] != -1}
+
+
+# ---------------------------------------------------------------------------
+# multilinear estimates
+
+
+def estimate_marginal_on_point(
+    f: ValueOracle, elem: int, x: np.ndarray, samples: int, rng: np.random.Generator
+) -> float:
+    """Single-element convenience wrapper around the batched estimator."""
+    return float(estimate_marginals_on_point(f, x, [elem], samples, rng)[0])

@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from matsub.instances import LaminarMatroid, generate_instance
-from matsub.laminar import (
-    SlowLaminarBasis,
-    TopTreeLaminarBasis,
-    greedy_laminar_basis,
-)
+from matsub.laminar import TopTreeLaminarBasis
+from reference import SlowLaminarBasis, greedy_laminar_basis
 
 STRUCTURES = [SlowLaminarBasis, TopTreeLaminarBasis]
 

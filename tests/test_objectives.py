@@ -11,10 +11,10 @@ from matsub.objectives import (
     CoverageOracle,
     FacilityLocationOracle,
     ResidualOracle,
-    estimate_marginal_on_point,
     estimate_marginals_on_point,
     sample_subsets,
 )
+from reference import estimate_marginal_on_point
 
 
 def _tiny_coverage() -> CoverageOracle:
@@ -163,3 +163,30 @@ def test_residual_oracle_counts_against_base() -> None:
     res.value([1])
     assert base.query_count == start + 1
     assert res.query_count == base.query_count
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_residual_oracle_rejects_bad_input_like_its_base(objective) -> None:
+    inst = generate_instance("laminar", objective, n=8, seed=3)
+    base = inst.build_objective()
+    res = ResidualOracle(base, [1])
+    rows = np.zeros((4, 8), dtype=np.uint8)
+    start = base.query_count
+    for oracle in (base, res):
+        for bad in (-1, 8):
+            with pytest.raises(ValueError, match="out of range"):
+                oracle.batch_marginal_means(rows, [0, bad])
+            with pytest.raises(ValueError, match="out of range"):
+                oracle.marginal(bad, [0])
+        for shape in ((4, 7), (4, 9), (8,)):
+            wrong = np.zeros(shape, dtype=np.uint8)
+            with pytest.raises(ValueError, match="shape"):
+                oracle.batch_values(wrong)
+            with pytest.raises(ValueError, match="shape"):
+                oracle.batch_marginal_means(wrong, [0])
+    # rejected queries are not charged
+    assert base.query_count == start
+    res.batch_values(rows)
+    res.batch_marginal_means(rows, [0, 7])
+    assert res.counter is base.counter
+    assert base.query_count == start + 4 + 2 * 4 * 2

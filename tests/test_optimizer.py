@@ -27,8 +27,9 @@ from matsub.optimizer import (
     lazy_sampling_greedy_plus,
     run_pipeline,
 )
-from matsub.oracles import brute_force_opt, max_weight_basis
+from matsub.oracles import brute_force_opt
 from matsub.transversal import DecMatching
+from reference import max_weight_basis
 
 
 def _rank_one_matroid(n: int) -> LaminarMatroid:

@@ -15,8 +15,6 @@ from matsub.instances import (
     TransversalMatroid,
     generate_instance,
 )
-from matsub.laminar import SlowLaminarBasis
-from matsub.oracles import feasibility_verify
 from matsub.rounding import (
     _LaminarExchanger,
     ExchangeError,
@@ -24,6 +22,7 @@ from matsub.rounding import (
     merge_bases,
     swap_round,
 )
+from reference import SlowLaminarBasis
 
 
 class _Mix:
@@ -95,7 +94,7 @@ def test_merge_outputs_bases_and_keeps_the_intersection(kind):
         b1, b2 = _random_basis(mat, rng), _random_basis(mat, rng)
         merged = merge_bases(0.3, b1, 0.7, b2, mat, rng)
         assert len(merged) == mat.rank()
-        assert feasibility_verify(mat, merged)
+        assert mat.is_independent(merged)
         assert set(merged) <= set(b1) | set(b2)
         assert set(merged) >= set(b1) & set(b2)
 
@@ -139,8 +138,8 @@ def test_exchanges_satisfy_both_basis_conditions(kind):
         for i in sorted(set(b1) - set(b2)):
             j = find_exchange(i, b1, b2, mat)
             assert j in set(b2) - set(b1)
-            assert feasibility_verify(mat, (set(b1) - {i}) | {j})
-            assert feasibility_verify(mat, (set(b2) - {j}) | {i})
+            assert mat.is_independent((set(b1) - {i}) | {j})
+            assert mat.is_independent((set(b2) - {j}) | {i})
 
 
 def test_transversal_partner_shares_the_alternating_component():
@@ -205,7 +204,7 @@ def test_three_base_mix_preserves_marginals():
     hits = {e: 0 for e in range(mat.n)}
     for _ in range(trials):
         out = swap_round(_Mix(bases), mat, rng, verify=False)
-        assert feasibility_verify(mat, out)
+        assert mat.is_independent(out)
         for e in out:
             hits[e] += 1
     for e in range(mat.n):

@@ -9,8 +9,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from matsub.instances import TransversalMatroid
-from matsub.oracles import hopcroft_karp, hungarian_max_weight_matching
 from matsub.transversal import DecMatching, LStableMatching
+from reference import hopcroft_karp, hungarian_max_weight_matching
 
 
 def _check_invariants(d: LStableMatching) -> None:
