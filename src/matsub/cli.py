@@ -10,7 +10,7 @@ Three subcommands:
               value, and the instrumented query budgets
 
 All files are UTF-8 JSON with an explicit ``version`` field.  ``gen`` and
-``run`` are byte-deterministic for a fixed seed and config, except for the
+``run`` are byte-deterministic for a fixed seed and flags, except for the
 wall-time field of result records.  Exit codes: 0 success, 1
 verification failure or corrupt data, 2 usage.
 """
@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from typing import Sequence
 
 from . import kernels
@@ -35,8 +34,8 @@ from .instances import (
     Instance,
     generate_instance,
 )
-from .objectives import set_eval_threads
-from .optimizer import DEFAULT_CONFIG, OptimizerConfig, run_pipeline
+from .objectives import ValueOracle
+from .optimizer import run_pipeline
 from .oracles import brute_force_opt
 
 RESULT_FORMAT_VERSION = 1
@@ -70,6 +69,50 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _load_instance(path: str) -> tuple[Instance, ValueOracle]:
+    """Parse an instance file and build its objective, which checks the
+    objective payload; malformed content of any shape raises ValueError."""
+    try:
+        instance = Instance.from_json(_read_text(path))
+        return instance, instance.build_objective()
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"corrupt instance file: {exc}") from exc
+
+
+def _record_problem(record: object) -> str | None:
+    """What is wrong with the JSON types of a result record's fields; a
+    missing field is left to the verify report.  Exact type tests keep
+    ``true`` and ``false``, which JSON decodes to bools, out of the numbers."""
+    if not isinstance(record, dict):
+        return "not a JSON object"
+    solution = record.get("solution", [])
+    if type(solution) is not list or any(type(e) is not int for e in solution):
+        return "solution must be a list of integer element ids"
+    if type(record.get("value", 0)) not in (int, float):
+        return "value must be a number"
+    eps = record.get("epsilon")
+    if eps is not None and (type(eps) not in (int, float) or not 0.0 < eps < 1.0 / 3.0):
+        return "epsilon must be a number in (0, 1/3)"
+    counters = record.get("counters", {})
+    if type(counters) is not dict or any(
+        type(v) not in (int, float) for v in counters.values()
+    ):
+        return "counters must map names to numbers"
+    return None
+
+
+def _load_record(path: str) -> dict:
+    """Parse a result record; malformed content raises ValueError."""
+    try:
+        record = json.loads(_read_text(path))
+    except ValueError as exc:
+        raise ValueError(f"corrupt result record: {exc}") from exc
+    problem = _record_problem(record)
+    if problem:
+        raise ValueError(f"corrupt result record: {problem}")
+    return record
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -96,12 +139,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _run_full(instance: Instance, args: argparse.Namespace) -> dict:
-    config = OptimizerConfig(
-        threshold_factor=args.threshold_factor,
-        stale_gate=args.stale_gate,
-        verify_rounding=not args.no_verify_rounding,
-    )
-    result = run_pipeline(instance, args.epsilon, args.seed, config)
+    result = run_pipeline(instance, args.epsilon, args.seed)
     return {
         "algorithm": "full",
         "epsilon": result.epsilon,
@@ -111,13 +149,11 @@ def _run_full(instance: Instance, args: argparse.Namespace) -> dict:
         "frozen": result.frozen,
         "opt_estimate": result.opt_estimate,
         "counters": dict(result.counters),
-        "config": asdict(config),
         "wall_time_s": result.wall_time,
     }
 
 
-def _run_greedy(instance: Instance, args: argparse.Namespace) -> dict:
-    f = instance.build_objective()
+def _run_greedy(instance: Instance, f: ValueOracle) -> dict:
     start = time.perf_counter()
     value, chosen = greedy_basis_value(f, range(instance.n), instance.matroid.checker)
     return {
@@ -129,8 +165,7 @@ def _run_greedy(instance: Instance, args: argparse.Namespace) -> dict:
     }
 
 
-def _run_brute(instance: Instance, args: argparse.Namespace) -> dict:
-    f = instance.build_objective()
+def _run_brute(instance: Instance, f: ValueOracle) -> dict:
     start = time.perf_counter()
     value, chosen = brute_force_opt(f, instance.matroid)
     return {
@@ -144,12 +179,12 @@ def _run_brute(instance: Instance, args: argparse.Namespace) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        instance = Instance.from_json(_read_text(args.instance))
+        instance, f = _load_instance(args.instance)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        return _fail(f"corrupt instance file: {exc}")
+    except ValueError as exc:
+        return _fail(str(exc))
     if args.algorithm == "brute" and instance.n > BRUTE_FORCE_LIMIT:
         print(
             f"error: brute force is capped at n <= {BRUTE_FORCE_LIMIT}",
@@ -159,20 +194,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.algorithm == "full" and not 0.0 < args.epsilon < 1.0 / 3.0:
         print("error: --epsilon must lie in (0, 1/3)", file=sys.stderr)
         return 2
-    set_eval_threads(args.threads)
-    try:
-        if args.algorithm == "full":
-            body = _run_full(instance, args)
-        elif args.algorithm == "greedy":
-            body = _run_greedy(instance, args)
-        else:
-            body = _run_brute(instance, args)
-    finally:
-        set_eval_threads(1)
+    if args.algorithm == "full":
+        body = _run_full(instance, args)
+    elif args.algorithm == "greedy":
+        body = _run_greedy(instance, f)
+    else:
+        body = _run_brute(instance, f)
     record = {
         "version": RESULT_FORMAT_VERSION,
         "seed": args.seed,
-        "threads": args.threads,
         "streams": {
             "generation": [args.seed, STREAM_GEN],
             "phase1": [args.seed, STREAM_PHASE1],
@@ -233,13 +263,13 @@ def _verify_budgets(
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        instance = Instance.from_json(_read_text(args.instance))
-        record = json.loads(_read_text(args.result))
+        instance, f = _load_instance(args.instance)
+        record = _load_record(args.result)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        return _fail(f"corrupt input: {exc}")
+    except ValueError as exc:
+        return _fail(str(exc))
     report: list[str] = []
     good = _check(
         report,
@@ -249,17 +279,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     solution = record.get("solution")
     value = record.get("value")
-    if not isinstance(solution, list) or not isinstance(value, (int, float)):
+    if solution is None or value is None:
         good = _check(report, "record fields", False, "solution/value missing")
     else:
-        in_range = all(
-            isinstance(e, int) and 0 <= e < instance.n for e in solution
-        )
+        in_range = all(0 <= e < instance.n for e in solution)
         good &= _check(report, "element range", in_range)
         feasible = in_range and instance.matroid.is_independent(solution)
         good &= _check(report, "feasibility", feasible)
         if in_range:
-            recomputed = instance.build_objective().value(solution)
+            recomputed = f.value(solution)
             match = math.isclose(recomputed, value, rel_tol=1e-9, abs_tol=1e-9)
             good &= _check(
                 report, "value", match, f"recomputed {recomputed!r} vs {value!r}"
@@ -304,13 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["full", "greedy", "brute"])
     run.add_argument("--epsilon", type=float, default=0.2)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--threads", type=int, default=1,
-                     help="threads for multilinear sampling batches")
-    run.add_argument("--threshold-factor", type=float,
-                     default=DEFAULT_CONFIG.threshold_factor)
-    run.add_argument("--stale-gate", default=DEFAULT_CONFIG.stale_gate,
-                     choices=["count", "weight"])
-    run.add_argument("--no-verify-rounding", action="store_true")
     run.add_argument("-o", "--output", default="-", help="output path or -")
     run.set_defaults(func=_cmd_run)
 

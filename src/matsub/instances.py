@@ -361,6 +361,8 @@ class Instance:
     @staticmethod
     def from_json(text: str) -> "Instance":
         doc = json.loads(text)
+        if not isinstance(doc, dict) or not isinstance(doc.get("objective"), dict):
+            raise ValueError("an instance must be a JSON object with an objective object")
         version = doc.get("version")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported instance format version: {version!r}")

@@ -9,7 +9,7 @@ instrumentation everywhere else trusts these counts.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -17,17 +17,11 @@ import numpy as np
 
 from . import kernels
 
-# sampled-batch evaluation may fan out across threads; the estimate is a mean
-# over rows, so chunked evaluation with a fixed combine order stays exact
-_EVAL_THREADS = 1
-
 
 def set_eval_threads(count: int) -> None:
-    """Number of worker threads for batched marginal estimates (1 = serial)."""
-    global _EVAL_THREADS
-    if count < 1:
-        raise ValueError("thread count must be at least 1")
-    _EVAL_THREADS = count
+    """Batched estimates run serially; only a count of 1 is accepted."""
+    if count != 1:
+        raise ValueError("batched estimates are serial: thread count must be 1")
 
 
 class QueryCounter:
@@ -88,21 +82,6 @@ class ValueOracle:
         self.counter.count += 2 * rows.shape[0] * q.shape[0]
         if q.size == 0:
             return np.zeros(0, dtype=np.float64)
-        workers = _EVAL_THREADS
-        if workers > 1 and rows.shape[0] >= 2 * workers:
-            chunks = np.array_split(rows, workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(
-                        lambda c: self._batch_marginal_means(
-                            np.ascontiguousarray(c), q
-                        ),
-                        chunks,
-                    )
-                )
-            sizes = np.array([c.shape[0] for c in chunks], dtype=np.float64)
-            stacked = np.vstack(parts)
-            return (sizes[:, None] * stacked).sum(axis=0) / rows.shape[0]
         return self._batch_marginal_means(rows, q)
 
     # -- input checks -------------------------------------------------------
@@ -143,16 +122,20 @@ class CoverageOracle(ValueOracle):
         if self.universe_weights.size and self.universe_weights.min() < 0:
             raise ValueError("universe weights must be nonnegative")
         nu = self.universe_weights.shape[0]
-        flat: list[int] = []
-        indptr = [0]
-        for cover in covers:
-            for u in cover:
-                if not 0 <= u < nu:
-                    raise ValueError("covered item id out of range")
-            flat.extend(sorted(set(cover)))
-            indptr.append(len(flat))
-        self.indices = np.asarray(flat, dtype=np.int64)
-        self.indptr = np.asarray(indptr, dtype=np.int64)
+        items = np.array(list(itertools.chain.from_iterable(covers)))
+        # a float id would otherwise be truncated to an integer one
+        if items.size and items.dtype.kind not in "iu":
+            raise ValueError("covered item ids must be integers")
+        if items.size and (items.min() < 0 or items.max() >= nu):
+            raise ValueError("covered item id out of range")
+        # each element's ids sorted and deduplicated, as CSR arrays
+        owners = np.repeat(np.arange(self.n, dtype=np.int64), [len(c) for c in covers])
+        stride = max(nu, 1)
+        keys = np.sort(owners * stride + items.astype(np.int64))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        self.indices = keys % stride
+        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // stride, minlength=self.n), out=self.indptr[1:])
 
     def _value(self, idx: np.ndarray) -> float:
         covered: set[int] = set()

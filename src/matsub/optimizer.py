@@ -39,29 +39,14 @@ from .transversal import DecMatching, LStableMatching
 
 
 # Analysis constants.  The phase-1 audit batch per iteration is
-# PHASE1_SAMPLE_SCALE * log n elements; phase 1 spends PHASE1_EPS_FRACTION of
-# the accuracy budget; a phase-2 marginal estimate averages
-# SAMPLE_COUNT_SCALE / eps * log(n / eps)^2 subset draws.
+# PHASE1_SAMPLE_SCALE * log n elements; phase 1 stops once the basis weight
+# drops below PHASE1_THRESHOLD_FACTOR / eps1 times the optimum estimate and
+# spends PHASE1_EPS_FRACTION of the accuracy budget; a phase-2 marginal
+# estimate averages SAMPLE_COUNT_SCALE / eps * log(n / eps)^2 subset draws.
 PHASE1_SAMPLE_SCALE = 128.0
+PHASE1_THRESHOLD_FACTOR = 50.0
 PHASE1_EPS_FRACTION = 0.25
 SAMPLE_COUNT_SCALE = 1.0
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs that trade constants for speed without touching the guarantee.
-
-    ``threshold_factor`` scales the phase-1 stopping threshold and matches
-    the analysis default.  ``stale_gate`` picks between the per-group count
-    form of the freshness test and the aggregate weight form.
-    """
-
-    threshold_factor: float = 50.0
-    stale_gate: str = "count"
-    verify_rounding: bool = True
-
-
-DEFAULT_CONFIG = OptimizerConfig()
 
 
 class MaxWeightOracle:
@@ -192,25 +177,17 @@ class LSGState:
     samples_drawn: int = 0
 
 
-def _gate_passes(probes: Sequence[tuple[float, bool, float]], mode: str) -> bool:
-    """Freshness gate over one audited batch of (probability, stale, weight).
+def _gate_passes(probes: Sequence[tuple[float, bool]]) -> bool:
+    """Freshness gate over one audited batch of (probability, stale) pairs.
 
-    The count form demands a strict fresh majority separately among the
-    elements sampled with probability one and among the rest; an empty group
-    passes.  The weight form compares stale rounded weight against half the
-    batch total.
+    Demands a strict fresh majority separately among the elements sampled
+    with probability one and among the rest; an empty group passes.
     """
-    if mode == "count":
-        sure = [stale for p, stale, _ in probes if p >= 1.0]
-        rest = [stale for p, stale, _ in probes if p < 1.0]
-        return (not sure or 2 * sum(sure) < len(sure)) and (
-            not rest or 2 * sum(rest) < len(rest)
-        )
-    if mode == "weight":
-        total = sum(w for _, _, w in probes)
-        stale_w = sum(w for _, stale, w in probes if stale)
-        return total == 0.0 or 2.0 * stale_w < total
-    raise ValueError(f"unknown stale gate: {mode}")
+    sure = [stale for p, stale in probes if p >= 1.0]
+    rest = [stale for p, stale in probes if p < 1.0]
+    return (not sure or 2 * sum(sure) < len(sure)) and (
+        not rest or 2 * sum(rest) < len(rest)
+    )
 
 
 def lazy_sampling_greedy_plus(
@@ -219,7 +196,7 @@ def lazy_sampling_greedy_plus(
     epsilon: float,
     opt_estimate: float,
     rng: np.random.Generator,
-    config: OptimizerConfig = DEFAULT_CONFIG,
+    threshold_factor: float = PHASE1_THRESHOLD_FACTOR,
 ) -> LSGState:
     """Freeze heavy elements until the residual basis weight is moderate.
 
@@ -237,7 +214,7 @@ def lazy_sampling_greedy_plus(
         return state
     n = oracle.matroid.n
     classifier = oracle.classifier
-    threshold = (config.threshold_factor / epsilon) * opt_estimate
+    threshold = (threshold_factor / epsilon) * opt_estimate
     t_param = PHASE1_SAMPLE_SCALE * math.log(max(n, 2))
     # every iteration either reclasses an element downward or freezes one,
     # so this budget is only hit on a broken structure
@@ -252,7 +229,7 @@ def lazy_sampling_greedy_plus(
             raise RuntimeError("sampling loop exceeded its iteration budget")
         drawn = oracle.sample(t_param, rng)
         state.samples_drawn += len(drawn)
-        probes: list[tuple[float, bool, float]] = []
+        probes: list[tuple[float, bool]] = []
         if drawn:
             rows = np.tile(mask, (len(drawn), 1))
             for i, (e, _p) in enumerate(drawn):
@@ -261,13 +238,12 @@ def lazy_sampling_greedy_plus(
             for (e, p), v in zip(drawn, vals):
                 w_true = max(float(v) - current, 0.0)
                 j_new = classifier.weight_class(w_true)
-                j_old = oracle.class_of(e)
-                stale = j_new > j_old
-                probes.append((p, stale, classifier.class_value(j_old)))
+                stale = j_new > oracle.class_of(e)
+                probes.append((p, stale))
                 if stale:
                     oracle.decrement(e, j_new)
                     state.decrements += 1
-        if _gate_passes(probes, config.stale_gate):
+        if _gate_passes(probes):
             if oracle.pool_size() == 0:
                 break
             e = oracle.uniform_sample(rng)
@@ -373,7 +349,6 @@ def dt_incremental(
         raise ValueError("epsilon must lie in (0, 1)")
     basis: list[int] = []
     active = sorted(elements)
-    alive = set(active)
     if rank <= 0 or not active:
         return basis
     cache: dict[int, float] = {}
@@ -391,8 +366,6 @@ def dt_incremental(
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and active and len(basis) < rank and tau >= floor:
         for e in [e for e in active if rate_of(e) >= tau]:
-            if e not in alive:
-                continue
             if rate_of(e) < tau:
                 # fell below the bar after an insertion; later levels get it
                 continue
@@ -400,7 +373,6 @@ def dt_incremental(
                 checker.insert(e)
                 basis.append(e)
             active.remove(e)
-            alive.discard(e)
             if len(basis) >= rank:
                 break
         tau *= 1.0 - epsilon
@@ -524,7 +496,6 @@ def continuous_greedy(
     epsilon: float,
     opt_estimate: float,
     rng: np.random.Generator,
-    variant: str | None = None,
 ) -> tuple[FractionalSolution, dict[str, int]]:
     """Sampled continuous greedy over the contraction by ``frozen``.
 
@@ -539,8 +510,7 @@ def continuous_greedy(
     frozen_set = set(frozen)
     elements = [e for e in range(n) if e not in frozen_set]
     residual_rank = matroid.rank() - len(frozen_set)
-    if variant is None:
-        variant = _variant_for(matroid.kind)
+    variant = _variant_for(matroid.kind)
     counters = {
         "phase2_rounds": 0,
         "estimator_batches": 0,
@@ -574,7 +544,7 @@ def continuous_greedy(
             )
             counters["dt_test_calls"] += checker.tests
             counters["dt_insert_calls"] += checker.inserts
-        elif variant == "approx":
+        else:
             structure = DecMatching(matroid, epsilon)
             if frozen_set:
                 seeded = structure.batch_insert(sorted(frozen_set))
@@ -598,8 +568,6 @@ def continuous_greedy(
             b = _pad_transversal(
                 matroid, frozen_set, b, elements, estimator, residual_rank
             )
-        else:
-            raise ValueError(f"unknown variant: {variant}")
         counters["estimator_batches"] += estimator.calls
         if len(b) != residual_rank:
             raise RuntimeError("round direction is not a full basis")
@@ -630,7 +598,7 @@ def run_pipeline(
     instance: Instance,
     epsilon: float,
     seed: int,
-    config: OptimizerConfig = DEFAULT_CONFIG,
+    threshold_factor: float = PHASE1_THRESHOLD_FACTOR,
 ) -> PipelineResult:
     """Full pipeline: estimate, freeze, continuous greedy, swap rounding.
 
@@ -675,7 +643,7 @@ def run_pipeline(
     classifier = WeightClassifier(m_est, eps1, rank)
     oracle = build_phase1_oracle(f, matroid, classifier, eps1)
     state = lazy_sampling_greedy_plus(
-        f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1), config
+        f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1), threshold_factor
     )
     s0 = sorted(state.solution)
     counters["phase1_f_queries"] = f.query_count - counters["estimate_f_queries"]
@@ -694,7 +662,6 @@ def run_pipeline(
         epsilon,
         m_est,
         stream_rng(seed, STREAM_MULTILINEAR),
-        variant,
     )
     counters.update(cg_counters)
     counters["phase2_f_queries"] = f.query_count - after_phase1
@@ -704,12 +671,7 @@ def run_pipeline(
             bases=[(a, sorted(set(b) | set(s0))) for a, b in fractional.bases],
         )
         solution = sorted(
-            swap_round(
-                full,
-                matroid,
-                stream_rng(seed, STREAM_ROUNDING),
-                verify=config.verify_rounding,
-            )
+            swap_round(full, matroid, stream_rng(seed, STREAM_ROUNDING))
         )
     else:
         solution = list(s0)

@@ -3,13 +3,11 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 import pytest
 
 from matsub.cli import main
 from matsub.core import greedy_basis_value
-from matsub.instances import Instance, generate_instance
-from matsub.objectives import estimate_marginals_on_point, set_eval_threads
+from matsub.instances import Instance
 
 
 def _gen(tmp_path, *extra: str) -> str:
@@ -138,27 +136,46 @@ def test_verify_flags_counter_overruns(tmp_path, capsys) -> None:
     assert "phase-2 query budget: FAIL" in capsys.readouterr().out
 
 
-def test_run_with_threads_still_verifies(tmp_path) -> None:
+# damaged copies of a valid file: each must end in a clean "corrupt" error,
+# never in a traceback or a silent pass
+DAMAGE = {
+    "instance-is-a-list": ("instance", lambda doc: [doc]),
+    "null-parents": ("instance", lambda doc: {
+        **doc, "matroid": {**doc["matroid"], "parents": None}}),
+    "integer-covers": ("instance", lambda doc: {
+        **doc, "objective": {**doc["objective"], "covers": 5}}),
+    "fractional-item-id": ("instance", lambda doc: {
+        **doc, "objective": {
+            **doc["objective"], "covers": [[0.5]] + doc["objective"]["covers"][1:]}}),
+    "record-is-a-list": ("record", lambda rec: [rec]),
+    "string-epsilon": ("record", lambda rec: {**rec, "epsilon": "0.2"}),
+    "list-counters": ("record", lambda rec: {**rec, "counters": list(rec["counters"])}),
+    "boolean-element": ("record", lambda rec: {
+        **rec, "solution": [True] + rec["solution"][1:]}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, damage",
+    [(cmd, name) for name, (kind, _) in DAMAGE.items()
+     for cmd in (("run", "verify") if kind == "instance" else ("verify",))],
+)
+def test_malformed_files_give_corrupt_errors(tmp_path, capsys, command, damage) -> None:
     path = _gen(tmp_path)
     out = str(tmp_path / "res.json")
-    _run(path, out, "--threads", "2")
-    assert main(["verify", path, out]) == 0
-
-
-def test_threaded_estimates_match_serial() -> None:
-    inst = generate_instance("laminar", "coverage", n=12, seed=9)
-    x = np.full(12, 0.4)
-    serial = estimate_marginals_on_point(
-        inst.build_objective(), x, list(range(12)), 64, np.random.default_rng(1)
-    )
-    set_eval_threads(3)
-    try:
-        fanned = estimate_marginals_on_point(
-            inst.build_objective(), x, list(range(12)), 64, np.random.default_rng(1)
-        )
-    finally:
-        set_eval_threads(1)
-    assert np.allclose(serial, fanned, atol=1e-12)
+    _run(path, out)
+    files = {"instance": path, "record": out}
+    kind, mutate = DAMAGE[damage]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(json.loads(open(files[kind]).read()))))
+    files[kind] = str(bad)
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", files["instance"], "-o", str(tmp_path / "again.json")]
+    else:
+        argv = ["verify", files["instance"], files["record"]]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt ")
 
 
 def test_usage_errors_exit_two() -> None:

@@ -13,6 +13,7 @@ from matsub.objectives import (
     ResidualOracle,
     estimate_marginals_on_point,
     sample_subsets,
+    set_eval_threads,
 )
 from reference import estimate_marginal_on_point
 
@@ -29,6 +30,18 @@ def test_coverage_values() -> None:
     assert f.value([0, 1]) == 2.0
     assert f.value([2]) == 2.0
     assert f.value([0, 1, 2]) == 2.0
+
+
+@pytest.mark.parametrize("item", [0.5, 1.0, "0"])
+def test_coverage_rejects_non_integer_item_ids(item) -> None:
+    with pytest.raises(ValueError, match="integer"):
+        CoverageOracle([[0], [item]], [1.0, 1.0])
+
+
+def test_batched_estimates_are_serial_only() -> None:
+    set_eval_threads(1)
+    with pytest.raises(ValueError):
+        set_eval_threads(2)
 
 
 def test_coverage_marginals_diminish() -> None:

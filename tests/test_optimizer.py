@@ -19,7 +19,7 @@ from matsub.objectives import AdditiveOracle, ResidualOracle
 from matsub.optimizer import (
     CountingChecker,
     MarginalEstimator,
-    OptimizerConfig,
+    _gate_passes,
     build_phase1_oracle,
     continuous_greedy,
     dt_approx_indep_set,
@@ -102,7 +102,6 @@ def test_phase1_frozen_prefix_keeps_the_optimum_reachable() -> None:
     f_ref = inst.build_objective()
     opt, opt_set = brute_force_opt(f_ref, inst.matroid)
     eps = 0.2
-    config = OptimizerConfig(threshold_factor=0.2)
     totals = []
     triggered = 0
     for seed in range(200):
@@ -111,7 +110,7 @@ def test_phase1_frozen_prefix_keeps_the_optimum_reachable() -> None:
         classifier = WeightClassifier(m, eps, inst.matroid.rank())
         oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
         state = lazy_sampling_greedy_plus(
-            f, oracle, eps, m, stream_rng(seed, STREAM_PHASE1), config
+            f, oracle, eps, m, stream_rng(seed, STREAM_PHASE1), threshold_factor=0.2
         )
         assert inst.matroid.is_independent(state.solution)
         if state.solution:
@@ -133,8 +132,7 @@ def test_phase1_rejects_bad_epsilon() -> None:
             lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(0, STREAM_PHASE1))
 
 
-@pytest.mark.parametrize("gate", ["count", "weight"])
-def test_phase1_triggered_loop_runs_and_terminates(gate: str) -> None:
+def test_phase1_triggered_loop_runs_and_terminates() -> None:
     inst = _shared_cover_instance(200, 170)
     f = inst.build_objective()
     m = estimate_opt(f, inst.matroid)
@@ -142,17 +140,29 @@ def test_phase1_triggered_loop_runs_and_terminates(gate: str) -> None:
     eps = 0.075
     classifier = WeightClassifier(m, eps, 170)
     oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
-    config = OptimizerConfig(threshold_factor=5.0, stale_gate=gate)
     state = lazy_sampling_greedy_plus(
-        f, oracle, eps, m, stream_rng(11, STREAM_PHASE1), config
+        f, oracle, eps, m, stream_rng(11, STREAM_PHASE1), threshold_factor=5.0
     )
     # first pass is all fresh and freezes once; the second finds every
     # remaining marginal collapsed, reclasses the whole pool, and exits
     assert state.iterations == 2
     assert len(state.solution) == 1
     assert state.decrements == 169
-    assert oracle.approx_base_weight() < (config.threshold_factor / eps) * m
+    assert oracle.approx_base_weight() < (5.0 / eps) * m
     assert f.query_count <= 8 * inst.n / eps * math.log(170 / eps)
+
+
+def test_gate_needs_a_strict_fresh_majority_per_group() -> None:
+    assert _gate_passes([])
+    assert _gate_passes([(0.5, False), (0.5, False), (0.5, True)])
+    # one stale of two is a tie, not a fresh majority
+    assert not _gate_passes([(0.5, False), (0.5, True)])
+    assert not _gate_passes([(1.0, False), (1.0, True)])
+    # the p >= 1 group and the p < 1 group are judged separately: a fresh
+    # majority over the whole batch does not rescue a stale group
+    assert not _gate_passes([(1.0, True), (0.5, False), (0.5, False), (0.5, False)])
+    assert not _gate_passes([(1.0, False), (1.0, False), (1.0, False), (0.5, True)])
+    assert _gate_passes([(1.0, False), (0.5, False), (0.5, False), (0.5, True)])
 
 
 # -- descending thresholds, incremental ------------------------------------
@@ -423,8 +433,7 @@ def test_pipeline_counter_schema_is_stable() -> None:
 
 def test_pipeline_on_triggering_instance() -> None:
     inst = _shared_cover_instance(200, 170)
-    config = OptimizerConfig(threshold_factor=5.0)
-    result = run_pipeline(inst, epsilon=0.3, seed=23, config=config)
+    result = run_pipeline(inst, epsilon=0.3, seed=23, threshold_factor=5.0)
     assert result.counters["phase1_frozen"] >= 1
     assert result.value == 10.0
     assert inst.matroid.is_independent(result.solution)
