@@ -143,7 +143,6 @@ def _run_full(instance: Instance, args: argparse.Namespace) -> dict:
     return {
         "algorithm": "full",
         "epsilon": result.epsilon,
-        "variant": result.variant,
         "solution": result.solution,
         "value": result.value,
         "frozen": result.frozen,

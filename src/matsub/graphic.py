@@ -215,7 +215,3 @@ class ContractedGraph:
 
     def approx_base_weight(self) -> float:
         return self._forest_weight
-
-    @property
-    def op_counters(self) -> dict[str, int]:
-        return {"heap_ops": self.heap_ops}

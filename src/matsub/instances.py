@@ -14,6 +14,7 @@ uses sorted keys.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,6 +36,13 @@ def stream_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
+def _require_ints(values: Iterable, what: str) -> None:
+    """Reject floats and bools, which ``int()`` or indexing would silently
+    read as integers; numpy integers pass."""
+    if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what} must be integers")
+
+
 # ---------------------------------------------------------------------------
 # laminar
 
@@ -54,6 +62,9 @@ class LaminarMatroid:
     kind: str = field(default="laminar", init=False)
 
     def __post_init__(self) -> None:
+        _require_ints(self.parents, "parents")
+        _require_ints(self.capacities, "capacities")
+        _require_ints(self.element_nodes, "element nodes")
         m = len(self.parents)
         if len(self.capacities) != m:
             raise ValueError("one capacity per tree node required")
@@ -172,6 +183,8 @@ class GraphicMatroid:
     kind: str = field(default="graphic", init=False)
 
     def __post_init__(self) -> None:
+        _require_ints([self.num_vertices], "num_vertices")
+        _require_ints([x for edge in self.edges for x in edge], "edge endpoints")
         self.edges = [(int(u), int(v)) for u, v in self.edges]
         for u, v in self.edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
@@ -258,6 +271,8 @@ class TransversalMatroid:
     kind: str = field(default="transversal", init=False)
 
     def __post_init__(self) -> None:
+        _require_ints([self.num_right], "num_right")
+        _require_ints([r for nbrs in self.adjacency for r in nbrs], "right vertex ids")
         self.adjacency = [sorted(set(int(r) for r in nbrs)) for nbrs in self.adjacency]
         for nbrs in self.adjacency:
             for r in nbrs:
@@ -376,12 +391,12 @@ class Instance:
             )
         elif kind == "graphic":
             matroid = GraphicMatroid(
-                num_vertices=int(mdoc["num_vertices"]),
+                num_vertices=mdoc["num_vertices"],
                 edges=[tuple(e) for e in mdoc["edges"]],
             )
         elif kind == "transversal":
             matroid = TransversalMatroid(
-                num_right=int(mdoc["num_right"]),
+                num_right=mdoc["num_right"],
                 adjacency=[list(a) for a in mdoc["adjacency"]],
             )
         else:

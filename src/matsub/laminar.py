@@ -511,7 +511,3 @@ class TopTreeLaminarBasis:
 
     def approx_base_weight(self) -> float:
         return self._basis_weight
-
-    @property
-    def op_counters(self) -> dict[str, int]:
-        return {"joins": self.joins, "splits": self.splits}

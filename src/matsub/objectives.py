@@ -122,9 +122,10 @@ class CoverageOracle(ValueOracle):
         if self.universe_weights.size and self.universe_weights.min() < 0:
             raise ValueError("universe weights must be nonnegative")
         nu = self.universe_weights.shape[0]
-        items = np.array(list(itertools.chain.from_iterable(covers)))
-        # a float id would otherwise be truncated to an integer one
-        if items.size and items.dtype.kind not in "iu":
+        ids = list(itertools.chain.from_iterable(covers))
+        items = np.array(ids)
+        # numpy would truncate a float id and read a true among integers as 1
+        if items.size and (items.dtype.kind not in "iu" or bool in set(map(type, ids))):
             raise ValueError("covered item ids must be integers")
         if items.size and (items.min() < 0 or items.max() >= nu):
             raise ValueError("covered item id out of range")

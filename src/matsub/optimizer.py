@@ -9,6 +9,11 @@ round's direction with a descending-thresholds routine, and swap rounding
 turns the fractional point into a single independent set.  The combined
 guarantee is ``1 - 1/e - eps`` in expectation for monotone submodular
 objectives.
+
+Phase 1 stops once the basis weight drops below ``PHASE1_THRESHOLD_FACTOR
+/ eps1`` times the optimum estimate, and a basis weighs at most ``rank``
+times that estimate, so :func:`run_pipeline` builds and runs phase 1 only
+when ``rank >= PHASE1_THRESHOLD_FACTOR / eps1`` (1000 at ``eps = 0.2``).
 """
 
 from __future__ import annotations
@@ -108,10 +113,6 @@ class MaxWeightOracle:
 
     def rounded_weight(self, elem: int) -> float:
         return self.classifier.class_value(self.classes[elem])
-
-    @property
-    def op_counters(self) -> dict[str, int]:
-        return self.structure.op_counters
 
     # -- mutation ----------------------------------------------------------
 
@@ -455,14 +456,6 @@ def dt_approx_indep_set(
     return sorted(current())
 
 
-def _variant_for(kind: str) -> str:
-    if kind in ("laminar", "graphic"):
-        return "incremental"
-    if kind == "transversal":
-        return "approx"
-    raise ValueError(f"unsupported matroid kind: {kind}")
-
-
 def _pad_transversal(
     matroid: Matroid,
     frozen: set[int],
@@ -510,7 +503,6 @@ def continuous_greedy(
     frozen_set = set(frozen)
     elements = [e for e in range(n) if e not in frozen_set]
     residual_rank = matroid.rank() - len(frozen_set)
-    variant = _variant_for(matroid.kind)
     counters = {
         "phase2_rounds": 0,
         "estimator_batches": 0,
@@ -537,7 +529,7 @@ def continuous_greedy(
     for _ in range(rounds):
         counters["phase2_rounds"] += 1
         estimator = MarginalEstimator(f, x, step, samples, rng)
-        if variant == "incremental":
+        if matroid.kind != "transversal":
             checker = CountingChecker(matroid.checker(sorted(frozen_set)))
             b = dt_incremental(
                 estimator, checker, epsilon, opt_estimate, elements, residual_rank
@@ -585,11 +577,10 @@ class PipelineResult:
     solution: list[int]
     value: float
     frozen: list[int]
-    fractional: FractionalSolution | None
+    fractional: FractionalSolution
     counters: dict[str, int | float]
     epsilon: float
     seed: int
-    variant: str
     opt_estimate: float
     wall_time: float
 
@@ -604,8 +595,10 @@ def run_pipeline(
 
     Randomness is split into independent substreams of ``seed`` per stage,
     so phase 1, the multilinear sampling, and the rounding coins do not
-    interact.  Counter keys are stable across kinds; a kind that skips a
-    stage reports zeros.
+    interact.  Phase 1 is built and run only when its loop can fire, that
+    is when ``rank >= threshold_factor / eps1``; otherwise its counters are
+    zero.  Rank-zero matroids and all-zero objectives take the same path.
+    Every record carries the same counter keys.
     """
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in (0, 1/3)")
@@ -614,45 +607,25 @@ def run_pipeline(
     f = instance.build_objective()
     n = matroid.n
     rank = matroid.rank()
-    variant = _variant_for(matroid.kind)
     counters: dict[str, int | float] = {}
-    if rank <= 0:
-        value = f.value(())
-        counters["total_f_queries"] = f.query_count
-        return PipelineResult(
-            [], value, [], None, counters, epsilon, seed, variant, 0.0,
-            time.perf_counter() - start,
-        )
     m_est = estimate_opt(f, matroid)
     counters["estimate_f_queries"] = f.query_count
-    if m_est <= 0.0:
-        # flat objective: any basis is optimal, skip both phases
-        checker = matroid.checker()
-        solution = []
-        for e in range(n):
-            if checker.test(e):
-                checker.insert(e)
-                solution.append(e)
-        value = f.value(solution)
-        counters["total_f_queries"] = f.query_count
-        return PipelineResult(
-            solution, value, [], None, counters, epsilon, seed, variant,
-            m_est, time.perf_counter() - start,
-        )
     eps1 = PHASE1_EPS_FRACTION * epsilon
-    classifier = WeightClassifier(m_est, eps1, rank)
-    oracle = build_phase1_oracle(f, matroid, classifier, eps1)
-    state = lazy_sampling_greedy_plus(
-        f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1), threshold_factor
-    )
+    state = LSGState()
+    # every rounded weight is at most M and a basis has at most rank members,
+    # so the loop cannot start unless rank >= threshold_factor / eps1
+    if m_est > 0.0 and rank >= threshold_factor / eps1:
+        classifier = WeightClassifier(m_est, eps1, rank)
+        oracle = build_phase1_oracle(f, matroid, classifier, eps1)
+        state = lazy_sampling_greedy_plus(
+            f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1), threshold_factor
+        )
     s0 = sorted(state.solution)
     counters["phase1_f_queries"] = f.query_count - counters["estimate_f_queries"]
     counters["phase1_iterations"] = state.iterations
     counters["phase1_decrements"] = state.decrements
     counters["phase1_samples"] = state.samples_drawn
     counters["phase1_frozen"] = len(s0)
-    for key, val in oracle.op_counters.items():
-        counters[f"phase1_{key}"] = val
     after_phase1 = f.query_count
     residual = ResidualOracle(f, s0)
     fractional, cg_counters = continuous_greedy(
@@ -687,7 +660,6 @@ def run_pipeline(
         counters=counters,
         epsilon=epsilon,
         seed=seed,
-        variant=variant,
         opt_estimate=m_est,
         wall_time=time.perf_counter() - start,
     )

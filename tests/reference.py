@@ -222,10 +222,6 @@ class SlowLaminarBasis:
     def approx_base_weight(self) -> float:
         return self._basis_weight
 
-    @property
-    def op_counters(self) -> dict[str, int]:
-        return {"joins": 0, "splits": 0}
-
 
 def greedy_laminar_basis(
     matroid: LaminarMatroid,

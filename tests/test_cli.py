@@ -137,16 +137,40 @@ def test_verify_flags_counter_overruns(tmp_path, capsys) -> None:
 
 
 # damaged copies of a valid file: each must end in a clean "corrupt" error,
-# never in a traceback or a silent pass
+# never in a traceback or a silent pass; instance damage names the matroid
+# kind of the generated file it is applied to
+
+
+def _put(doc, value, *path):
+    """Set ``doc[path[0]]...[path[-1]] = value`` in place; return ``doc``."""
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 DAMAGE = {
-    "instance-is-a-list": ("instance", lambda doc: [doc]),
-    "null-parents": ("instance", lambda doc: {
+    "instance-is-a-list": ("laminar", lambda doc: [doc]),
+    "null-parents": ("laminar", lambda doc: {
         **doc, "matroid": {**doc["matroid"], "parents": None}}),
-    "integer-covers": ("instance", lambda doc: {
+    "integer-covers": ("laminar", lambda doc: {
         **doc, "objective": {**doc["objective"], "covers": 5}}),
-    "fractional-item-id": ("instance", lambda doc: {
+    "fractional-item-id": ("laminar", lambda doc: {
         **doc, "objective": {
             **doc["objective"], "covers": [[0.5]] + doc["objective"]["covers"][1:]}}),
+    "boolean-item-id": ("laminar", lambda doc: _put(doc, [0, True], "objective", "covers", 0)),
+    "fractional-capacity": ("laminar", lambda doc: _put(doc, 1.5, "matroid", "capacities", 0)),
+    "boolean-capacity": ("laminar", lambda doc: _put(doc, True, "matroid", "capacities", 0)),
+    "fractional-endpoint": ("graphic", lambda doc: _put(doc, 0.5, "matroid", "edges", 0, 0)),
+    "fractional-num-vertices": ("graphic", lambda doc: _put(
+        doc, doc["matroid"]["num_vertices"] + 0.7, "matroid", "num_vertices")),
+    "fractional-right-id": ("transversal", lambda doc: _put(
+        doc, 0.5, "matroid", "adjacency", 0, 0)),
+    "boolean-right-id": ("transversal", lambda doc: _put(
+        doc, True, "matroid", "adjacency", 0, 0)),
+    "fractional-num-right": ("transversal", lambda doc: _put(
+        doc, doc["matroid"]["num_right"] + 0.7, "matroid", "num_right")),
     "record-is-a-list": ("record", lambda rec: [rec]),
     "string-epsilon": ("record", lambda rec: {**rec, "epsilon": "0.2"}),
     "list-counters": ("record", lambda rec: {**rec, "counters": list(rec["counters"])}),
@@ -158,17 +182,19 @@ DAMAGE = {
 @pytest.mark.parametrize(
     "command, damage",
     [(cmd, name) for name, (kind, _) in DAMAGE.items()
-     for cmd in (("run", "verify") if kind == "instance" else ("verify",))],
+     for cmd in (("verify",) if kind == "record" else ("run", "verify"))],
 )
 def test_malformed_files_give_corrupt_errors(tmp_path, capsys, command, damage) -> None:
-    path = _gen(tmp_path)
+    kind, mutate = DAMAGE[damage]
+    matroid = "laminar" if kind == "record" else kind
+    path = _gen(tmp_path, "--matroid", matroid)
     out = str(tmp_path / "res.json")
     _run(path, out)
     files = {"instance": path, "record": out}
-    kind, mutate = DAMAGE[damage]
+    target = "record" if kind == "record" else "instance"
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(mutate(json.loads(open(files[kind]).read()))))
-    files[kind] = str(bad)
+    bad.write_text(json.dumps(mutate(json.loads(open(files[target]).read()))))
+    files[target] = str(bad)
     capsys.readouterr()
     if command == "run":
         argv = ["run", files["instance"], "-o", str(tmp_path / "again.json")]

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from matsub import optimizer
 from matsub.core import WeightClassifier, estimate_opt
 from matsub.instances import (
     STREAM_PHASE1,
+    GraphicMatroid,
     Instance,
     LaminarMatroid,
     TransversalMatroid,
@@ -17,6 +19,7 @@ from matsub.instances import (
 )
 from matsub.objectives import AdditiveOracle, ResidualOracle
 from matsub.optimizer import (
+    PHASE1_EPS_FRACTION,
     CountingChecker,
     MarginalEstimator,
     _gate_passes,
@@ -58,6 +61,28 @@ def _shared_cover_instance(n: int, root_cap: int) -> Instance:
             "covers": [[0]] * n,
             "universe_weights": [10.0],
         },
+    )
+
+
+KINDS = ("laminar", "graphic", "transversal")
+
+
+def _rank_zero_instance(kind: str) -> Instance:
+    # a zero root budget, self-loops only, or no right neighbours at all
+    matroid = {
+        "laminar": lambda: LaminarMatroid(
+            parents=[-1, 0, 0, 0], capacities=[0, 1, 1, 1], element_nodes=[1, 2, 3]
+        ),
+        "graphic": lambda: GraphicMatroid(num_vertices=2, edges=[(0, 0), (1, 1), (0, 0)]),
+        "transversal": lambda: TransversalMatroid(num_right=2, adjacency=[[], [], []]),
+    }[kind]()
+    return Instance(matroid=matroid, objective={"kind": "additive", "weights": [3.0, 1.0, 2.0]})
+
+
+def _flat_instance(kind: str) -> Instance:
+    inst = generate_instance(kind, "additive", n=8, seed=4)
+    return Instance(
+        matroid=inst.matroid, objective={"kind": "additive", "weights": [0.0] * inst.n}
     )
 
 
@@ -150,6 +175,27 @@ def test_phase1_triggered_loop_runs_and_terminates() -> None:
     assert state.decrements == 169
     assert oracle.approx_base_weight() < (5.0 / eps) * m
     assert f.query_count <= 8 * inst.n / eps * math.log(170 / eps)
+
+
+def test_phase1_basis_weight_is_at_most_rank_times_estimate() -> None:
+    # the bound run_pipeline skips phase 1 on: rounded weights are at most M,
+    # so a basis weighs at most rank * M
+    eps1 = 0.05
+    instances = [
+        generate_instance(kind, objective, n=n, seed=seed)
+        for kind in KINDS
+        for objective in ("coverage", "facility", "additive")
+        for n in (6, 25)
+        for seed in (1, 2)
+    ]
+    for inst in instances + [_shared_cover_instance(30, 20)]:
+        f = inst.build_objective()
+        m = estimate_opt(f, inst.matroid)
+        rank = inst.matroid.rank()
+        oracle = build_phase1_oracle(f, inst.matroid, WeightClassifier(m, eps1, rank), eps1)
+        assert oracle.approx_base_weight() <= rank * m
+    # the last instance, the shared cover, meets the bound exactly
+    assert oracle.approx_base_weight() == rank * m
 
 
 def test_gate_needs_a_strict_fresh_majority_per_group() -> None:
@@ -362,21 +408,28 @@ def test_continuous_greedy_respects_the_contraction() -> None:
 
 
 def test_pipeline_rank_zero_returns_empty() -> None:
-    matroid = LaminarMatroid(parents=[-1, 0], capacities=[0, 1], element_nodes=[1])
-    inst = Instance(matroid=matroid, objective={"kind": "additive", "weights": [3.0]})
-    result = run_pipeline(inst, epsilon=0.2, seed=1)
-    assert result.solution == []
-    assert result.value == 0.0
+    for kind in KINDS:
+        result = run_pipeline(_rank_zero_instance(kind), epsilon=0.2, seed=1)
+        assert result.solution == []
+        assert result.frozen == []
+        assert result.value == 0.0
+        assert result.opt_estimate == 0.0
 
 
 def test_pipeline_flat_objective_returns_a_basis() -> None:
-    inst = Instance(
-        matroid=_wide_laminar(4, 2),
-        objective={"kind": "additive", "weights": [0.0, 0.0, 0.0, 0.0]},
-    )
-    result = run_pipeline(inst, epsilon=0.2, seed=1)
-    assert len(result.solution) == 2
-    assert inst.matroid.is_independent(result.solution)
+    for kind in KINDS:
+        inst = _flat_instance(kind)
+        result = run_pipeline(inst, epsilon=0.2, seed=1)
+        # every rate is zero, so each round takes the first basis in id order
+        checker = inst.matroid.checker()
+        first = []
+        for e in range(inst.n):
+            if checker.test(e):
+                checker.insert(e)
+                first.append(e)
+        assert result.solution == first
+        assert result.value == 0.0
+        assert result.opt_estimate == 0.0
 
 
 def test_pipeline_additive_reaches_near_optimum() -> None:
@@ -425,10 +478,12 @@ def test_pipeline_counter_schema_is_stable() -> None:
         "dt_deletes",
         "total_f_queries",
     }
-    for kind in ("laminar", "graphic", "transversal"):
-        inst = generate_instance(kind, "coverage", n=9, seed=8)
+    instances = [generate_instance(kind, "coverage", n=9, seed=8) for kind in KINDS]
+    instances += [_rank_zero_instance(kind) for kind in KINDS]
+    instances += [_flat_instance(kind) for kind in KINDS]
+    for inst in instances:
         result = run_pipeline(inst, epsilon=0.2, seed=5)
-        assert expected <= set(result.counters)
+        assert set(result.counters) == expected
 
 
 def test_pipeline_on_triggering_instance() -> None:
@@ -439,3 +494,31 @@ def test_pipeline_on_triggering_instance() -> None:
     assert inst.matroid.is_independent(result.solution)
     # martingale bound at the composed scale
     assert result.counters["phase1_frozen"] <= 0.3 * 170 / 2
+
+
+def test_pipeline_skips_phase1_below_the_rank_bound(monkeypatch) -> None:
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("phase 1 built although its loop cannot fire")
+
+    monkeypatch.setattr(optimizer, "build_phase1_oracle", refuse)
+    for kind in KINDS:
+        inst = generate_instance(kind, "coverage", n=12, seed=8)
+        result = run_pipeline(inst, epsilon=0.2, seed=5)
+        assert result.counters["phase1_f_queries"] == 0
+        assert result.counters["phase1_iterations"] == 0
+
+
+def test_pipeline_runs_phase1_at_the_rank_bound() -> None:
+    inst = _shared_cover_instance(200, 170)
+    eps = 0.25  # eps1 = 1/16, so the factor below divides back exactly
+    eps1 = PHASE1_EPS_FRACTION * eps
+    factor = inst.matroid.rank() * eps1
+    assert factor / eps1 == inst.matroid.rank() == 170
+    result = run_pipeline(inst, epsilon=eps, seed=23, threshold_factor=factor)
+    assert result.counters["phase1_frozen"] >= 1
+    assert inst.matroid.is_independent(result.solution)
+    # one float step above the bound the loop cannot fire, so it is skipped
+    above = run_pipeline(
+        inst, epsilon=eps, seed=23, threshold_factor=float(np.nextafter(factor, np.inf))
+    )
+    assert above.counters["phase1_f_queries"] == 0
