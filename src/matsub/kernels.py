@@ -8,7 +8,17 @@ objective's data, such as the coverage incidence matrix, is built and owned
 by the oracle that passes it in.
 
 Subset batches are ``(s, n)`` uint8 matrices, one row per sampled set.  Ground
-sets use element ids ``0..n-1`` throughout.
+sets use element ids ``0..n-1`` throughout.  Cost per call, for ``q`` queried
+elements:
+
+- ``coverage_values``: ``O(s·n·universe)`` time, ``O(s·universe)`` memory.
+- ``coverage_marginal_means``: ``O(s·(n + q)·universe)`` time,
+  ``O((s + q)·universe + s·q)`` memory.
+- ``facility_values``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
+- ``facility_marginal_means``: ``O(s·n·clients + (s + q)·clients·log s)``
+  time, ``O((s + q)·clients)`` memory.
+
+No kernel builds an array whose size grows as ``s·n·clients``.
 """
 
 from __future__ import annotations
@@ -17,49 +27,72 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# coverage objectives: element e covers a list of universe items (CSR layout,
-# plus the dense 0/1 ``(n, universe)`` incidence matrix of the same covers),
-# f(S) = total weight of items covered by S.
+# coverage objectives: element e covers the universe items in row e of the
+# dense 0/1 ``(n, universe)`` incidence matrix, f(S) = total weight of items
+# covered by S.
 
 def coverage_values(sets, incidence, weights):
     covered = sets.astype(np.float64) @ incidence > 0.5
     return covered @ weights
 
 
-def coverage_marginal_means(sets, elems, indptr, indices, incidence, weights):
+def coverage_marginal_means(sets, elems, incidence, weights):
+    # Removing e from a row uncovers item u of e's exactly when no other
+    # member covers u: u is uncovered in the row already, or e is its only
+    # cover there.  Both are counted for all queried elements at once.
     counts = sets.astype(np.float64) @ incidence
-    out = np.zeros(elems.shape[0], dtype=np.float64)
-    for qi, e in enumerate(elems):
-        cols = indices[indptr[e]:indptr[e + 1]]
-        if cols.shape[0] == 0:
-            continue
-        bare = counts[:, cols] - sets[:, e:e + 1]
-        out[qi] = float(((bare < 0.5) * weights[cols]).sum()) / sets.shape[0]
-    return out
+    uncovered = (counts == 0).sum(axis=0) * weights
+    sole = np.multiply(counts == 1, weights, out=counts)
+    covers = incidence[elems]
+    only_e = ((sole @ covers.T) * sets[:, elems]).sum(axis=0)
+    return (covers @ uncovered + only_e) / sets.shape[0]
 
 
 # ---------------------------------------------------------------------------
 # facility-location objectives: similarity matrix sim (n clients columns),
 # f(S) = sum over clients of the best similarity among selected elements.
 
+def _row_top2(sets, sim):
+    """Best and second-best similarity per ``(row, client)`` over the row's
+    members, 0 where fewer exist, plus the member holding the best (``n``
+    where no member is positive), in one pass over the elements."""
+    n = sim.shape[0]
+    shape = (sets.shape[0], sim.shape[1])
+    top1 = np.zeros(shape)
+    top2 = np.zeros(shape)
+    arg1 = np.full(shape, n, dtype=np.intp)
+    for j in np.flatnonzero(sets.any(axis=0)):
+        rows = np.flatnonzero(sets[:, j])
+        v = sim[j]
+        t1 = top1[rows]
+        top2[rows] = np.maximum(top2[rows], np.minimum(t1, v))
+        top1[rows] = np.maximum(t1, v)
+        arg1[rows] = np.where(v > t1, j, arg1[rows])
+    return top1, arg1, top2
+
+
 def facility_values(sets, sim):
-    masked = np.where(sets[:, :, None].astype(bool), sim[None, :, :], 0.0)
-    return masked.max(axis=1).sum(axis=1)
+    top1, _, _ = _row_top2(sets, sim)
+    return top1.sum(axis=1)
 
 
 def facility_marginal_means(sets, elems, sim):
-    masked = np.where(sets[:, :, None].astype(bool), sim[None, :, :], 0.0)
-    order = np.argsort(masked, axis=1)
-    top1 = np.take_along_axis(masked, order[:, -1:, :], axis=1)[:, 0, :]
-    arg1 = order[:, -1, :]
-    top2 = np.take_along_axis(masked, order[:, -2:-1, :], axis=1)[:, 0, :] \
-        if masked.shape[1] > 1 else np.zeros_like(top1)
-    out = np.zeros(elems.shape[0], dtype=np.float64)
-    for qi, e in enumerate(elems):
-        base = np.where(arg1 == e, top2, top1)
-        gain = np.maximum(sim[e][None, :] - base, 0.0)
-        out[qi] = float(gain.sum()) / sets.shape[0]
-    return out
+    # Without e a row's best similarity is top1, or top2 in the rows where e
+    # is the best member.  Summing max(sim[e,c] - top1[r,c], 0) over rows
+    # takes one searchsorted per client on the sorted top1 column; a bincount
+    # over the argmax adds top1 - top2 in the rows that e itself tops.
+    s, n = sets.shape
+    top1, arg1, top2 = _row_top2(sets, sim)
+    ranked = np.sort(top1.T, axis=1)
+    prefix = np.zeros((ranked.shape[0], s + 1))
+    np.cumsum(ranked, axis=1, out=prefix[:, 1:])
+    query = np.ascontiguousarray(sim[elems].T)
+    below = np.empty(query.shape, dtype=np.intp)
+    for c in range(ranked.shape[0]):
+        below[c] = np.searchsorted(ranked[c], query[c])
+    above = below * query - np.take_along_axis(prefix, below, axis=1)
+    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=n + 1)
+    return (above.sum(axis=0) + tops[elems]) / s
 
 
 def active_backend() -> str:

@@ -158,9 +158,7 @@ class CoverageOracle(ValueOracle):
         return kernels.coverage_values(sets, self.incidence, self.universe_weights)
 
     def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
-        return kernels.coverage_marginal_means(
-            sets, elems, self.indptr, self.indices, self.incidence, self.universe_weights
-        )
+        return kernels.coverage_marginal_means(sets, elems, self.incidence, self.universe_weights)
 
 
 class FacilityLocationOracle(ValueOracle):

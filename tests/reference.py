@@ -359,3 +359,52 @@ def estimate_marginal_on_point(
 ) -> float:
     """Single-element convenience wrapper around the batched estimator."""
     return float(estimate_marginals_on_point(f, x, [elem], samples, rng)[0])
+
+
+# ---------------------------------------------------------------------------
+# earlier batch kernels: the dense forms the streaming kernels in
+# ``matsub.kernels`` replaced, kept as mirrors of what they compute
+
+
+def tensor_facility_values(sets: np.ndarray, sim: np.ndarray) -> np.ndarray:
+    """Facility values through the ``(s, n, clients)`` masked tensor."""
+    masked = np.where(sets[:, :, None].astype(bool), sim[None, :, :], 0.0)
+    return masked.max(axis=1).sum(axis=1)
+
+
+def tensor_facility_marginal_means(
+    sets: np.ndarray, elems: np.ndarray, sim: np.ndarray
+) -> np.ndarray:
+    """Facility marginal means from an argsort of the masked tensor."""
+    masked = np.where(sets[:, :, None].astype(bool), sim[None, :, :], 0.0)
+    order = np.argsort(masked, axis=1)
+    top1 = np.take_along_axis(masked, order[:, -1:, :], axis=1)[:, 0, :]
+    arg1 = order[:, -1, :]
+    top2 = np.take_along_axis(masked, order[:, -2:-1, :], axis=1)[:, 0, :] \
+        if masked.shape[1] > 1 else np.zeros_like(top1)
+    out = np.zeros(elems.shape[0], dtype=np.float64)
+    for qi, e in enumerate(elems):
+        base = np.where(arg1 == e, top2, top1)
+        gain = np.maximum(sim[e][None, :] - base, 0.0)
+        out[qi] = float(gain.sum()) / sets.shape[0]
+    return out
+
+
+def loop_coverage_marginal_means(
+    sets: np.ndarray,
+    elems: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    incidence: np.ndarray,
+    weights: np.ndarray,
+) -> np.ndarray:
+    """Coverage marginal means with a Python loop over queried elements."""
+    counts = sets.astype(np.float64) @ incidence
+    out = np.zeros(elems.shape[0], dtype=np.float64)
+    for qi, e in enumerate(elems):
+        cols = indices[indptr[e]:indptr[e + 1]]
+        if cols.shape[0] == 0:
+            continue
+        bare = counts[:, cols] - sets[:, e:e + 1]
+        out[qi] = float(((bare < 0.5) * weights[cols]).sum()) / sets.shape[0]
+    return out

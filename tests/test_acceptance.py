@@ -65,7 +65,7 @@ class _PipelineRun:
 @pytest.fixture(scope="module")
 def pipeline_grid() -> tuple[list[_PipelineRun], float]:
     """30 instances per matroid class, n in [8, 12], 100 seeds each."""
-    # one throwaway run first so kernel compilation stays off the clock
+    # one throwaway run first so import and cache warm-up stay off the clock
     warm = generate_instance("laminar", "coverage", n=8, seed=0)
     run_pipeline(warm, epsilon=EPSILON, seed=0)
     runs: list[_PipelineRun] = []

@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
+import pytest
 
 from matsub import kernels
 from matsub.objectives import CoverageOracle
+from reference import (
+    loop_coverage_marginal_means,
+    tensor_facility_marginal_means,
+    tensor_facility_values,
+)
 
 
 def _random_coverage(rng: np.random.Generator, n: int, universe: int):
@@ -68,9 +75,7 @@ def test_coverage_marginal_means_match_reference() -> None:
     indptr, indices, weights = _random_coverage(rng, 8, 12)
     sets = (rng.random((30, 8)) < 0.4).astype(np.uint8)
     elems = np.array([0, 3, 7], dtype=np.int64)
-    got = kernels.coverage_marginal_means(
-        sets, elems, indptr, indices, _incidence(indptr, indices, 12), weights
-    )
+    got = kernels.coverage_marginal_means(sets, elems, _incidence(indptr, indices, 12), weights)
     assert np.allclose(got, _slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
 
 
@@ -84,9 +89,14 @@ def test_coverage_kernels_handle_empty_covers_and_empty_rows() -> None:
     values = kernels.coverage_values(sets, incidence, weights)
     assert values.tolist() == [0.0, 0.0, 7.0, 6.0]
     elems = np.arange(3, dtype=np.int64)
-    got = kernels.coverage_marginal_means(sets, elems, indptr, indices, incidence, weights)
+    got = kernels.coverage_marginal_means(sets, elems, incidence, weights)
     assert got[1] == 0.0
     assert np.allclose(got, _slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
+
+
+def _slow_facility_values(sets, sim) -> np.ndarray:
+    return np.array([sim[np.flatnonzero(row)].max(axis=0).sum() if row.any() else 0.0
+                     for row in sets])
 
 
 def test_facility_values_match_reference() -> None:
@@ -96,10 +106,7 @@ def test_facility_values_match_reference() -> None:
     sets[0] = 0
     got = kernels.facility_values(sets, sim)
     assert got[0] == 0.0
-    for row, value in zip(sets, got):
-        idx = np.flatnonzero(row)
-        want = sim[idx].max(axis=0).sum() if idx.size else 0.0
-        assert np.isclose(value, want)
+    assert np.allclose(got, _slow_facility_values(sets, sim))
 
 
 def _slow_facility_marginal_means(sets, elems, sim) -> np.ndarray:
@@ -154,3 +161,117 @@ def test_coverage_incidence_is_freed_with_its_oracle() -> None:
     del oracle
     gc.collect()
     assert ref() is None
+
+
+def test_facility_kernels_on_tied_similarities() -> None:
+    # similarities on a quarter grid, so every sum is exact and ties are
+    # common: elements 1 and 4 repeat 0 and 3, and client 2 sees only zeros
+    rng = np.random.default_rng(10)
+    sim = rng.integers(0, 5, size=(7, 6)) / 4.0
+    sim[1] = sim[0]
+    sim[4] = sim[3]
+    sim[:, 2] = 0.0
+    sets = (rng.random((40, 7)) < 0.5).astype(np.uint8)
+    sets[:5, :2] = 1  # queried 0 ties for the top-1 with member 1
+    elems = np.arange(7, dtype=np.int64)
+    np.testing.assert_array_equal(
+        kernels.facility_values(sets, sim), _slow_facility_values(sets, sim)
+    )
+    np.testing.assert_array_equal(
+        kernels.facility_marginal_means(sets, elems, sim),
+        _slow_facility_marginal_means(sets, elems, sim),
+    )
+
+
+def test_facility_marginal_means_when_the_queried_element_tops_a_tie() -> None:
+    # 0 and 1 have equal similarities, so neither adds anything to a row
+    # that holds the other, whichever of the two the kernel takes as the top-1
+    sim = np.array([[1.0, 0.5], [1.0, 0.5], [0.25, 0.75]])
+    sets = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.uint8)
+    elems = np.array([0, 1, 2], dtype=np.int64)
+    got = kernels.facility_marginal_means(sets, elems, sim)
+    np.testing.assert_array_equal(got, _slow_facility_marginal_means(sets, elems, sim))
+    assert got.tolist() == [0.5, 0.0, 0.25]
+
+
+def test_coverage_marginal_means_by_cover_multiplicity() -> None:
+    # items of weight k/4 covered by zero, one and several row members
+    rng = np.random.default_rng(12)
+    incidence = (rng.random((9, 14)) < 0.35).astype(np.float64)
+    incidence[:, 13] = 0.0  # an item nobody covers
+    indptr = np.concatenate([[0], np.cumsum(incidence.sum(axis=1))]).astype(np.int64)
+    indices = np.nonzero(incidence)[1].astype(np.int64)
+    weights = rng.integers(1, 8, size=14) / 4.0
+    sets = (rng.random((50, 9)) < 0.3).astype(np.uint8)
+    counts = sets @ incidence
+    assert (counts == 0).any() and (counts == 1).any() and (counts >= 2).any()
+    elems = np.arange(9, dtype=np.int64)
+    np.testing.assert_array_equal(
+        kernels.coverage_marginal_means(sets, elems, incidence, weights),
+        _slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
+    )
+
+
+@pytest.mark.parametrize("s, n, cohort", [(1, 5, 5), (7, 5, 1), (6, 1, 1), (1, 1, 1)])
+def test_batch_kernels_at_edge_shapes(s: int, n: int, cohort: int) -> None:
+    rng = np.random.default_rng(100 * s + n)
+    sets = (rng.random((s, n)) < 0.5).astype(np.uint8)
+    elems = rng.choice(n, size=cohort, replace=False).astype(np.int64)
+    sim = rng.integers(0, 5, size=(n, 4)) / 4.0
+    np.testing.assert_array_equal(
+        kernels.facility_values(sets, sim), _slow_facility_values(sets, sim)
+    )
+    np.testing.assert_array_equal(
+        kernels.facility_marginal_means(sets, elems, sim),
+        _slow_facility_marginal_means(sets, elems, sim),
+    )
+    indptr, indices, weights = _random_coverage(rng, n, 6)
+    assert np.allclose(
+        kernels.coverage_marginal_means(sets, elems, _incidence(indptr, indices, 6), weights),
+        _slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_batch_kernels_match_the_dense_mirrors() -> None:
+    rng = np.random.default_rng(14)
+    s, n, width = 60, 50, 100
+    sets = (rng.random((s, n)) < 0.3).astype(np.uint8)
+    elems = rng.choice(n, size=30, replace=False).astype(np.int64)
+    sim = rng.uniform(0.0, 1.0, size=(n, width))
+    np.testing.assert_array_equal(
+        kernels.facility_values(sets, sim), tensor_facility_values(sets, sim)
+    )
+    assert np.allclose(
+        kernels.facility_marginal_means(sets, elems, sim),
+        tensor_facility_marginal_means(sets, elems, sim),
+        rtol=0.0, atol=1e-12,
+    )
+    indptr, indices, weights = _random_coverage(rng, n, width)
+    incidence = _incidence(indptr, indices, width)
+    assert np.allclose(
+        kernels.coverage_marginal_means(sets, elems, incidence, weights),
+        loop_coverage_marginal_means(sets, elems, indptr, indices, incidence, weights),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_facility_kernels_never_build_the_sample_tensor() -> None:
+    # one (s, n, clients) float64 array is 128 MB at these shapes
+    s, n, clients = 200, 200, 400
+    rng = np.random.default_rng(16)
+    sim = rng.uniform(0.0, 1.0, size=(n, clients))
+    sets = (rng.random((s, n)) < 0.5).astype(np.uint8)
+    elems = np.arange(n, dtype=np.int64)
+    cap = 32 * 2**20
+    for kernel, args in (
+        (kernels.facility_marginal_means, (sets, elems, sim)),
+        (kernels.facility_values, (sets, sim)),
+    ):
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, (kernel.__name__, peak)
