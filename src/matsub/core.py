@@ -122,11 +122,15 @@ def greedy_basis_value(
 
     The result is a basis whose value is within a factor 2 of the optimum for
     monotone submodular ``f``, which is what the optimizer uses as its
-    optimum estimate ``M``.
+    optimum estimate ``M``.  A popped element is repriced against
+    ``f.incremental()``, which keeps state for the chosen set, so a pop costs
+    one element's update (``O(|cover(e)|)`` for coverage, ``O(clients)`` for
+    facility location) and is counted as one value query.
     """
     if not elements:
         raise ValueError("ground set is empty")
     checker = make_checker()
+    state = f.incremental()
     chosen: list[int] = []
     value = f.value(())
     # (negated bound, negated id) so ties resolve toward the larger id,
@@ -136,15 +140,24 @@ def greedy_basis_value(
     while heap:
         bound, neg_e = heapq.heappop(heap)
         e = -neg_e
-        gain = f.value(tuple(chosen) + (e,)) - value
+        gain = state.gain(e)
         if heap and (-gain, -e) > heap[0]:
             heapq.heappush(heap, (-gain, -e))
             continue
         if checker.test(e):
             checker.insert(e)
+            state.add(e)
             chosen.append(e)
             value += gain
     return value, chosen
+
+
+class IncrementalValue(Protocol):
+    """``f(S + e) - f(S)`` for a set ``S`` the greedy pass grows."""
+
+    def gain(self, elem: int) -> float: ...
+
+    def add(self, elem: int) -> None: ...
 
 
 class SetFunction(Protocol):
@@ -153,6 +166,8 @@ class SetFunction(Protocol):
     def value(self, subset: Iterable[int]) -> float: ...
 
     def marginal(self, elem: int, subset: Iterable[int]) -> float: ...
+
+    def incremental(self) -> IncrementalValue: ...
 
 
 class MatroidLike(Protocol):

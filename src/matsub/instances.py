@@ -43,6 +43,18 @@ def _require_ints(values: Iterable, what: str) -> None:
         raise ValueError(f"{what} must be integers")
 
 
+def _cached_rank(self) -> int:
+    """Size of every basis, computed on the first call and then kept.
+
+    No code changes a matroid's fields after construction, so the value
+    cannot go stale.  Each matroid class binds this plain function as its
+    ``rank`` method.
+    """
+    if self._rank is None:
+        self._rank = self._compute_rank()
+    return self._rank
+
+
 # ---------------------------------------------------------------------------
 # laminar
 
@@ -96,6 +108,7 @@ class LaminarMatroid:
                 raise ValueError("element nodes must be leaves")
         if any(c < 0 for c in self.capacities):
             raise ValueError("capacities must be nonnegative")
+        self._rank: int | None = None
 
     @property
     def n(self) -> int:
@@ -111,7 +124,9 @@ class LaminarMatroid:
             node = self.parents[node]
         return out
 
-    def rank(self) -> int:
+    rank = _cached_rank
+
+    def _compute_rank(self) -> int:
         order = self._topo_order()
         has_elem = set(self.element_nodes)
         avail = [0] * len(self.parents)
@@ -189,12 +204,15 @@ class GraphicMatroid:
         for u, v in self.edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge endpoint out of range")
+        self._rank: int | None = None
 
     @property
     def n(self) -> int:
         return len(self.edges)
 
-    def rank(self) -> int:
+    rank = _cached_rank
+
+    def _compute_rank(self) -> int:
         uf = _UnionFind(self.num_vertices)
         r = 0
         for u, v in self.edges:
@@ -278,12 +296,15 @@ class TransversalMatroid:
             for r in nbrs:
                 if not 0 <= r < self.num_right:
                     raise ValueError("right vertex out of range")
+        self._rank: int | None = None
 
     @property
     def n(self) -> int:
         return len(self.adjacency)
 
-    def rank(self) -> int:
+    rank = _cached_rank
+
+    def _compute_rank(self) -> int:
         checker = self.checker()
         r = 0
         for e in range(self.n):

@@ -3,8 +3,9 @@
 Three families cover everything the generator emits: weighted coverage,
 facility location, and additive.  Every oracle counts queries: ``value`` is
 one query, ``marginal`` two, a batch over ``s`` sampled sets is ``s`` queries
-and a batched marginal estimate ``2*s`` per queried element.  Budget
-instrumentation everywhere else trusts these counts.
+and a batched marginal estimate ``2*s`` per queried element.  An
+``incremental()`` state prices ``f(S + e) - f(S)`` for a growing ``S`` at one
+query each.  Budget instrumentation everywhere else trusts these counts.
 """
 
 from __future__ import annotations
@@ -63,6 +64,11 @@ class ValueOracle:
         self.counter.count += 2
         return self._value(with_e) - self._value(base)
 
+    def incremental(self) -> "_Increment":
+        """Gain state for a set that grows from empty, as the greedy pass
+        builds it; each ``gain`` is counted as one value query."""
+        raise NotImplementedError
+
     # -- batched queries ----------------------------------------------------
 
     def batch_values(self, sets: np.ndarray) -> np.ndarray:
@@ -111,6 +117,76 @@ class ValueOracle:
         raise NotImplementedError
 
 
+class _Increment:
+    """``f(S + e) - f(S)`` for a set ``S`` that only grows.
+
+    ``gain`` costs what a subclass's per-element update costs, not a value
+    query over the whole of ``S``; it still counts as one query.
+    """
+
+    def __init__(self, counter: QueryCounter) -> None:
+        self.counter = counter
+
+    def gain(self, elem: int) -> float:
+        self.counter.count += 1
+        return self._gain(elem)
+
+    def _gain(self, elem: int) -> float:
+        raise NotImplementedError
+
+    def add(self, elem: int) -> None:
+        """Put ``elem`` into ``S``."""
+
+
+class _CoverageIncrement(_Increment):
+    """A covered-item mask; a gain reads only the element's own items."""
+
+    def __init__(self, oracle: "CoverageOracle") -> None:
+        super().__init__(oracle.counter)
+        self.oracle = oracle
+        self.covered = np.zeros(oracle.universe_weights.shape[0], dtype=bool)
+
+    def _items(self, elem: int) -> np.ndarray:
+        return self.oracle.indices[self.oracle.indptr[elem]:self.oracle.indptr[elem + 1]]
+
+    def _gain(self, elem: int) -> float:
+        items = self._items(elem)
+        return float(self.oracle.universe_weights[items[~self.covered[items]]].sum())
+
+    def add(self, elem: int) -> None:
+        self.covered[self._items(elem)] = True
+
+
+class _FacilityIncrement(_Increment):
+    """The best similarity per client; a gain is one pass over the clients."""
+
+    def __init__(self, oracle: "FacilityLocationOracle") -> None:
+        super().__init__(oracle.counter)
+        self.similarity = oracle.similarity
+        self.best = np.zeros(self.similarity.shape[1])
+        self.total = 0.0
+
+    def _gain(self, elem: int) -> float:
+        return float(np.maximum(self.best, self.similarity[elem]).sum()) - self.total
+
+    def add(self, elem: int) -> None:
+        np.maximum(self.best, self.similarity[elem], out=self.best)
+        # summed as a value query sums it, so a gain is f(S + e) - f(S)
+        # rounded exactly as two value queries would give it
+        self.total = float(self.best.sum())
+
+
+class _AdditiveIncrement(_Increment):
+    """Nothing to keep: the caller's running sum is the value."""
+
+    def __init__(self, oracle: "AdditiveOracle") -> None:
+        super().__init__(oracle.counter)
+        self.weights = oracle.weights
+
+    def _gain(self, elem: int) -> float:
+        return float(self.weights[elem])
+
+
 class CoverageOracle(ValueOracle):
     """f(S) = total weight of universe items covered by S."""
 
@@ -146,6 +222,9 @@ class CoverageOracle(ValueOracle):
             return 0.0
         return float(self.universe_weights[np.fromiter(covered, dtype=np.int64)].sum())
 
+    def incremental(self) -> _Increment:
+        return _CoverageIncrement(self)
+
     @cached_property
     def incidence(self) -> np.ndarray:
         """Dense 0/1 ``(n, universe)`` cover matrix for the batch kernels,
@@ -180,6 +259,9 @@ class FacilityLocationOracle(ValueOracle):
             return 0.0
         return float(self.similarity[idx].max(axis=0).sum())
 
+    def incremental(self) -> _Increment:
+        return _FacilityIncrement(self)
+
     def _batch_values(self, sets: np.ndarray) -> np.ndarray:
         return kernels.facility_values(sets, self.similarity)
 
@@ -201,6 +283,9 @@ class AdditiveOracle(ValueOracle):
 
     def _value(self, idx: np.ndarray) -> float:
         return float(self.weights[idx].sum())
+
+    def incremental(self) -> _Increment:
+        return _AdditiveIncrement(self)
 
     def _batch_values(self, sets: np.ndarray) -> np.ndarray:
         return sets.astype(np.float64) @ self.weights

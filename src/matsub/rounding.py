@@ -5,17 +5,41 @@ difference: for i in B1 \\ B2 an exchange partner j in B2 \\ B1 is found such
 that both B1 - i + j and B2 - j + i are again bases, and a biased coin decides
 which side moves.  Folding the merge over the whole combination yields a
 random basis whose per-element inclusion probability equals the fractional
-coordinate.
+coordinate (Chekuri, Vondrak & Zenklusen, FOCS 2010).
 
 Exchange partners are located per matroid family:
 
 - laminar: two unweighted copies of the dynamic laminar structure track the
   evolving bases; the partner for i is the maximum addable leaf of the first
   copy below i's lowest tight constraint in the second.
-- graphic: adding i's edge to the second forest closes a unique cycle; any
-  cycle edge outside the first forest whose swap keeps it acyclic works.
+- graphic: adding i's edge to the second forest closes a unique cycle; the
+  partner is the smallest cycle edge outside the first forest that crosses
+  the cut deleting i makes in the first forest.
 - transversal: certifying matchings for both bases are maintained, and the
   alternating path from i through their union ends at a valid partner.
+
+Every exchange is certified before the coin moves a basis.  Each exchanger
+decides, exactly and from state it keeps for both bases, whether B1 - i + j
+and B2 - j + i are independent; both have the rank's size, so independent
+means basis.  ``merge_bases`` raises ``ExchangeError`` if either is not:
+
+- laminar: per-node counts of both bases.  B1 - i + j is independent iff no
+  node on path(j) \\ path(i) is tight in B1, and B2 - j + i iff no node on
+  path(i) \\ path(j) is tight in B2: ``O(depth)``.
+- graphic: B1 - i + j is a forest iff j crosses the cut that deleting i
+  makes in B1, found by one traversal of i's tree; B2 - j + i is one iff j
+  lies on B2's cycle through i: ``O(size of the tree)``.
+- transversal: an alternating path for each side, searched along the other
+  side's matching first, so for the walk's partner it retraces the walk in
+  ``O(path)`` (any other candidate costs a full alternating-path search).
+  The check confirms that every flipped edge exists in ``adjacency`` and
+  that each step takes exactly the right vertex the next one frees, ending
+  at the vertex the leaving element frees, again ``O(path)``.  The moving
+  side's path is then flipped into its matching.
+
+The full checks, size equal to the (memoized) ``rank()`` and
+``is_independent``, run on both input bases and on the merged output of
+every merge.
 """
 
 from __future__ import annotations
@@ -55,7 +79,8 @@ class _LaminarExchanger:
     Both structures hold every element of B1 | B2 with weight one.  Shadowed
     elements are out of play for the max-addable queries: initially the
     intersection, thereafter every resolved pair, so the candidate pool is
-    always exactly the unresolved part of the current B2 \\ B1.
+    always exactly the unresolved part of the current B2 \\ B1.  Per-node
+    counts of both bases certify each exchange.
     """
 
     def __init__(
@@ -65,6 +90,7 @@ class _LaminarExchanger:
         b2: Iterable[int],
         structure_cls: type = TopTreeLaminarBasis,
     ) -> None:
+        self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
         self.d1 = structure_cls(matroid)
@@ -79,6 +105,19 @@ class _LaminarExchanger:
         for e in sorted(self.set1 & self.set2):
             self.d1.set_shadow(e, True)
             self.d2.set_shadow(e, True)
+        self.count1 = [0] * len(matroid.parents)
+        self.count2 = [0] * len(matroid.parents)
+        for e in self.set1:
+            self._shift(self.count1, e, 1)
+        for e in self.set2:
+            self._shift(self.count2, e, 1)
+
+    def _path(self, elem: int) -> list[int]:
+        return self.matroid.path_to_root(self.matroid.element_nodes[elem])
+
+    def _shift(self, counts: list[int], elem: int, delta: int) -> None:
+        for v in self._path(elem):
+            counts[v] += delta
 
     def exchange(self, i: int) -> int:
         # i's addition to B2 is blocked at its lowest tight constraint; the
@@ -91,17 +130,30 @@ class _LaminarExchanger:
             raise ExchangeError(f"no exchange partner for element {i}")
         return j
 
+    def admits(self, i: int, j: int) -> tuple[bool, bool]:
+        """Are B1 - i + j and B2 - j + i independent?"""
+        caps = self.matroid.capacities
+        path_i, path_j = self._path(i), self._path(j)
+        only_i, only_j = set(path_i) - set(path_j), set(path_j) - set(path_i)
+        first = all(self.count1[v] < caps[v] for v in only_j)
+        second = all(self.count2[v] < caps[v] for v in only_i)
+        return first, second
+
     def apply(self, i: int, j: int, move_first: bool) -> None:
         if move_first:
             self.d1.add_to_basis(j)
             self.set1.remove(i)
             self.set1.add(j)
+            self._shift(self.count1, i, -1)
+            self._shift(self.count1, j, 1)
         else:
             self.d1.add_to_basis(i)
             self.d2.remove_from_basis(j)
             self.d2.add_to_basis(i)
             self.set2.remove(j)
             self.set2.add(i)
+            self._shift(self.count2, j, -1)
+            self._shift(self.count2, i, 1)
         # both i and j are settled for good: one now lies in both bases, the
         # other in neither, so neither may be offered as a partner again
         self.d1.set_shadow(j, True)
@@ -110,48 +162,96 @@ class _LaminarExchanger:
 
 
 class _GraphicExchanger:
-    """Cycle-walk exchange over two spanning forests."""
+    """Cut-and-cycle exchange over two spanning forests kept as adjacency maps.
+
+    For the element i under exchange, ``side`` is the vertex set of one side
+    of the cut that deleting i makes in B1 and ``cycle`` the edges of B2's
+    path between i's ends; both are found once per i.
+    """
 
     def __init__(self, matroid: GraphicMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
         self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
-
-    def exchange(self, i: int) -> int:
-        u, v = self.matroid.edges[i]
-        adjacency: dict[int, list[tuple[int, int]]] = {}
+        self.adj1: dict[int, set[tuple[int, int]]] = {}
+        self.adj2: dict[int, set[tuple[int, int]]] = {}
+        for e in self.set1:
+            self._link(self.adj1, e)
         for e in self.set2:
-            a, b = self.matroid.edges[e]
-            adjacency.setdefault(a, []).append((b, e))
-            adjacency.setdefault(b, []).append((a, e))
-        # the u-v path in the forest plus edge i is the unique cycle of B2 + i
+            self._link(self.adj2, e)
+        self._for: int | None = None
+        self.side: set[int] = set()
+        self.cycle: set[int] = set()
+
+    def _link(self, adjacency: dict[int, set[tuple[int, int]]], e: int) -> None:
+        a, b = self.matroid.edges[e]
+        adjacency.setdefault(a, set()).add((b, e))
+        adjacency.setdefault(b, set()).add((a, e))
+
+    def _unlink(self, adjacency: dict[int, set[tuple[int, int]]], e: int) -> None:
+        a, b = self.matroid.edges[e]
+        adjacency[a].discard((b, e))
+        adjacency[b].discard((a, e))
+
+    def _prepare(self, i: int) -> None:
+        if self._for == i:
+            return
+        u, v = self.matroid.edges[i]
+        # the side of u once i is deleted from B1
+        side = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y, e in self.adj1.get(x, ()):
+                if e != i and y not in side:
+                    side.add(y)
+                    stack.append(y)
+        # the u-v path in B2, which closes the unique cycle of B2 + i
         parent: dict[int, tuple[int, int]] = {u: (-1, -1)}
         queue = deque([u])
         while queue and v not in parent:
             x = queue.popleft()
-            for y, e in sorted(adjacency.get(x, ())):
+            for y, e in self.adj2.get(x, ()):
                 if y not in parent:
                     parent[y] = (x, e)
                     queue.append(y)
-        if v not in parent:
-            raise ExchangeError(f"endpoints of edge {i} not connected in the second basis")
-        cycle: list[int] = []
-        x = v
+        cycle: set[int] = set()
+        x = v if v in parent else u
         while x != u:
             x, e = parent[x]
-            cycle.append(e)
-        for j in sorted(e for e in cycle if e not in self.set1):
-            if self.matroid.is_independent((self.set1 - {i}) | {j}):
+            cycle.add(e)
+        self._for, self.side, self.cycle = i, side, cycle
+
+    def _crosses(self, j: int) -> bool:
+        a, b = self.matroid.edges[j]
+        return (a in self.side) != (b in self.side)
+
+    def exchange(self, i: int) -> int:
+        self._prepare(i)
+        if not self.cycle:
+            raise ExchangeError(f"endpoints of edge {i} not connected in the second basis")
+        for j in sorted(self.cycle - self.set1):
+            if self._crosses(j):
                 return j
         raise ExchangeError(f"no exchange partner for edge {i}")
+
+    def admits(self, i: int, j: int) -> tuple[bool, bool]:
+        """Are B1 - i + j and B2 - j + i forests?"""
+        self._prepare(i)
+        return self._crosses(j), j in self.cycle
 
     def apply(self, i: int, j: int, move_first: bool) -> None:
         if move_first:
             self.set1.remove(i)
             self.set1.add(j)
+            self._unlink(self.adj1, i)
+            self._link(self.adj1, j)
         else:
             self.set2.remove(j)
             self.set2.add(i)
+            self._unlink(self.adj2, j)
+            self._link(self.adj2, i)
+        self._for = None
 
 
 class _TransversalExchanger:
@@ -159,11 +259,13 @@ class _TransversalExchanger:
 
     The union of the matchings decomposes into paths and even cycles.  An
     element of B1 \\ B2 has degree one, so the walk from it alternating
-    first-matching and second-matching edges ends at an element of B2 \\ B1;
-    flipping the traversed path updates whichever certificate moved.
+    first-matching and second-matching edges ends at an element of B2 \\ B1.
+    Each side's certificate is an alternating path in that side's matching,
+    and flipping the moving side's path updates its matching.
     """
 
     def __init__(self, matroid: TransversalMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
+        self.adjacency = matroid.adjacency
         self.set1 = set(b1)
         self.set2 = set(b2)
         right1 = TransversalChecker(matroid, sorted(self.set1)).match_right
@@ -172,46 +274,112 @@ class _TransversalExchanger:
         self.m2 = {e: r for r, e in right2.items()}
         self.r1 = dict(right1)
         self.r2 = dict(right2)
-        self._path: list[tuple[int, int]] = []
 
     def exchange(self, i: int) -> int:
-        edges: list[tuple[int, int]] = []
         e = i
-        for _ in range(2 * len(self.set2) + 2):
+        for _ in range(len(self.set2) + 1):
             r = self.m1[e]
-            edges.append((e, r))
             nxt = self.r2.get(r)
             if nxt is None:
                 raise ExchangeError(f"walk from {i} left the certificates at right vertex {r}")
-            edges.append((nxt, r))
             if nxt not in self.m1:
-                self._path = edges
                 return nxt
             e = nxt
         raise ExchangeError(f"alternating walk from {i} did not terminate")
 
+    def _path(
+        self, match: dict[int, int], owner: dict[int, int], prefer: dict[int, int],
+        inn: int, out: int,
+    ) -> list[tuple[int, int]] | None:
+        """Edges ``(left, right)`` that, flipped into ``match`` with ``out``
+        removed, match ``inn`` too; ``None`` if no alternating path exists.
+
+        Depth-first from ``inn``, each left vertex trying its edge in
+        ``prefer`` (the other side's matching) first.  The path ends at the
+        vertex ``out`` frees or at one ``match`` leaves free.
+        """
+        target = match[out]
+        seen: set[int] = set()
+        path: list[tuple[int, int]] = []
+        stack = [(inn, iter(self._choices(inn, prefer)))]
+        while stack:
+            y, choices = stack[-1]
+            for r in choices:
+                if r in seen:
+                    continue
+                seen.add(r)
+                path.append((y, r))
+                nxt = owner.get(r)
+                if r == target or nxt is None:
+                    return path
+                stack.append((nxt, iter(self._choices(nxt, prefer))))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+        return None
+
+    def _choices(self, y: int, prefer: dict[int, int]) -> list[int]:
+        first = prefer.get(y)
+        return ([first] if first is not None else []) + [
+            r for r in self.adjacency[y] if r != first
+        ]
+
+    def _valid(
+        self, match: dict[int, int], owner: dict[int, int], path: list[tuple[int, int]],
+        inn: int, out: int,
+    ) -> bool:
+        """Certificate check: every edge exists, each step takes the vertex
+        the next left vertex gives up, and the last one is ``out``'s or free."""
+        if path[0][0] != inn or inn in match:
+            return False
+        for (_, r), (nxt, _) in zip(path, path[1:]):
+            if nxt == out or match.get(nxt) != r:
+                return False
+        last = path[-1][1]
+        rights = {r for _, r in path}
+        return (
+            (last == match[out] or last not in owner)
+            and len(rights) == len(path)
+            and all(r in self.adjacency[y] for y, r in path)
+        )
+
+    def _side(self, first: bool, i: int, j: int) -> tuple:
+        """``(match, owner, prefer, inn, out)`` for B1 - i + j or B2 - j + i."""
+        if first:
+            return self.m1, self.r1, self.m2, j, i
+        return self.m2, self.r2, self.m1, i, j
+
+    def _certificate(self, first: bool, i: int, j: int) -> list[tuple[int, int]] | None:
+        match, owner, prefer, inn, out = self._side(first, i, j)
+        path = self._path(match, owner, prefer, inn, out)
+        if path is None or not self._valid(match, owner, path, inn, out):
+            return None
+        return path
+
+    def admits(self, i: int, j: int) -> tuple[bool, bool]:
+        """Are B1 - i + j and B2 - j + i matchable?"""
+        return (
+            self._certificate(True, i, j) is not None,
+            self._certificate(False, i, j) is not None,
+        )
+
     def apply(self, i: int, j: int, move_first: bool) -> None:
-        first_half = self._path[0::2]
-        second_half = self._path[1::2]
+        path = self._certificate(move_first, i, j)
+        if path is None:
+            raise ExchangeError(f"exchange of {i} and {j} has no certificate")
+        match, owner, _, _, out = self._side(move_first, i, j)
+        del owner[match.pop(out)]
+        for y, r in path:
+            match[y] = r
+            owner[r] = y
         if move_first:
-            for e, r in first_half:
-                del self.m1[e]
-                del self.r1[r]
-            for e, r in second_half:
-                self.m1[e] = r
-                self.r1[r] = e
             self.set1.remove(i)
             self.set1.add(j)
         else:
-            for e, r in second_half:
-                del self.m2[e]
-                del self.r2[r]
-            for e, r in first_half:
-                self.m2[e] = r
-                self.r2[r] = e
             self.set2.remove(j)
             self.set2.add(i)
-        self._path = []
 
 
 def _make_exchanger(matroid: Matroid, b1: Iterable[int], b2: Iterable[int]):
@@ -239,7 +407,6 @@ def merge_bases(
     b2: Iterable[int],
     matroid: Matroid,
     rng: np.random.Generator,
-    verify: bool = True,
 ) -> list[int]:
     """Randomly merge two bases; each survives in proportion to its weight.
 
@@ -248,24 +415,30 @@ def merge_bases(
     partner, otherwise the second adopts the element.  On return the two
     (internally tracked) bases coincide and the common basis is returned, so
     Pr[e in result] = (alpha1 * [e in B1] + alpha2 * [e in B2]) / (alpha1 + alpha2).
+    Both inputs and the output are checked in full, every exchange against
+    its certificate; a failed check raises ``ExchangeError``.
     """
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("mixture weights must be positive")
     exchanger = _make_exchanger(matroid, b1, b2)
     if len(exchanger.set1) != len(exchanger.set2):
         raise ValueError("bases must have equal size")
-    if verify:
-        _assert_basis(matroid, exchanger.set1, "first basis")
-        _assert_basis(matroid, exchanger.set2, "second basis")
+    _assert_basis(matroid, exchanger.set1, "first basis")
+    _assert_basis(matroid, exchanger.set2, "second basis")
     threshold = alpha2 / (alpha1 + alpha2)
     for i in sorted(exchanger.set1 - exchanger.set2):
         j = exchanger.exchange(i)
-        if verify:
-            _assert_basis(matroid, (exchanger.set1 - {i}) | {j}, "first exchange")
-            _assert_basis(matroid, (exchanger.set2 - {j}) | {i}, "second exchange")
+        if j not in exchanger.set2 or j in exchanger.set1:
+            raise ExchangeError(f"partner {j} of {i} is not in B2 \\ B1")
+        first, second = exchanger.admits(i, j)
+        if not first:
+            raise ExchangeError(f"first exchange: B1 - {i} + {j} is not independent")
+        if not second:
+            raise ExchangeError(f"second exchange: B2 - {j} + {i} is not independent")
         exchanger.apply(i, j, move_first=rng.random() < threshold)
     if exchanger.set1 != exchanger.set2:
         raise ExchangeError("merge finished with distinct bases")
+    _assert_basis(matroid, exchanger.set1, "merged basis")
     return sorted(exchanger.set1)
 
 
@@ -273,7 +446,6 @@ def swap_round(
     fractional: "FractionalSolution",
     matroid: Matroid,
     rng: np.random.Generator,
-    verify: bool = True,
 ) -> list[int]:
     """Left-fold of the pairwise merge over a convex combination of bases.
 
@@ -286,6 +458,6 @@ def swap_round(
         raise ValueError("fractional solution holds no bases")
     weight, merged = bases[0][0], list(bases[0][1])
     for alpha, basis in bases[1:]:
-        merged = merge_bases(weight, merged, alpha, basis, matroid, rng, verify=verify)
+        merged = merge_bases(weight, merged, alpha, basis, matroid, rng)
         weight += alpha
     return sorted(merged)

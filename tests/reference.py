@@ -8,15 +8,16 @@ the package.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from matsub.core import OracleChanges, SetFunction, weight_key
+from matsub.core import IndependenceChecker, OracleChanges, SetFunction, weight_key
 from matsub.instances import LaminarMatroid, Matroid
 from matsub.objectives import ValueOracle, estimate_marginals_on_point
 
@@ -265,6 +266,35 @@ def max_weight_basis(matroid: Matroid, weights: Sequence[float]) -> list[int]:
             checker.insert(e)
             basis.append(e)
     return sorted(basis)
+
+
+def scratch_greedy_basis_value(
+    f: SetFunction, elements: Sequence[int], make_checker: Callable[[], IndependenceChecker]
+) -> tuple[float, list[int]]:
+    """Lazy greedy that evaluates ``f(S + e)`` from scratch on every pop.
+
+    The same heap, tie-break and query count as ``core.greedy_basis_value``,
+    which reprices through ``f.incremental()`` instead.
+    """
+    if not elements:
+        raise ValueError("ground set is empty")
+    checker = make_checker()
+    chosen: list[int] = []
+    value = f.value(())
+    heap = [(-f.marginal(e, ()), -e) for e in elements]
+    heapq.heapify(heap)
+    while heap:
+        _bound, neg_e = heapq.heappop(heap)
+        e = -neg_e
+        gain = f.value(tuple(chosen) + (e,)) - value
+        if heap and (-gain, -e) > heap[0]:
+            heapq.heappush(heap, (-gain, -e))
+            continue
+        if checker.test(e):
+            checker.insert(e)
+            chosen.append(e)
+            value += gain
+    return value, chosen
 
 
 def exhaustive_opt(f: SetFunction, matroid: Matroid, limit: int = 12) -> float:

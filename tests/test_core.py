@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from matsub.core import OracleChanges, WeightClassifier, estimate_opt, greedy_basis_value
-from matsub.instances import LaminarMatroid, generate_instance
+from matsub.instances import Instance, LaminarMatroid, generate_instance
 from matsub.objectives import AdditiveOracle
 from matsub.oracles import brute_force_opt
+from reference import scratch_greedy_basis_value
+
+KINDS = ("laminar", "graphic", "transversal")
+OBJECTIVES = ("coverage", "facility", "additive")
+WEIGHTS = {"coverage": "universe_weights", "facility": "similarity", "additive": "weights"}
 
 
 def test_weight_class_half_example() -> None:
@@ -95,6 +100,59 @@ def test_greedy_requires_elements() -> None:
     inst = generate_instance("laminar", "additive", n=3, seed=1)
     with pytest.raises(ValueError):
         greedy_basis_value(inst.build_objective(), [], inst.matroid.checker)
+
+
+def _both_greedies(inst: Instance):
+    """``(M, order, queries)`` of the incremental and the scratch greedy."""
+    out = []
+    for greedy in (greedy_basis_value, scratch_greedy_basis_value):
+        f = inst.build_objective()
+        value, chosen = greedy(f, range(inst.n), inst.matroid.checker)
+        out.append((value, chosen, f.query_count))
+    return out
+
+
+def _on_grid(inst: Instance) -> Instance:
+    """The instance with every weight on a 1/64 grid, where float sums are
+    exact in any order."""
+    key = WEIGHTS[inst.objective["kind"]]
+    grid = np.round(np.asarray(inst.objective[key]) * 64.0) / 64.0
+    return Instance(inst.matroid, {**inst.objective, key: grid.tolist()})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_incremental_greedy_matches_the_scratch_greedy(kind, objective) -> None:
+    for seed in range(4):
+        for n in (1, 9, 40, 120):
+            inst = generate_instance(kind, objective, n=n, seed=900 + seed)
+            (m, chosen, _), (m_ref, chosen_ref, _) = _both_greedies(inst)
+            assert m == pytest.approx(m_ref, rel=1e-12, abs=0.0)
+            assert len(chosen) == len(chosen_ref) == inst.matroid.rank()
+            # the scratch greedy re-sums all of f(S + e), so its rounding
+            # noise can reorder elements whose exact gains tie; on the grid
+            # both passes see exact gains and must agree step for step
+            new, ref = _both_greedies(_on_grid(inst))
+            assert new == ref
+
+
+def test_incremental_greedy_edge_objectives() -> None:
+    mat = generate_instance("graphic", "additive", n=6, seed=5).matroid
+    objectives = [
+        {"kind": "coverage", "covers": [[], [0, 1], [], [2], [], [1]],
+         "universe_weights": [0.75, 0.5, 1.25]},
+        {"kind": "coverage", "covers": [[]] * 6, "universe_weights": [1.0]},
+        {"kind": "coverage", "covers": [[0], [0, 1]] * 3, "universe_weights": [0.0, 0.0]},
+        {"kind": "facility", "similarity": [[0.0] * 4] * 6},
+        {"kind": "additive", "weights": [0.0] * 6},
+    ]
+    for objective in objectives:
+        new, ref = _both_greedies(Instance(mat, objective))
+        assert new == ref
+        assert len(new[1]) == mat.rank()
+    zero = [{"kind": "additive", "weights": [0.0] * 6}, objectives[1], objectives[3]]
+    for objective in zero:
+        assert _both_greedies(Instance(mat, objective))[0][0] == 0.0
 
 
 def test_estimate_opt_rank_one_picks_the_best_singleton() -> None:

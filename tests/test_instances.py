@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
+from matsub.cli import main
 from matsub.instances import (
     GraphicMatroid,
     Instance,
@@ -53,6 +55,45 @@ def test_rank_matches_brute_force() -> None:
             seed = int(rng.integers(0, 2**31))
             inst = generate_instance(kind, "additive", n=int(rng.integers(3, 9)), seed=seed)
             assert inst.matroid.rank() == _brute_rank(inst.matroid)
+
+
+MATROID_CLASSES = (LaminarMatroid, GraphicMatroid, TransversalMatroid)
+
+
+def test_rank_is_a_plain_method_of_each_class() -> None:
+    # a layer tracer swaps vars(cls)["rank"] for a timing wrapper
+    for cls in MATROID_CLASSES:
+        assert inspect.isfunction(vars(cls)["rank"])
+
+
+def test_kept_rank_equals_a_fresh_matroids_rank() -> None:
+    for kind in ("laminar", "graphic", "transversal"):
+        for seed in range(5):
+            inst = generate_instance(kind, "additive", n=10 + 7 * seed, seed=60 + seed)
+            first = inst.matroid.rank()
+            assert inst.matroid.rank() == first
+            fresh = Instance.from_json(inst.to_json()).matroid
+            assert fresh.rank() == first
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_rank_is_computed_once_per_matroid(kind, tmp_path, monkeypatch) -> None:
+    computed: list = []
+    cls = type(generate_instance(kind, "coverage", n=2, seed=1).matroid)
+    original = cls._compute_rank
+
+    def counted(self):
+        computed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(cls, "_compute_rank", counted)
+    path, out = str(tmp_path / "inst.json"), str(tmp_path / "out.json")
+    assert main(["gen", "--matroid", kind, "--function", "coverage",
+                 "--n", "40", "--seed", "3", "-o", path]) == 0
+    # one run_pipeline call, then verify: two matroids, one rank each
+    assert main(["run", path, "--seed", "5", "-o", out]) == 0
+    assert main(["verify", path, out]) == 0
+    assert len(computed) == 2 and computed[0] is not computed[1]
 
 
 def test_checker_agrees_with_is_independent() -> None:

@@ -16,7 +16,10 @@ from matsub.instances import (
     generate_instance,
 )
 from matsub.rounding import (
+    _GraphicExchanger,
     _LaminarExchanger,
+    _make_exchanger,
+    _TransversalExchanger,
     ExchangeError,
     find_exchange,
     merge_bases,
@@ -107,7 +110,7 @@ def test_merge_marginals_match_the_mixture_law():
     trials = 4000
     hits = {e: 0 for e in range(mat.n)}
     for _ in range(trials):
-        for e in merge_bases(alpha1, b1, alpha2, b2, mat, rng, verify=False):
+        for e in merge_bases(alpha1, b1, alpha2, b2, mat, rng):
             hits[e] += 1
     for e in range(mat.n):
         p = _mixture_probability(e, [(alpha1, b1), (alpha2, b2)])
@@ -183,6 +186,149 @@ def test_laminar_exchanger_agrees_across_structures():
 
 
 # ---------------------------------------------------------------------------
+# exchange certificates
+
+EXCHANGERS = {
+    "laminar": _LaminarExchanger,
+    "graphic": _GraphicExchanger,
+    "transversal": _TransversalExchanger,
+}
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_exchange_certificates_agree_with_is_independent(kind):
+    # every candidate partner, not only the chosen one, so that the checks
+    # are seen rejecting as well as accepting
+    rng = np.random.default_rng(37)
+    seen: set[tuple[bool, bool]] = set()
+    for seed in range(8):
+        for n in (8, 20, 45):
+            mat = generate_instance(kind, "additive", n=n, seed=300 + seed).matroid
+            b1, b2 = _random_basis(mat, rng), _random_basis(mat, rng)
+            ex = _make_exchanger(mat, b1, b2)
+            for i in sorted(ex.set1 - ex.set2):
+                j = ex.exchange(i)
+                for c in sorted(ex.set2 - ex.set1):
+                    want = (
+                        mat.is_independent((ex.set1 - {i}) | {c}),
+                        mat.is_independent((ex.set2 - {c}) | {i}),
+                    )
+                    assert ex.admits(i, c) == want, (seed, n, i, c)
+                    seen.add(want)
+                assert ex.admits(i, j) == (True, True)
+                ex.apply(i, j, move_first=bool(rng.integers(2)))
+                assert mat.is_independent(ex.set1) and mat.is_independent(ex.set2)
+            assert ex.set1 == ex.set2
+    # each side both accepted and rejected, alone and together
+    assert len(seen) == 4
+
+
+def test_transversal_check_refuses_tampered_paths():
+    rng = np.random.default_rng(43)
+    tampered = 0
+    for seed in range(10):
+        mat = generate_instance("transversal", "additive", n=20, seed=600 + seed).matroid
+        ex = _TransversalExchanger(mat, _random_basis(mat, rng), _random_basis(mat, rng))
+        for i in sorted(ex.set1 - ex.set2):
+            j = ex.exchange(i)
+            path = ex._path(ex.m1, ex.r1, ex.m2, j, i)
+            assert ex._valid(ex.m1, ex.r1, path, j, i)
+            # an edge that is not in the graph
+            y, r = path[0]
+            ex.adjacency = [list(a) for a in mat.adjacency]
+            ex.adjacency[y].remove(r)
+            assert not ex._valid(ex.m1, ex.r1, path, j, i)
+            ex.adjacency = mat.adjacency
+            # a path that stops before the vertex the leaving element frees
+            if len(path) > 1:
+                assert not ex._valid(ex.m1, ex.r1, path[:-1], j, i)
+                tampered += 1
+            # a path that skips a step, so one vertex is taken twice
+            if len(path) > 2:
+                assert not ex._valid(ex.m1, ex.r1, path[:1] + path[2:], j, i)
+            # a path from another entering element, or from one already matched
+            others = sorted(ex.set2 - ex.set1 - {j})
+            if others:
+                assert not ex._valid(ex.m1, ex.r1, path, others[0], i)
+            if len(path) > 1:
+                assert not ex._valid(ex.m1, ex.r1, path[1:], path[1][0], i)
+            # a path for a different leaving element
+            other = next(e for e in ex.set1 if e != i)
+            assert not ex._valid(ex.m1, ex.r1, path, j, other)
+            ex.apply(i, j, move_first=bool(rng.integers(2)))
+    assert tampered > 0
+
+
+def test_transversal_check_refuses_a_path_that_takes_a_vertex_twice():
+    # 1 -> R0, 2 -> R1, 3 -> R2; the path 0-R0, 1-R1, 2-R0, 1-R2 passes every
+    # step test yet would give R0 to both 0 and 2
+    mat = TransversalMatroid(num_right=3, adjacency=[[0], [0, 1, 2], [0, 1], [2]])
+    ex = _TransversalExchanger(mat, [1, 2, 3], [1, 2, 3])
+    match, owner = {1: 0, 2: 1, 3: 2}, {0: 1, 1: 2, 2: 3}
+    assert not ex._valid(match, owner, [(0, 0), (1, 1), (2, 0), (1, 2)], 0, 3)
+    assert ex._valid(match, owner, [(0, 0), (1, 2)], 0, 3)
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_merge_rejects_a_wrong_partner(kind, monkeypatch):
+    rng = np.random.default_rng(41)
+    cls = EXCHANGERS[kind]
+    genuine = cls.exchange
+    cases = 0
+    for seed in range(12):
+        mat = generate_instance(kind, "additive", n=20, seed=500 + seed).matroid
+        b1, b2 = _random_basis(mat, rng), _random_basis(mat, rng)
+        # the first candidate that breaks either basis, if the first exchange has one
+        i = min(set(b1) - set(b2), default=None)
+        if i is None:
+            continue
+        bad = next(
+            (
+                c for c in sorted(set(b2) - set(b1))
+                if not mat.is_independent((set(b1) - {i}) | {c})
+                or not mat.is_independent((set(b2) - {c}) | {i})
+            ),
+            None,
+        )
+        if bad is None:
+            continue
+        cases += 1
+        monkeypatch.setattr(cls, "exchange", lambda self, e, bad=bad: bad)
+        with pytest.raises(ExchangeError):
+            merge_bases(0.5, b1, 0.5, b2, mat, np.random.default_rng(0))
+        # a partner outside B2 \\ B1 is refused before any certificate
+        monkeypatch.setattr(cls, "exchange", lambda self, e: e)
+        with pytest.raises(ExchangeError):
+            merge_bases(0.5, b1, 0.5, b2, mat, np.random.default_rng(0))
+        monkeypatch.setattr(cls, "exchange", genuine)
+        assert mat.is_independent(merge_bases(0.5, b1, 0.5, b2, mat, np.random.default_rng(0)))
+    assert cases >= 3
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_merge_checks_its_output_in_full(kind, monkeypatch):
+    # certificates that accept anything and a partner picked blindly from
+    # B2 \\ B1: the bases still meet, so for graphic only the full check on
+    # the merged output stands between a dependent set and the caller (the
+    # laminar structure and the transversal matchings refuse on their own)
+    cls = EXCHANGERS[kind]
+    monkeypatch.setattr(cls, "admits", lambda self, i, j: (True, True))
+    monkeypatch.setattr(cls, "exchange", lambda self, i: min(self.set2 - self.set1))
+    rng = np.random.default_rng(47)
+    refused = 0
+    for seed in range(12):
+        mat = generate_instance(kind, "additive", n=20, seed=700 + seed).matroid
+        b1, b2 = _random_basis(mat, rng), _random_basis(mat, rng)
+        try:
+            merged = merge_bases(0.5, b1, 0.5, b2, mat, rng)
+        except (ExchangeError, ValueError):
+            refused += 1
+            continue
+        assert len(merged) == mat.rank() and mat.is_independent(merged)
+    assert refused > 0
+
+
+# ---------------------------------------------------------------------------
 # swap_round
 
 
@@ -203,7 +349,7 @@ def test_three_base_mix_preserves_marginals():
     trials = 4000
     hits = {e: 0 for e in range(mat.n)}
     for _ in range(trials):
-        out = swap_round(_Mix(bases), mat, rng, verify=False)
+        out = swap_round(_Mix(bases), mat, rng)
         assert mat.is_independent(out)
         for e in out:
             hits[e] += 1
