@@ -210,8 +210,5 @@ class ContractedGraph:
         picked = {e for e, c in self.sel_count.items() if c > 0}
         return sorted(picked | self.frozen)
 
-    def weight_of(self, edge: int) -> float:
-        return self.weights[edge]
-
     def approx_base_weight(self) -> float:
         return self._forest_weight

@@ -329,34 +329,52 @@ class TransversalMatroid:
 
 
 class TransversalChecker:
-    """Incremental matchability via augmenting-path search."""
+    """Incremental matchability via augmenting-path search.
+
+    ``test`` keeps the path it finds, and an ``insert`` of the same element
+    right after it flips that path instead of searching again, so a
+    test-then-insert pair costs one search.
+    """
 
     def __init__(self, matroid: TransversalMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.match_right: dict[int, int] = {}
+        # (element, path) of the last successful test, valid until an insert
+        self._found: tuple[int, list[tuple[int, int]]] | None = None
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
             self.insert(e)
 
-    def _augment(self, elem: int, visited: set[int], commit: bool) -> bool:
+    def _augment(self, elem: int, visited: set[int], path: list[tuple[int, int]]) -> bool:
+        """Depth-first augmenting search; on success ``path`` holds the
+        ``(right, left)`` pairs to match, from the free end back to ``elem``."""
         for r in self.matroid.adjacency[elem]:
             if r in visited:
                 continue
             visited.add(r)
             owner = self.match_right.get(r)
-            if owner is None or self._augment(owner, visited, commit):
-                if commit:
-                    self.match_right[r] = elem
+            if owner is None or self._augment(owner, visited, path):
+                path.append((r, elem))
                 return True
         return False
 
     def test(self, elem: int) -> bool:
-        return self._augment(elem, set(), commit=False)
+        path: list[tuple[int, int]] = []
+        found = self._augment(elem, set(), path)
+        self._found = (elem, path) if found else None
+        return found
 
     def insert(self, elem: int) -> None:
-        if not self._augment(elem, set(), commit=True):
-            raise ValueError("insert would break independence")
+        found, self._found = self._found, None
+        if found is not None and found[0] == elem:
+            path = found[1]
+        else:
+            path = []
+            if not self._augment(elem, set(), path):
+                raise ValueError("insert would break independence")
+        for r, left in path:
+            self.match_right[r] = left
 
 
 Matroid = LaminarMatroid | GraphicMatroid | TransversalMatroid

@@ -13,17 +13,27 @@ elements:
 
 - ``coverage_values``: ``O(s·n·universe)`` time, ``O(s·universe)`` memory.
 - ``coverage_marginal_means``: ``O(s·(n + q)·universe)`` time,
-  ``O((s + q)·universe + s·q)`` memory.
+  ``O(s·(universe + q))`` memory (queried elements go 64 at a time).
 - ``facility_values``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
 - ``facility_marginal_means``: ``O(s·n·clients + (s + q)·clients·log s)``
   time, ``O((s + q)·clients)`` memory.
 
 No kernel builds an array whose size grows as ``s·n·clients``.
+
+Each marginal kernel is two steps: per-row statistics of the batch
+(``coverage_counts``, ``row_top2``), then pricing from a summary of them
+(``coverage_summary`` and ``coverage_price``, ``facility_summary`` and
+``facility_price``).  A phase-2 round state keeps the statistics across
+basis changes (``push_top2`` adds a facility member) and runs only the
+pricing step.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# queried elements priced together by ``coverage_price``
+PRICE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -31,28 +41,48 @@ import numpy as np
 # dense 0/1 ``(n, universe)`` incidence matrix, f(S) = total weight of items
 # covered by S.
 
+def coverage_counts(sets, incidence):
+    """How many members of each row cover each item, ``(s, universe)``."""
+    return sets.astype(np.float64) @ incidence
+
+
 def coverage_values(sets, incidence, weights):
-    covered = sets.astype(np.float64) @ incidence > 0.5
-    return covered @ weights
+    return (coverage_counts(sets, incidence) > 0.5) @ weights
 
 
 def coverage_marginal_means(sets, elems, incidence, weights):
+    return coverage_price(
+        *coverage_summary(coverage_counts(sets, incidence), weights),
+        sets[:, elems], elems, incidence,
+    )
+
+
+def coverage_summary(counts, weights):
+    """Per item, the weight of the rows that leave it uncovered, and per
+    ``(row, item)`` the item's weight where exactly one member covers it."""
+    return (counts == 0).sum(axis=0) * weights, (counts == 1) * weights
+
+
+def coverage_price(uncovered, sole, members, elems, incidence):
     # Removing e from a row uncovers item u of e's exactly when no other
     # member covers u: u is uncovered in the row already, or e is its only
-    # cover there.  Both are counted for all queried elements at once.
-    counts = sets.astype(np.float64) @ incidence
-    uncovered = (counts == 0).sum(axis=0) * weights
-    sole = np.multiply(counts == 1, weights, out=counts)
-    covers = incidence[elems]
-    only_e = ((sole @ covers.T) * sets[:, elems]).sum(axis=0)
-    return (covers @ uncovered + only_e) / sets.shape[0]
+    # cover there (``members`` marks the rows that hold e).  Both are
+    # counted for a block of queried elements at once; the blocks bound
+    # the copied incidence rows at PRICE_BLOCK x universe.
+    out = np.empty(len(elems))
+    for lo in range(0, len(elems), PRICE_BLOCK):
+        block = slice(lo, lo + PRICE_BLOCK)
+        covers = incidence[elems[block]]
+        only_e = ((sole @ covers.T) * members[:, block]).sum(axis=0)
+        out[block] = (covers @ uncovered + only_e) / sole.shape[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # facility-location objectives: similarity matrix sim (n clients columns),
 # f(S) = sum over clients of the best similarity among selected elements.
 
-def _row_top2(sets, sim):
+def row_top2(sets, sim):
     """Best and second-best similarity per ``(row, client)`` over the row's
     members, 0 where fewer exist, plus the member holding the best (``n``
     where no member is positive), in one pass over the elements."""
@@ -62,37 +92,52 @@ def _row_top2(sets, sim):
     top2 = np.zeros(shape)
     arg1 = np.full(shape, n, dtype=np.intp)
     for j in np.flatnonzero(sets.any(axis=0)):
-        rows = np.flatnonzero(sets[:, j])
-        v = sim[j]
-        t1 = top1[rows]
-        top2[rows] = np.maximum(top2[rows], np.minimum(t1, v))
-        top1[rows] = np.maximum(t1, v)
-        arg1[rows] = np.where(v > t1, j, arg1[rows])
+        push_top2(top1, arg1, top2, np.flatnonzero(sets[:, j]), j, sim[j])
     return top1, arg1, top2
 
 
+def push_top2(top1, arg1, top2, rows, j, v):
+    """Add member ``j``, with similarities ``v``, to the given rows."""
+    t1 = top1[rows]
+    top2[rows] = np.maximum(top2[rows], np.minimum(t1, v))
+    top1[rows] = np.maximum(t1, v)
+    arg1[rows] = np.where(v > t1, j, arg1[rows])
+
+
 def facility_values(sets, sim):
-    top1, _, _ = _row_top2(sets, sim)
+    top1, _, _ = row_top2(sets, sim)
     return top1.sum(axis=1)
 
 
 def facility_marginal_means(sets, elems, sim):
+    return facility_price(
+        *facility_summary(*row_top2(sets, sim), sim.shape[0]), elems, sim
+    )
+
+
+def facility_summary(top1, arg1, top2, n):
+    """What pricing reads of the top-2 statistics: each client's top1 column
+    sorted over rows, its prefix sums, and per element the sum of
+    ``top1 - top2`` over the ``(row, client)`` pairs it tops (entry ``n``
+    collects the pairs no member tops)."""
+    ranked = np.sort(top1.T, axis=1)
+    prefix = np.zeros((ranked.shape[0], ranked.shape[1] + 1))
+    np.cumsum(ranked, axis=1, out=prefix[:, 1:])
+    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=n + 1)
+    return ranked, prefix, tops
+
+
+def facility_price(ranked, prefix, tops, elems, sim):
     # Without e a row's best similarity is top1, or top2 in the rows where e
     # is the best member.  Summing max(sim[e,c] - top1[r,c], 0) over rows
-    # takes one searchsorted per client on the sorted top1 column; a bincount
-    # over the argmax adds top1 - top2 in the rows that e itself tops.
-    s, n = sets.shape
-    top1, arg1, top2 = _row_top2(sets, sim)
-    ranked = np.sort(top1.T, axis=1)
-    prefix = np.zeros((ranked.shape[0], s + 1))
-    np.cumsum(ranked, axis=1, out=prefix[:, 1:])
+    # takes one searchsorted per client on the sorted top1 column; the
+    # bincount over the argmax adds top1 - top2 in the rows that e tops.
     query = np.ascontiguousarray(sim[elems].T)
     below = np.empty(query.shape, dtype=np.intp)
     for c in range(ranked.shape[0]):
         below[c] = np.searchsorted(ranked[c], query[c])
     above = below * query - np.take_along_axis(prefix, below, axis=1)
-    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=n + 1)
-    return (above.sum(axis=0) + tops[elems]) / s
+    return (above.sum(axis=0) + tops[elems]) / ranked.shape[1]
 
 
 def active_backend() -> str:

@@ -506,8 +506,5 @@ class TopTreeLaminarBasis:
     def basis(self) -> list[int]:
         return sorted(self.in_basis)
 
-    def weight_of(self, elem: int) -> float:
-        return self.weights[elem]
-
     def approx_base_weight(self) -> float:
         return self._basis_weight

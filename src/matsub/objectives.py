@@ -6,6 +6,13 @@ one query, ``marginal`` two, a batch over ``s`` sampled sets is ``s`` queries
 and a batched marginal estimate ``2*s`` per queried element.  An
 ``incremental()`` state prices ``f(S + e) - f(S)`` for a growing ``S`` at one
 query each.  Budget instrumentation everywhere else trusts these counts.
+
+The marginal estimates of one phase-2 round share that round's draw: the
+rows come from :func:`nested_subsets` once per round, and a
+``round_state`` keeps the per-row statistics (coverage counts, facility
+top-2) as the round's partial basis grows or shrinks.  Pricing an element
+against that state is still charged ``2*s`` queries, as a batched estimate
+over the same rows would be, so the query count has the same meaning.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import kernels
+
+# rows of uniforms held at once while drawing subsets
+SAMPLE_BLOCK_ROWS = 64
 
 
 def set_eval_threads(count: int) -> None:
@@ -90,6 +100,11 @@ class ValueOracle:
             return np.zeros(0, dtype=np.float64)
         return self._batch_marginal_means(rows, q)
 
+    def round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
+        """Pricing state over one round's nested ``(s, n)`` rows; see
+        :class:`RoundState`."""
+        return self._round_state(self._as_rows(lower), self._as_rows(upper))
+
     # -- input checks -------------------------------------------------------
 
     def _as_rows(self, sets: np.ndarray) -> np.ndarray:
@@ -114,6 +129,9 @@ class ValueOracle:
         raise NotImplementedError
 
     def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         raise NotImplementedError
 
 
@@ -146,15 +164,12 @@ class _CoverageIncrement(_Increment):
         self.oracle = oracle
         self.covered = np.zeros(oracle.universe_weights.shape[0], dtype=bool)
 
-    def _items(self, elem: int) -> np.ndarray:
-        return self.oracle.indices[self.oracle.indptr[elem]:self.oracle.indptr[elem + 1]]
-
     def _gain(self, elem: int) -> float:
-        items = self._items(elem)
+        items = self.oracle.cover(elem)
         return float(self.oracle.universe_weights[items[~self.covered[items]]].sum())
 
     def add(self, elem: int) -> None:
-        self.covered[self._items(elem)] = True
+        self.covered[self.oracle.cover(elem)] = True
 
 
 class _FacilityIncrement(_Increment):
@@ -214,6 +229,10 @@ class CoverageOracle(ValueOracle):
         self.indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // stride, minlength=self.n), out=self.indptr[1:])
 
+    def cover(self, elem: int) -> np.ndarray:
+        """The sorted item ids that ``elem`` covers."""
+        return self.indices[self.indptr[elem]:self.indptr[elem + 1]]
+
     def _value(self, idx: np.ndarray) -> float:
         covered: set[int] = set()
         for e in idx.tolist():
@@ -238,6 +257,9 @@ class CoverageOracle(ValueOracle):
 
     def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
         return kernels.coverage_marginal_means(sets, elems, self.incidence, self.universe_weights)
+
+    def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
+        return _CoverageRound(self, lower, upper)
 
 
 class FacilityLocationOracle(ValueOracle):
@@ -268,6 +290,9 @@ class FacilityLocationOracle(ValueOracle):
     def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
         return kernels.facility_marginal_means(sets, elems, self.similarity)
 
+    def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
+        return _FacilityRound(self, lower, upper)
+
 
 class AdditiveOracle(ValueOracle):
     """f(S) = sum of per-element weights; the degenerate sanity case."""
@@ -293,6 +318,9 @@ class AdditiveOracle(ValueOracle):
     def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
         # marginals of an additive function ignore the sampled base set
         return self.weights[elems].copy()
+
+    def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
+        return _AdditiveRound(self, lower, upper)
 
 
 class ResidualOracle(ValueOracle):
@@ -337,6 +365,12 @@ class ResidualOracle(ValueOracle):
             return np.zeros(0, dtype=np.float64)
         return self.base._batch_marginal_means(np.maximum(rows, self._frozen_mask), q)
 
+    def round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
+        # frozen columns are set in both layers, so every row holds them and
+        # no basis change flips them
+        mask = self._frozen_mask
+        return self.base._round_state(self._as_rows(lower) | mask, self._as_rows(upper) | mask)
+
     def marginal(self, elem: int, subset: Iterable[int]) -> float:
         idx = set(self._as_indices(subset).tolist()) | set(self.frozen)
         self._in_range(np.asarray([elem], dtype=np.int64))
@@ -347,27 +381,172 @@ class ResidualOracle(ValueOracle):
 
 
 def sample_subsets(x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` independent subsets from product distribution ``x``."""
+    """Draw ``count`` independent subsets from product distribution ``x``.
+
+    Uniforms are drawn ``SAMPLE_BLOCK_ROWS`` rows at a time: the stream is
+    the one a single ``(count, n)`` draw gives, without holding
+    ``count * n`` doubles at once.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.min() < -1e-12 or x.max() > 1.0 + 1e-12:
         raise ValueError("coordinates must lie in [0, 1]")
-    return (rng.random((count, x.shape[0])) < x).astype(np.uint8)
+    out = np.empty((count, x.shape[0]), dtype=np.uint8)
+    for start in range(0, count, SAMPLE_BLOCK_ROWS):
+        block = out[start:start + SAMPLE_BLOCK_ROWS]
+        np.less(rng.random(block.shape), x, out=block, casting="unsafe")
+    return out
 
 
-def estimate_marginals_on_point(
-    f: ValueOracle,
-    x: np.ndarray,
-    elems: Sequence[int],
-    samples: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sampled multilinear marginals at ``x`` for each queried element.
+def nested_subsets(
+    x: np.ndarray, step: float, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows for one round: ``lower`` drawn from ``x``, ``upper`` from
+    ``min(1, x + step)``, with ``lower`` inside ``upper`` row by row.
 
-    Returns the mean of ``f(R+e) - f(R-e)`` over ``samples`` subsets drawn
-    from ``x``, all elements sharing the same draw.
+    The pair has the joint law of ``U < x`` and ``U < x + step`` for one
+    uniform ``U`` per entry, so a row's set at partial basis ``B`` is drawn
+    from ``x + step * 1[B]``.  Two :func:`sample_subsets` calls make it.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    sets = sample_subsets(x, samples, rng)
-    return f.batch_marginal_means(sets, elems)
+    x = np.asarray(x, dtype=np.float64)
+    high = np.minimum(1.0, x + step)
+    upper = sample_subsets(high, count, rng)
+    keep = np.divide(x, high, out=np.zeros_like(x), where=high > 0)
+    return upper & sample_subsets(keep, count, rng), upper
 
+
+class RoundState:
+    """One round's sampled rows, priced at the round's partial basis ``B``.
+
+    Row ``r`` holds ``e`` when ``lower[r, e]`` is set, or when ``upper[r, e]``
+    is set and ``e`` is in ``B``.  Inserting or deleting ``e`` changes only
+    the rows where ``upper`` holds ``e`` and ``lower`` does not, and each
+    objective updates its per-row statistics there alone.  ``marginal_means``
+    returns the mean of ``f(R+e) - f(R-e)`` over the current rows, charged
+    ``2*s`` queries per element as ``batch_marginal_means`` would be on
+    :meth:`rows`.  ``f(R+e) - f(R-e)`` does not depend on whether ``e`` is
+    in ``B``, so pricing a basis member is pricing it against ``B - e``.
+    """
+
+    def __init__(self, oracle: ValueOracle, lower: np.ndarray, upper: np.ndarray) -> None:
+        self.oracle = oracle
+        self.counter = oracle.counter
+        self.lower = lower
+        self.upper = upper
+        self.in_basis = np.zeros(lower.shape[1], dtype=bool)
+        self._summary = None
+
+    @property
+    def samples(self) -> int:
+        return self.lower.shape[0]
+
+    def rows(self, which=slice(None)) -> np.ndarray:
+        """The current uint8 rows, all ``(s, n)`` of them or those picked."""
+        return self.lower[which] | (self.upper[which] & self.in_basis.view(np.uint8))
+
+    def members(self, elems: np.ndarray) -> np.ndarray:
+        """``(s, q)`` 0/1: does each row hold each queried element?"""
+        return self.lower[:, elems] | (self.upper[:, elems] & self.in_basis[elems].view(np.uint8))
+
+    def _flipped(self, elem: int) -> np.ndarray:
+        """The rows whose set gains or loses ``elem`` with the basis."""
+        return np.flatnonzero(self.upper[:, elem] > self.lower[:, elem])
+
+    def insert(self, elem: int) -> None:
+        if self.in_basis[elem]:
+            raise ValueError(f"element {elem} is already in the basis")
+        self.in_basis[elem] = True
+        self._summary = None
+        self._add(elem, self._flipped(elem))
+
+    def delete(self, elem: int) -> None:
+        if not self.in_basis[elem]:
+            raise ValueError(f"element {elem} is not in the basis")
+        self.in_basis[elem] = False
+        self._summary = None
+        self._remove(elem, self._flipped(elem))
+
+    def marginal_means(self, elems: Sequence[int]) -> np.ndarray:
+        q = self.oracle._in_range(np.asarray(elems, dtype=np.int64))
+        self.counter.count += 2 * self.samples * q.shape[0]
+        if q.size == 0:
+            return np.zeros(0, dtype=np.float64)
+        if self._summary is None:
+            # what pricing reads, rebuilt at most once per basis change
+            self._summary = self._summarize()
+        return self._means(q)
+
+    def _add(self, elem: int, rows: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _remove(self, elem: int, rows: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _summarize(self):
+        raise NotImplementedError
+
+    def _means(self, elems: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _CoverageRound(RoundState):
+    """Item cover counts per row, ``(s, universe)``, kept as int32 (exact,
+    and half the memory of the kernel's float64 counts)."""
+
+    def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
+        super().__init__(oracle, lower, upper)
+        self.counts = kernels.coverage_counts(lower, oracle.incidence).astype(np.int32)
+
+    def _add(self, elem: int, rows: np.ndarray) -> None:
+        # whole contiguous rows, which beats scattering into e's items alone
+        self.counts[rows] += self.oracle.incidence[elem].astype(np.int32)
+
+    def _remove(self, elem: int, rows: np.ndarray) -> None:
+        self.counts[rows] -= self.oracle.incidence[elem].astype(np.int32)
+
+    def _summarize(self):
+        return kernels.coverage_summary(self.counts, self.oracle.universe_weights)
+
+    def _means(self, elems: np.ndarray) -> np.ndarray:
+        return kernels.coverage_price(
+            *self._summary, self.members(elems), elems, self.oracle.incidence
+        )
+
+
+class _FacilityRound(RoundState):
+    """Top-1, its argmax and top-2 similarity per ``(row, client)``."""
+
+    def __init__(
+        self, oracle: FacilityLocationOracle, lower: np.ndarray, upper: np.ndarray
+    ) -> None:
+        super().__init__(oracle, lower, upper)
+        self.top = kernels.row_top2(lower, oracle.similarity)
+
+    def _add(self, elem: int, rows: np.ndarray) -> None:
+        kernels.push_top2(*self.top, rows, elem, self.oracle.similarity[elem])
+
+    def _remove(self, elem: int, rows: np.ndarray) -> None:
+        # a top-2 cannot forget a member, so the rows are rebuilt from theirs
+        for mine, fresh in zip(self.top, kernels.row_top2(self.rows(rows), self.oracle.similarity)):
+            mine[rows] = fresh
+
+    def _summarize(self):
+        return kernels.facility_summary(*self.top, self.oracle.n)
+
+    def _means(self, elems: np.ndarray) -> np.ndarray:
+        return kernels.facility_price(*self._summary, elems, self.oracle.similarity)
+
+
+class _AdditiveRound(RoundState):
+    """Nothing to keep: an additive marginal ignores the row."""
+
+    def _add(self, elem: int, rows: np.ndarray) -> None:
+        pass
+
+    def _remove(self, elem: int, rows: np.ndarray) -> None:
+        pass
+
+    def _summarize(self):
+        return ()
+
+    def _means(self, elems: np.ndarray) -> np.ndarray:
+        return self.oracle.weights[elems].copy()

@@ -37,7 +37,7 @@ from .instances import (
     stream_rng,
 )
 from .laminar import TopTreeLaminarBasis
-from .objectives import ResidualOracle, ValueOracle, estimate_marginals_on_point
+from .objectives import ResidualOracle, ValueOracle, nested_subsets
 from .rounding import swap_round
 from .sampler import BucketLists
 from .transversal import DecMatching, LStableMatching
@@ -110,9 +110,6 @@ class MaxWeightOracle:
 
     def class_of(self, elem: int) -> int:
         return self.classes[elem]
-
-    def rounded_weight(self, elem: int) -> float:
-        return self.classifier.class_value(self.classes[elem])
 
     # -- mutation ----------------------------------------------------------
 
@@ -262,21 +259,16 @@ class FractionalSolution:
     n: int
     bases: list[tuple[float, list[int]]]
 
-    def point(self) -> np.ndarray:
-        x = np.zeros(self.n, dtype=np.float64)
-        for weight, base in self.bases:
-            for e in base:
-                x[e] += weight
-        return np.minimum(x, 1.0)
-
 
 class MarginalEstimator:
-    """Monte Carlo marginal rates of the multilinear extension.
+    """Monte Carlo marginal rates of the multilinear extension for one round.
 
-    ``rates(elems, base)`` prices every candidate at the current point
-    shifted one step along ``base``: it draws a shared batch of subsets and
-    averages ``f(R + e) - f(R - e)``.  Sharing the draws across candidates
-    makes repricing after a basis change one batched oracle call.
+    The round's rows are drawn once, at construction: a coordinate only
+    takes the values ``x_e`` and ``min(1, x_e + step)`` within a round, so
+    two nested draws (:func:`~matsub.objectives.nested_subsets`) give the
+    rows at every partial basis ``B``.  ``insert``/``delete`` keep the
+    objective's row state at ``B``; ``rates(elems)`` averages
+    ``f(R + e) - f(R - e)`` over the rows at ``x + step * 1[B]``.
     """
 
     def __init__(
@@ -287,24 +279,23 @@ class MarginalEstimator:
         samples: int,
         rng: np.random.Generator,
     ) -> None:
-        self.f = f
-        self.x = np.asarray(x, dtype=np.float64).copy()
-        self.step = float(step)
-        self.samples = int(samples)
-        self.rng = rng
+        if samples < 1:
+            raise ValueError("need at least one sample")
+        lower, upper = nested_subsets(x, float(step), int(samples), rng)
+        self.state = f.round_state(lower, upper)
         self.calls = 0
 
-    def rates(self, elems: Sequence[int], base: Iterable[int]) -> np.ndarray:
+    def rates(self, elems: Sequence[int]) -> np.ndarray:
         if not len(elems):
             return np.zeros(0, dtype=np.float64)
-        y = self.x.copy()
-        for e in base:
-            y[e] = min(1.0, y[e] + self.step)
         self.calls += 1
-        return estimate_marginals_on_point(self.f, y, list(elems), self.samples, self.rng)
+        return self.state.marginal_means(elems)
 
-    def rate(self, elem: int, base: Iterable[int]) -> float:
-        return float(self.rates([elem], base)[0])
+    def insert(self, elem: int) -> None:
+        self.state.insert(elem)
+
+    def delete(self, elem: int) -> None:
+        self.state.delete(elem)
 
 
 class CountingChecker:
@@ -342,49 +333,63 @@ def dt_incremental(
     after the ladder tops the basis off in best-rate order, so the result
     always has full rank.
 
-    Rates are cached per basis size: while nothing was inserted, the cached
-    batch still prices the same partial basis, so one batched estimate per
-    insertion covers the whole ladder.
+    Repricing is lazy.  Under the round's one draw every row only grows
+    with the basis, so by submodularity a cached rate bounds the current
+    one from above, exactly: an element whose cached rate is below the bar
+    is below it now.  A level reprices only the elements whose cached rate
+    reaches the bar, an insertion only the rest of the level's cohort that
+    still does, and the top-off whatever is stale.  The result is the basis
+    that repricing every element after every insertion would build.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     basis: list[int] = []
-    active = sorted(elements)
-    if rank <= 0 or not active:
+    pool = np.array(sorted(elements), dtype=np.int64)
+    if rank <= 0 or not pool.size:
         return basis
-    cache: dict[int, float] = {}
-    cache_size = -1
+    live = np.ones(pool.size, dtype=bool)
+    rate = np.zeros(pool.size)
+    # basis size at each element's last pricing; -1 means never priced
+    priced_at = np.full(pool.size, -1)
 
-    def rate_of(e: int) -> float:
-        nonlocal cache, cache_size
-        if cache_size != len(basis):
-            vals = estimator.rates(active, basis)
-            cache = {a: float(v) for a, v in zip(active, vals)}
-            cache_size = len(basis)
-        return cache[e]
+    def reprice(idx: np.ndarray) -> None:
+        stale = idx[priced_at[idx] != len(basis)]
+        if stale.size:
+            rate[stale] = estimator.rates(pool[stale])
+            priced_at[stale] = len(basis)
 
-    tau = max(rate_of(e) for e in active)
+    def take(i: int) -> bool:
+        e = int(pool[i])
+        live[i] = False
+        if not checker.test(e):
+            return False
+        checker.insert(e)
+        estimator.insert(e)
+        basis.append(e)
+        return True
+
+    reprice(np.arange(pool.size))
+    tau = float(rate.max())
     floor = (epsilon / rank) * opt_estimate
-    while floor > 0.0 and active and len(basis) < rank and tau >= floor:
-        for e in [e for e in active if rate_of(e) >= tau]:
-            if rate_of(e) < tau:
-                # fell below the bar after an insertion; later levels get it
-                continue
-            if checker.test(e):
-                checker.insert(e)
-                basis.append(e)
-            active.remove(e)
-            if len(basis) >= rank:
-                break
+    while floor > 0.0 and live.any() and len(basis) < rank and tau >= floor:
+        candidates = np.flatnonzero(live & (rate >= tau))
+        reprice(candidates)
+        cohort = candidates[rate[candidates] >= tau]
+        for k, i in enumerate(cohort):
+            # fell below the bar after an insertion; later levels get it
+            if rate[i] >= tau and take(i):
+                if len(basis) >= rank:
+                    break
+                rest = cohort[k + 1:]
+                reprice(rest[rate[rest] >= tau])
         tau *= 1.0 - epsilon
-    if len(basis) < rank and active:
-        order = sorted(active, key=lambda e: (-rate_of(e), e))
-        for e in order:
+    if len(basis) < rank and live.any():
+        rest = np.flatnonzero(live)
+        reprice(rest)
+        for i in rest[np.lexsort((pool[rest], -rate[rest]))]:
             if len(basis) >= rank:
                 break
-            if checker.test(e):
-                checker.insert(e)
-                basis.append(e)
+            take(i)
     if len(basis) != rank:
         raise RuntimeError("threshold sweep failed to assemble a basis")
     return basis
@@ -407,6 +412,11 @@ def dt_approx_indep_set(
     level, feeding replacement matches back into the audit.  ``pinned``
     vertices are preloaded contraction elements: they stay matched, never
     get audited, and are excluded from the returned set.
+
+    The estimator's basis follows the matched, unpinned vertices.  Deletes
+    shrink it, so cached rates are no bound here: every level reprices all
+    pending elements once the matching has changed, and an audit reads the
+    state for its one element.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -416,42 +426,33 @@ def dt_approx_indep_set(
     def current() -> list[int]:
         return [e for e in structure.basis() if e not in pinned_set]
 
+    def joined(elems: Iterable[int]) -> list[int]:
+        fresh = sorted(e for e in elems if e not in pinned_set)
+        for e in fresh:
+            estimator.insert(e)
+        return fresh
+
     if rank <= 0 or not pending:
         return current()
-    stamp = 0
-    cache: dict[int, float] = {}
-    cache_stamp = -1
-
-    def rate_of(e: int) -> float:
-        nonlocal cache, cache_stamp
-        if cache_stamp != stamp:
-            vals = estimator.rates(pending, current())
-            cache = {a: float(v) for a, v in zip(pending, vals)}
-            cache_stamp = stamp
-        return cache[e]
-
-    tau = max(rate_of(e) for e in pending)
+    rates = estimator.rates(pending)
+    tau = float(rates.max())
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and pending and tau >= floor:
-        batch = [e for e in pending if rate_of(e) >= tau]
-        if batch:
-            joined = structure.batch_insert(batch)
-            chosen = set(batch)
-            pending = [e for e in pending if e not in chosen]
-            stamp += 1
-            queue = deque(sorted(joined))
+        if rates is None:
+            rates = estimator.rates(pending)
+        picked = rates >= tau
+        if picked.any():
+            batch = [e for e, p in zip(pending, picked) if p]
+            pending = [e for e, p in zip(pending, picked) if not p]
+            rates = None
+            queue = deque(joined(structure.batch_insert(batch)))
             while queue:
                 e = queue.popleft()
-                if e in pinned_set or not structure.test(e):
-                    continue
-                others = [v for v in current() if v != e]
-                if estimator.rate(e, others) >= tau:
+                if not structure.test(e) or estimator.rates([e])[0] >= tau:
                     continue
                 replacements = structure.delete(e)
-                stamp += 1
-                queue.extend(
-                    sorted(v for v in replacements if v not in pinned_set)
-                )
+                estimator.delete(e)
+                queue.extend(joined(replacements))
         tau *= 1.0 - epsilon
     return sorted(current())
 
@@ -464,13 +465,16 @@ def _pad_transversal(
     estimator: MarginalEstimator,
     rank: int,
 ) -> list[int]:
-    """Extend an independent set to a basis of the contraction exactly."""
+    """Extend an independent set to a basis of the contraction exactly.
+
+    ``estimator``'s basis must be ``partial``; the rest are priced there.
+    """
     if len(partial) >= rank:
         return partial
     checker = matroid.checker(sorted(frozen) + list(partial))
     have = set(partial)
     rest = [e for e in elements if e not in have]
-    vals = estimator.rates(rest, sorted(have))
+    vals = estimator.rates(rest)
     order = sorted(zip(rest, vals), key=lambda t: (-float(t[1]), t[0]))
     out = list(partial)
     for e, _v in order:

@@ -52,15 +52,8 @@ class BucketLists:
             self._where[last] = (class_index, pos)
         return class_index
 
-    def move(self, elem: int, class_index: int) -> None:
-        self.remove(elem)
-        self.insert(elem, class_index)
-
     def class_of(self, elem: int) -> int:
         return self._where[elem][0]
-
-    def approx_weight(self, elem: int) -> float:
-        return self.classifier.class_value(self.class_of(elem))
 
     def counts(self) -> list[int]:
         return [len(bucket) for bucket in self._lists]

@@ -112,11 +112,6 @@ class LStableMatching:
 
     # -- matching ----------------------------------------------------------
 
-    def match_r(self, r: int) -> None:
-        if r in self.match_of_r:
-            raise ValueError(f"right vertex {r} is already matched")
-        self._run_match(r)
-
     def _run_match(self, r: int) -> None:
         # iterative form of the displacement chain: each round either ends
         # by matching a previously unmatched left vertex (the chain stops)
@@ -216,12 +211,6 @@ class LStableMatching:
 
     def matched_left(self) -> list[int]:
         return sorted(self.match_of_l)
-
-    def matching(self) -> dict[int, int]:
-        return dict(self.match_of_l)
-
-    def weight_of(self, l: int) -> float:
-        return self.w_val[l]
 
     def approx_base_weight(self) -> float:
         return sum(
@@ -392,9 +381,6 @@ class DecMatching:
 
     def basis(self) -> list[int]:
         return sorted(l for l, r in self.match_of_l.items() if r < self.num_right)
-
-    def matching(self) -> dict[int, int]:
-        return {l: r for l, r in self.match_of_l.items() if r < self.num_right}
 
     @property
     def op_counters(self) -> dict[str, int]:

@@ -18,8 +18,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from matsub.core import IndependenceChecker, OracleChanges, SetFunction, weight_key
-from matsub.instances import LaminarMatroid, Matroid
-from matsub.objectives import ValueOracle, estimate_marginals_on_point
+from matsub.instances import LaminarMatroid, Matroid, TransversalMatroid
+from matsub.objectives import ValueOracle, sample_subsets
+from matsub.optimizer import FractionalSolution
+from matsub.sampler import BucketLists
+from matsub.transversal import DecMatching
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +387,138 @@ def hopcroft_karp(adjacency: Sequence[Sequence[int]], num_right: int) -> dict[in
 # multilinear estimates
 
 
+def estimate_marginals_on_point(
+    f: ValueOracle,
+    x: np.ndarray,
+    elems: Sequence[int],
+    samples: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sampled multilinear marginals at ``x`` from one fresh draw.
+
+    The mean of ``f(R+e) - f(R-e)`` over ``samples`` subsets drawn from
+    ``x``, all elements sharing the draw.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    sets = sample_subsets(x, samples, rng)
+    return f.batch_marginal_means(sets, elems)
+
+
 def estimate_marginal_on_point(
     f: ValueOracle, elem: int, x: np.ndarray, samples: int, rng: np.random.Generator
 ) -> float:
     """Single-element convenience wrapper around the batched estimator."""
     return float(estimate_marginals_on_point(f, x, [elem], samples, rng)[0])
+
+
+def fractional_point(fractional: FractionalSolution) -> np.ndarray:
+    """The point of ``[0, 1]^n`` a convex combination of bases stands for."""
+    x = np.zeros(fractional.n, dtype=np.float64)
+    for weight, base in fractional.bases:
+        for e in base:
+            x[e] += weight
+    return np.minimum(x, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the eager threshold sweep
+
+
+def eager_dt_incremental(
+    estimator,
+    checker,
+    epsilon: float,
+    opt_estimate: float,
+    elements: Sequence[int],
+    rank: int,
+) -> list[int]:
+    """``optimizer.dt_incremental`` with eager repricing: every active
+    element is repriced after every insertion."""
+    basis: list[int] = []
+    active = sorted(elements)
+    if rank <= 0 or not active:
+        return basis
+    cache: dict[int, float] = {}
+    cache_size = -1
+
+    def rate_of(e: int) -> float:
+        nonlocal cache, cache_size
+        if cache_size != len(basis):
+            cache = dict(zip(active, map(float, estimator.rates(active))))
+            cache_size = len(basis)
+        return cache[e]
+
+    def take(e: int) -> None:
+        if checker.test(e):
+            checker.insert(e)
+            estimator.insert(e)
+            basis.append(e)
+
+    tau = max(rate_of(e) for e in active)
+    floor = (epsilon / rank) * opt_estimate
+    while floor > 0.0 and active and len(basis) < rank and tau >= floor:
+        for e in [e for e in active if rate_of(e) >= tau]:
+            if rate_of(e) < tau:
+                continue
+            take(e)
+            active.remove(e)
+            if len(basis) >= rank:
+                break
+        tau *= 1.0 - epsilon
+    if len(basis) < rank and active:
+        for e in sorted(active, key=lambda e: (-rate_of(e), e)):
+            if len(basis) >= rank:
+                break
+            take(e)
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# readers of structure state the package itself never needs
+
+
+def move_bucket(buckets: BucketLists, elem: int, class_index: int) -> None:
+    """Refile ``elem`` under another weight class."""
+    buckets.remove(elem)
+    buckets.insert(elem, class_index)
+
+
+def bucket_weight(buckets: BucketLists, elem: int) -> float:
+    """The rounded weight of ``elem``'s class."""
+    return buckets.classifier.class_value(buckets.class_of(elem))
+
+
+def dec_matching_pairs(d: DecMatching) -> dict[int, int]:
+    """Left-to-right pairs of a ``DecMatching``, dummy pins left out."""
+    return {l: r for l, r in d.match_of_l.items() if r < d.num_right}
+
+
+class DoubleSearchTransversalChecker:
+    """Transversal checker whose ``insert`` repeats the search of ``test``."""
+
+    def __init__(self, matroid: TransversalMatroid) -> None:
+        self.matroid = matroid
+        self.match_right: dict[int, int] = {}
+
+    def _augment(self, elem: int, visited: set[int], commit: bool) -> bool:
+        for r in self.matroid.adjacency[elem]:
+            if r in visited:
+                continue
+            visited.add(r)
+            owner = self.match_right.get(r)
+            if owner is None or self._augment(owner, visited, commit):
+                if commit:
+                    self.match_right[r] = elem
+                return True
+        return False
+
+    def test(self, elem: int) -> bool:
+        return self._augment(elem, set(), commit=False)
+
+    def insert(self, elem: int) -> None:
+        if not self._augment(elem, set(), commit=True):
+            raise ValueError("insert would break independence")
 
 
 # ---------------------------------------------------------------------------

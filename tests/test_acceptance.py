@@ -38,6 +38,7 @@ from matsub.sampler import BucketLists
 from matsub.transversal import LStableMatching
 from reference import (
     SlowLaminarBasis,
+    fractional_point,
     greedy_laminar_basis,
     hopcroft_karp,
     hungarian_max_weight_matching,
@@ -389,7 +390,7 @@ def test_criterion_8_swap_rounding_marginals() -> None:
             for alpha in (0.5, 0.3, 0.2)
         ]
         mix = FractionalSolution(mat.n, bases)
-        expected = mix.point()
+        expected = fractional_point(mix)
         coin_rng = stream_rng(907 + offset, 3)
         hits = np.zeros(mat.n)
         for _ in range(trials):

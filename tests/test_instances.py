@@ -11,10 +11,12 @@ from matsub.instances import (
     GraphicMatroid,
     Instance,
     LaminarMatroid,
+    TransversalChecker,
     TransversalMatroid,
     generate_instance,
     stream_rng,
 )
+from reference import DoubleSearchTransversalChecker
 
 
 def test_laminar_validation() -> None:
@@ -112,6 +114,52 @@ def test_checker_agrees_with_is_independent() -> None:
                 if ok:
                     checker.insert(e)
                     held.append(e)
+
+
+def test_transversal_checker_matches_the_double_search() -> None:
+    rng = np.random.default_rng(19)
+    for seed in range(6):
+        mat = generate_instance("transversal", "additive", n=40, seed=80 + seed).matroid
+        one, two = TransversalChecker(mat), DoubleSearchTransversalChecker(mat)
+        for e in rng.permutation(mat.n).tolist():
+            ok = one.test(e)
+            assert ok == two.test(e)
+            if ok and rng.random() < 0.3:
+                # a test of another element in between: the insert searches again
+                other = int(rng.integers(mat.n))
+                assert one.test(other) == two.test(other)
+            if ok:
+                one.insert(e)
+                two.insert(e)
+            assert one.match_right == two.match_right
+        with pytest.raises(ValueError):
+            one.insert(next(e for e in range(mat.n) if not one.test(e)))
+
+
+def test_transversal_checker_searches_once_per_element(monkeypatch) -> None:
+    mat = generate_instance("transversal", "additive", n=200, seed=3).matroid
+    basis = []
+    probe = TransversalChecker(mat)
+    for e in range(mat.n):
+        if probe.test(e):
+            probe.insert(e)
+            basis.append(e)
+    counts = {}
+    for cls in (TransversalChecker, DoubleSearchTransversalChecker):
+        search = cls._augment
+
+        def counted(self, *args, _search=search, _cls=cls, **kwargs):
+            counts[_cls] = counts.get(_cls, 0) + 1
+            return _search(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "_augment", counted)
+    TransversalChecker(mat, basis)
+    mirror = DoubleSearchTransversalChecker(mat)
+    for e in basis:
+        assert mirror.test(e)
+        mirror.insert(e)
+    assert counts[TransversalChecker] > len(basis)
+    assert 2 * counts[TransversalChecker] == counts[DoubleSearchTransversalChecker]
 
 
 def test_checker_seeding() -> None:

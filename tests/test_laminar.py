@@ -197,7 +197,7 @@ def test_cluster_fields_from_scratch() -> None:
                 if not pool:
                     continue
                 e = int(rng.choice(pool))
-                d.decrement(e, float(np.round(d.weight_of(e) * rng.uniform(0.2, 1.0), 3)))
+                d.decrement(e, float(np.round(d.weights[e] * rng.uniform(0.2, 1.0), 3)))
             else:
                 pool = [e for e in d.in_basis if e not in d.frozen]
                 if pool and len(d.frozen) < 2:

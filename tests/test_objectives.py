@@ -11,11 +11,11 @@ from matsub.objectives import (
     CoverageOracle,
     FacilityLocationOracle,
     ResidualOracle,
-    estimate_marginals_on_point,
+    nested_subsets,
     sample_subsets,
     set_eval_threads,
 )
-from reference import estimate_marginal_on_point
+from reference import estimate_marginal_on_point, estimate_marginals_on_point
 
 
 def _tiny_coverage() -> CoverageOracle:
@@ -203,3 +203,91 @@ def test_residual_oracle_rejects_bad_input_like_its_base(objective) -> None:
     res.batch_marginal_means(rows, [0, 7])
     assert res.counter is base.counter
     assert base.query_count == start + 4 + 2 * 4 * 2
+
+
+# -- one round's nested draw and the state kept over it ----------------------
+
+
+def test_nested_draws_have_the_joint_law_of_one_uniform() -> None:
+    rows = 4000
+    x = np.array([0.0, 0.1, 0.3, 0.5, 0.8, 0.95, 1.0])
+    step = 0.2
+    high = np.minimum(1.0, x + step)
+    lower, upper = nested_subsets(x, step, rows, stream_rng(8, 2))
+    assert lower.dtype == upper.dtype == np.uint8
+    assert lower.shape == upper.shape == (rows, x.shape[0])
+    # lower inside upper, row by row: the pair is U < x and U < x + step
+    assert not (lower & ~upper).any()
+    for p, freq in ((x, lower.mean(axis=0)), (high, upper.mean(axis=0)),
+                    (high - x, (upper & ~lower).mean(axis=0))):
+        assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / rows) + 1e-12)
+    assert not lower[:, 0].any() and upper[:, -1].all() and lower[:, -1].all()
+
+
+def _random_rows_and_basis_walk(f, n, frozen, rng, steps):
+    """Yield ``(state, rows)`` after each random insert or delete, where
+    ``rows`` is the round's matrix at the current basis built from scratch."""
+    x = rng.uniform(0.0, 0.8, size=n)
+    x[list(frozen)] = 0.0
+    lower, upper = nested_subsets(x, 0.25, 40, rng)
+    state = f.round_state(lower, upper)
+    free = [e for e in range(n) if e not in frozen]
+    basis: set[int] = set()
+    for _ in range(steps):
+        if basis and (rng.random() < 0.4 or len(basis) == len(free)):
+            e = int(rng.choice(sorted(basis)))
+            state.delete(e)
+            basis.remove(e)
+        else:
+            e = int(rng.choice([v for v in free if v not in basis]))
+            state.insert(e)
+            basis.add(e)
+        in_b = np.zeros(n, dtype=np.uint8)
+        in_b[sorted(basis)] = 1
+        yield state, lower | (upper & in_b)
+
+
+def _objective(name: str, seed: int):
+    """A generated objective; ``facility-ties`` puts the similarities on a
+    quarter grid, so rows hold many tied top-1 and top-2 values."""
+    inst = generate_instance("laminar", name.split("-")[0], n=11, seed=40 + seed)
+    if name == "facility-ties":
+        sim = np.asarray(inst.objective["similarity"])
+        return FacilityLocationOracle(np.floor(sim * 4) / 4)
+    return inst.build_objective()
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_round_state_prices_its_rows_after_inserts_and_deletes(objective, frozen) -> None:
+    for seed in range(3):
+        base = _objective(objective, seed)
+        f = ResidualOracle(base, frozen) if frozen else base
+        rng = np.random.default_rng(seed)
+        mask = np.zeros(base.n, dtype=np.uint8)
+        mask[list(frozen)] = 1
+        for state, rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
+            assert np.array_equal(state.rows(), rows | mask)
+            elems = rng.choice(base.n, size=int(rng.integers(1, base.n + 1)), replace=False)
+            want = f.batch_marginal_means(rows, elems)
+            before = f.query_count
+            got = state.marginal_means(elems)
+            assert f.query_count - before == 2 * rows.shape[0] * elems.shape[0]
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_round_state_rejects_bad_updates_and_ids() -> None:
+    f = _tiny_coverage()
+    lower, upper = nested_subsets(np.array([0.2, 0.4, 0.0]), 0.3, 6, stream_rng(1, 2))
+    state = f.round_state(lower, upper)
+    state.insert(1)
+    with pytest.raises(ValueError, match="already"):
+        state.insert(1)
+    with pytest.raises(ValueError, match="not in the basis"):
+        state.delete(0)
+    start = f.query_count
+    with pytest.raises(ValueError, match="out of range"):
+        state.marginal_means([0, 3])
+    assert f.query_count == start
+    with pytest.raises(ValueError, match="shape"):
+        f.round_state(lower[:, :2], upper[:, :2])

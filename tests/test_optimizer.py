@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from matsub import optimizer
+from matsub import objectives, optimizer
 from matsub.core import WeightClassifier, estimate_opt
 from matsub.instances import (
     STREAM_PHASE1,
@@ -32,7 +32,7 @@ from matsub.optimizer import (
 )
 from matsub.oracles import brute_force_opt
 from matsub.transversal import DecMatching
-from reference import max_weight_basis
+from reference import eager_dt_incremental, fractional_point, max_weight_basis
 
 
 def _rank_one_matroid(n: int) -> LaminarMatroid:
@@ -265,6 +265,87 @@ def test_dt_incremental_test_call_budget() -> None:
     assert checker.tests <= inst.n + levels
 
 
+class _CountedRates:
+    """A round's estimator that tallies how many elements it priced."""
+
+    def __init__(self, estimator: MarginalEstimator) -> None:
+        self.estimator = estimator
+        self.priced = 0
+
+    def rates(self, elems) -> np.ndarray:
+        self.priced += len(elems)
+        return self.estimator.rates(elems)
+
+    def insert(self, elem: int) -> None:
+        self.estimator.insert(elem)
+
+
+def _round_estimator(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
+    # a point inside the cube, so both layers of the draw matter
+    x = np.random.default_rng(seed).uniform(0.0, 0.8, size=n)
+    return _CountedRates(MarginalEstimator(f, x, 0.2, samples, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_lazy_sweep_matches_the_eager_sweep(kind, objective) -> None:
+    eps = 0.2
+    lazy_total = eager_total = 0
+    for seed in range(4):
+        inst = generate_instance(kind, objective, n=30, seed=60 + seed)
+        f = inst.build_objective()
+        m = estimate_opt(f, inst.matroid)
+        rank = inst.matroid.rank()
+        lazy_est = _round_estimator(f, inst.n, seed)
+        eager_est = _round_estimator(f, inst.n, seed)
+        lazy = dt_incremental(
+            lazy_est, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
+        )
+        eager = eager_dt_incremental(
+            eager_est, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
+        )
+        # same draw, same decisions, in the same order
+        assert lazy == eager
+        assert lazy_est.priced <= eager_est.priced
+        lazy_total += lazy_est.priced
+        eager_total += eager_est.priced
+    assert lazy_total < eager_total
+
+
+def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
+    for kind in KINDS:
+        inst = generate_instance(kind, "coverage", n=25, seed=9)
+        f = inst.build_objective()
+        m = estimate_opt(f, inst.matroid)
+        est = _round_estimator(f, inst.n, 3, samples=17)
+        before = f.query_count
+        dt_incremental(
+            est, CountingChecker(inst.matroid.checker()), 0.2, m, range(inst.n),
+            inst.matroid.rank(),
+        )
+        assert est.priced > 0
+        assert f.query_count - before == 2 * 17 * est.priced
+
+
+def test_one_nested_draw_per_round(monkeypatch) -> None:
+    calls = []
+    draw = objectives.sample_subsets
+
+    def counted(x, count, rng):
+        calls.append(count)
+        return draw(x, count, rng)
+
+    monkeypatch.setattr(objectives, "sample_subsets", counted)
+    for kind in KINDS:
+        for objective in ("coverage", "facility"):
+            calls.clear()
+            result = run_pipeline(generate_instance(kind, objective, n=14, seed=2), 0.2, 3)
+            rounds = result.counters["phase2_rounds"]
+            assert rounds == 5
+            assert len(calls) == 2 * rounds
+            assert set(calls) == {result.counters["samples_per_estimate"]}
+
+
 # -- descending thresholds, decremental structure ---------------------------
 
 
@@ -302,17 +383,48 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
         assert got >= (1 - 3 * eps) * exact_value - 1e-9
 
 
+@pytest.mark.parametrize("objective", ["coverage", "facility"])
+def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
+    # the state follows every insert, and every delete of the transversal
+    # sweep, so a later pricing (the padding) reads the returned set
+    eps = 0.2
+    deletes = 0
+    for seed in range(4):
+        inst = generate_instance("transversal", objective, n=24, seed=90 + seed)
+        frozen = [0, 5]
+        f = ResidualOracle(inst.build_objective(), frozen)
+        m = estimate_opt(inst.build_objective(), inst.matroid)
+        rank = inst.matroid.rank() - len(frozen)
+        free = [e for e in range(inst.n) if e not in frozen]
+        est = _round_estimator(f, inst.n, seed).estimator
+        structure = DecMatching(inst.matroid, eps)
+        structure.batch_insert(frozen)
+        got = dt_approx_indep_set(est, structure, eps, m, free, rank, pinned=frozen)
+        deletes += structure.op_counters["deletes"]
+        assert np.flatnonzero(est.state.in_basis).tolist() == got
+        est = _round_estimator(f, inst.n, seed).estimator
+        checker = CountingChecker(inst.matroid.checker(frozen))
+        got = dt_incremental(est, checker, eps, m, free, rank)
+        assert np.flatnonzero(est.state.in_basis).tolist() == sorted(got)
+    assert deletes > 0
+
+
 class _ScriptedRates:
-    """Fixed batch rate and fixed audit rate per element."""
+    """Fixed rate per element before it joins the basis, and a fixed audit
+    rate once it has joined."""
 
     def __init__(self, table: dict[int, tuple[float, float]]) -> None:
         self.table = table
+        self.basis: set[int] = set()
 
-    def rates(self, elems, base) -> np.ndarray:
-        return np.array([self.table[e][0] for e in elems], dtype=np.float64)
+    def rates(self, elems) -> np.ndarray:
+        return np.array([self.table[e][e in self.basis] for e in elems], dtype=np.float64)
 
-    def rate(self, elem: int, base) -> float:
-        return self.table[elem][1]
+    def insert(self, elem: int) -> None:
+        self.basis.add(elem)
+
+    def delete(self, elem: int) -> None:
+        self.basis.remove(elem)
 
 
 def test_dt_approx_deletes_once_per_bucket_drop() -> None:
@@ -341,7 +453,7 @@ def test_continuous_greedy_additive_is_linear_exact() -> None:
     fractional, counters = continuous_greedy(
         f, inst.matroid, (), eps, m, np.random.default_rng(5)
     )
-    x = fractional.point()
+    x = fractional_point(fractional)
     linear_value = float(np.dot(x, weights))
     assert counters["phase2_rounds"] == 5
     assert linear_value >= (1 - eps) * best_value - 1e-9
@@ -362,7 +474,7 @@ def test_continuous_greedy_statistical_ratio() -> None:
         fractional, _counters = continuous_greedy(
             f, inst.matroid, (), eps, m, np.random.default_rng(seed)
         )
-        fx = _exact_multilinear(inst.build_objective(), fractional.point())
+        fx = _exact_multilinear(inst.build_objective(), fractional_point(fractional))
         if fx >= bar - 1e-9:
             hits += 1
     assert hits >= 95
@@ -484,6 +596,18 @@ def test_pipeline_counter_schema_is_stable() -> None:
     for inst in instances:
         result = run_pipeline(inst, epsilon=0.2, seed=5)
         assert set(result.counters) == expected
+
+
+def test_pipeline_on_transversal_facility_deletes_from_the_state() -> None:
+    # the only combination whose sweep deletes from a facility row state
+    for seed in range(3):
+        inst = generate_instance("transversal", "facility", n=20, seed=seed)
+        result = run_pipeline(inst, epsilon=0.2, seed=11 + seed)
+        assert result.counters["dt_deletes"] > 0
+        assert inst.matroid.is_independent(result.solution)
+        assert len(result.solution) == inst.matroid.rank()
+        assert result.value == pytest.approx(inst.build_objective().value(result.solution))
+        assert result.value >= (1 - 1 / math.e - 0.2) * result.opt_estimate
 
 
 def test_pipeline_on_triggering_instance() -> None:

@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 
 from matsub.instances import TransversalMatroid
 from matsub.transversal import DecMatching, LStableMatching
-from reference import hopcroft_karp, hungarian_max_weight_matching
+from reference import dec_matching_pairs, hopcroft_karp, hungarian_max_weight_matching
 
 
 def _check_invariants(d: LStableMatching) -> None:
@@ -43,7 +43,7 @@ def _check_invariants(d: LStableMatching) -> None:
 def test_single_edge() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0]])
     d = LStableMatching(mat, {0: 4.0}, epsilon=0.5, w_min=1.0)
-    assert d.matching() == {0: 0}
+    assert d.match_of_l == {0: 0}
     assert d.vw[0] == d.w_lv[0] - 1
     _check_invariants(d)
 
@@ -51,7 +51,7 @@ def test_single_edge() -> None:
 def test_two_left_one_right_prefers_heavier() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0], [0]])
     d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5, w_min=1.0)
-    assert d.matching() == {0: 0}
+    assert d.match_of_l == {0: 0}
     _check_invariants(d)
 
 
@@ -68,7 +68,7 @@ def test_steal_chain_on_three_edge_path() -> None:
 def test_no_neighbors_stays_unmatched() -> None:
     mat = TransversalMatroid(num_right=2, adjacency=[[1]])
     d = LStableMatching(mat, {0: 1.0}, epsilon=0.5)
-    assert d.matching() == {0: 1}
+    assert d.match_of_l == {0: 1}
     assert 0 not in d.match_of_r
     _check_invariants(d)
 
@@ -78,18 +78,18 @@ def test_decrement_unmatched_is_silent() -> None:
     d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5, w_min=1.0)
     c = d.decrement(1, 0.5)
     assert c.added == [] and c.removed == []
-    assert d.matching() == {0: 0}
+    assert d.match_of_l == {0: 0}
     _check_invariants(d)
 
 
 def test_decrement_matched_to_zero_falls_back() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0]])
     d = LStableMatching(mat, {0: 1.0}, epsilon=0.5, w_min=1.0)
-    assert d.matching() == {0: 0}
+    assert d.match_of_l == {0: 0}
     c = d.decrement(0, 0.0)
     # the right vertex re-matches its only neighbor as a weight-zero
     # fallback, which counts for cardinality but not for weight
-    assert d.matching() == {0: 0}
+    assert d.match_of_l == {0: 0}
     assert 0 in d.fallback
     assert d.approx_base_weight() == 0.0
     assert sorted(c.removed) == sorted(e for e, _ in c.added) == [0]
@@ -99,9 +99,9 @@ def test_decrement_matched_to_zero_falls_back() -> None:
 def test_freeze_rules() -> None:
     mat = TransversalMatroid(num_right=2, adjacency=[[0], [1]])
     d = LStableMatching(mat, {0: 3.0, 1: 2.0}, epsilon=0.5)
-    before = d.matching()
+    before = dict(d.match_of_l)
     d.freeze(0)
-    assert d.matching() == before
+    assert d.match_of_l == before
     with pytest.raises(ValueError):
         d.decrement(0, 1.0)
     d2 = LStableMatching(mat, {0: 3.0, 1: 0.0}, epsilon=0.5)
@@ -147,8 +147,6 @@ def test_argument_validation() -> None:
         d.decrement(0, -1.0)
     with pytest.raises(ValueError):
         d.decrement(3, 0.1)
-    with pytest.raises(ValueError):
-        d.match_r(0)
 
 
 def _random_bipartite(rng: np.random.Generator) -> TransversalMatroid:
@@ -277,7 +275,7 @@ def test_alternating_path_lower_bound() -> None:
 def _no_short_augmenting_path(d: DecMatching) -> bool:
     """Oracle check over the real graph restricted to present vertices."""
     mat = d.matroid
-    matched = d.matching()
+    matched = dec_matching_pairs(d)
     match_r = {r: l for l, r in matched.items()}
     for r0 in range(mat.num_right):
         if r0 in match_r:
