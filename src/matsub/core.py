@@ -32,20 +32,6 @@ class OracleChanges:
     added: list[tuple[int, float]] = field(default_factory=list)
     removed: list[int] = field(default_factory=list)
 
-    def extend(self, other: "OracleChanges") -> None:
-        """Compose a later delta into this one, cancelling transient entries.
-
-        An element this delta added and the later one removes was never in
-        the set from the caller's point of view, so the pair drops out.
-        """
-        for elem in other.removed:
-            pending = next((p for p in self.added if p[0] == elem), None)
-            if pending is not None:
-                self.added.remove(pending)
-            else:
-                self.removed.append(elem)
-        self.added.extend(other.added)
-
 
 class WeightClassifier:
     """Geometric weight discretization around an optimum estimate ``M``.

@@ -1,31 +1,31 @@
-"""Batched set-function evaluation kernels.
+"""Set-function evaluation kernels over batches of sampled subsets.
 
 The sampling phases of the optimizer evaluate an objective on hundreds of
 random subsets per marginal estimate.  That work is dense array arithmetic and
-dominates end-to-end runtime, so each objective has one numpy kernel per
-batch entry point.  The kernels hold no state: anything derived from an
-objective's data, such as the coverage incidence matrix, is built and owned
-by the oracle that passes it in.
+dominates end-to-end runtime.  The kernels hold no state: anything derived
+from an objective's data, such as the coverage incidence matrix, is built and
+owned by the oracle that passes it in, and the per-row statistics are kept
+by the oracle's round state (``objectives.RoundState``), the only place that
+puts these steps together.
 
 Subset batches are ``(s, n)`` uint8 matrices, one row per sampled set.  Ground
-sets use element ids ``0..n-1`` throughout.  Cost per call, for ``q`` queried
-elements:
+sets use element ids ``0..n-1`` throughout.  Each objective has two steps:
+per-row statistics of the batch, then pricing from a summary of them.  Cost
+per call, for ``q`` queried elements:
 
-- ``coverage_values``: ``O(s·n·universe)`` time, ``O(s·universe)`` memory.
-- ``coverage_marginal_means``: ``O(s·(n + q)·universe)`` time,
-  ``O(s·(universe + q))`` memory (queried elements go 64 at a time).
-- ``facility_values``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
-- ``facility_marginal_means``: ``O(s·n·clients + (s + q)·clients·log s)``
-  time, ``O((s + q)·clients)`` memory.
+- ``coverage_counts``: ``O(s·n·universe)`` time, ``O(s·universe)`` memory.
+- ``coverage_summary``: ``O(s·universe)`` time and memory.
+- ``coverage_price``: ``O(s·q·universe)`` time, ``O(64·(s + universe))``
+  memory (queried elements go 64 at a time).
+- ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
+- ``facility_summary``: ``O(s·clients·log s)`` time, ``O(s·clients)``
+  memory.
+- ``facility_price``: ``O(q·clients·log s)`` time, ``O(q·clients)`` memory.
 
-No kernel builds an array whose size grows as ``s·n·clients``.
-
-Each marginal kernel is two steps: per-row statistics of the batch
-(``coverage_counts``, ``row_top2``), then pricing from a summary of them
-(``coverage_summary`` and ``coverage_price``, ``facility_summary`` and
-``facility_price``).  A phase-2 round state keeps the statistics across
-basis changes (``push_top2`` adds a facility member) and runs only the
-pricing step.
+No kernel builds an array whose size grows as ``s·n·clients``.  A round
+state keeps the statistics across basis changes (``push_top2`` adds a
+facility member) and values its rows from them: the rows' covered weight,
+or the sum of each row's top-1 similarities.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ PRICE_BLOCK = 64
 def coverage_counts(sets, incidence):
     """How many members of each row cover each item, ``(s, universe)``."""
     return sets.astype(np.float64) @ incidence
-
-
-def coverage_values(sets, incidence, weights):
-    return (coverage_counts(sets, incidence) > 0.5) @ weights
-
-
-def coverage_marginal_means(sets, elems, incidence, weights):
-    return coverage_price(
-        *coverage_summary(coverage_counts(sets, incidence), weights),
-        sets[:, elems], elems, incidence,
-    )
 
 
 def coverage_summary(counts, weights):
@@ -102,17 +91,6 @@ def push_top2(top1, arg1, top2, rows, j, v):
     top2[rows] = np.maximum(top2[rows], np.minimum(t1, v))
     top1[rows] = np.maximum(t1, v)
     arg1[rows] = np.where(v > t1, j, arg1[rows])
-
-
-def facility_values(sets, sim):
-    top1, _, _ = row_top2(sets, sim)
-    return top1.sum(axis=1)
-
-
-def facility_marginal_means(sets, elems, sim):
-    return facility_price(
-        *facility_summary(*row_top2(sets, sim), sim.shape[0]), elems, sim
-    )
 
 
 def facility_summary(top1, arg1, top2, n):

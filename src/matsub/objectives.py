@@ -7,12 +7,14 @@ and a batched marginal estimate ``2*s`` per queried element.  An
 ``incremental()`` state prices ``f(S + e) - f(S)`` for a growing ``S`` at one
 query each.  Budget instrumentation everywhere else trusts these counts.
 
-The marginal estimates of one phase-2 round share that round's draw: the
-rows come from :func:`nested_subsets` once per round, and a
-``round_state`` keeps the per-row statistics (coverage counts, facility
-top-2) as the round's partial basis grows or shrinks.  Pricing an element
-against that state is still charged ``2*s`` queries, as a batched estimate
-over the same rows would be, so the query count has the same meaning.
+A ``round_state`` is the one place where an objective puts its kernel
+steps together.  It keeps per-row statistics (coverage counts, facility
+top-2) over one phase-2 round's rows, drawn once per round by
+:func:`nested_subsets`, as the round's partial basis grows or shrinks, and
+prices elements or values rows from them.  The batch entry points are a
+round state over a fixed batch.  Pricing an element is charged ``2*s``
+queries and valuing the rows ``s``, whichever entry point asks, so the
+query count has one meaning.
 """
 
 from __future__ import annotations
@@ -82,10 +84,9 @@ class ValueOracle:
     # -- batched queries ----------------------------------------------------
 
     def batch_values(self, sets: np.ndarray) -> np.ndarray:
-        """Values for each row of an ``(s, n)`` uint8 subset matrix."""
-        rows = self._as_rows(sets)
-        self.counter.count += rows.shape[0]
-        return self._batch_values(rows)
+        """Values for each row of an ``(s, n)`` uint8 subset matrix; ``s``
+        queries."""
+        return self.round_state(sets, sets).values()
 
     def batch_marginal_means(self, sets: np.ndarray, elems: Sequence[int]) -> np.ndarray:
         """Mean of f(R+e) - f(R-e) over the rows of ``sets``, per element.
@@ -93,12 +94,7 @@ class ValueOracle:
         Costs ``2 * len(elems) * rows`` queries: each sampled marginal is two
         value queries.
         """
-        rows = self._as_rows(sets)
-        q = self._in_range(np.asarray(elems, dtype=np.int64))
-        self.counter.count += 2 * rows.shape[0] * q.shape[0]
-        if q.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self._batch_marginal_means(rows, q)
+        return self.round_state(sets, sets).marginal_means(elems)
 
     def round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         """Pricing state over one round's nested ``(s, n)`` rows; see
@@ -123,12 +119,6 @@ class ValueOracle:
     # -- per-objective evaluation -------------------------------------------
 
     def _value(self, idx: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _batch_values(self, sets: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
@@ -246,17 +236,11 @@ class CoverageOracle(ValueOracle):
 
     @cached_property
     def incidence(self) -> np.ndarray:
-        """Dense 0/1 ``(n, universe)`` cover matrix for the batch kernels,
-        built on the first batch query and freed with the oracle."""
+        """Dense 0/1 ``(n, universe)`` cover matrix for the kernels, built
+        for the first round state and freed with the oracle."""
         incidence = np.zeros((self.n, self.universe_weights.shape[0]), dtype=np.float64)
         incidence[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = 1.0
         return incidence
-
-    def _batch_values(self, sets: np.ndarray) -> np.ndarray:
-        return kernels.coverage_values(sets, self.incidence, self.universe_weights)
-
-    def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
-        return kernels.coverage_marginal_means(sets, elems, self.incidence, self.universe_weights)
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _CoverageRound(self, lower, upper)
@@ -284,12 +268,6 @@ class FacilityLocationOracle(ValueOracle):
     def incremental(self) -> _Increment:
         return _FacilityIncrement(self)
 
-    def _batch_values(self, sets: np.ndarray) -> np.ndarray:
-        return kernels.facility_values(sets, self.similarity)
-
-    def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
-        return kernels.facility_marginal_means(sets, elems, self.similarity)
-
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _FacilityRound(self, lower, upper)
 
@@ -311,13 +289,6 @@ class AdditiveOracle(ValueOracle):
 
     def incremental(self) -> _Increment:
         return _AdditiveIncrement(self)
-
-    def _batch_values(self, sets: np.ndarray) -> np.ndarray:
-        return sets.astype(np.float64) @ self.weights
-
-    def _batch_marginal_means(self, sets: np.ndarray, elems: np.ndarray) -> np.ndarray:
-        # marginals of an additive function ignore the sampled base set
-        return self.weights[elems].copy()
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _AdditiveRound(self, lower, upper)
@@ -349,27 +320,19 @@ class ResidualOracle(ValueOracle):
             if self.frozen else idx
         return self.base._value(merged) - self._offset
 
-    # these call the base's private kernels, never its public batch methods,
+    # the base's functions, so the frozen columns and the offset come in
+    # through ``round_state``; neither calls the base's public batch methods,
     # so a profiler that wraps both classes' methods sees each query once
-
-    def batch_values(self, sets: np.ndarray) -> np.ndarray:
-        rows = self._as_rows(sets)
-        self.counter.count += rows.shape[0]
-        return self.base._batch_values(np.maximum(rows, self._frozen_mask)) - self._offset
-
-    def batch_marginal_means(self, sets: np.ndarray, elems: Sequence[int]) -> np.ndarray:
-        rows = self._as_rows(sets)
-        q = self._in_range(np.asarray(elems, dtype=np.int64))
-        self.counter.count += 2 * rows.shape[0] * q.shape[0]
-        if q.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return self.base._batch_marginal_means(np.maximum(rows, self._frozen_mask), q)
+    batch_values = ValueOracle.batch_values
+    batch_marginal_means = ValueOracle.batch_marginal_means
 
     def round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         # frozen columns are set in both layers, so every row holds them and
         # no basis change flips them
         mask = self._frozen_mask
-        return self.base._round_state(self._as_rows(lower) | mask, self._as_rows(upper) | mask)
+        state = self.base._round_state(self._as_rows(lower) | mask, self._as_rows(upper) | mask)
+        state.offset = self._offset
+        return state
 
     def marginal(self, elem: int, subset: Iterable[int]) -> float:
         idx = set(self._as_indices(subset).tolist()) | set(self.frozen)
@@ -407,6 +370,8 @@ def nested_subsets(
     uniform ``U`` per entry, so a row's set at partial basis ``B`` is drawn
     from ``x + step * 1[B]``.  Two :func:`sample_subsets` calls make it.
     """
+    if count < 1:
+        raise ValueError("need at least one sample")
     x = np.asarray(x, dtype=np.float64)
     high = np.minimum(1.0, x + step)
     upper = sample_subsets(high, count, rng)
@@ -422,9 +387,12 @@ class RoundState:
     the rows where ``upper`` holds ``e`` and ``lower`` does not, and each
     objective updates its per-row statistics there alone.  ``marginal_means``
     returns the mean of ``f(R+e) - f(R-e)`` over the current rows, charged
-    ``2*s`` queries per element as ``batch_marginal_means`` would be on
-    :meth:`rows`.  ``f(R+e) - f(R-e)`` does not depend on whether ``e`` is
-    in ``B``, so pricing a basis member is pricing it against ``B - e``.
+    ``2*s`` queries per element, and ``values`` returns ``f(R) - offset``
+    per row, charged ``s`` queries (a contraction sets ``offset`` to the
+    value of its frozen set).  ``f(R+e) - f(R-e)`` does not depend on
+    whether ``e`` is in ``B``, so pricing a basis member is pricing it
+    against ``B - e``.  ``calls`` counts the pricings of at least one
+    element.
     """
 
     def __init__(self, oracle: ValueOracle, lower: np.ndarray, upper: np.ndarray) -> None:
@@ -433,6 +401,8 @@ class RoundState:
         self.lower = lower
         self.upper = upper
         self.in_basis = np.zeros(lower.shape[1], dtype=bool)
+        self.offset = 0.0
+        self.calls = 0
         self._summary = None
 
     @property
@@ -470,10 +440,16 @@ class RoundState:
         self.counter.count += 2 * self.samples * q.shape[0]
         if q.size == 0:
             return np.zeros(0, dtype=np.float64)
+        self.calls += 1
         if self._summary is None:
             # what pricing reads, rebuilt at most once per basis change
             self._summary = self._summarize()
         return self._means(q)
+
+    def values(self) -> np.ndarray:
+        """``f`` of each current row less ``offset``."""
+        self.counter.count += self.samples
+        return self._values() - self.offset
 
     def _add(self, elem: int, rows: np.ndarray) -> None:
         raise NotImplementedError
@@ -485,6 +461,9 @@ class RoundState:
         raise NotImplementedError
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _values(self) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -511,6 +490,9 @@ class _CoverageRound(RoundState):
             *self._summary, self.members(elems), elems, self.oracle.incidence
         )
 
+    def _values(self) -> np.ndarray:
+        return (self.counts > 0) @ self.oracle.universe_weights
+
 
 class _FacilityRound(RoundState):
     """Top-1, its argmax and top-2 similarity per ``(row, client)``."""
@@ -535,6 +517,9 @@ class _FacilityRound(RoundState):
     def _means(self, elems: np.ndarray) -> np.ndarray:
         return kernels.facility_price(*self._summary, elems, self.oracle.similarity)
 
+    def _values(self) -> np.ndarray:
+        return self.top[0].sum(axis=1)
+
 
 class _AdditiveRound(RoundState):
     """Nothing to keep: an additive marginal ignores the row."""
@@ -550,3 +535,6 @@ class _AdditiveRound(RoundState):
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
         return self.oracle.weights[elems].copy()
+
+    def _values(self) -> np.ndarray:
+        return self.rows() @ self.oracle.weights

@@ -37,7 +37,7 @@ from .instances import (
     stream_rng,
 )
 from .laminar import TopTreeLaminarBasis
-from .objectives import ResidualOracle, ValueOracle, nested_subsets
+from .objectives import ResidualOracle, RoundState, ValueOracle, nested_subsets
 from .rounding import swap_round
 from .sampler import BucketLists
 from .transversal import DecMatching, LStableMatching
@@ -151,15 +151,16 @@ def build_phase1_oracle(
     classifier: WeightClassifier,
     epsilon: float,
 ) -> MaxWeightOracle:
-    """Price every singleton once and stand up the rounded-weight basis."""
-    n = matroid.n
-    base = f.value(())
-    rows = np.eye(n, dtype=np.uint8)
-    singles = f.batch_values(rows)
+    """Price every singleton once and stand up the rounded-weight basis.
+
+    A gain against the empty set is a singleton's weight, one query each,
+    read in linear memory (no ``(n, n)`` identity batch).
+    """
+    empty = f.incremental()
     classes: dict[int, int] = {}
     rounded: dict[int, float] = {}
-    for e in range(n):
-        w = max(float(singles[e]) - base, 0.0)
+    for e in range(matroid.n):
+        w = max(empty.gain(e), 0.0)
         classes[e] = classifier.weight_class(w)
         rounded[e] = classifier.class_value(classes[e])
     return MaxWeightOracle(matroid, classifier, rounded, classes, epsilon)
@@ -260,44 +261,6 @@ class FractionalSolution:
     bases: list[tuple[float, list[int]]]
 
 
-class MarginalEstimator:
-    """Monte Carlo marginal rates of the multilinear extension for one round.
-
-    The round's rows are drawn once, at construction: a coordinate only
-    takes the values ``x_e`` and ``min(1, x_e + step)`` within a round, so
-    two nested draws (:func:`~matsub.objectives.nested_subsets`) give the
-    rows at every partial basis ``B``.  ``insert``/``delete`` keep the
-    objective's row state at ``B``; ``rates(elems)`` averages
-    ``f(R + e) - f(R - e)`` over the rows at ``x + step * 1[B]``.
-    """
-
-    def __init__(
-        self,
-        f: ValueOracle,
-        x: np.ndarray,
-        step: float,
-        samples: int,
-        rng: np.random.Generator,
-    ) -> None:
-        if samples < 1:
-            raise ValueError("need at least one sample")
-        lower, upper = nested_subsets(x, float(step), int(samples), rng)
-        self.state = f.round_state(lower, upper)
-        self.calls = 0
-
-    def rates(self, elems: Sequence[int]) -> np.ndarray:
-        if not len(elems):
-            return np.zeros(0, dtype=np.float64)
-        self.calls += 1
-        return self.state.marginal_means(elems)
-
-    def insert(self, elem: int) -> None:
-        self.state.insert(elem)
-
-    def delete(self, elem: int) -> None:
-        self.state.delete(elem)
-
-
 class CountingChecker:
     """Independence tester that tallies its oracle traffic."""
 
@@ -316,7 +279,7 @@ class CountingChecker:
 
 
 def dt_incremental(
-    estimator: MarginalEstimator,
+    state: RoundState,
     checker: CountingChecker,
     epsilon: float,
     opt_estimate: float,
@@ -355,7 +318,7 @@ def dt_incremental(
     def reprice(idx: np.ndarray) -> None:
         stale = idx[priced_at[idx] != len(basis)]
         if stale.size:
-            rate[stale] = estimator.rates(pool[stale])
+            rate[stale] = state.marginal_means(pool[stale])
             priced_at[stale] = len(basis)
 
     def take(i: int) -> bool:
@@ -364,7 +327,7 @@ def dt_incremental(
         if not checker.test(e):
             return False
         checker.insert(e)
-        estimator.insert(e)
+        state.insert(e)
         basis.append(e)
         return True
 
@@ -396,7 +359,7 @@ def dt_incremental(
 
 
 def dt_approx_indep_set(
-    estimator: MarginalEstimator,
+    state: RoundState,
     structure: DecMatching,
     epsilon: float,
     opt_estimate: float,
@@ -413,7 +376,7 @@ def dt_approx_indep_set(
     vertices are preloaded contraction elements: they stay matched, never
     get audited, and are excluded from the returned set.
 
-    The estimator's basis follows the matched, unpinned vertices.  Deletes
+    The round state's basis follows the matched, unpinned vertices.  Deletes
     shrink it, so cached rates are no bound here: every level reprices all
     pending elements once the matching has changed, and an audit reads the
     state for its one element.
@@ -429,17 +392,17 @@ def dt_approx_indep_set(
     def joined(elems: Iterable[int]) -> list[int]:
         fresh = sorted(e for e in elems if e not in pinned_set)
         for e in fresh:
-            estimator.insert(e)
+            state.insert(e)
         return fresh
 
     if rank <= 0 or not pending:
         return current()
-    rates = estimator.rates(pending)
+    rates = state.marginal_means(pending)
     tau = float(rates.max())
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and pending and tau >= floor:
         if rates is None:
-            rates = estimator.rates(pending)
+            rates = state.marginal_means(pending)
         picked = rates >= tau
         if picked.any():
             batch = [e for e, p in zip(pending, picked) if p]
@@ -448,10 +411,10 @@ def dt_approx_indep_set(
             queue = deque(joined(structure.batch_insert(batch)))
             while queue:
                 e = queue.popleft()
-                if not structure.test(e) or estimator.rates([e])[0] >= tau:
+                if not structure.test(e) or state.marginal_means([e])[0] >= tau:
                     continue
                 replacements = structure.delete(e)
-                estimator.delete(e)
+                state.delete(e)
                 queue.extend(joined(replacements))
         tau *= 1.0 - epsilon
     return sorted(current())
@@ -462,19 +425,19 @@ def _pad_transversal(
     frozen: set[int],
     partial: list[int],
     elements: Sequence[int],
-    estimator: MarginalEstimator,
+    state: RoundState,
     rank: int,
 ) -> list[int]:
     """Extend an independent set to a basis of the contraction exactly.
 
-    ``estimator``'s basis must be ``partial``; the rest are priced there.
+    ``state``'s basis must be ``partial``; the rest are priced there.
     """
     if len(partial) >= rank:
         return partial
     checker = matroid.checker(sorted(frozen) + list(partial))
     have = set(partial)
     rest = [e for e in elements if e not in have]
-    vals = estimator.rates(rest)
+    vals = state.marginal_means(rest)
     order = sorted(zip(rest, vals), key=lambda t: (-float(t[1]), t[0]))
     out = list(partial)
     for e, _v in order:
@@ -532,11 +495,13 @@ def continuous_greedy(
     bases: list[tuple[float, list[int]]] = []
     for _ in range(rounds):
         counters["phase2_rounds"] += 1
-        estimator = MarginalEstimator(f, x, step, samples, rng)
+        # a coordinate takes only x_e and min(1, x_e + step) within a round,
+        # so two nested draws give the rows at every partial basis
+        state = f.round_state(*nested_subsets(x, step, samples, rng))
         if matroid.kind != "transversal":
             checker = CountingChecker(matroid.checker(sorted(frozen_set)))
             b = dt_incremental(
-                estimator, checker, epsilon, opt_estimate, elements, residual_rank
+                state, checker, epsilon, opt_estimate, elements, residual_rank
             )
             counters["dt_test_calls"] += checker.tests
             counters["dt_insert_calls"] += checker.inserts
@@ -547,7 +512,7 @@ def continuous_greedy(
                 if len(seeded) != len(frozen_set):
                     raise RuntimeError("frozen set lost a match during seeding")
             b = dt_approx_indep_set(
-                estimator,
+                state,
                 structure,
                 epsilon,
                 opt_estimate,
@@ -562,9 +527,9 @@ def continuous_greedy(
             )
             counters["dt_deletes"] += ops["deletes"]
             b = _pad_transversal(
-                matroid, frozen_set, b, elements, estimator, residual_rank
+                matroid, frozen_set, b, elements, state, residual_rank
             )
-        counters["estimator_batches"] += estimator.calls
+        counters["estimator_batches"] += state.calls
         if len(b) != residual_rank:
             raise RuntimeError("round direction is not a full basis")
         b = sorted(b)

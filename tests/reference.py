@@ -426,7 +426,7 @@ def fractional_point(fractional: FractionalSolution) -> np.ndarray:
 
 
 def eager_dt_incremental(
-    estimator,
+    state,
     checker,
     epsilon: float,
     opt_estimate: float,
@@ -445,14 +445,14 @@ def eager_dt_incremental(
     def rate_of(e: int) -> float:
         nonlocal cache, cache_size
         if cache_size != len(basis):
-            cache = dict(zip(active, map(float, estimator.rates(active))))
+            cache = dict(zip(active, map(float, state.marginal_means(active))))
             cache_size = len(basis)
         return cache[e]
 
     def take(e: int) -> None:
         if checker.test(e):
             checker.insert(e)
-            estimator.insert(e)
+            state.insert(e)
             basis.append(e)
 
     tau = max(rate_of(e) for e in active)

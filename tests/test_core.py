@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from matsub.core import OracleChanges, WeightClassifier, estimate_opt, greedy_basis_value
+from matsub.core import WeightClassifier, estimate_opt, greedy_basis_value
 from matsub.instances import Instance, LaminarMatroid, generate_instance
 from matsub.objectives import AdditiveOracle
 from matsub.oracles import brute_force_opt
@@ -181,19 +181,3 @@ def test_estimate_opt_brackets_the_optimum() -> None:
     assert opt / max(r, 1) - 1e-9 <= m <= opt + 1e-9
     assert m >= 0.5 * opt - 1e-9
 
-
-def test_oracle_changes_extend() -> None:
-    a = OracleChanges(added=[(1, 2.0)], removed=[3])
-    b = OracleChanges(added=[(4, 5.0)], removed=[])
-    a.extend(b)
-    assert a.added == [(1, 2.0), (4, 5.0)]
-    assert a.removed == [3]
-
-
-def test_oracle_changes_extend_cancels_transients() -> None:
-    # element 9 entered and left within one composite op: net nothing
-    a = OracleChanges(added=[(9, 1.0)], removed=[2])
-    b = OracleChanges(added=[(2, 0.5)], removed=[9])
-    a.extend(b)
-    assert a.added == [(2, 0.5)]
-    assert a.removed == [2]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from matsub import kernels
-from matsub.objectives import CoverageOracle
+from matsub.objectives import CoverageOracle, FacilityLocationOracle
 from reference import (
     loop_coverage_marginal_means,
     tensor_facility_marginal_means,
@@ -31,6 +31,11 @@ def _random_coverage(rng: np.random.Generator, n: int, universe: int):
     return indptr, indices, weights
 
 
+def _coverage(indptr, indices, weights) -> CoverageOracle:
+    n = indptr.shape[0] - 1
+    return CoverageOracle([indices[indptr[e] : indptr[e + 1]] for e in range(n)], weights)
+
+
 def _incidence(indptr, indices, universe: int) -> np.ndarray:
     dense = np.zeros((indptr.shape[0] - 1, universe))
     for e in range(indptr.shape[0] - 1):
@@ -49,7 +54,7 @@ def test_coverage_values_match_reference() -> None:
     rng = np.random.default_rng(2)
     indptr, indices, weights = _random_coverage(rng, 10, 15)
     sets = (rng.random((20, 10)) < 0.5).astype(np.uint8)
-    got = kernels.coverage_values(sets, _incidence(indptr, indices, 15), weights)
+    got = _coverage(indptr, indices, weights).batch_values(sets)
     for row, value in zip(sets, got):
         assert np.isclose(value, _slow_coverage_value(row, indptr, indices, weights))
 
@@ -75,7 +80,7 @@ def test_coverage_marginal_means_match_reference() -> None:
     indptr, indices, weights = _random_coverage(rng, 8, 12)
     sets = (rng.random((30, 8)) < 0.4).astype(np.uint8)
     elems = np.array([0, 3, 7], dtype=np.int64)
-    got = kernels.coverage_marginal_means(sets, elems, _incidence(indptr, indices, 12), weights)
+    got = _coverage(indptr, indices, weights).batch_marginal_means(sets, elems)
     assert np.allclose(got, _slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
 
 
@@ -84,12 +89,12 @@ def test_coverage_kernels_handle_empty_covers_and_empty_rows() -> None:
     indptr = np.array([0, 2, 2, 4], dtype=np.int64)
     indices = np.array([0, 1, 1, 2], dtype=np.int64)
     weights = np.array([1.0, 2.0, 4.0])
-    incidence = _incidence(indptr, indices, 3)
+    oracle = _coverage(indptr, indices, weights)
     sets = np.array([[0, 0, 0], [0, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=np.uint8)
-    values = kernels.coverage_values(sets, incidence, weights)
+    values = oracle.batch_values(sets)
     assert values.tolist() == [0.0, 0.0, 7.0, 6.0]
     elems = np.arange(3, dtype=np.int64)
-    got = kernels.coverage_marginal_means(sets, elems, incidence, weights)
+    got = oracle.batch_marginal_means(sets, elems)
     assert got[1] == 0.0
     assert np.allclose(got, _slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
 
@@ -104,7 +109,7 @@ def test_facility_values_match_reference() -> None:
     sim = rng.uniform(0.0, 1.0, size=(9, 7))
     sets = (rng.random((25, 9)) < 0.5).astype(np.uint8)
     sets[0] = 0
-    got = kernels.facility_values(sets, sim)
+    got = FacilityLocationOracle(sim).batch_values(sets)
     assert got[0] == 0.0
     assert np.allclose(got, _slow_facility_values(sets, sim))
 
@@ -133,7 +138,7 @@ def test_facility_marginal_means_match_reference() -> None:
     sets = (rng.random((40, 6)) < 0.5).astype(np.uint8)
     sets[0] = 0
     elems = np.arange(6, dtype=np.int64)
-    got = kernels.facility_marginal_means(sets, elems, sim)
+    got = FacilityLocationOracle(sim).batch_marginal_means(sets, elems)
     assert np.allclose(got, _slow_facility_marginal_means(sets, elems, sim))
 
 
@@ -141,9 +146,10 @@ def test_facility_kernels_single_element() -> None:
     # n = 1: no runner-up exists, so removing the only element drops to zero
     sim = np.array([[0.5, 0.25, 1.0]])
     sets = np.array([[0], [1], [1]], dtype=np.uint8)
-    assert kernels.facility_values(sets, sim).tolist() == [0.0, 1.75, 1.75]
+    oracle = FacilityLocationOracle(sim)
+    assert oracle.batch_values(sets).tolist() == [0.0, 1.75, 1.75]
     elems = np.array([0], dtype=np.int64)
-    got = kernels.facility_marginal_means(sets, elems, sim)
+    got = oracle.batch_marginal_means(sets, elems)
     assert got.tolist() == [1.75]
     assert np.allclose(got, _slow_facility_marginal_means(sets, elems, sim))
 
@@ -174,11 +180,10 @@ def test_facility_kernels_on_tied_similarities() -> None:
     sets = (rng.random((40, 7)) < 0.5).astype(np.uint8)
     sets[:5, :2] = 1  # queried 0 ties for the top-1 with member 1
     elems = np.arange(7, dtype=np.int64)
+    oracle = FacilityLocationOracle(sim)
+    np.testing.assert_array_equal(oracle.batch_values(sets), _slow_facility_values(sets, sim))
     np.testing.assert_array_equal(
-        kernels.facility_values(sets, sim), _slow_facility_values(sets, sim)
-    )
-    np.testing.assert_array_equal(
-        kernels.facility_marginal_means(sets, elems, sim),
+        oracle.batch_marginal_means(sets, elems),
         _slow_facility_marginal_means(sets, elems, sim),
     )
 
@@ -189,7 +194,7 @@ def test_facility_marginal_means_when_the_queried_element_tops_a_tie() -> None:
     sim = np.array([[1.0, 0.5], [1.0, 0.5], [0.25, 0.75]])
     sets = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 1]], dtype=np.uint8)
     elems = np.array([0, 1, 2], dtype=np.int64)
-    got = kernels.facility_marginal_means(sets, elems, sim)
+    got = FacilityLocationOracle(sim).batch_marginal_means(sets, elems)
     np.testing.assert_array_equal(got, _slow_facility_marginal_means(sets, elems, sim))
     assert got.tolist() == [0.5, 0.0, 0.25]
 
@@ -207,7 +212,7 @@ def test_coverage_marginal_means_by_cover_multiplicity() -> None:
     assert (counts == 0).any() and (counts == 1).any() and (counts >= 2).any()
     elems = np.arange(9, dtype=np.int64)
     np.testing.assert_array_equal(
-        kernels.coverage_marginal_means(sets, elems, incidence, weights),
+        _coverage(indptr, indices, weights).batch_marginal_means(sets, elems),
         _slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
     )
 
@@ -218,16 +223,15 @@ def test_batch_kernels_at_edge_shapes(s: int, n: int, cohort: int) -> None:
     sets = (rng.random((s, n)) < 0.5).astype(np.uint8)
     elems = rng.choice(n, size=cohort, replace=False).astype(np.int64)
     sim = rng.integers(0, 5, size=(n, 4)) / 4.0
+    oracle = FacilityLocationOracle(sim)
+    np.testing.assert_array_equal(oracle.batch_values(sets), _slow_facility_values(sets, sim))
     np.testing.assert_array_equal(
-        kernels.facility_values(sets, sim), _slow_facility_values(sets, sim)
-    )
-    np.testing.assert_array_equal(
-        kernels.facility_marginal_means(sets, elems, sim),
+        oracle.batch_marginal_means(sets, elems),
         _slow_facility_marginal_means(sets, elems, sim),
     )
     indptr, indices, weights = _random_coverage(rng, n, 6)
     assert np.allclose(
-        kernels.coverage_marginal_means(sets, elems, _incidence(indptr, indices, 6), weights),
+        _coverage(indptr, indices, weights).batch_marginal_means(sets, elems),
         _slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
         rtol=0.0, atol=1e-12,
     )
@@ -239,18 +243,17 @@ def test_batch_kernels_match_the_dense_mirrors() -> None:
     sets = (rng.random((s, n)) < 0.3).astype(np.uint8)
     elems = rng.choice(n, size=30, replace=False).astype(np.int64)
     sim = rng.uniform(0.0, 1.0, size=(n, width))
-    np.testing.assert_array_equal(
-        kernels.facility_values(sets, sim), tensor_facility_values(sets, sim)
-    )
+    oracle = FacilityLocationOracle(sim)
+    np.testing.assert_array_equal(oracle.batch_values(sets), tensor_facility_values(sets, sim))
     assert np.allclose(
-        kernels.facility_marginal_means(sets, elems, sim),
+        oracle.batch_marginal_means(sets, elems),
         tensor_facility_marginal_means(sets, elems, sim),
         rtol=0.0, atol=1e-12,
     )
     indptr, indices, weights = _random_coverage(rng, n, width)
     incidence = _incidence(indptr, indices, width)
     assert np.allclose(
-        kernels.coverage_marginal_means(sets, elems, incidence, weights),
+        _coverage(indptr, indices, weights).batch_marginal_means(sets, elems),
         loop_coverage_marginal_means(sets, elems, indptr, indices, incidence, weights),
         rtol=0.0, atol=1e-12,
     )
@@ -263,15 +266,16 @@ def test_facility_kernels_never_build_the_sample_tensor() -> None:
     sim = rng.uniform(0.0, 1.0, size=(n, clients))
     sets = (rng.random((s, n)) < 0.5).astype(np.uint8)
     elems = np.arange(n, dtype=np.int64)
+    oracle = FacilityLocationOracle(sim)
     cap = 32 * 2**20
-    for kernel, args in (
-        (kernels.facility_marginal_means, (sets, elems, sim)),
-        (kernels.facility_values, (sets, sim)),
+    for entry, args in (
+        (oracle.batch_marginal_means, (sets, elems)),
+        (oracle.batch_values, (sets,)),
     ):
         tracemalloc.start()
         try:
-            kernel(*args)
+            entry(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < cap, (kernel.__name__, peak)
+        assert peak < cap, (entry.__name__, peak)

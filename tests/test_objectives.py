@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +207,31 @@ def test_residual_oracle_rejects_bad_input_like_its_base(objective) -> None:
     assert base.query_count == start + 4 + 2 * 4 * 2
 
 
+def _bench_spans():
+    """``pipebench/spans.py``, loaded by path: it is a script beside the
+    package, not part of it."""
+    path = Path(__file__).resolve().parent.parent / "pipebench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_sees_each_residual_batch_call_once() -> None:
+    # the tracer reads every name it wraps from the owning class's own
+    # dict, so building it fails with KeyError if one has gone
+    spans = _bench_spans()
+    tracer = spans.Tracer()
+    base = generate_instance("laminar", "coverage", n=8, seed=3).build_objective()
+    res = ResidualOracle(base, [1])
+    rows = np.zeros((4, 8), dtype=np.uint8)
+    with tracer.solve(0):
+        res.batch_values(rows)
+        res.batch_marginal_means(rows, [0, 7])
+    names = [span[0] for span in tracer.spans]
+    assert names == [spans.ROOT, "kernels.batch_values", spans.MEANS]
+
+
 # -- one round's nested draw and the state kept over it ----------------------
 
 
@@ -222,6 +249,8 @@ def test_nested_draws_have_the_joint_law_of_one_uniform() -> None:
                     (high - x, (upper & ~lower).mean(axis=0))):
         assert np.all(np.abs(freq - p) <= 4 * np.sqrt(p * (1 - p) / rows) + 1e-12)
     assert not lower[:, 0].any() and upper[:, -1].all() and lower[:, -1].all()
+    with pytest.raises(ValueError, match="at least one sample"):
+        nested_subsets(x, step, 0, stream_rng(8, 2))
 
 
 def _random_rows_and_basis_walk(f, n, frozen, rng, steps):
@@ -274,6 +303,10 @@ def test_round_state_prices_its_rows_after_inserts_and_deletes(objective, frozen
             got = state.marginal_means(elems)
             assert f.query_count - before == 2 * rows.shape[0] * elems.shape[0]
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            before = f.query_count
+            values = state.values()
+            assert f.query_count - before == rows.shape[0]
+            assert values == pytest.approx([f.value(np.flatnonzero(row)) for row in rows])
 
 
 def test_round_state_rejects_bad_updates_and_ids() -> None:
@@ -289,5 +322,11 @@ def test_round_state_rejects_bad_updates_and_ids() -> None:
     with pytest.raises(ValueError, match="out of range"):
         state.marginal_means([0, 3])
     assert f.query_count == start
+    # only pricings of at least one element count as calls
+    state.marginal_means([])
+    assert state.calls == 0
+    state.marginal_means([0, 2])
+    state.marginal_means([1])
+    assert state.calls == 2
     with pytest.raises(ValueError, match="shape"):
         f.round_state(lower[:, :2], upper[:, :2])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,10 @@ from matsub.instances import (
     generate_instance,
     stream_rng,
 )
-from matsub.objectives import AdditiveOracle, ResidualOracle
+from matsub.objectives import AdditiveOracle, ResidualOracle, RoundState, nested_subsets
 from matsub.optimizer import (
     PHASE1_EPS_FRACTION,
     CountingChecker,
-    MarginalEstimator,
     _gate_passes,
     build_phase1_oracle,
     continuous_greedy,
@@ -198,6 +198,28 @@ def test_phase1_basis_weight_is_at_most_rank_times_estimate() -> None:
     assert oracle.approx_base_weight() == rank * m
 
 
+@pytest.mark.parametrize("objective", ["coverage", "facility"])
+def test_phase1_build_prices_singletons_in_linear_memory(objective) -> None:
+    # pricing the singletons as one (n, n) identity batch peaked at about
+    # 11 MB (coverage) and 17 MB (facility) at this size
+    inst = generate_instance("laminar", objective, n=600, seed=1)
+    f = inst.build_objective()
+    m = estimate_opt(f, inst.matroid)
+    classifier = WeightClassifier(m, 0.05, inst.matroid.rank())
+    singles = f.batch_values(np.eye(inst.n, dtype=np.uint8))
+    before = f.query_count
+    tracemalloc.start()
+    try:
+        oracle = build_phase1_oracle(f, inst.matroid, classifier, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert f.query_count - before == inst.n
+    assert oracle.classes == {e: classifier.weight_class(max(float(v), 0.0))
+                              for e, v in enumerate(singles)}
+
+
 def test_gate_needs_a_strict_fresh_majority_per_group() -> None:
     assert _gate_passes([])
     assert _gate_passes([(0.5, False), (0.5, False), (0.5, True)])
@@ -214,18 +236,18 @@ def test_gate_needs_a_strict_fresh_majority_per_group() -> None:
 # -- descending thresholds, incremental ------------------------------------
 
 
-def _additive_estimator(weights: list[float], rng: np.random.Generator) -> MarginalEstimator:
+def _additive_state(weights: list[float], rng: np.random.Generator) -> RoundState:
     f = AdditiveOracle(weights)
     x = np.zeros(len(weights))
-    return MarginalEstimator(f, x, step=0.2, samples=4, rng=rng)
+    return f.round_state(*nested_subsets(x, 0.2, 4, rng))
 
 
 def test_dt_incremental_cardinality_one_returns_the_max() -> None:
     weights = [3.0, 9.0, 1.0, 5.0, 2.0]
     matroid = _rank_one_matroid(5)
-    estimator = _additive_estimator(weights, np.random.default_rng(0))
+    state = _additive_state(weights, np.random.default_rng(0))
     checker = CountingChecker(matroid.checker())
-    basis = dt_incremental(estimator, checker, 0.2, 9.0, range(5), 1)
+    basis = dt_incremental(state, checker, 0.2, 9.0, range(5), 1)
     assert basis == [1]
 
 
@@ -236,11 +258,11 @@ def test_dt_incremental_matches_exact_greedy_on_additive() -> None:
         weights = list(inst.objective["weights"])
         best = max_weight_basis(inst.matroid, weights)
         best_value = sum(weights[e] for e in best)
-        estimator = _additive_estimator(weights, np.random.default_rng(seed))
+        state = _additive_state(weights, np.random.default_rng(seed))
         checker = CountingChecker(inst.matroid.checker())
         m = estimate_opt(AdditiveOracle(weights), inst.matroid)
         rank = inst.matroid.rank()
-        basis = dt_incremental(estimator, checker, eps, m, range(inst.n), rank)
+        basis = dt_incremental(state, checker, eps, m, range(inst.n), rank)
         assert inst.matroid.is_independent(basis)
         assert len(basis) == rank
         got = sum(weights[e] for e in basis)
@@ -251,11 +273,11 @@ def test_dt_incremental_test_call_budget() -> None:
     eps = 0.25
     inst = generate_instance("laminar", "additive", n=12, seed=55)
     weights = list(inst.objective["weights"])
-    estimator = _additive_estimator(weights, np.random.default_rng(4))
+    state = _additive_state(weights, np.random.default_rng(4))
     checker = CountingChecker(inst.matroid.checker())
     m = estimate_opt(AdditiveOracle(weights), inst.matroid)
     rank = inst.matroid.rank()
-    dt_incremental(estimator, checker, eps, m, range(inst.n), rank)
+    dt_incremental(state, checker, eps, m, range(inst.n), rank)
     tau = max(weights)
     floor = (eps / rank) * m
     levels = 0
@@ -266,24 +288,25 @@ def test_dt_incremental_test_call_budget() -> None:
 
 
 class _CountedRates:
-    """A round's estimator that tallies how many elements it priced."""
+    """A round state that tallies how many elements it priced."""
 
-    def __init__(self, estimator: MarginalEstimator) -> None:
-        self.estimator = estimator
+    def __init__(self, state: RoundState) -> None:
+        self.state = state
         self.priced = 0
 
-    def rates(self, elems) -> np.ndarray:
+    def marginal_means(self, elems) -> np.ndarray:
         self.priced += len(elems)
-        return self.estimator.rates(elems)
+        return self.state.marginal_means(elems)
 
     def insert(self, elem: int) -> None:
-        self.estimator.insert(elem)
+        self.state.insert(elem)
 
 
-def _round_estimator(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
+def _counted_state(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
     # a point inside the cube, so both layers of the draw matter
     x = np.random.default_rng(seed).uniform(0.0, 0.8, size=n)
-    return _CountedRates(MarginalEstimator(f, x, 0.2, samples, np.random.default_rng(seed)))
+    rows = nested_subsets(x, 0.2, samples, np.random.default_rng(seed))
+    return _CountedRates(f.round_state(*rows))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -296,8 +319,8 @@ def test_lazy_sweep_matches_the_eager_sweep(kind, objective) -> None:
         f = inst.build_objective()
         m = estimate_opt(f, inst.matroid)
         rank = inst.matroid.rank()
-        lazy_est = _round_estimator(f, inst.n, seed)
-        eager_est = _round_estimator(f, inst.n, seed)
+        lazy_est = _counted_state(f, inst.n, seed)
+        eager_est = _counted_state(f, inst.n, seed)
         lazy = dt_incremental(
             lazy_est, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
         )
@@ -317,7 +340,7 @@ def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
         inst = generate_instance(kind, "coverage", n=25, seed=9)
         f = inst.build_objective()
         m = estimate_opt(f, inst.matroid)
-        est = _round_estimator(f, inst.n, 3, samples=17)
+        est = _counted_state(f, inst.n, 3, samples=17)
         before = f.query_count
         dt_incremental(
             est, CountingChecker(inst.matroid.checker()), 0.2, m, range(inst.n),
@@ -354,9 +377,9 @@ def test_dt_approx_single_level_is_one_batch() -> None:
         num_right=4, adjacency=[[0, 1], [1, 2], [2, 3], [0, 3]]
     )
     weights = [5.0, 5.0, 5.0, 5.0]
-    estimator = _additive_estimator(weights, np.random.default_rng(1))
+    state = _additive_state(weights, np.random.default_rng(1))
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(estimator, structure, 0.2, 5.0, range(4), matroid.rank())
+    basis = dt_approx_indep_set(state, structure, 0.2, 5.0, range(4), matroid.rank())
     assert structure.op_counters == {"batch_inserts": 1, "deletes": 0}
     assert matroid.is_independent(basis)
     assert len(basis) == 4
@@ -369,11 +392,11 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
         weights = list(inst.objective["weights"])
         m = estimate_opt(AdditiveOracle(weights), inst.matroid)
         rank = inst.matroid.rank()
-        exact_est = _additive_estimator(weights, np.random.default_rng(seed))
+        exact_est = _additive_state(weights, np.random.default_rng(seed))
         exact_checker = CountingChecker(inst.matroid.checker())
         exact = dt_incremental(exact_est, exact_checker, eps, m, range(inst.n), rank)
         exact_value = sum(weights[e] for e in exact)
-        approx_est = _additive_estimator(weights, np.random.default_rng(seed))
+        approx_est = _additive_state(weights, np.random.default_rng(seed))
         structure = DecMatching(inst.matroid, eps)
         approx = dt_approx_indep_set(
             approx_est, structure, eps, m, range(inst.n), rank
@@ -396,16 +419,16 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
         m = estimate_opt(inst.build_objective(), inst.matroid)
         rank = inst.matroid.rank() - len(frozen)
         free = [e for e in range(inst.n) if e not in frozen]
-        est = _round_estimator(f, inst.n, seed).estimator
+        state = _counted_state(f, inst.n, seed).state
         structure = DecMatching(inst.matroid, eps)
         structure.batch_insert(frozen)
-        got = dt_approx_indep_set(est, structure, eps, m, free, rank, pinned=frozen)
+        got = dt_approx_indep_set(state, structure, eps, m, free, rank, pinned=frozen)
         deletes += structure.op_counters["deletes"]
-        assert np.flatnonzero(est.state.in_basis).tolist() == got
-        est = _round_estimator(f, inst.n, seed).estimator
+        assert np.flatnonzero(state.in_basis).tolist() == got
+        state = _counted_state(f, inst.n, seed).state
         checker = CountingChecker(inst.matroid.checker(frozen))
-        got = dt_incremental(est, checker, eps, m, free, rank)
-        assert np.flatnonzero(est.state.in_basis).tolist() == sorted(got)
+        got = dt_incremental(state, checker, eps, m, free, rank)
+        assert np.flatnonzero(state.in_basis).tolist() == sorted(got)
     assert deletes > 0
 
 
@@ -417,7 +440,7 @@ class _ScriptedRates:
         self.table = table
         self.basis: set[int] = set()
 
-    def rates(self, elems) -> np.ndarray:
+    def marginal_means(self, elems) -> np.ndarray:
         return np.array([self.table[e][e in self.basis] for e in elems], dtype=np.float64)
 
     def insert(self, elem: int) -> None:
@@ -432,9 +455,9 @@ def test_dt_approx_deletes_once_per_bucket_drop() -> None:
     # one bucket drop, exactly one delete, and the replacement chain keeps
     # the remaining members untouched
     matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
-    estimator = _ScriptedRates({0: (10.0, 10.0), 1: (10.0, 1.0), 2: (10.0, 10.0)})
+    rates = _ScriptedRates({0: (10.0, 10.0), 1: (10.0, 1.0), 2: (10.0, 10.0)})
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(estimator, structure, 0.2, 10.0, range(3), 2)
+    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
     assert basis == [0, 2]
     assert structure.op_counters["deletes"] == 1
 
