@@ -98,6 +98,9 @@ def _record_problem(record: object) -> str | None:
         type(v) not in (int, float) for v in counters.values()
     ):
         return "counters must map names to numbers"
+    # a count is never negative; ``not v >= 0`` also catches NaN
+    if any(not v >= 0 for v in counters.values()):
+        return "counters must be nonnegative"
     return None
 
 
@@ -256,6 +259,22 @@ def _verify_budgets(
     got_bi = counters.get("dt_batch_inserts", 0)
     good &= _check(
         report, "batch-insert budget", got_bi <= cap_bi, f"{got_bi} <= {cap_bi:.0f}"
+    )
+    # a matching delete retires its element for the rest of its round, and
+    # phase 2 runs ceil(1/eps) rounds
+    cap_del = n * max(1, math.ceil(1.0 / eps))
+    got_del = counters.get("dt_deletes", 0)
+    good &= _check(
+        report, "delete budget", got_del <= cap_del, f"{got_del} <= {cap_del}"
+    )
+    # the stages' counts add up to the total, plus the final value query
+    parts = sum(
+        counters.get(key, 0)
+        for key in ("estimate_f_queries", "phase1_f_queries", "phase2_f_queries")
+    )
+    total = counters.get("total_f_queries", 0)
+    good &= _check(
+        report, "query total", total == parts + 1, f"{total} == {parts} + 1"
     )
     return good
 

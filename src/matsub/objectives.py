@@ -334,6 +334,14 @@ class ResidualOracle(ValueOracle):
         state.offset = self._offset
         return state
 
+    def incremental(self) -> _Increment:
+        """Gains ``f(S0 + S + e) - f(S0 + S)``: the base's gain state with the
+        frozen set added up front, which costs no query."""
+        state = self.base.incremental()
+        for e in self.frozen:
+            state.add(e)
+        return state
+
     def marginal(self, elem: int, subset: Iterable[int]) -> float:
         idx = set(self._as_indices(subset).tolist()) | set(self.frozen)
         self._in_range(np.asarray([elem], dtype=np.int64))
@@ -417,7 +425,7 @@ class RoundState:
         """``(s, q)`` 0/1: does each row hold each queried element?"""
         return self.lower[:, elems] | (self.upper[:, elems] & self.in_basis[elems].view(np.uint8))
 
-    def _flipped(self, elem: int) -> np.ndarray:
+    def flipped(self, elem: int) -> np.ndarray:
         """The rows whose set gains or loses ``elem`` with the basis."""
         return np.flatnonzero(self.upper[:, elem] > self.lower[:, elem])
 
@@ -426,14 +434,14 @@ class RoundState:
             raise ValueError(f"element {elem} is already in the basis")
         self.in_basis[elem] = True
         self._summary = None
-        self._add(elem, self._flipped(elem))
+        self._add(elem, self.flipped(elem))
 
     def delete(self, elem: int) -> None:
         if not self.in_basis[elem]:
             raise ValueError(f"element {elem} is not in the basis")
         self.in_basis[elem] = False
         self._summary = None
-        self._remove(elem, self._flipped(elem))
+        self._remove(elem, self.flipped(elem))
 
     def marginal_means(self, elems: Sequence[int]) -> np.ndarray:
         q = self.oracle._in_range(np.asarray(elems, dtype=np.int64))

@@ -365,88 +365,112 @@ def dt_approx_indep_set(
     opt_estimate: float,
     elements: Sequence[int],
     rank: int,
+    singles: np.ndarray,
     pinned: Iterable[int] = (),
 ) -> list[int]:
-    """Near-max-rate independent set via batched inserts with repair.
+    """Near-max-rate basis via batched inserts with repair, then a top-off.
 
     Transversal counterpart of :func:`dt_incremental`: each threshold level
     submits its whole cohort in one rebuild, then a worklist audits every
     newly matched vertex and deletes those whose fresh rate fell below the
     level, feeding replacement matches back into the audit.  ``pinned``
     vertices are preloaded contraction elements: they stay matched, never
-    get audited, and are excluded from the returned set.
+    get audited, and are excluded from the returned set.  Whatever the
+    ladder leaves short of ``rank`` is topped off in best-rate order with an
+    exact checker seeded with the pinned and matched vertices.
 
-    The round state's basis follows the matched, unpinned vertices.  Deletes
-    shrink it, so cached rates are no bound here: every level reprices all
-    pending elements once the matching has changed, and an audit reads the
-    state for its one element.
+    The round state's basis follows the matched, unpinned vertices; the
+    top-off prices there and leaves it.  Repricing is lazy and exact.  An
+    insert only lowers a rate.  A delete changes only the rows it flips,
+    and in each of them raises an element's marginal by at most its
+    singleton gain ``singles[e]`` (``f(e | pinned)``), so a cached rate plus
+    ``singles[e]`` times the rows flipped by deletes since its pricing, over
+    ``s``, bounds the current rate.  A level reprices only the pending
+    elements whose bound reaches the bar, and no element is priced twice at
+    one basis: the top-off reads every rate still current.  The result is
+    the set that repricing every pending element per level, then every
+    other element for the top-off, would build.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     pinned_set = set(pinned)
-    pending = sorted(e for e in elements if e not in pinned_set)
+    pool = np.array(sorted(e for e in elements if e not in pinned_set), dtype=np.int64)
 
     def current() -> list[int]:
         return [e for e in structure.basis() if e not in pinned_set]
 
+    if rank <= 0 or not pool.size:
+        return current()
+    rate = np.zeros(structure.matroid.n)
+    # basis changes at each element's last pricing (-1: never priced), and
+    # deletes up to then; per row, the number of the last delete flipping it
+    priced_at = np.full(rate.size, -1)
+    deletes_at = np.zeros(rate.size, dtype=np.int64)
+    last_delete = np.zeros(state.samples, dtype=np.int64)
+    changes = deletes = 0
+
+    def reprice(idx: np.ndarray) -> None:
+        stale = idx[priced_at[idx] != changes]
+        if stale.size:
+            rate[stale] = state.marginal_means(stale)
+            priced_at[stale] = changes
+            deletes_at[stale] = deletes
+
+    def bound(idx: np.ndarray) -> np.ndarray:
+        ranked = np.sort(last_delete)
+        flipped = ranked.size - np.searchsorted(ranked, deletes_at[idx], side="right")
+        return rate[idx] + singles[idx] * flipped / state.samples
+
     def joined(elems: Iterable[int]) -> list[int]:
+        nonlocal changes
         fresh = sorted(e for e in elems if e not in pinned_set)
         for e in fresh:
             state.insert(e)
+            changes += 1
         return fresh
 
-    if rank <= 0 or not pending:
-        return current()
-    rates = state.marginal_means(pending)
-    tau = float(rates.max())
+    def evict(e: int) -> list[int]:
+        nonlocal changes, deletes
+        replacements = structure.delete(e)
+        state.delete(e)
+        changes += 1
+        deletes += 1
+        last_delete[state.flipped(e)] = deletes
+        return joined(replacements)
+
+    pending = pool
+    reprice(pending)
+    tau = float(rate[pending].max())
     floor = (epsilon / rank) * opt_estimate
-    while floor > 0.0 and pending and tau >= floor:
-        if rates is None:
-            rates = state.marginal_means(pending)
-        picked = rates >= tau
+    while floor > 0.0 and pending.size and tau >= floor:
+        reprice(pending[bound(pending) >= tau])
+        picked = rate[pending] >= tau
         if picked.any():
-            batch = [e for e, p in zip(pending, picked) if p]
-            pending = [e for e, p in zip(pending, picked) if not p]
-            rates = None
+            batch = pending[picked].tolist()
+            pending = pending[~picked]
             queue = deque(joined(structure.batch_insert(batch)))
             while queue:
                 e = queue.popleft()
-                if not structure.test(e) or state.marginal_means([e])[0] >= tau:
+                if not structure.test(e):
                     continue
-                replacements = structure.delete(e)
-                state.delete(e)
-                queue.extend(joined(replacements))
+                reprice(np.array([e]))
+                if rate[e] < tau:
+                    queue.extend(evict(e))
         tau *= 1.0 - epsilon
-    return sorted(current())
-
-
-def _pad_transversal(
-    matroid: Matroid,
-    frozen: set[int],
-    partial: list[int],
-    elements: Sequence[int],
-    state: RoundState,
-    rank: int,
-) -> list[int]:
-    """Extend an independent set to a basis of the contraction exactly.
-
-    ``state``'s basis must be ``partial``; the rest are priced there.
-    """
-    if len(partial) >= rank:
-        return partial
-    checker = matroid.checker(sorted(frozen) + list(partial))
-    have = set(partial)
-    rest = [e for e in elements if e not in have]
-    vals = state.marginal_means(rest)
-    order = sorted(zip(rest, vals), key=lambda t: (-float(t[1]), t[0]))
-    out = list(partial)
-    for e, _v in order:
-        if len(out) >= rank:
-            break
-        if checker.test(e):
-            checker.insert(e)
-            out.append(e)
-    return out
+    basis = current()
+    if len(basis) < rank:
+        checker = structure.matroid.checker(sorted(pinned_set) + basis)
+        matched = np.zeros(rate.size, dtype=bool)
+        matched[basis] = True
+        rest = pool[~matched[pool]]
+        reprice(rest)
+        for e in rest[np.lexsort((rest, -rate[rest]))].tolist():
+            if len(basis) >= rank:
+                break
+            if checker.test(e):
+                checker.insert(e)
+                basis.append(e)
+    return sorted(basis)
 
 
 def continuous_greedy(
@@ -491,6 +515,13 @@ def continuous_greedy(
     counters["samples_per_estimate"] = samples
     if residual_rank <= 0 or not elements:
         return FractionalSolution(n=n, bases=[]), counters
+    if matroid.kind == "transversal":
+        # f(e | S0), read once per solve: how far a delete can raise e's
+        # marginal in one row
+        gains = f.incremental()
+        singles = np.zeros(n, dtype=np.float64)
+        for e in elements:
+            singles[e] = gains.gain(e)
     x = np.zeros(n, dtype=np.float64)
     bases: list[tuple[float, list[int]]] = []
     for _ in range(rounds):
@@ -518,6 +549,7 @@ def continuous_greedy(
                 opt_estimate,
                 elements,
                 residual_rank,
+                singles,
                 pinned=frozen_set,
             )
             ops = structure.op_counters
@@ -526,9 +558,6 @@ def continuous_greedy(
                 1 if frozen_set else 0
             )
             counters["dt_deletes"] += ops["deletes"]
-            b = _pad_transversal(
-                matroid, frozen_set, b, elements, state, residual_rank
-            )
         counters["estimator_batches"] += state.calls
         if len(b) != residual_rank:
             raise RuntimeError("round direction is not a full basis")

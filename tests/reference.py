@@ -474,6 +474,69 @@ def eager_dt_incremental(
     return basis
 
 
+def eager_dt_approx_indep_set(
+    state,
+    structure: DecMatching,
+    epsilon: float,
+    opt_estimate: float,
+    elements: Sequence[int],
+    rank: int,
+    pinned: Iterable[int] = (),
+) -> list[int]:
+    """``optimizer.dt_approx_indep_set`` with eager repricing: every level
+    reprices all pending elements once the matching has changed, every
+    audit prices its element, and the top-off prices every element outside
+    the matched set."""
+    pinned_set = set(pinned)
+    pending = sorted(e for e in elements if e not in pinned_set)
+
+    def current() -> list[int]:
+        return [e for e in structure.basis() if e not in pinned_set]
+
+    def joined(elems: Iterable[int]) -> list[int]:
+        fresh = sorted(e for e in elems if e not in pinned_set)
+        for e in fresh:
+            state.insert(e)
+        return fresh
+
+    if rank <= 0 or not pending:
+        return current()
+    everything = list(pending)
+    rates = state.marginal_means(pending)
+    tau = float(rates.max())
+    floor = (epsilon / rank) * opt_estimate
+    while floor > 0.0 and pending and tau >= floor:
+        if rates is None:
+            rates = state.marginal_means(pending)
+        picked = rates >= tau
+        if picked.any():
+            batch = [e for e, p in zip(pending, picked) if p]
+            pending = [e for e, p in zip(pending, picked) if not p]
+            rates = None
+            queue = deque(joined(structure.batch_insert(batch)))
+            while queue:
+                e = queue.popleft()
+                if not structure.test(e) or state.marginal_means([e])[0] >= tau:
+                    continue
+                replacements = structure.delete(e)
+                state.delete(e)
+                queue.extend(joined(replacements))
+        tau *= 1.0 - epsilon
+    out = current()
+    if len(out) < rank:
+        checker = structure.matroid.checker(sorted(pinned_set) + out)
+        have = set(out)
+        rest = [e for e in everything if e not in have]
+        vals = state.marginal_means(rest)
+        for e, _v in sorted(zip(rest, vals), key=lambda t: (-float(t[1]), t[0])):
+            if len(out) >= rank:
+                break
+            if checker.test(e):
+                checker.insert(e)
+                out.append(e)
+    return sorted(out)
+
+
 # ---------------------------------------------------------------------------
 # readers of structure state the package itself never needs
 

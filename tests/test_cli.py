@@ -136,6 +136,38 @@ def test_verify_flags_counter_overruns(tmp_path, capsys) -> None:
     assert "phase-2 query budget: FAIL" in capsys.readouterr().out
 
 
+def test_verify_flags_a_delete_overrun(tmp_path, capsys) -> None:
+    path = _gen(tmp_path, "--matroid", "transversal")
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    assert main(["verify", path, out]) == 0
+    assert "delete budget: ok" in capsys.readouterr().out
+    record = json.loads(open(out).read())
+    # at most n deletes in each of the ceil(1/eps) = 5 rounds
+    record["counters"]["dt_deletes"] = 9 * 5 + 1
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as handle:
+        json.dump(record, handle)
+    assert main(["verify", path, bad]) == 1
+    assert "delete budget: FAIL" in capsys.readouterr().out
+
+
+def test_verify_flags_a_query_total_that_does_not_add_up(tmp_path, capsys) -> None:
+    path = _gen(tmp_path)
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    assert main(["verify", path, out]) == 0
+    assert "query total: ok" in capsys.readouterr().out
+    record = json.loads(open(out).read())
+    # each stage within its budget, but one query unaccounted for
+    record["counters"]["total_f_queries"] += 1
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as handle:
+        json.dump(record, handle)
+    assert main(["verify", path, bad]) == 1
+    assert "query total: FAIL" in capsys.readouterr().out
+
+
 # damaged copies of a valid file: each must end in a clean "corrupt" error,
 # never in a traceback or a silent pass; instance damage names the matroid
 # kind of the generated file it is applied to
@@ -174,6 +206,7 @@ DAMAGE = {
     "record-is-a-list": ("record", lambda rec: [rec]),
     "string-epsilon": ("record", lambda rec: {**rec, "epsilon": "0.2"}),
     "list-counters": ("record", lambda rec: {**rec, "counters": list(rec["counters"])}),
+    "negative-counter": ("record", lambda rec: _put(rec, -5, "counters", "phase2_f_queries")),
     "boolean-element": ("record", lambda rec: {
         **rec, "solution": [True] + rec["solution"][1:]}),
 }

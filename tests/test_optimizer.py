@@ -32,7 +32,12 @@ from matsub.optimizer import (
 )
 from matsub.oracles import brute_force_opt
 from matsub.transversal import DecMatching
-from reference import eager_dt_incremental, fractional_point, max_weight_basis
+from reference import (
+    eager_dt_approx_indep_set,
+    eager_dt_incremental,
+    fractional_point,
+    max_weight_basis,
+)
 
 
 def _rank_one_matroid(n: int) -> LaminarMatroid:
@@ -298,8 +303,18 @@ class _CountedRates:
         self.priced += len(elems)
         return self.state.marginal_means(elems)
 
+    @property
+    def samples(self) -> int:
+        return self.state.samples
+
+    def flipped(self, elem: int) -> np.ndarray:
+        return self.state.flipped(elem)
+
     def insert(self, elem: int) -> None:
         self.state.insert(elem)
+
+    def delete(self, elem: int) -> None:
+        self.state.delete(elem)
 
 
 def _counted_state(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
@@ -307,6 +322,13 @@ def _counted_state(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
     x = np.random.default_rng(seed).uniform(0.0, 0.8, size=n)
     rows = nested_subsets(x, 0.2, samples, np.random.default_rng(seed))
     return _CountedRates(f.round_state(*rows))
+
+
+def _singles(f, n: int) -> np.ndarray:
+    """Each element's gain over the empty set, or over the frozen set of a
+    contraction."""
+    gains = f.incremental()
+    return np.array([gains.gain(e) for e in range(n)])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -379,7 +401,9 @@ def test_dt_approx_single_level_is_one_batch() -> None:
     weights = [5.0, 5.0, 5.0, 5.0]
     state = _additive_state(weights, np.random.default_rng(1))
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(state, structure, 0.2, 5.0, range(4), matroid.rank())
+    basis = dt_approx_indep_set(
+        state, structure, 0.2, 5.0, range(4), matroid.rank(), np.array(weights)
+    )
     assert structure.op_counters == {"batch_inserts": 1, "deletes": 0}
     assert matroid.is_independent(basis)
     assert len(basis) == 4
@@ -399,7 +423,7 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
         approx_est = _additive_state(weights, np.random.default_rng(seed))
         structure = DecMatching(inst.matroid, eps)
         approx = dt_approx_indep_set(
-            approx_est, structure, eps, m, range(inst.n), rank
+            approx_est, structure, eps, m, range(inst.n), rank, np.array(weights)
         )
         assert inst.matroid.is_independent(approx)
         got = sum(weights[e] for e in approx)
@@ -409,7 +433,8 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
 @pytest.mark.parametrize("objective", ["coverage", "facility"])
 def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
     # the state follows every insert, and every delete of the transversal
-    # sweep, so a later pricing (the padding) reads the returned set
+    # sweep, so its top-off prices against the matched set, which the
+    # returned basis extends
     eps = 0.2
     deletes = 0
     for seed in range(4):
@@ -422,9 +447,13 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
         state = _counted_state(f, inst.n, seed).state
         structure = DecMatching(inst.matroid, eps)
         structure.batch_insert(frozen)
-        got = dt_approx_indep_set(state, structure, eps, m, free, rank, pinned=frozen)
+        got = dt_approx_indep_set(
+            state, structure, eps, m, free, rank, _singles(f, inst.n), pinned=frozen
+        )
         deletes += structure.op_counters["deletes"]
-        assert np.flatnonzero(state.in_basis).tolist() == got
+        matched = [e for e in structure.basis() if e not in frozen]
+        assert np.flatnonzero(state.in_basis).tolist() == matched
+        assert set(matched) <= set(got) and len(got) == rank
         state = _counted_state(f, inst.n, seed).state
         checker = CountingChecker(inst.matroid.checker(frozen))
         got = dt_incremental(state, checker, eps, m, free, rank)
@@ -434,11 +463,17 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
 
 class _ScriptedRates:
     """Fixed rate per element before it joins the basis, and a fixed audit
-    rate once it has joined."""
+    rate once it has joined.  It has one row, which no basis change flips,
+    so a cached rate is its own bound."""
+
+    samples = 1
 
     def __init__(self, table: dict[int, tuple[float, float]]) -> None:
         self.table = table
         self.basis: set[int] = set()
+
+    def flipped(self, elem: int) -> np.ndarray:
+        return np.zeros(0, dtype=np.int64)
 
     def marginal_means(self, elems) -> np.ndarray:
         return np.array([self.table[e][e in self.basis] for e in elems], dtype=np.float64)
@@ -457,9 +492,103 @@ def test_dt_approx_deletes_once_per_bucket_drop() -> None:
     matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
     rates = _ScriptedRates({0: (10.0, 10.0), 1: (10.0, 1.0), 2: (10.0, 10.0)})
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
+    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2, np.full(3, 10.0))
     assert basis == [0, 2]
     assert structure.op_counters["deletes"] == 1
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_lazy_transversal_sweep_matches_the_eager_sweep(objective) -> None:
+    eps = 0.2
+    lazy_total = eager_total = deletes = 0
+    for seed in range(5):
+        inst = generate_instance("transversal", objective, n=30, seed=70 + seed)
+        base = inst.build_objective()
+        m = estimate_opt(base, inst.matroid)
+        # the last two seeds run on a contraction by two independent elements
+        frozen: list[int] = []
+        if seed >= 3:
+            checker = inst.matroid.checker()
+            for e in range(0, inst.n, 7):
+                if len(frozen) < 2 and checker.test(e):
+                    checker.insert(e)
+                    frozen.append(e)
+        f = ResidualOracle(base, frozen) if frozen else base
+        rank = inst.matroid.rank() - len(frozen)
+        free = [e for e in range(inst.n) if e not in frozen]
+
+        def sweep(run, *singles):
+            est = _counted_state(f, inst.n, seed)
+            structure = DecMatching(inst.matroid, eps)
+            if frozen:
+                structure.batch_insert(frozen)
+            got = run(est, structure, eps, m, free, rank, *singles, pinned=frozen)
+            return got, est.priced, structure.op_counters["deletes"]
+
+        lazy = sweep(dt_approx_indep_set, _singles(f, inst.n))
+        eager = sweep(eager_dt_approx_indep_set)
+        # same draw, same matching decisions, same set
+        assert lazy[0] == eager[0]
+        assert lazy[2] == eager[2]
+        assert inst.matroid.is_independent(sorted(set(lazy[0]) | set(frozen)))
+        assert len(lazy[0]) == rank
+        assert lazy[1] <= eager[1]
+        lazy_total += lazy[1]
+        eager_total += eager[1]
+        deletes += lazy[2]
+    assert lazy_total < eager_total
+    # an additive rate never moves, so only the others exercise the bound
+    assert deletes > 0 or objective == "additive"
+
+
+def test_transversal_topoff_reuses_the_ladder_prices() -> None:
+    # an optimum estimate far above every rate puts the floor above the
+    # top rate: the ladder never fires, the top-off orders by the first
+    # pricing, and each element is charged 2 * s queries once
+    eps = 0.2
+    for objective in ("coverage", "facility", "additive"):
+        inst = generate_instance("transversal", objective, n=30, seed=5)
+        f = inst.build_objective()
+        rank = inst.matroid.rank()
+        est = _counted_state(f, inst.n, 1, samples=13)
+        structure = DecMatching(inst.matroid, eps)
+        singles = _singles(f, inst.n)
+        before = f.query_count
+        got = dt_approx_indep_set(est, structure, eps, 1e12, range(inst.n), rank, singles)
+        assert f.query_count - before == 2 * 13 * inst.n
+        assert est.priced == inst.n
+        assert structure.op_counters == {"batch_inserts": 0, "deletes": 0}
+        assert len(got) == rank and inst.matroid.is_independent(got)
+        # a whole solve: n singleton gains, then each round prices once
+        f = inst.build_objective()
+        _fractional, counters = continuous_greedy(
+            f, inst.matroid, (), eps, 1e12, np.random.default_rng(2)
+        )
+        s = counters["samples_per_estimate"]
+        rounds = counters["phase2_rounds"]
+        assert f.query_count == inst.n + rounds * 2 * s * inst.n
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_residual_incremental_gains_are_contracted_singletons(objective) -> None:
+    inst = generate_instance("transversal", objective, n=20, seed=12)
+    base = inst.build_objective()
+    frozen = [3, 11]
+    residual = ResidualOracle(base, frozen)
+    reference = inst.build_objective()
+    free = [e for e in range(inst.n) if e not in frozen]
+    gains = residual.incremental()
+    before = base.query_count
+    got = [gains.gain(e) for e in free]
+    # one query per gain; adding the frozen set up front is free
+    assert base.query_count - before == len(free)
+    s0 = reference.value(frozen)
+    for e, gain in zip(free, got):
+        want = reference.value(frozen + [e]) - s0
+        assert gain == pytest.approx(want, rel=1e-12, abs=1e-12)
+    if objective != "additive":
+        # the frozen set is in the state, so some gain is below the singleton
+        assert any(gain < reference.value([e]) - 1e-12 for e, gain in zip(free, got))
 
 
 # -- continuous greedy -----------------------------------------------------
