@@ -22,6 +22,17 @@ per call, for ``q`` queried elements:
   memory.
 - ``facility_price``: ``O(q·clients·log s)`` time, ``O(q·clients)`` memory.
 
+A round state also prices one element without a summary
+(``RoundState.price``), straight from its statistics:
+
+- coverage: ``O(s·|cover(e)|)`` time and memory, integer hit counts over
+  ``e``'s items;
+- facility: no sort; ``O(s·clients)`` time the first time an element is
+  priced in a round, then ``O(k·clients)`` for the ``k`` rows a basis
+  change touched since its last price, with ``O(s)`` row sums kept per
+  priced element;
+- additive: ``O(1)``.
+
 No kernel builds an array whose size grows as ``s·n·clients``.  A round
 state keeps the statistics across basis changes (``push_top2`` adds a
 facility member) and values its rows from them: the rows' covered weight,
@@ -113,7 +124,7 @@ def facility_price(ranked, prefix, tops, elems, sim):
     query = np.ascontiguousarray(sim[elems].T)
     below = np.empty(query.shape, dtype=np.intp)
     for c in range(ranked.shape[0]):
-        below[c] = np.searchsorted(ranked[c], query[c])
+        below[c] = ranked[c].searchsorted(query[c])
     above = below * query - np.take_along_axis(prefix, below, axis=1)
     return (above.sum(axis=0) + tops[elems]) / ranked.shape[1]
 

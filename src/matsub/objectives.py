@@ -401,6 +401,13 @@ class RoundState:
     whether ``e`` is in ``B``, so pricing a basis member is pricing it
     against ``B - e``.  ``calls`` counts the pricings of at least one
     element.
+
+    ``marginal_means`` prices from a summary of the rows, rebuilt on the
+    first pricing after a basis change, which pays off over many elements.
+    ``price`` prices one element straight from the per-row statistics: it
+    builds no summary and leaves the current one in place.  Each row's term
+    leaves ``e``'s own membership out, so ``price(e)`` is the same float,
+    bit for bit, whether or not ``e`` is in ``B``.
     """
 
     def __init__(self, oracle: ValueOracle, lower: np.ndarray, upper: np.ndarray) -> None:
@@ -454,6 +461,16 @@ class RoundState:
             self._summary = self._summarize()
         return self._means(q)
 
+    def price(self, elem: int) -> float:
+        """``marginal_means([elem])[0]`` up to rounding, charged ``2*s``
+        queries."""
+        elem = int(elem)
+        if not 0 <= elem < self.oracle.n:
+            raise ValueError("element id out of range")
+        self.counter.count += 2 * self.samples
+        self.calls += 1
+        return self._price(elem)
+
     def values(self) -> np.ndarray:
         """``f`` of each current row less ``offset``."""
         self.counter.count += self.samples
@@ -471,59 +488,121 @@ class RoundState:
     def _means(self, elems: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _price(self, elem: int) -> float:
+        raise NotImplementedError
+
     def _values(self) -> np.ndarray:
         raise NotImplementedError
 
+    def _holds(self, elem: int) -> np.ndarray:
+        """``(s,)`` 0/1: does each row hold ``elem``?"""
+        own = self.lower[:, elem]
+        return own | self.upper[:, elem] if self.in_basis[elem] else own
+
 
 class _CoverageRound(RoundState):
-    """Item cover counts per row, ``(s, universe)``, kept as int32 (exact,
-    and half the memory of the kernel's float64 counts)."""
+    """Cover counts per item and row, ``(universe, s)``, kept as int32 (exact,
+    and half the memory of the kernel's float64 counts).  Item-major, so an
+    element's items are whole rows of ``counts``: an insert, a delete and a
+    one-element price touch ``|cover(e)|`` contiguous rows of ``s`` counts."""
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
         super().__init__(oracle, lower, upper)
-        self.counts = kernels.coverage_counts(lower, oracle.incidence).astype(np.int32)
+        counts = kernels.coverage_counts(lower, oracle.incidence)
+        self.counts = np.ascontiguousarray(counts.T, dtype=np.int32)
 
     def _add(self, elem: int, rows: np.ndarray) -> None:
-        # whole contiguous rows, which beats scattering into e's items alone
-        self.counts[rows] += self.oracle.incidence[elem].astype(np.int32)
+        self._shift(elem, rows, 1)
 
     def _remove(self, elem: int, rows: np.ndarray) -> None:
-        self.counts[rows] -= self.oracle.incidence[elem].astype(np.int32)
+        self._shift(elem, rows, -1)
+
+    def _shift(self, elem: int, rows: np.ndarray, by: int) -> None:
+        items = self.oracle.cover(elem)
+        block = self.counts[items]
+        block[:, rows] += by
+        self.counts[items] = block
 
     def _summarize(self):
-        return kernels.coverage_summary(self.counts, self.oracle.universe_weights)
+        return kernels.coverage_summary(self.counts.T, self.oracle.universe_weights)
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
         return kernels.coverage_price(
             *self._summary, self.members(elems), elems, self.oracle.incidence
         )
 
+    def _price(self, elem: int) -> float:
+        # an item of e's is uncovered in a row without e exactly when no
+        # other member covers it there: its count equals e's own membership
+        items = self.oracle.cover(elem)
+        hits = np.count_nonzero(self.counts[items] == self._holds(elem), axis=1)
+        return float((hits * self.oracle.universe_weights[items]).sum()) / self.samples
+
     def _values(self) -> np.ndarray:
-        return (self.counts > 0) @ self.oracle.universe_weights
+        return (self.counts.T > 0) @ self.oracle.universe_weights
 
 
 class _FacilityRound(RoundState):
-    """Top-1, its argmax and top-2 similarity per ``(row, client)``."""
+    """Top-1, its argmax and top-2 similarity per ``(row, client)``.
+
+    A one-element price sums, per row, ``max(sim[e] - best without e, 0)``
+    over the clients.  Those row sums are kept per priced element, and a
+    later price of the element recomputes only the rows a basis change has
+    touched since, ``O(rows·clients)`` for those rows."""
 
     def __init__(
         self, oracle: FacilityLocationOracle, lower: np.ndarray, upper: np.ndarray
     ) -> None:
         super().__init__(oracle, lower, upper)
         self.top = kernels.row_top2(lower, oracle.similarity)
+        # basis changes so far, and per row the number of the last one
+        # that touched it
+        self._changes = 0
+        self._changed_at = np.zeros(lower.shape[0], dtype=np.int64)
+        # element -> (changes when priced, its per-row sums then)
+        self._row_sums: dict[int, tuple[int, np.ndarray]] = {}
 
     def _add(self, elem: int, rows: np.ndarray) -> None:
         kernels.push_top2(*self.top, rows, elem, self.oracle.similarity[elem])
+        self._touch(rows)
 
     def _remove(self, elem: int, rows: np.ndarray) -> None:
         # a top-2 cannot forget a member, so the rows are rebuilt from theirs
         for mine, fresh in zip(self.top, kernels.row_top2(self.rows(rows), self.oracle.similarity)):
             mine[rows] = fresh
+        self._touch(rows)
+
+    def _touch(self, rows: np.ndarray) -> None:
+        self._changes += 1
+        self._changed_at[rows] = self._changes
 
     def _summarize(self):
         return kernels.facility_summary(*self.top, self.oracle.n)
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
         return kernels.facility_price(*self._summary, elems, self.oracle.similarity)
+
+    def _price(self, elem: int) -> float:
+        priced, sums = self._row_sums.get(elem, (-1, None))
+        if sums is None:
+            sums = np.empty(self.samples)
+        rows = np.flatnonzero(self._changed_at > priced)
+        if rows.size:
+            # without e a row's best similarity is top1, or top2 in the rows
+            # that hold e where e is the best member (there top1 is e's own
+            # similarity)
+            top1, arg1, top2 = self.top
+            sim = self.oracle.similarity[elem]
+            # a first price reads the whole block in place
+            gain = sim - (top1 if rows.size == self.samples else top1[rows])
+            mine = np.flatnonzero(self._holds(elem)[rows])
+            if mine.size:
+                held = rows[mine]
+                gain[mine] = np.where(arg1[held] == elem, sim - top2[held], gain[mine])
+            np.maximum(gain, 0.0, out=gain)
+            sums[rows] = gain.sum(axis=1)
+        self._row_sums[elem] = (self._changes, sums)
+        return float(sums.sum()) / self.samples
 
     def _values(self) -> np.ndarray:
         return self.top[0].sum(axis=1)
@@ -543,6 +622,9 @@ class _AdditiveRound(RoundState):
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
         return self.oracle.weights[elems].copy()
+
+    def _price(self, elem: int) -> float:
+        return float(self.oracle.weights[elem])
 
     def _values(self) -> np.ndarray:
         return self.rows() @ self.oracle.weights

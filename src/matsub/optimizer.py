@@ -290,19 +290,26 @@ def dt_incremental(
 
     The threshold ladder starts at the best singleton rate and decays by
     ``1 - epsilon`` down to ``epsilon / rank`` times the optimum estimate.
-    At each level the survivors above the bar are re-priced against the
-    current partial basis; a passing element is tested exactly once and
-    either joins the basis or is discarded for good.  Whatever remains
-    after the ladder tops the basis off in best-rate order, so the result
-    always has full rank.
+    Each level walks its cohort, the live elements whose rate reaches the
+    bar, in id order: an element whose rate still reaches the bar at its
+    turn is tested exactly once and either joins the basis or is discarded
+    for good.  Whatever remains after the ladder tops the basis off in
+    best-rate order, so the result always has full rank.
 
-    Repricing is lazy.  Under the round's one draw every row only grows
-    with the basis, so by submodularity a cached rate bounds the current
-    one from above, exactly: an element whose cached rate is below the bar
-    is below it now.  A level reprices only the elements whose cached rate
-    reaches the bar, an insertion only the rest of the level's cohort that
-    still does, and the top-off whatever is stale.  The result is the basis
-    that repricing every element after every insertion would build.
+    Pricing is lazy and exact.  Under the round's one draw every row only
+    grows with the basis, so by submodularity a cached rate bounds the
+    current one from above: an element whose cached rate is below the bar
+    is below it now.  A level opens by repricing, in one batch, the stale
+    live elements whose cached rate reaches the bar; those still at the bar
+    form its cohort.  An insertion reprices nothing.  At its turn an element
+    is priced alone (``RoundState.price``) if the basis has grown since its
+    last pricing, so it is judged on its rate at the basis it would join,
+    the rate that repricing the cohort after every insertion would give it;
+    one that has fallen below the bar is left to later levels.  The top-off
+    reprices whatever is stale.  So beyond a level's opening batch an
+    element is priced at most once per level and never twice at one basis,
+    and the result is the basis that repricing every element after every
+    insertion would build.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -337,14 +344,15 @@ def dt_incremental(
     while floor > 0.0 and live.any() and len(basis) < rank and tau >= floor:
         candidates = np.flatnonzero(live & (rate >= tau))
         reprice(candidates)
-        cohort = candidates[rate[candidates] >= tau]
-        for k, i in enumerate(cohort):
-            # fell below the bar after an insertion; later levels get it
-            if rate[i] >= tau and take(i):
-                if len(basis) >= rank:
-                    break
-                rest = cohort[k + 1:]
-                reprice(rest[rate[rest] >= tau])
+        for i in candidates[rate[candidates] >= tau].tolist():
+            if priced_at[i] != len(basis):
+                rate[i] = state.price(pool[i])
+                priced_at[i] = len(basis)
+                # fell below the bar after an insertion; later levels get it
+                if rate[i] < tau:
+                    continue
+            if take(i) and len(basis) >= rank:
+                break
         tau *= 1.0 - epsilon
     if len(basis) < rank and live.any():
         rest = np.flatnonzero(live)
@@ -386,10 +394,15 @@ def dt_approx_indep_set(
     singleton gain ``singles[e]`` (``f(e | pinned)``), so a cached rate plus
     ``singles[e]`` times the rows flipped by deletes since its pricing, over
     ``s``, bounds the current rate.  A level reprices only the pending
-    elements whose bound reaches the bar, and no element is priced twice at
-    one basis: the top-off reads every rate still current.  The result is
-    the set that repricing every pending element per level, then every
-    other element for the top-off, would build.
+    elements whose bound reaches the bar, an audit prices its one element
+    (``RoundState.price``), and no element is priced twice at one basis:
+    the top-off reads every rate still current.  An element's own insert
+    leaves ``f(R+e) - f(R-e)`` unchanged, so it keeps the element's rate
+    current; a vertex that joins alone is audited at the rate it was picked
+    at.  The result is the set that repricing every pending element per
+    level, every audited vertex unless its own insert is the only change
+    since its pricing, then every other element for the top-off, would
+    build.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -425,8 +438,12 @@ def dt_approx_indep_set(
         nonlocal changes
         fresh = sorted(e for e in elems if e not in pinned_set)
         for e in fresh:
+            # e's own insert leaves f(R+e) - f(R-e) as it was
+            current = priced_at[e] == changes
             state.insert(e)
             changes += 1
+            if current:
+                priced_at[e] = changes
         return fresh
 
     def evict(e: int) -> list[int]:
@@ -453,7 +470,10 @@ def dt_approx_indep_set(
                 e = queue.popleft()
                 if not structure.test(e):
                     continue
-                reprice(np.array([e]))
+                if priced_at[e] != changes:
+                    rate[e] = state.price(e)
+                    priced_at[e] = changes
+                    deletes_at[e] = deletes
                 if rate[e] < tau:
                     queue.extend(evict(e))
         tau *= 1.0 - epsilon

@@ -474,6 +474,66 @@ def eager_dt_incremental(
     return basis
 
 
+def cohort_dt_incremental(
+    state,
+    checker,
+    epsilon: float,
+    opt_estimate: float,
+    elements: Sequence[int],
+    rank: int,
+) -> list[int]:
+    """``optimizer.dt_incremental`` with cohort repricing: after every
+    insertion the rest of the level's cohort whose cached rate still
+    reaches the bar is repriced in one batch, and a turn reads the cached
+    rate."""
+    basis: list[int] = []
+    pool = np.array(sorted(elements), dtype=np.int64)
+    if rank <= 0 or not pool.size:
+        return basis
+    live = np.ones(pool.size, dtype=bool)
+    rate = np.zeros(pool.size)
+    priced_at = np.full(pool.size, -1)
+
+    def reprice(idx: np.ndarray) -> None:
+        stale = idx[priced_at[idx] != len(basis)]
+        if stale.size:
+            rate[stale] = state.marginal_means(pool[stale])
+            priced_at[stale] = len(basis)
+
+    def take(i: int) -> bool:
+        e = int(pool[i])
+        live[i] = False
+        if not checker.test(e):
+            return False
+        checker.insert(e)
+        state.insert(e)
+        basis.append(e)
+        return True
+
+    reprice(np.arange(pool.size))
+    tau = float(rate.max())
+    floor = (epsilon / rank) * opt_estimate
+    while floor > 0.0 and live.any() and len(basis) < rank and tau >= floor:
+        candidates = np.flatnonzero(live & (rate >= tau))
+        reprice(candidates)
+        cohort = candidates[rate[candidates] >= tau]
+        for k, i in enumerate(cohort):
+            if rate[i] >= tau and take(i):
+                if len(basis) >= rank:
+                    break
+                rest = cohort[k + 1:]
+                reprice(rest[rate[rest] >= tau])
+        tau *= 1.0 - epsilon
+    if len(basis) < rank and live.any():
+        rest = np.flatnonzero(live)
+        reprice(rest)
+        for i in rest[np.lexsort((pool[rest], -rate[rest]))]:
+            if len(basis) >= rank:
+                break
+            take(i)
+    return basis
+
+
 def eager_dt_approx_indep_set(
     state,
     structure: DecMatching,
@@ -486,9 +546,13 @@ def eager_dt_approx_indep_set(
     """``optimizer.dt_approx_indep_set`` with eager repricing: every level
     reprices all pending elements once the matching has changed, every
     audit prices its element, and the top-off prices every element outside
-    the matched set."""
+    the matched set.  An audit reads the level's price instead when the
+    element's own insert is the only change since: that insert leaves
+    ``f(R+e) - f(R-e)`` as it was."""
     pinned_set = set(pinned)
     pending = sorted(e for e in elements if e not in pinned_set)
+    # rates priced at the current matching
+    known: dict[int, float] = {}
 
     def current() -> list[int]:
         return [e for e in structure.basis() if e not in pinned_set]
@@ -496,8 +560,15 @@ def eager_dt_approx_indep_set(
     def joined(elems: Iterable[int]) -> list[int]:
         fresh = sorted(e for e in elems if e not in pinned_set)
         for e in fresh:
+            own = known.get(e)
             state.insert(e)
+            known.clear()
+            if own is not None:
+                known[e] = own
         return fresh
+
+    def audit_rate(e: int) -> float:
+        return known[e] if e in known else float(state.marginal_means([e])[0])
 
     if rank <= 0 or not pending:
         return current()
@@ -508,6 +579,7 @@ def eager_dt_approx_indep_set(
     while floor > 0.0 and pending and tau >= floor:
         if rates is None:
             rates = state.marginal_means(pending)
+        known.update(zip(pending, map(float, rates)))
         picked = rates >= tau
         if picked.any():
             batch = [e for e, p in zip(pending, picked) if p]
@@ -516,10 +588,11 @@ def eager_dt_approx_indep_set(
             queue = deque(joined(structure.batch_insert(batch)))
             while queue:
                 e = queue.popleft()
-                if not structure.test(e) or state.marginal_means([e])[0] >= tau:
+                if not structure.test(e) or audit_rate(e) >= tau:
                     continue
                 replacements = structure.delete(e)
                 state.delete(e)
+                known.clear()
                 queue.extend(joined(replacements))
         tau *= 1.0 - epsilon
     out = current()

@@ -309,6 +309,63 @@ def test_round_state_prices_its_rows_after_inserts_and_deletes(objective, frozen
             assert values == pytest.approx([f.value(np.flatnonzero(row)) for row in rows])
 
 
+@pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
+    for seed in range(3):
+        base = _objective(objective, seed)
+        f = ResidualOracle(base, frozen) if frozen else base
+        rng = np.random.default_rng(10 + seed)
+        for state, rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
+            summary = state._summary
+            for e in range(base.n):
+                calls, before = state.calls, f.query_count
+                got = state.price(e)
+                assert f.query_count - before == 2 * rows.shape[0]
+                assert state.calls == calls + 1
+                # it neither builds the pricing summary nor drops it
+                assert state._summary is summary
+                assert type(got) is float
+                want = state.marginal_means([e])[0]
+                summary = state._summary
+                assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_one_element_price_ignores_the_elements_own_membership(objective, frozen) -> None:
+    # f(R+e) - f(R-e) does not depend on whether R holds e, and the price
+    # leaves e's own membership out row by row, so it is the same float
+    for seed in range(3):
+        base = _objective(objective, seed)
+        f = ResidualOracle(base, frozen) if frozen else base
+        rng = np.random.default_rng(20 + seed)
+        for state, _rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 20):
+            out = [e for e in range(base.n) if e not in frozen and not state.in_basis[e]]
+            if not out:
+                continue
+            e = int(rng.choice(out))
+            before = state.price(e)
+            state.insert(e)
+            joined = state.price(e)
+            state.delete(e)
+            assert np.array_equal(joined, before)
+            assert np.array_equal(state.price(e), before)
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_one_element_price_rejects_bad_ids(objective) -> None:
+    f = _objective(objective, 0)
+    lower, upper = nested_subsets(np.full(f.n, 0.3), 0.2, 6, stream_rng(1, 2))
+    state = f.round_state(lower, upper)
+    start = f.query_count
+    for bad in (-1, f.n, f.n + 7):
+        with pytest.raises(ValueError, match="out of range"):
+            state.price(bad)
+    assert f.query_count == start
+    assert state.calls == 0
+
+
 def test_round_state_rejects_bad_updates_and_ids() -> None:
     f = _tiny_coverage()
     lower, upper = nested_subsets(np.array([0.2, 0.4, 0.0]), 0.3, 6, stream_rng(1, 2))

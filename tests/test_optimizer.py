@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from matsub import objectives, optimizer
 from matsub.core import WeightClassifier, estimate_opt
 from matsub.instances import (
+    STREAM_MULTILINEAR,
     STREAM_PHASE1,
     GraphicMatroid,
     Instance,
@@ -33,6 +35,7 @@ from matsub.optimizer import (
 from matsub.oracles import brute_force_opt
 from matsub.transversal import DecMatching
 from reference import (
+    cohort_dt_incremental,
     eager_dt_approx_indep_set,
     eager_dt_incremental,
     fractional_point,
@@ -303,6 +306,10 @@ class _CountedRates:
         self.priced += len(elems)
         return self.state.marginal_means(elems)
 
+    def price(self, elem: int) -> float:
+        self.priced += 1
+        return self.state.price(elem)
+
     @property
     def samples(self) -> int:
         return self.state.samples
@@ -355,6 +362,87 @@ def test_lazy_sweep_matches_the_eager_sweep(kind, objective) -> None:
         lazy_total += lazy_est.priced
         eager_total += eager_est.priced
     assert lazy_total < eager_total
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_turn_sweep_matches_the_cohort_sweep(kind, objective) -> None:
+    # the sweep that reprices the rest of the cohort after every insertion
+    eps = 0.2
+    turn_total = cohort_total = 0
+    for seed in range(4):
+        inst = generate_instance(kind, objective, n=30, seed=80 + seed)
+        f = inst.build_objective()
+        m = estimate_opt(f, inst.matroid)
+        rank = inst.matroid.rank()
+        turn_est = _counted_state(f, inst.n, seed)
+        cohort_est = _counted_state(f, inst.n, seed)
+        turn = dt_incremental(
+            turn_est, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
+        )
+        cohort = cohort_dt_incremental(
+            cohort_est, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
+        )
+        # same draw, same decisions, in the same order
+        assert turn == cohort
+        assert turn_est.priced <= cohort_est.priced
+        turn_total += turn_est.priced
+        cohort_total += cohort_est.priced
+    if objective == "additive":
+        # rates that never move: repricing the rest of a cohort after an
+        # insertion is all waste
+        assert turn_total < cohort_total
+
+
+class _PricingLog(_CountedRates):
+    """Records every pricing: how it was asked for, the element, and the
+    basis size it was taken at (the sweep only inserts)."""
+
+    def __init__(self, state: RoundState) -> None:
+        super().__init__(state)
+        self.log: list[tuple[str, int, int]] = []
+        self.returned: list[float] = []
+
+    def marginal_means(self, elems) -> np.ndarray:
+        size = int(self.state.in_basis.sum())
+        self.log.extend(("batch", int(e), size) for e in elems)
+        out = super().marginal_means(elems)
+        self.returned.extend(map(float, out))
+        return out
+
+    def price(self, elem: int) -> float:
+        self.log.append(("turn", int(elem), int(self.state.in_basis.sum())))
+        out = super().price(elem)
+        self.returned.append(out)
+        return out
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_sweep_prices_once_per_basis_and_once_per_level_after_its_batch(objective) -> None:
+    eps = 0.2
+    turns = 0
+    for kind in KINDS:
+        for seed in range(3):
+            inst = generate_instance(kind, objective, n=30, seed=110 + seed)
+            f = inst.build_objective()
+            m = estimate_opt(f, inst.matroid)
+            rank = inst.matroid.rank()
+            spy = _PricingLog(_counted_state(f, inst.n, seed).state)
+            dt_incremental(
+                spy, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
+            )
+            priced = [(e, size) for _how, e, size in spy.log]
+            assert len(priced) == len(set(priced))
+            # the ladder's bars, from the first batch's best rate to the floor
+            tau, floor, levels = max(spy.returned[:inst.n]), (eps / rank) * m, 0
+            while tau >= floor:
+                levels += 1
+                tau *= 1.0 - eps
+            per_element = Counter(e for how, e, _size in spy.log if how == "turn")
+            assert max(per_element.values(), default=0) <= levels
+            turns += sum(per_element.values())
+    # additive rates never move, but inserts still leave them stale
+    assert turns > 0
 
 
 def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
@@ -471,12 +559,17 @@ class _ScriptedRates:
     def __init__(self, table: dict[int, tuple[float, float]]) -> None:
         self.table = table
         self.basis: set[int] = set()
+        self.priced: list[int] = []
 
     def flipped(self, elem: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
 
     def marginal_means(self, elems) -> np.ndarray:
-        return np.array([self.table[e][e in self.basis] for e in elems], dtype=np.float64)
+        return np.array([self.price(e) for e in elems], dtype=np.float64)
+
+    def price(self, elem: int) -> float:
+        self.priced.append(elem)
+        return self.table[elem][elem in self.basis]
 
     def insert(self, elem: int) -> None:
         self.basis.add(elem)
@@ -495,6 +588,45 @@ def test_dt_approx_deletes_once_per_bucket_drop() -> None:
     basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2, np.full(3, 10.0))
     assert basis == [0, 2]
     assert structure.op_counters["deletes"] == 1
+
+
+def test_an_elements_own_insert_keeps_its_rate_current() -> None:
+    # element 0 alone tops the first level; once it has joined, its scripted
+    # rate sits one ulp under the bar.  Its own insert is the only change
+    # since it was priced, so its audit reads the rate it was picked at
+    matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
+    rates = _ScriptedRates(
+        {0: (10.0, float(np.nextafter(10.0, 0.0))), 1: (5.0, 5.0), 2: (5.0, 5.0)}
+    )
+    structure = DecMatching(matroid, 0.2)
+    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2, np.full(3, 10.0))
+    assert 0 in basis and len(basis) == 2
+    assert structure.op_counters["deletes"] == 0
+    assert rates.priced.count(0) == 1
+
+
+@pytest.mark.parametrize(
+    "objective, n, seed, run",
+    [("coverage", 30, 7, 1), ("coverage", 30, 9, 0), ("coverage", 60, 7, 2), ("facility", 60, 5, 0)],
+)
+def test_a_singleton_top_level_batch_keeps_its_element(objective, n, seed, run) -> None:
+    # a first round's draw in which the best element joins the first level
+    # alone; priced after its join through another kernel path, its rate
+    # once landed a few ulps under the bar and the audit evicted it
+    eps = 0.2
+    inst = generate_instance("transversal", objective, n=n, seed=seed)
+    f = inst.build_objective()
+    samples = math.ceil(1 / eps * math.log(n / eps) ** 2)
+    rows = nested_subsets(np.zeros(n), eps, samples, stream_rng(run, STREAM_MULTILINEAR))
+    first = f.round_state(*rows).marginal_means(np.arange(n))
+    top = int(np.argmax(first))
+    assert np.count_nonzero(first == first[top]) == 1
+    structure = DecMatching(inst.matroid, eps)
+    got = dt_approx_indep_set(
+        f.round_state(*rows), structure, eps, estimate_opt(f, inst.matroid), range(n),
+        inst.matroid.rank(), _singles(f, n),
+    )
+    assert top in got
 
 
 @pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
