@@ -334,6 +334,14 @@ class TransversalChecker:
     ``test`` keeps the path it finds, and an ``insert`` of the same element
     right after it flips that path instead of searching again, so a
     test-then-insert pair costs one search.
+
+    Kuhn's rule: a failed search visits only matched right vertices whose
+    owners' neighbours it also visits, so none reaches a free vertex, and
+    later searches skip them; exploring one would only fail, so the paths
+    found stay the same.  An augmenting path through one would end at a free
+    one, so no insert flips them and they stay dead.  A successful search
+    adds nothing: it may have passed a vertex over only because an ancestor
+    was on the search stack.
     """
 
     def __init__(self, matroid: TransversalMatroid, base: Iterable[int] = ()) -> None:
@@ -341,6 +349,8 @@ class TransversalChecker:
         self.match_right: dict[int, int] = {}
         # (element, path) of the last successful test, valid until an insert
         self._found: tuple[int, list[tuple[int, int]]] | None = None
+        # right vertices visited by failed searches
+        self._dead: set[int] = set()
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
@@ -349,8 +359,9 @@ class TransversalChecker:
     def _augment(self, elem: int, visited: set[int], path: list[tuple[int, int]]) -> bool:
         """Depth-first augmenting search; on success ``path`` holds the
         ``(right, left)`` pairs to match, from the free end back to ``elem``."""
+        dead = self._dead
         for r in self.matroid.adjacency[elem]:
-            if r in visited:
+            if r in visited or r in dead:
                 continue
             visited.add(r)
             owner = self.match_right.get(r)
@@ -359,20 +370,25 @@ class TransversalChecker:
                 return True
         return False
 
-    def test(self, elem: int) -> bool:
+    def _search(self, elem: int) -> list[tuple[int, int]]:
+        """An augmenting path from ``elem``; empty if none, and then what
+        the search visited is dead."""
+        visited: set[int] = set()
         path: list[tuple[int, int]] = []
-        found = self._augment(elem, set(), path)
-        self._found = (elem, path) if found else None
-        return found
+        if not self._augment(elem, visited, path):
+            self._dead |= visited
+        return path
+
+    def test(self, elem: int) -> bool:
+        path = self._search(elem)
+        self._found = (elem, path) if path else None
+        return bool(path)
 
     def insert(self, elem: int) -> None:
         found, self._found = self._found, None
-        if found is not None and found[0] == elem:
-            path = found[1]
-        else:
-            path = []
-            if not self._augment(elem, set(), path):
-                raise ValueError("insert would break independence")
+        path = found[1] if found is not None and found[0] == elem else self._search(elem)
+        if not path:
+            raise ValueError("insert would break independence")
         for r, left in path:
             self.match_right[r] = left
 

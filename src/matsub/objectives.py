@@ -334,14 +334,6 @@ class ResidualOracle(ValueOracle):
         state.offset = self._offset
         return state
 
-    def incremental(self) -> _Increment:
-        """Gains ``f(S0 + S + e) - f(S0 + S)``: the base's gain state with the
-        frozen set added up front, which costs no query."""
-        state = self.base.incremental()
-        for e in self.frozen:
-            state.add(e)
-        return state
-
     def marginal(self, elem: int, subset: Iterable[int]) -> float:
         idx = set(self._as_indices(subset).tolist()) | set(self.frozen)
         self._in_range(np.asarray([elem], dtype=np.int64))
@@ -399,8 +391,8 @@ class RoundState:
     per row, charged ``s`` queries (a contraction sets ``offset`` to the
     value of its frozen set).  ``f(R+e) - f(R-e)`` does not depend on
     whether ``e`` is in ``B``, so pricing a basis member is pricing it
-    against ``B - e``.  ``calls`` counts the pricings of at least one
-    element.
+    against ``B - e``.  ``calls`` counts the ``marginal_means`` calls that
+    priced at least one element, and ``prices`` the ``price`` calls.
 
     ``marginal_means`` prices from a summary of the rows, rebuilt on the
     first pricing after a basis change, which pays off over many elements.
@@ -418,6 +410,7 @@ class RoundState:
         self.in_basis = np.zeros(lower.shape[1], dtype=bool)
         self.offset = 0.0
         self.calls = 0
+        self.prices = 0
         self._summary = None
 
     @property
@@ -432,7 +425,7 @@ class RoundState:
         """``(s, q)`` 0/1: does each row hold each queried element?"""
         return self.lower[:, elems] | (self.upper[:, elems] & self.in_basis[elems].view(np.uint8))
 
-    def flipped(self, elem: int) -> np.ndarray:
+    def _flipped(self, elem: int) -> np.ndarray:
         """The rows whose set gains or loses ``elem`` with the basis."""
         return np.flatnonzero(self.upper[:, elem] > self.lower[:, elem])
 
@@ -441,14 +434,14 @@ class RoundState:
             raise ValueError(f"element {elem} is already in the basis")
         self.in_basis[elem] = True
         self._summary = None
-        self._add(elem, self.flipped(elem))
+        self._add(elem, self._flipped(elem))
 
     def delete(self, elem: int) -> None:
         if not self.in_basis[elem]:
             raise ValueError(f"element {elem} is not in the basis")
         self.in_basis[elem] = False
         self._summary = None
-        self._remove(elem, self.flipped(elem))
+        self._remove(elem, self._flipped(elem))
 
     def marginal_means(self, elems: Sequence[int]) -> np.ndarray:
         q = self.oracle._in_range(np.asarray(elems, dtype=np.int64))
@@ -468,7 +461,7 @@ class RoundState:
         if not 0 <= elem < self.oracle.n:
             raise ValueError("element id out of range")
         self.counter.count += 2 * self.samples
-        self.calls += 1
+        self.prices += 1
         return self._price(elem)
 
     def values(self) -> np.ndarray:

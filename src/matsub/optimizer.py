@@ -373,7 +373,6 @@ def dt_approx_indep_set(
     opt_estimate: float,
     elements: Sequence[int],
     rank: int,
-    singles: np.ndarray,
     pinned: Iterable[int] = (),
 ) -> list[int]:
     """Near-max-rate basis via batched inserts with repair, then a top-off.
@@ -388,13 +387,21 @@ def dt_approx_indep_set(
     exact checker seeded with the pinned and matched vertices.
 
     The round state's basis follows the matched, unpinned vertices; the
-    top-off prices there and leaves it.  Repricing is lazy and exact.  An
-    insert only lowers a rate.  A delete changes only the rows it flips,
-    and in each of them raises an element's marginal by at most its
-    singleton gain ``singles[e]`` (``f(e | pinned)``), so a cached rate plus
-    ``singles[e]`` times the rows flipped by deletes since its pricing, over
-    ``s``, bounds the current rate.  A level reprices only the pending
-    elements whose bound reaches the bar, an audit prices its one element
+    top-off prices there and leaves it.  Repricing is lazy and exact, and a
+    pending element's cached rate alone bounds its current one, as in
+    :func:`dt_incremental`:
+
+    - pending elements are priced only at level starts, before the level's
+      batch joins;
+    - a matched vertex of the :class:`DecMatching` stays matched until it
+      is deleted;
+    - an audit deletes only vertices that joined in the current level.
+
+    So the basis never loses a member it had when a pending element was
+    last priced, its rows only grew since, and by submodularity the rate
+    only fell.  A level reprices only the pending elements whose cached rate
+    reaches the bar.  An evicted vertex leaves ``pending`` for good, and the
+    top-off reprices it if stale.  An audit prices its one element
     (``RoundState.price``), and no element is priced twice at one basis:
     the top-off reads every rate still current.  An element's own insert
     leaves ``f(R+e) - f(R-e)`` unchanged, so it keeps the element's rate
@@ -415,24 +422,15 @@ def dt_approx_indep_set(
     if rank <= 0 or not pool.size:
         return current()
     rate = np.zeros(structure.matroid.n)
-    # basis changes at each element's last pricing (-1: never priced), and
-    # deletes up to then; per row, the number of the last delete flipping it
+    # basis changes at each element's last pricing; -1 means never priced
     priced_at = np.full(rate.size, -1)
-    deletes_at = np.zeros(rate.size, dtype=np.int64)
-    last_delete = np.zeros(state.samples, dtype=np.int64)
-    changes = deletes = 0
+    changes = 0
 
     def reprice(idx: np.ndarray) -> None:
         stale = idx[priced_at[idx] != changes]
         if stale.size:
             rate[stale] = state.marginal_means(stale)
             priced_at[stale] = changes
-            deletes_at[stale] = deletes
-
-    def bound(idx: np.ndarray) -> np.ndarray:
-        ranked = np.sort(last_delete)
-        flipped = ranked.size - np.searchsorted(ranked, deletes_at[idx], side="right")
-        return rate[idx] + singles[idx] * flipped / state.samples
 
     def joined(elems: Iterable[int]) -> list[int]:
         nonlocal changes
@@ -447,12 +445,10 @@ def dt_approx_indep_set(
         return fresh
 
     def evict(e: int) -> list[int]:
-        nonlocal changes, deletes
+        nonlocal changes
         replacements = structure.delete(e)
         state.delete(e)
         changes += 1
-        deletes += 1
-        last_delete[state.flipped(e)] = deletes
         return joined(replacements)
 
     pending = pool
@@ -460,7 +456,7 @@ def dt_approx_indep_set(
     tau = float(rate[pending].max())
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and pending.size and tau >= floor:
-        reprice(pending[bound(pending) >= tau])
+        reprice(pending[rate[pending] >= tau])
         picked = rate[pending] >= tau
         if picked.any():
             batch = pending[picked].tolist()
@@ -473,7 +469,6 @@ def dt_approx_indep_set(
                 if priced_at[e] != changes:
                     rate[e] = state.price(e)
                     priced_at[e] = changes
-                    deletes_at[e] = deletes
                 if rate[e] < tau:
                     queue.extend(evict(e))
         tau *= 1.0 - epsilon
@@ -517,6 +512,7 @@ def continuous_greedy(
     counters = {
         "phase2_rounds": 0,
         "estimator_batches": 0,
+        "estimator_prices": 0,
         "dt_test_calls": 0,
         "dt_insert_calls": 0,
         "dt_batch_inserts": 0,
@@ -535,13 +531,6 @@ def continuous_greedy(
     counters["samples_per_estimate"] = samples
     if residual_rank <= 0 or not elements:
         return FractionalSolution(n=n, bases=[]), counters
-    if matroid.kind == "transversal":
-        # f(e | S0), read once per solve: how far a delete can raise e's
-        # marginal in one row
-        gains = f.incremental()
-        singles = np.zeros(n, dtype=np.float64)
-        for e in elements:
-            singles[e] = gains.gain(e)
     x = np.zeros(n, dtype=np.float64)
     bases: list[tuple[float, list[int]]] = []
     for _ in range(rounds):
@@ -569,7 +558,6 @@ def continuous_greedy(
                 opt_estimate,
                 elements,
                 residual_rank,
-                singles,
                 pinned=frozen_set,
             )
             ops = structure.op_counters
@@ -579,6 +567,7 @@ def continuous_greedy(
             )
             counters["dt_deletes"] += ops["deletes"]
         counters["estimator_batches"] += state.calls
+        counters["estimator_prices"] += state.prices
         if len(b) != residual_rank:
             raise RuntimeError("round direction is not a full basis")
         b = sorted(b)

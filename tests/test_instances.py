@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -160,6 +161,50 @@ def test_transversal_checker_searches_once_per_element(monkeypatch) -> None:
         mirror.insert(e)
     assert counts[TransversalChecker] > len(basis)
     assert 2 * counts[TransversalChecker] == counts[DoubleSearchTransversalChecker]
+
+
+class _ReadLog(dict):
+    """A matching that logs the right vertices a search looks up."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.reads: list[int] = []
+
+    def get(self, r, default=None):
+        self.reads.append(r)
+        return super().get(r, default)
+
+
+def test_failed_searches_visit_each_right_vertex_once() -> None:
+    # Kuhn's rule: what a failed search visits reaches no free vertex, then
+    # or after later inserts, so no failed search looks at it again.  The
+    # second pass re-tests every rejected element: a run of failures with
+    # no insert between them
+    rng = np.random.default_rng(23)
+    failures = inserts_between = 0
+    for seed in range(4):
+        mat = generate_instance("transversal", "additive", n=120, seed=40 + seed).matroid
+        checker = TransversalChecker(mat)
+        checker.match_right = log = _ReadLog()
+        visits: Counter[int] = Counter()
+        held: set[int] = set()
+        order = rng.permutation(mat.n).tolist()
+        for e in order + order[::-1]:
+            if e in held:
+                continue
+            log.reads.clear()
+            if checker.test(e):
+                checker.insert(e)
+                held.add(e)
+                inserts_between += bool(visits)
+            else:
+                failures += 1
+                visits.update(log.reads)
+            # every dead vertex is matched and its owner's neighbours are dead
+            for r in checker._dead:
+                assert set(mat.adjacency[log[r]]) <= checker._dead
+        assert max(visits.values()) == 1
+    assert failures > 100 and inserts_between > 0
 
 
 def test_checker_seeding() -> None:

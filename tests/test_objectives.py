@@ -319,10 +319,11 @@ def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
         for state, rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
             summary = state._summary
             for e in range(base.n):
-                calls, before = state.calls, f.query_count
+                calls, prices, before = state.calls, state.prices, f.query_count
                 got = state.price(e)
                 assert f.query_count - before == 2 * rows.shape[0]
-                assert state.calls == calls + 1
+                # counted as a one-element price, not as a batch
+                assert (state.calls, state.prices) == (calls, prices + 1)
                 # it neither builds the pricing summary nor drops it
                 assert state._summary is summary
                 assert type(got) is float
@@ -363,7 +364,7 @@ def test_one_element_price_rejects_bad_ids(objective) -> None:
         with pytest.raises(ValueError, match="out of range"):
             state.price(bad)
     assert f.query_count == start
-    assert state.calls == 0
+    assert (state.calls, state.prices) == (0, 0)
 
 
 def test_round_state_rejects_bad_updates_and_ids() -> None:
@@ -384,6 +385,6 @@ def test_round_state_rejects_bad_updates_and_ids() -> None:
     assert state.calls == 0
     state.marginal_means([0, 2])
     state.marginal_means([1])
-    assert state.calls == 2
+    assert (state.calls, state.prices) == (2, 0)
     with pytest.raises(ValueError, match="shape"):
         f.round_state(lower[:, :2], upper[:, :2])

@@ -314,9 +314,6 @@ class _CountedRates:
     def samples(self) -> int:
         return self.state.samples
 
-    def flipped(self, elem: int) -> np.ndarray:
-        return self.state.flipped(elem)
-
     def insert(self, elem: int) -> None:
         self.state.insert(elem)
 
@@ -329,13 +326,6 @@ def _counted_state(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
     x = np.random.default_rng(seed).uniform(0.0, 0.8, size=n)
     rows = nested_subsets(x, 0.2, samples, np.random.default_rng(seed))
     return _CountedRates(f.round_state(*rows))
-
-
-def _singles(f, n: int) -> np.ndarray:
-    """Each element's gain over the empty set, or over the frozen set of a
-    contraction."""
-    gains = f.incremental()
-    return np.array([gains.gain(e) for e in range(n)])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -489,9 +479,7 @@ def test_dt_approx_single_level_is_one_batch() -> None:
     weights = [5.0, 5.0, 5.0, 5.0]
     state = _additive_state(weights, np.random.default_rng(1))
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(
-        state, structure, 0.2, 5.0, range(4), matroid.rank(), np.array(weights)
-    )
+    basis = dt_approx_indep_set(state, structure, 0.2, 5.0, range(4), matroid.rank())
     assert structure.op_counters == {"batch_inserts": 1, "deletes": 0}
     assert matroid.is_independent(basis)
     assert len(basis) == 4
@@ -510,9 +498,7 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
         exact_value = sum(weights[e] for e in exact)
         approx_est = _additive_state(weights, np.random.default_rng(seed))
         structure = DecMatching(inst.matroid, eps)
-        approx = dt_approx_indep_set(
-            approx_est, structure, eps, m, range(inst.n), rank, np.array(weights)
-        )
+        approx = dt_approx_indep_set(approx_est, structure, eps, m, range(inst.n), rank)
         assert inst.matroid.is_independent(approx)
         got = sum(weights[e] for e in approx)
         assert got >= (1 - 3 * eps) * exact_value - 1e-9
@@ -535,9 +521,7 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
         state = _counted_state(f, inst.n, seed).state
         structure = DecMatching(inst.matroid, eps)
         structure.batch_insert(frozen)
-        got = dt_approx_indep_set(
-            state, structure, eps, m, free, rank, _singles(f, inst.n), pinned=frozen
-        )
+        got = dt_approx_indep_set(state, structure, eps, m, free, rank, pinned=frozen)
         deletes += structure.op_counters["deletes"]
         matched = [e for e in structure.basis() if e not in frozen]
         assert np.flatnonzero(state.in_basis).tolist() == matched
@@ -551,18 +535,12 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
 
 class _ScriptedRates:
     """Fixed rate per element before it joins the basis, and a fixed audit
-    rate once it has joined.  It has one row, which no basis change flips,
-    so a cached rate is its own bound."""
-
-    samples = 1
+    rate once it has joined."""
 
     def __init__(self, table: dict[int, tuple[float, float]]) -> None:
         self.table = table
         self.basis: set[int] = set()
         self.priced: list[int] = []
-
-    def flipped(self, elem: int) -> np.ndarray:
-        return np.zeros(0, dtype=np.int64)
 
     def marginal_means(self, elems) -> np.ndarray:
         return np.array([self.price(e) for e in elems], dtype=np.float64)
@@ -585,7 +563,7 @@ def test_dt_approx_deletes_once_per_bucket_drop() -> None:
     matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
     rates = _ScriptedRates({0: (10.0, 10.0), 1: (10.0, 1.0), 2: (10.0, 10.0)})
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2, np.full(3, 10.0))
+    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
     assert basis == [0, 2]
     assert structure.op_counters["deletes"] == 1
 
@@ -599,7 +577,7 @@ def test_an_elements_own_insert_keeps_its_rate_current() -> None:
         {0: (10.0, float(np.nextafter(10.0, 0.0))), 1: (5.0, 5.0), 2: (5.0, 5.0)}
     )
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2, np.full(3, 10.0))
+    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
     assert 0 in basis and len(basis) == 2
     assert structure.op_counters["deletes"] == 0
     assert rates.priced.count(0) == 1
@@ -624,7 +602,7 @@ def test_a_singleton_top_level_batch_keeps_its_element(objective, n, seed, run) 
     structure = DecMatching(inst.matroid, eps)
     got = dt_approx_indep_set(
         f.round_state(*rows), structure, eps, estimate_opt(f, inst.matroid), range(n),
-        inst.matroid.rank(), _singles(f, n),
+        inst.matroid.rank(),
     )
     assert top in got
 
@@ -649,15 +627,15 @@ def test_lazy_transversal_sweep_matches_the_eager_sweep(objective) -> None:
         rank = inst.matroid.rank() - len(frozen)
         free = [e for e in range(inst.n) if e not in frozen]
 
-        def sweep(run, *singles):
+        def sweep(run):
             est = _counted_state(f, inst.n, seed)
             structure = DecMatching(inst.matroid, eps)
             if frozen:
                 structure.batch_insert(frozen)
-            got = run(est, structure, eps, m, free, rank, *singles, pinned=frozen)
+            got = run(est, structure, eps, m, free, rank, pinned=frozen)
             return got, est.priced, structure.op_counters["deletes"]
 
-        lazy = sweep(dt_approx_indep_set, _singles(f, inst.n))
+        lazy = sweep(dt_approx_indep_set)
         eager = sweep(eager_dt_approx_indep_set)
         # same draw, same matching decisions, same set
         assert lazy[0] == eager[0]
@@ -669,8 +647,78 @@ def test_lazy_transversal_sweep_matches_the_eager_sweep(objective) -> None:
         eager_total += eager[1]
         deletes += lazy[2]
     assert lazy_total < eager_total
-    # an additive rate never moves, so only the others exercise the bound
+    # an additive rate never moves, so only the others evict in an audit
     assert deletes > 0 or objective == "additive"
+
+
+class _FreshBelowCached(_CountedRates):
+    """Checks each fresh price against the rate it replaces, except for
+    evicted elements: an audit prices at a basis that later audits of the
+    same level may shrink."""
+
+    def __init__(self, state: RoundState) -> None:
+        super().__init__(state)
+        self.cached: dict[int, tuple[float, int]] = {}
+        self.evicted: set[int] = set()
+        self.deletes = 0
+        # fresh prices checked, and those taken after a delete since the
+        # element's last pricing
+        self.checked = self.after_delete = 0
+
+    def _check(self, elem: int, fresh: float) -> None:
+        if elem in self.cached and elem not in self.evicted:
+            cached, deletes = self.cached[elem]
+            # the batch and the one-element price may round differently
+            assert fresh <= cached + 1e-12 * abs(cached), (elem, fresh, cached)
+            self.checked += 1
+            self.after_delete += deletes < self.deletes
+        self.cached[elem] = (fresh, self.deletes)
+
+    def marginal_means(self, elems) -> np.ndarray:
+        out = super().marginal_means(elems)
+        for e, fresh in zip(elems, out):
+            self._check(int(e), float(fresh))
+        return out
+
+    def price(self, elem: int) -> float:
+        out = super().price(elem)
+        self._check(int(elem), out)
+        return out
+
+    def delete(self, elem: int) -> None:
+        super().delete(elem)
+        self.evicted.add(elem)
+        self.deletes += 1
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_transversal_sweep_never_prices_above_a_cached_rate(objective) -> None:
+    # the cached rate alone bounds a pending element's current rate: the
+    # basis keeps every member it had at the element's last pricing
+    eps = 0.2
+    checked = after_delete = 0
+    for seed in range(5):
+        inst = generate_instance("transversal", objective, n=30, seed=150 + seed)
+        base = inst.build_objective()
+        m = estimate_opt(base, inst.matroid)
+        # the last seed runs on a contraction by two independent elements
+        frozen = [0, 1] if seed == 4 else []
+        assert inst.matroid.is_independent(frozen)
+        f = ResidualOracle(base, frozen) if frozen else base
+        spy = _FreshBelowCached(_counted_state(f, inst.n, seed).state)
+        structure = DecMatching(inst.matroid, eps)
+        if frozen:
+            structure.batch_insert(frozen)
+        free = [e for e in range(inst.n) if e not in frozen]
+        rank = inst.matroid.rank() - len(frozen)
+        got = dt_approx_indep_set(spy, structure, eps, m, free, rank, pinned=frozen)
+        assert len(got) == rank
+        checked += spy.checked
+        after_delete += spy.after_delete
+    assert checked > 0
+    # some prices follow a delete since the element's last pricing; only
+    # moving rates evict
+    assert after_delete > 0 or objective == "additive"
 
 
 def test_transversal_topoff_reuses_the_ladder_prices() -> None:
@@ -684,43 +732,20 @@ def test_transversal_topoff_reuses_the_ladder_prices() -> None:
         rank = inst.matroid.rank()
         est = _counted_state(f, inst.n, 1, samples=13)
         structure = DecMatching(inst.matroid, eps)
-        singles = _singles(f, inst.n)
         before = f.query_count
-        got = dt_approx_indep_set(est, structure, eps, 1e12, range(inst.n), rank, singles)
+        got = dt_approx_indep_set(est, structure, eps, 1e12, range(inst.n), rank)
         assert f.query_count - before == 2 * 13 * inst.n
         assert est.priced == inst.n
         assert structure.op_counters == {"batch_inserts": 0, "deletes": 0}
         assert len(got) == rank and inst.matroid.is_independent(got)
-        # a whole solve: n singleton gains, then each round prices once
+        # a whole solve: each round prices every element once
         f = inst.build_objective()
         _fractional, counters = continuous_greedy(
             f, inst.matroid, (), eps, 1e12, np.random.default_rng(2)
         )
         s = counters["samples_per_estimate"]
         rounds = counters["phase2_rounds"]
-        assert f.query_count == inst.n + rounds * 2 * s * inst.n
-
-
-@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
-def test_residual_incremental_gains_are_contracted_singletons(objective) -> None:
-    inst = generate_instance("transversal", objective, n=20, seed=12)
-    base = inst.build_objective()
-    frozen = [3, 11]
-    residual = ResidualOracle(base, frozen)
-    reference = inst.build_objective()
-    free = [e for e in range(inst.n) if e not in frozen]
-    gains = residual.incremental()
-    before = base.query_count
-    got = [gains.gain(e) for e in free]
-    # one query per gain; adding the frozen set up front is free
-    assert base.query_count - before == len(free)
-    s0 = reference.value(frozen)
-    for e, gain in zip(free, got):
-        want = reference.value(frozen + [e]) - s0
-        assert gain == pytest.approx(want, rel=1e-12, abs=1e-12)
-    if objective != "additive":
-        # the frozen set is in the state, so some gain is below the singleton
-        assert any(gain < reference.value([e]) - 1e-12 for e, gain in zip(free, got))
+        assert f.query_count == rounds * 2 * s * inst.n
 
 
 # -- continuous greedy -----------------------------------------------------
@@ -867,6 +892,7 @@ def test_pipeline_counter_schema_is_stable() -> None:
         "phase2_f_queries",
         "phase2_rounds",
         "estimator_batches",
+        "estimator_prices",
         "samples_per_estimate",
         "dt_test_calls",
         "dt_insert_calls",
