@@ -166,21 +166,28 @@ class LaminarMatroid:
 
 
 class LaminarChecker:
-    """Incremental independence tester over ancestor counts."""
+    """Incremental independence tester over ancestor counts.  ``insert``
+    trusts the caller's ``test``; a member never passes one."""
 
     def __init__(self, matroid: LaminarMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.counts = [0] * len(matroid.parents)
+        self.members: set[int] = set()
         for e in base:
+            if not self.test(e):
+                raise ValueError("base set is not independent")
             self.insert(e)
 
     def test(self, elem: int) -> bool:
+        if elem in self.members:
+            return False
         for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
             if self.counts[v] + 1 > self.matroid.capacities[v]:
                 return False
         return True
 
     def insert(self, elem: int) -> None:
+        self.members.add(elem)
         for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
             self.counts[v] += 1
 
@@ -264,6 +271,8 @@ class GraphicChecker:
         self.matroid = matroid
         self.uf = _UnionFind(matroid.num_vertices)
         for e in base:
+            if not self.test(e):
+                raise ValueError("base set is not independent")
             self.insert(e)
 
     def test(self, elem: int) -> bool:
@@ -351,6 +360,7 @@ class TransversalChecker:
         self._found: tuple[int, list[tuple[int, int]]] | None = None
         # right vertices visited by failed searches
         self._dead: set[int] = set()
+        self.members: set[int] = set()
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
@@ -372,7 +382,10 @@ class TransversalChecker:
 
     def _search(self, elem: int) -> list[tuple[int, int]]:
         """An augmenting path from ``elem``; empty if none, and then what
-        the search visited is dead."""
+        the search visited is dead.  A member gets none and searches
+        nothing."""
+        if elem in self.members:
+            return []
         visited: set[int] = set()
         path: list[tuple[int, int]] = []
         if not self._augment(elem, visited, path):
@@ -389,6 +402,7 @@ class TransversalChecker:
         path = found[1] if found is not None and found[0] == elem else self._search(elem)
         if not path:
             raise ValueError("insert would break independence")
+        self.members.add(elem)
         for r, left in path:
             self.match_right[r] = left
 

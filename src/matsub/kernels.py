@@ -14,9 +14,12 @@ per-row statistics of the batch, then pricing from a summary of them.  Cost
 per call, for ``q`` queried elements:
 
 - ``coverage_counts``: ``O(s·n·universe)`` time, ``O(s·universe)`` memory.
-- ``coverage_summary``: ``O(s·universe)`` time and memory.
-- ``coverage_price``: ``O(s·q·universe)`` time, ``O(64·(s + universe))``
-  memory (queried elements go 64 at a time).
+- ``coverage_price``: reads the round state's per-item uncovered weights,
+  its ``O(universe)`` summary.  Elements no row holds cost
+  ``O(sum of |cover(e)|)`` time and memory.  Held elements go 64 at a time:
+  ``O(universe + u·(s + 64·h))`` time and ``O(universe + u·s)`` memory per
+  block, for the ``u`` items their covers share and the ``h`` rows that
+  hold one of them.
 - ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
 - ``facility_summary``: ``O(s·clients·log s)`` time, ``O(s·clients)``
   memory.
@@ -25,57 +28,74 @@ per call, for ``q`` queried elements:
 A round state also prices one element without a summary
 (``RoundState.price``), straight from its statistics:
 
-- coverage: ``O(s·|cover(e)|)`` time and memory, integer hit counts over
-  ``e``'s items;
+- coverage: ``O(s + |cover(e)|·(1 + h_e))`` time for the ``h_e`` rows that
+  hold ``e``, integer hit counts over ``e``'s items;
 - facility: no sort; ``O(s·clients)`` time the first time an element is
   priced in a round, then ``O(k·clients)`` for the ``k`` rows a basis
   change touched since its last price, with ``O(s)`` row sums kept per
   priced element;
 - additive: ``O(1)``.
 
-No kernel builds an array whose size grows as ``s·n·clients``.  A round
-state keeps the statistics across basis changes (``push_top2`` adds a
-facility member) and values its rows from them: the rows' covered weight,
-or the sum of each row's top-1 similarities.
+No kernel builds an array whose size grows as ``s·n·clients``, and
+coverage pricing builds none of ``s·universe`` floats.  A round state keeps
+the statistics across basis changes (``push_top2`` adds a facility member;
+coverage keeps its per-item uncovered-row counts beside the cover counts)
+and values its rows from them: the rows' covered weight, or the sum of each
+row's top-1 similarities.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# queried elements priced together by ``coverage_price``
+# queried elements held by some row, priced together by ``coverage_price``
 PRICE_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
-# coverage objectives: element e covers the universe items in row e of the
-# dense 0/1 ``(n, universe)`` incidence matrix, f(S) = total weight of items
-# covered by S.
+# coverage objectives: element e covers the universe items
+# ``indices[indptr[e]:indptr[e + 1]]`` (row e of the dense 0/1
+# ``(n, universe)`` incidence matrix), f(S) = total weight of items covered
+# by S.
 
 def coverage_counts(sets, incidence):
     """How many members of each row cover each item, ``(s, universe)``."""
     return sets.astype(np.float64) @ incidence
 
 
-def coverage_summary(counts, weights):
-    """Per item, the weight of the rows that leave it uncovered, and per
-    ``(row, item)`` the item's weight where exactly one member covers it."""
-    return (counts == 0).sum(axis=0) * weights, (counts == 1) * weights
+def _cover_entries(indptr, indices, elems):
+    """The CSR entries of the queried elements' covers: per entry, the
+    position of its element in ``elems`` and its item."""
+    starts = indptr[elems]
+    sizes = indptr[elems + 1] - starts
+    owner = np.repeat(np.arange(elems.shape[0]), sizes)
+    at = np.arange(owner.shape[0]) + np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    return owner, indices[at]
 
 
-def coverage_price(uncovered, sole, members, elems, incidence):
+def coverage_price(uncovered, counts, members, elems, indptr, indices, weights):
     # Removing e from a row uncovers item u of e's exactly when no other
-    # member covers u: u is uncovered in the row already, or e is its only
-    # cover there (``members`` marks the rows that hold e).  Both are
-    # counted for a block of queried elements at once; the blocks bound
-    # the copied incidence rows at PRICE_BLOCK x universe.
-    out = np.empty(len(elems))
-    for lo in range(0, len(elems), PRICE_BLOCK):
-        block = slice(lo, lo + PRICE_BLOCK)
-        covers = incidence[elems[block]]
-        only_e = ((sole @ covers.T) * members[:, block]).sum(axis=0)
-        out[block] = (covers @ uncovered + only_e) / sole.shape[0]
-    return out
+    # member covers u there: the row lacks e and u's count is 0, or it holds
+    # e and the count is 1 (``members`` marks the rows that hold e).  The
+    # first term, summed over rows, is ``uncovered[u]``, so an element no
+    # row holds costs |cover(e)|.  The second reads only the rows that hold
+    # a queried element, at the items their covers share, PRICE_BLOCK
+    # elements at a time; its float32 products sum 0/1 terms, exactly.
+    owner, items = _cover_entries(indptr, indices, elems)
+    out = np.bincount(owner, weights=uncovered[items], minlength=elems.shape[0])
+    held = np.flatnonzero(members.any(axis=0))
+    for lo in range(0, held.shape[0], PRICE_BLOCK):
+        block = held[lo:lo + PRICE_BLOCK]
+        rows = np.flatnonzero(members[:, block].any(axis=1))
+        owner, items = _cover_entries(indptr, indices, elems[block])
+        shared = np.zeros(counts.shape[0], dtype=bool)
+        shared[items] = True
+        slot = np.cumsum(shared) - 1
+        sole = (counts[shared][:, rows] == 1).astype(np.float32)
+        per_item = sole @ members[np.ix_(rows, block)].astype(np.float32)
+        pairs = per_item[slot[items], owner]
+        out[block] += np.bincount(owner, weights=weights[items] * pairs, minlength=block.shape[0])
+    return out / counts.shape[1]
 
 
 # ---------------------------------------------------------------------------

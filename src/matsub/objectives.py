@@ -494,15 +494,28 @@ class RoundState:
 
 
 class _CoverageRound(RoundState):
-    """Cover counts per item and row, ``(universe, s)``, kept as int32 (exact,
-    and half the memory of the kernel's float64 counts).  Item-major, so an
-    element's items are whole rows of ``counts``: an insert, a delete and a
-    one-element price touch ``|cover(e)|`` contiguous rows of ``s`` counts."""
+    """Cover counts per item and row, ``(universe, s)``, kept as int16 while
+    ``n`` fits (a count never exceeds ``n``), else int32: exact, and a
+    quarter or half the memory of the kernel's float64 counts.  Item-major,
+    so an element's items are whole rows of ``counts``: an insert or a
+    delete touches ``|cover(e)|`` contiguous rows of ``s`` counts.
+
+    ``zeros`` counts, per item, the rows that leave it uncovered, and an
+    insert or a delete keeps it from the flipped rows alone.  Removing ``e``
+    from a row uncovers an item of ``e``'s exactly when no other member
+    covers it there: the row lacks ``e`` and its count is 0, or it holds
+    ``e`` and its count is 1.  A row that holds ``e`` never has count 0 on
+    ``e``'s items, so those rows number ``zeros`` plus the count-1 rows among
+    the ``h`` that hold ``e``.  A price reads ``counts`` only at ``e``'s
+    items in those ``h`` rows, ``O(s + |cover(e)|·(1 + h))``.  The batch
+    summary is the uncovered weight per item, ``zeros * weights``."""
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
         super().__init__(oracle, lower, upper)
         counts = kernels.coverage_counts(lower, oracle.incidence)
-        self.counts = np.ascontiguousarray(counts.T, dtype=np.int32)
+        dtype = np.int16 if oracle.n < 2**15 else np.int32
+        self.counts = np.ascontiguousarray(counts.T, dtype=dtype)
+        self.zeros = np.count_nonzero(self.counts == 0, axis=1)
 
     def _add(self, elem: int, rows: np.ndarray) -> None:
         self._shift(elem, rows, 1)
@@ -513,22 +526,29 @@ class _CoverageRound(RoundState):
     def _shift(self, elem: int, rows: np.ndarray, by: int) -> None:
         items = self.oracle.cover(elem)
         block = self.counts[items]
-        block[:, rows] += by
+        flipped = block[:, rows]
+        if by > 0:  # an insert overwrites the counts at 0
+            self.zeros[items] -= (flipped == 0).sum(axis=1, dtype=np.intp)
+        else:  # a delete takes those at 1 to 0
+            self.zeros[items] += (flipped == 1).sum(axis=1, dtype=np.intp)
+        block[:, rows] = flipped + by
         self.counts[items] = block
 
     def _summarize(self):
-        return kernels.coverage_summary(self.counts.T, self.oracle.universe_weights)
+        return self.zeros * self.oracle.universe_weights
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
+        oracle = self.oracle
         return kernels.coverage_price(
-            *self._summary, self.members(elems), elems, self.oracle.incidence
+            self._summary, self.counts, self.members(elems), elems,
+            oracle.indptr, oracle.indices, oracle.universe_weights,
         )
 
     def _price(self, elem: int) -> float:
-        # an item of e's is uncovered in a row without e exactly when no
-        # other member covers it there: its count equals e's own membership
         items = self.oracle.cover(elem)
-        hits = np.count_nonzero(self.counts[items] == self._holds(elem), axis=1)
+        held = np.flatnonzero(self._holds(elem))
+        sole = np.count_nonzero(self.counts[items[:, None], held] == 1, axis=1)
+        hits = self.zeros[items] + sole
         return float((hits * self.oracle.universe_weights[items]).sum()) / self.samples
 
     def _values(self) -> np.ndarray:

@@ -631,7 +631,8 @@ def dec_matching_pairs(d: DecMatching) -> dict[int, int]:
 
 
 class DoubleSearchTransversalChecker:
-    """Transversal checker whose ``insert`` repeats the search of ``test``."""
+    """Transversal checker whose ``insert`` repeats the search of ``test``;
+    a member is never matched twice."""
 
     def __init__(self, matroid: TransversalMatroid) -> None:
         self.matroid = matroid
@@ -650,10 +651,12 @@ class DoubleSearchTransversalChecker:
         return False
 
     def test(self, elem: int) -> bool:
+        if elem in self.match_right.values():
+            return False
         return self._augment(elem, set(), commit=False)
 
     def insert(self, elem: int) -> None:
-        if not self._augment(elem, set(), commit=True):
+        if elem in self.match_right.values() or not self._augment(elem, set(), commit=True):
             raise ValueError("insert would break independence")
 
 
@@ -704,3 +707,43 @@ def loop_coverage_marginal_means(
         bare = counts[:, cols] - sets[:, e:e + 1]
         out[qi] = float(((bare < 0.5) * weights[cols]).sum()) / sets.shape[0]
     return out
+
+
+# ---------------------------------------------------------------------------
+# coverage marginals by definition, and the one-element price from cover
+# counts rebuilt from a round state's rows
+
+
+def slow_coverage_value(row, indptr, indices, weights) -> float:
+    seen: set[int] = set()
+    for e in np.flatnonzero(row):
+        seen.update(indices[indptr[e] : indptr[e + 1]].tolist())
+    return float(sum(weights[u] for u in seen))
+
+
+def slow_coverage_marginal_means(sets, elems, indptr, indices, weights) -> np.ndarray:
+    """Mean of f(R+e) - f(R-e) over the rows, two value sums per row."""
+    slow = np.zeros(len(elems))
+    for qi, e in enumerate(elems):
+        acc = 0.0
+        for row in sets:
+            plus = row.copy()
+            plus[e] = 1
+            minus = row.copy()
+            minus[e] = 0
+            acc += slow_coverage_value(plus, indptr, indices, weights) - slow_coverage_value(
+                minus, indptr, indices, weights
+            )
+        slow[qi] = acc / len(sets)
+    return slow
+
+
+def counted_coverage_price(state, elem: int) -> float:
+    """A coverage round state's one-element price from cover counts built
+    afresh from its current rows: per item of ``e``'s, the rows whose count
+    equals ``e``'s own membership, that is, where no other member covers it."""
+    oracle = state.oracle
+    items = oracle.cover(elem)
+    counts = (state.rows().astype(np.float64) @ oracle.incidence).T
+    hits = np.count_nonzero(counts[items] == state._holds(elem), axis=1)
+    return float((hits * oracle.universe_weights[items]).sum()) / state.samples

@@ -215,6 +215,50 @@ def test_checker_seeding() -> None:
     assert not checker.test(2)
 
 
+def test_laminar_checker_refuses_a_member_and_a_dependent_base() -> None:
+    mat = LaminarMatroid(parents=[-1, 0, 0], capacities=[2, 1, 1], element_nodes=[1, 2])
+    checker = mat.checker([0])
+    assert not checker.test(0)
+    assert checker.test(1)
+    for base in ([0, 0], [0, 0, 1]):
+        with pytest.raises(ValueError, match="base set is not independent"):
+            mat.checker(base)
+    tight = LaminarMatroid(parents=[-1, 0, 0], capacities=[1, 1, 1], element_nodes=[1, 2])
+    with pytest.raises(ValueError, match="base set is not independent"):
+        tight.checker([0, 1])
+    assert mat.checker([0, 1]).counts == [2, 1, 1]
+    # a root of capacity 2 holding element 0 alone: only membership says no
+    roomy = LaminarMatroid(parents=[-1], capacities=[2], element_nodes=[0])
+    assert not roomy.checker([0]).test(0)
+    with pytest.raises(ValueError, match="base set is not independent"):
+        roomy.checker([0, 0])
+
+
+def test_graphic_checker_refuses_a_member_and_a_dependent_base() -> None:
+    mat = GraphicMatroid(num_vertices=3, edges=[(0, 1), (1, 2), (0, 2)])
+    checker = mat.checker([0])
+    assert not checker.test(0)
+    with pytest.raises(ValueError):
+        checker.insert(0)
+    for base in ([0, 0], [0, 1, 2]):
+        with pytest.raises(ValueError, match="base set is not independent"):
+            mat.checker(base)
+
+
+def test_transversal_checker_refuses_a_member_and_a_dependent_base() -> None:
+    mat = TransversalMatroid(num_right=2, adjacency=[[0, 1]])
+    checker = mat.checker([0])
+    assert not checker.test(0)
+    with pytest.raises(ValueError, match="break independence"):
+        checker.insert(0)
+    assert len(checker.match_right) == 1
+    with pytest.raises(ValueError, match="base set is not independent"):
+        mat.checker([0, 0])
+    crowded = TransversalMatroid(num_right=1, adjacency=[[0], [0]])
+    with pytest.raises(ValueError, match="base set is not independent"):
+        crowded.checker([0, 1])
+
+
 def test_generation_deterministic() -> None:
     for kind in ("laminar", "graphic", "transversal"):
         for obj in ("coverage", "facility", "additive"):

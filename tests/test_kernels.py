@@ -11,6 +11,8 @@ from matsub import kernels
 from matsub.objectives import CoverageOracle, FacilityLocationOracle
 from reference import (
     loop_coverage_marginal_means,
+    slow_coverage_marginal_means,
+    slow_coverage_value,
     tensor_facility_marginal_means,
     tensor_facility_values,
 )
@@ -43,36 +45,13 @@ def _incidence(indptr, indices, universe: int) -> np.ndarray:
     return dense
 
 
-def _slow_coverage_value(row, indptr, indices, weights) -> float:
-    seen: set[int] = set()
-    for e in np.flatnonzero(row):
-        seen.update(indices[indptr[e] : indptr[e + 1]].tolist())
-    return float(sum(weights[u] for u in seen))
-
-
 def test_coverage_values_match_reference() -> None:
     rng = np.random.default_rng(2)
     indptr, indices, weights = _random_coverage(rng, 10, 15)
     sets = (rng.random((20, 10)) < 0.5).astype(np.uint8)
     got = _coverage(indptr, indices, weights).batch_values(sets)
     for row, value in zip(sets, got):
-        assert np.isclose(value, _slow_coverage_value(row, indptr, indices, weights))
-
-
-def _slow_coverage_marginal_means(sets, elems, indptr, indices, weights) -> np.ndarray:
-    slow = np.zeros(len(elems))
-    for qi, e in enumerate(elems):
-        acc = 0.0
-        for row in sets:
-            plus = row.copy()
-            plus[e] = 1
-            minus = row.copy()
-            minus[e] = 0
-            acc += _slow_coverage_value(plus, indptr, indices, weights) - _slow_coverage_value(
-                minus, indptr, indices, weights
-            )
-        slow[qi] = acc / len(sets)
-    return slow
+        assert np.isclose(value, slow_coverage_value(row, indptr, indices, weights))
 
 
 def test_coverage_marginal_means_match_reference() -> None:
@@ -81,7 +60,7 @@ def test_coverage_marginal_means_match_reference() -> None:
     sets = (rng.random((30, 8)) < 0.4).astype(np.uint8)
     elems = np.array([0, 3, 7], dtype=np.int64)
     got = _coverage(indptr, indices, weights).batch_marginal_means(sets, elems)
-    assert np.allclose(got, _slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
+    assert np.allclose(got, slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
 
 
 def test_coverage_kernels_handle_empty_covers_and_empty_rows() -> None:
@@ -96,7 +75,7 @@ def test_coverage_kernels_handle_empty_covers_and_empty_rows() -> None:
     elems = np.arange(3, dtype=np.int64)
     got = oracle.batch_marginal_means(sets, elems)
     assert got[1] == 0.0
-    assert np.allclose(got, _slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
+    assert np.allclose(got, slow_coverage_marginal_means(sets, elems, indptr, indices, weights))
 
 
 def _slow_facility_values(sets, sim) -> np.ndarray:
@@ -213,7 +192,7 @@ def test_coverage_marginal_means_by_cover_multiplicity() -> None:
     elems = np.arange(9, dtype=np.int64)
     np.testing.assert_array_equal(
         _coverage(indptr, indices, weights).batch_marginal_means(sets, elems),
-        _slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
+        slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
     )
 
 
@@ -232,7 +211,7 @@ def test_batch_kernels_at_edge_shapes(s: int, n: int, cohort: int) -> None:
     indptr, indices, weights = _random_coverage(rng, n, 6)
     assert np.allclose(
         _coverage(indptr, indices, weights).batch_marginal_means(sets, elems),
-        _slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
+        slow_coverage_marginal_means(sets, elems, indptr, indices, weights),
         rtol=0.0, atol=1e-12,
     )
 
@@ -279,3 +258,26 @@ def test_facility_kernels_never_build_the_sample_tensor() -> None:
         finally:
             tracemalloc.stop()
         assert peak < cap, (entry.__name__, peak)
+
+
+def test_coverage_marginal_means_build_no_row_summary() -> None:
+    # one (s, universe) float64 array is 8 MB at these shapes; an element no
+    # row holds is priced from its cover alone
+    s, n, universe = 256, 400, 4000
+    rng = np.random.default_rng(18)
+    covers = [rng.choice(universe, size=int(rng.integers(1, 100)), replace=False)
+              for _ in range(n)]
+    oracle = CoverageOracle(covers, rng.uniform(0.1, 2.0, size=universe))
+    sets = (rng.random((s, n)) < 0.3).astype(np.uint8)
+    sets[:, : n // 2] = 0
+    state = oracle.round_state(sets, sets)
+    elems = np.arange(n // 2, dtype=np.int64)
+    assert not state.members(elems).any()
+    tracemalloc.start()
+    try:
+        got = state.marginal_means(elems)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s * universe * 8, peak
+    np.testing.assert_allclose(got, [state.price(e) for e in elems], rtol=0.0, atol=1e-12)

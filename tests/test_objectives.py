@@ -17,7 +17,12 @@ from matsub.objectives import (
     sample_subsets,
     set_eval_threads,
 )
-from reference import estimate_marginal_on_point, estimate_marginals_on_point
+from reference import (
+    counted_coverage_price,
+    estimate_marginal_on_point,
+    estimate_marginals_on_point,
+    slow_coverage_marginal_means,
+)
 
 
 def _tiny_coverage() -> CoverageOracle:
@@ -253,12 +258,14 @@ def test_nested_draws_have_the_joint_law_of_one_uniform() -> None:
         nested_subsets(x, step, 0, stream_rng(8, 2))
 
 
-def _random_rows_and_basis_walk(f, n, frozen, rng, steps):
+def _random_rows_and_basis_walk(f, n, frozen, rng, steps, samples=40, idle=()):
     """Yield ``(state, rows)`` after each random insert or delete, where
-    ``rows`` is the round's matrix at the current basis built from scratch."""
+    ``rows`` is the round's matrix at the current basis built from scratch.
+    ``idle`` elements, like frozen ones, have ``x = 0``: no row holds one
+    until it joins the basis."""
     x = rng.uniform(0.0, 0.8, size=n)
-    x[list(frozen)] = 0.0
-    lower, upper = nested_subsets(x, 0.25, 40, rng)
+    x[list(frozen) + list(idle)] = 0.0
+    lower, upper = nested_subsets(x, 0.25, samples, rng)
     state = f.round_state(lower, upper)
     free = [e for e in range(n) if e not in frozen]
     basis: set[int] = set()
@@ -352,6 +359,64 @@ def test_one_element_price_ignores_the_elements_own_membership(objective, frozen
             state.delete(e)
             assert np.array_equal(joined, before)
             assert np.array_equal(state.price(e), before)
+
+
+# -- coverage: per-item uncovered-row counts kept across basis changes -------
+
+
+def _coverage_walk(frozen, samples, seed):
+    """A coverage round state over ``samples`` rows, plain or contracted by
+    ``frozen``, walked through random inserts and deletes; a third of the
+    free elements are idle, so some elements are held by no row."""
+    base = _objective("coverage", seed)
+    f = ResidualOracle(base, frozen) if frozen else base
+    idle = [e for e in range(base.n) if e % 3 == 1 and e not in frozen]
+    rng = np.random.default_rng(30 + seed)
+    return base, _random_rows_and_basis_walk(f, base.n, frozen, rng, 30, samples, idle)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 64])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_coverage_zero_counts_follow_inserts_and_deletes(samples, frozen) -> None:
+    for seed in range(3):
+        base, walk = _coverage_walk(frozen, samples, seed)
+        for state, _rows in walk:
+            fresh = (state.rows().astype(np.float64) @ base.incidence).T
+            np.testing.assert_array_equal(state.counts, fresh)
+            np.testing.assert_array_equal(
+                state.zeros, np.count_nonzero(state.counts == 0, axis=1)
+            )
+
+
+@pytest.mark.parametrize("samples", [1, 7, 64])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_coverage_price_is_the_count_formula_bit_for_bit(samples, frozen) -> None:
+    for seed in range(3):
+        base, walk = _coverage_walk(frozen, samples, seed)
+        for state, _rows in walk:
+            for e in range(base.n):
+                assert state.price(e) == counted_coverage_price(state, e)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 64])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_coverage_marginal_means_on_held_and_unheld_elements(samples, frozen) -> None:
+    seen = {True: 0, False: 0}
+    for seed in range(3):
+        base, walk = _coverage_walk(frozen, samples, seed)
+        elems = np.arange(base.n)
+        for state, _rows in walk:
+            held = state.members(elems).any(axis=0)
+            seen[True] += int(held.sum())
+            seen[False] += int((~held).sum())
+            got = state.marginal_means(elems)
+            prices = [state.price(e) for e in elems]
+            slow = slow_coverage_marginal_means(
+                state.rows(), elems, base.indptr, base.indices, base.universe_weights
+            )
+            np.testing.assert_allclose(got, prices, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got, slow, rtol=0.0, atol=1e-12)
+    assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
