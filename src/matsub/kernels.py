@@ -91,7 +91,10 @@ def coverage_price(uncovered, counts, members, elems, indptr, indices, weights):
         shared = np.zeros(counts.shape[0], dtype=bool)
         shared[items] = True
         slot = np.cumsum(shared) - 1
-        sole = (counts[shared][:, rows] == 1).astype(np.float32)
+        # whole item rows first, then the h columns of their 0/1 flags:
+        # O(u·s) scratch, but a one-step (u, h) gather of the counts is
+        # slower while h is most of s, as it is on the dense generator
+        sole = (counts[shared] == 1)[:, rows].astype(np.float32)
         per_item = sole @ members[np.ix_(rows, block)].astype(np.float32)
         pairs = per_item[slot[items], owner]
         out[block] += np.bincount(owner, weights=weights[items] * pairs, minlength=block.shape[0])

@@ -494,11 +494,10 @@ class RoundState:
 
 
 class _CoverageRound(RoundState):
-    """Cover counts per item and row, ``(universe, s)``, kept as int16 while
-    ``n`` fits (a count never exceeds ``n``), else int32: exact, and a
-    quarter or half the memory of the kernel's float64 counts.  Item-major,
-    so an element's items are whole rows of ``counts``: an insert or a
-    delete touches ``|cover(e)|`` contiguous rows of ``s`` counts.
+    """Cover counts per item and row, ``(universe, s)``, kept as int32 (exact,
+    and half the memory of the kernel's float64 counts).  Item-major, so an
+    element's items are whole rows of ``counts``: an insert or a delete
+    touches ``|cover(e)|`` contiguous rows of ``s`` counts.
 
     ``zeros`` counts, per item, the rows that leave it uncovered, and an
     insert or a delete keeps it from the flipped rows alone.  Removing ``e``
@@ -512,9 +511,9 @@ class _CoverageRound(RoundState):
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
         super().__init__(oracle, lower, upper)
-        counts = kernels.coverage_counts(lower, oracle.incidence)
-        dtype = np.int16 if oracle.n < 2**15 else np.int32
-        self.counts = np.ascontiguousarray(counts.T, dtype=dtype)
+        self.counts = np.ascontiguousarray(
+            kernels.coverage_counts(lower, oracle.incidence).T, dtype=np.int32
+        )
         self.zeros = np.count_nonzero(self.counts == 0, axis=1)
 
     def _add(self, elem: int, rows: np.ndarray) -> None:
