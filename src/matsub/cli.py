@@ -260,12 +260,16 @@ def _verify_budgets(
     good &= _check(
         report, "batch-insert budget", got_bi <= cap_bi, f"{got_bi} <= {cap_bi:.0f}"
     )
-    # a matching delete retires its element for the rest of its round, and
-    # phase 2 runs ceil(1/eps) rounds
-    cap_del = n * max(1, math.ceil(1.0 / eps))
+    # a matching delete, like a span, retires its element for the rest of
+    # its round, and phase 2 runs ceil(1/eps) rounds
+    cap_retired = n * max(1, math.ceil(1.0 / eps))
     got_del = counters.get("dt_deletes", 0)
     good &= _check(
-        report, "delete budget", got_del <= cap_del, f"{got_del} <= {cap_del}"
+        report, "delete budget", got_del <= cap_retired, f"{got_del} <= {cap_retired}"
+    )
+    got_span = counters.get("dt_spanned", 0)
+    good &= _check(
+        report, "span budget", got_span <= cap_retired, f"{got_span} <= {cap_retired}"
     )
     # the stages' counts add up to the total, plus the final value query
     parts = sum(

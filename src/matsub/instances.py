@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,6 +125,16 @@ class LaminarMatroid:
             node = self.parents[node]
         return out
 
+    @cached_property
+    def ancestor_paths(self) -> np.ndarray:
+        """``(n, depth)``: row ``e`` holds the nodes from ``e``'s leaf up to
+        the root, padded with the root.  Built once per matroid, like
+        ``rank()``, and shared by its checkers."""
+        paths = [self.path_to_root(node) for node in self.element_nodes]
+        depth = max(map(len, paths), default=1)
+        padded = [path + [self.root] * (depth - len(path)) for path in paths]
+        return np.array(padded, dtype=np.intp).reshape(self.n, depth)
+
     rank = _cached_rank
 
     def _compute_rank(self) -> int:
@@ -167,19 +178,24 @@ class LaminarMatroid:
 
 class LaminarChecker:
     """Incremental independence tester over ancestor counts.  ``insert``
-    trusts the caller's ``test``; a member never passes one."""
+    trusts the caller's ``test``; a member never passes one.
+
+    A node is tight when its count reaches its capacity, and ``test`` fails
+    exactly on members and on elements below a tight node, so ``spanned``
+    reads that off the matroid's ancestor paths for a whole batch."""
 
     def __init__(self, matroid: LaminarMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.counts = [0] * len(matroid.parents)
-        self.members: set[int] = set()
+        self._member = np.zeros(matroid.n, dtype=bool)
+        self._tight = np.array(matroid.capacities) == 0
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
             self.insert(e)
 
     def test(self, elem: int) -> bool:
-        if elem in self.members:
+        if self._member[elem]:
             return False
         for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
             if self.counts[v] + 1 > self.matroid.capacities[v]:
@@ -187,9 +203,19 @@ class LaminarChecker:
         return True
 
     def insert(self, elem: int) -> None:
-        self.members.add(elem)
+        self._member[elem] = True
+        capacities = self.matroid.capacities
         for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
             self.counts[v] += 1
+            if self.counts[v] == capacities[v]:
+                self._tight[v] = True
+
+    def spanned(self, elems: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``elems``: where ``test`` would fail, exactly.
+        ``O(q·depth)``."""
+        elems = np.asarray(elems, dtype=np.intp)
+        tight = self._tight[self.matroid.ancestor_paths[elems]]
+        return self._member[elems] | tight.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +293,9 @@ class _UnionFind:
 
 
 class GraphicChecker:
+    """Incremental acyclicity tester over a union-find forest.  An edge is
+    spanned when its ends already share a component, self-loops included."""
+
     def __init__(self, matroid: GraphicMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.uf = _UnionFind(matroid.num_vertices)
@@ -283,6 +312,14 @@ class GraphicChecker:
         u, v = self.matroid.edges[elem]
         if not self.uf.union(u, v):
             raise ValueError(f"edge {elem} would close a cycle")
+
+    def spanned(self, elems: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``elems``: where ``test`` would fail, exactly.
+        ``O(q·α(V))`` finds, so asking about one element costs what a test
+        does."""
+        find = self.uf.find
+        ends = (self.matroid.edges[e] for e in np.asarray(elems).tolist())
+        return np.array([find(u) == find(v) for u, v in ends], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +433,17 @@ class TransversalChecker:
         path = self._search(elem)
         self._found = (elem, path) if path else None
         return bool(path)
+
+    def spanned(self, elems: np.ndarray) -> np.ndarray:
+        """Boolean mask over ``elems``, sound but not exact: members and
+        elements whose neighbours are all dead, on each of which ``test``
+        fails."""
+        adjacency, dead = self.matroid.adjacency, self._dead
+        return np.array(
+            [e in self.members or dead.issuperset(adjacency[e])
+             for e in np.asarray(elems).tolist()],
+            dtype=bool,
+        )
 
     def insert(self, elem: int) -> None:
         found, self._found = self._found, None

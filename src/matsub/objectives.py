@@ -434,14 +434,14 @@ class RoundState:
             raise ValueError(f"element {elem} is already in the basis")
         self.in_basis[elem] = True
         self._summary = None
-        self._add(elem, self._flipped(elem))
+        self._add(elem)
 
     def delete(self, elem: int) -> None:
         if not self.in_basis[elem]:
             raise ValueError(f"element {elem} is not in the basis")
         self.in_basis[elem] = False
         self._summary = None
-        self._remove(elem, self._flipped(elem))
+        self._remove(elem)
 
     def marginal_means(self, elems: Sequence[int]) -> np.ndarray:
         q = self.oracle._in_range(np.asarray(elems, dtype=np.int64))
@@ -469,10 +469,10 @@ class RoundState:
         self.counter.count += self.samples
         return self._values() - self.offset
 
-    def _add(self, elem: int, rows: np.ndarray) -> None:
+    def _add(self, elem: int) -> None:
         raise NotImplementedError
 
-    def _remove(self, elem: int, rows: np.ndarray) -> None:
+    def _remove(self, elem: int) -> None:
         raise NotImplementedError
 
     def _summarize(self):
@@ -516,13 +516,14 @@ class _CoverageRound(RoundState):
         )
         self.zeros = np.count_nonzero(self.counts == 0, axis=1)
 
-    def _add(self, elem: int, rows: np.ndarray) -> None:
-        self._shift(elem, rows, 1)
+    def _add(self, elem: int) -> None:
+        self._shift(elem, 1)
 
-    def _remove(self, elem: int, rows: np.ndarray) -> None:
-        self._shift(elem, rows, -1)
+    def _remove(self, elem: int) -> None:
+        self._shift(elem, -1)
 
-    def _shift(self, elem: int, rows: np.ndarray, by: int) -> None:
+    def _shift(self, elem: int, by: int) -> None:
+        rows = self._flipped(elem)
         items = self.oracle.cover(elem)
         block = self.counts[items]
         flipped = block[:, rows]
@@ -574,12 +575,14 @@ class _FacilityRound(RoundState):
         # element -> (changes when priced, its per-row sums then)
         self._row_sums: dict[int, tuple[int, np.ndarray]] = {}
 
-    def _add(self, elem: int, rows: np.ndarray) -> None:
+    def _add(self, elem: int) -> None:
+        rows = self._flipped(elem)
         kernels.push_top2(*self.top, rows, elem, self.oracle.similarity[elem])
         self._touch(rows)
 
-    def _remove(self, elem: int, rows: np.ndarray) -> None:
+    def _remove(self, elem: int) -> None:
         # a top-2 cannot forget a member, so the rows are rebuilt from theirs
+        rows = self._flipped(elem)
         for mine, fresh in zip(self.top, kernels.row_top2(self.rows(rows), self.oracle.similarity)):
             mine[rows] = fresh
         self._touch(rows)
@@ -623,10 +626,10 @@ class _FacilityRound(RoundState):
 class _AdditiveRound(RoundState):
     """Nothing to keep: an additive marginal ignores the row."""
 
-    def _add(self, elem: int, rows: np.ndarray) -> None:
+    def _add(self, elem: int) -> None:
         pass
 
-    def _remove(self, elem: int, rows: np.ndarray) -> None:
+    def _remove(self, elem: int) -> None:
         pass
 
     def _summarize(self):

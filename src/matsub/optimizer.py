@@ -262,16 +262,23 @@ class FractionalSolution:
 
 
 class CountingChecker:
-    """Independence tester that tallies its oracle traffic."""
+    """Independence tester that tallies its oracle traffic.  A ``spanned``
+    mask is not a test; ``marked`` counts the elements it marked."""
 
     def __init__(self, checker) -> None:
         self.checker = checker
         self.tests = 0
         self.inserts = 0
+        self.marked = 0
 
     def test(self, elem: int) -> bool:
         self.tests += 1
         return self.checker.test(elem)
+
+    def spanned(self, elems: np.ndarray) -> np.ndarray:
+        mask = self.checker.spanned(elems)
+        self.marked += int(np.count_nonzero(mask))
+        return mask
 
     def insert(self, elem: int) -> None:
         self.inserts += 1
@@ -310,6 +317,15 @@ def dt_incremental(
     element is priced at most once per level and never twice at one basis,
     and the result is the basis that repricing every element after every
     insertion would build.
+
+    Nor is an element priced once the basis spans it.  Every pricing but
+    the round-opening batch, which sets the first bar, first puts its stale
+    elements to ``checker.spanned``: a level's batch, a turn's price and
+    the top-off's batch.  The elements the mask marks are retired unpriced.
+    The sweep only inserts, so a spanned element stays spanned and would
+    fail every later test: retiring it changes no decision.  The mask is
+    exact on laminar and graphic checkers and sound on transversal ones;
+    ``checker.marked`` counts the retired elements.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -318,15 +334,23 @@ def dt_incremental(
     if rank <= 0 or not pool.size:
         return basis
     live = np.ones(pool.size, dtype=bool)
-    rate = np.zeros(pool.size)
-    # basis size at each element's last pricing; -1 means never priced
-    priced_at = np.full(pool.size, -1)
+    # the round-opening batch prices every element to set the first bar
+    rate = state.marginal_means(pool)
+    # basis size at each element's last pricing
+    priced_at = np.zeros(pool.size, dtype=np.int64)
 
-    def reprice(idx: np.ndarray) -> None:
+    def reprice(idx: np.ndarray) -> np.ndarray:
+        """Reprice the stale elements of ``idx``, retiring unpriced those
+        the basis spans, and return the live ones."""
         stale = idx[priced_at[idx] != len(basis)]
+        if stale.size:
+            spanned = checker.spanned(pool[stale])
+            live[stale[spanned]] = False
+            stale = stale[~spanned]
         if stale.size:
             rate[stale] = state.marginal_means(pool[stale])
             priced_at[stale] = len(basis)
+        return idx[live[idx]]
 
     def take(i: int) -> bool:
         e = int(pool[i])
@@ -338,14 +362,15 @@ def dt_incremental(
         basis.append(e)
         return True
 
-    reprice(np.arange(pool.size))
     tau = float(rate.max())
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and live.any() and len(basis) < rank and tau >= floor:
-        candidates = np.flatnonzero(live & (rate >= tau))
-        reprice(candidates)
+        candidates = reprice(np.flatnonzero(live & (rate >= tau)))
         for i in candidates[rate[candidates] >= tau].tolist():
             if priced_at[i] != len(basis):
+                if checker.spanned(pool[i : i + 1])[0]:
+                    live[i] = False
+                    continue
                 rate[i] = state.price(pool[i])
                 priced_at[i] = len(basis)
                 # fell below the bar after an insertion; later levels get it
@@ -355,8 +380,7 @@ def dt_incremental(
                 break
         tau *= 1.0 - epsilon
     if len(basis) < rank and live.any():
-        rest = np.flatnonzero(live)
-        reprice(rest)
+        rest = reprice(np.flatnonzero(live))
         for i in rest[np.lexsort((pool[rest], -rate[rest]))]:
             if len(basis) >= rank:
                 break
@@ -517,6 +541,7 @@ def continuous_greedy(
         "dt_insert_calls": 0,
         "dt_batch_inserts": 0,
         "dt_deletes": 0,
+        "dt_spanned": 0,
     }
     rounds = max(1, math.ceil(1.0 / epsilon))
     step = 1.0 / rounds
@@ -545,6 +570,7 @@ def continuous_greedy(
             )
             counters["dt_test_calls"] += checker.tests
             counters["dt_insert_calls"] += checker.inserts
+            counters["dt_spanned"] += checker.marked
         else:
             structure = DecMatching(matroid, epsilon)
             if frozen_set:

@@ -152,6 +152,22 @@ def test_verify_flags_a_delete_overrun(tmp_path, capsys) -> None:
     assert "delete budget: FAIL" in capsys.readouterr().out
 
 
+def test_verify_flags_a_span_overrun(tmp_path, capsys) -> None:
+    path = _gen(tmp_path)
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    assert main(["verify", path, out]) == 0
+    assert "span budget: ok" in capsys.readouterr().out
+    record = json.loads(open(out).read())
+    # a retired element stays retired for its round: at most n per round
+    record["counters"]["dt_spanned"] = 9 * 5 + 1
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as handle:
+        json.dump(record, handle)
+    assert main(["verify", path, bad]) == 1
+    assert "span budget: FAIL" in capsys.readouterr().out
+
+
 def test_verify_flags_a_query_total_that_does_not_add_up(tmp_path, capsys) -> None:
     path = _gen(tmp_path)
     out = str(tmp_path / "res.json")
@@ -207,6 +223,7 @@ DAMAGE = {
     "string-epsilon": ("record", lambda rec: {**rec, "epsilon": "0.2"}),
     "list-counters": ("record", lambda rec: {**rec, "counters": list(rec["counters"])}),
     "negative-counter": ("record", lambda rec: _put(rec, -5, "counters", "phase2_f_queries")),
+    "negative-span-counter": ("record", lambda rec: _put(rec, -1, "counters", "dt_spanned")),
     "boolean-element": ("record", lambda rec: {
         **rec, "solution": [True] + rec["solution"][1:]}),
 }

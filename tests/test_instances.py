@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matsub.cli import main
 from matsub.instances import (
@@ -257,6 +259,77 @@ def test_transversal_checker_refuses_a_member_and_a_dependent_base() -> None:
     crowded = TransversalMatroid(num_right=1, adjacency=[[0], [0]])
     with pytest.raises(ValueError, match="base set is not independent"):
         crowded.checker([0, 1])
+
+
+@st.composite
+def _laminar(draw) -> LaminarMatroid:
+    # inner nodes first (node 0 the root), then one leaf per element under
+    # an inner node; any capacity may be 0
+    inner = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    parents = [-1] + [draw(st.integers(0, v - 1)) for v in range(1, inner)]
+    parents += draw(st.lists(st.integers(0, inner - 1), min_size=n, max_size=n))
+    capacities = draw(st.lists(st.integers(0, 3), min_size=inner + n, max_size=inner + n))
+    return LaminarMatroid(
+        parents=parents, capacities=capacities, element_nodes=list(range(inner, inner + n))
+    )
+
+
+@st.composite
+def _graphic(draw) -> GraphicMatroid:
+    # few vertices, so parallel edges and self-loops are common
+    num_vertices = draw(st.integers(1, 5))
+    vertex = st.integers(0, num_vertices - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=10))
+    return GraphicMatroid(num_vertices=num_vertices, edges=edges)
+
+
+@st.composite
+def _transversal(draw) -> TransversalMatroid:
+    num_right = draw(st.integers(1, 5))
+    right = st.lists(st.integers(0, num_right - 1), max_size=3)
+    adjacency = draw(st.lists(right, min_size=1, max_size=10))
+    return TransversalMatroid(num_right=num_right, adjacency=adjacency)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    data=st.data(),
+    case=st.sampled_from(
+        [(_laminar(), True), (_graphic(), True), (_transversal(), False)]
+    ),
+)
+def test_spanned_marks_only_elements_a_test_rejects(data, case) -> None:
+    # exact on laminar and graphic: spanned is "test would fail"; sound on
+    # transversal.  Each sequence inserts from empty or from a frozen base
+    strategy, exact = case
+    mat = data.draw(strategy)
+    order = data.draw(st.permutations(range(mat.n)))
+    frozen: list[int] = []
+    for e in data.draw(st.lists(st.integers(0, mat.n - 1), max_size=mat.n)):
+        if e not in frozen and mat.is_independent(frozen + [e]):
+            frozen.append(e)
+    checker = mat.checker(frozen)
+    everything = np.arange(mat.n)
+    assert checker.spanned(everything[:0]).shape == (0,)
+    for e in order:
+        mask = checker.spanned(everything)
+        assert mask.dtype == bool and mask.shape == (mat.n,)
+        rejected = ~np.array([checker.test(int(x)) for x in everything])
+        assert not (mask & ~rejected).any()
+        if exact:
+            assert (mask == rejected).all()
+        if checker.test(e):
+            checker.insert(e)
+
+
+def test_laminar_ancestor_paths_are_padded_with_the_root() -> None:
+    mat = LaminarMatroid(
+        parents=[-1, 0, 1, 0, 2], capacities=[2, 1, 1, 1, 1], element_nodes=[3, 4]
+    )
+    assert mat.ancestor_paths.tolist() == [[3, 0, 0, 0], [4, 2, 1, 0]]
+    # built once per matroid, not per checker
+    assert mat.checker().matroid.ancestor_paths is mat.ancestor_paths
 
 
 def test_generation_deterministic() -> None:
