@@ -111,7 +111,9 @@ def greedy_basis_value(
     optimum estimate ``M``.  A popped element is repriced against
     ``f.incremental()``, which keeps state for the chosen set, so a pop costs
     one element's update (``O(|cover(e)|)`` for coverage, ``O(clients)`` for
-    facility location) and is counted as one value query.
+    facility location) and is counted as one value query.  The heap's first
+    keys are gains on the same state while it is still empty, one query per
+    element on the float path the pops read.
     """
     if not elements:
         raise ValueError("ground set is empty")
@@ -121,7 +123,7 @@ def greedy_basis_value(
     value = f.value(())
     # (negated bound, negated id) so ties resolve toward the larger id,
     # matching the (weight, id) order used everywhere else
-    heap = [(-f.marginal(e, ()), -e) for e in elements]
+    heap = [(-state.gain(e), -e) for e in elements]
     heapq.heapify(heap)
     while heap:
         bound, neg_e = heapq.heappop(heap)
@@ -150,8 +152,6 @@ class SetFunction(Protocol):
     """Minimal query surface the greedy pass needs; see objectives module."""
 
     def value(self, subset: Iterable[int]) -> float: ...
-
-    def marginal(self, elem: int, subset: Iterable[int]) -> float: ...
 
     def incremental(self) -> IncrementalValue: ...
 

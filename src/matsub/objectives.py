@@ -400,6 +400,13 @@ class RoundState:
     builds no summary and leaves the current one in place.  Each row's term
     leaves ``e``'s own membership out, so ``price(e)`` is the same float,
     bit for bit, whether or not ``e`` is in ``B``.
+
+    A sweep keeps the state at its basis only while a later pricing can
+    read it.  An insert is paid in per-row statistics (a coverage insert
+    moves ``|cover(e)|`` counts in each flipped row, a facility insert a
+    top-2 pass over the clients of each), so once a sweep has made its
+    last pricing it stops inserting: ``B`` is then a prefix of the basis
+    the sweep returns, not all of it.
     """
 
     def __init__(self, oracle: ValueOracle, lower: np.ndarray, upper: np.ndarray) -> None:

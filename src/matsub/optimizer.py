@@ -326,6 +326,13 @@ def dt_incremental(
     fail every later test: retiring it changes no decision.  The mask is
     exact on laminar and graphic checkers and sound on transversal ones;
     ``checker.marked`` counts the retired elements.
+
+    The sweep keeps the round state at its basis only while a later pricing
+    can read it.  The ladder's inserts reach ``state``, except one that
+    completes the basis; the top-off's do not, since its batch is the
+    round's last pricing and its picks read only those rates and the
+    checker.  So on return ``state`` holds the basis as the round's last
+    pricing saw it, a prefix of the returned basis.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -358,8 +365,10 @@ def dt_incremental(
         if not checker.test(e):
             return False
         checker.insert(e)
-        state.insert(e)
         basis.append(e)
+        # a full basis is priced no more
+        if len(basis) < rank:
+            state.insert(e)
         return True
 
     tau = float(rate.max())
@@ -381,10 +390,14 @@ def dt_incremental(
         tau *= 1.0 - epsilon
     if len(basis) < rank and live.any():
         rest = reprice(np.flatnonzero(live))
-        for i in rest[np.lexsort((pool[rest], -rate[rest]))]:
+        # no pricing follows the top-off's batch, so its elements join the
+        # basis and the checker but not the round state
+        for e in pool[rest[np.lexsort((pool[rest], -rate[rest]))]].tolist():
             if len(basis) >= rank:
                 break
-            take(i)
+            if checker.test(e):
+                checker.insert(e)
+                basis.append(e)
     if len(basis) != rank:
         raise RuntimeError("threshold sweep failed to assemble a basis")
     return basis
@@ -594,6 +607,8 @@ def continuous_greedy(
             counters["dt_deletes"] += ops["deletes"]
         counters["estimator_batches"] += state.calls
         counters["estimator_prices"] += state.prices
+        # free the rows, statistics and summary before the next round draws
+        del state
         if len(b) != residual_rank:
             raise RuntimeError("round direction is not a full basis")
         b = sorted(b)

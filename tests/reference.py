@@ -284,7 +284,7 @@ def scratch_greedy_basis_value(
     checker = make_checker()
     chosen: list[int] = []
     value = f.value(())
-    heap = [(-f.marginal(e, ()), -e) for e in elements]
+    heap = [(-(f.value((e,)) - value), -e) for e in elements]
     heapq.heapify(heap)
     while heap:
         _bound, neg_e = heapq.heappop(heap)

@@ -567,13 +567,38 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
         assert got >= (1 - 3 * eps) * exact_value - 1e-9
 
 
+class _RoundLog(_CountedRates):
+    """Logs the pricings and inserts that reach the round state, in order."""
+
+    def __init__(self, state: RoundState) -> None:
+        super().__init__(state)
+        self.events: list[str] = []
+
+    def marginal_means(self, elems) -> np.ndarray:
+        self.events.append("price")
+        return super().marginal_means(elems)
+
+    def price(self, elem: int) -> float:
+        self.events.append("price")
+        return super().price(elem)
+
+    def insert(self, elem: int) -> None:
+        self.events.append("insert")
+        super().insert(elem)
+
+    def after_last_pricing(self) -> list[str]:
+        return self.events[len(self.events) - self.events[::-1].index("price") :]
+
+
 @pytest.mark.parametrize("objective", ["coverage", "facility"])
 def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
-    # the state follows every insert, and every delete of the transversal
-    # sweep, so its top-off prices against the matched set, which the
-    # returned basis extends
+    # the transversal sweep's state follows every insert and delete, so its
+    # top-off prices against the matched set, which the returned basis
+    # extends.  The incremental sweep's state follows its inserts up to the
+    # round's last pricing: it holds the basis the top-off's batch was
+    # priced at, the first picks of the returned basis
     eps = 0.2
-    deletes = 0
+    deletes = topped = 0
     for seed in range(4):
         inst = generate_instance("transversal", objective, n=24, seed=90 + seed)
         frozen = [0, 5]
@@ -589,11 +614,44 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
         matched = [e for e in structure.basis() if e not in frozen]
         assert np.flatnonzero(state.in_basis).tolist() == matched
         assert set(matched) <= set(got) and len(got) == rank
-        state = _counted_state(f, inst.n, seed).state
+        spy = _RoundLog(_counted_state(f, inst.n, seed).state)
         checker = CountingChecker(inst.matroid.checker(frozen))
-        got = dt_incremental(state, checker, eps, m, free, rank)
-        assert np.flatnonzero(state.in_basis).tolist() == sorted(got)
+        got = dt_incremental(spy, checker, eps, m, free, rank)
+        held = np.flatnonzero(spy.state.in_basis).tolist()
+        assert "insert" not in spy.after_last_pricing()
+        assert sorted(got[: len(held)]) == held and len(got) == rank
+        topped += rank - len(held)
     assert deletes > 0
+    assert topped > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("objective", ["coverage", "facility"])
+def test_sweep_inserts_nothing_after_its_last_pricing(kind, objective) -> None:
+    # an insert is paid in per-row statistics that only a later pricing
+    # reads.  Asked for a basis, the sweep mostly ends with the top-off.
+    # Asked for one element at the empty point, where every rate is the
+    # element's value, the best element tops the first bar and fills the
+    # basis, and nothing is priced after
+    eps = 0.2
+    topped = 0
+    for seed, one in itertools.product(range(4), (False, True)):
+        inst = generate_instance(kind, objective, n=40, seed=150 + seed)
+        f = inst.build_objective()
+        if one:
+            rank, m = 1, max(f.value([e]) for e in range(inst.n))
+            rows = nested_subsets(np.zeros(inst.n), 0.2, 30, np.random.default_rng(seed))
+            spy = _RoundLog(f.round_state(*rows))
+        else:
+            rank, m = inst.matroid.rank(), estimate_opt(f, inst.matroid)
+            spy = _RoundLog(_counted_state(f, inst.n, seed).state)
+        got = dt_incremental(
+            spy, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
+        )
+        assert "insert" not in spy.after_last_pricing()
+        topped += rank - int(spy.state.in_basis.sum())
+        assert len(got) == rank
+    assert topped > 0
 
 
 class _ScriptedRates:
