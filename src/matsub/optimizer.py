@@ -319,11 +319,12 @@ def dt_incremental(
     insertion would build.
 
     Nor is an element priced once the basis spans it.  Every pricing but
-    the round-opening batch, which sets the first bar, first puts its stale
-    elements to ``checker.spanned``: a level's batch, a turn's price and
-    the top-off's batch.  The elements the mask marks are retired unpriced.
-    The sweep only inserts, so a spanned element stays spanned and would
-    fail every later test: retiring it changes no decision.  The mask is
+    the round-opening batch, which sets the first bar, first puts elements
+    to ``checker.spanned``: a level's batch and a turn's price their stale
+    ones, and the top-off its whole order, priced or not, in one call.  The
+    elements the mask marks are retired unpriced (and untested).  The sweep
+    only inserts, so a spanned element stays spanned and would fail every
+    later test: retiring it changes no decision.  The mask is
     exact on laminar and graphic checkers and sound on transversal ones;
     ``checker.marked`` counts the retired elements.
 
@@ -389,7 +390,13 @@ def dt_incremental(
                 break
         tau *= 1.0 - epsilon
     if len(basis) < rank and live.any():
-        rest = reprice(np.flatnonzero(live))
+        rest = np.flatnonzero(live)
+        # one mask call over the whole top-off, priced elements too: each
+        # spanned one would only fail its test
+        rest = rest[~checker.spanned(pool[rest])]
+        stale = rest[priced_at[rest] != len(basis)]
+        if stale.size:
+            rate[stale] = state.marginal_means(pool[stale])
         # no pricing follows the top-off's batch, so its elements join the
         # basis and the checker but not the round state
         for e in pool[rest[np.lexsort((pool[rest], -rate[rest]))]].tolist():

@@ -7,14 +7,23 @@ which side moves.  Folding the merge over the whole combination yields a
 random basis whose per-element inclusion probability equals the fractional
 coordinate (Chekuri, Vondrak & Zenklusen, FOCS 2010).
 
-Exchange partners are located per matroid family:
+A merge works on the symmetric difference, of size ``d`` per side.  Equal
+bases get no exchanger and no coin.  Otherwise exchange partners are
+located per matroid family:
 
-- laminar: two unweighted copies of the dynamic laminar structure track the
-  evolving bases; the partner for i is the maximum addable leaf of the first
-  copy below i's lowest tight constraint in the second.
-- graphic: adding i's edge to the second forest closes a unique cycle; the
-  partner is the smallest cycle edge outside the first forest that crosses
-  the cut deleting i makes in the first forest.
+- laminar: per-node counts of both bases.  Let v be the lowest node on
+  path(i) that is tight (count at capacity) in B2.  The partner is the
+  largest id j in B2 \\ B1 below v (anywhere if there is no v) such that no
+  node of path(j) \\ path(i) is tight in B1: the maximum addable leaf below
+  v once i leaves B1.  ``O(rank·depth)`` to count, then ``O(d·depth)`` per
+  exchange.
+- graphic: a union-find contracts the edges both bases share, ``O(rank)``,
+  and each exchange contracts the edge it puts into both, so the two
+  forests hold only the unresolved difference.  Adding i's edge to the
+  second closes a unique cycle; the partner is the smallest cycle edge
+  outside the first forest that crosses the cut deleting i makes in it
+  (contraction keeps both the cycle's edges outside B1 and the cut):
+  ``O(d)`` per exchange.
 - transversal: certifying matchings for both bases are maintained, and the
   alternating path from i through their union ends at a valid partner.
 
@@ -23,12 +32,12 @@ decides, exactly and from state it keeps for both bases, whether B1 - i + j
 and B2 - j + i are independent; both have the rank's size, so independent
 means basis.  ``merge_bases`` raises ``ExchangeError`` if either is not:
 
-- laminar: per-node counts of both bases.  B1 - i + j is independent iff no
-  node on path(j) \\ path(i) is tight in B1, and B2 - j + i iff no node on
-  path(i) \\ path(j) is tight in B2: ``O(depth)``.
+- laminar: B1 - i + j is independent iff no node on path(j) \\ path(i) is
+  tight in B1, and B2 - j + i iff no node on path(i) \\ path(j) is tight in
+  B2: ``O(depth)``.
 - graphic: B1 - i + j is a forest iff j crosses the cut that deleting i
-  makes in B1, found by one traversal of i's tree; B2 - j + i is one iff j
-  lies on B2's cycle through i: ``O(size of the tree)``.
+  makes in B1, and B2 - j + i is one iff j lies on B2's cycle through i:
+  both read off the contracted forests, ``O(d)``.
 - transversal: an alternating path for each side, searched along the other
   side's matching first, so for the walk's partner it retraces the walk in
   ``O(path)`` (any other candidate costs a full alternating-path search).
@@ -38,8 +47,9 @@ means basis.  ``merge_bases`` raises ``ExchangeError`` if either is not:
   side's path is then flipped into its matching.
 
 The full checks, size equal to the (memoized) ``rank()`` and
-``is_independent``, run on both input bases and on the merged output of
-every merge.
+``is_independent``, run once on every distinct set a merge takes or
+returns.  ``swap_round`` shares that record across its merges, so a merge's
+output, which is the next merge's first input, is checked once.
 """
 
 from __future__ import annotations
@@ -55,8 +65,8 @@ from .instances import (
     Matroid,
     TransversalChecker,
     TransversalMatroid,
+    _UnionFind,
 )
-from .laminar import TopTreeLaminarBasis
 
 if TYPE_CHECKING:
     from .optimizer import FractionalSolution
@@ -66,51 +76,39 @@ class ExchangeError(RuntimeError):
     """No valid exchange partner exists; impossible for genuine bases."""
 
 
-def _assert_basis(matroid: Matroid, subset: set[int], label: str) -> None:
+def _assert_basis(
+    matroid: Matroid, subset: set[int], label: str, checked: set[frozenset[int]]
+) -> None:
+    """Full check of ``subset``, skipped if it is in ``checked``, which then holds it."""
+    key = frozenset(subset)
+    if key in checked:
+        return
     if len(subset) != matroid.rank():
         raise ExchangeError(f"{label} has size {len(subset)}, rank is {matroid.rank()}")
     if not matroid.is_independent(subset):
         raise ExchangeError(f"{label} is not independent")
+    checked.add(key)
 
 
 class _LaminarExchanger:
-    """Appendix-style two-structure choreography over an unweighted pair.
+    """Partners and certificates from per-node counts of both bases.
 
-    Both structures hold every element of B1 | B2 with weight one.  Shadowed
-    elements are out of play for the max-addable queries: initially the
-    intersection, thereafter every resolved pair, so the candidate pool is
-    always exactly the unresolved part of the current B2 \\ B1.  Per-node
-    counts of both bases certify each exchange.
+    ``count1``/``count2`` hold how many elements of B1/B2 lie below each
+    tree node; a node is tight in a basis when its count reaches its
+    capacity.  ``pool`` is the unresolved part of B2 \\ B1, largest id first.
     """
 
-    def __init__(
-        self,
-        matroid: LaminarMatroid,
-        b1: Iterable[int],
-        b2: Iterable[int],
-        structure_cls: type = TopTreeLaminarBasis,
-    ) -> None:
+    def __init__(self, matroid: LaminarMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
         self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
-        self.d1 = structure_cls(matroid)
-        self.d2 = structure_cls(matroid)
-        for e in sorted(self.set1 | self.set2):
-            self.d1.make_present(e, 1.0)
-            self.d2.make_present(e, 1.0)
-        for e in sorted(self.set1):
-            self.d1.add_to_basis(e)
-        for e in sorted(self.set2):
-            self.d2.add_to_basis(e)
-        for e in sorted(self.set1 & self.set2):
-            self.d1.set_shadow(e, True)
-            self.d2.set_shadow(e, True)
         self.count1 = [0] * len(matroid.parents)
         self.count2 = [0] * len(matroid.parents)
         for e in self.set1:
             self._shift(self.count1, e, 1)
         for e in self.set2:
             self._shift(self.count2, e, 1)
+        self.pool = sorted(self.set2 - self.set1, reverse=True)
 
     def _path(self, elem: int) -> list[int]:
         return self.matroid.path_to_root(self.matroid.element_nodes[elem])
@@ -119,90 +117,119 @@ class _LaminarExchanger:
         for v in self._path(elem):
             counts[v] += delta
 
+    def _tight(self, counts: list[int], nodes: Iterable[int]) -> bool:
+        caps = self.matroid.capacities
+        return any(counts[v] >= caps[v] for v in nodes)
+
     def exchange(self, i: int) -> int:
-        # i's addition to B2 is blocked at its lowest tight constraint; the
-        # partner must sit below it so that removing j frees that node
-        v = self.d2.lowest_tight(i)
-        self.d1.remove_from_basis(i)
-        self.d1.set_shadow(i, True)
-        j = self.d1.max_addable_under(v) if v is not None else self.d1.max_addable()
-        if j is None:
-            raise ExchangeError(f"no exchange partner for element {i}")
-        return j
+        caps = self.matroid.capacities
+        path_i = self._path(i)
+        # i's addition to B2 is blocked at its lowest tight node; the partner
+        # must sit below it so that removing it frees that node
+        v = next((x for x in path_i if self.count2[x] >= caps[x]), None)
+        on_i = set(path_i)
+        # the largest such j that B1 - i can take in
+        for j in self.pool:
+            path_j = self._path(j)
+            if v is not None and v not in path_j:
+                continue
+            if not self._tight(self.count1, (u for u in path_j if u not in on_i)):
+                return j
+        raise ExchangeError(f"no exchange partner for element {i}")
 
     def admits(self, i: int, j: int) -> tuple[bool, bool]:
         """Are B1 - i + j and B2 - j + i independent?"""
-        caps = self.matroid.capacities
-        path_i, path_j = self._path(i), self._path(j)
-        only_i, only_j = set(path_i) - set(path_j), set(path_j) - set(path_i)
-        first = all(self.count1[v] < caps[v] for v in only_j)
-        second = all(self.count2[v] < caps[v] for v in only_i)
-        return first, second
+        path_i, path_j = set(self._path(i)), set(self._path(j))
+        return (
+            not self._tight(self.count1, path_j - path_i),
+            not self._tight(self.count2, path_i - path_j),
+        )
 
     def apply(self, i: int, j: int, move_first: bool) -> None:
         if move_first:
-            self.d1.add_to_basis(j)
             self.set1.remove(i)
             self.set1.add(j)
             self._shift(self.count1, i, -1)
             self._shift(self.count1, j, 1)
         else:
-            self.d1.add_to_basis(i)
-            self.d2.remove_from_basis(j)
-            self.d2.add_to_basis(i)
             self.set2.remove(j)
             self.set2.add(i)
             self._shift(self.count2, j, -1)
             self._shift(self.count2, i, 1)
-        # both i and j are settled for good: one now lies in both bases, the
-        # other in neither, so neither may be offered as a partner again
-        self.d1.set_shadow(j, True)
-        self.d2.set_shadow(i, True)
-        self.d2.set_shadow(j, True)
+        # j now lies in both bases or in neither, so it is a partner no more
+        self.pool.remove(j)
 
 
 class _GraphicExchanger:
-    """Cut-and-cycle exchange over two spanning forests kept as adjacency maps.
+    """Cut-and-cycle exchange over two spanning forests with B1 & B2 contracted.
 
-    For the element i under exchange, ``side`` is the vertex set of one side
-    of the cut that deleting i makes in B1 and ``cycle`` the edges of B2's
-    path between i's ends; both are found once per i.
+    A union-find merges the ends of every edge both bases hold, and
+    ``adj1``/``adj2`` map each contracted vertex to its incident edges of
+    B1 \\ B2 and B2 \\ B1.  An exchange leaves one of its two edges in both
+    bases, which is contracted, and the other in neither, which is dropped,
+    so the maps always hold exactly the unresolved difference.  For the
+    element i under exchange, ``side`` is the set of contracted vertices on
+    one side of the cut that deleting i makes in B1 and ``cycle`` the edges
+    of B2 \\ B1 on B2's path between i's ends; both are found once per i.
     """
 
     def __init__(self, matroid: GraphicMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
         self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
-        self.adj1: dict[int, set[tuple[int, int]]] = {}
-        self.adj2: dict[int, set[tuple[int, int]]] = {}
-        for e in self.set1:
+        self.uf = _UnionFind(matroid.num_vertices)
+        for e in self.set1 & self.set2:
+            self.uf.union(*matroid.edges[e])
+        self.adj1: dict[int, set[int]] = {}
+        self.adj2: dict[int, set[int]] = {}
+        for e in self.set1 - self.set2:
             self._link(self.adj1, e)
-        for e in self.set2:
+        for e in self.set2 - self.set1:
             self._link(self.adj2, e)
         self._for: int | None = None
         self.side: set[int] = set()
         self.cycle: set[int] = set()
 
-    def _link(self, adjacency: dict[int, set[tuple[int, int]]], e: int) -> None:
+    def _ends(self, e: int) -> tuple[int, int]:
         a, b = self.matroid.edges[e]
-        adjacency.setdefault(a, set()).add((b, e))
-        adjacency.setdefault(b, set()).add((a, e))
+        return self.uf.find(a), self.uf.find(b)
 
-    def _unlink(self, adjacency: dict[int, set[tuple[int, int]]], e: int) -> None:
-        a, b = self.matroid.edges[e]
-        adjacency[a].discard((b, e))
-        adjacency[b].discard((a, e))
+    def _link(self, adjacency: dict[int, set[int]], e: int) -> None:
+        for x in self._ends(e):
+            adjacency.setdefault(x, set()).add(e)
+
+    def _unlink(self, adjacency: dict[int, set[int]], e: int) -> None:
+        for x in self._ends(e):
+            adjacency[x].discard(e)
+
+    def _contract(self, e: int) -> None:
+        """Merge the ends of ``e``, now in both bases, and their adjacency."""
+        a, b = self._ends(e)
+        self.uf.union(a, b)
+        root = self.uf.find(a)
+        for adjacency in (self.adj1, self.adj2):
+            small, big = adjacency.pop(a, set()), adjacency.pop(b, set())
+            if len(small) > len(big):
+                small, big = big, small
+            big |= small
+            if big:
+                adjacency[root] = big
+
+    def _across(self, x: int, e: int) -> int:
+        a, b = self._ends(e)
+        return b if a == x else a
 
     def _prepare(self, i: int) -> None:
         if self._for == i:
             return
-        u, v = self.matroid.edges[i]
+        u, v = self._ends(i)
         # the side of u once i is deleted from B1
         side = {u}
         stack = [u]
         while stack:
             x = stack.pop()
-            for y, e in self.adj1.get(x, ()):
+            for e in self.adj1.get(x, ()):
+                y = self._across(x, e)
                 if e != i and y not in side:
                     side.add(y)
                     stack.append(y)
@@ -211,7 +238,8 @@ class _GraphicExchanger:
         queue = deque([u])
         while queue and v not in parent:
             x = queue.popleft()
-            for y, e in self.adj2.get(x, ()):
+            for e in self.adj2.get(x, ()):
+                y = self._across(x, e)
                 if y not in parent:
                     parent[y] = (x, e)
                     queue.append(y)
@@ -223,14 +251,14 @@ class _GraphicExchanger:
         self._for, self.side, self.cycle = i, side, cycle
 
     def _crosses(self, j: int) -> bool:
-        a, b = self.matroid.edges[j]
+        a, b = self._ends(j)
         return (a in self.side) != (b in self.side)
 
     def exchange(self, i: int) -> int:
         self._prepare(i)
         if not self.cycle:
             raise ExchangeError(f"endpoints of edge {i} not connected in the second basis")
-        for j in sorted(self.cycle - self.set1):
+        for j in sorted(self.cycle):
             if self._crosses(j):
                 return j
         raise ExchangeError(f"no exchange partner for edge {i}")
@@ -241,16 +269,16 @@ class _GraphicExchanger:
         return self._crosses(j), j in self.cycle
 
     def apply(self, i: int, j: int, move_first: bool) -> None:
+        self._unlink(self.adj1, i)
+        self._unlink(self.adj2, j)
         if move_first:
             self.set1.remove(i)
             self.set1.add(j)
-            self._unlink(self.adj1, i)
-            self._link(self.adj1, j)
+            self._contract(j)
         else:
             self.set2.remove(j)
             self.set2.add(i)
-            self._unlink(self.adj2, j)
-            self._link(self.adj2, i)
+            self._contract(i)
         self._for = None
 
 
@@ -407,6 +435,8 @@ def merge_bases(
     b2: Iterable[int],
     matroid: Matroid,
     rng: np.random.Generator,
+    *,
+    checked: set[frozenset[int]] | None = None,
 ) -> list[int]:
     """Randomly merge two bases; each survives in proportion to its weight.
 
@@ -415,18 +445,25 @@ def merge_bases(
     partner, otherwise the second adopts the element.  On return the two
     (internally tracked) bases coincide and the common basis is returned, so
     Pr[e in result] = (alpha1 * [e in B1] + alpha2 * [e in B2]) / (alpha1 + alpha2).
-    Both inputs and the output are checked in full, every exchange against
-    its certificate; a failed check raises ``ExchangeError``.
+    Both inputs and the output are checked in full, each distinct set once
+    and none that ``checked`` already holds (every set checked is added to
+    it), and every exchange against its certificate; a failed check raises
+    ``ExchangeError``.  Equal bases are returned after their one check, with
+    no exchanger and no coin.
     """
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("mixture weights must be positive")
-    exchanger = _make_exchanger(matroid, b1, b2)
-    if len(exchanger.set1) != len(exchanger.set2):
+    set1, set2 = set(b1), set(b2)
+    if len(set1) != len(set2):
         raise ValueError("bases must have equal size")
-    _assert_basis(matroid, exchanger.set1, "first basis")
-    _assert_basis(matroid, exchanger.set2, "second basis")
+    checked = set() if checked is None else checked
+    _assert_basis(matroid, set1, "first basis", checked)
+    if set1 == set2:
+        return sorted(set1)
+    _assert_basis(matroid, set2, "second basis", checked)
+    exchanger = _make_exchanger(matroid, set1, set2)
     threshold = alpha2 / (alpha1 + alpha2)
-    for i in sorted(exchanger.set1 - exchanger.set2):
+    for i in sorted(set1 - set2):
         j = exchanger.exchange(i)
         if j not in exchanger.set2 or j in exchanger.set1:
             raise ExchangeError(f"partner {j} of {i} is not in B2 \\ B1")
@@ -438,7 +475,7 @@ def merge_bases(
         exchanger.apply(i, j, move_first=rng.random() < threshold)
     if exchanger.set1 != exchanger.set2:
         raise ExchangeError("merge finished with distinct bases")
-    _assert_basis(matroid, exchanger.set1, "merged basis")
+    _assert_basis(matroid, exchanger.set1, "merged basis", checked)
     return sorted(exchanger.set1)
 
 
@@ -451,13 +488,17 @@ def swap_round(
 
     The running merge carries the accumulated mixture weight, so every basis
     enters with influence proportional to its coefficient and the output
-    preserves the fractional marginals elementwise.
+    preserves the fractional marginals elementwise.  The merges share one
+    record of checked sets, so each distinct set a merge takes or returns
+    is checked in full once: a merge's output, the next merge's first
+    input, is not checked again.
     """
     bases: Sequence[tuple[float, Sequence[int]]] = list(fractional.bases)
     if not bases:
         raise ValueError("fractional solution holds no bases")
     weight, merged = bases[0][0], list(bases[0][1])
+    checked: set[frozenset[int]] = set()
     for alpha, basis in bases[1:]:
-        merged = merge_bases(weight, merged, alpha, basis, matroid, rng)
+        merged = merge_bases(weight, merged, alpha, basis, matroid, rng, checked=checked)
         weight += alpha
     return sorted(merged)

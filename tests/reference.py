@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from matsub.core import IndependenceChecker, OracleChanges, SetFunction, weight_key
-from matsub.instances import LaminarMatroid, Matroid, TransversalMatroid
+from matsub.instances import GraphicMatroid, LaminarMatroid, Matroid, TransversalMatroid
+from matsub.laminar import TopTreeLaminarBasis
 from matsub.objectives import ValueOracle, sample_subsets
 from matsub.optimizer import FractionalSolution
 from matsub.sampler import BucketLists
@@ -249,6 +250,195 @@ def greedy_laminar_basis(
             checker.insert(e)
             chosen.append(e)
     return sorted(chosen)
+
+
+# ---------------------------------------------------------------------------
+# swap-rounding exchangers over whole bases
+
+
+class TopTreeLaminarExchanger:
+    """Swap-rounding exchanges through two unweighted laminar structures.
+
+    The partner for i is the maximum addable leaf of the first copy below
+    i's lowest tight constraint in the second.  Both structures hold every
+    element of B1 | B2 with weight one.  Shadowed elements are out of play
+    for the max-addable queries: initially the intersection, thereafter
+    every resolved pair, so the candidate pool is always exactly the
+    unresolved part of the current B2 \\ B1.  Per-node counts of both bases
+    certify each exchange.
+    """
+
+    def __init__(
+        self,
+        matroid: LaminarMatroid,
+        b1: Iterable[int],
+        b2: Iterable[int],
+        structure_cls: type = TopTreeLaminarBasis,
+    ) -> None:
+        self.matroid = matroid
+        self.set1 = set(b1)
+        self.set2 = set(b2)
+        self.d1 = structure_cls(matroid)
+        self.d2 = structure_cls(matroid)
+        for e in sorted(self.set1 | self.set2):
+            self.d1.make_present(e, 1.0)
+            self.d2.make_present(e, 1.0)
+        for e in sorted(self.set1):
+            self.d1.add_to_basis(e)
+        for e in sorted(self.set2):
+            self.d2.add_to_basis(e)
+        for e in sorted(self.set1 & self.set2):
+            self.d1.set_shadow(e, True)
+            self.d2.set_shadow(e, True)
+        self.count1 = [0] * len(matroid.parents)
+        self.count2 = [0] * len(matroid.parents)
+        for e in self.set1:
+            self._shift(self.count1, e, 1)
+        for e in self.set2:
+            self._shift(self.count2, e, 1)
+
+    def _path(self, elem: int) -> list[int]:
+        return self.matroid.path_to_root(self.matroid.element_nodes[elem])
+
+    def _shift(self, counts: list[int], elem: int, delta: int) -> None:
+        for v in self._path(elem):
+            counts[v] += delta
+
+    def exchange(self, i: int) -> int:
+        # i's addition to B2 is blocked at its lowest tight constraint; the
+        # partner must sit below it so that removing j frees that node
+        v = self.d2.lowest_tight(i)
+        self.d1.remove_from_basis(i)
+        self.d1.set_shadow(i, True)
+        j = self.d1.max_addable_under(v) if v is not None else self.d1.max_addable()
+        if j is None:
+            raise RuntimeError(f"no exchange partner for element {i}")
+        return j
+
+    def admits(self, i: int, j: int) -> tuple[bool, bool]:
+        """Are B1 - i + j and B2 - j + i independent?"""
+        caps = self.matroid.capacities
+        path_i, path_j = self._path(i), self._path(j)
+        only_i, only_j = set(path_i) - set(path_j), set(path_j) - set(path_i)
+        first = all(self.count1[v] < caps[v] for v in only_j)
+        second = all(self.count2[v] < caps[v] for v in only_i)
+        return first, second
+
+    def apply(self, i: int, j: int, move_first: bool) -> None:
+        if move_first:
+            self.d1.add_to_basis(j)
+            self.set1.remove(i)
+            self.set1.add(j)
+            self._shift(self.count1, i, -1)
+            self._shift(self.count1, j, 1)
+        else:
+            self.d1.add_to_basis(i)
+            self.d2.remove_from_basis(j)
+            self.d2.add_to_basis(i)
+            self.set2.remove(j)
+            self.set2.add(i)
+            self._shift(self.count2, j, -1)
+            self._shift(self.count2, i, 1)
+        # both i and j are settled for good: one now lies in both bases, the
+        # other in neither, so neither may be offered as a partner again
+        self.d1.set_shadow(j, True)
+        self.d2.set_shadow(i, True)
+        self.d2.set_shadow(j, True)
+
+
+class AdjacencyGraphicExchanger:
+    """Cut-and-cycle exchange over two whole spanning forests kept as adjacency maps.
+
+    The partner for i is the smallest edge of B2's cycle through i outside
+    B1 that crosses the cut deleting i makes in B1.  For the element i under
+    exchange, ``side`` is the vertex set of one side of that cut and
+    ``cycle`` the edges of B2's path between i's ends; both are found once
+    per i.
+    """
+
+    def __init__(self, matroid: GraphicMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
+        self.matroid = matroid
+        self.set1 = set(b1)
+        self.set2 = set(b2)
+        self.adj1: dict[int, set[tuple[int, int]]] = {}
+        self.adj2: dict[int, set[tuple[int, int]]] = {}
+        for e in self.set1:
+            self._link(self.adj1, e)
+        for e in self.set2:
+            self._link(self.adj2, e)
+        self._for: int | None = None
+        self.side: set[int] = set()
+        self.cycle: set[int] = set()
+
+    def _link(self, adjacency: dict[int, set[tuple[int, int]]], e: int) -> None:
+        a, b = self.matroid.edges[e]
+        adjacency.setdefault(a, set()).add((b, e))
+        adjacency.setdefault(b, set()).add((a, e))
+
+    def _unlink(self, adjacency: dict[int, set[tuple[int, int]]], e: int) -> None:
+        a, b = self.matroid.edges[e]
+        adjacency[a].discard((b, e))
+        adjacency[b].discard((a, e))
+
+    def _prepare(self, i: int) -> None:
+        if self._for == i:
+            return
+        u, v = self.matroid.edges[i]
+        # the side of u once i is deleted from B1
+        side = {u}
+        stack = [u]
+        while stack:
+            x = stack.pop()
+            for y, e in self.adj1.get(x, ()):
+                if e != i and y not in side:
+                    side.add(y)
+                    stack.append(y)
+        # the u-v path in B2, which closes the unique cycle of B2 + i
+        parent: dict[int, tuple[int, int]] = {u: (-1, -1)}
+        queue = deque([u])
+        while queue and v not in parent:
+            x = queue.popleft()
+            for y, e in self.adj2.get(x, ()):
+                if y not in parent:
+                    parent[y] = (x, e)
+                    queue.append(y)
+        cycle: set[int] = set()
+        x = v if v in parent else u
+        while x != u:
+            x, e = parent[x]
+            cycle.add(e)
+        self._for, self.side, self.cycle = i, side, cycle
+
+    def _crosses(self, j: int) -> bool:
+        a, b = self.matroid.edges[j]
+        return (a in self.side) != (b in self.side)
+
+    def exchange(self, i: int) -> int:
+        self._prepare(i)
+        if not self.cycle:
+            raise RuntimeError(f"endpoints of edge {i} not connected in the second basis")
+        for j in sorted(self.cycle - self.set1):
+            if self._crosses(j):
+                return j
+        raise RuntimeError(f"no exchange partner for edge {i}")
+
+    def admits(self, i: int, j: int) -> tuple[bool, bool]:
+        """Are B1 - i + j and B2 - j + i forests?"""
+        self._prepare(i)
+        return self._crosses(j), j in self.cycle
+
+    def apply(self, i: int, j: int, move_first: bool) -> None:
+        if move_first:
+            self.set1.remove(i)
+            self.set1.add(j)
+            self._unlink(self.adj1, i)
+            self._link(self.adj1, j)
+        else:
+            self.set2.remove(j)
+            self.set2.add(i)
+            self._unlink(self.adj2, j)
+            self._link(self.adj2, i)
+        self._for = None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from matsub import rounding
 from matsub.instances import (
     GraphicMatroid,
     LaminarMatroid,
@@ -15,6 +16,7 @@ from matsub.instances import (
     TransversalMatroid,
     generate_instance,
 )
+from matsub.laminar import TopTreeLaminarBasis
 from matsub.rounding import (
     _GraphicExchanger,
     _LaminarExchanger,
@@ -25,7 +27,7 @@ from matsub.rounding import (
     merge_bases,
     swap_round,
 )
-from reference import SlowLaminarBasis
+from reference import AdjacencyGraphicExchanger, TopTreeLaminarExchanger
 
 
 class _Mix:
@@ -35,9 +37,12 @@ class _Mix:
         self.bases = bases
 
 
-def _random_basis(matroid: Matroid, rng: np.random.Generator) -> list[int]:
-    checker = matroid.checker()
-    basis = []
+def _random_basis(
+    matroid: Matroid, rng: np.random.Generator, start: list[int] | None = None
+) -> list[int]:
+    """A basis completed in random order from the independent set ``start``."""
+    basis = list(start or [])
+    checker = matroid.checker(basis)
     for e in rng.permutation(matroid.n):
         e = int(e)
         if checker.test(e):
@@ -169,20 +174,54 @@ def test_transversal_partner_shares_the_alternating_component():
         assert find_exchange(i, b1, b2, mat) in component
 
 
+def _base_pairs(kind: str, seeds: range, rng: np.random.Generator):
+    """Random base pairs at n in {12, 45, 200}: unrelated ones, and ones
+    that share a random part of the first (so there is much to contract)."""
+    for n in (12, 45, 200):
+        for seed in seeds:
+            mat = generate_instance(kind, "additive", n=n, seed=seed).matroid
+            b1 = _random_basis(mat, rng)
+            kept = [e for e in b1 if rng.random() < 0.7]
+            yield mat, b1, _random_basis(mat, rng)
+            yield mat, b1, _random_basis(mat, rng, start=kept)
+
+
+def _agrees_with_reference(ex, ref, rng: np.random.Generator) -> int:
+    """Drive both exchangers through one merge; return the exchanges made."""
+    made = 0
+    for i in sorted(ex.set1 - ex.set2):
+        j = ex.exchange(i)
+        assert j == ref.exchange(i)
+        for c in sorted(ex.set2 - ex.set1):
+            assert ex.admits(i, c) == ref.admits(i, c), (i, c)
+        move_first = bool(rng.integers(2))
+        ex.apply(i, j, move_first)
+        ref.apply(i, j, move_first)
+        assert ex.set1 == ref.set1 and ex.set2 == ref.set2
+        made += 1
+    assert ex.set1 == ex.set2
+    return made
+
+
 def test_laminar_exchanger_agrees_across_structures():
+    # the per-node-count partner against the top-tree exchanger it replaced
     rng = np.random.default_rng(29)
-    for seed in range(10):
-        mat = generate_instance("laminar", "additive", n=12, seed=70 + seed).matroid
-        b1, b2 = _random_basis(mat, rng), _random_basis(mat, rng)
-        fast = _LaminarExchanger(mat, b1, b2)
-        slow = _LaminarExchanger(mat, b1, b2, structure_cls=SlowLaminarBasis)
-        for i in sorted(set(b1) - set(b2)):
-            j = fast.exchange(i)
-            assert j == slow.exchange(i)
-            move_first = bool(rng.integers(2))
-            fast.apply(i, j, move_first)
-            slow.apply(i, j, move_first)
-        assert fast.set1 == fast.set2 == slow.set1
+    made = 0
+    for mat, b1, b2 in _base_pairs("laminar", range(70, 75), rng):
+        made += _agrees_with_reference(
+            _LaminarExchanger(mat, b1, b2), TopTreeLaminarExchanger(mat, b1, b2), rng
+        )
+    assert made > 200
+
+
+def test_graphic_exchanger_agrees_with_the_whole_forest_exchanger():
+    rng = np.random.default_rng(31)
+    made = 0
+    for mat, b1, b2 in _base_pairs("graphic", range(80, 85), rng):
+        made += _agrees_with_reference(
+            _GraphicExchanger(mat, b1, b2), AdjacencyGraphicExchanger(mat, b1, b2), rng
+        )
+    assert made > 200
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +399,90 @@ def test_three_base_mix_preserves_marginals():
             continue
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(hits[e] / trials - p) <= 4 * sigma
+
+
+# ---------------------------------------------------------------------------
+# work in proportion to the symmetric difference
+
+
+class _Coinless:
+    def random(self):
+        raise AssertionError("a merge of equal bases drew a coin")
+
+
+def _spy_checks(mat: Matroid, monkeypatch) -> list[frozenset[int]]:
+    """Record the set of every full ``is_independent`` check on ``mat``."""
+    seen: list[frozenset[int]] = []
+    genuine = mat.is_independent
+
+    def spy(subset):
+        subset = frozenset(subset)
+        seen.append(subset)
+        return genuine(subset)
+
+    monkeypatch.setattr(mat, "is_independent", spy)
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_merge_of_equal_bases_builds_no_exchanger_and_checks_once(kind, monkeypatch):
+    mat = generate_instance(kind, "additive", n=30, seed=3).matroid
+    basis = _random_basis(mat, np.random.default_rng(3))
+    seen = _spy_checks(mat, monkeypatch)
+
+    def no_exchanger(*args):
+        raise AssertionError("a merge of equal bases built an exchanger")
+
+    monkeypatch.setattr(rounding, "_make_exchanger", no_exchanger)
+    assert merge_bases(0.4, basis, 0.6, list(reversed(basis)), mat, _Coinless()) == basis
+    assert seen == [frozenset(basis)]
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_swap_round_checks_each_distinct_set_once(kind, monkeypatch):
+    rng = np.random.default_rng(59)
+    mat = generate_instance(kind, "additive", n=40, seed=9).matroid
+    a, b, c = (_random_basis(mat, rng) for _ in range(3))
+    merges: list[tuple[list[int], list[int], list[int]]] = []
+    genuine = rounding.merge_bases
+
+    def logged(alpha1, b1, alpha2, b2, *args, **kwargs):
+        out = genuine(alpha1, b1, alpha2, b2, *args, **kwargs)
+        merges.append((b1, b2, out))
+        return out
+
+    # swap_round reaches merge_bases through the module global
+    monkeypatch.setattr(rounding, "merge_bases", logged)
+    seen = _spy_checks(mat, monkeypatch)
+    mix = _Mix([(0.2, a), (0.1, b), (0.3, a), (0.1, a), (0.3, c)])
+    out = swap_round(mix, mat, rng)
+    assert len(merges) == 4 and merges[-1][2] == out
+    distinct = {frozenset(s) for merge in merges for s in merge}
+    assert len(seen) == len(set(seen)) == len(distinct)
+    assert set(seen) == distinct
+
+
+def test_laminar_swap_round_builds_no_top_tree(monkeypatch):
+    def no_top_tree(self, matroid):
+        raise AssertionError("swap rounding built a TopTreeLaminarBasis")
+
+    monkeypatch.setattr(TopTreeLaminarBasis, "__init__", no_top_tree)
+    rng = np.random.default_rng(61)
+    mat = generate_instance("laminar", "additive", n=200, seed=13).matroid
+    bases = [(0.25, _random_basis(mat, rng)) for _ in range(4)]
+    out = swap_round(_Mix(bases), mat, rng)
+    assert len(out) == mat.rank() and mat.is_independent(out)
+
+
+def test_graphic_adjacency_holds_exactly_the_unresolved_difference():
+    rng = np.random.default_rng(67)
+    for mat, b1, b2 in _base_pairs("graphic", range(90, 93), rng):
+        ex = _GraphicExchanger(mat, b1, b2)
+        for i in sorted(ex.set1 - ex.set2) + [None]:
+            if i is not None:
+                ex.apply(i, ex.exchange(i), move_first=bool(rng.integers(2)))
+            for adjacency, held in ((ex.adj1, ex.set1 - ex.set2), (ex.adj2, ex.set2 - ex.set1)):
+                # each unresolved edge sits under the contracted vertex of each end
+                listed = {(x, e) for x, edges in adjacency.items() for e in edges}
+                want = {(ex.uf.find(v), e) for e in held for v in mat.edges[e]}
+                assert listed == want
