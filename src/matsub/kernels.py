@@ -3,10 +3,10 @@
 The sampling phases of the optimizer evaluate an objective on hundreds of
 random subsets per marginal estimate.  That work is dense array arithmetic and
 dominates end-to-end runtime.  The kernels hold no state: anything derived
-from an objective's data, such as the coverage incidence matrix, is built and
-owned by the oracle that passes it in, and the per-row statistics are kept
-by the oracle's round state (``objectives.RoundState``), the only place that
-puts these steps together.
+from an objective's data, such as the coverage incidence matrix or the
+facility similarity ranks, is built and owned by the oracle that passes it
+in, and the per-row statistics are kept by the oracle's round state
+(``objectives.RoundState``), the only place that puts these steps together.
 
 Subset batches are ``(s, n)`` uint8 matrices, one row per sampled set.  Ground
 sets use element ids ``0..n-1`` throughout.  Each objective has two steps:
@@ -21,9 +21,12 @@ per call, for ``q`` queried elements:
   block, for the ``u`` items their covers share and the ``h`` rows that
   hold one of them.
 - ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
-- ``facility_summary``: ``O(s·clients·log s)`` time, ``O(s·clients)``
-  memory.
-- ``facility_price``: ``O(q·clients·log s)`` time, ``O(q·clients)`` memory.
+- ``similarity_ranks``: ``O(n·clients·log n)`` time and ``O(n·clients)``
+  memory, once per oracle, which keeps the table.
+- ``facility_summary``: ``O(clients·(s·log s + n))`` time,
+  ``O(clients·(s + n))`` memory.
+- ``facility_price``: ``O(q·clients)`` time and memory, gathers at each
+  queried element's similarity ranks.
 
 A round state also prices one element without a summary
 (``RoundState.price``), straight from its statistics:
@@ -127,29 +130,70 @@ def push_top2(top1, arg1, top2, rows, j, v):
     arg1[rows] = np.where(v > t1, j, arg1[rows])
 
 
-def facility_summary(top1, arg1, top2, n):
-    """What pricing reads of the top-2 statistics: each client's top1 column
-    sorted over rows, its prefix sums, and per element the sum of
-    ``top1 - top2`` over the ``(row, client)`` pairs it tops (entry ``n``
-    collects the pairs no member tops)."""
-    ranked = np.sort(top1.T, axis=1)
-    prefix = np.zeros((ranked.shape[0], ranked.shape[1] + 1))
-    np.cumsum(ranked, axis=1, out=prefix[:, 1:])
-    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=n + 1)
-    return ranked, prefix, tops
+def similarity_ranks(sim):
+    """Each client's similarities, with a zero appended as element ``n``,
+    ranked.  ``rank[e, c]``, int32 ``(n + 1, clients)``, counts the entries
+    of client ``c``'s column that lie strictly below entry ``e``.
+    ``order[c, p]``, ``(clients, n + 1)``, is ``c·(n + 1) + e`` for the
+    entry ``e`` at position ``p - 1`` of the column in ascending order
+    (ties by element), and ``clients·(n + 1)`` at ``p = 0``."""
+    n, clients = sim.shape
+    ext = np.zeros((n + 1, clients))
+    ext[:n] = sim
+    ascending = np.argsort(ext, axis=0, kind="stable")
+    ext.sort(axis=0)
+    # an entry ranks as the first entry equal to it in ascending order
+    first = np.ones(ext.shape, dtype=bool)
+    np.not_equal(ext[1:], ext[:-1], out=first[1:])
+    del ext
+    at = np.where(first, np.arange(n + 1, dtype=np.int32)[:, None], np.int32(0))
+    np.maximum.accumulate(at, axis=0, out=at)
+    rank = np.empty(at.shape, dtype=np.int32)
+    np.put_along_axis(rank, ascending, at, axis=0)
+    order = np.empty((clients, n + 1), dtype=np.intp)
+    order[:, 0] = clients * (n + 1)
+    order[:, 1:] = ascending[:-1].T
+    order[:, 1:] += np.arange(clients)[:, None] * (n + 1)
+    return rank, order
 
 
-def facility_price(ranked, prefix, tops, elems, sim):
+def facility_summary(top1, arg1, top2, ranks):
+    """What pricing reads of the top-2 statistics: the prefix sums of each
+    client's top1 column sorted over rows; ``below[c, k]``, the rows whose
+    top-1 for client ``c`` ranks below ``k`` among ``ranks`` (the oracle's
+    :func:`similarity_ranks`); and per element the sum of ``top1 - top2``
+    over the ``(row, client)`` pairs it tops (entry ``n`` collects the pairs
+    no member tops)."""
+    rank, order = ranks
+    s, clients = top1.shape
+    width = rank.shape[0]
+    prefix = np.zeros((clients, s + 1))
+    np.cumsum(np.sort(top1.T, axis=1), axis=1, out=prefix[:, 1:])
+    # top1 is the similarity of its argmax, so it ranks as the argmax does:
+    # rows per (client, argmax), read in ascending order and summed
+    keys = (arg1 + np.arange(clients) * width).ravel()
+    below = np.bincount(keys, minlength=clients * width + 1)[order]
+    np.cumsum(below, axis=1, out=below)
+    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=width)
+    return prefix, below, tops
+
+
+def facility_price(prefix, below, tops, elems, sim, ranks):
     # Without e a row's best similarity is top1, or top2 in the rows where e
     # is the best member.  Summing max(sim[e,c] - top1[r,c], 0) over rows
-    # takes one searchsorted per client on the sorted top1 column; the
-    # bincount over the argmax adds top1 - top2 in the rows that e tops.
-    query = np.ascontiguousarray(sim[elems].T)
-    below = np.empty(query.shape, dtype=np.intp)
-    for c in range(ranked.shape[0]):
-        below[c] = ranked[c].searchsorted(query[c])
-    above = below * query - np.take_along_axis(prefix, below, axis=1)
-    return (above.sum(axis=0) + tops[elems]) / ranked.shape[1]
+    # takes the rows whose top1 lies below sim[e,c], counted at e's rank, and
+    # their prefix sum; the bincount over the argmax adds top1 - top2 in the
+    # rows that e tops.  Gathers are flat and client-major, like ``above``,
+    # so its sum adds the clients in order.
+    above = np.ascontiguousarray(sim[elems].T)
+    column = np.arange(above.shape[0])[:, None]
+    at = np.empty(above.shape, dtype=np.intp)
+    np.add(ranks[0][elems].T, column * below.shape[1], out=at)
+    under = below.ravel()[at]
+    np.add(under, column * prefix.shape[1], out=at)
+    np.multiply(under, above, out=above)
+    above -= prefix.ravel()[at]
+    return (above.sum(axis=0) + tops[elems]) / (prefix.shape[1] - 1)
 
 
 def active_backend() -> str:

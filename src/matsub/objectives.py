@@ -2,10 +2,10 @@
 
 Three families cover everything the generator emits: weighted coverage,
 facility location, and additive.  Every oracle counts queries: ``value`` is
-one query, ``marginal`` two, a batch over ``s`` sampled sets is ``s`` queries
-and a batched marginal estimate ``2*s`` per queried element.  An
-``incremental()`` state prices ``f(S + e) - f(S)`` for a growing ``S`` at one
-query each.  Budget instrumentation everywhere else trusts these counts.
+one query, a batch over ``s`` sampled sets is ``s`` queries and a batched
+marginal estimate ``2*s`` per queried element.  An ``incremental()`` state
+prices ``f(S + e) - f(S)`` for a growing ``S`` at one query each.  Budget
+instrumentation everywhere else trusts these counts.
 
 A ``round_state`` is the one place where an objective puts its kernel
 steps together.  It keeps per-row statistics (coverage counts, facility
@@ -37,6 +37,18 @@ def set_eval_threads(count: int) -> None:
         raise ValueError("batched estimates are serial: thread count must be 1")
 
 
+def _nonnegative(values, name: str) -> np.ndarray:
+    """``values`` as float64, checked finite and nonnegative.  A NaN fails
+    every comparison, so ``min() < 0`` alone lets it through, and it has no
+    rank among the values."""
+    out = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
+    if out.size and out.min() < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return out
+
+
 class QueryCounter:
     """Running total of value-oracle queries, shared by an oracle and its
     contractions so one count covers every phase."""
@@ -65,16 +77,9 @@ class ValueOracle:
     # -- single-set queries -------------------------------------------------
 
     def value(self, subset: Iterable[int]) -> float:
+        idx = self._as_indices(subset)
         self.counter.count += 1
-        return self._value(self._as_indices(subset))
-
-    def marginal(self, elem: int, subset: Iterable[int]) -> float:
-        """f(S + e) - f(S), counted as two queries."""
-        base = self._as_indices(subset)
-        self._in_range(np.asarray([elem], dtype=np.int64))
-        with_e = np.append(base, np.int64(elem)) if elem not in set(base.tolist()) else base
-        self.counter.count += 2
-        return self._value(with_e) - self._value(base)
+        return self._value(idx)
 
     def incremental(self) -> "_Increment":
         """Gain state for a set that grows from empty, as the greedy pass
@@ -199,9 +204,7 @@ class CoverageOracle(ValueOracle):
 
     def __init__(self, covers: Sequence[Sequence[int]], universe_weights: Sequence[float]) -> None:
         super().__init__(len(covers))
-        self.universe_weights = np.asarray(universe_weights, dtype=np.float64)
-        if self.universe_weights.size and self.universe_weights.min() < 0:
-            raise ValueError("universe weights must be nonnegative")
+        self.universe_weights = _nonnegative(universe_weights, "universe weights")
         nu = self.universe_weights.shape[0]
         ids = list(itertools.chain.from_iterable(covers))
         items = np.array(ids)
@@ -252,11 +255,9 @@ class FacilityLocationOracle(ValueOracle):
     kind = "facility"
 
     def __init__(self, similarity: np.ndarray) -> None:
-        sim = np.asarray(similarity, dtype=np.float64)
+        sim = _nonnegative(similarity, "similarities")
         if sim.ndim != 2:
             raise ValueError("similarity must be a 2-d matrix")
-        if sim.size and sim.min() < 0:
-            raise ValueError("similarities must be nonnegative")
         super().__init__(sim.shape[0])
         self.similarity = np.ascontiguousarray(sim)
 
@@ -268,6 +269,13 @@ class FacilityLocationOracle(ValueOracle):
     def incremental(self) -> _Increment:
         return _FacilityIncrement(self)
 
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per client, the rank of each similarity in its column, for batch
+        pricing (:func:`kernels.similarity_ranks`): ``O(n·clients)`` memory,
+        built for the first batch pricing and freed with the oracle."""
+        return kernels.similarity_ranks(self.similarity)
+
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _FacilityRound(self, lower, upper)
 
@@ -278,9 +286,7 @@ class AdditiveOracle(ValueOracle):
     kind = "additive"
 
     def __init__(self, weights: Sequence[float]) -> None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.size and w.min() < 0:
-            raise ValueError("weights must be nonnegative")
+        w = _nonnegative(weights, "weights")
         super().__init__(w.shape[0])
         self.weights = w
 
@@ -314,8 +320,8 @@ class ResidualOracle(ValueOracle):
         self._offset = base._value(np.asarray(self.frozen, dtype=np.int64))
 
     def value(self, subset: Iterable[int]) -> float:
-        self.counter.count += 1
         idx = self._as_indices(subset)
+        self.counter.count += 1
         merged = np.unique(np.concatenate([idx, np.asarray(self.frozen, dtype=np.int64)])) \
             if self.frozen else idx
         return self.base._value(merged) - self._offset
@@ -333,14 +339,6 @@ class ResidualOracle(ValueOracle):
         state = self.base._round_state(self._as_rows(lower) | mask, self._as_rows(upper) | mask)
         state.offset = self._offset
         return state
-
-    def marginal(self, elem: int, subset: Iterable[int]) -> float:
-        idx = set(self._as_indices(subset).tolist()) | set(self.frozen)
-        self._in_range(np.asarray([elem], dtype=np.int64))
-        self.counter.count += 2
-        lo = self.base._value(np.asarray(sorted(idx), dtype=np.int64))
-        hi = self.base._value(np.asarray(sorted(idx | {elem}), dtype=np.int64))
-        return hi - lo
 
 
 def sample_subsets(x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -599,10 +597,11 @@ class _FacilityRound(RoundState):
         self._changed_at[rows] = self._changes
 
     def _summarize(self):
-        return kernels.facility_summary(*self.top, self.oracle.n)
+        return kernels.facility_summary(*self.top, self.oracle.ranks)
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
-        return kernels.facility_price(*self._summary, elems, self.oracle.similarity)
+        oracle = self.oracle
+        return kernels.facility_price(*self._summary, elems, oracle.similarity, oracle.ranks)
 
     def _price(self, elem: int) -> float:
         priced, sums = self._row_sums.get(elem, (-1, None))

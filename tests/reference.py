@@ -879,6 +879,23 @@ def tensor_facility_marginal_means(
     return out
 
 
+def searchsorted_facility_means(top1, arg1, top2, elems, sim) -> np.ndarray:
+    """Facility marginal means from top-2 statistics through each client's
+    sorted top1 column, one ``searchsorted`` per client: batch pricing as it
+    ran before the similarity ranks."""
+    n = sim.shape[0]
+    ranked = np.sort(top1.T, axis=1)
+    prefix = np.zeros((ranked.shape[0], ranked.shape[1] + 1))
+    np.cumsum(ranked, axis=1, out=prefix[:, 1:])
+    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=n + 1)
+    query = np.ascontiguousarray(sim[elems].T)
+    below = np.empty(query.shape, dtype=np.intp)
+    for c in range(ranked.shape[0]):
+        below[c] = ranked[c].searchsorted(query[c])
+    above = below * query - np.take_along_axis(prefix, below, axis=1)
+    return (above.sum(axis=0) + tops[elems]) / ranked.shape[1]
+
+
 def loop_coverage_marginal_means(
     sets: np.ndarray,
     elems: np.ndarray,

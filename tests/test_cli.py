@@ -254,6 +254,32 @@ def test_malformed_files_give_corrupt_errors(tmp_path, capsys, command, damage) 
     assert capsys.readouterr().err.startswith("error: corrupt ")
 
 
+# the payload field of each objective that holds floats
+FLOAT_FIELDS = {"coverage": "universe_weights", "facility": "similarity", "additive": "weights"}
+
+
+@pytest.mark.parametrize("objective", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_objective_data_is_a_corrupt_instance(tmp_path, capsys, objective, bad) -> None:
+    path = _gen(tmp_path, "--function", objective, "--n", "8")
+    doc = json.loads(open(path).read())
+    field = doc["objective"][FLOAT_FIELDS[objective]]
+    if objective == "facility":
+        field[3][5] = bad
+    else:
+        field[1] = bad
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))  # json writes NaN and Infinity
+    out = str(tmp_path / "res.json")
+    capsys.readouterr()
+    assert main(["run", str(bad_path), "--epsilon", "0.2", "--seed", "11", "-o", out]) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt instance file: ")
+    _run(path, out)
+    capsys.readouterr()
+    assert main(["verify", str(bad_path), out]) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt instance file: ")
+
+
 def test_usage_errors_exit_two() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

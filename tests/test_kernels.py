@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from matsub import kernels
-from matsub.objectives import CoverageOracle, FacilityLocationOracle
+from matsub.objectives import (
+    CoverageOracle,
+    FacilityLocationOracle,
+    ResidualOracle,
+    nested_subsets,
+)
 from reference import (
     loop_coverage_marginal_means,
+    searchsorted_facility_means,
     slow_coverage_marginal_means,
     slow_coverage_value,
     tensor_facility_marginal_means,
@@ -281,3 +287,99 @@ def test_coverage_marginal_means_build_no_row_summary() -> None:
         tracemalloc.stop()
     assert peak < s * universe * 8, peak
     np.testing.assert_allclose(got, [state.price(e) for e in elems], rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# facility batch pricing by similarity rank against the searchsorted kernel
+
+
+def _with_zero_row(sim: np.ndarray) -> np.ndarray:
+    return np.vstack([sim, np.zeros((1, sim.shape[1]))])
+
+
+def _tied_similarity(
+    rng: np.random.Generator, n: int, clients: int, grid: int = 4
+) -> np.ndarray:
+    # values on a grid of 1/grid, so ties are common: two duplicated rows,
+    # an all-zero client (column 3) and some -0.0 entries.  Quarter-grid
+    # sums are exact; on a grid of sevenths, rows tied with the queried
+    # similarity change the rounding if pricing counts them below it.
+    sim = rng.integers(0, grid + 1, size=(n, clients)) / grid
+    sim[1] = sim[0]
+    sim[n - 1] = sim[2]
+    sim[:, 3] = 0.0
+    sim[rng.random((n, clients)) < 0.15] = -0.0
+    return sim
+
+
+def _assert_prices_as_searchsorted(state, sim: np.ndarray, elems: np.ndarray) -> None:
+    top1, arg1, top2 = state.top
+    # every top-1 is the similarity of its argmax, the appended zero for n
+    np.testing.assert_array_equal(top1, np.take_along_axis(_with_zero_row(sim), arg1, axis=0))
+    want = searchsorted_facility_means(top1, arg1, top2, elems, sim)
+    np.testing.assert_array_equal(state.marginal_means(elems), want)
+
+
+def test_similarity_ranks_count_the_entries_strictly_below() -> None:
+    rng = np.random.default_rng(20)
+    sim = _tied_similarity(rng, 9, 7)
+    assert np.signbit(sim[sim == 0.0]).any()
+    rank, order = FacilityLocationOracle(sim).ranks
+    ext = _with_zero_row(sim)
+    width = ext.shape[0]
+    assert rank.dtype == np.int32 and rank.shape == ext.shape
+    assert order.shape == (sim.shape[1], width)
+    for c in range(sim.shape[1]):
+        for e in range(width):
+            assert rank[e, c] == np.count_nonzero(ext[:, c] < ext[e, c])
+        assert order[c, 0] == sim.shape[1] * width
+        listed = order[c, 1:] - c * width
+        np.testing.assert_array_equal(listed, np.argsort(ext[:, c], kind="stable")[:-1])
+
+
+@pytest.mark.parametrize("grid", [4, 7])
+@pytest.mark.parametrize("seed", [22, 23, 24])
+def test_rank_pricing_matches_searchsorted_on_tied_similarities(seed: int, grid: int) -> None:
+    rng = np.random.default_rng(seed)
+    n = 12
+    sim = _tied_similarity(rng, n, 9, grid)
+    sets = (rng.random((40, n)) < 0.4).astype(np.uint8)
+    sets[:6, :2] = 1  # the duplicated rows 0 and 1 share these rows
+    sets[6] = 0
+    state = FacilityLocationOracle(sim).round_state(sets, sets)
+    _assert_prices_as_searchsorted(state, sim, np.arange(n, dtype=np.int64))
+    _assert_prices_as_searchsorted(state, sim, np.array([3, 0, 3, n - 1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("grid", [4, 7, None])
+def test_rank_pricing_matches_searchsorted_through_inserts_and_deletes(grid) -> None:
+    rng = np.random.default_rng(26 if grid is None else 26 + grid)
+    n, clients = 15, 11
+    sim = rng.uniform(0.0, 1.0, (n, clients)) if grid is None else _tied_similarity(
+        rng, n, clients, grid)
+    x = rng.uniform(0.0, 0.6, n)
+    state = FacilityLocationOracle(sim).round_state(*nested_subsets(x, 0.3, 30, rng))
+    for _ in range(40):
+        elem = int(rng.integers(n))
+        if state.in_basis[elem]:
+            state.delete(elem)
+        else:
+            state.insert(elem)
+        elems = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        _assert_prices_as_searchsorted(state, sim, elems.astype(np.int64))
+    assert state.in_basis.any()
+
+
+def test_rank_pricing_matches_searchsorted_under_frozen_columns() -> None:
+    rng = np.random.default_rng(28)
+    n = 14
+    sim = _tied_similarity(rng, n, 8, 7)
+    residual = ResidualOracle(FacilityLocationOracle(sim), [0, 5, 9])
+    state = residual.round_state(*nested_subsets(rng.uniform(0.0, 0.5, n), 0.25, 32, rng))
+    elems = np.arange(n, dtype=np.int64)
+    _assert_prices_as_searchsorted(state, sim, elems)
+    for elem in (2, 7, 5, 11):
+        state.insert(elem)
+        _assert_prices_as_searchsorted(state, sim, elems)
+    state.delete(7)
+    _assert_prices_as_searchsorted(state, sim, elems)

@@ -45,6 +45,21 @@ def test_coverage_rejects_non_integer_item_ids(item) -> None:
         CoverageOracle([[0], [item]], [1.0, 1.0])
 
 
+NON_FINITE_INPUT = {
+    "coverage": lambda bad: CoverageOracle([[0], [1]], [1.0, bad]),
+    "facility": lambda bad: FacilityLocationOracle([[0.5, 0.25], [bad, 1.0]]),
+    "additive": lambda bad: AdditiveOracle([2.0, bad, 1.0]),
+}
+
+
+@pytest.mark.parametrize("objective", sorted(NON_FINITE_INPUT))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_oracles_reject_non_finite_input(objective: str, bad: float) -> None:
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_INPUT[objective](bad)
+    NON_FINITE_INPUT[objective](0.75)
+
+
 def test_batched_estimates_are_serial_only() -> None:
     set_eval_threads(1)
     with pytest.raises(ValueError):
@@ -53,9 +68,9 @@ def test_batched_estimates_are_serial_only() -> None:
 
 def test_coverage_marginals_diminish() -> None:
     f = _tiny_coverage()
-    assert f.marginal(2, ()) == 2.0
-    assert f.marginal(2, [0]) == 1.0
-    assert f.marginal(2, [0, 1]) == 0.0
+    assert f.value([2]) - f.value(()) == 2.0
+    assert f.value([0, 2]) - f.value([0]) == 1.0
+    assert f.value([0, 1, 2]) - f.value([0, 1]) == 0.0
 
 
 def test_facility_location_values() -> None:
@@ -69,7 +84,7 @@ def test_facility_location_values() -> None:
 def test_additive_values() -> None:
     f = AdditiveOracle([2.0, 3.0, 5.0])
     assert f.value([0, 2]) == pytest.approx(7.0)
-    assert f.marginal(1, [0, 2]) == pytest.approx(3.0)
+    assert f.value([0, 1, 2]) - f.value([0, 2]) == pytest.approx(3.0)
 
 
 def test_monotone_and_submodular_on_random_instances() -> None:
@@ -87,7 +102,9 @@ def test_monotone_and_submodular_on_random_instances() -> None:
                 continue
             e = int(rng.choice(outside))
             assert f.value(big) >= f.value(small) - 1e-9
-            assert f.marginal(e, small) >= f.marginal(e, big) - 1e-9
+            gain_small = f.value(small + [e]) - f.value(small)
+            gain_big = f.value(big + [e]) - f.value(big)
+            assert gain_small >= gain_big - 1e-9
 
 
 def test_query_counting() -> None:
@@ -95,7 +112,8 @@ def test_query_counting() -> None:
     assert f.query_count == 0
     f.value([0])
     assert f.query_count == 1
-    f.marginal(2, [0])
+    f.value([0, 2])
+    f.value([0])
     assert f.query_count == 3
     f.batch_values(np.zeros((5, 3), dtype=np.uint8))
     assert f.query_count == 8
@@ -197,7 +215,7 @@ def test_residual_oracle_rejects_bad_input_like_its_base(objective) -> None:
             with pytest.raises(ValueError, match="out of range"):
                 oracle.batch_marginal_means(rows, [0, bad])
             with pytest.raises(ValueError, match="out of range"):
-                oracle.marginal(bad, [0])
+                oracle.value([0, bad])
         for shape in ((4, 7), (4, 9), (8,)):
             wrong = np.zeros(shape, dtype=np.uint8)
             with pytest.raises(ValueError, match="shape"):
