@@ -115,9 +115,6 @@ class LaminarMatroid:
     def n(self) -> int:
         return len(self.element_nodes)
 
-    def children(self, v: int) -> list[int]:
-        return self._children[v]
-
     def path_to_root(self, node: int) -> list[int]:
         out = []
         while node != -1:

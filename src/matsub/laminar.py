@@ -12,7 +12,7 @@ Supported mutations: insert a weighted element, delete one, lower a weight in
 place, and freeze a basis element so it can never be evicted.  Queries expose
 the lowest capacity-tight ancestor of a leaf, the minimum basis element inside
 a subtree, and the maximum element that could join the basis, which together
-drive both the optimizer and the rounding exchanges.
+drive phase 1's max-weight basis.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class _Cluster:
 
 
 class TopTreeLaminarBasis:
-    """Cluster-tree implementation of the same basis maintenance.
+    """Max-weight basis maintenance over a balanced cluster tree.
 
     The laminar tree is binarized with slack dummy nodes, decomposed into
     heavy paths, and each path's per-node clusters are folded into a binary
@@ -82,8 +82,8 @@ class TopTreeLaminarBasis:
 
     - ``minc``/``argminc``: minimum capacity residual over the segment and
       the deepest node attaining it, under a lazy uniform shift ``delta``;
-    - ``mine``: minimum (weight, id) basis leaf in the covered subtree that
-      is neither frozen nor shadowed;
+    - ``mine``: minimum (weight, id) unfrozen basis leaf in the covered
+      subtree;
     - ``maxe1``/``maxe0``: maximum non-basis leaf whose path to the segment
       top crosses no tight node, computed once ignoring tightness on the
       segment itself and once assuming zeros sit exactly at the residual
@@ -100,7 +100,6 @@ class TopTreeLaminarBasis:
         self.weights: dict[int, float] = {}
         self.in_basis: set[int] = set()
         self.frozen: set[int] = set()
-        self.shadow: set[int] = set()
         self._basis_weight = 0.0
         self.joins = 0
         self.splits = 0
@@ -264,7 +263,7 @@ class TopTreeLaminarBasis:
         base.maxe1 = None
         base.mine = None
         base.maxe0 = None
-        if elem is None or elem not in self.weights or elem in self.shadow:
+        if elem is None or elem not in self.weights:
             return
         if elem in self.in_basis:
             if elem not in self.frozen:
@@ -354,38 +353,6 @@ class TopTreeLaminarBasis:
         best = _kmin(best, spine[-1].mine)
         return None if best is None else best[1]
 
-    def max_addable_under(self, node: int) -> int | None:
-        """Best non-basis leaf in the subtree clean strictly below ``node``."""
-        pid = self.base_of[node].path_id
-        spine = self._spine(self.base_of[node])
-        acc = 0
-        collected: list[tuple[int, int, _Cluster]] = []  # (is_atom_seg, minc, cluster)
-        for idx in range(len(spine) - 1):
-            c = spine[idx]
-            child = spine[idx + 1]
-            into_raked = c.kind == _RAKE and child is c.right
-            if c.kind == _COMPRESS and c.path_id == pid and child is c.right:
-                collected.append((1, c.left.minc + acc + c.delta, c.left))
-            elif c.kind == _RAKE and child is c.left:
-                # pending shifts only ever flow into the carrier side, so the
-                # raked subtree's stored residuals are already true
-                collected.append((0, c.right.minc, c.right))
-            if into_raked:
-                acc = 0
-            else:
-                acc += c.delta
-        best = spine[-1].maxe1  # the node's own slot faces no gate below it
-        all_clean = True
-        for is_seg, minc, k in reversed(collected):
-            resolved = k.maxe0 if minc == 0 else k.maxe1
-            if is_seg:
-                if all_clean:
-                    best = _kmax(best, resolved)
-                all_clean = all_clean and minc > 0
-            else:
-                best = _kmax(best, resolved)
-        return None if best is None else best[1]
-
     # -- mutations --------------------------------------------------------
 
     def insert(self, elem: int, weight: float) -> OracleChanges:
@@ -470,35 +437,6 @@ class TopTreeLaminarBasis:
         if elem not in self.in_basis:
             raise ValueError("only basis elements can be frozen")
         self.frozen.add(elem)
-        self._mutate(self.node_of[elem], 0)
-
-    # -- primitives for rounding exchanges --------------------------------
-
-    def remove_from_basis(self, elem: int) -> None:
-        if elem not in self.in_basis:
-            raise ValueError(f"element {elem} not in basis")
-        self.in_basis.remove(elem)
-        self._basis_weight -= self.weights[elem]
-        self._mutate(self.node_of[elem], +1)
-
-    def add_to_basis(self, elem: int) -> None:
-        if elem not in self.weights or elem in self.in_basis:
-            raise ValueError(f"element {elem} cannot be force-added")
-        self.in_basis.add(elem)
-        self._basis_weight += self.weights[elem]
-        self._mutate(self.node_of[elem], -1)
-
-    def set_shadow(self, elem: int, flag: bool) -> None:
-        if flag:
-            self.shadow.add(elem)
-        else:
-            self.shadow.discard(elem)
-        self._mutate(self.node_of[elem], 0)
-
-    def make_present(self, elem: int, weight: float) -> None:
-        if elem in self.weights:
-            raise ValueError(f"element {elem} already present")
-        self.weights[elem] = weight
         self._mutate(self.node_of[elem], 0)
 
     # -- inspection -------------------------------------------------------

@@ -195,7 +195,6 @@ def lazy_sampling_greedy_plus(
     epsilon: float,
     opt_estimate: float,
     rng: np.random.Generator,
-    threshold_factor: float = PHASE1_THRESHOLD_FACTOR,
 ) -> LSGState:
     """Freeze heavy elements until the residual basis weight is moderate.
 
@@ -203,8 +202,8 @@ def lazy_sampling_greedy_plus(
     basis, refreshes the rounded class of every stale member, and freezes
     one uniform basis element only when the batch was mostly fresh.  The
     loop exits once the approximate basis weight drops below
-    ``threshold_factor / epsilon`` times the optimum estimate, which at
-    moderate scales happens immediately and leaves the frozen set empty.
+    ``PHASE1_THRESHOLD_FACTOR / epsilon`` times the optimum estimate, which
+    at moderate scales happens immediately and leaves the frozen set empty.
     """
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in (0, 1/3)")
@@ -213,7 +212,7 @@ def lazy_sampling_greedy_plus(
         return state
     n = oracle.matroid.n
     classifier = oracle.classifier
-    threshold = (threshold_factor / epsilon) * opt_estimate
+    threshold = (PHASE1_THRESHOLD_FACTOR / epsilon) * opt_estimate
     t_param = PHASE1_SAMPLE_SCALE * math.log(max(n, 2))
     # every iteration either reclasses an element downward or freezes one,
     # so this budget is only hit on a broken structure
@@ -644,15 +643,15 @@ def run_pipeline(
     instance: Instance,
     epsilon: float,
     seed: int,
-    threshold_factor: float = PHASE1_THRESHOLD_FACTOR,
 ) -> PipelineResult:
     """Full pipeline: estimate, freeze, continuous greedy, swap rounding.
 
     Randomness is split into independent substreams of ``seed`` per stage,
     so phase 1, the multilinear sampling, and the rounding coins do not
     interact.  Phase 1 is built and run only when its loop can fire, that
-    is when ``rank >= threshold_factor / eps1``; otherwise its counters are
-    zero.  Rank-zero matroids and all-zero objectives take the same path.
+    is when ``rank >= PHASE1_THRESHOLD_FACTOR / eps1``; otherwise its
+    counters are zero.  Rank-zero matroids and all-zero objectives take the
+    same path.
     Every record carries the same counter keys.
     """
     if not 0.0 < epsilon < 1.0 / 3.0:
@@ -668,13 +667,11 @@ def run_pipeline(
     eps1 = PHASE1_EPS_FRACTION * epsilon
     state = LSGState()
     # every rounded weight is at most M and a basis has at most rank members,
-    # so the loop cannot start unless rank >= threshold_factor / eps1
-    if m_est > 0.0 and rank >= threshold_factor / eps1:
+    # so the loop cannot start unless rank >= PHASE1_THRESHOLD_FACTOR / eps1
+    if m_est > 0.0 and rank >= PHASE1_THRESHOLD_FACTOR / eps1:
         classifier = WeightClassifier(m_est, eps1, rank)
         oracle = build_phase1_oracle(f, matroid, classifier, eps1)
-        state = lazy_sampling_greedy_plus(
-            f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1), threshold_factor
-        )
+        state = lazy_sampling_greedy_plus(f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1))
     s0 = sorted(state.solution)
     counters["phase1_f_queries"] = f.query_count - counters["estimate_f_queries"]
     counters["phase1_iterations"] = state.iterations

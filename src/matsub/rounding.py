@@ -420,14 +420,6 @@ def _make_exchanger(matroid: Matroid, b1: Iterable[int], b2: Iterable[int]):
     raise ValueError(f"unsupported matroid kind {matroid.kind!r}")
 
 
-def find_exchange(i: int, b1: Iterable[int], b2: Iterable[int], matroid: Matroid) -> int:
-    """Partner j in B2 \\ B1 with B1 - i + j and B2 - j + i both bases."""
-    set1, set2 = set(b1), set(b2)
-    if i not in set1 or i in set2:
-        raise ValueError(f"element {i} must lie in B1 and not in B2")
-    return _make_exchanger(matroid, set1, set2).exchange(i)
-
-
 def merge_bases(
     alpha1: float,
     b1: Iterable[int],

@@ -19,7 +19,6 @@ from scipy.optimize import linear_sum_assignment
 
 from matsub.core import IndependenceChecker, OracleChanges, SetFunction, weight_key
 from matsub.instances import GraphicMatroid, LaminarMatroid, Matroid, TransversalMatroid
-from matsub.laminar import TopTreeLaminarBasis
 from matsub.objectives import ValueOracle, sample_subsets
 from matsub.optimizer import FractionalSolution
 from matsub.sampler import BucketLists
@@ -256,8 +255,8 @@ def greedy_laminar_basis(
 # swap-rounding exchangers over whole bases
 
 
-class TopTreeLaminarExchanger:
-    """Swap-rounding exchanges through two unweighted laminar structures.
+class SlowLaminarExchanger:
+    """Swap-rounding exchanges through two unweighted slow laminar bases.
 
     The partner for i is the maximum addable leaf of the first copy below
     i's lowest tight constraint in the second.  Both structures hold every
@@ -268,18 +267,12 @@ class TopTreeLaminarExchanger:
     certify each exchange.
     """
 
-    def __init__(
-        self,
-        matroid: LaminarMatroid,
-        b1: Iterable[int],
-        b2: Iterable[int],
-        structure_cls: type = TopTreeLaminarBasis,
-    ) -> None:
+    def __init__(self, matroid: LaminarMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
         self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
-        self.d1 = structure_cls(matroid)
-        self.d2 = structure_cls(matroid)
+        self.d1 = SlowLaminarBasis(matroid)
+        self.d2 = SlowLaminarBasis(matroid)
         for e in sorted(self.set1 | self.set2):
             self.d1.make_present(e, 1.0)
             self.d2.make_present(e, 1.0)

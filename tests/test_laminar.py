@@ -134,7 +134,7 @@ def _check_fields(d: TopTreeLaminarBasis) -> None:
         mine = None
         for v in t_nodes:
             e = d.elem_at.get(v)
-            if e is None or e not in d.in_basis or e in d.frozen or e in d.shadow:
+            if e is None or e not in d.in_basis or e in d.frozen:
                 continue
             if mine is None or key(e) < mine:
                 mine = key(e)
@@ -148,7 +148,7 @@ def _check_fields(d: TopTreeLaminarBasis) -> None:
         maxe0 = None
         for v in t_nodes:
             e = d.elem_at.get(v)
-            if e is None or e not in d.weights or e in d.in_basis or e in d.shadow:
+            if e is None or e not in d.weights or e in d.in_basis:
                 continue
             node = v
             blocked = False
@@ -295,45 +295,3 @@ def test_subtree_queries_match_slow() -> None:
                 slow.delete(e)
         for node in range(len(mat.parents)):
             assert top.min_basis_in(node) == slow.min_basis_in(node)
-            assert top.max_addable_under(node) == slow.max_addable_under(node)
-
-
-def test_exchange_primitives_match_slow() -> None:
-    rng = np.random.default_rng(67)
-    inst = generate_instance("laminar", "additive", n=16, seed=500)
-    mat = inst.matroid
-    top = TopTreeLaminarBasis(mat)
-    slow = SlowLaminarBasis(mat)
-    for e in range(16):
-        w = _random_weight(rng)
-        top.make_present(e, w)
-        slow.make_present(e, w)
-    seed_basis = greedy_laminar_basis(mat, top.weights)
-    for e in seed_basis:
-        top.add_to_basis(e)
-        slow.add_to_basis(e)
-    assert top.basis() == slow.basis() == seed_basis
-    for _ in range(60):
-        roll = rng.random()
-        if roll < 0.4 and top.in_basis:
-            e = int(rng.choice(sorted(top.in_basis)))
-            top.remove_from_basis(e)
-            slow.remove_from_basis(e)
-        elif roll < 0.7:
-            outside = [e for e in top.weights if e not in top.in_basis]
-            addable = [e for e in outside if slow._addable(e, None)]
-            if addable:
-                e = int(rng.choice(addable))
-                top.add_to_basis(e)
-                slow.add_to_basis(e)
-        else:
-            e = int(rng.integers(16))
-            flag = bool(rng.random() < 0.5)
-            top.set_shadow(e, flag)
-            slow.set_shadow(e, flag)
-        assert top.basis() == slow.basis()
-        assert top.max_addable() == slow.max_addable()
-        for node in rng.integers(0, len(mat.parents), size=3):
-            node = int(node)
-            assert top.min_basis_in(node) == slow.min_basis_in(node)
-            assert top.max_addable_under(node) == slow.max_addable_under(node)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from matsub import objectives, optimizer
+from matsub.cli import _verify_budgets
 from matsub.core import WeightClassifier, estimate_opt
 from matsub.instances import (
     STREAM_MULTILINEAR,
@@ -72,6 +73,45 @@ def _shared_cover_instance(n: int, root_cap: int) -> Instance:
     )
 
 
+def _heavy_item_instance(matroid) -> Instance:
+    # every element covers a shared heavy item and a light one of its own, so
+    # a basis weighs about rank times the optimum until the first freeze
+    # collapses the heavy item's marginals
+    n = matroid.n
+    return Instance(
+        matroid=matroid,
+        objective={
+            "kind": "coverage",
+            "covers": [[0, 1 + e] for e in range(n)],
+            "universe_weights": [10.0] + [1e-4] * n,
+        },
+    )
+
+
+def _phase1_matroid(kind: str):
+    """Rank past PHASE1_THRESHOLD_FACTOR / eps1, 1000 at eps = 0.2.
+
+    Graphic needs about twice that rank: the contracted graph keeps one
+    pick per vertex, and once chords close cycles two ends can pick the
+    same edge, so its forest may hold about half a basis.  A 1100-edge path
+    with 200 chords never iterates the loop.
+    """
+    if kind == "laminar":
+        return _wide_laminar(1500, 1100)
+    if kind == "transversal":
+        return TransversalMatroid(
+            num_right=1100, adjacency=[[e % 1100, (7 * e + 3) % 1100] for e in range(1500)]
+        )
+    # a 2200-edge path plus 400 random chords
+    rng = np.random.default_rng(0)
+    edges = [(v, v + 1) for v in range(2200)]
+    while len(edges) < 2600:
+        u, v = (int(x) for x in rng.integers(0, 2201, size=2))
+        if u != v:
+            edges.append((u, v))
+    return GraphicMatroid(num_vertices=2201, edges=edges)
+
+
 KINDS = ("laminar", "graphic", "transversal")
 
 
@@ -130,7 +170,9 @@ def test_phase1_rank_one_huge_element() -> None:
     assert f.query_count <= budget
 
 
-def test_phase1_frozen_prefix_keeps_the_optimum_reachable() -> None:
+def test_phase1_frozen_prefix_keeps_the_optimum_reachable(monkeypatch) -> None:
+    # at n = 12 the loop fires only under a lowered threshold
+    monkeypatch.setattr(optimizer, "PHASE1_THRESHOLD_FACTOR", 0.2)
     inst = generate_instance("laminar", "coverage", n=12, seed=17)
     f_ref = inst.build_objective()
     opt, opt_set = brute_force_opt(f_ref, inst.matroid)
@@ -142,9 +184,7 @@ def test_phase1_frozen_prefix_keeps_the_optimum_reachable() -> None:
         m = estimate_opt(f, inst.matroid)
         classifier = WeightClassifier(m, eps, inst.matroid.rank())
         oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
-        state = lazy_sampling_greedy_plus(
-            f, oracle, eps, m, stream_rng(seed, STREAM_PHASE1), threshold_factor=0.2
-        )
+        state = lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(seed, STREAM_PHASE1))
         assert inst.matroid.is_independent(state.solution)
         if state.solution:
             triggered += 1
@@ -165,7 +205,8 @@ def test_phase1_rejects_bad_epsilon() -> None:
             lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(0, STREAM_PHASE1))
 
 
-def test_phase1_triggered_loop_runs_and_terminates() -> None:
+def test_phase1_triggered_loop_runs_and_terminates(monkeypatch) -> None:
+    monkeypatch.setattr(optimizer, "PHASE1_THRESHOLD_FACTOR", 5.0)
     inst = _shared_cover_instance(200, 170)
     f = inst.build_objective()
     m = estimate_opt(f, inst.matroid)
@@ -173,9 +214,7 @@ def test_phase1_triggered_loop_runs_and_terminates() -> None:
     eps = 0.075
     classifier = WeightClassifier(m, eps, 170)
     oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
-    state = lazy_sampling_greedy_plus(
-        f, oracle, eps, m, stream_rng(11, STREAM_PHASE1), threshold_factor=5.0
-    )
+    state = lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(11, STREAM_PHASE1))
     # first pass is all fresh and freezes once; the second finds every
     # remaining marginal collapsed, reclasses the whole pool, and exits
     assert state.iterations == 2
@@ -1042,14 +1081,24 @@ def test_pipeline_on_transversal_facility_deletes_from_the_state() -> None:
         assert result.value >= (1 - 1 / math.e - 0.2) * result.opt_estimate
 
 
-def test_pipeline_on_triggering_instance() -> None:
-    inst = _shared_cover_instance(200, 170)
-    result = run_pipeline(inst, epsilon=0.3, seed=23, threshold_factor=5.0)
-    assert result.counters["phase1_frozen"] >= 1
-    assert result.value == 10.0
+@pytest.mark.parametrize("kind", KINDS)
+def test_pipeline_on_triggering_instance(kind) -> None:
+    # the paper's constants, no lowered threshold
+    inst = _heavy_item_instance(_phase1_matroid(kind))
+    eps = 0.2
+    result = run_pipeline(inst, epsilon=eps, seed=1000)
+    counters = result.counters
+    assert counters["phase1_iterations"] >= 1
+    assert counters["phase1_frozen"] >= 1
+    assert set(result.frozen) <= set(result.solution)
     assert inst.matroid.is_independent(result.solution)
+    assert result.value >= (1 - 1 / math.e - eps) * result.opt_estimate
     # martingale bound at the composed scale
-    assert result.counters["phase1_frozen"] <= 0.3 * 170 / 2
+    assert counters["phase1_frozen"] <= eps * inst.matroid.rank() / 2
+    report: list[str] = []
+    record = {"algorithm": "full", "epsilon": eps, "counters": counters}
+    assert _verify_budgets(report, inst, record), report
+    assert report[0].startswith("phase-1 query budget: ok")
 
 
 def test_pipeline_skips_phase1_below_the_rank_bound(monkeypatch) -> None:
@@ -1064,17 +1113,25 @@ def test_pipeline_skips_phase1_below_the_rank_bound(monkeypatch) -> None:
         assert result.counters["phase1_iterations"] == 0
 
 
-def test_pipeline_runs_phase1_at_the_rank_bound() -> None:
-    inst = _shared_cover_instance(200, 170)
-    eps = 0.25  # eps1 = 1/16, so the factor below divides back exactly
-    eps1 = PHASE1_EPS_FRACTION * eps
-    factor = inst.matroid.rank() * eps1
-    assert factor / eps1 == inst.matroid.rank() == 170
-    result = run_pipeline(inst, epsilon=eps, seed=23, threshold_factor=factor)
-    assert result.counters["phase1_frozen"] >= 1
-    assert inst.matroid.is_independent(result.solution)
-    # one float step above the bound the loop cannot fire, so it is skipped
-    above = run_pipeline(
-        inst, epsilon=eps, seed=23, threshold_factor=float(np.nextafter(factor, np.inf))
-    )
-    assert above.counters["phase1_f_queries"] == 0
+def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
+    eps = 0.2
+    assert optimizer.PHASE1_THRESHOLD_FACTOR / (PHASE1_EPS_FRACTION * eps) == 1000.0
+    builds = []
+    build = optimizer.build_phase1_oracle
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "build_phase1_oracle", spy)
+    at = run_pipeline(_heavy_item_instance(_wide_laminar(1000, 1000)), epsilon=eps, seed=1000)
+    assert len(builds) == 1
+    assert at.counters["phase1_f_queries"] > 0
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("phase 1 built although its loop cannot fire")
+
+    # one below the bound the loop cannot fire, so phase 1 is not built
+    monkeypatch.setattr(optimizer, "build_phase1_oracle", refuse)
+    below = run_pipeline(_heavy_item_instance(_wide_laminar(1000, 999)), epsilon=eps, seed=1000)
+    assert below.counters["phase1_f_queries"] == 0
