@@ -104,16 +104,25 @@ def greedy_basis_value(
     elements: Sequence[int],
     make_checker: Callable[[], IndependenceChecker],
 ) -> tuple[float, list[int]]:
-    """One pass of lazy greedy over a matroid; returns ``(f(S), S)``.
+    """One pass of lazy greedy over a matroid; returns ``(f(S), S)``."""
+    return _lazy_greedy(f, elements, make_checker)[:2]
 
-    The result is a basis whose value is within a factor 2 of the optimum for
-    monotone submodular ``f``, which is what the optimizer uses as its
-    optimum estimate ``M``.  A popped element is repriced against
-    ``f.incremental()``, which keeps state for the chosen set, so a pop costs
-    one element's update (``O(|cover(e)|)`` for coverage, ``O(clients)`` for
-    facility location) and is counted as one value query.  The heap's first
-    keys are gains on the same state while it is still empty, one query per
-    element on the float path the pops read.
+
+def _lazy_greedy(
+    f: "SetFunction",
+    elements: Sequence[int],
+    make_checker: Callable[[], IndependenceChecker],
+) -> tuple[float, list[int], list[float]]:
+    """Lazy greedy's ``(f(S), S)`` plus the singleton gains its heap starts on.
+
+    ``S`` is a basis whose value is within a factor 2 of the optimum for
+    monotone submodular ``f``.  A popped element is repriced against
+    ``f.incremental()``, which keeps state for the chosen set, so a pop
+    costs one element's update (``O(|cover(e)|)`` for coverage,
+    ``O(clients)`` for facility location) and is counted as one value
+    query.  The heap's first keys are gains on the same state while it is
+    still empty, one query per element on the float path the pops read;
+    they are returned in ``elements`` order.
     """
     if not elements:
         raise ValueError("ground set is empty")
@@ -121,9 +130,10 @@ def greedy_basis_value(
     state = f.incremental()
     chosen: list[int] = []
     value = f.value(())
+    singles = [state.gain(e) for e in elements]
     # (negated bound, negated id) so ties resolve toward the larger id,
     # matching the (weight, id) order used everywhere else
-    heap = [(-state.gain(e), -e) for e in elements]
+    heap = [(-g, -e) for g, e in zip(singles, elements)]
     heapq.heapify(heap)
     while heap:
         bound, neg_e = heapq.heappop(heap)
@@ -137,7 +147,7 @@ def greedy_basis_value(
             state.add(e)
             chosen.append(e)
             value += gain
-    return value, chosen
+    return value, chosen, singles
 
 
 class IncrementalValue(Protocol):
@@ -164,7 +174,9 @@ class MatroidLike(Protocol):
     def checker(self) -> IndependenceChecker: ...
 
 
-def estimate_opt(f: "SetFunction", matroid: MatroidLike) -> float:
-    """Greedy basis value ``M``; satisfies ``f(OPT)/2 <= M <= f(OPT)``."""
-    value, _ = greedy_basis_value(f, range(matroid.n), matroid.checker)
-    return value
+def estimate_opt(f: "SetFunction", matroid: MatroidLike) -> tuple[float, list[float]]:
+    """Greedy basis value ``M``, with ``f(OPT)/2 <= M <= f(OPT)``, and each
+    element's singleton gain in id order: the greedy pass's first heap keys,
+    which phase 1 reads as its weights."""
+    value, _, singles = _lazy_greedy(f, range(matroid.n), matroid.checker)
+    return value, singles

@@ -11,10 +11,13 @@ A ``round_state`` is the one place where an objective puts its kernel
 steps together.  It keeps per-row statistics (coverage counts, facility
 top-2) over one phase-2 round's rows, drawn once per round by
 :func:`nested_subsets`, as the round's partial basis grows or shrinks, and
-prices elements or values rows from them.  The batch entry points are a
-round state over a fixed batch.  Pricing an element is charged ``2*s``
-queries and valuing the rows ``s``, whichever entry point asks, so the
-query count has one meaning.
+prices elements or values rows from them.  The batch entry points
+(``batch_values``, ``batch_marginal_means``) are a round state over a fixed
+batch.  No code in this package calls them; they are kept for the
+brute-force checks in ``tests/test_kernels.py`` and the tracer in
+``pipebench/spans.py``.  Pricing an element is charged ``2*s`` queries
+and valuing the rows ``s``, whichever entry point asks, so the query
+count has one meaning.
 """
 
 from __future__ import annotations

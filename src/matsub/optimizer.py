@@ -10,10 +10,14 @@ turns the fractional point into a single independent set.  The combined
 guarantee is ``1 - 1/e - eps`` in expectation for monotone submodular
 objectives.
 
-Phase 1 stops once the basis weight drops below ``PHASE1_THRESHOLD_FACTOR
-/ eps1`` times the optimum estimate, and a basis weighs at most ``rank``
-times that estimate, so :func:`run_pipeline` builds and runs phase 1 only
-when ``rank >= PHASE1_THRESHOLD_FACTOR / eps1`` (1000 at ``eps = 0.2``).
+Phase 1 spends one value query per audited element: its weights are the
+singleton gains :func:`estimate_opt` keyed its heap on, and an audit is one
+gain against an incremental state for the frozen set.  It stops once the
+basis weight drops below ``PHASE1_THRESHOLD_FACTOR / eps1`` times the
+optimum estimate ``M``.  A basis weighs at most its ``rank`` largest
+singleton gains clipped to ``[0, M]``, so :func:`run_pipeline` builds phase
+1 only when those reach that bar, which needs ``rank >=
+PHASE1_THRESHOLD_FACTOR / eps1`` (1000 at ``eps = 0.2``).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,39 +72,32 @@ class MaxWeightOracle:
         self,
         matroid: Matroid,
         classifier: WeightClassifier,
-        rounded: Mapping[int, float],
-        classes: Mapping[int, int],
+        classes: dict[int, int],
         epsilon: float,
     ) -> None:
         self.matroid = matroid
         self.classifier = classifier
-        self.classes = dict(classes)
+        self.classes = classes
+        rounded = {e: classifier.class_value(j) for e, j in classes.items()}
         kind = matroid.kind
         if kind == "laminar":
-            lam = TopTreeLaminarBasis(matroid)
+            self.structure = TopTreeLaminarBasis(matroid)
             for e in range(matroid.n):
-                lam.insert(e, rounded[e])
-            self.structure = lam
-            self._members = lam.basis
+                self.structure.insert(e, rounded[e])
+            members = self.structure.basis()
         elif kind == "graphic":
-            graph = ContractedGraph(matroid, dict(rounded))
-            self.structure = graph
-            self._members = graph.forest
+            self.structure = ContractedGraph(matroid, rounded)
+            members = self.structure.forest()
         elif kind == "transversal":
-            stable = LStableMatching(matroid, dict(rounded), epsilon)
-            self.structure = stable
-            self._members = stable.matched_left
+            self.structure = LStableMatching(matroid, rounded, epsilon)
+            members = self.structure.matched_left()
         else:
             raise ValueError(f"unsupported matroid kind: {kind}")
         self.buckets = BucketLists(classifier)
-        for e in self._members():
+        for e in members:
             self.buckets.insert(e, self.classes[e])
-        self.frozen: list[int] = []
 
     # -- inspection --------------------------------------------------------
-
-    def basis(self) -> list[int]:
-        return sorted(self._members())
 
     def approx_base_weight(self) -> float:
         return self.structure.approx_base_weight()
@@ -136,7 +133,6 @@ class MaxWeightOracle:
         # either way it must leave the sampling pool for good
         if elem in self.buckets:
             self.buckets.remove(elem)
-        self.frozen.append(elem)
 
     def _apply(self, changes) -> None:
         for e in changes.removed:
@@ -146,24 +142,15 @@ class MaxWeightOracle:
 
 
 def build_phase1_oracle(
-    f: ValueOracle,
+    singles: Sequence[float],
     matroid: Matroid,
     classifier: WeightClassifier,
     epsilon: float,
 ) -> MaxWeightOracle:
-    """Price every singleton once and stand up the rounded-weight basis.
-
-    A gain against the empty set is a singleton's weight, one query each,
-    read in linear memory (no ``(n, n)`` identity batch).
-    """
-    empty = f.incremental()
-    classes: dict[int, int] = {}
-    rounded: dict[int, float] = {}
-    for e in range(matroid.n):
-        w = max(empty.gain(e), 0.0)
-        classes[e] = classifier.weight_class(w)
-        rounded[e] = classifier.class_value(classes[e])
-    return MaxWeightOracle(matroid, classifier, rounded, classes, epsilon)
+    """Stand up the rounded-weight basis on the singleton gains that
+    :func:`estimate_opt` returns; spends no query."""
+    classes = {e: classifier.weight_class(max(w, 0.0)) for e, w in enumerate(singles)}
+    return MaxWeightOracle(matroid, classifier, classes, epsilon)
 
 
 @dataclass
@@ -200,7 +187,9 @@ def lazy_sampling_greedy_plus(
 
     Each iteration samples a weight-proportional batch from the unfrozen
     basis, refreshes the rounded class of every stale member, and freezes
-    one uniform basis element only when the batch was mostly fresh.  The
+    one uniform basis element only when the batch was mostly fresh.  An
+    audit is one gain against ``f.incremental()`` kept at the frozen set,
+    one query; a freeze adds to that state for free.  The
     loop exits once the approximate basis weight drops below
     ``PHASE1_THRESHOLD_FACTOR / epsilon`` times the optimum estimate, which
     at moderate scales happens immediately and leaves the frozen set empty.
@@ -217,8 +206,7 @@ def lazy_sampling_greedy_plus(
     # every iteration either reclasses an element downward or freezes one,
     # so this budget is only hit on a broken structure
     cap = 2 * n * (classifier.num_classes + 2) + 16
-    mask = np.zeros(n, dtype=np.uint8)
-    current = f.value(())
+    frozen = f.incremental()
     while oracle.approx_base_weight() >= threshold:
         if oracle.pool_size() == 0:
             break
@@ -228,27 +216,20 @@ def lazy_sampling_greedy_plus(
         drawn = oracle.sample(t_param, rng)
         state.samples_drawn += len(drawn)
         probes: list[tuple[float, bool]] = []
-        if drawn:
-            rows = np.tile(mask, (len(drawn), 1))
-            for i, (e, _p) in enumerate(drawn):
-                rows[i, e] = 1
-            vals = f.batch_values(rows)
-            for (e, p), v in zip(drawn, vals):
-                w_true = max(float(v) - current, 0.0)
-                j_new = classifier.weight_class(w_true)
-                stale = j_new > oracle.class_of(e)
-                probes.append((p, stale))
-                if stale:
-                    oracle.decrement(e, j_new)
-                    state.decrements += 1
+        for e, p in drawn:
+            j_new = classifier.weight_class(max(frozen.gain(e), 0.0))
+            stale = j_new > oracle.class_of(e)
+            probes.append((p, stale))
+            if stale:
+                oracle.decrement(e, j_new)
+                state.decrements += 1
         if _gate_passes(probes):
             if oracle.pool_size() == 0:
                 break
             e = oracle.uniform_sample(rng)
             oracle.freeze(e)
+            frozen.add(e)
             state.solution.append(e)
-            mask[e] = 1
-            current = f.value(state.solution)
     return state
 
 
@@ -648,11 +629,10 @@ def run_pipeline(
 
     Randomness is split into independent substreams of ``seed`` per stage,
     so phase 1, the multilinear sampling, and the rounding coins do not
-    interact.  Phase 1 is built and run only when its loop can fire, that
-    is when ``rank >= PHASE1_THRESHOLD_FACTOR / eps1``; otherwise its
-    counters are zero.  Rank-zero matroids and all-zero objectives take the
-    same path.
-    Every record carries the same counter keys.
+    interact.  Phase 1 is built and run only when its loop can fire (see
+    the module docstring); otherwise its counters are zero.  Rank-zero
+    matroids and all-zero objectives take the same path.  Every record
+    carries the same counter keys.
     """
     if not 0.0 < epsilon < 1.0 / 3.0:
         raise ValueError("epsilon must lie in (0, 1/3)")
@@ -662,15 +642,18 @@ def run_pipeline(
     n = matroid.n
     rank = matroid.rank()
     counters: dict[str, int | float] = {}
-    m_est = estimate_opt(f, matroid)
+    m_est, singles = estimate_opt(f, matroid)
     counters["estimate_f_queries"] = f.query_count
     eps1 = PHASE1_EPS_FRACTION * epsilon
     state = LSGState()
-    # every rounded weight is at most M and a basis has at most rank members,
-    # so the loop cannot start unless rank >= PHASE1_THRESHOLD_FACTOR / eps1
-    if m_est > 0.0 and rank >= PHASE1_THRESHOLD_FACTOR / eps1:
+    # the loop cannot start unless the rank largest singleton gains, clipped
+    # to [0, M], reach its threshold (see the module docstring); a Python
+    # sort, since estimate_opt's heap already costs O(n log n) and a first
+    # numpy sort or partition faults in about 0.6 MB of the library
+    capped = sorted(min(max(w, 0.0), m_est) for w in singles)
+    if m_est > 0.0 and sum(capped[len(capped) - rank:]) >= (PHASE1_THRESHOLD_FACTOR / eps1) * m_est:
         classifier = WeightClassifier(m_est, eps1, rank)
-        oracle = build_phase1_oracle(f, matroid, classifier, eps1)
+        oracle = build_phase1_oracle(singles, matroid, classifier, eps1)
         state = lazy_sampling_greedy_plus(f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1))
     s0 = sorted(state.solution)
     counters["phase1_f_queries"] = f.query_count - counters["estimate_f_queries"]

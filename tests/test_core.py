@@ -161,7 +161,7 @@ def test_estimate_opt_rank_one_picks_the_best_singleton() -> None:
         capacities=[1, 1, 1, 1],
         element_nodes=[1, 2, 3],
     )
-    assert estimate_opt(AdditiveOracle([5.0, 3.0, 1.0]), matroid) == 5.0
+    assert estimate_opt(AdditiveOracle([5.0, 3.0, 1.0]), matroid)[0] == 5.0
 
 
 def test_estimate_opt_zero_function() -> None:
@@ -170,14 +170,26 @@ def test_estimate_opt_zero_function() -> None:
         capacities=[1, 1, 1, 1],
         element_nodes=[1, 2, 3],
     )
-    assert estimate_opt(AdditiveOracle([0.0, 0.0, 0.0]), matroid) == 0.0
+    assert estimate_opt(AdditiveOracle([0.0, 0.0, 0.0]), matroid)[0] == 0.0
 
 
 def test_estimate_opt_brackets_the_optimum() -> None:
     inst = generate_instance("laminar", "coverage", n=8, seed=23)
-    m = estimate_opt(inst.build_objective(), inst.matroid)
+    m, _ = estimate_opt(inst.build_objective(), inst.matroid)
     opt, _ = brute_force_opt(inst.build_objective(), inst.matroid)
     r = inst.matroid.rank()
     assert opt / max(r, 1) - 1e-9 <= m <= opt + 1e-9
     assert m >= 0.5 * opt - 1e-9
 
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_estimate_opt_returns_its_heap_keys(objective) -> None:
+    # the greedy pass's value and queries, plus each singleton's weight in
+    # id order; on the grid f({e}) - f(()) is exact in any summation order
+    for kind in KINDS:
+        inst = _on_grid(generate_instance(kind, objective, n=30, seed=41))
+        f, g = inst.build_objective(), inst.build_objective()
+        m, singles = estimate_opt(f, inst.matroid)
+        value, _ = greedy_basis_value(g, range(inst.n), inst.matroid.checker)
+        assert (m, f.query_count) == (value, g.query_count)
+        assert singles == [g.value((e,)) - g.value(()) for e in range(inst.n)]

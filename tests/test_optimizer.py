@@ -147,10 +147,10 @@ def _exact_multilinear(f, x: np.ndarray) -> float:
 def test_phase1_small_weights_skip_the_loop() -> None:
     inst = generate_instance("laminar", "additive", n=8, seed=3)
     f = inst.build_objective()
-    m = estimate_opt(f, inst.matroid)
+    m, singles = estimate_opt(f, inst.matroid)
     eps = 0.2
     classifier = WeightClassifier(m, eps, inst.matroid.rank())
-    oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
+    oracle = build_phase1_oracle(singles, inst.matroid, classifier, eps)
     state = lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(1, STREAM_PHASE1))
     assert state.iterations == 0
     assert state.solution == []
@@ -159,11 +159,11 @@ def test_phase1_small_weights_skip_the_loop() -> None:
 def test_phase1_rank_one_huge_element() -> None:
     matroid = _rank_one_matroid(3)
     f = AdditiveOracle([1000.0, 1.0, 2.0])
-    m = estimate_opt(f, matroid)
+    m, singles = estimate_opt(f, matroid)
     assert m == 1000.0
     eps = 0.2
     classifier = WeightClassifier(m, eps, 1)
-    oracle = build_phase1_oracle(f, matroid, classifier, eps)
+    oracle = build_phase1_oracle(singles, matroid, classifier, eps)
     state = lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(2, STREAM_PHASE1))
     assert set(state.solution) <= {0}
     budget = 8 * matroid.n / eps * math.log(1 / eps)
@@ -181,9 +181,9 @@ def test_phase1_frozen_prefix_keeps_the_optimum_reachable(monkeypatch) -> None:
     triggered = 0
     for seed in range(200):
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, singles = estimate_opt(f, inst.matroid)
         classifier = WeightClassifier(m, eps, inst.matroid.rank())
-        oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
+        oracle = build_phase1_oracle(singles, inst.matroid, classifier, eps)
         state = lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(seed, STREAM_PHASE1))
         assert inst.matroid.is_independent(state.solution)
         if state.solution:
@@ -197,9 +197,9 @@ def test_phase1_frozen_prefix_keeps_the_optimum_reachable(monkeypatch) -> None:
 def test_phase1_rejects_bad_epsilon() -> None:
     inst = generate_instance("laminar", "additive", n=5, seed=1)
     f = inst.build_objective()
-    m = estimate_opt(f, inst.matroid)
+    m, singles = estimate_opt(f, inst.matroid)
     classifier = WeightClassifier(m, 0.2, inst.matroid.rank())
-    oracle = build_phase1_oracle(f, inst.matroid, classifier, 0.2)
+    oracle = build_phase1_oracle(singles, inst.matroid, classifier, 0.2)
     for eps in (0.0, 1.0 / 3.0, 0.5):
         with pytest.raises(ValueError):
             lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(0, STREAM_PHASE1))
@@ -209,11 +209,11 @@ def test_phase1_triggered_loop_runs_and_terminates(monkeypatch) -> None:
     monkeypatch.setattr(optimizer, "PHASE1_THRESHOLD_FACTOR", 5.0)
     inst = _shared_cover_instance(200, 170)
     f = inst.build_objective()
-    m = estimate_opt(f, inst.matroid)
+    m, singles = estimate_opt(f, inst.matroid)
     assert m == 10.0
     eps = 0.075
     classifier = WeightClassifier(m, eps, 170)
-    oracle = build_phase1_oracle(f, inst.matroid, classifier, eps)
+    oracle = build_phase1_oracle(singles, inst.matroid, classifier, eps)
     state = lazy_sampling_greedy_plus(f, oracle, eps, m, stream_rng(11, STREAM_PHASE1))
     # first pass is all fresh and freezes once; the second finds every
     # remaining marginal collapsed, reclasses the whole pool, and exits
@@ -224,9 +224,15 @@ def test_phase1_triggered_loop_runs_and_terminates(monkeypatch) -> None:
     assert f.query_count <= 8 * inst.n / eps * math.log(170 / eps)
 
 
+def _heaviest_clipped(singles: list[float], m: float, rank: int) -> float:
+    """Sum of the ``rank`` largest singleton gains clipped to ``[0, M]``."""
+    return float(np.sort(np.clip(singles, 0.0, m))[len(singles) - rank:].sum())
+
+
 def test_phase1_basis_weight_is_at_most_rank_times_estimate() -> None:
-    # the bound run_pipeline skips phase 1 on: rounded weights are at most M,
-    # so a basis weighs at most rank * M
+    # the bound run_pipeline skips phase 1 on: a rounded weight is at most
+    # its singleton gain clipped to [0, M], so a basis weighs at most the sum
+    # of the rank largest of those, itself at most rank * M
     eps1 = 0.05
     instances = [
         generate_instance(kind, objective, n=n, seed=seed)
@@ -237,34 +243,33 @@ def test_phase1_basis_weight_is_at_most_rank_times_estimate() -> None:
     ]
     for inst in instances + [_shared_cover_instance(30, 20)]:
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, singles = estimate_opt(f, inst.matroid)
         rank = inst.matroid.rank()
-        oracle = build_phase1_oracle(f, inst.matroid, WeightClassifier(m, eps1, rank), eps1)
-        assert oracle.approx_base_weight() <= rank * m
+        oracle = build_phase1_oracle(singles, inst.matroid, WeightClassifier(m, eps1, rank), eps1)
+        assert oracle.approx_base_weight() <= _heaviest_clipped(singles, m, rank) <= rank * m
     # the last instance, the shared cover, meets the bound exactly
     assert oracle.approx_base_weight() == rank * m
 
 
 @pytest.mark.parametrize("objective", ["coverage", "facility"])
 def test_phase1_build_prices_singletons_in_linear_memory(objective) -> None:
-    # pricing the singletons as one (n, n) identity batch peaked at about
-    # 11 MB (coverage) and 17 MB (facility) at this size
+    # the build classes the gains estimate_opt keyed its heap on: no query,
+    # and no (n, n) identity batch
     inst = generate_instance("laminar", objective, n=600, seed=1)
     f = inst.build_objective()
-    m = estimate_opt(f, inst.matroid)
+    m, singles = estimate_opt(f, inst.matroid)
     classifier = WeightClassifier(m, 0.05, inst.matroid.rank())
-    singles = f.batch_values(np.eye(inst.n, dtype=np.uint8))
     before = f.query_count
     tracemalloc.start()
     try:
-        oracle = build_phase1_oracle(f, inst.matroid, classifier, 0.05)
+        oracle = build_phase1_oracle(singles, inst.matroid, classifier, 0.05)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
-    assert f.query_count - before == inst.n
-    assert oracle.classes == {e: classifier.weight_class(max(float(v), 0.0))
-                              for e, v in enumerate(singles)}
+    assert f.query_count == before
+    assert oracle.classes == {e: classifier.weight_class(max(g, 0.0))
+                              for e, g in enumerate(singles)}
 
 
 def test_gate_needs_a_strict_fresh_majority_per_group() -> None:
@@ -307,7 +312,7 @@ def test_dt_incremental_matches_exact_greedy_on_additive() -> None:
         best_value = sum(weights[e] for e in best)
         state = _additive_state(weights, np.random.default_rng(seed))
         checker = CountingChecker(inst.matroid.checker())
-        m = estimate_opt(AdditiveOracle(weights), inst.matroid)
+        m, _ = estimate_opt(AdditiveOracle(weights), inst.matroid)
         rank = inst.matroid.rank()
         basis = dt_incremental(state, checker, eps, m, range(inst.n), rank)
         assert inst.matroid.is_independent(basis)
@@ -322,7 +327,7 @@ def test_dt_incremental_test_call_budget() -> None:
     weights = list(inst.objective["weights"])
     state = _additive_state(weights, np.random.default_rng(4))
     checker = CountingChecker(inst.matroid.checker())
-    m = estimate_opt(AdditiveOracle(weights), inst.matroid)
+    m, _ = estimate_opt(AdditiveOracle(weights), inst.matroid)
     rank = inst.matroid.rank()
     dt_incremental(state, checker, eps, m, range(inst.n), rank)
     tau = max(weights)
@@ -375,7 +380,7 @@ def test_lazy_sweep_matches_the_eager_sweep(kind, objective) -> None:
     for seed in range(4):
         inst = generate_instance(kind, objective, n=30, seed=60 + seed)
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, _ = estimate_opt(f, inst.matroid)
         rank = inst.matroid.rank()
         lazy_est = _counted_state(f, inst.n, seed)
         eager_est = _counted_state(f, inst.n, seed)
@@ -402,7 +407,7 @@ def test_turn_sweep_matches_the_cohort_sweep(kind, objective) -> None:
     for seed in range(4):
         inst = generate_instance(kind, objective, n=30, seed=80 + seed)
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, _ = estimate_opt(f, inst.matroid)
         rank = inst.matroid.rank()
         turn_est = _counted_state(f, inst.n, seed)
         cohort_est = _counted_state(f, inst.n, seed)
@@ -456,7 +461,7 @@ def test_sweep_prices_once_per_basis_and_once_per_level_after_its_batch(objectiv
         for seed in range(3):
             inst = generate_instance(kind, objective, n=30, seed=110 + seed)
             f = inst.build_objective()
-            m = estimate_opt(f, inst.matroid)
+            m, _ = estimate_opt(f, inst.matroid)
             rank = inst.matroid.rank()
             spy = _PricingLog(_counted_state(f, inst.n, seed).state)
             dt_incremental(
@@ -512,7 +517,7 @@ def test_sweep_never_prices_an_element_its_basis_spans(kind) -> None:
     retired = 0
     for objective, seed in itertools.product(["coverage", "facility", "additive"], range(4)):
         inst = generate_instance(kind, objective, n=30, seed=130 + seed)
-        m = estimate_opt(inst.build_objective(), inst.matroid)
+        m, _ = estimate_opt(inst.build_objective(), inst.matroid)
         # the last two seeds sweep a contraction by a few elements
         frozen: list[int] = []
         for e in range(0, inst.n, 5) if seed >= 2 else ():
@@ -541,7 +546,7 @@ def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
     for kind in KINDS:
         inst = generate_instance(kind, "coverage", n=25, seed=9)
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, _ = estimate_opt(f, inst.matroid)
         est = _counted_state(f, inst.n, 3, samples=17)
         before = f.query_count
         dt_incremental(
@@ -592,7 +597,7 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
     for seed in range(6):
         inst = generate_instance("transversal", "additive", n=16, seed=300 + seed)
         weights = list(inst.objective["weights"])
-        m = estimate_opt(AdditiveOracle(weights), inst.matroid)
+        m, _ = estimate_opt(AdditiveOracle(weights), inst.matroid)
         rank = inst.matroid.rank()
         exact_est = _additive_state(weights, np.random.default_rng(seed))
         exact_checker = CountingChecker(inst.matroid.checker())
@@ -642,7 +647,7 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
         inst = generate_instance("transversal", objective, n=24, seed=90 + seed)
         frozen = [0, 5]
         f = ResidualOracle(inst.build_objective(), frozen)
-        m = estimate_opt(inst.build_objective(), inst.matroid)
+        m, _ = estimate_opt(inst.build_objective(), inst.matroid)
         rank = inst.matroid.rank() - len(frozen)
         free = [e for e in range(inst.n) if e not in frozen]
         state = _counted_state(f, inst.n, seed).state
@@ -682,7 +687,7 @@ def test_sweep_inserts_nothing_after_its_last_pricing(kind, objective) -> None:
             rows = nested_subsets(np.zeros(inst.n), 0.2, 30, np.random.default_rng(seed))
             spy = _RoundLog(f.round_state(*rows))
         else:
-            rank, m = inst.matroid.rank(), estimate_opt(f, inst.matroid)
+            rank, m = inst.matroid.rank(), estimate_opt(f, inst.matroid)[0]
             spy = _RoundLog(_counted_state(f, inst.n, seed).state)
         got = dt_incremental(
             spy, CountingChecker(inst.matroid.checker()), eps, m, range(inst.n), rank
@@ -761,7 +766,7 @@ def test_a_singleton_top_level_batch_keeps_its_element(objective, n, seed, run) 
     assert np.count_nonzero(first == first[top]) == 1
     structure = DecMatching(inst.matroid, eps)
     got = dt_approx_indep_set(
-        f.round_state(*rows), structure, eps, estimate_opt(f, inst.matroid), range(n),
+        f.round_state(*rows), structure, eps, estimate_opt(f, inst.matroid)[0], range(n),
         inst.matroid.rank(),
     )
     assert top in got
@@ -774,7 +779,7 @@ def test_lazy_transversal_sweep_matches_the_eager_sweep(objective) -> None:
     for seed in range(5):
         inst = generate_instance("transversal", objective, n=30, seed=70 + seed)
         base = inst.build_objective()
-        m = estimate_opt(base, inst.matroid)
+        m, _ = estimate_opt(base, inst.matroid)
         # the last two seeds run on a contraction by two independent elements
         frozen: list[int] = []
         if seed >= 3:
@@ -860,7 +865,7 @@ def test_transversal_sweep_never_prices_above_a_cached_rate(objective) -> None:
     for seed in range(5):
         inst = generate_instance("transversal", objective, n=30, seed=150 + seed)
         base = inst.build_objective()
-        m = estimate_opt(base, inst.matroid)
+        m, _ = estimate_opt(base, inst.matroid)
         # the last seed runs on a contraction by two independent elements
         frozen = [0, 1] if seed == 4 else []
         assert inst.matroid.is_independent(frozen)
@@ -918,7 +923,7 @@ def test_continuous_greedy_additive_is_linear_exact() -> None:
     best = max_weight_basis(inst.matroid, list(weights))
     best_value = float(sum(weights[e] for e in best))
     f = inst.build_objective()
-    m = estimate_opt(f, inst.matroid)
+    m, _ = estimate_opt(f, inst.matroid)
     fractional, counters = continuous_greedy(
         f, inst.matroid, (), eps, m, np.random.default_rng(5)
     )
@@ -939,7 +944,7 @@ def test_continuous_greedy_statistical_ratio() -> None:
     hits = 0
     for seed in range(100):
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, _ = estimate_opt(f, inst.matroid)
         fractional, _counters = continuous_greedy(
             f, inst.matroid, (), eps, m, np.random.default_rng(seed)
         )
@@ -954,7 +959,7 @@ def test_continuous_greedy_query_budget() -> None:
     for kind in ("laminar", "graphic", "transversal"):
         inst = generate_instance(kind, "coverage", n=10, seed=7)
         f = inst.build_objective()
-        m = estimate_opt(f, inst.matroid)
+        m, _ = estimate_opt(f, inst.matroid)
         before = f.query_count
         continuous_greedy(f, inst.matroid, (), eps, m, np.random.default_rng(3))
         spent = f.query_count - before
@@ -974,7 +979,7 @@ def test_continuous_greedy_respects_the_contraction() -> None:
             checker.insert(e)
             frozen.append(e)
     residual = ResidualOracle(base_f, frozen)
-    m = estimate_opt(inst.build_objective(), inst.matroid)
+    m, _ = estimate_opt(inst.build_objective(), inst.matroid)
     fractional, _counters = continuous_greedy(
         residual, inst.matroid, frozen, 0.25, m, np.random.default_rng(9)
     )
@@ -1090,6 +1095,11 @@ def test_pipeline_on_triggering_instance(kind) -> None:
     counters = result.counters
     assert counters["phase1_iterations"] >= 1
     assert counters["phase1_frozen"] >= 1
+    # phase 1 pays one query per audited draw and nothing else: its weights
+    # are estimate_opt's heap keys, priced there once
+    assert counters["phase1_f_queries"] == counters["phase1_samples"]
+    estimate = {"laminar": 4500, "graphic": 7800, "transversal": 4500}[kind]
+    assert counters["estimate_f_queries"] == estimate
     assert set(result.frozen) <= set(result.solution)
     assert inst.matroid.is_independent(result.solution)
     assert result.value >= (1 - 1 / math.e - eps) * result.opt_estimate
@@ -1114,6 +1124,10 @@ def test_pipeline_skips_phase1_below_the_rank_bound(monkeypatch) -> None:
 
 
 def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
+    # on 1500 heavy-item elements under a root of capacity c, every singleton
+    # gain is 10.0001 and M = 10 + c * 1e-4, so the rank largest clipped
+    # gains sum to c * 10.0001 against the threshold 1000 * M: 10110.1 >=
+    # 10101.1 at c = 1011, and 10100.1 < 10101.0 at c = 1010
     eps = 0.2
     assert optimizer.PHASE1_THRESHOLD_FACTOR / (PHASE1_EPS_FRACTION * eps) == 1000.0
     builds = []
@@ -1124,14 +1138,14 @@ def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
         return build(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "build_phase1_oracle", spy)
-    at = run_pipeline(_heavy_item_instance(_wide_laminar(1000, 1000)), epsilon=eps, seed=1000)
+    at = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1011)), epsilon=eps, seed=1000)
     assert len(builds) == 1
-    assert at.counters["phase1_f_queries"] > 0
+    assert at.counters["phase1_f_queries"] == at.counters["phase1_samples"]
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("phase 1 built although its loop cannot fire")
 
     # one below the bound the loop cannot fire, so phase 1 is not built
     monkeypatch.setattr(optimizer, "build_phase1_oracle", refuse)
-    below = run_pipeline(_heavy_item_instance(_wide_laminar(1000, 999)), epsilon=eps, seed=1000)
+    below = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1010)), epsilon=eps, seed=1000)
     assert below.counters["phase1_f_queries"] == 0
