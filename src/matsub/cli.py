@@ -24,7 +24,6 @@ import sys
 import time
 from typing import Sequence
 
-from . import kernels
 from .core import greedy_basis_value
 from .instances import (
     STREAM_GEN,
@@ -211,7 +210,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "multilinear": [args.seed, STREAM_MULTILINEAR],
             "rounding": [args.seed, STREAM_ROUNDING],
         },
-        "backend": kernels.active_backend(),
         **body,
     }
     _write_text(args.output, _dump_record(record))

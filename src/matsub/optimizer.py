@@ -14,10 +14,12 @@ Phase 1 spends one value query per audited element: its weights are the
 singleton gains :func:`estimate_opt` keyed its heap on, and an audit is one
 gain against an incremental state for the frozen set.  It stops once the
 basis weight drops below ``PHASE1_THRESHOLD_FACTOR / eps1`` times the
-optimum estimate ``M``.  A basis weighs at most its ``rank`` largest
-singleton gains clipped to ``[0, M]``, so :func:`run_pipeline` builds phase
-1 only when those reach that bar, which needs ``rank >=
-PHASE1_THRESHOLD_FACTOR / eps1`` (1000 at ``eps = 0.2``).
+optimum estimate ``M``.  An element's rounded weight is the class value
+of its singleton gain clipped to ``[0, M]``, so a basis weighs at most the
+class values of its ``rank`` largest clipped gains.  :func:`run_pipeline`
+builds phase 1 only when those reach that bar, which needs the clipped
+gains to reach it and so ``rank >= PHASE1_THRESHOLD_FACTOR / eps1`` (1000
+at ``eps = 0.2``).
 """
 
 from __future__ import annotations
@@ -402,9 +404,9 @@ def dt_approx_indep_set(
     """Near-max-rate basis via batched inserts with repair, then a top-off.
 
     Transversal counterpart of :func:`dt_incremental`: each threshold level
-    submits its whole cohort in one rebuild, then a worklist audits every
-    newly matched vertex and deletes those whose fresh rate fell below the
-    level, feeding replacement matches back into the audit.  ``pinned``
+    submits its whole cohort in one batch insert, then a worklist audits
+    every newly matched vertex and deletes those whose fresh rate fell below
+    the level, feeding replacement matches back into the audit.  ``pinned``
     vertices are preloaded contraction elements: they stay matched, never
     get audited, and are excluded from the returned set.  Whatever the
     ladder leaves short of ``rank`` is topped off in best-rate order with an
@@ -456,17 +458,18 @@ def dt_approx_indep_set(
             rate[stale] = state.marginal_means(stale)
             priced_at[stale] = changes
 
-    def joined(elems: Iterable[int]) -> list[int]:
+    def joined(elems: list[int]) -> list[int]:
+        # newly matched vertices: never pinned, since the pinned ones were
+        # matched first and stay matched
         nonlocal changes
-        fresh = sorted(e for e in elems if e not in pinned_set)
-        for e in fresh:
+        for e in elems:
             # e's own insert leaves f(R+e) - f(R-e) as it was
             current = priced_at[e] == changes
             state.insert(e)
             changes += 1
             if current:
                 priced_at[e] = changes
-        return fresh
+        return elems
 
     def evict(e: int) -> list[int]:
         nonlocal changes
@@ -646,15 +649,19 @@ def run_pipeline(
     counters["estimate_f_queries"] = f.query_count
     eps1 = PHASE1_EPS_FRACTION * epsilon
     state = LSGState()
-    # the loop cannot start unless the rank largest singleton gains, clipped
-    # to [0, M], reach its threshold (see the module docstring); a Python
-    # sort, since estimate_opt's heap already costs O(n log n) and a first
-    # numpy sort or partition faults in about 0.6 MB of the library
-    capped = sorted(min(max(w, 0.0), m_est) for w in singles)
-    if m_est > 0.0 and sum(capped[len(capped) - rank:]) >= (PHASE1_THRESHOLD_FACTOR / eps1) * m_est:
+    # the loop cannot start unless the class values of the rank largest
+    # singleton gains, clipped to [0, M], reach its threshold (see the module
+    # docstring); the clipped sum bounds them and is checked first, so no
+    # gain is classified when it falls short.  A Python sort, since
+    # estimate_opt's heap already costs O(n log n) and a first numpy sort or
+    # partition faults in about 0.6 MB of the library
+    top = sorted(min(max(w, 0.0), m_est) for w in singles)[len(singles) - rank:]
+    bar = (PHASE1_THRESHOLD_FACTOR / eps1) * m_est
+    if m_est > 0.0 and sum(top) >= bar:
         classifier = WeightClassifier(m_est, eps1, rank)
-        oracle = build_phase1_oracle(singles, matroid, classifier, eps1)
-        state = lazy_sampling_greedy_plus(f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1))
+        if sum(classifier.class_value(classifier.weight_class(w)) for w in top) >= bar:
+            oracle = build_phase1_oracle(singles, matroid, classifier, eps1)
+            state = lazy_sampling_greedy_plus(f, oracle, eps1, m_est, stream_rng(seed, STREAM_PHASE1))
     s0 = sorted(state.solution)
     counters["phase1_f_queries"] = f.query_count - counters["estimate_f_queries"]
     counters["phase1_iterations"] = state.iterations

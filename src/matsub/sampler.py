@@ -55,9 +55,6 @@ class BucketLists:
     def class_of(self, elem: int) -> int:
         return self._where[elem][0]
 
-    def counts(self) -> list[int]:
-        return [len(bucket) for bucket in self._lists]
-
     def total_weight(self) -> float:
         """Sum of rounded weights over everything held, bottom class counting 0."""
         return sum(

@@ -8,11 +8,11 @@ never wants to steal its old partner back immediately, and the total scan
 work stays near-linear.  Weights are rounded down to integer powers of
 (1+eps) at ingestion; arithmetic on weights is done on the exponents.
 
-The second maintains a matching with no augmenting path of at most
-2 + 2/eps edges, which keeps its size within (1-eps) of maximum.  It grows
-by right-vertex insertions with bounded-depth augmenting searches and
-supports deleting a left vertex by pinning it to a fresh degree-1 right
-vertex, then repairing from the abandoned partner.
+The second maintains one matching with no augmenting path of at most
+2 + 2/eps edges, which keeps its size within (1-eps) of maximum.  A batch
+of left vertices joins it in place and bounded-depth augmenting searches
+from the free right vertices extend it; deleting a left vertex unlinks it
+and repairs from its freed partner.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ class LStableMatching:
     """Maximal matching under decrements, stable on the left side.
 
     Virtual weights are kept as integer exponents of (1+eps) relative to
-    the floor ``w_min``; ``None`` stands for weight zero.  A right vertex r
-    scans its neighbor list once per exponent level from ``k`` down to
-    ``-floor(1/eps)``, remembering its position between searches, so the
+    the floor ``eps * w_max / n``; ``None`` stands for weight zero.  A right
+    vertex r scans its neighbor list once per exponent level from ``k`` down
+    to ``-floor(1/eps)``, remembering its position between searches, so the
     lifetime scanning work is O(|N_r| * (k + 1/eps)) per vertex.
     """
 
@@ -39,7 +39,6 @@ class LStableMatching:
         matroid: TransversalMatroid,
         weights: Mapping[int, float],
         epsilon: float,
-        w_min: float | None = None,
     ) -> None:
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
@@ -50,16 +49,9 @@ class LStableMatching:
         if any(w < 0 for w in raw):
             raise ValueError("weights must be nonnegative")
         w_max = max(raw, default=0.0)
-        if w_min is None:
-            w_min = w_max * epsilon / max(1, n) if w_max > 0 else 1.0
-        if w_min <= 0:
-            raise ValueError("w_min must be positive")
-        self.scale = w_min
+        self.scale = w_max * epsilon / max(1, n) if w_max > 0 else 1.0
         self.low = -math.floor(1 / epsilon)
-        if w_max > w_min:
-            self.k = self._ceil_log(w_max / w_min)
-        else:
-            self.k = 0
+        self.k = self._ceil_log(w_max / self.scale) if w_max > self.scale else 0
         self.w_lv: list[int | None] = [self._round_level(w) for w in raw]
         self.w_val: list[float] = [self.level_value(lv) for lv in self.w_lv]
         self.vw: list[int | None] = list(self.w_lv)
@@ -231,9 +223,10 @@ class DecMatching:
 
     The matching never has an augmenting path of at most ``2 + 2/eps``
     edges, so its size stays within (1-eps) of the maximum.  Left vertices
-    matched once stay matched until deleted.  Deletion pins the vertex to a
-    fresh degree-1 right vertex and repairs from its abandoned partner with
-    one bounded-depth augmenting search.
+    matched once stay matched until deleted.  A batch insert adds its
+    vertices to the one maintained matching and augments until no short
+    path is left; a delete unlinks the vertex and repairs from its freed
+    partner with one bounded-depth augmenting search.
     """
 
     def __init__(self, matroid: TransversalMatroid, epsilon: float) -> None:
@@ -248,9 +241,7 @@ class DecMatching:
         self.match_of_l: dict[int, int] = {}
         self.match_of_r: dict[int, int] = {}
         self.rank: dict[int, int] = {}
-        self.dummy_of: dict[int, int] = {}
-        self._next_dummy = matroid.num_right
-        self._n_r: list[list[int]] = [[] for _ in range(matroid.num_right)]
+        self._n_r: list[set[int]] = [set() for _ in range(matroid.num_right)]
         self.batch_inserts = 0
         self.deletes = 0
 
@@ -280,10 +271,9 @@ class DecMatching:
             frontier = []
             for l in layer:
                 rm = self.match_of_l[l]
-                if rm >= self.num_right or rm in seen_r:
-                    continue  # pinned-to-dummy vertices are dead ends
-                seen_r.add(rm)
-                frontier.append(rm)
+                if rm not in seen_r:
+                    seen_r.add(rm)
+                    frontier.append(rm)
             depth += 1
         return None
 
@@ -300,28 +290,23 @@ class DecMatching:
             l = prev
         return l_end
 
-    def _exhaust(self) -> list[int]:
+    def _exhaust(self) -> None:
         """Augment until no short augmenting path remains."""
-        newly: list[int] = []
         progress = True
         while progress:
             progress = False
             for r in range(self.num_right):
-                if r in self.match_of_r:
-                    continue
-                got = self._augment_from(r)
-                if got is not None:
-                    newly.append(got)
+                if r not in self.match_of_r and self._augment_from(r) is not None:
                     progress = True
-        return newly
 
     # -- public operations -------------------------------------------------
 
     def batch_insert(self, elems: Iterable[int]) -> list[int]:
-        """Rebuild on the surviving ground set plus ``elems``.
+        """Add ``elems`` and augment until no short path is left.
 
-        Every left vertex matched before the rebuild is matched afterwards
-        as well; the return value lists the vertices matched beyond those.
+        An augmenting path never unmatches a left vertex, so the return
+        value lists exactly the vertices this call matched.  Rematch counts
+        restart at 1 for matched vertices and 0 for the rest.
         """
         new = sorted(set(elems))
         for l in new:
@@ -330,29 +315,13 @@ class DecMatching:
             if l in self.present or l in self.deleted:
                 raise ValueError(f"element {l} was already inserted")
         self.batch_inserts += 1
-        prior = sorted((l, r) for l, r in self.match_of_l.items() if r < self.num_right)
-        self.present.update(new)
-        self.match_of_l = {}
-        self.match_of_r = {}
-        self.dummy_of = {}
-        self._next_dummy = self.num_right
-        self.rank = {l: 0 for l in self.present}
-        self._n_r = [[] for _ in range(self.num_right)]
-        for l in sorted(self.present):
+        for l in new:
             for r in self.matroid.adjacency[l]:
-                self._n_r[r].append(l)
-        seeded: set[int] = set()
-        for l, r in prior:
-            # force the prior basis pair before anything else competes
-            self.match_of_l[l] = r
-            self.match_of_r[r] = l
-            self.rank[l] += 1
-            seeded.add(r)
-        for r in range(self.num_right):
-            if r not in seeded:
-                self._augment_from(r)
+                self._n_r[r].add(l)
+        self.present.update(new)
+        self.rank = {l: int(l in self.match_of_l) for l in self.present}
+        before = set(self.match_of_l)
         self._exhaust()
-        before = {l for l, _ in prior}
         return sorted(l for l in self.match_of_l if l not in before)
 
     def delete(self, l: int) -> list[int]:
@@ -361,12 +330,10 @@ class DecMatching:
         self.deletes += 1
         self.present.discard(l)
         self.deleted.add(l)
-        dummy = self._next_dummy
-        self._next_dummy += 1
-        self.dummy_of[dummy] = l
-        r_old = self.match_of_l.get(l)
-        self.match_of_l[l] = dummy
-        self.match_of_r[dummy] = l
+        for r in self.matroid.adjacency[l]:
+            self._n_r[r].discard(l)
+        del self.rank[l]
+        r_old = self.match_of_l.pop(l, None)
         if r_old is None:
             return []
         del self.match_of_r[r_old]
@@ -374,13 +341,12 @@ class DecMatching:
         return [] if got is None else [got]
 
     def test(self, l: int) -> bool:
-        r = self.match_of_l.get(l)
-        return r is not None and r < self.num_right
+        return l in self.match_of_l
 
     # -- inspection --------------------------------------------------------
 
     def basis(self) -> list[int]:
-        return sorted(l for l, r in self.match_of_l.items() if r < self.num_right)
+        return sorted(self.match_of_l)
 
     @property
     def op_counters(self) -> dict[str, int]:

@@ -808,8 +808,9 @@ def bucket_weight(buckets: BucketLists, elem: int) -> float:
     return buckets.classifier.class_value(buckets.class_of(elem))
 
 
-def dec_matching_pairs(d: DecMatching) -> dict[int, int]:
-    """Left-to-right pairs of a ``DecMatching``, dummy pins left out."""
+def dec_matching_pairs(d: DecMatching | RebuildDecMatching) -> dict[int, int]:
+    """Left-to-right pairs of a ``DecMatching``; the filter drops the dummy
+    pins that only ``RebuildDecMatching`` makes."""
     return {l: r for l, r in d.match_of_l.items() if r < d.num_right}
 
 
@@ -841,6 +842,112 @@ class DoubleSearchTransversalChecker:
     def insert(self, elem: int) -> None:
         if elem in self.match_right.values() or not self._augment(elem, set(), commit=True):
             raise ValueError("insert would break independence")
+
+
+class RebuildDecMatching:
+    """``DecMatching`` by rebuild and pinning: each batch insert throws the
+    matching away and rebuilds it, re-seeding the prior pairs, and a delete
+    pins its vertex to a fresh degree-1 dummy right vertex."""
+
+    def __init__(self, matroid: TransversalMatroid, epsilon: float) -> None:
+        self.matroid = matroid
+        self.max_len = 2 + 2 / epsilon
+        self.num_right = matroid.num_right
+        self.present: set[int] = set()
+        self.deleted: set[int] = set()
+        self.match_of_l: dict[int, int] = {}
+        self.match_of_r: dict[int, int] = {}
+        self.rank: dict[int, int] = {}
+        self._next_dummy = matroid.num_right
+        self._n_r: list[list[int]] = [[] for _ in range(matroid.num_right)]
+
+    def _augment_from(self, r0: int) -> int | None:
+        parent_l: dict[int, int] = {}
+        frontier = [r0]
+        seen_r = {r0}
+        seen_l: set[int] = set()
+        depth = 1
+        while frontier and 2 * depth - 1 <= self.max_len:
+            layer: list[int] = []
+            for r in frontier:
+                for l in sorted(self._n_r[r], key=lambda l: (self.rank[l], l)):
+                    if l in seen_l:
+                        continue
+                    seen_l.add(l)
+                    parent_l[l] = r
+                    if l not in self.match_of_l:
+                        # apply the path back to r0
+                        end = l
+                        while True:
+                            r = parent_l[l]
+                            prev = self.match_of_r.get(r)
+                            self.match_of_l[l] = r
+                            self.match_of_r[r] = l
+                            self.rank[l] += 1
+                            if prev is None:
+                                return end
+                            l = prev
+                    layer.append(l)
+            frontier = []
+            for l in layer:
+                rm = self.match_of_l[l]
+                if rm >= self.num_right or rm in seen_r:
+                    continue  # pinned-to-dummy vertices are dead ends
+                seen_r.add(rm)
+                frontier.append(rm)
+            depth += 1
+        return None
+
+    def batch_insert(self, elems: Iterable[int]) -> list[int]:
+        new = sorted(set(elems))
+        prior = sorted((l, r) for l, r in self.match_of_l.items() if r < self.num_right)
+        self.present.update(new)
+        self.match_of_l = {}
+        self.match_of_r = {}
+        self._next_dummy = self.num_right
+        self.rank = {l: 0 for l in self.present}
+        self._n_r = [[] for _ in range(self.num_right)]
+        for l in sorted(self.present):
+            for r in self.matroid.adjacency[l]:
+                self._n_r[r].append(l)
+        seeded: set[int] = set()
+        for l, r in prior:
+            self.match_of_l[l] = r
+            self.match_of_r[r] = l
+            self.rank[l] += 1
+            seeded.add(r)
+        for r in range(self.num_right):
+            if r not in seeded:
+                self._augment_from(r)
+        progress = True
+        while progress:
+            progress = False
+            for r in range(self.num_right):
+                if r not in self.match_of_r and self._augment_from(r) is not None:
+                    progress = True
+        before = {l for l, _ in prior}
+        return sorted(l for l in self.match_of_l if l not in before)
+
+    def delete(self, l: int) -> list[int]:
+        self.present.discard(l)
+        self.deleted.add(l)
+        dummy = self._next_dummy
+        self._next_dummy += 1
+        r_old = self.match_of_l.get(l)
+        self.match_of_l[l] = dummy
+        self.match_of_r[dummy] = l
+        if r_old is None:
+            return []
+        del self.match_of_r[r_old]
+        got = self._augment_from(r_old)
+        return [] if got is None else [got]
+
+    def test(self, l: int) -> bool:
+        r = self.match_of_l.get(l)
+        return r is not None and r < self.num_right
+
+    def basis(self) -> list[int]:
+        return sorted(dec_matching_pairs(self))
 
 
 # ---------------------------------------------------------------------------

@@ -1125,9 +1125,11 @@ def test_pipeline_skips_phase1_below_the_rank_bound(monkeypatch) -> None:
 
 def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
     # on 1500 heavy-item elements under a root of capacity c, every singleton
-    # gain is 10.0001 and M = 10 + c * 1e-4, so the rank largest clipped
-    # gains sum to c * 10.0001 against the threshold 1000 * M: 10110.1 >=
-    # 10101.1 at c = 1011, and 10100.1 < 10101.0 at c = 1010
+    # gain is 10.0001 and M = 10 + c * 1e-4, so each gain lies in [0.95 M, M)
+    # and rounds down to the class value 0.95 M at eps1 = 0.05.  The rank
+    # largest then weigh 0.95 c M against the threshold 1000 M: 1000.35 M at
+    # c = 1053, and 999.4 M at c = 1052, although their clipped gains sum to
+    # c * 10.0001 >= 1000 M at both
     eps = 0.2
     assert optimizer.PHASE1_THRESHOLD_FACTOR / (PHASE1_EPS_FRACTION * eps) == 1000.0
     builds = []
@@ -1138,8 +1140,9 @@ def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
         return build(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "build_phase1_oracle", spy)
-    at = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1011)), epsilon=eps, seed=1000)
+    at = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1053)), epsilon=eps, seed=1000)
     assert len(builds) == 1
+    assert at.counters["phase1_iterations"] >= 1
     assert at.counters["phase1_f_queries"] == at.counters["phase1_samples"]
 
     def refuse(*_args, **_kwargs):
@@ -1147,5 +1150,5 @@ def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
 
     # one below the bound the loop cannot fire, so phase 1 is not built
     monkeypatch.setattr(optimizer, "build_phase1_oracle", refuse)
-    below = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1010)), epsilon=eps, seed=1000)
+    below = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1052)), epsilon=eps, seed=1000)
     assert below.counters["phase1_f_queries"] == 0

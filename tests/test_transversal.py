@@ -10,7 +10,12 @@ from scipy.optimize import linear_sum_assignment
 
 from matsub.instances import TransversalMatroid
 from matsub.transversal import DecMatching, LStableMatching
-from reference import dec_matching_pairs, hopcroft_karp, hungarian_max_weight_matching
+from reference import (
+    RebuildDecMatching,
+    dec_matching_pairs,
+    hopcroft_karp,
+    hungarian_max_weight_matching,
+)
 
 
 def _check_invariants(d: LStableMatching) -> None:
@@ -42,7 +47,7 @@ def _check_invariants(d: LStableMatching) -> None:
 
 def test_single_edge() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0]])
-    d = LStableMatching(mat, {0: 4.0}, epsilon=0.5, w_min=1.0)
+    d = LStableMatching(mat, {0: 4.0}, epsilon=0.5)
     assert d.match_of_l == {0: 0}
     assert d.vw[0] == d.w_lv[0] - 1
     _check_invariants(d)
@@ -50,14 +55,14 @@ def test_single_edge() -> None:
 
 def test_two_left_one_right_prefers_heavier() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0], [0]])
-    d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5, w_min=1.0)
+    d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5)
     assert d.match_of_l == {0: 0}
     _check_invariants(d)
 
 
 def test_steal_chain_on_three_edge_path() -> None:
     mat = TransversalMatroid(num_right=2, adjacency=[[0, 1], [1]])
-    d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5, w_min=1.0)
+    d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5)
     # the second right vertex steals the heavy neighbor, displacing the
     # first, which works its way back; nobody ends up unmatched
     assert set(d.match_of_r) == {0, 1}
@@ -75,7 +80,7 @@ def test_no_neighbors_stays_unmatched() -> None:
 
 def test_decrement_unmatched_is_silent() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0], [0]])
-    d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5, w_min=1.0)
+    d = LStableMatching(mat, {0: 2.25, 1: 1.0}, epsilon=0.5)
     c = d.decrement(1, 0.5)
     assert c.added == [] and c.removed == []
     assert d.match_of_l == {0: 0}
@@ -84,7 +89,7 @@ def test_decrement_unmatched_is_silent() -> None:
 
 def test_decrement_matched_to_zero_falls_back() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0]])
-    d = LStableMatching(mat, {0: 1.0}, epsilon=0.5, w_min=1.0)
+    d = LStableMatching(mat, {0: 1.0}, epsilon=0.5)
     assert d.match_of_l == {0: 0}
     c = d.decrement(0, 0.0)
     # the right vertex re-matches its only neighbor as a weight-zero
@@ -138,8 +143,6 @@ def test_argument_validation() -> None:
         LStableMatching(mat, {0: 1.0}, epsilon=0.0)
     with pytest.raises(ValueError):
         LStableMatching(mat, {0: -1.0}, epsilon=0.5)
-    with pytest.raises(ValueError):
-        LStableMatching(mat, {0: 1.0}, epsilon=0.5, w_min=0.0)
     d = LStableMatching(mat, {0: 1.0}, epsilon=0.5)
     with pytest.raises(ValueError):
         d.decrement(0, 1.5)
@@ -392,3 +395,43 @@ def test_dec_random_sequences_ratio() -> None:
                 d.delete(victim)
             matched_history |= set(d.basis())
             check()
+
+
+def test_dec_matches_the_rebuild_reference() -> None:
+    # the in-place matching makes the same moves as rebuilding it per batch
+    # and pinning deleted vertices to dummy right vertices
+    rng = np.random.default_rng(29)
+    unmatched_deletes = batches_after_deletes = 0
+    for trial in range(40):
+        eps = (0.1, 0.25, 0.5)[trial % 3]
+        nl = int(rng.integers(4, 31))
+        nr = int(rng.integers(2, 16))
+        adjacency = [
+            sorted(rng.choice(nr, size=int(rng.integers(0, min(nr, 5) + 1)), replace=False).tolist())
+            for _ in range(nl)
+        ]
+        mat = TransversalMatroid(num_right=nr, adjacency=adjacency)
+        d = DecMatching(mat, epsilon=eps)
+        ref = RebuildDecMatching(mat, epsilon=eps)
+        outside = rng.permutation(nl).tolist()
+        deleted_since_batch = False
+        while outside or d.present:
+            if outside and (not d.present or rng.random() < 0.5):
+                take = int(rng.integers(1, 7))
+                batch, outside = outside[:take], outside[take:]
+                got, want = d.batch_insert(batch), ref.batch_insert(batch)
+                batches_after_deletes += deleted_since_batch
+                deleted_since_batch = False
+            else:
+                idle = sorted(d.present - set(d.match_of_l))
+                pool = idle if idle and rng.random() < 0.5 else sorted(d.present)
+                victim = int(rng.choice(pool))
+                unmatched_deletes += not d.test(victim)
+                got, want = d.delete(victim), ref.delete(victim)
+                deleted_since_batch = True
+            assert got == want
+            assert dec_matching_pairs(d) == dec_matching_pairs(ref)
+            assert d.basis() == ref.basis()
+            assert all(d.test(l) == ref.test(l) for l in range(nl))
+            assert {l: d.rank[l] for l in d.present} == {l: ref.rank[l] for l in ref.present}
+    assert unmatched_deletes > 0 and batches_after_deletes > 0
