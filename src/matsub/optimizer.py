@@ -410,7 +410,8 @@ def dt_approx_indep_set(
     vertices are preloaded contraction elements: they stay matched, never
     get audited, and are excluded from the returned set.  Whatever the
     ladder leaves short of ``rank`` is topped off in best-rate order with an
-    exact checker seeded with the pinned and matched vertices.
+    exact checker seeded with the structure's matching, whose members are
+    the pinned and matched vertices.
 
     The round state's basis follows the matched, unpinned vertices; the
     top-off prices there and leaves it.  Repricing is lazy and exact, and a
@@ -501,7 +502,7 @@ def dt_approx_indep_set(
         tau *= 1.0 - epsilon
     basis = current()
     if len(basis) < rank:
-        checker = structure.matroid.checker(sorted(pinned_set) + basis)
+        checker = structure.checker()
         matched = np.zeros(rate.size, dtype=bool)
         matched[basis] = True
         rest = pool[~matched[pool]]

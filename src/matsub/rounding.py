@@ -47,9 +47,15 @@ means basis.  ``merge_bases`` raises ``ExchangeError`` if either is not:
   side's path is then flipped into its matching.
 
 The full checks, size equal to the (memoized) ``rank()`` and
-``is_independent``, run once on every distinct set a merge takes or
-returns.  ``swap_round`` shares that record across its merges, so a merge's
-output, which is the next merge's first input, is checked once.
+independence, run once on every distinct set a merge takes or returns.
+For laminar and graphic sets independence is ``is_independent``; for a
+transversal set it is the build of its certifying matching by inserting
+the set in sorted order, which raises on a dependent set.  The record of
+checked sets maps each to its certificate, that matching or ``None``, and
+the transversal exchanger reads both bases' matchings from it, so each
+distinct set is matched once.  ``swap_round`` shares the record across its
+merges, so a merge's output, which is the next merge's first input, is
+checked once.
 """
 
 from __future__ import annotations
@@ -76,18 +82,39 @@ class ExchangeError(RuntimeError):
     """No valid exchange partner exists; impossible for genuine bases."""
 
 
-def _assert_basis(
-    matroid: Matroid, subset: set[int], label: str, checked: set[frozenset[int]]
-) -> None:
+# each fully checked set -> its certificate: the certifying matching
+# (right -> left) for a transversal set, None for the other kinds
+Checked = dict[frozenset[int], dict[int, int] | None]
+
+
+def _matching(
+    matroid: TransversalMatroid, subset: Iterable[int], label: str, checked: Checked
+) -> dict[int, int]:
+    """Certifying matching of ``subset`` from ``checked``, else built by
+    inserting it in sorted order, which raises on a dependent set, and
+    recorded there."""
+    key = frozenset(subset)
+    if key not in checked:
+        try:
+            checked[key] = TransversalChecker(matroid, sorted(key)).match_right
+        except ValueError:
+            raise ExchangeError(f"{label} is not independent") from None
+    return checked[key]
+
+
+def _assert_basis(matroid: Matroid, subset: set[int], label: str, checked: Checked) -> None:
     """Full check of ``subset``, skipped if it is in ``checked``, which then holds it."""
     key = frozenset(subset)
     if key in checked:
         return
     if len(subset) != matroid.rank():
         raise ExchangeError(f"{label} has size {len(subset)}, rank is {matroid.rank()}")
+    if matroid.kind == "transversal":
+        _matching(matroid, key, label, checked)
+        return
     if not matroid.is_independent(subset):
         raise ExchangeError(f"{label} is not independent")
-    checked.add(key)
+    checked[key] = None
 
 
 class _LaminarExchanger:
@@ -292,12 +319,19 @@ class _TransversalExchanger:
     and flipping the moving side's path updates its matching.
     """
 
-    def __init__(self, matroid: TransversalMatroid, b1: Iterable[int], b2: Iterable[int]) -> None:
+    def __init__(
+        self,
+        matroid: TransversalMatroid,
+        b1: Iterable[int],
+        b2: Iterable[int],
+        checked: Checked | None = None,
+    ) -> None:
         self.adjacency = matroid.adjacency
         self.set1 = set(b1)
         self.set2 = set(b2)
-        right1 = TransversalChecker(matroid, sorted(self.set1)).match_right
-        right2 = TransversalChecker(matroid, sorted(self.set2)).match_right
+        checked = {} if checked is None else checked
+        right1 = _matching(matroid, self.set1, "first basis", checked)
+        right2 = _matching(matroid, self.set2, "second basis", checked)
         self.m1 = {e: r for r, e in right1.items()}
         self.m2 = {e: r for r, e in right2.items()}
         self.r1 = dict(right1)
@@ -410,13 +444,15 @@ class _TransversalExchanger:
             self.set2.add(i)
 
 
-def _make_exchanger(matroid: Matroid, b1: Iterable[int], b2: Iterable[int]):
+def _make_exchanger(
+    matroid: Matroid, b1: Iterable[int], b2: Iterable[int], checked: Checked | None = None
+):
     if matroid.kind == "laminar":
         return _LaminarExchanger(matroid, b1, b2)
     if matroid.kind == "graphic":
         return _GraphicExchanger(matroid, b1, b2)
     if matroid.kind == "transversal":
-        return _TransversalExchanger(matroid, b1, b2)
+        return _TransversalExchanger(matroid, b1, b2, checked)
     raise ValueError(f"unsupported matroid kind {matroid.kind!r}")
 
 
@@ -428,7 +464,7 @@ def merge_bases(
     matroid: Matroid,
     rng: np.random.Generator,
     *,
-    checked: set[frozenset[int]] | None = None,
+    checked: Checked | None = None,
 ) -> list[int]:
     """Randomly merge two bases; each survives in proportion to its weight.
 
@@ -448,12 +484,12 @@ def merge_bases(
     set1, set2 = set(b1), set(b2)
     if len(set1) != len(set2):
         raise ValueError("bases must have equal size")
-    checked = set() if checked is None else checked
+    checked = {} if checked is None else checked
     _assert_basis(matroid, set1, "first basis", checked)
     if set1 == set2:
         return sorted(set1)
     _assert_basis(matroid, set2, "second basis", checked)
-    exchanger = _make_exchanger(matroid, set1, set2)
+    exchanger = _make_exchanger(matroid, set1, set2, checked)
     threshold = alpha2 / (alpha1 + alpha2)
     for i in sorted(set1 - set2):
         j = exchanger.exchange(i)
@@ -489,7 +525,7 @@ def swap_round(
     if not bases:
         raise ValueError("fractional solution holds no bases")
     weight, merged = bases[0][0], list(bases[0][1])
-    checked: set[frozenset[int]] = set()
+    checked: Checked = {}
     for alpha, basis in bases[1:]:
         merged = merge_bases(weight, merged, alpha, basis, matroid, rng, checked=checked)
         weight += alpha

@@ -11,8 +11,8 @@ work stays near-linear.  Weights are rounded down to integer powers of
 The second maintains one matching with no augmenting path of at most
 2 + 2/eps edges, which keeps its size within (1-eps) of maximum.  A batch
 of left vertices joins it in place and bounded-depth augmenting searches
-from the free right vertices extend it; deleting a left vertex unlinks it
-and repairs from its freed partner.
+from the free right vertices extend it, none rerun to a failure it already
+met; deleting a left vertex unlinks it and repairs from its freed partner.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 from typing import Iterable, Mapping
 
 from .core import OracleChanges
-from .instances import TransversalMatroid
+from .instances import TransversalChecker, TransversalMatroid
 
 
 class LStableMatching:
@@ -227,6 +227,23 @@ class DecMatching:
     vertices to the one maintained matching and augments until no short
     path is left; a delete unlinks the vertex and repairs from its freed
     partner with one bounded-depth augmenting search.
+
+    No search runs twice to the same failure.  A failed search from a free
+    right vertex r saw only matched left vertices, and its outcome depends
+    only on their partners and on the neighbour sets of the right vertices
+    it expanded: the ``(rank, id)`` order picks which path is found first,
+    not which vertices a layer reaches.  An augmentation never unmatches a
+    left vertex and a delete only removes vertices and edges, so the search
+    can only shrink, and it fails again until a path rematches a left
+    vertex it saw or a batch insert gives a right vertex it expanded a new
+    neighbour.  ``_failed`` records each such r with what it saw and
+    expanded, ``_saw_l``/``_saw_r`` index the records by those vertices,
+    and the two events drop the records they reach.  A recorded r is free
+    (a free right vertex is matched only by its own search), the sweep
+    skips it and a delete searches only from a vertex that was matched, so
+    no record is ever overwritten.  A failed search changes nothing, so the
+    skip leaves every path found, and so the matching and ranks, as a
+    rerun would.
     """
 
     def __init__(self, matroid: TransversalMatroid, epsilon: float) -> None:
@@ -242,6 +259,10 @@ class DecMatching:
         self.match_of_r: dict[int, int] = {}
         self.rank: dict[int, int] = {}
         self._n_r: list[set[int]] = [set() for _ in range(matroid.num_right)]
+        # failed search from r -> (left vertices seen, right vertices expanded)
+        self._failed: dict[int, tuple[set[int], list[int]]] = {}
+        self._saw_l: dict[int, set[int]] = {}
+        self._saw_r: dict[int, set[int]] = {}
         self.batch_inserts = 0
         self.deletes = 0
 
@@ -256,8 +277,10 @@ class DecMatching:
         frontier = [r0]
         seen_r = {r0}
         seen_l: set[int] = set()
+        expanded: list[int] = []
         depth = 1
         while frontier and 2 * depth - 1 <= self.max_len:
+            expanded += frontier
             layer: list[int] = []
             for r in frontier:
                 for l in self._neighbors(r):
@@ -275,7 +298,27 @@ class DecMatching:
                     seen_r.add(rm)
                     frontier.append(rm)
             depth += 1
+        self._failed[r0] = (seen_l, expanded)
+        for l in seen_l:
+            self._saw_l.setdefault(l, set()).add(r0)
+        for r in expanded:
+            self._saw_r.setdefault(r, set()).add(r0)
         return None
+
+    def _forget(self, r0: int) -> None:
+        """Drop the record of a failed search from ``r0``, if any."""
+        record = self._failed.pop(r0, None)
+        if record is not None:
+            seen_l, expanded = record
+            for l in seen_l:
+                self._saw_l[l].discard(r0)
+            for r in expanded:
+                self._saw_r[r].discard(r0)
+
+    def _forget_all(self, index: dict[int, set[int]], v: int) -> None:
+        """Drop every failed search that ``index`` files under vertex ``v``."""
+        for r0 in list(index.get(v, ())):
+            self._forget(r0)
 
     def _apply_path(self, l_end: int, parent_l: dict[int, int]) -> int:
         l = l_end
@@ -285,6 +328,7 @@ class DecMatching:
             self.match_of_l[l] = r
             self.match_of_r[r] = l
             self.rank[l] += 1
+            self._forget_all(self._saw_l, l)
             if prev is None:
                 break
             l = prev
@@ -296,7 +340,11 @@ class DecMatching:
         while progress:
             progress = False
             for r in range(self.num_right):
-                if r not in self.match_of_r and self._augment_from(r) is not None:
+                if (
+                    r not in self.match_of_r
+                    and r not in self._failed
+                    and self._augment_from(r) is not None
+                ):
                     progress = True
 
     # -- public operations -------------------------------------------------
@@ -315,9 +363,13 @@ class DecMatching:
             if l in self.present or l in self.deleted:
                 raise ValueError(f"element {l} was already inserted")
         self.batch_inserts += 1
+        grown: set[int] = set()
         for l in new:
             for r in self.matroid.adjacency[l]:
                 self._n_r[r].add(l)
+                grown.add(r)
+        for r in grown:
+            self._forget_all(self._saw_r, r)
         self.present.update(new)
         self.rank = {l: int(l in self.match_of_l) for l in self.present}
         before = set(self.match_of_l)
@@ -342,6 +394,16 @@ class DecMatching:
 
     def test(self, l: int) -> bool:
         return l in self.match_of_l
+
+    def checker(self) -> TransversalChecker:
+        """An exact checker whose members are the matched vertices, certified
+        by this matching; it runs no search.  Independence does not depend
+        on the certifying matching, and Kuhn's dead-set rule holds for any
+        matching of the members, so its answers are a fresh build's."""
+        checker = TransversalChecker(self.matroid)
+        checker.match_right = dict(self.match_of_r)
+        checker.members = set(self.match_of_l)
+        return checker
 
     # -- inspection --------------------------------------------------------
 

@@ -913,6 +913,48 @@ def test_transversal_topoff_reuses_the_ladder_prices() -> None:
         assert f.query_count == rounds * 2 * s * inst.n
 
 
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_transversal_topoff_checker_from_the_matching_keeps_the_bases(
+    objective, monkeypatch
+) -> None:
+    # the top-off's checker copies the structure's matching; a fresh build
+    # certifies the same members by another matching and answers alike
+    eps = 0.2
+    seeded = DecMatching.checker
+    topoffs = 0
+
+    def sweep(inst, make_checker, frozen, seed):
+        nonlocal topoffs
+        f = inst.build_objective()
+        m, _ = estimate_opt(f, inst.matroid)
+        f = ResidualOracle(f, frozen) if frozen else f
+        est = _counted_state(f, inst.n, seed)
+        structure = DecMatching(inst.matroid, eps)
+        if frozen:
+            structure.batch_insert(frozen)
+        calls = [0]
+
+        def counted(self):
+            calls[0] += 1
+            return make_checker(self)
+
+        monkeypatch.setattr(DecMatching, "checker", counted)
+        free = [e for e in range(inst.n) if e not in frozen]
+        rank = inst.matroid.rank() - len(frozen)
+        got = dt_approx_indep_set(est, structure, eps, m, free, rank, pinned=frozen)
+        topoffs += calls[0]
+        return got, est.priced
+
+    for seed in range(6):
+        inst = generate_instance("transversal", objective, n=40, seed=170 + seed)
+        # the last two seeds run on a contraction by two independent elements
+        frozen = [0, 1] if seed >= 4 and inst.matroid.is_independent([0, 1]) else []
+        got = sweep(inst, seeded, frozen, seed)
+        want = sweep(inst, lambda self: self.matroid.checker(self.basis()), frozen, seed)
+        assert got == want
+    assert topoffs > 0
+
+
 # -- continuous greedy -----------------------------------------------------
 
 
@@ -1084,6 +1126,23 @@ def test_pipeline_on_transversal_facility_deletes_from_the_state() -> None:
         assert len(result.solution) == inst.matroid.rank()
         assert result.value == pytest.approx(inst.build_objective().value(result.solution))
         assert result.value >= (1 - 1 / math.e - 0.2) * result.opt_estimate
+
+
+def test_transversal_bench_solve_reruns_no_failed_search(monkeypatch) -> None:
+    # the bench's transversal-coverage solve; a sweep that reruns every
+    # failed search makes 6,286 bounded searches here for 199 paths
+    calls = 0
+    genuine = DecMatching._augment_from
+
+    def counted(self, r0):
+        nonlocal calls
+        calls += 1
+        return genuine(self, r0)
+
+    monkeypatch.setattr(DecMatching, "_augment_from", counted)
+    inst = generate_instance("transversal", "coverage", n=200, seed=1)
+    run_pipeline(inst, epsilon=0.2, seed=1000)
+    assert 0 < calls <= 1500
 
 
 @pytest.mark.parametrize("kind", KINDS)

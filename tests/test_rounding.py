@@ -408,8 +408,20 @@ class _Coinless:
 
 
 def _spy_checks(mat: Matroid, monkeypatch) -> list[frozenset[int]]:
-    """Record the set of every full ``is_independent`` check on ``mat``."""
+    """Record the set of every full independence check on ``mat``: the
+    sorted build of a transversal set's certifying matching, and
+    ``is_independent`` for the other kinds."""
     seen: list[frozenset[int]] = []
+    if mat.kind == "transversal":
+        genuine_checker = rounding.TransversalChecker
+
+        def build(matroid, base):
+            base = list(base)
+            seen.append(frozenset(base))
+            return genuine_checker(matroid, base)
+
+        monkeypatch.setattr(rounding, "TransversalChecker", build)
+        return seen
     genuine = mat.is_independent
 
     def spy(subset):
@@ -435,11 +447,8 @@ def test_merge_of_equal_bases_builds_no_exchanger_and_checks_once(kind, monkeypa
     assert seen == [frozenset(basis)]
 
 
-@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
-def test_swap_round_checks_each_distinct_set_once(kind, monkeypatch):
-    rng = np.random.default_rng(59)
-    mat = generate_instance(kind, "additive", n=40, seed=9).matroid
-    a, b, c = (_random_basis(mat, rng) for _ in range(3))
+def _log_merges(monkeypatch) -> list[tuple[list[int], list[int], list[int]]]:
+    """Record the inputs and output of every merge ``swap_round`` makes."""
     merges: list[tuple[list[int], list[int], list[int]]] = []
     genuine = rounding.merge_bases
 
@@ -450,6 +459,15 @@ def test_swap_round_checks_each_distinct_set_once(kind, monkeypatch):
 
     # swap_round reaches merge_bases through the module global
     monkeypatch.setattr(rounding, "merge_bases", logged)
+    return merges
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_swap_round_checks_each_distinct_set_once(kind, monkeypatch):
+    rng = np.random.default_rng(59)
+    mat = generate_instance(kind, "additive", n=40, seed=9).matroid
+    a, b, c = (_random_basis(mat, rng) for _ in range(3))
+    merges = _log_merges(monkeypatch)
     seen = _spy_checks(mat, monkeypatch)
     mix = _Mix([(0.2, a), (0.1, b), (0.3, a), (0.1, a), (0.3, c)])
     out = swap_round(mix, mat, rng)
@@ -457,6 +475,30 @@ def test_swap_round_checks_each_distinct_set_once(kind, monkeypatch):
     distinct = {frozenset(s) for merge in merges for s in merge}
     assert len(seen) == len(set(seen)) == len(distinct)
     assert set(seen) == distinct
+
+
+def test_transversal_swap_round_matches_each_distinct_set_once(monkeypatch):
+    # the exchangers read their matchings from the full checks, so no
+    # TransversalChecker is built anywhere beyond one per distinct set
+    rng = np.random.default_rng(71)
+    mat = generate_instance("transversal", "additive", n=40, seed=9).matroid
+    a, b, c = (_random_basis(mat, rng) for _ in range(3))
+    mat.rank()  # memoized first: computing it builds a checker of its own
+    merges = _log_merges(monkeypatch)
+    built: list[frozenset[int]] = []
+    genuine = TransversalChecker.__init__
+
+    def counted(self, matroid, base=()):
+        base = list(base)
+        built.append(frozenset(base))
+        genuine(self, matroid, base)
+
+    monkeypatch.setattr(TransversalChecker, "__init__", counted)
+    out = swap_round(_Mix([(0.2, a), (0.1, b), (0.3, a), (0.1, c), (0.3, b)]), mat, rng)
+    assert len(merges) == 4 and merges[-1][2] == out
+    distinct = {frozenset(s) for merge in merges for s in merge}
+    assert len(distinct) > 3
+    assert len(built) == len(distinct) and set(built) == distinct
 
 
 def test_laminar_swap_round_builds_no_top_tree(monkeypatch):
