@@ -13,13 +13,18 @@ sets use element ids ``0..n-1`` throughout.  Each objective has two steps:
 per-row statistics of the batch, then pricing from a summary of them.  Cost
 per call, for ``q`` queried elements:
 
-- ``coverage_counts``: ``O(s·n·universe)`` time, ``O(s·universe)`` memory.
-- ``coverage_price``: reads the round state's per-item uncovered weights,
-  its ``O(universe)`` summary.  Elements no row holds cost
-  ``O(sum of |cover(e)|)`` time and memory.  Held elements go 64 at a time:
-  ``O(universe + u·(s + 64·h))`` time and ``O(universe + u·s)`` memory per
-  block, for the ``u`` items their covers share and the ``h`` rows that
-  hold one of them.
+- ``coverage_counts``: ``O(s·m·universe)`` time and
+  ``O(s·universe + m·(s + universe))`` memory for the ``m`` elements some
+  row holds; a round's first build, over an empty lower layer, multiplies
+  nothing.
+- ``coverage_price``: reads the round state's ``O(universe)`` summary, the
+  uncovered weight per item and the critical items (those at count 1 in
+  some row).  Elements no row holds cost ``O(sum of |cover(e)|)`` time and
+  memory, and nothing when no row leaves an item uncovered.  Held elements
+  go 64 at a time: ``O(sum of |cover(e)|)`` for a block whose covers share
+  no critical item, else ``O(universe + u·(s + 64·h))`` time and
+  ``O(universe + u·s)`` memory, for the ``u`` critical items their covers
+  share and the ``h`` rows that hold one of them.
 - ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
 - ``similarity_ranks``: ``O(n·clients·log n)`` time and ``O(n·clients)``
   memory, once per oracle, which keeps the table.
@@ -31,8 +36,9 @@ per call, for ``q`` queried elements:
 A round state also prices one element without a summary
 (``RoundState.price``), straight from its statistics:
 
-- coverage: ``O(s + |cover(e)|·(1 + h_e))`` time for the ``h_e`` rows that
-  hold ``e``, integer hit counts over ``e``'s items;
+- coverage: ``O(|cover(e)|)`` time when no item of ``e``'s is at count 1
+  in any row, else ``O(s + |cover(e)|·(1 + h_e))`` for the ``h_e`` rows
+  that hold ``e``, integer hit counts over ``e``'s items;
 - facility: no sort; ``O(s·clients)`` time the first time an element is
   priced in a round, then ``O(k·clients)`` for the ``k`` rows a basis
   change touched since its last price, with ``O(s)`` row sums kept per
@@ -42,9 +48,9 @@ A round state also prices one element without a summary
 No kernel builds an array whose size grows as ``s·n·clients``, and
 coverage pricing builds none of ``s·universe`` floats.  A round state keeps
 the statistics across basis changes (``push_top2`` adds a facility member;
-coverage keeps its per-item uncovered-row counts beside the cover counts)
-and values its rows from them: the rows' covered weight, or the sum of each
-row's top-1 similarities.
+coverage keeps, per item, its count-0 and count-1 rows' numbers beside the
+cover counts) and values its rows from them: the rows' covered weight, or
+the sum of each row's top-1 similarities.
 """
 
 from __future__ import annotations
@@ -62,8 +68,16 @@ PRICE_BLOCK = 64
 # by S.
 
 def coverage_counts(sets, incidence):
-    """How many members of each row cover each item, ``(s, universe)``."""
-    return sets.astype(np.float64) @ incidence
+    """How many members of each row cover each item, ``(s, universe)``
+    float32.  Only the columns some row holds are multiplied, so a batch of
+    empty rows costs nothing; their incidence rows are copied only when
+    some column is left out.  The float32 sums of 0/1 terms are exact while
+    every count, at most the row's size, stays below ``2**24``."""
+    held = sets.any(axis=0)
+    if not held.all():
+        support = np.flatnonzero(held)
+        sets, incidence = sets[:, support], incidence[support]
+    return sets.astype(np.float32) @ incidence
 
 
 def _cover_entries(indptr, indices, elems):
@@ -76,21 +90,32 @@ def _cover_entries(indptr, indices, elems):
     return owner, indices[at]
 
 
-def coverage_price(uncovered, counts, members, elems, indptr, indices, weights):
+def coverage_price(uncovered, critical, counts, members, elems, indptr, indices, weights):
     # Removing e from a row uncovers item u of e's exactly when no other
     # member covers u there: the row lacks e and u's count is 0, or it holds
     # e and the count is 1 (``members`` marks the rows that hold e).  The
     # first term, summed over rows, is ``uncovered[u]``, so an element no
-    # row holds costs |cover(e)|.  The second reads only the rows that hold
-    # a queried element, at the items their covers share, PRICE_BLOCK
-    # elements at a time; its float32 products sum 0/1 terms, exactly.
-    owner, items = _cover_entries(indptr, indices, elems)
-    out = np.bincount(owner, weights=uncovered[items], minlength=elems.shape[0])
+    # row holds costs |cover(e)|, and nothing when no row leaves an item
+    # uncovered.  The second can be nonzero only at the ``critical`` items,
+    # those at count 1 in some row.  It reads only the rows that hold a
+    # queried element, at the critical items their covers share,
+    # PRICE_BLOCK elements at a time, and a block that shares none is
+    # skipped; its float32 products sum 0/1 terms, exactly.  The entries
+    # left out add 0.0, so the sums are the same floats.
+    if uncovered.any():
+        owner, items = _cover_entries(indptr, indices, elems)
+        out = np.bincount(owner, weights=uncovered[items], minlength=elems.shape[0])
+    else:
+        out = np.zeros(elems.shape[0])
     held = np.flatnonzero(members.any(axis=0))
     for lo in range(0, held.shape[0], PRICE_BLOCK):
         block = held[lo:lo + PRICE_BLOCK]
-        rows = np.flatnonzero(members[:, block].any(axis=1))
         owner, items = _cover_entries(indptr, indices, elems[block])
+        keep = critical[items]
+        if not keep.any():
+            continue
+        owner, items = owner[keep], items[keep]
+        rows = np.flatnonzero(members[:, block].any(axis=1))
         shared = np.zeros(counts.shape[0], dtype=bool)
         shared[items] = True
         slot = np.cumsum(shared) - 1

@@ -242,9 +242,9 @@ class CoverageOracle(ValueOracle):
 
     @cached_property
     def incidence(self) -> np.ndarray:
-        """Dense 0/1 ``(n, universe)`` cover matrix for the kernels, built
-        for the first round state and freed with the oracle."""
-        incidence = np.zeros((self.n, self.universe_weights.shape[0]), dtype=np.float64)
+        """Dense float32 0/1 ``(n, universe)`` cover matrix for the kernels,
+        built for the first round state and freed with the oracle."""
+        incidence = np.zeros((self.n, self.universe_weights.shape[0]), dtype=np.float32)
         incidence[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = 1.0
         return incidence
 
@@ -502,20 +502,25 @@ class RoundState:
 
 
 class _CoverageRound(RoundState):
-    """Cover counts per item and row, ``(universe, s)``, kept as int32 (exact,
-    and half the memory of the kernel's float64 counts).  Item-major, so an
-    element's items are whole rows of ``counts``: an insert or a delete
-    touches ``|cover(e)|`` contiguous rows of ``s`` counts.
+    """Cover counts per item and row, ``(universe, s)``, kept as int32 (the
+    kernel's float32 sums are exact integers).  Item-major, so an element's
+    items are whole rows of ``counts``: an insert or a delete touches
+    ``|cover(e)|`` contiguous rows of ``s`` counts.
 
-    ``zeros`` counts, per item, the rows that leave it uncovered, and an
-    insert or a delete keeps it from the flipped rows alone.  Removing ``e``
-    from a row uncovers an item of ``e``'s exactly when no other member
-    covers it there: the row lacks ``e`` and its count is 0, or it holds
-    ``e`` and its count is 1.  A row that holds ``e`` never has count 0 on
-    ``e``'s items, so those rows number ``zeros`` plus the count-1 rows among
-    the ``h`` that hold ``e``.  A price reads ``counts`` only at ``e``'s
-    items in those ``h`` rows, ``O(s + |cover(e)|·(1 + h))``.  The batch
-    summary is the uncovered weight per item, ``zeros * weights``."""
+    ``zeros`` counts, per item, the rows that leave it uncovered, and
+    ``ones`` the rows where a single member covers it.  An insert or a
+    delete keeps both from the flipped rows alone: an insert takes counts
+    at 0 to 1 and at 1 to 2, a delete those at 2 to 1 and at 1 to 0.
+    Removing ``e`` from a row uncovers an item of ``e``'s exactly when no
+    other member covers it there: the row lacks ``e`` and its count is 0, or
+    it holds ``e`` and its count is 1.  A row that holds ``e`` never has
+    count 0 on ``e``'s items, so those rows number ``zeros`` plus the
+    count-1 rows among the ``h`` that hold ``e``.  A price reads ``counts``
+    only at ``e``'s items in those ``h`` rows, ``O(s + |cover(e)|·(1 + h))``,
+    and only if ``ones`` is nonzero at one of them; else it costs
+    ``O(|cover(e)|)``.  The batch summary is the uncovered weight per item,
+    ``zeros * weights``, and the critical items, ``ones > 0``: only those
+    can add to a held element's price."""
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
         super().__init__(oracle, lower, upper)
@@ -523,6 +528,7 @@ class _CoverageRound(RoundState):
             kernels.coverage_counts(lower, oracle.incidence).T, dtype=np.int32
         )
         self.zeros = np.count_nonzero(self.counts == 0, axis=1)
+        self.ones = np.count_nonzero(self.counts == 1, axis=1)
 
     def _add(self, elem: int) -> None:
         self._shift(elem, 1)
@@ -535,28 +541,33 @@ class _CoverageRound(RoundState):
         items = self.oracle.cover(elem)
         block = self.counts[items]
         flipped = block[:, rows]
-        if by > 0:  # an insert overwrites the counts at 0
-            self.zeros[items] -= (flipped == 0).sum(axis=1, dtype=np.intp)
-        else:  # a delete takes those at 1 to 0
-            self.zeros[items] += (flipped == 1).sum(axis=1, dtype=np.intp)
+        at_one = (flipped == 1).sum(axis=1, dtype=np.intp)
+        if by > 0:  # an insert takes the counts at 0 to 1 and those at 1 to 2
+            at_zero = (flipped == 0).sum(axis=1, dtype=np.intp)
+            self.zeros[items] -= at_zero
+            self.ones[items] += at_zero - at_one
+        else:  # a delete takes those at 2 to 1 and those at 1 to 0
+            self.zeros[items] += at_one
+            self.ones[items] += (flipped == 2).sum(axis=1, dtype=np.intp) - at_one
         block[:, rows] = flipped + by
         self.counts[items] = block
 
     def _summarize(self):
-        return self.zeros * self.oracle.universe_weights
+        return self.zeros * self.oracle.universe_weights, self.ones > 0
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
         oracle = self.oracle
         return kernels.coverage_price(
-            self._summary, self.counts, self.members(elems), elems,
+            *self._summary, self.counts, self.members(elems), elems,
             oracle.indptr, oracle.indices, oracle.universe_weights,
         )
 
     def _price(self, elem: int) -> float:
         items = self.oracle.cover(elem)
-        held = np.flatnonzero(self._holds(elem))
-        sole = np.count_nonzero(self.counts[items[:, None], held] == 1, axis=1)
-        hits = self.zeros[items] + sole
+        hits = self.zeros[items]
+        if np.count_nonzero(self.ones[items]):
+            held = np.flatnonzero(self._holds(elem))
+            hits = hits + np.count_nonzero(self.counts[items[:, None], held] == 1, axis=1)
         return float((hits * self.oracle.universe_weights[items]).sum()) / self.samples
 
     def _values(self) -> np.ndarray:

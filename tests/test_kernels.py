@@ -202,6 +202,21 @@ def test_coverage_marginal_means_by_cover_multiplicity() -> None:
     )
 
 
+def test_coverage_counts_are_exact_where_counts_are_large() -> None:
+    # every element covers item 0 and the even ones item 1, over full rows:
+    # counts up to 3001, odd and past 2048, which no float16 result holds
+    n, s = 3001, 4
+    oracle = CoverageOracle([[0, 1] if e % 2 == 0 else [0] for e in range(n)], [1.0, 2.0])
+    sets = np.ones((s, n), dtype=np.uint8)
+    sets[1, ::3] = 0
+    want = sets.astype(np.int64) @ oracle.incidence.astype(np.int64)
+    assert want.max() == n
+    np.testing.assert_array_equal(kernels.coverage_counts(sets, oracle.incidence), want)
+    state = oracle.round_state(sets, sets)
+    assert state.counts.dtype == np.int32
+    np.testing.assert_array_equal(state.counts, want.T)
+
+
 @pytest.mark.parametrize("s, n, cohort", [(1, 5, 5), (7, 5, 1), (6, 1, 1), (1, 1, 1)])
 def test_batch_kernels_at_edge_shapes(s: int, n: int, cohort: int) -> None:
     rng = np.random.default_rng(100 * s + n)

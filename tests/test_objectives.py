@@ -408,6 +408,67 @@ def test_coverage_zero_counts_follow_inserts_and_deletes(samples, frozen) -> Non
 
 @pytest.mark.parametrize("samples", [1, 7, 64])
 @pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_coverage_one_counts_follow_inserts_and_deletes(samples, frozen) -> None:
+    for seed in range(3):
+        base, walk = _coverage_walk(frozen, samples, seed)
+        for state, _rows in walk:
+            np.testing.assert_array_equal(
+                state.ones, np.count_nonzero(state.counts == 1, axis=1)
+            )
+
+
+def test_coverage_round_over_an_empty_lower_layer() -> None:
+    # a first round: x = 0, so no row holds anything until the basis grows
+    base = _objective("coverage", 0)
+    samples = 9
+    lower = np.zeros((samples, base.n), dtype=np.uint8)
+    upper = (np.random.default_rng(3).random((samples, base.n)) < 0.25).astype(np.uint8)
+    state = base.round_state(lower, upper)
+    items = base.universe_weights.shape[0]
+    np.testing.assert_array_equal(state.counts, np.zeros((items, samples)))
+    np.testing.assert_array_equal(state.zeros, np.full(items, samples))
+    np.testing.assert_array_equal(state.ones, np.zeros(items))
+    elems = np.arange(base.n)
+    slow = slow_coverage_marginal_means(
+        lower, elems, base.indptr, base.indices, base.universe_weights
+    )
+    np.testing.assert_allclose(state.marginal_means(elems), slow, rtol=0.0, atol=1e-12)
+
+
+def test_coverage_prices_on_rows_that_cover_every_item_twice() -> None:
+    # elements e and e + 4 share a cover, and every row holds 0..7, so each
+    # item is covered at least twice everywhere and no marginal can move;
+    # 8 is held by some rows and joins the basis, 9 by none
+    rng = np.random.default_rng(5)
+    halves = [[0, 1, 2], [2, 3], [4, 5, 6], [0, 6, 7]]
+    covers = halves + halves + [[1, 4], [3, 5, 7]]
+    weights = rng.uniform(0.1, 2.0, size=8)
+    f = CoverageOracle(covers, weights)
+    samples = 12
+    lower = np.ones((samples, 10), dtype=np.uint8)
+    lower[:, 8] = rng.random(samples) < 0.5
+    lower[:, 9] = 0
+    upper = lower.copy()
+    upper[:, 8] = 1
+    state = f.round_state(lower, upper)
+    elems = np.arange(10)
+    for step in range(2):
+        assert (state.counts >= 2).all()
+        np.testing.assert_array_equal(state.zeros, np.zeros(8))
+        np.testing.assert_array_equal(state.ones, np.zeros(8))
+        held = state.members(elems).any(axis=0)
+        assert held[:9].all() and not held[9]
+        slow = slow_coverage_marginal_means(state.rows(), elems, f.indptr, f.indices, weights)
+        got = state.marginal_means(elems)
+        np.testing.assert_array_equal(got, np.zeros(10))
+        np.testing.assert_array_equal(got, slow)
+        assert [state.price(e) for e in elems] == [0.0] * 10
+        if step == 0:
+            state.insert(8)
+
+
+@pytest.mark.parametrize("samples", [1, 7, 64])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
 def test_coverage_price_is_the_count_formula_bit_for_bit(samples, frozen) -> None:
     for seed in range(3):
         base, walk = _coverage_walk(frozen, samples, seed)
