@@ -177,9 +177,10 @@ class LaminarChecker:
     """Incremental independence tester over ancestor counts.  ``insert``
     trusts the caller's ``test``; a member never passes one.
 
-    A node is tight when its count reaches its capacity, and ``test`` fails
-    exactly on members and on elements below a tight node, so ``spanned``
-    reads that off the matroid's ancestor paths for a whole batch."""
+    A node is tight when its count reaches its capacity.  An element is
+    spanned when it is a member or below a tight node: ``spans`` walks one
+    element's path for that, ``test`` is its negation, and ``spanned``
+    reads it off the matroid's ancestor paths for a whole batch."""
 
     def __init__(self, matroid: LaminarMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
@@ -192,12 +193,7 @@ class LaminarChecker:
             self.insert(e)
 
     def test(self, elem: int) -> bool:
-        if self._member[elem]:
-            return False
-        for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
-            if self.counts[v] + 1 > self.matroid.capacities[v]:
-                return False
-        return True
+        return not self.spans(elem)
 
     def insert(self, elem: int) -> None:
         self._member[elem] = True
@@ -206,6 +202,19 @@ class LaminarChecker:
             self.counts[v] += 1
             if self.counts[v] == capacities[v]:
                 self._tight[v] = True
+
+    def spans(self, elem: int) -> bool:
+        """``spanned([elem])[0]`` without the arrays: a member, or below a
+        tight node.  ``O(depth)`` and read-only."""
+        if self._member[elem]:
+            return True
+        tight, parents = self._tight, self.matroid.parents
+        node = self.matroid.element_nodes[elem]
+        while node != -1:
+            if tight[node]:
+                return True
+            node = parents[node]
+        return False
 
     def spanned(self, elems: np.ndarray) -> np.ndarray:
         """Boolean mask over ``elems``: where ``test`` would fail, exactly.
@@ -310,10 +319,15 @@ class GraphicChecker:
         if not self.uf.union(u, v):
             raise ValueError(f"edge {elem} would close a cycle")
 
+    def spans(self, elem: int) -> bool:
+        """``spanned([elem])[0]`` without the arrays: two finds, what a
+        test costs."""
+        u, v = self.matroid.edges[elem]
+        return self.uf.find(u) == self.uf.find(v)
+
     def spanned(self, elems: np.ndarray) -> np.ndarray:
         """Boolean mask over ``elems``: where ``test`` would fail, exactly.
-        ``O(q·α(V))`` finds, so asking about one element costs what a test
-        does."""
+        ``O(q·α(V))`` finds."""
         find = self.uf.find
         ends = (self.matroid.edges[e] for e in np.asarray(elems).tolist())
         return np.array([find(u) == find(v) for u, v in ends], dtype=bool)
@@ -430,6 +444,13 @@ class TransversalChecker:
         path = self._search(elem)
         self._found = (elem, path) if path else None
         return bool(path)
+
+    def spans(self, elem: int) -> bool:
+        """``spanned([elem])[0]`` without the arrays: a member, or every
+        neighbour dead.  ``O(degree)``; it runs no search, so it leaves the
+        dead set and a pending path as they are."""
+        adjacency = self.matroid.adjacency
+        return elem in self.members or self._dead.issuperset(adjacency[elem])
 
     def spanned(self, elems: np.ndarray) -> np.ndarray:
         """Boolean mask over ``elems``, sound but not exact: members and
@@ -580,8 +601,9 @@ def _gen_graphic_matroid(
     if density is None:
         num_vertices = max(2, int(np.ceil(0.7 * n)) + 1)
     else:
-        if density <= 0:
-            raise ValueError("density must be positive")
+        # NaN fails both comparisons; inf would leave only two vertices
+        if not 0 < density < np.inf:
+            raise ValueError(f"density must be positive and finite, got {density}")
         num_vertices = max(2, int(np.ceil(n / density)) + 1)
     edges = []
     # a scattered spanning-ish backbone first so the rank is not trivial

@@ -222,5 +222,6 @@ def facility_price(prefix, below, tops, elems, sim, ranks):
 
 
 def active_backend() -> str:
-    """Name of the kernel backend, echoed into run records."""
+    """Name of the kernel backend; the benchmark prints it with its
+    environment.  Run records do not carry it."""
     return "numpy"

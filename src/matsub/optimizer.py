@@ -244,8 +244,9 @@ class FractionalSolution:
 
 
 class CountingChecker:
-    """Independence tester that tallies its oracle traffic.  A ``spanned``
-    mask is not a test; ``marked`` counts the elements it marked."""
+    """Independence tester that tallies its oracle traffic.  A ``spans``
+    query or a ``spanned`` mask is not a test; ``marked`` counts the
+    elements the masks marked and the span queries that answered yes."""
 
     def __init__(self, checker) -> None:
         self.checker = checker
@@ -256,6 +257,11 @@ class CountingChecker:
     def test(self, elem: int) -> bool:
         self.tests += 1
         return self.checker.test(elem)
+
+    def spans(self, elem: int) -> bool:
+        spanned = self.checker.spans(elem)
+        self.marked += spanned
+        return spanned
 
     def spanned(self, elems: np.ndarray) -> np.ndarray:
         mask = self.checker.spanned(elems)
@@ -301,12 +307,13 @@ def dt_incremental(
     insertion would build.
 
     Nor is an element priced once the basis spans it.  Every pricing but
-    the round-opening batch, which sets the first bar, first puts elements
-    to ``checker.spanned``: a level's batch and a turn's price their stale
-    ones, and the top-off its whole order, priced or not, in one call.  The
-    elements the mask marks are retired unpriced (and untested).  The sweep
-    only inserts, so a spanned element stays spanned and would fail every
-    later test: retiring it changes no decision.  The mask is
+    the round-opening batch, which sets the first bar, first asks the
+    checker: a level's batch puts its stale elements to one
+    ``checker.spanned`` mask, a turn asks ``checker.spans`` of its stale
+    element alone, and the top-off puts its whole order, priced or not, to
+    one mask.  The elements marked are retired unpriced (and untested).  The
+    sweep only inserts, so a spanned element stays spanned and would fail
+    every later test: retiring it changes no decision.  Both queries are
     exact on laminar and graphic checkers and sound on transversal ones;
     ``checker.marked`` counts the retired elements.
 
@@ -360,7 +367,7 @@ def dt_incremental(
         candidates = reprice(np.flatnonzero(live & (rate >= tau)))
         for i in candidates[rate[candidates] >= tau].tolist():
             if priced_at[i] != len(basis):
-                if checker.spanned(pool[i : i + 1])[0]:
+                if checker.spans(int(pool[i])):
                     live[i] = False
                     continue
                 rate[i] = state.price(pool[i])

@@ -323,6 +323,60 @@ def test_spanned_marks_only_elements_a_test_rejects(data, case) -> None:
             checker.insert(e)
 
 
+def _walk_spans(mat, order, exact: bool) -> int:
+    """Test-then-insert along ``order``, asking ``spans`` before each test;
+    returns how many span queries answered yes."""
+    checker = mat.checker()
+    hits = 0
+    for e in order:
+        # read both queries first: a transversal test grows the dead set
+        pending = getattr(checker, "_found", None)
+        dead = set(getattr(checker, "_dead", ()))
+        # members and elements off the order are asked about too
+        every = [checker.spans(x) for x in range(mat.n)]
+        assert every == checker.spanned(np.arange(mat.n)).tolist()
+        spans = checker.spans(e)
+        assert isinstance(spans, bool)
+        assert spans == bool(checker.spanned(np.array([e]))[0])
+        # read-only: no search, so no dead vertex and no pending path moves
+        assert getattr(checker, "_found", None) is pending
+        assert set(getattr(checker, "_dead", ())) == dead
+        passed = checker.test(e)
+        if exact:
+            assert spans == (not passed)
+        else:
+            assert not (spans and passed)
+        hits += spans
+        if passed:
+            checker.insert(e)
+    return hits
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    data=st.data(),
+    case=st.sampled_from(
+        [(_laminar(), True), (_graphic(), True), (_transversal(), False)]
+    ),
+)
+def test_spans_answers_what_the_one_element_mask_does(data, case) -> None:
+    # the second pass asks about every member again
+    strategy, exact = case
+    mat = data.draw(strategy)
+    order = data.draw(st.permutations(range(mat.n)))
+    _walk_spans(mat, order + order, exact)
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_spans_answers_what_the_one_element_mask_does_on_generated_matroids(kind) -> None:
+    hits = 0
+    for seed in range(4):
+        mat = generate_instance(kind, "additive", n=60, seed=170 + seed).matroid
+        order = np.random.default_rng(seed).integers(0, mat.n, size=2 * mat.n)
+        hits += _walk_spans(mat, order.tolist(), kind != "transversal")
+    assert hits > 0
+
+
 def test_laminar_ancestor_paths_are_padded_with_the_root() -> None:
     mat = LaminarMatroid(
         parents=[-1, 0, 1, 0, 2], capacities=[2, 1, 1, 1, 1], element_nodes=[3, 4]
@@ -373,3 +427,19 @@ def test_stream_rng_separation() -> None:
     c = stream_rng(123, 0).random(4)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("density", [float("nan"), float("inf"), 0.0, -1.0])
+def test_graphic_density_must_be_positive_and_finite(density, tmp_path, capsys) -> None:
+    with pytest.raises(ValueError, match="density"):
+        generate_instance("graphic", "additive", n=10, seed=1, density=density)
+    out = str(tmp_path / "x.json")
+    assert main([
+        "gen", "--matroid", "graphic", "--function", "additive",
+        "--n", "10", "--seed", "1", "--density", str(density), "-o", out,
+    ]) == 1
+    assert "density" in capsys.readouterr().err
+    # finite densities still size the vertex set as before
+    for finite in (0.5, 3.0):
+        mat = generate_instance("graphic", "additive", n=10, seed=1, density=finite).matroid
+        assert mat.num_vertices == max(2, int(np.ceil(10 / finite)) + 1)

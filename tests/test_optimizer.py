@@ -542,6 +542,72 @@ def test_sweep_never_prices_an_element_its_basis_spans(kind) -> None:
     assert retired > 0 or kind == "transversal"
 
 
+class _MaskCounts(CountingChecker):
+    """Tallies the checker's mask calls and span queries."""
+
+    def __init__(self, checker) -> None:
+        super().__init__(checker)
+        self.masks = 0
+        self.queries = 0
+
+    def spanned(self, elems: np.ndarray) -> np.ndarray:
+        self.masks += 1
+        return super().spanned(elems)
+
+    def spans(self, elem: int) -> bool:
+        self.queries += 1
+        return super().spans(elem)
+
+
+class _OneElementMasks(_MaskCounts):
+    """Answers a turn's span query with a one-element mask."""
+
+    def spans(self, elem: int) -> bool:
+        self.queries += 1
+        return bool(self.spanned(np.array([elem]))[0])
+
+
+@pytest.mark.parametrize(
+    "kind, objective, n",
+    [("graphic", "additive", 200), ("laminar", "facility", 60), ("transversal", "coverage", 60)],
+)
+def test_turn_span_queries_match_one_element_masks(kind, objective, n) -> None:
+    eps = 0.2
+    queries = marked = 0
+    for seed in range(3):
+        inst = generate_instance(kind, objective, n=n, seed=190 + seed)
+        f = inst.build_objective()
+        m, _ = estimate_opt(f, inst.matroid)
+        rank = inst.matroid.rank()
+        # a first round's draw, where rates are high enough for many turns
+        def first_round():
+            rows = nested_subsets(np.zeros(inst.n), 0.2, 30, np.random.default_rng(seed))
+            return f.round_state(*rows)
+
+        spy = _PricingLog(first_round())
+        scalar = _MaskCounts(inst.matroid.checker())
+        got = dt_incremental(spy, scalar, eps, m, range(inst.n), rank)
+        masked = _OneElementMasks(inst.matroid.checker())
+        want = dt_incremental(first_round(), masked, eps, m, range(inst.n), rank)
+        assert got == want
+        assert (scalar.tests, scalar.inserts, scalar.marked) == (
+            masked.tests, masked.inserts, masked.marked
+        )
+        # every turn's query was a mask call before
+        assert scalar.queries == masked.queries
+        assert masked.masks == scalar.masks + scalar.queries
+        # what is left is one batch per level and the top-off
+        tau, floor, levels = max(spy.returned[:inst.n]), (eps / rank) * m, 0
+        while tau >= floor:
+            levels += 1
+            tau *= 1.0 - eps
+        assert scalar.masks <= levels + 1
+        queries += scalar.queries
+        marked += scalar.marked
+    assert queries > 0
+    assert marked > 0 or kind == "transversal"
+
+
 def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
     for kind in KINDS:
         inst = generate_instance(kind, "coverage", n=25, seed=9)
