@@ -182,6 +182,9 @@ class LaminarChecker:
     element's path for that, ``test`` is its negation, and ``spanned``
     reads it off the matroid's ancestor paths for a whole batch."""
 
+    # a no from ``spans`` means ``test`` passes
+    spans_exact = True
+
     def __init__(self, matroid: LaminarMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.counts = [0] * len(matroid.parents)
@@ -302,6 +305,9 @@ class GraphicChecker:
     """Incremental acyclicity tester over a union-find forest.  An edge is
     spanned when its ends already share a component, self-loops included."""
 
+    # a no from ``spans`` means ``test`` passes
+    spans_exact = True
+
     def __init__(self, matroid: GraphicMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.uf = _UnionFind(matroid.num_vertices)
@@ -400,6 +406,9 @@ class TransversalChecker:
     adds nothing: it may have passed a vertex over only because an ancestor
     was on the search stack.
     """
+
+    # ``spans`` reads only the dead set, so a no can still fail ``test``
+    spans_exact = False
 
     def __init__(self, matroid: TransversalMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid

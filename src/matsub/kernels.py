@@ -25,7 +25,9 @@ per call, for ``q`` queried elements:
   no critical item, else ``O(universe + u·(s + 64·h))`` time and
   ``O(universe + u·s)`` memory, for the ``u`` critical items their covers
   share and the ``h`` rows that hold one of them.
-- ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory.
+- ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory, once
+  per round, to build the round state; a basis that only grows never
+  rebuilds a row.
 - ``similarity_ranks``: ``O(n·clients·log n)`` time and ``O(n·clients)``
   memory, once per oracle, which keeps the table.
 - ``facility_summary``: ``O(clients·(s·log s + n))`` time,

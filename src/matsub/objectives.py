@@ -10,8 +10,8 @@ instrumentation everywhere else trusts these counts.
 A ``round_state`` is the one place where an objective puts its kernel
 steps together.  It keeps per-row statistics (coverage counts, facility
 top-2) over one phase-2 round's rows, drawn once per round by
-:func:`nested_subsets`, as the round's partial basis grows or shrinks, and
-prices elements or values rows from them.  The batch entry points
+:func:`nested_subsets`, as the round's partial basis grows, and prices
+elements or values rows from them.  The batch entry points
 (``batch_values``, ``batch_marginal_means``) are a round state over a fixed
 batch.  No code in this package calls them; they are kept for the
 brute-force checks in ``tests/test_kernels.py`` and the tracer in
@@ -383,17 +383,19 @@ def nested_subsets(
 class RoundState:
     """One round's sampled rows, priced at the round's partial basis ``B``.
 
-    Row ``r`` holds ``e`` when ``lower[r, e]`` is set, or when ``upper[r, e]``
-    is set and ``e`` is in ``B``.  Inserting or deleting ``e`` changes only
-    the rows where ``upper`` holds ``e`` and ``lower`` does not, and each
-    objective updates its per-row statistics there alone.  ``marginal_means``
-    returns the mean of ``f(R+e) - f(R-e)`` over the current rows, charged
-    ``2*s`` queries per element, and ``values`` returns ``f(R) - offset``
-    per row, charged ``s`` queries (a contraction sets ``offset`` to the
-    value of its frozen set).  ``f(R+e) - f(R-e)`` does not depend on
-    whether ``e`` is in ``B``, so pricing a basis member is pricing it
-    against ``B - e``.  ``calls`` counts the ``marginal_means`` calls that
-    priced at least one element, and ``prices`` the ``price`` calls.
+    Row ``r`` holds ``e`` when ``lower[r, e]`` is set, or when
+    ``upper[r, e]`` is set and ``e`` is in ``B``.  ``B`` only grows:
+    inserting ``e`` changes only the rows where ``upper`` holds ``e`` and
+    ``lower`` does not, and each objective updates its per-row statistics
+    there alone.  So a row only grows too, and by submodularity a price
+    only falls while the round goes on.  ``marginal_means`` returns the
+    mean of ``f(R+e) - f(R-e)`` over the current rows, charged ``2*s``
+    queries per element, and ``values`` returns ``f(R) - offset`` per row,
+    charged ``s`` queries (a contraction sets ``offset`` to the value of
+    its frozen set).  ``f(R+e) - f(R-e)`` does not depend on whether ``e``
+    is in ``B``, so pricing a basis member is pricing it against ``B - e``.
+    ``calls`` counts the ``marginal_means`` calls that priced at least one
+    element, and ``prices`` the ``price`` calls.
 
     ``marginal_means`` prices from a summary of the rows, rebuilt on the
     first pricing after a basis change, which pays off over many elements.
@@ -407,7 +409,8 @@ class RoundState:
     moves ``|cover(e)|`` counts in each flipped row, a facility insert a
     top-2 pass over the clients of each), so once a sweep has made its
     last pricing it stops inserting: ``B`` is then a prefix of the basis
-    the sweep returns, not all of it.
+    the sweep returns, not all of it.  The transversal sweep writes only
+    the vertices its audits keep, never one it evicts.
     """
 
     def __init__(self, oracle: ValueOracle, lower: np.ndarray, upper: np.ndarray) -> None:
@@ -425,16 +428,16 @@ class RoundState:
     def samples(self) -> int:
         return self.lower.shape[0]
 
-    def rows(self, which=slice(None)) -> np.ndarray:
-        """The current uint8 rows, all ``(s, n)`` of them or those picked."""
-        return self.lower[which] | (self.upper[which] & self.in_basis.view(np.uint8))
+    def rows(self) -> np.ndarray:
+        """The current ``(s, n)`` uint8 rows."""
+        return self.lower | (self.upper & self.in_basis.view(np.uint8))
 
     def members(self, elems: np.ndarray) -> np.ndarray:
         """``(s, q)`` 0/1: does each row hold each queried element?"""
         return self.lower[:, elems] | (self.upper[:, elems] & self.in_basis[elems].view(np.uint8))
 
     def _flipped(self, elem: int) -> np.ndarray:
-        """The rows whose set gains or loses ``elem`` with the basis."""
+        """The rows whose set gains ``elem`` when it joins the basis."""
         return np.flatnonzero(self.upper[:, elem] > self.lower[:, elem])
 
     def insert(self, elem: int) -> None:
@@ -443,13 +446,6 @@ class RoundState:
         self.in_basis[elem] = True
         self._summary = None
         self._add(elem)
-
-    def delete(self, elem: int) -> None:
-        if not self.in_basis[elem]:
-            raise ValueError(f"element {elem} is not in the basis")
-        self.in_basis[elem] = False
-        self._summary = None
-        self._remove(elem)
 
     def marginal_means(self, elems: Sequence[int]) -> np.ndarray:
         q = self.oracle._in_range(np.asarray(elems, dtype=np.int64))
@@ -480,9 +476,6 @@ class RoundState:
     def _add(self, elem: int) -> None:
         raise NotImplementedError
 
-    def _remove(self, elem: int) -> None:
-        raise NotImplementedError
-
     def _summarize(self):
         raise NotImplementedError
 
@@ -504,21 +497,20 @@ class RoundState:
 class _CoverageRound(RoundState):
     """Cover counts per item and row, ``(universe, s)``, kept as int32 (the
     kernel's float32 sums are exact integers).  Item-major, so an element's
-    items are whole rows of ``counts``: an insert or a delete touches
-    ``|cover(e)|`` contiguous rows of ``s`` counts.
+    items are whole rows of ``counts``: an insert touches ``|cover(e)|``
+    contiguous rows of ``s`` counts.
 
     ``zeros`` counts, per item, the rows that leave it uncovered, and
-    ``ones`` the rows where a single member covers it.  An insert or a
-    delete keeps both from the flipped rows alone: an insert takes counts
-    at 0 to 1 and at 1 to 2, a delete those at 2 to 1 and at 1 to 0.
+    ``ones`` the rows where a single member covers it.  An insert keeps both
+    from the flipped rows alone: it takes counts at 0 to 1 and at 1 to 2.
     Removing ``e`` from a row uncovers an item of ``e``'s exactly when no
     other member covers it there: the row lacks ``e`` and its count is 0, or
     it holds ``e`` and its count is 1.  A row that holds ``e`` never has
     count 0 on ``e``'s items, so those rows number ``zeros`` plus the
     count-1 rows among the ``h`` that hold ``e``.  A price reads ``counts``
-    only at ``e``'s items in those ``h`` rows, ``O(s + |cover(e)|·(1 + h))``,
-    and only if ``ones`` is nonzero at one of them; else it costs
-    ``O(|cover(e)|)``.  The batch summary is the uncovered weight per item,
+    only at ``e``'s items in those ``h`` rows,
+    ``O(s + |cover(e)|·(1 + h))``, and only if ``ones`` is nonzero at one
+    of them; else it costs ``O(|cover(e)|)``.  The batch summary is the uncovered weight per item,
     ``zeros * weights``, and the critical items, ``ones > 0``: only those
     can add to a held element's price."""
 
@@ -531,25 +523,15 @@ class _CoverageRound(RoundState):
         self.ones = np.count_nonzero(self.counts == 1, axis=1)
 
     def _add(self, elem: int) -> None:
-        self._shift(elem, 1)
-
-    def _remove(self, elem: int) -> None:
-        self._shift(elem, -1)
-
-    def _shift(self, elem: int, by: int) -> None:
         rows = self._flipped(elem)
         items = self.oracle.cover(elem)
         block = self.counts[items]
         flipped = block[:, rows]
-        at_one = (flipped == 1).sum(axis=1, dtype=np.intp)
-        if by > 0:  # an insert takes the counts at 0 to 1 and those at 1 to 2
-            at_zero = (flipped == 0).sum(axis=1, dtype=np.intp)
-            self.zeros[items] -= at_zero
-            self.ones[items] += at_zero - at_one
-        else:  # a delete takes those at 2 to 1 and those at 1 to 0
-            self.zeros[items] += at_one
-            self.ones[items] += (flipped == 2).sum(axis=1, dtype=np.intp) - at_one
-        block[:, rows] = flipped + by
+        # the counts at 0 go to 1 and those at 1 to 2
+        at_zero = (flipped == 0).sum(axis=1, dtype=np.intp)
+        self.zeros[items] -= at_zero
+        self.ones[items] += at_zero - (flipped == 1).sum(axis=1, dtype=np.intp)
+        block[:, rows] = flipped + 1
         self.counts[items] = block
 
     def _summarize(self):
@@ -597,16 +579,6 @@ class _FacilityRound(RoundState):
     def _add(self, elem: int) -> None:
         rows = self._flipped(elem)
         kernels.push_top2(*self.top, rows, elem, self.oracle.similarity[elem])
-        self._touch(rows)
-
-    def _remove(self, elem: int) -> None:
-        # a top-2 cannot forget a member, so the rows are rebuilt from theirs
-        rows = self._flipped(elem)
-        for mine, fresh in zip(self.top, kernels.row_top2(self.rows(rows), self.oracle.similarity)):
-            mine[rows] = fresh
-        self._touch(rows)
-
-    def _touch(self, rows: np.ndarray) -> None:
         self._changes += 1
         self._changed_at[rows] = self._changes
 
@@ -647,9 +619,6 @@ class _AdditiveRound(RoundState):
     """Nothing to keep: an additive marginal ignores the row."""
 
     def _add(self, elem: int) -> None:
-        pass
-
-    def _remove(self, elem: int) -> None:
         pass
 
     def _summarize(self):

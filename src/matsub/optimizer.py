@@ -250,6 +250,7 @@ class CountingChecker:
 
     def __init__(self, checker) -> None:
         self.checker = checker
+        self.spans_exact = checker.spans_exact
         self.tests = 0
         self.inserts = 0
         self.marked = 0
@@ -287,7 +288,7 @@ def dt_incremental(
     ``1 - epsilon`` down to ``epsilon / rank`` times the optimum estimate.
     Each level walks its cohort, the live elements whose rate reaches the
     bar, in id order: an element whose rate still reaches the bar at its
-    turn is tested exactly once and either joins the basis or is discarded
+    turn is tested at most once and either joins the basis or is discarded
     for good.  Whatever remains after the ladder tops the basis off in
     best-rate order, so the result always has full rank.
 
@@ -315,7 +316,11 @@ def dt_incremental(
     sweep only inserts, so a spanned element stays spanned and would fail
     every later test: retiring it changes no decision.  Both queries are
     exact on laminar and graphic checkers and sound on transversal ones;
-    ``checker.marked`` counts the retired elements.
+    ``checker.marked`` counts the retired elements.  So a ladder element
+    priced at the current basis was put to the checker at that basis,
+    unless the basis is empty and the opening batch priced it; on an exact
+    checker (``spans_exact``) that no is the test's answer, and the element
+    joins untested.
 
     The sweep keeps the round state at its basis only while a later pricing
     can read it.  The ladder's inserts reach ``state``, except one that
@@ -352,7 +357,10 @@ def dt_incremental(
     def take(i: int) -> bool:
         e = int(pool[i])
         live[i] = False
-        if not checker.test(e):
+        # one priced at the current, nonempty basis was put to the checker
+        # first, and an exact checker's no is the test's answer
+        asked = checker.spans_exact and priced_at[i] == len(basis) > 0
+        if not asked and not checker.test(e):
             return False
         checker.insert(e)
         basis.append(e)
@@ -408,42 +416,31 @@ def dt_approx_indep_set(
     rank: int,
     pinned: Iterable[int] = (),
 ) -> list[int]:
-    """Near-max-rate basis via batched inserts with repair, then a top-off.
+    """Near-max-rate basis via batched inserts and audits, then a top-off.
 
     Transversal counterpart of :func:`dt_incremental`: each threshold level
-    submits its whole cohort in one batch insert, then a worklist audits
-    every newly matched vertex and deletes those whose fresh rate fell below
-    the level, feeding replacement matches back into the audit.  ``pinned``
+    submits its whole cohort in one batch insert, then a queue audits every
+    newly matched vertex, best cached rate first (``(-rate, id)``; the
+    batch was priced at the level start), and evicts from the matching
+    those whose rate against the kept vertices fell below the level.  An
+    eviction's replacement match joins the back of the queue.  ``pinned``
     vertices are preloaded contraction elements: they stay matched, never
     get audited, and are excluded from the returned set.  Whatever the
     ladder leaves short of ``rank`` is topped off in best-rate order with an
     exact checker seeded with the structure's matching, whose members are
     the pinned and matched vertices.
 
-    The round state's basis follows the matched, unpinned vertices; the
-    top-off prices there and leaves it.  Repricing is lazy and exact, and a
-    pending element's cached rate alone bounds its current one, as in
-    :func:`dt_incremental`:
-
-    - pending elements are priced only at level starts, before the level's
-      batch joins;
-    - a matched vertex of the :class:`DecMatching` stays matched until it
-      is deleted;
-    - an audit deletes only vertices that joined in the current level.
-
-    So the basis never loses a member it had when a pending element was
-    last priced, its rows only grew since, and by submodularity the rate
-    only fell.  A level reprices only the pending elements whose cached rate
-    reaches the bar.  An evicted vertex leaves ``pending`` for good, and the
-    top-off reprices it if stale.  An audit prices its one element
-    (``RoundState.price``), and no element is priced twice at one basis:
-    the top-off reads every rate still current.  An element's own insert
-    leaves ``f(R+e) - f(R-e)`` unchanged, so it keeps the element's rate
-    current; a vertex that joins alone is audited at the rate it was picked
-    at.  The result is the set that repricing every pending element per
-    level, every audited vertex unless its own insert is the only change
-    since its pricing, then every other element for the top-off, would
-    build.
+    The round state holds the kept vertices only: a vertex is written when
+    its audit keeps it, and an evicted one was never written.  So the state
+    only grows, and by submodularity a cached rate bounds the current one,
+    as in :func:`dt_incremental`.  Each kept vertex's rate is its gain over
+    the vertices kept before it, so the rates telescope as descending
+    thresholds need.  Repricing is lazy and exact: a level reprices only
+    the pending elements whose cached rate reaches the bar, an audit prices
+    its one element (``RoundState.price``) only if the kept set has grown
+    since its last pricing, and the top-off reprices what is stale.  When
+    the ladder ends every matched, unpinned vertex has been kept, and the
+    top-off prices the rest there.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -456,35 +453,15 @@ def dt_approx_indep_set(
     if rank <= 0 or not pool.size:
         return current()
     rate = np.zeros(structure.matroid.n)
-    # basis changes at each element's last pricing; -1 means never priced
+    # vertices kept at each element's last pricing; -1 means never priced
     priced_at = np.full(rate.size, -1)
-    changes = 0
+    kept = 0
 
     def reprice(idx: np.ndarray) -> None:
-        stale = idx[priced_at[idx] != changes]
+        stale = idx[priced_at[idx] != kept]
         if stale.size:
             rate[stale] = state.marginal_means(stale)
-            priced_at[stale] = changes
-
-    def joined(elems: list[int]) -> list[int]:
-        # newly matched vertices: never pinned, since the pinned ones were
-        # matched first and stay matched
-        nonlocal changes
-        for e in elems:
-            # e's own insert leaves f(R+e) - f(R-e) as it was
-            current = priced_at[e] == changes
-            state.insert(e)
-            changes += 1
-            if current:
-                priced_at[e] = changes
-        return elems
-
-    def evict(e: int) -> list[int]:
-        nonlocal changes
-        replacements = structure.delete(e)
-        state.delete(e)
-        changes += 1
-        return joined(replacements)
+            priced_at[stale] = kept
 
     pending = pool
     reprice(pending)
@@ -496,16 +473,21 @@ def dt_approx_indep_set(
         if picked.any():
             batch = pending[picked].tolist()
             pending = pending[~picked]
-            queue = deque(joined(structure.batch_insert(batch)))
+            # newly matched vertices are never pinned: those were matched
+            # first and stay matched
+            joiners = structure.batch_insert(batch)
+            queue = deque(sorted(joiners, key=lambda e: (-rate[e], e)))
             while queue:
                 e = queue.popleft()
-                if not structure.test(e):
-                    continue
-                if priced_at[e] != changes:
+                if priced_at[e] != kept:
                     rate[e] = state.price(e)
-                    priced_at[e] = changes
-                if rate[e] < tau:
-                    queue.extend(evict(e))
+                    priced_at[e] = kept
+                if rate[e] >= tau:
+                    # kept for good: never audited or priced again
+                    state.insert(e)
+                    kept += 1
+                else:
+                    queue.extend(structure.delete(e))
         tau *= 1.0 - epsilon
     basis = current()
     if len(basis) < rank:

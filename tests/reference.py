@@ -727,56 +727,48 @@ def eager_dt_approx_indep_set(
     pinned: Iterable[int] = (),
 ) -> list[int]:
     """``optimizer.dt_approx_indep_set`` with eager repricing: every level
-    reprices all pending elements once the matching has changed, every
-    audit prices its element, and the top-off prices every element outside
-    the matched set.  An audit reads the level's price instead when the
-    element's own insert is the only change since: that insert leaves
-    ``f(R+e) - f(R-e)`` as it was."""
+    reprices all pending elements once the kept set has changed, every
+    audit prices its element against the kept set, and the top-off prices
+    every element outside the matched set.  The round state holds the kept
+    vertices only; a level's newly matched vertices are audited in
+    ``(-rate, id)`` order of their level-start rates, and an eviction's
+    replacement after them.  An audit reads a known rate instead when the
+    kept set has not changed since it was priced."""
     pinned_set = set(pinned)
     pending = sorted(e for e in elements if e not in pinned_set)
-    # rates priced at the current matching
+    # rates priced at the current kept set
     known: dict[int, float] = {}
 
     def current() -> list[int]:
         return [e for e in structure.basis() if e not in pinned_set]
 
-    def joined(elems: Iterable[int]) -> list[int]:
-        fresh = sorted(e for e in elems if e not in pinned_set)
-        for e in fresh:
-            own = known.get(e)
-            state.insert(e)
-            known.clear()
-            if own is not None:
-                known[e] = own
-        return fresh
-
-    def audit_rate(e: int) -> float:
-        return known[e] if e in known else float(state.marginal_means([e])[0])
+    def rate_of(e: int) -> float:
+        if e not in known:
+            known[e] = float(state.marginal_means([e])[0])
+        return known[e]
 
     if rank <= 0 or not pending:
         return current()
     everything = list(pending)
-    rates = state.marginal_means(pending)
-    tau = float(rates.max())
+    known.update(zip(pending, map(float, state.marginal_means(pending))))
+    tau = max(known.values())
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and pending and tau >= floor:
-        if rates is None:
-            rates = state.marginal_means(pending)
-        known.update(zip(pending, map(float, rates)))
-        picked = rates >= tau
-        if picked.any():
-            batch = [e for e, p in zip(pending, picked) if p]
-            pending = [e for e, p in zip(pending, picked) if not p]
-            rates = None
-            queue = deque(joined(structure.batch_insert(batch)))
+        if any(e not in known for e in pending):
+            known.update(zip(pending, map(float, state.marginal_means(pending))))
+        batch = [e for e in pending if known[e] >= tau]
+        if batch:
+            pending = [e for e in pending if known[e] < tau]
+            joiners = structure.batch_insert(batch)
+            assert not pinned_set & set(joiners)
+            queue = deque(sorted(joiners, key=lambda e: (-known[e], e)))
             while queue:
                 e = queue.popleft()
-                if not structure.test(e) or audit_rate(e) >= tau:
-                    continue
-                replacements = structure.delete(e)
-                state.delete(e)
-                known.clear()
-                queue.extend(joined(replacements))
+                if rate_of(e) >= tau:
+                    state.insert(e)
+                    known.clear()
+                else:
+                    queue.extend(structure.delete(e))
         tau *= 1.0 - epsilon
     out = current()
     if len(out) < rank:

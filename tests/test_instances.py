@@ -327,6 +327,8 @@ def _walk_spans(mat, order, exact: bool) -> int:
     """Test-then-insert along ``order``, asking ``spans`` before each test;
     returns how many span queries answered yes."""
     checker = mat.checker()
+    # the flag the threshold sweep reads to skip a test that spans answered
+    assert checker.spans_exact == exact
     hits = 0
     for e in order:
         # read both queries first: a transversal test grows the dead set

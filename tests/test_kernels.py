@@ -372,17 +372,15 @@ def test_rank_pricing_matches_searchsorted_through_inserts_and_deletes(grid) -> 
     n, clients = 15, 11
     sim = rng.uniform(0.0, 1.0, (n, clients)) if grid is None else _tied_similarity(
         rng, n, clients, grid)
-    x = rng.uniform(0.0, 0.6, n)
-    state = FacilityLocationOracle(sim).round_state(*nested_subsets(x, 0.3, 30, rng))
-    for _ in range(40):
-        elem = int(rng.integers(n))
-        if state.in_basis[elem]:
-            state.delete(elem)
-        else:
+    # a round state only grows: over three draws every element joins, in
+    # random order
+    for _ in range(3):
+        x = rng.uniform(0.0, 0.6, n)
+        state = FacilityLocationOracle(sim).round_state(*nested_subsets(x, 0.3, 30, rng))
+        for elem in rng.permutation(n).tolist():
             state.insert(elem)
-        elems = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        _assert_prices_as_searchsorted(state, sim, elems.astype(np.int64))
-    assert state.in_basis.any()
+            elems = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            _assert_prices_as_searchsorted(state, sim, elems.astype(np.int64))
 
 
 def test_rank_pricing_matches_searchsorted_under_frozen_columns() -> None:
@@ -396,5 +394,3 @@ def test_rank_pricing_matches_searchsorted_under_frozen_columns() -> None:
     for elem in (2, 7, 5, 11):
         state.insert(elem)
         _assert_prices_as_searchsorted(state, sim, elems)
-    state.delete(7)
-    _assert_prices_as_searchsorted(state, sim, elems)

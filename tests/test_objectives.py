@@ -277,27 +277,24 @@ def test_nested_draws_have_the_joint_law_of_one_uniform() -> None:
 
 
 def _random_rows_and_basis_walk(f, n, frozen, rng, steps, samples=40, idle=()):
-    """Yield ``(state, rows)`` after each random insert or delete, where
-    ``rows`` is the round's matrix at the current basis built from scratch.
-    ``idle`` elements, like frozen ones, have ``x = 0``: no row holds one
-    until it joins the basis."""
-    x = rng.uniform(0.0, 0.8, size=n)
-    x[list(frozen) + list(idle)] = 0.0
-    lower, upper = nested_subsets(x, 0.25, samples, rng)
-    state = f.round_state(lower, upper)
+    """Yield ``(state, rows)`` after each random insert, where ``rows`` is
+    the round's matrix at the current basis built from scratch.  A round
+    state only grows, so once its basis holds every free element the walk
+    goes on over a fresh draw.  ``idle`` elements, like frozen ones, have
+    ``x = 0``: no row holds one until it joins the basis."""
     free = [e for e in range(n) if e not in frozen]
-    basis: set[int] = set()
+    order: list[int] = []
     for _ in range(steps):
-        if basis and (rng.random() < 0.4 or len(basis) == len(free)):
-            e = int(rng.choice(sorted(basis)))
-            state.delete(e)
-            basis.remove(e)
-        else:
-            e = int(rng.choice([v for v in free if v not in basis]))
-            state.insert(e)
-            basis.add(e)
-        in_b = np.zeros(n, dtype=np.uint8)
-        in_b[sorted(basis)] = 1
+        if not order:
+            x = rng.uniform(0.0, 0.8, size=n)
+            x[list(frozen) + list(idle)] = 0.0
+            lower, upper = nested_subsets(x, 0.25, samples, rng)
+            state = f.round_state(lower, upper)
+            in_b = np.zeros(n, dtype=np.uint8)
+            order = rng.permutation(free).tolist()
+        e = order.pop()
+        state.insert(e)
+        in_b[e] = 1
         yield state, lower | (upper & in_b)
 
 
@@ -366,16 +363,12 @@ def test_one_element_price_ignores_the_elements_own_membership(objective, frozen
         base = _objective(objective, seed)
         f = ResidualOracle(base, frozen) if frozen else base
         rng = np.random.default_rng(20 + seed)
-        for state, _rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 20):
-            out = [e for e in range(base.n) if e not in frozen and not state.in_basis[e]]
-            if not out:
-                continue
-            e = int(rng.choice(out))
+        x = rng.uniform(0.0, 0.8, size=base.n)
+        x[list(frozen)] = 0.0
+        state = f.round_state(*nested_subsets(x, 0.25, 40, rng))
+        for e in rng.permutation([v for v in range(base.n) if v not in frozen]).tolist():
             before = state.price(e)
             state.insert(e)
-            joined = state.price(e)
-            state.delete(e)
-            assert np.array_equal(joined, before)
             assert np.array_equal(state.price(e), before)
 
 
@@ -384,7 +377,7 @@ def test_one_element_price_ignores_the_elements_own_membership(objective, frozen
 
 def _coverage_walk(frozen, samples, seed):
     """A coverage round state over ``samples`` rows, plain or contracted by
-    ``frozen``, walked through random inserts and deletes; a third of the
+    ``frozen``, walked through random inserts; a third of the
     free elements are idle, so some elements are held by no row."""
     base = _objective("coverage", seed)
     f = ResidualOracle(base, frozen) if frozen else base
@@ -518,8 +511,6 @@ def test_round_state_rejects_bad_updates_and_ids() -> None:
     state.insert(1)
     with pytest.raises(ValueError, match="already"):
         state.insert(1)
-    with pytest.raises(ValueError, match="not in the basis"):
-        state.delete(0)
     start = f.query_count
     with pytest.raises(ValueError, match="out of range"):
         state.marginal_means([0, 3])

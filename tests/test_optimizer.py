@@ -361,9 +361,6 @@ class _CountedRates:
     def insert(self, elem: int) -> None:
         self.state.insert(elem)
 
-    def delete(self, elem: int) -> None:
-        self.state.delete(elem)
-
 
 def _counted_state(f, n: int, seed: int, samples: int = 30) -> _CountedRates:
     # a point inside the cube, so both layers of the draw matter
@@ -608,6 +605,75 @@ def test_turn_span_queries_match_one_element_masks(kind, objective, n) -> None:
     assert marked > 0 or kind == "transversal"
 
 
+class _SpanThenTest(CountingChecker):
+    """Fails on a ``test(e)`` that follows a no from ``spans(e)`` with no
+    insert between, and counts the inserts that no test of their element
+    preceded."""
+
+    def __init__(self, checker) -> None:
+        super().__init__(checker)
+        self.unspanned: set[int] = set()
+        self.tested: int | None = None
+        self.untested = 0
+
+    def spans(self, elem: int) -> bool:
+        out = super().spans(elem)
+        if not out:
+            self.unspanned.add(elem)
+        return out
+
+    def test(self, elem: int) -> bool:
+        assert elem not in self.unspanned, elem
+        self.tested = elem
+        return super().test(elem)
+
+    def insert(self, elem: int) -> None:
+        self.untested += elem != self.tested
+        self.tested = None
+        self.unspanned.clear()
+        super().insert(elem)
+
+
+class _ForcedTests(CountingChecker):
+    """Tests every element, as if a no from ``spans`` were only sound."""
+
+    def __init__(self, checker) -> None:
+        super().__init__(checker)
+        self.spans_exact = False
+
+
+@pytest.mark.parametrize(
+    "kind, objective, n",
+    [("graphic", "additive", 200), ("laminar", "facility", 60), ("graphic", "coverage", 100),
+     ("laminar", "coverage", 100)],
+)
+def test_turn_takes_a_span_no_as_its_test(kind, objective, n) -> None:
+    # on laminar and graphic checkers a no from spans, or from a level's
+    # mask, is the test's answer at that basis: the turn inserts without
+    # testing again, and builds the same basis
+    eps = 0.2
+    untested = 0
+    for seed in range(3):
+        inst = generate_instance(kind, objective, n=n, seed=230 + seed)
+        f = inst.build_objective()
+        m, _ = estimate_opt(f, inst.matroid)
+        rank = inst.matroid.rank()
+        for x in (np.zeros(inst.n), np.random.default_rng(seed).uniform(0.0, 0.8, inst.n)):
+            def state():
+                rows = nested_subsets(x, 0.2, 30, np.random.default_rng(seed))
+                return f.round_state(*rows)
+
+            spy = _SpanThenTest(inst.matroid.checker())
+            got = dt_incremental(state(), spy, eps, m, range(inst.n), rank)
+            forced = _ForcedTests(inst.matroid.checker())
+            want = dt_incremental(state(), forced, eps, m, range(inst.n), rank)
+            assert got == want
+            assert (spy.inserts, spy.marked) == (forced.inserts, forced.marked)
+            assert spy.tests + spy.untested == forced.tests
+            untested += spy.untested
+    assert untested > 0
+
+
 def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
     for kind in KINDS:
         inst = generate_instance(kind, "coverage", n=25, seed=9)
@@ -702,9 +768,10 @@ class _RoundLog(_CountedRates):
 
 @pytest.mark.parametrize("objective", ["coverage", "facility"])
 def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
-    # the transversal sweep's state follows every insert and delete, so its
-    # top-off prices against the matched set, which the returned basis
-    # extends.  The incremental sweep's state follows its inserts up to the
+    # the transversal sweep's state holds the vertices its audits kept,
+    # which at the ladder's end are all the matched ones, so its top-off
+    # prices against the matched set, which the returned basis extends.
+    # The incremental sweep's state follows its inserts up to the
     # round's last pricing: it holds the basis the top-off's batch was
     # priced at, the first picks of the returned basis
     eps = 0.2
@@ -765,12 +832,12 @@ def test_sweep_inserts_nothing_after_its_last_pricing(kind, objective) -> None:
 
 
 class _ScriptedRates:
-    """Fixed rate per element before it joins the basis, and a fixed audit
-    rate once it has joined."""
+    """Fixed rate per element while the round state is empty, and another
+    once it holds a vertex."""
 
     def __init__(self, table: dict[int, tuple[float, float]]) -> None:
         self.table = table
-        self.basis: set[int] = set()
+        self.basis: list[int] = []
         self.priced: list[int] = []
 
     def marginal_means(self, elems) -> np.ndarray:
@@ -778,31 +845,34 @@ class _ScriptedRates:
 
     def price(self, elem: int) -> float:
         self.priced.append(elem)
-        return self.table[elem][elem in self.basis]
+        return self.table[elem][bool(self.basis)]
 
     def insert(self, elem: int) -> None:
-        self.basis.add(elem)
-
-    def delete(self, elem: int) -> None:
-        self.basis.remove(elem)
+        self.basis.append(elem)
 
 
 def test_dt_approx_deletes_once_per_bucket_drop() -> None:
-    # element 1 joins at the top level, then its audited estimate collapses:
-    # one bucket drop, exactly one delete, and the replacement chain keeps
-    # the remaining members untouched
+    # all three top the first level; the matching takes 0 and 1.  The audit
+    # keeps 0 at its level-start rate, then 1's rate against the kept 0
+    # collapses: one bucket drop, exactly one delete, and its replacement 2
+    # is audited after it and kept.  The round state is written only with
+    # the kept vertices, never with the evicted 1
     matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
     rates = _ScriptedRates({0: (10.0, 10.0), 1: (10.0, 1.0), 2: (10.0, 10.0)})
     structure = DecMatching(matroid, 0.2)
     basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
     assert basis == [0, 2]
     assert structure.op_counters["deletes"] == 1
+    assert rates.basis == [0, 2]
+    # the level start prices all three, the audits only 1 and 2 again
+    assert rates.priced == [0, 1, 2, 1, 2]
 
 
 def test_an_elements_own_insert_keeps_its_rate_current() -> None:
-    # element 0 alone tops the first level; once it has joined, its scripted
-    # rate sits one ulp under the bar.  Its own insert is the only change
-    # since it was priced, so its audit reads the rate it was picked at
+    # element 0 alone tops the first level; once the state holds a vertex,
+    # its own write included, its scripted rate sits one ulp under the bar.
+    # It is audited before its write, with nothing kept since its level
+    # start, so the audit reads the rate it was picked at
     matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
     rates = _ScriptedRates(
         {0: (10.0, float(np.nextafter(10.0, 0.0))), 1: (5.0, 5.0), 2: (5.0, 5.0)}
@@ -812,6 +882,7 @@ def test_an_elements_own_insert_keeps_its_rate_current() -> None:
     assert 0 in basis and len(basis) == 2
     assert structure.op_counters["deletes"] == 0
     assert rates.priced.count(0) == 1
+    assert rates.basis[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -883,27 +954,28 @@ def test_lazy_transversal_sweep_matches_the_eager_sweep(objective) -> None:
 
 
 class _FreshBelowCached(_CountedRates):
-    """Checks each fresh price against the rate it replaces, except for
-    evicted elements: an audit prices at a basis that later audits of the
-    same level may shrink."""
+    """Checks each fresh price against the rate it replaces, evicted
+    elements included: the round state holds only kept vertices, so it
+    only grows, and an eviction leaves it as it was."""
 
-    def __init__(self, state: RoundState) -> None:
+    def __init__(self, state: RoundState, structure: DecMatching) -> None:
         super().__init__(state)
+        self.structure = structure
         self.cached: dict[int, tuple[float, int]] = {}
-        self.evicted: set[int] = set()
-        self.deletes = 0
-        # fresh prices checked, and those taken after a delete since the
-        # element's last pricing
-        self.checked = self.after_delete = 0
+        # fresh prices checked, those taken after an eviction since the
+        # element's last pricing, and those of evicted elements
+        self.checked = self.after_delete = self.of_evicted = 0
 
     def _check(self, elem: int, fresh: float) -> None:
-        if elem in self.cached and elem not in self.evicted:
-            cached, deletes = self.cached[elem]
+        deletes = self.structure.op_counters["deletes"]
+        if elem in self.cached:
+            cached, then = self.cached[elem]
             # the batch and the one-element price may round differently
             assert fresh <= cached + 1e-12 * abs(cached), (elem, fresh, cached)
             self.checked += 1
-            self.after_delete += deletes < self.deletes
-        self.cached[elem] = (fresh, self.deletes)
+            self.after_delete += then < deletes
+            self.of_evicted += elem in self.structure.deleted
+        self.cached[elem] = (fresh, deletes)
 
     def marginal_means(self, elems) -> np.ndarray:
         out = super().marginal_means(elems)
@@ -916,18 +988,13 @@ class _FreshBelowCached(_CountedRates):
         self._check(int(elem), out)
         return out
 
-    def delete(self, elem: int) -> None:
-        super().delete(elem)
-        self.evicted.add(elem)
-        self.deletes += 1
-
 
 @pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
 def test_transversal_sweep_never_prices_above_a_cached_rate(objective) -> None:
-    # the cached rate alone bounds a pending element's current rate: the
-    # basis keeps every member it had at the element's last pricing
+    # the cached rate alone bounds every element's current rate: the round
+    # state keeps every vertex it held at the element's last pricing
     eps = 0.2
-    checked = after_delete = 0
+    checked = after_delete = of_evicted = 0
     for seed in range(5):
         inst = generate_instance("transversal", objective, n=30, seed=150 + seed)
         base = inst.build_objective()
@@ -936,8 +1003,8 @@ def test_transversal_sweep_never_prices_above_a_cached_rate(objective) -> None:
         frozen = [0, 1] if seed == 4 else []
         assert inst.matroid.is_independent(frozen)
         f = ResidualOracle(base, frozen) if frozen else base
-        spy = _FreshBelowCached(_counted_state(f, inst.n, seed).state)
         structure = DecMatching(inst.matroid, eps)
+        spy = _FreshBelowCached(_counted_state(f, inst.n, seed).state, structure)
         if frozen:
             structure.batch_insert(frozen)
         free = [e for e in range(inst.n) if e not in frozen]
@@ -946,10 +1013,105 @@ def test_transversal_sweep_never_prices_above_a_cached_rate(objective) -> None:
         assert len(got) == rank
         checked += spy.checked
         after_delete += spy.after_delete
+        of_evicted += spy.of_evicted
     assert checked > 0
-    # some prices follow a delete since the element's last pricing; only
-    # moving rates evict
-    assert after_delete > 0 or objective == "additive"
+    # some prices follow an eviction since the element's last pricing, and
+    # the top-off reprices evicted elements; only moving rates evict
+    assert (after_delete > 0 and of_evicted > 0) or objective == "additive"
+
+
+class _AuditLog(_CountedRates):
+    """Follows a transversal sweep's audits: the round state's writes (a
+    kept vertex) and the matching's deletes (an evicted one).  Each level's
+    newly matched vertices must be audited in ``(-rate, id)`` order of the
+    rates last returned for them, an eviction's replacement after them, and
+    after every audit the state must hold exactly the matched, unpinned
+    vertices less those still to be audited."""
+
+    def __init__(self, state: RoundState, pinned: list[int]) -> None:
+        super().__init__(state)
+        self.pinned = set(pinned)
+        self.last: dict[int, float] = {}
+        self.due: list[int] = []
+        self.structure: DecMatching | None = None
+        self.audits = self.evictions = 0
+
+    def marginal_means(self, elems) -> np.ndarray:
+        out = super().marginal_means(elems)
+        self.last.update(zip(map(int, elems), map(float, out)))
+        return out
+
+    def price(self, elem: int) -> float:
+        out = super().price(elem)
+        self.last[int(elem)] = out
+        return out
+
+    def joined(self, elems: list[int]) -> None:
+        assert not self.due, "a batch joined before the last one was audited"
+        self.due = sorted(elems, key=lambda e: (-self.last[e], e))
+
+    def audited(self, elem: int, replacements: list[int] = ()) -> None:
+        assert self.due and self.due[0] == elem, (elem, self.due)
+        self.due = self.due[1:] + list(replacements)
+        self.audits += 1
+        kept = set(self.structure.basis()) - self.pinned - set(self.due)
+        assert set(np.flatnonzero(self.state.in_basis).tolist()) == kept
+
+    def insert(self, elem: int) -> None:
+        super().insert(elem)
+        self.audited(int(elem))
+
+
+class _AuditedMatching(DecMatching):
+    """Reports its batch joins and deletes to an :class:`_AuditLog`."""
+
+    def __init__(self, matroid, epsilon: float, log: _AuditLog) -> None:
+        super().__init__(matroid, epsilon)
+        self.log = log
+        log.structure = self
+
+    def batch_insert(self, elems) -> list[int]:
+        got = super().batch_insert(elems)
+        if self.log.pinned.isdisjoint(elems):
+            self.log.joined(got)
+        return got
+
+    def delete(self, l: int) -> list[int]:
+        got = super().delete(l)
+        self.log.evictions += 1
+        self.log.audited(l, got)
+        return got
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_transversal_audits_keep_the_state_at_the_kept_vertices(objective) -> None:
+    eps = 0.2
+    audits = evictions = 0
+    for seed in range(5):
+        inst = generate_instance("transversal", objective, n=30, seed=210 + seed)
+        base = inst.build_objective()
+        m, _ = estimate_opt(base, inst.matroid)
+        # the last two seeds run on a contraction by two independent elements
+        frozen = [0, 1] if seed >= 3 else []
+        assert inst.matroid.is_independent(frozen)
+        f = ResidualOracle(base, frozen) if frozen else base
+        log = _AuditLog(_counted_state(f, inst.n, seed).state, frozen)
+        structure = _AuditedMatching(inst.matroid, eps, log)
+        if frozen:
+            structure.batch_insert(frozen)
+        free = [e for e in range(inst.n) if e not in frozen]
+        rank = inst.matroid.rank() - len(frozen)
+        got = dt_approx_indep_set(log, structure, eps, m, free, rank, pinned=frozen)
+        assert not log.due
+        matched = [e for e in structure.basis() if e not in frozen]
+        # the top-off writes nothing, so the state holds every matched vertex
+        assert np.flatnonzero(log.state.in_basis).tolist() == matched
+        assert set(matched) <= set(got) and len(got) == rank
+        audits += log.audits
+        evictions += log.evictions
+    assert audits > 0
+    # an additive rate never moves, so only the others evict
+    assert evictions > 0 or objective == "additive"
 
 
 def test_transversal_topoff_reuses_the_ladder_prices() -> None:
@@ -1182,8 +1344,8 @@ def test_pipeline_counter_schema_is_stable() -> None:
         assert set(result.counters) == expected
 
 
-def test_pipeline_on_transversal_facility_deletes_from_the_state() -> None:
-    # the only combination whose sweep deletes from a facility row state
+def test_pipeline_on_transversal_facility_evicts_from_the_matching() -> None:
+    # the sweep's audits evict from the matching, never from the round state
     for seed in range(3):
         inst = generate_instance("transversal", "facility", n=20, seed=seed)
         result = run_pipeline(inst, epsilon=0.2, seed=11 + seed)
