@@ -41,6 +41,12 @@ RESULT_FORMAT_VERSION = 1
 
 BRUTE_FORCE_LIMIT = 20
 
+# the counters the budget checks of a ``full`` record read
+BUDGET_COUNTERS = (
+    "estimate_f_queries", "phase1_f_queries", "phase2_f_queries", "total_f_queries",
+    "dt_test_calls", "dt_insert_calls", "dt_batch_inserts", "dt_deletes", "dt_spanned",
+)
+
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -79,14 +85,18 @@ def _load_instance(path: str) -> tuple[Instance, ValueOracle]:
 
 
 def _record_problem(record: object) -> str | None:
-    """What is wrong with the JSON types of a result record's fields; a
-    missing field is left to the verify report.  Exact type tests keep
+    """What is wrong with the JSON types of a result record's fields, or
+    with what a ``full`` record must carry for its budget checks; a missing
+    solution or value is left to the verify report.  Exact type tests keep
     ``true`` and ``false``, which JSON decodes to bools, out of the numbers."""
     if not isinstance(record, dict):
         return "not a JSON object"
     solution = record.get("solution", [])
     if type(solution) is not list or any(type(e) is not int for e in solution):
         return "solution must be a list of integer element ids"
+    # a set has no repeats, and a value over a repeat counts it twice
+    if len(set(solution)) != len(solution):
+        return "solution repeats an element id"
     if type(record.get("value", 0)) not in (int, float):
         return "value must be a number"
     eps = record.get("epsilon")
@@ -100,6 +110,12 @@ def _record_problem(record: object) -> str | None:
     # a count is never negative; ``not v >= 0`` also catches NaN
     if any(not v >= 0 for v in counters.values()):
         return "counters must be nonnegative"
+    if record.get("algorithm") == "full":
+        if eps is None:
+            return "a full record must carry epsilon"
+        missing = [key for key in BUDGET_COUNTERS if key not in counters]
+        if missing:
+            return f"a full record must carry the counters {', '.join(missing)}"
     return None
 
 
@@ -230,51 +246,49 @@ def _check(report: list[str], label: str, ok: bool, detail: str = "") -> bool:
 def _verify_budgets(
     report: list[str], instance: Instance, record: dict
 ) -> bool:
-    counters = record.get("counters", {})
-    eps = record.get("epsilon")
-    if record.get("algorithm") != "full" or not counters or not eps:
+    if record.get("algorithm") != "full":
         return True
+    # ``_record_problem`` refuses a full record that lacks one of these
+    counters, eps = record["counters"], record["epsilon"]
     n = instance.n
     r = instance.matroid.rank()
     good = True
     if r > 0:
         cap1 = 8 * n / eps * math.log(max(r, 2) / eps)
-        got1 = counters.get("phase1_f_queries", 0)
+        got1 = counters["phase1_f_queries"]
         good &= _check(
             report, "phase-1 query budget", got1 <= cap1, f"{got1} <= {cap1:.0f}"
         )
     cap2 = 8 * n * eps**-5 * math.log(n / eps) ** 2
-    got2 = counters.get("phase2_f_queries", 0)
+    got2 = counters["phase2_f_queries"]
     good &= _check(
         report, "phase-2 query budget", got2 <= cap2, f"{got2} <= {cap2:.0f}"
     )
     cap_dt = 8 * n / eps
-    got_dt = counters.get("dt_test_calls", 0) + counters.get("dt_insert_calls", 0)
+    got_dt = counters["dt_test_calls"] + counters["dt_insert_calls"]
     good &= _check(
         report, "incremental oracle budget", got_dt <= cap_dt, f"{got_dt} <= {cap_dt:.0f}"
     )
     cap_bi = 8 / eps * max(1.0, math.log(max(r, 1)))
-    got_bi = counters.get("dt_batch_inserts", 0)
+    got_bi = counters["dt_batch_inserts"]
     good &= _check(
         report, "batch-insert budget", got_bi <= cap_bi, f"{got_bi} <= {cap_bi:.0f}"
     )
     # a matching delete, like a span, retires its element for the rest of
     # its round, and phase 2 runs ceil(1/eps) rounds
     cap_retired = n * max(1, math.ceil(1.0 / eps))
-    got_del = counters.get("dt_deletes", 0)
+    got_del = counters["dt_deletes"]
     good &= _check(
         report, "delete budget", got_del <= cap_retired, f"{got_del} <= {cap_retired}"
     )
-    got_span = counters.get("dt_spanned", 0)
+    got_span = counters["dt_spanned"]
     good &= _check(
         report, "span budget", got_span <= cap_retired, f"{got_span} <= {cap_retired}"
     )
     # the stages' counts add up to the total, plus the final value query
-    parts = sum(
-        counters.get(key, 0)
-        for key in ("estimate_f_queries", "phase1_f_queries", "phase2_f_queries")
-    )
-    total = counters.get("total_f_queries", 0)
+    stages = ("estimate_f_queries", "phase1_f_queries", "phase2_f_queries")
+    parts = sum(counters[key] for key in stages)
+    total = counters["total_f_queries"]
     good &= _check(
         report, "query total", total == parts + 1, f"{total} == {parts} + 1"
     )
@@ -323,6 +337,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; a negative one names no numpy stream."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matsub",
@@ -336,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--function", required=True,
                      choices=["coverage", "facility", "additive"])
     gen.add_argument("--n", type=int, required=True, help="ground set size")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--tree-depth", type=int, default=None,
                      help="laminar: maximum tree depth")
     gen.add_argument("--density", type=float, default=None,
@@ -351,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--algorithm", default="full",
                      choices=["full", "greedy", "brute"])
     run.add_argument("--epsilon", type=float, default=0.2)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=_seed, default=0)
     run.add_argument("-o", "--output", default="-", help="output path or -")
     run.set_defaults(func=_cmd_run)
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,16 +121,6 @@ class LaminarMatroid:
             node = self.parents[node]
         return out
 
-    @cached_property
-    def ancestor_paths(self) -> np.ndarray:
-        """``(n, depth)``: row ``e`` holds the nodes from ``e``'s leaf up to
-        the root, padded with the root.  Built once per matroid, like
-        ``rank()``, and shared by its checkers."""
-        paths = [self.path_to_root(node) for node in self.element_nodes]
-        depth = max(map(len, paths), default=1)
-        padded = [path + [self.root] * (depth - len(path)) for path in paths]
-        return np.array(padded, dtype=np.intp).reshape(self.n, depth)
-
     rank = _cached_rank
 
     def _compute_rank(self) -> int:
@@ -177,54 +166,34 @@ class LaminarChecker:
     """Incremental independence tester over ancestor counts.  ``insert``
     trusts the caller's ``test``; a member never passes one.
 
-    A node is tight when its count reaches its capacity.  An element is
-    spanned when it is a member or below a tight node: ``spans`` walks one
-    element's path for that, ``test`` is its negation, and ``spanned``
-    reads it off the matroid's ancestor paths for a whole batch."""
-
-    # a no from ``spans`` means ``test`` passes
-    spans_exact = True
+    An element passes ``test`` when it is not a member and every node on
+    its path to the root is below capacity: ``O(depth)`` along the parent
+    pointers."""
 
     def __init__(self, matroid: LaminarMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.counts = [0] * len(matroid.parents)
-        self._member = np.zeros(matroid.n, dtype=bool)
-        self._tight = np.array(matroid.capacities) == 0
+        self._member = [False] * matroid.n
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
             self.insert(e)
 
     def test(self, elem: int) -> bool:
-        return not self.spans(elem)
+        if self._member[elem]:
+            return False
+        counts, capacities, parents = self.counts, self.matroid.capacities, self.matroid.parents
+        node = self.matroid.element_nodes[elem]
+        while node != -1:
+            if counts[node] >= capacities[node]:
+                return False
+            node = parents[node]
+        return True
 
     def insert(self, elem: int) -> None:
         self._member[elem] = True
-        capacities = self.matroid.capacities
         for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
             self.counts[v] += 1
-            if self.counts[v] == capacities[v]:
-                self._tight[v] = True
-
-    def spans(self, elem: int) -> bool:
-        """``spanned([elem])[0]`` without the arrays: a member, or below a
-        tight node.  ``O(depth)`` and read-only."""
-        if self._member[elem]:
-            return True
-        tight, parents = self._tight, self.matroid.parents
-        node = self.matroid.element_nodes[elem]
-        while node != -1:
-            if tight[node]:
-                return True
-            node = parents[node]
-        return False
-
-    def spanned(self, elems: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``elems``: where ``test`` would fail, exactly.
-        ``O(q·depth)``."""
-        elems = np.asarray(elems, dtype=np.intp)
-        tight = self._tight[self.matroid.ancestor_paths[elems]]
-        return self._member[elems] | tight.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +271,9 @@ class _UnionFind:
 
 
 class GraphicChecker:
-    """Incremental acyclicity tester over a union-find forest.  An edge is
-    spanned when its ends already share a component, self-loops included."""
-
-    # a no from ``spans`` means ``test`` passes
-    spans_exact = True
+    """Incremental acyclicity tester over a union-find forest.  An edge
+    fails ``test`` when its ends already share a component, self-loops
+    included."""
 
     def __init__(self, matroid: GraphicMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
@@ -324,19 +291,6 @@ class GraphicChecker:
         u, v = self.matroid.edges[elem]
         if not self.uf.union(u, v):
             raise ValueError(f"edge {elem} would close a cycle")
-
-    def spans(self, elem: int) -> bool:
-        """``spanned([elem])[0]`` without the arrays: two finds, what a
-        test costs."""
-        u, v = self.matroid.edges[elem]
-        return self.uf.find(u) == self.uf.find(v)
-
-    def spanned(self, elems: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``elems``: where ``test`` would fail, exactly.
-        ``O(q·α(V))`` finds."""
-        find = self.uf.find
-        ends = (self.matroid.edges[e] for e in np.asarray(elems).tolist())
-        return np.array([find(u) == find(v) for u, v in ends], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +361,6 @@ class TransversalChecker:
     was on the search stack.
     """
 
-    # ``spans`` reads only the dead set, so a no can still fail ``test``
-    spans_exact = False
-
     def __init__(self, matroid: TransversalMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
         self.match_right: dict[int, int] = {}
@@ -453,24 +404,6 @@ class TransversalChecker:
         path = self._search(elem)
         self._found = (elem, path) if path else None
         return bool(path)
-
-    def spans(self, elem: int) -> bool:
-        """``spanned([elem])[0]`` without the arrays: a member, or every
-        neighbour dead.  ``O(degree)``; it runs no search, so it leaves the
-        dead set and a pending path as they are."""
-        adjacency = self.matroid.adjacency
-        return elem in self.members or self._dead.issuperset(adjacency[elem])
-
-    def spanned(self, elems: np.ndarray) -> np.ndarray:
-        """Boolean mask over ``elems``, sound but not exact: members and
-        elements whose neighbours are all dead, on each of which ``test``
-        fails."""
-        adjacency, dead = self.matroid.adjacency, self._dead
-        return np.array(
-            [e in self.members or dead.issuperset(adjacency[e])
-             for e in np.asarray(elems).tolist()],
-            dtype=bool,
-        )
 
     def insert(self, elem: int) -> None:
         found, self._found = self._found, None

@@ -244,13 +244,14 @@ class FractionalSolution:
 
 
 class CountingChecker:
-    """Independence tester that tallies its oracle traffic.  A ``spans``
-    query or a ``spanned`` mask is not a test; ``marked`` counts the
-    elements the masks marked and the span queries that answered yes."""
+    """Independence tester that tallies its oracle traffic.
+
+    ``spans`` is the threshold sweep's span query: a test whose yes retires
+    an element rather than admits it.  It is not counted in ``tests``;
+    ``marked`` counts the span queries that answered yes."""
 
     def __init__(self, checker) -> None:
         self.checker = checker
-        self.spans_exact = checker.spans_exact
         self.tests = 0
         self.inserts = 0
         self.marked = 0
@@ -260,14 +261,9 @@ class CountingChecker:
         return self.checker.test(elem)
 
     def spans(self, elem: int) -> bool:
-        spanned = self.checker.spans(elem)
+        spanned = not self.checker.test(elem)
         self.marked += spanned
         return spanned
-
-    def spanned(self, elems: np.ndarray) -> np.ndarray:
-        mask = self.checker.spanned(elems)
-        self.marked += int(np.count_nonzero(mask))
-        return mask
 
     def insert(self, elem: int) -> None:
         self.inserts += 1
@@ -308,19 +304,16 @@ def dt_incremental(
     insertion would build.
 
     Nor is an element priced once the basis spans it.  Every pricing but
-    the round-opening batch, which sets the first bar, first asks the
-    checker: a level's batch puts its stale elements to one
-    ``checker.spanned`` mask, a turn asks ``checker.spans`` of its stale
-    element alone, and the top-off puts its whole order, priced or not, to
-    one mask.  The elements marked are retired unpriced (and untested).  The
-    sweep only inserts, so a spanned element stays spanned and would fail
-    every later test: retiring it changes no decision.  Both queries are
-    exact on laminar and graphic checkers and sound on transversal ones;
+    the round-opening batch, which sets the first bar, first asks
+    ``checker.spans`` once per element: a level's batch asks it of its
+    stale elements, a turn of its stale element, and the top-off of its
+    whole order, priced or not.  The elements spanned are retired
+    unpriced.  The sweep only inserts, so a spanned element stays spanned
+    and would fail every later test: retiring it changes no decision.
     ``checker.marked`` counts the retired elements.  So a ladder element
     priced at the current basis was put to the checker at that basis,
-    unless the basis is empty and the opening batch priced it; on an exact
-    checker (``spans_exact``) that no is the test's answer, and the element
-    joins untested.
+    unless the basis is empty and the opening batch priced it; that no is
+    the test's answer, and the element joins untested.
 
     The sweep keeps the round state at its basis only while a later pricing
     can read it.  The ladder's inserts reach ``state``, except one that
@@ -341,14 +334,16 @@ def dt_incremental(
     # basis size at each element's last pricing
     priced_at = np.zeros(pool.size, dtype=np.int64)
 
+    def unspanned(idx: np.ndarray) -> np.ndarray:
+        """Retire the elements of ``idx`` the basis spans; return the rest."""
+        keep = np.array([not checker.spans(e) for e in pool[idx].tolist()], dtype=bool)
+        live[idx[~keep]] = False
+        return idx[keep]
+
     def reprice(idx: np.ndarray) -> np.ndarray:
         """Reprice the stale elements of ``idx``, retiring unpriced those
         the basis spans, and return the live ones."""
-        stale = idx[priced_at[idx] != len(basis)]
-        if stale.size:
-            spanned = checker.spanned(pool[stale])
-            live[stale[spanned]] = False
-            stale = stale[~spanned]
+        stale = unspanned(idx[priced_at[idx] != len(basis)])
         if stale.size:
             rate[stale] = state.marginal_means(pool[stale])
             priced_at[stale] = len(basis)
@@ -358,8 +353,8 @@ def dt_incremental(
         e = int(pool[i])
         live[i] = False
         # one priced at the current, nonempty basis was put to the checker
-        # first, and an exact checker's no is the test's answer
-        asked = checker.spans_exact and priced_at[i] == len(basis) > 0
+        # first, and its no is the test's answer
+        asked = priced_at[i] == len(basis) > 0
         if not asked and not checker.test(e):
             return False
         checker.insert(e)
@@ -387,10 +382,9 @@ def dt_incremental(
                 break
         tau *= 1.0 - epsilon
     if len(basis) < rank and live.any():
-        rest = np.flatnonzero(live)
-        # one mask call over the whole top-off, priced elements too: each
+        # the whole top-off is put to the checker, priced elements too: each
         # spanned one would only fail its test
-        rest = rest[~checker.spanned(pool[rest])]
+        rest = unspanned(np.flatnonzero(live))
         stale = rest[priced_at[rest] != len(basis)]
         if stale.size:
             rate[stale] = state.marginal_means(pool[stale])

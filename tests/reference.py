@@ -717,6 +717,72 @@ def cohort_dt_incremental(
     return basis
 
 
+def always_tested_dt_incremental(
+    state,
+    checker,
+    epsilon: float,
+    opt_estimate: float,
+    elements: Sequence[int],
+    rank: int,
+) -> list[int]:
+    """``optimizer.dt_incremental`` with every take tested: the same span
+    queries and pricings, but a no from ``checker.spans`` is never taken as
+    the test's answer."""
+    basis: list[int] = []
+    pool = np.array(sorted(elements), dtype=np.int64)
+    if rank <= 0 or not pool.size:
+        return basis
+    live = np.ones(pool.size, dtype=bool)
+    rate = state.marginal_means(pool)
+    priced_at = np.zeros(pool.size, dtype=np.int64)
+
+    def unspanned(idx: np.ndarray) -> np.ndarray:
+        keep = np.array([not checker.spans(e) for e in pool[idx].tolist()], dtype=bool)
+        live[idx[~keep]] = False
+        return idx[keep]
+
+    def take(i: int) -> None:
+        e = int(pool[i])
+        live[i] = False
+        if checker.test(e):
+            checker.insert(e)
+            state.insert(e)
+            basis.append(e)
+
+    tau = float(rate.max())
+    floor = (epsilon / rank) * opt_estimate
+    while floor > 0.0 and live.any() and len(basis) < rank and tau >= floor:
+        cohort = np.flatnonzero(live & (rate >= tau))
+        stale = unspanned(cohort[priced_at[cohort] != len(basis)])
+        if stale.size:
+            rate[stale] = state.marginal_means(pool[stale])
+            priced_at[stale] = len(basis)
+        cohort = cohort[live[cohort]]
+        for i in cohort[rate[cohort] >= tau].tolist():
+            if priced_at[i] != len(basis):
+                if checker.spans(int(pool[i])):
+                    live[i] = False
+                    continue
+                rate[i] = state.price(pool[i])
+                priced_at[i] = len(basis)
+                if rate[i] < tau:
+                    continue
+            take(i)
+            if len(basis) >= rank:
+                break
+        tau *= 1.0 - epsilon
+    if len(basis) < rank and live.any():
+        rest = unspanned(np.flatnonzero(live))
+        stale = rest[priced_at[rest] != len(basis)]
+        if stale.size:
+            rate[stale] = state.marginal_means(pool[stale])
+        for i in rest[np.lexsort((pool[rest], -rate[rest]))].tolist():
+            if len(basis) >= rank:
+                break
+            take(i)
+    return basis
+
+
 def eager_dt_approx_indep_set(
     state,
     structure: DecMatching,

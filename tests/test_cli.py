@@ -102,6 +102,28 @@ def test_run_rejects_out_of_range_epsilon(tmp_path) -> None:
     assert main(["run", path, "--epsilon", "0.5", "-o", out]) == 2
 
 
+def test_gen_rejects_a_negative_seed(tmp_path) -> None:
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "gen", "--matroid", "laminar", "--function", "additive",
+            "--n", "5", "--seed", "-1", "-o", str(out),
+        ])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["full", "greedy", "brute"])
+def test_run_rejects_a_negative_seed(tmp_path, algorithm) -> None:
+    # a record's streams name numpy generators, which take no negative seed
+    path = _gen(tmp_path)
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--algorithm", algorithm, "--seed", "-5", "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_run_missing_instance_is_usage_error(tmp_path) -> None:
     out = str(tmp_path / "r.json")
     assert main(["run", str(tmp_path / "absent.json"), "-o", out]) == 2
@@ -226,6 +248,16 @@ DAMAGE = {
     "negative-span-counter": ("record", lambda rec: _put(rec, -1, "counters", "dt_spanned")),
     "boolean-element": ("record", lambda rec: {
         **rec, "solution": [True] + rec["solution"][1:]}),
+    # a coverage value ignores the repeats, so the value check alone passes
+    "repeated-element": ("record", lambda rec: {
+        **rec, "solution": rec["solution"] + [rec["solution"][0]] * 5}),
+    # a full record's budget checks read its epsilon and counters
+    "full-record-without-counters": ("record", lambda rec: {
+        k: v for k, v in rec.items() if k != "counters"}),
+    "full-record-without-epsilon": ("record", lambda rec: {
+        k: v for k, v in rec.items() if k != "epsilon"}),
+    "full-record-without-a-budget-counter": ("record", lambda rec: {
+        **rec, "counters": {k: v for k, v in rec["counters"].items() if k != "dt_spanned"}}),
 }
 
 

@@ -292,100 +292,30 @@ def _transversal(draw) -> TransversalMatroid:
     return TransversalMatroid(num_right=num_right, adjacency=adjacency)
 
 
+DRAWN_MATROIDS = {"laminar": _laminar(), "graphic": _graphic(), "transversal": _transversal()}
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWN_MATROIDS))
 @settings(deadline=None, derandomize=True, max_examples=150)
-@given(
-    data=st.data(),
-    case=st.sampled_from(
-        [(_laminar(), True), (_graphic(), True), (_transversal(), False)]
-    ),
-)
-def test_spanned_marks_only_elements_a_test_rejects(data, case) -> None:
-    # exact on laminar and graphic: spanned is "test would fail"; sound on
-    # transversal.  Each sequence inserts from empty or from a frozen base
-    strategy, exact = case
-    mat = data.draw(strategy)
+@given(data=st.data())
+def test_checker_answers_is_independent_at_every_step(kind, data) -> None:
+    # test-then-insert along a random order, from empty or from a frozen
+    # base; at every step every element is asked, members included, so
+    # failed transversal searches grow the dead set later searches skip
+    mat = data.draw(DRAWN_MATROIDS[kind])
     order = data.draw(st.permutations(range(mat.n)))
-    frozen: list[int] = []
+    members: list[int] = []
     for e in data.draw(st.lists(st.integers(0, mat.n - 1), max_size=mat.n)):
-        if e not in frozen and mat.is_independent(frozen + [e]):
-            frozen.append(e)
-    checker = mat.checker(frozen)
-    everything = np.arange(mat.n)
-    assert checker.spanned(everything[:0]).shape == (0,)
+        if e not in members and mat.is_independent(members + [e]):
+            members.append(e)
+    checker = mat.checker(members)
     for e in order:
-        mask = checker.spanned(everything)
-        assert mask.dtype == bool and mask.shape == (mat.n,)
-        rejected = ~np.array([checker.test(int(x)) for x in everything])
-        assert not (mask & ~rejected).any()
-        if exact:
-            assert (mask == rejected).all()
+        for x in range(mat.n):
+            want = x not in members and mat.is_independent(members + [x])
+            assert checker.test(x) == want, (x, members)
         if checker.test(e):
             checker.insert(e)
-
-
-def _walk_spans(mat, order, exact: bool) -> int:
-    """Test-then-insert along ``order``, asking ``spans`` before each test;
-    returns how many span queries answered yes."""
-    checker = mat.checker()
-    # the flag the threshold sweep reads to skip a test that spans answered
-    assert checker.spans_exact == exact
-    hits = 0
-    for e in order:
-        # read both queries first: a transversal test grows the dead set
-        pending = getattr(checker, "_found", None)
-        dead = set(getattr(checker, "_dead", ()))
-        # members and elements off the order are asked about too
-        every = [checker.spans(x) for x in range(mat.n)]
-        assert every == checker.spanned(np.arange(mat.n)).tolist()
-        spans = checker.spans(e)
-        assert isinstance(spans, bool)
-        assert spans == bool(checker.spanned(np.array([e]))[0])
-        # read-only: no search, so no dead vertex and no pending path moves
-        assert getattr(checker, "_found", None) is pending
-        assert set(getattr(checker, "_dead", ())) == dead
-        passed = checker.test(e)
-        if exact:
-            assert spans == (not passed)
-        else:
-            assert not (spans and passed)
-        hits += spans
-        if passed:
-            checker.insert(e)
-    return hits
-
-
-@settings(deadline=None, derandomize=True, max_examples=150)
-@given(
-    data=st.data(),
-    case=st.sampled_from(
-        [(_laminar(), True), (_graphic(), True), (_transversal(), False)]
-    ),
-)
-def test_spans_answers_what_the_one_element_mask_does(data, case) -> None:
-    # the second pass asks about every member again
-    strategy, exact = case
-    mat = data.draw(strategy)
-    order = data.draw(st.permutations(range(mat.n)))
-    _walk_spans(mat, order + order, exact)
-
-
-@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
-def test_spans_answers_what_the_one_element_mask_does_on_generated_matroids(kind) -> None:
-    hits = 0
-    for seed in range(4):
-        mat = generate_instance(kind, "additive", n=60, seed=170 + seed).matroid
-        order = np.random.default_rng(seed).integers(0, mat.n, size=2 * mat.n)
-        hits += _walk_spans(mat, order.tolist(), kind != "transversal")
-    assert hits > 0
-
-
-def test_laminar_ancestor_paths_are_padded_with_the_root() -> None:
-    mat = LaminarMatroid(
-        parents=[-1, 0, 1, 0, 2], capacities=[2, 1, 1, 1, 1], element_nodes=[3, 4]
-    )
-    assert mat.ancestor_paths.tolist() == [[3, 0, 0, 0], [4, 2, 1, 0]]
-    # built once per matroid, not per checker
-    assert mat.checker().matroid.ancestor_paths is mat.ancestor_paths
+            members.append(e)
 
 
 def test_generation_deterministic() -> None:

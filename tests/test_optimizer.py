@@ -36,6 +36,7 @@ from matsub.optimizer import (
 from matsub.oracles import brute_force_opt
 from matsub.transversal import DecMatching
 from reference import (
+    always_tested_dt_incremental,
     cohort_dt_incremental,
     eager_dt_approx_indep_set,
     eager_dt_incremental,
@@ -522,13 +523,10 @@ def test_sweep_never_prices_an_element_its_basis_spans(kind) -> None:
                 frozen.append(e)
         f = ResidualOracle(inst.build_objective(), frozen)
         checker = CountingChecker(inst.matroid.checker(frozen))
-        if kind == "transversal":
-            # the checker's mask is sound, not exact: hold it to itself
-            def spans(_basis, e, inner=checker.checker):
-                return bool(inner.spanned(np.array([e]))[0])
-        else:
-            def spans(basis, e, matroid=inst.matroid):
-                return e in basis or not matroid.is_independent(basis + [e])
+
+        def spans(basis, e, matroid=inst.matroid):
+            return e in basis or not matroid.is_independent(basis + [e])
+
         spy = _SpanSpy(_counted_state(f, inst.n, seed).state, spans, frozen)
         free = [e for e in range(inst.n) if e not in frozen]
         rank = inst.matroid.rank() - len(frozen)
@@ -536,84 +534,19 @@ def test_sweep_never_prices_an_element_its_basis_spans(kind) -> None:
         assert len(got) == rank
         assert inst.matroid.is_independent(got + frozen)
         retired += checker.marked
-    assert retired > 0 or kind == "transversal"
-
-
-class _MaskCounts(CountingChecker):
-    """Tallies the checker's mask calls and span queries."""
-
-    def __init__(self, checker) -> None:
-        super().__init__(checker)
-        self.masks = 0
-        self.queries = 0
-
-    def spanned(self, elems: np.ndarray) -> np.ndarray:
-        self.masks += 1
-        return super().spanned(elems)
-
-    def spans(self, elem: int) -> bool:
-        self.queries += 1
-        return super().spans(elem)
-
-
-class _OneElementMasks(_MaskCounts):
-    """Answers a turn's span query with a one-element mask."""
-
-    def spans(self, elem: int) -> bool:
-        self.queries += 1
-        return bool(self.spanned(np.array([elem]))[0])
-
-
-@pytest.mark.parametrize(
-    "kind, objective, n",
-    [("graphic", "additive", 200), ("laminar", "facility", 60), ("transversal", "coverage", 60)],
-)
-def test_turn_span_queries_match_one_element_masks(kind, objective, n) -> None:
-    eps = 0.2
-    queries = marked = 0
-    for seed in range(3):
-        inst = generate_instance(kind, objective, n=n, seed=190 + seed)
-        f = inst.build_objective()
-        m, _ = estimate_opt(f, inst.matroid)
-        rank = inst.matroid.rank()
-        # a first round's draw, where rates are high enough for many turns
-        def first_round():
-            rows = nested_subsets(np.zeros(inst.n), 0.2, 30, np.random.default_rng(seed))
-            return f.round_state(*rows)
-
-        spy = _PricingLog(first_round())
-        scalar = _MaskCounts(inst.matroid.checker())
-        got = dt_incremental(spy, scalar, eps, m, range(inst.n), rank)
-        masked = _OneElementMasks(inst.matroid.checker())
-        want = dt_incremental(first_round(), masked, eps, m, range(inst.n), rank)
-        assert got == want
-        assert (scalar.tests, scalar.inserts, scalar.marked) == (
-            masked.tests, masked.inserts, masked.marked
-        )
-        # every turn's query was a mask call before
-        assert scalar.queries == masked.queries
-        assert masked.masks == scalar.masks + scalar.queries
-        # what is left is one batch per level and the top-off
-        tau, floor, levels = max(spy.returned[:inst.n]), (eps / rank) * m, 0
-        while tau >= floor:
-            levels += 1
-            tau *= 1.0 - eps
-        assert scalar.masks <= levels + 1
-        queries += scalar.queries
-        marked += scalar.marked
-    assert queries > 0
-    assert marked > 0 or kind == "transversal"
+    assert retired > 0
 
 
 class _SpanThenTest(CountingChecker):
-    """Fails on a ``test(e)`` that follows a no from ``spans(e)`` with no
-    insert between, and counts the inserts that no test of their element
-    preceded."""
+    """Counts the tests of an element that follow a no from ``spans`` of
+    it with no insert between, and the inserts that no test of their
+    element preceded."""
 
     def __init__(self, checker) -> None:
         super().__init__(checker)
         self.unspanned: set[int] = set()
         self.tested: int | None = None
+        self.retested = 0
         self.untested = 0
 
     def spans(self, elem: int) -> bool:
@@ -623,7 +556,7 @@ class _SpanThenTest(CountingChecker):
         return out
 
     def test(self, elem: int) -> bool:
-        assert elem not in self.unspanned, elem
+        self.retested += elem in self.unspanned
         self.tested = elem
         return super().test(elem)
 
@@ -634,23 +567,15 @@ class _SpanThenTest(CountingChecker):
         super().insert(elem)
 
 
-class _ForcedTests(CountingChecker):
-    """Tests every element, as if a no from ``spans`` were only sound."""
-
-    def __init__(self, checker) -> None:
-        super().__init__(checker)
-        self.spans_exact = False
-
-
 @pytest.mark.parametrize(
     "kind, objective, n",
     [("graphic", "additive", 200), ("laminar", "facility", 60), ("graphic", "coverage", 100),
-     ("laminar", "coverage", 100)],
+     ("laminar", "coverage", 100), ("transversal", "coverage", 60)],
 )
 def test_turn_takes_a_span_no_as_its_test(kind, objective, n) -> None:
-    # on laminar and graphic checkers a no from spans, or from a level's
-    # mask, is the test's answer at that basis: the turn inserts without
-    # testing again, and builds the same basis
+    # a no from spans, at a turn or in a level's batch, is the test's
+    # answer at that basis: the turn inserts without testing again, and
+    # builds the basis that testing every take builds
     eps = 0.2
     untested = 0
     for seed in range(3):
@@ -665,11 +590,16 @@ def test_turn_takes_a_span_no_as_its_test(kind, objective, n) -> None:
 
             spy = _SpanThenTest(inst.matroid.checker())
             got = dt_incremental(state(), spy, eps, m, range(inst.n), rank)
-            forced = _ForcedTests(inst.matroid.checker())
-            want = dt_incremental(state(), forced, eps, m, range(inst.n), rank)
+            forced = CountingChecker(inst.matroid.checker())
+            want = always_tested_dt_incremental(
+                state(), forced, eps, m, range(inst.n), rank
+            )
             assert got == want
             assert (spy.inserts, spy.marked) == (forced.inserts, forced.marked)
             assert spy.tests + spy.untested == forced.tests
+            # only the top-off tests again, and only its first pick: the
+            # whole top-off was put to spans before it
+            assert spy.retested <= 1
             untested += spy.untested
     assert untested > 0
 
