@@ -488,7 +488,9 @@ class Instance:
 def _gen_laminar_matroid(
     n: int, rng: np.random.Generator, max_depth: int | None = None
 ) -> LaminarMatroid:
-    depth_cap = 4 if max_depth is None else max(1, max_depth)
+    if max_depth is not None and max_depth < 1:
+        raise ValueError("tree depth must be positive")
+    depth_cap = 4 if max_depth is None else max_depth
     parents = [-1]
     capacities = [0]
     element_nodes = [0] * n
@@ -608,20 +610,25 @@ def generate_instance(
     """Deterministically generate an instance from a master seed.
 
     The keyword knobs reshape one matroid family each (laminar tree depth,
-    graphic edge density, transversal left degree); leaving them unset
-    reproduces the historical layout byte for byte.
+    graphic edge density, transversal left degree), and setting one for
+    another family is an error; leaving them unset reproduces the
+    historical layout byte for byte.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = stream_rng(seed, STREAM_GEN)
-    if matroid_kind == "laminar":
-        matroid: Matroid = _gen_laminar_matroid(n, rng, tree_depth)
-    elif matroid_kind == "graphic":
-        matroid = _gen_graphic_matroid(n, rng, density)
-    elif matroid_kind == "transversal":
-        matroid = _gen_transversal_matroid(n, rng, degree)
-    else:
+    shapes = {
+        "laminar": ("tree depth", tree_depth, _gen_laminar_matroid),
+        "graphic": ("density", density, _gen_graphic_matroid),
+        "transversal": ("degree", degree, _gen_transversal_matroid),
+    }
+    if matroid_kind not in shapes:
         raise ValueError(f"unknown matroid kind: {matroid_kind!r}")
+    for family, (knob, value, _gen) in shapes.items():
+        if value is not None and family != matroid_kind:
+            raise ValueError(f"{knob} shapes {family} matroids only, not {matroid_kind}")
+    _knob, value, gen = shapes[matroid_kind]
+    rng = stream_rng(seed, STREAM_GEN)
+    matroid: Matroid = gen(n, rng, value)
     if objective_kind == "coverage":
         objective = _gen_coverage_objective(n, rng)
     elif objective_kind == "facility":

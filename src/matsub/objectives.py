@@ -9,15 +9,17 @@ instrumentation everywhere else trusts these counts.
 
 A ``round_state`` is the one place where an objective puts its kernel
 steps together.  It keeps per-row statistics (coverage counts, facility
-top-2) over one phase-2 round's rows, drawn once per round by
-:func:`nested_subsets`, as the round's partial basis grows, and prices
-elements or values rows from them.  The batch entry points
-(``batch_values``, ``batch_marginal_means``) are a round state over a fixed
-batch.  No code in this package calls them; they are kept for the
-brute-force checks in ``tests/test_kernels.py`` and the tracer in
-``pipebench/spans.py``.  Pricing an element is charged ``2*s`` queries
-and valuing the rows ``s``, whichever entry point asks, so the query
-count has one meaning.
+top-2) over one phase-2 round's rows as the round's partial basis grows,
+and prices elements or values rows from them.  ``sampled_round`` draws a
+round's rows once, by :func:`nested_subsets`, and only where the objective
+reads them: an additive round draws none, and a contraction draws its
+frozen columns at probability 1 rather than setting them afterwards.  The
+batch entry points (``batch_values``, ``batch_marginal_means``) are a
+round state over a fixed batch.  No code in this package calls them; they
+are kept for the brute-force checks in ``tests/test_kernels.py`` and the
+tracer in ``pipebench/spans.py``.  Pricing an element is charged ``2*s``
+queries and valuing the rows ``s``, whichever entry point asks, so the
+query count has one meaning.
 """
 
 from __future__ import annotations
@@ -108,6 +110,13 @@ class ValueOracle:
         """Pricing state over one round's nested ``(s, n)`` rows; see
         :class:`RoundState`."""
         return self._round_state(self._as_rows(lower), self._as_rows(upper))
+
+    def sampled_round(
+        self, x: np.ndarray, step: float, samples: int, rng: np.random.Generator
+    ) -> "RoundState":
+        """Pricing state over ``samples`` rows drawn from ``x`` for a round
+        that moves ``step`` along its basis (see :func:`nested_subsets`)."""
+        return self.round_state(*nested_subsets(x, step, samples, rng))
 
     # -- input checks -------------------------------------------------------
 
@@ -300,7 +309,16 @@ class AdditiveOracle(ValueOracle):
         return _AdditiveIncrement(self)
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
-        return _AdditiveRound(self, lower, upper)
+        return _AdditiveRound(self, lower.shape[0], lower, upper)
+
+    def sampled_round(
+        self, x: np.ndarray, step: float, samples: int, rng: np.random.Generator
+    ) -> "RoundState":
+        # an additive marginal reads no row, so the round draws none; it
+        # still charges ``2*samples`` per priced element
+        if samples < 1:
+            raise ValueError("need at least one sample")
+        return _AdditiveRound(self, samples, None, None)
 
 
 class ResidualOracle(ValueOracle):
@@ -343,6 +361,18 @@ class ResidualOracle(ValueOracle):
         state.offset = self._offset
         return state
 
+    def sampled_round(
+        self, x: np.ndarray, step: float, samples: int, rng: np.random.Generator
+    ) -> "RoundState":
+        # a uniform lies below 1, so a frozen coordinate at 1 is drawn into
+        # both layers of every row: the rows ``round_state`` gives for the
+        # same uniforms, without OR-ing the mask in
+        x = np.array(x, dtype=np.float64)
+        x[self.frozen] = 1.0
+        state = self.base.sampled_round(x, step, samples, rng)
+        state.offset = self._offset
+        return state
+
 
 def sample_subsets(x: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` independent subsets from product distribution ``x``.
@@ -381,7 +411,7 @@ def nested_subsets(
 
 
 class RoundState:
-    """One round's sampled rows, priced at the round's partial basis ``B``.
+    """One round's ``samples`` rows, priced at the round's partial basis ``B``.
 
     Row ``r`` holds ``e`` when ``lower[r, e]`` is set, or when
     ``upper[r, e]`` is set and ``e`` is in ``B``.  ``B`` only grows:
@@ -396,6 +426,11 @@ class RoundState:
     is in ``B``, so pricing a basis member is pricing it against ``B - e``.
     ``calls`` counts the ``marginal_means`` calls that priced at least one
     element, and ``prices`` the ``price`` calls.
+
+    An objective whose prices read no row keeps none: a sampled additive
+    round has ``lower`` and ``upper`` unset and charges its queries by
+    ``samples`` alone, and ``rows``, ``members`` and ``values`` refuse it.
+    A contraction's rows hold its frozen columns in both layers.
 
     ``marginal_means`` prices from a summary of the rows, rebuilt on the
     first pricing after a basis change, which pays off over many elements.
@@ -413,27 +448,36 @@ class RoundState:
     the vertices its audits keep, never one it evicts.
     """
 
-    def __init__(self, oracle: ValueOracle, lower: np.ndarray, upper: np.ndarray) -> None:
+    def __init__(
+        self,
+        oracle: ValueOracle,
+        samples: int,
+        lower: np.ndarray | None,
+        upper: np.ndarray | None,
+    ) -> None:
         self.oracle = oracle
         self.counter = oracle.counter
+        self.samples = samples
         self.lower = lower
         self.upper = upper
-        self.in_basis = np.zeros(lower.shape[1], dtype=bool)
+        self.in_basis = np.zeros(oracle.n, dtype=bool)
         self.offset = 0.0
         self.calls = 0
         self.prices = 0
         self._summary = None
 
-    @property
-    def samples(self) -> int:
-        return self.lower.shape[0]
+    def _drawn(self) -> None:
+        if self.lower is None:
+            raise ValueError("this round drew no rows: its prices read none")
 
     def rows(self) -> np.ndarray:
         """The current ``(s, n)`` uint8 rows."""
+        self._drawn()
         return self.lower | (self.upper & self.in_basis.view(np.uint8))
 
     def members(self, elems: np.ndarray) -> np.ndarray:
         """``(s, q)`` 0/1: does each row hold each queried element?"""
+        self._drawn()
         return self.lower[:, elems] | (self.upper[:, elems] & self.in_basis[elems].view(np.uint8))
 
     def _flipped(self, elem: int) -> np.ndarray:
@@ -470,6 +514,7 @@ class RoundState:
 
     def values(self) -> np.ndarray:
         """``f`` of each current row less ``offset``."""
+        self._drawn()
         self.counter.count += self.samples
         return self._values() - self.offset
 
@@ -515,7 +560,7 @@ class _CoverageRound(RoundState):
     can add to a held element's price."""
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
-        super().__init__(oracle, lower, upper)
+        super().__init__(oracle, lower.shape[0], lower, upper)
         self.counts = np.ascontiguousarray(
             kernels.coverage_counts(lower, oracle.incidence).T, dtype=np.int32
         )
@@ -567,7 +612,7 @@ class _FacilityRound(RoundState):
     def __init__(
         self, oracle: FacilityLocationOracle, lower: np.ndarray, upper: np.ndarray
     ) -> None:
-        super().__init__(oracle, lower, upper)
+        super().__init__(oracle, lower.shape[0], lower, upper)
         self.top = kernels.row_top2(lower, oracle.similarity)
         # basis changes so far, and per row the number of the last one
         # that touched it
@@ -616,7 +661,8 @@ class _FacilityRound(RoundState):
 
 
 class _AdditiveRound(RoundState):
-    """Nothing to keep: an additive marginal ignores the row."""
+    """Nothing to keep: an additive marginal ignores the row, so a sampled
+    round holds no rows at all (:meth:`AdditiveOracle.sampled_round`)."""
 
     def _add(self, elem: int) -> None:
         pass

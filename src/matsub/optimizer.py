@@ -43,7 +43,7 @@ from .instances import (
     stream_rng,
 )
 from .laminar import TopTreeLaminarBasis
-from .objectives import ResidualOracle, RoundState, ValueOracle, nested_subsets
+from .objectives import ResidualOracle, RoundState, ValueOracle
 from .rounding import swap_round
 from .sampler import BucketLists
 from .transversal import DecMatching, LStableMatching
@@ -548,8 +548,9 @@ def continuous_greedy(
     for _ in range(rounds):
         counters["phase2_rounds"] += 1
         # a coordinate takes only x_e and min(1, x_e + step) within a round,
-        # so two nested draws give the rows at every partial basis
-        state = f.round_state(*nested_subsets(x, step, samples, rng))
+        # so one nested draw gives the rows at every partial basis (an
+        # objective whose prices read no row draws none)
+        state = f.sampled_round(x, step, samples, rng)
         if matroid.kind != "transversal":
             checker = CountingChecker(matroid.checker(sorted(frozen_set)))
             b = dt_incremental(

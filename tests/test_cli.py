@@ -63,6 +63,41 @@ def test_gen_shape_knobs_change_the_instance(tmp_path) -> None:
     assert all(len(nbrs) == 1 for nbrs in inst.matroid.adjacency)
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_gen_rejects_a_nonpositive_tree_depth(depth, tmp_path, capsys) -> None:
+    out = tmp_path / "x.json"
+    assert main([
+        "gen", "--matroid", "laminar", "--function", "additive",
+        "--n", "40", "--seed", "1", "--tree-depth", depth, "-o", str(out),
+    ]) == 1
+    assert "tree depth must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, knob, family",
+    [
+        ("--tree-depth", "9", "tree depth", "laminar"),
+        ("--density", "3", "density", "graphic"),
+        ("--degree", "2", "degree", "transversal"),
+    ],
+)
+def test_gen_rejects_a_knob_of_another_family(flag, value, knob, family, tmp_path, capsys) -> None:
+    for kind in ("laminar", "graphic", "transversal"):
+        out = tmp_path / f"{kind}.json"
+        argv = [
+            "gen", "--matroid", kind, "--function", "additive",
+            "--n", "40", "--seed", "1", flag, value, "-o", str(out),
+        ]
+        if kind == family:
+            assert main(argv) == 0
+            continue
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert knob in err and family in err
+        assert not out.exists()
+
+
 def test_generated_greedy_basis_is_feasible(tmp_path) -> None:
     path = _gen(tmp_path)
     inst = Instance.from_json(open(path).read())

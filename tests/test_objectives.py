@@ -331,6 +331,54 @@ def test_round_state_prices_its_rows_after_inserts_and_deletes(objective, frozen
             assert values == pytest.approx([f.value(np.flatnonzero(row)) for row in rows])
 
 
+@pytest.mark.parametrize("objective", ["coverage", "facility"])
+def test_contraction_draws_the_rows_round_state_gives(objective) -> None:
+    frozen = (2, 5)
+    for seed in range(3):
+        base = _objective(objective, seed)
+        f = ResidualOracle(base, frozen)
+        x = np.random.default_rng(seed).uniform(0.0, 0.8, size=base.n)
+        point = x.copy()
+        drawn = f.sampled_round(x, 0.25, 40, np.random.default_rng(100 + seed))
+        assert np.array_equal(x, point)
+        want = f.round_state(*nested_subsets(x, 0.25, 40, np.random.default_rng(100 + seed)))
+        assert drawn.samples == want.samples == 40
+        assert drawn.offset == want.offset == base.value(frozen)
+        for e in np.random.default_rng(seed).permutation(base.n).tolist():
+            assert np.array_equal(drawn.rows(), want.rows())
+            assert drawn.rows()[:, list(frozen)].all()
+            assert drawn.price(e) == want.price(e)
+            assert np.array_equal(drawn.values(), want.values())
+            drawn.insert(e)
+            want.insert(e)
+
+
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_sampled_additive_round_draws_nothing_and_charges_per_sample(frozen) -> None:
+    base = _objective("additive", 0)
+    f = ResidualOracle(base, frozen) if frozen else base
+    x = np.random.default_rng(1).uniform(0.0, 0.8, size=base.n)
+    rng = np.random.default_rng(2)
+    stream = rng.bit_generator.state
+    state = f.sampled_round(x, 0.25, 17, rng)
+    assert rng.bit_generator.state == stream
+    assert state.samples == 17
+    before = f.query_count
+    assert state.price(4) == base.weights[4]
+    assert f.query_count - before == 2 * 17
+    state.insert(4)
+    before = f.query_count
+    assert np.array_equal(state.marginal_means([1, 4, 7]), base.weights[[1, 4, 7]])
+    assert f.query_count - before == 2 * 17 * 3
+    before = f.query_count
+    for read in (state.values, state.rows, lambda: state.members(np.arange(3))):
+        with pytest.raises(ValueError, match="drew no rows"):
+            read()
+    assert f.query_count == before
+    with pytest.raises(ValueError, match="at least one sample"):
+        f.sampled_round(x, 0.25, 0, rng)
+
+
 @pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
 @pytest.mark.parametrize("frozen", [(), (2, 5)])
 def test_one_element_price_matches_marginal_means(objective, frozen) -> None:

@@ -629,11 +629,15 @@ def test_one_nested_draw_per_round(monkeypatch) -> None:
 
     monkeypatch.setattr(objectives, "sample_subsets", counted)
     for kind in KINDS:
-        for objective in ("coverage", "facility"):
+        for objective in ("coverage", "facility", "additive"):
             calls.clear()
             result = run_pipeline(generate_instance(kind, objective, n=14, seed=2), 0.2, 3)
             rounds = result.counters["phase2_rounds"]
             assert rounds == 5
+            if objective == "additive":
+                # an additive price reads no row, so no round draws any
+                assert calls == []
+                continue
             assert len(calls) == 2 * rounds
             assert set(calls) == {result.counters["samples_per_estimate"]}
 
