@@ -35,11 +35,9 @@ from .instances import (
 )
 from .objectives import ValueOracle
 from .optimizer import run_pipeline
-from .oracles import brute_force_opt
+from .oracles import BRUTE_FORCE_LIMIT, brute_force_opt
 
 RESULT_FORMAT_VERSION = 1
-
-BRUTE_FORCE_LIMIT = 20
 
 # the counters the budget checks of a ``full`` record read
 BUDGET_COUNTERS = (

@@ -21,15 +21,16 @@ def weight_key(weight: float, elem: int) -> tuple[float, int]:
 
 @dataclass
 class OracleChanges:
-    """Basis delta emitted by every mutating oracle operation.
+    """Change to the unfrozen part of a maintained basis from one mutation.
 
-    ``added`` lists ``(element, weight)`` pairs that entered the maintained
-    independent set, ``removed`` the elements that left it.  An element whose
-    weight changed while staying inside the set appears in both lists; hosts
-    mirroring the delta into a sampler treat that as a bucket move.
+    ``added`` lists the elements that entered the unfrozen part of the
+    maintained basis, ``removed`` the elements that left it; a frozen
+    element counts as removed.  An element whose weight changed while
+    staying inside appears in both lists; hosts mirroring the delta into a
+    sampler treat that as a bucket move.
     """
 
-    added: list[tuple[int, float]] = field(default_factory=list)
+    added: list[int] = field(default_factory=list)
     removed: list[int] = field(default_factory=list)
 
 

@@ -8,10 +8,11 @@ the rank.  Heaps use lazy invalidation: an entry dies when its edge changes
 weight or both endpoints merge, and dead entries are discarded the next time
 they surface at a heap top.
 
-The edge set is fixed at construction; only decrement and freeze mutate.
-Freezing a forest edge contracts its endpoints, which is one union-find link
-plus an O(1) heap meld.  Every mutation reports the selection changes it
-caused so callers can mirror the unfrozen part of F into a sampler.
+It is one of phase 1's three basis structures (see
+``optimizer.MaxWeightOracle``); its basis is F.  The edge set is fixed at
+construction; only decrement and freeze mutate.  Freezing a forest edge
+contracts its endpoints, which is one union-find link plus an O(1) heap
+meld.  Every mutation reports its change to the unfrozen part of F.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ class ContractedGraph:
             had = self.sel_count.get(edge, 0)
             self.sel_count[edge] = had + 1
             if had == 0:
-                changes.added.append((edge, self.weights[edge]))
+                changes.added.append(edge)
                 self._forest_weight += self.weights[edge]
 
     def _push_edge(self, edge: int) -> None:
@@ -172,21 +173,17 @@ class ContractedGraph:
         self._push_edge(edge)
         for r in self._roots(edge):
             self._set_sel(r, self._best(r), changes)
-        if was_selected and self.sel_count.get(edge, 0) > 0:
-            if not any(e == edge for e, _ in changes.added):
-                # still in F at a lower weight; report a move so callers
-                # re-bucket the edge
-                changes.removed.append(edge)
-                changes.added.append((edge, new_weight))
+        if was_selected and self.sel_count.get(edge, 0) > 0 and edge not in changes.added:
+            # still in F at a lower weight; report a move so callers
+            # re-bucket the edge
+            changes.removed.append(edge)
+            changes.added.append(edge)
         return changes
 
     def freeze(self, edge: int) -> OracleChanges:
-        in_forest = edge in self.frozen or self.sel_count.get(edge, 0) > 0
-        if not in_forest:
-            raise ValueError("only forest edges can be frozen")
+        if edge in self.frozen or self.sel_count.get(edge, 0) == 0:
+            raise ValueError("only unfrozen forest edges can be frozen")
         changes = OracleChanges()
-        if edge in self.frozen:
-            return changes
         u, v = self.edges[edge]
         ru, rv = self.dsu.find(u), self.dsu.find(v)
         self._set_sel(ru, None, changes)
@@ -205,7 +202,7 @@ class ContractedGraph:
 
     # -- inspection --------------------------------------------------------
 
-    def forest(self) -> list[int]:
+    def basis(self) -> list[int]:
         """Frozen edges plus every currently selected edge, sorted."""
         picked = {e for e, c in self.sel_count.items() if c > 0}
         return sorted(picked | self.frozen)

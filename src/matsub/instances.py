@@ -90,15 +90,11 @@ class LaminarMatroid:
                 if not 0 <= p < m:
                     raise ValueError("parent id out of range")
                 self._children[p].append(v)
-        # cycle check: every node must reach the root
-        for v in range(m):
-            seen = 0
-            x = v
-            while x != -1:
-                x = self.parents[x]
-                seen += 1
-                if seen > m:
-                    raise ValueError("parent pointers contain a cycle")
+        # with one root and in-range parents, a node reaches the root
+        # exactly when the walk down the children lists from the root finds it
+        self._order = self._topo_order()
+        if len(self._order) != m:
+            raise ValueError("parent pointers contain a cycle")
         if len(set(self.element_nodes)) != len(self.element_nodes):
             raise ValueError("elements must occupy distinct leaves")
         for node in self.element_nodes:
@@ -124,10 +120,9 @@ class LaminarMatroid:
     rank = _cached_rank
 
     def _compute_rank(self) -> int:
-        order = self._topo_order()
         has_elem = set(self.element_nodes)
         avail = [0] * len(self.parents)
-        for v in reversed(order):
+        for v in reversed(self._order):
             if not self._children[v]:
                 avail[v] = min(1, self.capacities[v]) if v in has_elem else 0
             else:
@@ -135,6 +130,7 @@ class LaminarMatroid:
         return avail[self.root]
 
     def _topo_order(self) -> list[int]:
+        """The nodes the root reaches, each after its parent."""
         order = [self.root]
         i = 0
         while i < len(order):
@@ -143,12 +139,17 @@ class LaminarMatroid:
         return order
 
     def is_independent(self, subset: Iterable[int]) -> bool:
-        counts: dict[int, int] = {}
+        """Every node's count of ``subset`` within its capacity; the counts
+        are summed bottom up, ``O(nodes + |subset|)``."""
+        counts = [0] * len(self.parents)
         for e in set(subset):
-            for v in self.path_to_root(self.element_nodes[e]):
-                counts[v] = counts.get(v, 0) + 1
-                if counts[v] > self.capacities[v]:
-                    return False
+            counts[self.element_nodes[e]] += 1
+        capacities, parents = self.capacities, self.parents
+        for v in reversed(self._order):
+            if counts[v] > capacities[v]:
+                return False
+            if parents[v] != -1:
+                counts[parents[v]] += counts[v]
         return True
 
     def checker(self, base: Iterable[int] = ()) -> "LaminarChecker":
@@ -374,31 +375,44 @@ class TransversalChecker:
                 raise ValueError("base set is not independent")
             self.insert(e)
 
-    def _augment(self, elem: int, visited: set[int], path: list[tuple[int, int]]) -> bool:
-        """Depth-first augmenting search; on success ``path`` holds the
-        ``(right, left)`` pairs to match, from the free end back to ``elem``."""
-        dead = self._dead
-        for r in self.matroid.adjacency[elem]:
-            if r in visited or r in dead:
-                continue
-            visited.add(r)
-            owner = self.match_right.get(r)
-            if owner is None or self._augment(owner, visited, path):
-                path.append((r, elem))
-                return True
-        return False
-
     def _search(self, elem: int) -> list[tuple[int, int]]:
-        """An augmenting path from ``elem``; empty if none, and then what
-        the search visited is dead.  A member gets none and searches
-        nothing."""
+        """An augmenting path from ``elem``: the ``(right, left)`` pairs to
+        match, from the free end back to ``elem``.  Empty if there is none,
+        and then what the search visited is dead.  A member gets none and
+        searches nothing.
+
+        Depth first over an explicit stack of neighbour iterators, so it
+        tries neighbours in adjacency order, as a recursive search would,
+        at any path length."""
         if elem in self.members:
             return []
+        adjacency, dead, match_right = self.matroid.adjacency, self._dead, self.match_right
         visited: set[int] = set()
+        # the pairs taken from elem down to ``left``, and the untried
+        # neighbours of every left vertex on the path above ``left``
         path: list[tuple[int, int]] = []
-        if not self._augment(elem, visited, path):
-            self._dead |= visited
-        return path
+        frames = []
+        left, nbrs = elem, iter(adjacency[elem])
+        while True:
+            for r in nbrs:
+                if r in visited or r in dead:
+                    continue
+                visited.add(r)
+                owner = match_right.get(r)
+                path.append((r, left))
+                if owner is None:
+                    path.reverse()
+                    return path
+                frames.append(nbrs)
+                left, nbrs = owner, iter(adjacency[owner])
+                break
+            else:
+                if not frames:
+                    break
+                nbrs = frames.pop()
+                left = path.pop()[1]
+        self._dead |= visited
+        return []
 
     def test(self, elem: int) -> bool:
         path = self._search(elem)

@@ -8,16 +8,17 @@ every operation touches a logarithmic number of clusters.  The test suite
 holds a slow mirror that walks the tree explicitly, as its differential
 reference.
 
-Supported mutations: insert a weighted element, delete one, lower a weight in
-place, and freeze a basis element so it can never be evicted.  Queries expose
-the lowest capacity-tight ancestor of a leaf, the minimum basis element inside
-a subtree, and the maximum element that could join the basis, which together
-drive phase 1's max-weight basis.
+It is one of phase 1's three basis structures (see
+``optimizer.MaxWeightOracle``), built by inserting its weights in id order,
+and it also inserts and deletes elements.  Queries expose the lowest
+capacity-tight ancestor of a leaf, the minimum basis element inside a
+subtree, and the maximum element that could join the basis.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 from .core import OracleChanges, weight_key
 from .instances import LaminarMatroid
@@ -95,7 +96,7 @@ class TopTreeLaminarBasis:
     accumulate shifts in locals and touch no stored state.
     """
 
-    def __init__(self, matroid: LaminarMatroid) -> None:
+    def __init__(self, matroid: LaminarMatroid, weights: Mapping[int, float]) -> None:
         self.matroid = matroid
         self.weights: dict[int, float] = {}
         self.in_basis: set[int] = set()
@@ -104,6 +105,8 @@ class TopTreeLaminarBasis:
         self.joins = 0
         self.splits = 0
         self._build(matroid)
+        for elem, weight in sorted(weights.items()):
+            self.insert(elem, weight)
 
     # -- construction -----------------------------------------------------
 
@@ -369,7 +372,7 @@ class TopTreeLaminarBasis:
             self.in_basis.add(elem)
             self._basis_weight += weight
             self._mutate(self.node_of[elem], -1)
-            changes.added.append((elem, weight))
+            changes.added.append(elem)
             return changes
         victim = self.min_basis_in(tight)
         if victim is not None and self._key(victim) < self._key(elem):
@@ -380,7 +383,7 @@ class TopTreeLaminarBasis:
             self.in_basis.add(elem)
             self._basis_weight += weight
             self._mutate(self.node_of[elem], -1)
-            changes.added.append((elem, weight))
+            changes.added.append(elem)
         else:
             self._mutate(self.node_of[elem], 0)
         return changes
@@ -402,7 +405,7 @@ class TopTreeLaminarBasis:
                 self.in_basis.add(refill)
                 self._basis_weight += self.weights[refill]
                 self._mutate(self.node_of[refill], -1)
-                changes.added.append((refill, self.weights[refill]))
+                changes.added.append(refill)
         else:
             del self.weights[elem]
             self._mutate(self.node_of[elem], 0)
@@ -430,14 +433,15 @@ class TopTreeLaminarBasis:
         self.in_basis.add(refill)
         self._basis_weight += self.weights[refill]
         self._mutate(self.node_of[refill], -1)
-        changes.added.append((refill, self.weights[refill]))
+        changes.added.append(refill)
         return changes
 
-    def freeze(self, elem: int) -> None:
-        if elem not in self.in_basis:
-            raise ValueError("only basis elements can be frozen")
+    def freeze(self, elem: int) -> OracleChanges:
+        if elem not in self.in_basis or elem in self.frozen:
+            raise ValueError("only unfrozen basis elements can be frozen")
         self.frozen.add(elem)
         self._mutate(self.node_of[elem], 0)
+        return OracleChanges(removed=[elem])
 
     # -- inspection -------------------------------------------------------
 

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import WeightClassifier, estimate_opt
+from .core import OracleChanges, WeightClassifier, estimate_opt
 from .graphic import ContractedGraph
 from .instances import (
     STREAM_MULTILINEAR,
@@ -61,85 +61,45 @@ SAMPLE_COUNT_SCALE = 1.0
 
 
 class MaxWeightOracle:
-    """Dynamic approximate max-weight basis plus weight-class sampling pool.
+    """Phase 1's approximate max-weight basis plus its weight-class sampling
+    pool.
 
-    Wraps the family-specific structure behind one phase-1 surface.  Every
-    structural change is mirrored into :class:`BucketLists` over the
-    unfrozen part of the basis, so batch sampling and uniform sampling stay
-    proportional to the number of weight classes.  Stored weights are the
-    rounded class values, never raw marginals.
+    ``structure`` is the family's basis structure, which
+    :func:`build_phase1_oracle` builds on the rounded weights.  All three
+    answer ``basis()``, ``approx_base_weight()`` (frozen elements
+    included), and ``decrement(e, w)`` and ``freeze(e)``, which return the
+    :class:`OracleChanges` to the unfrozen basis.  ``buckets`` mirrors that
+    unfrozen basis, so batch and uniform sampling stay proportional to the
+    number of weight classes.  ``classes`` holds each element's current
+    class, whose value is its rounded weight, never a raw marginal.
     """
 
     def __init__(
         self,
-        matroid: Matroid,
+        structure: TopTreeLaminarBasis | ContractedGraph | LStableMatching,
         classifier: WeightClassifier,
         classes: dict[int, int],
-        epsilon: float,
     ) -> None:
-        self.matroid = matroid
+        self.structure = structure
         self.classifier = classifier
         self.classes = classes
-        rounded = {e: classifier.class_value(j) for e, j in classes.items()}
-        kind = matroid.kind
-        if kind == "laminar":
-            self.structure = TopTreeLaminarBasis(matroid)
-            for e in range(matroid.n):
-                self.structure.insert(e, rounded[e])
-            members = self.structure.basis()
-        elif kind == "graphic":
-            self.structure = ContractedGraph(matroid, rounded)
-            members = self.structure.forest()
-        elif kind == "transversal":
-            self.structure = LStableMatching(matroid, rounded, epsilon)
-            members = self.structure.matched_left()
-        else:
-            raise ValueError(f"unsupported matroid kind: {kind}")
         self.buckets = BucketLists(classifier)
-        for e in members:
-            self.buckets.insert(e, self.classes[e])
-
-    # -- inspection --------------------------------------------------------
-
-    def approx_base_weight(self) -> float:
-        return self.structure.approx_base_weight()
-
-    def pool_size(self) -> int:
-        return len(self.buckets)
-
-    def class_of(self, elem: int) -> int:
-        return self.classes[elem]
-
-    # -- mutation ----------------------------------------------------------
-
-    def sample(self, t: float, rng: np.random.Generator) -> list[tuple[int, float]]:
-        return self.buckets.sample(t, rng)
-
-    def uniform_sample(self, rng: np.random.Generator) -> int:
-        return self.buckets.uniform_sample(rng)
+        for e in structure.basis():
+            self.buckets.insert(e, classes[e])
 
     def decrement(self, elem: int, class_index: int) -> None:
         if class_index <= self.classes[elem]:
             raise ValueError("decrement must push the class down")
         self.classes[elem] = class_index
-        changes = self.structure.decrement(
-            elem, self.classifier.class_value(class_index)
-        )
-        self._apply(changes)
+        self._apply(self.structure.decrement(elem, self.classifier.class_value(class_index)))
 
     def freeze(self, elem: int) -> None:
-        changes = self.structure.freeze(elem)
-        if changes is not None:
-            self._apply(changes)
-        # structures whose freeze keeps the element in place return None;
-        # either way it must leave the sampling pool for good
-        if elem in self.buckets:
-            self.buckets.remove(elem)
+        self._apply(self.structure.freeze(elem))
 
-    def _apply(self, changes) -> None:
+    def _apply(self, changes: OracleChanges) -> None:
         for e in changes.removed:
             self.buckets.remove(e)
-        for e, _w in changes.added:
+        for e in changes.added:
             self.buckets.insert(e, self.classes[e])
 
 
@@ -152,7 +112,16 @@ def build_phase1_oracle(
     """Stand up the rounded-weight basis on the singleton gains that
     :func:`estimate_opt` returns; spends no query."""
     classes = {e: classifier.weight_class(max(w, 0.0)) for e, w in enumerate(singles)}
-    return MaxWeightOracle(matroid, classifier, classes, epsilon)
+    rounded = {e: classifier.class_value(j) for e, j in classes.items()}
+    if matroid.kind == "laminar":
+        structure = TopTreeLaminarBasis(matroid, rounded)
+    elif matroid.kind == "graphic":
+        structure = ContractedGraph(matroid, rounded)
+    elif matroid.kind == "transversal":
+        structure = LStableMatching(matroid, rounded, epsilon)
+    else:
+        raise ValueError(f"unsupported matroid kind: {matroid.kind}")
+    return MaxWeightOracle(structure, classifier, classes)
 
 
 @dataclass
@@ -201,7 +170,8 @@ def lazy_sampling_greedy_plus(
     state = LSGState()
     if opt_estimate <= 0.0:
         return state
-    n = oracle.matroid.n
+    structure, buckets, classes = oracle.structure, oracle.buckets, oracle.classes
+    n = structure.matroid.n
     classifier = oracle.classifier
     threshold = (PHASE1_THRESHOLD_FACTOR / epsilon) * opt_estimate
     t_param = PHASE1_SAMPLE_SCALE * math.log(max(n, 2))
@@ -209,26 +179,26 @@ def lazy_sampling_greedy_plus(
     # so this budget is only hit on a broken structure
     cap = 2 * n * (classifier.num_classes + 2) + 16
     frozen = f.incremental()
-    while oracle.approx_base_weight() >= threshold:
-        if oracle.pool_size() == 0:
+    while structure.approx_base_weight() >= threshold:
+        if not buckets:
             break
         state.iterations += 1
         if state.iterations > cap:
             raise RuntimeError("sampling loop exceeded its iteration budget")
-        drawn = oracle.sample(t_param, rng)
+        drawn = buckets.sample(t_param, rng)
         state.samples_drawn += len(drawn)
         probes: list[tuple[float, bool]] = []
         for e, p in drawn:
             j_new = classifier.weight_class(max(frozen.gain(e), 0.0))
-            stale = j_new > oracle.class_of(e)
+            stale = j_new > classes[e]
             probes.append((p, stale))
             if stale:
                 oracle.decrement(e, j_new)
                 state.decrements += 1
         if _gate_passes(probes):
-            if oracle.pool_size() == 0:
+            if not buckets:
                 break
-            e = oracle.uniform_sample(rng)
+            e = buckets.uniform_sample(rng)
             oracle.freeze(e)
             frozen.add(e)
             state.solution.append(e)

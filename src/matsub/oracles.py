@@ -10,17 +10,20 @@ from .core import SetFunction
 from .instances import Matroid
 
 
-def brute_force_opt(
-    f: SetFunction, matroid: Matroid, limit: int = 20
-) -> tuple[float, list[int]]:
+# the largest ground set the exhaustive search takes
+BRUTE_FORCE_LIMIT = 20
+
+
+def brute_force_opt(f: SetFunction, matroid: Matroid) -> tuple[float, list[int]]:
     """Exact optimum of a monotone function over the independent sets.
 
     Depth-first search over independent sets only; monotonicity means only
-    maximal ones need their value taken.  Refuses ground sets above ``limit``.
+    maximal ones need their value taken.  Refuses ground sets above
+    ``BRUTE_FORCE_LIMIT``.
     """
     n = matroid.n
-    if n > limit:
-        raise ValueError(f"brute force capped at {limit} elements, got {n}")
+    if n > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force capped at {BRUTE_FORCE_LIMIT} elements, got {n}")
     best_val = f.value(())
     best_set: list[int] = []
 

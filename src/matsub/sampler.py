@@ -52,9 +52,6 @@ class BucketLists:
             self._where[last] = (class_index, pos)
         return class_index
 
-    def class_of(self, elem: int) -> int:
-        return self._where[elem][0]
-
     def total_weight(self) -> float:
         """Sum of rounded weights over everything held, bottom class counting 0."""
         return sum(

@@ -6,7 +6,9 @@ decremented (L-stability).  It prices left vertices by virtual weights that
 shrink by a (1+eps) factor on every re-match, so a displaced right vertex
 never wants to steal its old partner back immediately, and the total scan
 work stays near-linear.  Weights are rounded down to integer powers of
-(1+eps) at ingestion; arithmetic on weights is done on the exponents.
+(1+eps) at ingestion; arithmetic on weights is done on the exponents.  It
+is one of phase 1's three basis structures (see
+``optimizer.MaxWeightOracle``); its basis is the matched left vertices.
 
 The second maintains one matching with no augmenting path of at most
 2 + 2/eps edges, which keeps its size within (1-eps) of maximum.  A batch
@@ -186,22 +188,23 @@ class LStableMatching:
         after = set(self.match_of_l)
         changes = OracleChanges()
         changes.removed = sorted(before - after)
-        changes.added = [(e, self.w_val[e]) for e in sorted(after - before)]
+        changes.added = sorted(after - before)
         if l in before and l in after:
             # still matched at a lower weight; report a move so callers
             # re-bucket the vertex
             changes.removed.append(l)
-            changes.added.append((l, self.w_val[l]))
+            changes.added.append(l)
         return changes
 
-    def freeze(self, l: int) -> None:
-        if l not in self.match_of_l:
-            raise ValueError("only matched vertices can be frozen")
+    def freeze(self, l: int) -> OracleChanges:
+        if l not in self.match_of_l or l in self.frozen:
+            raise ValueError("only unfrozen matched vertices can be frozen")
         self.frozen.add(l)
+        return OracleChanges(removed=[l])
 
     # -- inspection --------------------------------------------------------
 
-    def matched_left(self) -> list[int]:
+    def basis(self) -> list[int]:
         return sorted(self.match_of_l)
 
     def approx_base_weight(self) -> float:
@@ -391,9 +394,6 @@ class DecMatching:
         del self.match_of_r[r_old]
         got = self._augment_from(r_old)
         return [] if got is None else [got]
-
-    def test(self, l: int) -> bool:
-        return l in self.match_of_l
 
     def checker(self) -> TransversalChecker:
         """An exact checker whose members are the matched vertices, certified

@@ -32,7 +32,7 @@ from matsub.transversal import DecMatching
 class SlowLaminarBasis:
     """Reference implementation; every operation walks the whole tree."""
 
-    def __init__(self, matroid: LaminarMatroid) -> None:
+    def __init__(self, matroid: LaminarMatroid, weights: Mapping[int, float]) -> None:
         self.matroid = matroid
         self.num_nodes = len(matroid.parents)
         self.parents = list(matroid.parents)
@@ -45,6 +45,8 @@ class SlowLaminarBasis:
         self.shadow: set[int] = set()
         self.counts = [0] * self.num_nodes
         self._basis_weight = 0.0
+        for elem, weight in sorted(weights.items()):
+            self.insert(elem, weight)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -66,7 +68,7 @@ class SlowLaminarBasis:
         for v in self._path(self.node_of[elem]):
             self.counts[v] += 1
         self._basis_weight += self.weights[elem]
-        changes.added.append((elem, self.weights[elem]))
+        changes.added.append(elem)
 
     def _basis_remove(self, elem: int, changes: OracleChanges) -> None:
         self.in_basis.remove(elem)
@@ -186,10 +188,11 @@ class SlowLaminarBasis:
         self._basis_add(refill, changes)
         return changes
 
-    def freeze(self, elem: int) -> None:
-        if elem not in self.in_basis:
-            raise ValueError("only basis elements can be frozen")
+    def freeze(self, elem: int) -> OracleChanges:
+        if elem not in self.in_basis or elem in self.frozen:
+            raise ValueError("only unfrozen basis elements can be frozen")
         self.frozen.add(elem)
+        return OracleChanges(removed=[elem])
 
     # -- primitives for rounding exchanges --------------------------------
 
@@ -255,6 +258,20 @@ def greedy_laminar_basis(
 # swap-rounding exchangers over whole bases
 
 
+def path_walk_is_independent(matroid: LaminarMatroid, subset: Iterable[int]) -> bool:
+    """Laminar independence by walking each element's parent pointers up to
+    the root, counting it at every node on the way."""
+    counts: dict[int, int] = {}
+    for e in set(subset):
+        v = matroid.element_nodes[e]
+        while v != -1:
+            counts[v] = counts.get(v, 0) + 1
+            if counts[v] > matroid.capacities[v]:
+                return False
+            v = matroid.parents[v]
+    return True
+
+
 class SlowLaminarExchanger:
     """Swap-rounding exchanges through two unweighted slow laminar bases.
 
@@ -271,8 +288,8 @@ class SlowLaminarExchanger:
         self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
-        self.d1 = SlowLaminarBasis(matroid)
-        self.d2 = SlowLaminarBasis(matroid)
+        self.d1 = SlowLaminarBasis(matroid, {})
+        self.d2 = SlowLaminarBasis(matroid, {})
         for e in sorted(self.set1 | self.set2):
             self.d1.make_present(e, 1.0)
             self.d2.make_present(e, 1.0)
@@ -861,9 +878,14 @@ def move_bucket(buckets: BucketLists, elem: int, class_index: int) -> None:
     buckets.insert(elem, class_index)
 
 
+def bucket_class(buckets: BucketLists, elem: int) -> int:
+    """The weight class ``elem`` is filed under."""
+    return buckets._where[elem][0]
+
+
 def bucket_weight(buckets: BucketLists, elem: int) -> float:
     """The rounded weight of ``elem``'s class."""
-    return buckets.classifier.class_value(buckets.class_of(elem))
+    return buckets.classifier.class_value(bucket_class(buckets, elem))
 
 
 def dec_matching_pairs(d: DecMatching | RebuildDecMatching) -> dict[int, int]:
@@ -999,10 +1021,6 @@ class RebuildDecMatching:
         del self.match_of_r[r_old]
         got = self._augment_from(r_old)
         return [] if got is None else [got]
-
-    def test(self, l: int) -> bool:
-        r = self.match_of_l.get(l)
-        return r is not None and r < self.num_right
 
     def basis(self) -> list[int]:
         return sorted(dec_matching_pairs(self))

@@ -109,8 +109,8 @@ def test_criterion_2_laminar_differential_suite() -> None:
         n = int(rng.integers(8, 65))
         inst = generate_instance("laminar", "additive", n=n, seed=500 + trial)
         mat = inst.matroid
-        top = TopTreeLaminarBasis(mat)
-        slow = SlowLaminarBasis(mat)
+        top = TopTreeLaminarBasis(mat, {})
+        slow = SlowLaminarBasis(mat, {})
         per_op_budget = 12 * math.log2(max(2, n))
         present: dict[int, float] = {}
         for _ in range(500):
@@ -233,13 +233,13 @@ def test_criterion_4_graphic_forest_bounds() -> None:
                 d.decrement(e, new_w)
                 weights[e] = new_w
             else:
-                pool = [e for e in d.forest() if e not in frozen]
+                pool = [e for e in d.basis() if e not in frozen]
                 if not pool:
                     continue
                 e = int(rng.choice(pool))
                 d.freeze(e)
                 frozen.add(e)
-            forest = d.forest()
+            forest = d.basis()
             assert mat.is_independent(forest)
             held = sum(weights[e] for e in forest)
             assert held >= 0.5 * _kruskal_weight(mat, weights, frozen) - 1e-9
@@ -301,7 +301,7 @@ def test_criterion_5_transversal_invariants_and_ratio() -> None:
                 c = d.decrement(l, float(rng.uniform(0, d.w_val[l] * 0.95)))
                 assert set(c.removed) <= {l}
                 _matching_invariants(d)
-                matched = d.matched_left()
+                matched = d.basis()
                 held = sum(d.w_val[e] for e in matched)
                 hung = hungarian_max_weight_matching(
                     mat.adjacency, [d.w_val[e] for e in range(nl)], nr

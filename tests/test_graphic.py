@@ -62,7 +62,7 @@ def _is_forest(mat: GraphicMatroid, edges: list[int]) -> bool:
 def test_single_edge() -> None:
     mat = GraphicMatroid(num_vertices=2, edges=[(0, 1)])
     d = ContractedGraph(mat, {0: 4.0})
-    assert d.forest() == [0]
+    assert d.basis() == [0]
     assert d.approx_base_weight() == pytest.approx(4.0)
 
 
@@ -70,27 +70,27 @@ def test_four_cycle_half_bounds() -> None:
     mat = GraphicMatroid(num_vertices=4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
     weights = {0: 10.0, 1: 1.0, 2: 10.0, 3: 1.0}
     d = ContractedGraph(mat, weights)
-    assert d.forest() == [0, 2]
+    assert d.basis() == [0, 2]
     assert d.approx_base_weight() == pytest.approx(20.0)
     assert _kruskal_weight(mat, weights, set()) == pytest.approx(21.0)
     assert mat.rank() == 3
-    assert 20.0 >= 0.5 * 21.0 and len(d.forest()) >= 0.5 * mat.rank()
+    assert 20.0 >= 0.5 * 21.0 and len(d.basis()) >= 0.5 * mat.rank()
 
 
 def test_path_is_exact() -> None:
     mat = GraphicMatroid(num_vertices=3, edges=[(0, 1), (1, 2)])
     d = ContractedGraph(mat, {0: 5.0, 1: 3.0})
-    assert d.forest() == [0, 1]
+    assert d.basis() == [0, 1]
     assert d.approx_base_weight() == pytest.approx(8.0)
 
 
 def test_decrement_nonforest_edge_no_changes() -> None:
     mat = GraphicMatroid(num_vertices=3, edges=[(0, 1), (1, 2), (0, 2)])
     d = ContractedGraph(mat, {0: 3.0, 1: 2.0, 2: 1.0})
-    assert d.forest() == [0, 1]
+    assert d.basis() == [0, 1]
     c = d.decrement(2, 0.0)
     assert c.added == [] and c.removed == []
-    assert d.forest() == [0, 1]
+    assert d.basis() == [0, 1]
 
 
 def test_decrement_swaps_cycle_edge() -> None:
@@ -100,21 +100,21 @@ def test_decrement_swaps_cycle_edge() -> None:
     c = d.decrement(0, 0.5)
     weights[0] = 0.5
     assert c.removed == [0]
-    assert sorted(c.added) == [(1, 1.0), (3, 1.0)]
+    assert sorted(c.added) == [1, 3]
     expected, _ = _expected_forest(mat, weights, set())
-    assert set(d.forest()) == expected == {1, 2, 3}
+    assert set(d.basis()) == expected == {1, 2, 3}
 
 
 def test_decrement_star_center_reselects() -> None:
     mat = GraphicMatroid(num_vertices=4, edges=[(0, 1), (0, 2), (0, 3)])
     d = ContractedGraph(mat, {0: 3.0, 1: 2.0, 2: 1.0})
-    assert d.forest() == [0, 1, 2]
+    assert d.basis() == [0, 1, 2]
     c = d.decrement(0, 0.0)
     # the center now prefers the 2-edge, but the leaf still holds edge 0,
     # so the forest is unchanged apart from the weight move
     assert d.sel[d.dsu.find(0)] == 1
-    assert c.removed == [0] and c.added == [(0, 0.0)]
-    assert d.forest() == [0, 1, 2]
+    assert c.removed == [0] and c.added == [0]
+    assert d.basis() == [0, 1, 2]
     assert d.approx_base_weight() == pytest.approx(3.0)
 
 
@@ -123,9 +123,10 @@ def test_freeze_only_edge() -> None:
     d = ContractedGraph(mat, {0: 5.0})
     c = d.freeze(0)
     assert c.removed == [0] and c.added == []
-    assert d.forest() == [0] and d.frozen == {0}
+    assert d.basis() == [0] and d.frozen == {0}
     assert d.approx_base_weight() == pytest.approx(5.0)
-    assert d.freeze(0).removed == []  # already frozen: no-op
+    with pytest.raises(ValueError):
+        d.freeze(0)  # already frozen
     with pytest.raises(ValueError):
         d.decrement(0, 1.0)
 
@@ -135,7 +136,7 @@ def test_freeze_triangle_reselects_merged_vertex() -> None:
     d = ContractedGraph(mat, {0: 3.0, 1: 2.0, 2: 1.0})
     c = d.freeze(0)
     assert c.removed == [0] and c.added == []
-    assert d.forest() == [0, 1]
+    assert d.basis() == [0, 1]
     assert d.approx_base_weight() == pytest.approx(5.0)
 
 
@@ -182,7 +183,7 @@ def test_differential_random_ops() -> None:
         weights = {e: _random_weight(rng) for e in range(m)}
         d = ContractedGraph(mat, dict(weights))
         frozen: set[int] = set()
-        mirror = {e: weights[e] for e in d.forest()}
+        mirror = set(d.basis())
         for _ in range(120):
             roll = rng.random()
             candidates = [e for e in range(m) if e not in frozen and weights[e] > 0]
@@ -192,8 +193,8 @@ def test_differential_random_ops() -> None:
                 new_w = float(rng.uniform(0, weights[e] * 0.999))
                 changes = d.decrement(e, new_w)
                 weights[e] = new_w
-            elif d.forest():
-                pool = [e for e in d.forest() if e not in frozen]
+            elif d.basis():
+                pool = [e for e in d.basis() if e not in frozen]
                 if not pool:
                     continue
                 e = int(rng.choice(pool))
@@ -201,14 +202,14 @@ def test_differential_random_ops() -> None:
                 frozen.add(e)
             if changes is not None:
                 for e in changes.removed:
-                    del mirror[e]
-                for e, w in changes.added:
+                    mirror.remove(e)
+                for e in changes.added:
                     assert e not in mirror
-                    mirror[e] = w
+                    mirror.add(e)
             expected, _ = _expected_forest(mat, weights, frozen)
-            forest = d.forest()
+            forest = d.basis()
             assert set(forest) == expected
-            assert mirror == {e: weights[e] for e in forest if e not in frozen}
+            assert mirror == {e for e in forest if e not in frozen}
             assert d.approx_base_weight() == pytest.approx(
                 sum(weights[e] for e in forest)
             )

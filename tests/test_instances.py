@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import sys
 from collections import Counter
 
 import numpy as np
@@ -19,7 +20,8 @@ from matsub.instances import (
     generate_instance,
     stream_rng,
 )
-from reference import DoubleSearchTransversalChecker
+from matsub.optimizer import run_pipeline
+from reference import DoubleSearchTransversalChecker, path_walk_is_independent
 
 
 def test_laminar_validation() -> None:
@@ -31,6 +33,9 @@ def test_laminar_validation() -> None:
         LaminarMatroid(parents=[-1, 0], capacities=[1, 1], element_nodes=[0])
     with pytest.raises(ValueError):  # duplicate element leaves
         LaminarMatroid(parents=[-1, 0], capacities=[2, 1], element_nodes=[1, 1])
+    for parents in ([-1, 1], [-1, 2, 1], [-1, 0, 3, 4, 2]):
+        with pytest.raises(ValueError, match="parent pointers contain a cycle"):
+            LaminarMatroid(parents=parents, capacities=[1] * len(parents), element_nodes=[])
 
 
 def test_graphic_validation() -> None:
@@ -139,7 +144,7 @@ def test_transversal_checker_matches_the_double_search() -> None:
             one.insert(next(e for e in range(mat.n) if not one.test(e)))
 
 
-def test_transversal_checker_searches_once_per_element(monkeypatch) -> None:
+def test_transversal_checker_searches_once_per_element() -> None:
     mat = generate_instance("transversal", "additive", n=200, seed=3).matroid
     basis = []
     probe = TransversalChecker(mat)
@@ -147,22 +152,70 @@ def test_transversal_checker_searches_once_per_element(monkeypatch) -> None:
         if probe.test(e):
             probe.insert(e)
             basis.append(e)
-    counts = {}
-    for cls in (TransversalChecker, DoubleSearchTransversalChecker):
-        search = cls._augment
-
-        def counted(self, *args, _search=search, _cls=cls, **kwargs):
-            counts[_cls] = counts.get(_cls, 0) + 1
-            return _search(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "_augment", counted)
-    TransversalChecker(mat, basis)
-    mirror = DoubleSearchTransversalChecker(mat)
+    # each search looks up every right vertex it visits once
+    one, two = TransversalChecker(mat), DoubleSearchTransversalChecker(mat)
+    one.match_right, two.match_right = _ReadLog(), _ReadLog()
     for e in basis:
-        assert mirror.test(e)
-        mirror.insert(e)
-    assert counts[TransversalChecker] > len(basis)
-    assert 2 * counts[TransversalChecker] == counts[DoubleSearchTransversalChecker]
+        assert one.test(e) and two.test(e)
+        one.insert(e)
+        two.insert(e)
+    assert one.match_right == probe.match_right
+    assert len(one.match_right.reads) > len(basis)
+    assert 2 * len(one.match_right.reads) == len(two.match_right.reads)
+
+
+def _chain(k: int) -> TransversalMatroid:
+    """Left ``j`` adjacent to right ``j - 1`` and ``j``.  In id order the
+    search for ``j`` goes down through every earlier left vertex before it
+    takes its free right ``j``."""
+    return TransversalMatroid(num_right=k, adjacency=[[j - 1, j] if j else [0] for j in range(k)])
+
+
+def test_transversal_searches_run_deeper_than_the_recursion_limit(tmp_path) -> None:
+    k = 1200
+    assert k > sys.getrecursionlimit()
+    mat = _chain(k)
+    assert mat.rank() == k
+    instance = Instance(
+        matroid=mat, objective={"kind": "additive", "weights": [1.0 + (7 * e) % 13 for e in range(k)]}
+    )
+    result = run_pipeline(instance, epsilon=0.2, seed=1000)
+    assert _chain(k).is_independent(result.solution)
+    path, out = str(tmp_path / "chain.json"), str(tmp_path / "chain-result.json")
+    with open(path, "w") as fh:
+        fh.write(instance.to_json())
+    assert main(["run", path, "-o", out]) == 0
+    assert main(["verify", path, out]) == 0
+
+
+def _caterpillar(d: int) -> LaminarMatroid:
+    """Spine node ``i`` holds elements ``i..d-1`` under capacity
+    ``(d - i + 1) // 2``, and element ``i`` sits on a capacity-1 leaf under
+    it: ``2d`` nodes, depth ``d``."""
+    return LaminarMatroid(
+        parents=[-1] + list(range(d - 1)) + list(range(d)),
+        capacities=[(d - i + 1) // 2 for i in range(d)] + [1] * d,
+        element_nodes=[d + i for i in range(d)],
+    )
+
+
+def test_laminar_is_independent_matches_the_path_walk() -> None:
+    rng = np.random.default_rng(29)
+    matroids = [
+        generate_instance("laminar", "additive", n=n, seed=seed, tree_depth=depth).matroid
+        for n in (5, 20, 60)
+        for seed in (1, 2)
+        for depth in (None, 6)
+    ] + [_caterpillar(d) for d in (1, 2, 40, 300)]
+    outcomes: Counter[bool] = Counter()
+    for mat in matroids:
+        for _ in range(40):
+            size = int(rng.integers(0, mat.n + 1))
+            subset = rng.choice(mat.n, size=size, replace=False).tolist()
+            independent = mat.is_independent(subset)
+            assert independent == path_walk_is_independent(mat, subset)
+            outcomes[independent] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 class _ReadLog(dict):

@@ -25,11 +25,11 @@ def _nested_matroid() -> LaminarMatroid:
 @pytest.mark.parametrize("cls", STRUCTURES)
 def test_basic_insert_swap(cls) -> None:
     mat = LaminarMatroid(parents=[-1, 0, 0], capacities=[1, 1, 1], element_nodes=[1, 2])
-    d = cls(mat)
+    d = cls(mat, {})
     c = d.insert(0, 5.0)
-    assert c.added == [(0, 5.0)] and d.basis() == [0]
+    assert c.added == [0] and d.basis() == [0]
     c = d.insert(1, 7.0)
-    assert c.removed == [0] and c.added == [(1, 7.0)]
+    assert c.removed == [0] and c.added == [1]
     assert d.basis() == [1]
     assert d.approx_base_weight() == pytest.approx(7.0)
 
@@ -38,37 +38,33 @@ def test_basic_insert_swap(cls) -> None:
 def test_delete_refills_from_whole_tree(cls) -> None:
     # deleting the heaviest must pull the capacity-blocked element back in,
     # even though the replacement sits below a different tight node
-    d = cls(_nested_matroid())
-    for elem, w in [(0, 10.0), (1, 7.0), (2, 3.0), (3, 2.0), (4, 1.0)]:
-        d.insert(elem, w)
+    d = cls(_nested_matroid(), {0: 10.0, 1: 7.0, 2: 3.0, 3: 2.0, 4: 1.0})
     assert d.basis() == [0, 1, 3]
     changes = d.delete(0)
     assert changes.removed == [0]
-    assert changes.added == [(2, 3.0)]
+    assert changes.added == [2]
     assert d.basis() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("cls", STRUCTURES)
 def test_decrement_moves_weight_or_swaps(cls) -> None:
-    d = cls(_nested_matroid())
-    for elem, w in [(0, 10.0), (1, 7.0), (2, 3.0), (3, 2.0), (4, 1.0)]:
-        d.insert(elem, w)
+    d = cls(_nested_matroid(), {0: 10.0, 1: 7.0, 2: 3.0, 3: 2.0, 4: 1.0})
     # lowering inside the basis without losing the slot: reported as a move
     c = d.decrement(1, 6.0)
-    assert c.removed == [1] and c.added == [(1, 6.0)]
+    assert c.removed == [1] and c.added == [1]
     assert d.basis() == [0, 1, 3]
     # lowering far enough to lose the inner slot to element 2
     c = d.decrement(0, 2.5)
-    assert c.removed == [0] and c.added == [(2, 3.0)]
+    assert c.removed == [0] and c.added == [2]
     assert d.basis() == [1, 2, 3]
 
 
 @pytest.mark.parametrize("cls", STRUCTURES)
 def test_frozen_never_evicted(cls) -> None:
     mat = LaminarMatroid(parents=[-1, 0, 0], capacities=[1, 1, 1], element_nodes=[1, 2])
-    d = cls(mat)
-    d.insert(0, 1.0)
-    d.freeze(0)
+    d = cls(mat, {0: 1.0})
+    c = d.freeze(0)
+    assert c.removed == [0] and c.added == []
     c = d.insert(1, 50.0)
     assert c.added == [] and c.removed == []
     assert d.basis() == [0]
@@ -76,6 +72,8 @@ def test_frozen_never_evicted(cls) -> None:
         d.delete(0)
     with pytest.raises(ValueError):
         d.decrement(0, 0.5)
+    with pytest.raises(ValueError):
+        d.freeze(0)
     # frozen members keep contributing to the reported basis weight
     assert d.approx_base_weight() == pytest.approx(1.0)
 
@@ -83,7 +81,7 @@ def test_frozen_never_evicted(cls) -> None:
 @pytest.mark.parametrize("cls", STRUCTURES)
 def test_argument_validation(cls) -> None:
     mat = LaminarMatroid(parents=[-1, 0], capacities=[1, 1], element_nodes=[1])
-    d = cls(mat)
+    d = cls(mat, {})
     with pytest.raises(ValueError):
         d.insert(5, 1.0)
     with pytest.raises(ValueError):
@@ -174,7 +172,7 @@ def test_cluster_fields_from_scratch() -> None:
     for trial in range(8):
         inst = generate_instance("laminar", "additive", n=12, seed=200 + trial)
         mat = inst.matroid
-        d = TopTreeLaminarBasis(mat)
+        d = TopTreeLaminarBasis(mat, {})
         present: set[int] = set()
         for step in range(120):
             roll = rng.random()
@@ -220,8 +218,8 @@ def test_differential_against_greedy_and_slow() -> None:
         n = int(rng.integers(4, 33))
         inst = generate_instance("laminar", "additive", n=n, seed=300 + trial)
         mat = inst.matroid
-        top = TopTreeLaminarBasis(mat)
-        slow = SlowLaminarBasis(mat)
+        top = TopTreeLaminarBasis(mat, {})
+        slow = SlowLaminarBasis(mat, {})
         budget = 12 * math.log2(max(2, n))
         present: dict[int, float] = {}
         frozen: set[int] = set()
@@ -259,13 +257,12 @@ def test_differential_against_greedy_and_slow() -> None:
                 if not pool or len(frozen) > n // 3:
                     continue
                 e = int(rng.choice(pool))
-                top.freeze(e)
-                slow.freeze(e)
+                ct = top.freeze(e)
+                cs = slow.freeze(e)
+                assert ct.removed == [e] and ct.added == []
                 frozen.add(e)
-                ct = cs = None
-            if ct is not None:
-                assert sorted(ct.added) == sorted(cs.added)
-                assert sorted(ct.removed) == sorted(cs.removed)
+            assert sorted(ct.added) == sorted(cs.added)
+            assert sorted(ct.removed) == sorted(cs.removed)
             assert top.basis() == slow.basis()
             assert top.basis() == greedy_laminar_basis(mat, present, frozen)
             assert top.approx_base_weight() == pytest.approx(slow.approx_base_weight())
@@ -282,12 +279,9 @@ def test_subtree_queries_match_slow() -> None:
         n = int(rng.integers(5, 25))
         inst = generate_instance("laminar", "additive", n=n, seed=400 + trial)
         mat = inst.matroid
-        top = TopTreeLaminarBasis(mat)
-        slow = SlowLaminarBasis(mat)
-        for e in range(n):
-            w = _random_weight(rng)
-            top.insert(e, w)
-            slow.insert(e, w)
+        weights = {e: _random_weight(rng) for e in range(n)}
+        top = TopTreeLaminarBasis(mat, weights)
+        slow = SlowLaminarBasis(mat, weights)
         for _ in range(n // 2):
             e = int(rng.integers(n))
             if e in top.weights:

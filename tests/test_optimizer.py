@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import tracemalloc
 from collections import Counter
@@ -37,6 +39,7 @@ from matsub.oracles import brute_force_opt
 from matsub.transversal import DecMatching
 from reference import (
     always_tested_dt_incremental,
+    bucket_class,
     cohort_dt_incremental,
     eager_dt_approx_indep_set,
     eager_dt_incremental,
@@ -221,8 +224,26 @@ def test_phase1_triggered_loop_runs_and_terminates(monkeypatch) -> None:
     assert state.iterations == 2
     assert len(state.solution) == 1
     assert state.decrements == 169
-    assert oracle.approx_base_weight() < (5.0 / eps) * m
+    assert oracle.structure.approx_base_weight() < (5.0 / eps) * m
     assert f.query_count <= 8 * inst.n / eps * math.log(170 / eps)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_phase1_buckets_mirror_the_unfrozen_basis(kind) -> None:
+    # every structure reports its decrements and freezes as changes to the
+    # unfrozen basis, so the buckets hold exactly that basis, each element
+    # under its current class
+    inst = _heavy_item_instance(_phase1_matroid(kind))
+    f = inst.build_objective()
+    m, singles = estimate_opt(f, inst.matroid)
+    eps1 = PHASE1_EPS_FRACTION * 0.2
+    classifier = WeightClassifier(m, eps1, inst.matroid.rank())
+    oracle = build_phase1_oracle(singles, inst.matroid, classifier, eps1)
+    state = lazy_sampling_greedy_plus(f, oracle, eps1, m, stream_rng(1000, STREAM_PHASE1))
+    assert state.solution and state.decrements
+    unfrozen = set(oracle.structure.basis()) - set(state.solution)
+    assert len(oracle.buckets) == len(unfrozen)
+    assert all(bucket_class(oracle.buckets, e) == oracle.classes[e] for e in unfrozen)
 
 
 def _heaviest_clipped(singles: list[float], m: float, rank: int) -> float:
@@ -247,9 +268,9 @@ def test_phase1_basis_weight_is_at_most_rank_times_estimate() -> None:
         m, singles = estimate_opt(f, inst.matroid)
         rank = inst.matroid.rank()
         oracle = build_phase1_oracle(singles, inst.matroid, WeightClassifier(m, eps1, rank), eps1)
-        assert oracle.approx_base_weight() <= _heaviest_clipped(singles, m, rank) <= rank * m
+        assert oracle.structure.approx_base_weight() <= _heaviest_clipped(singles, m, rank) <= rank * m
     # the last instance, the shared cover, meets the bound exactly
-    assert oracle.approx_base_weight() == rank * m
+    assert oracle.structure.approx_base_weight() == rank * m
 
 
 @pytest.mark.parametrize("objective", ["coverage", "facility"])
@@ -1330,6 +1351,55 @@ def test_pipeline_on_triggering_instance(kind) -> None:
     record = {"algorithm": "full", "epsilon": eps, "counters": counters}
     assert _verify_budgets(report, inst, record), report
     assert report[0].startswith("phase-1 query budget: ok")
+
+
+# the triggering instances' records at run seed 1000: the solution's sha256
+# over its JSON list, the frozen set and every counter.  Phase 1 draws its
+# stream in the order of the bucket mirror's inserts and removes, so a change
+# to a structure's build, its reported changes or their mirroring moves them
+_LAMINAR_PHASE1_COUNTERS = {
+    "dt_batch_inserts": 0, "dt_deletes": 0, "dt_insert_calls": 5495, "dt_spanned": 0,
+    "dt_test_calls": 5495, "estimate_f_queries": 4500, "estimator_batches": 5,
+    "estimator_prices": 0, "phase1_decrements": 959, "phase1_f_queries": 1909,
+    "phase1_frozen": 1, "phase1_iterations": 2, "phase1_samples": 1909,
+    "phase2_f_queries": 5981010, "phase2_rounds": 5, "samples_per_estimate": 399,
+    "total_f_queries": 5987420,
+}
+_PHASE1_PINS = {
+    "laminar": (
+        "6cbdd7d2c6e7d360df7c737f6016e5db8e13d26e8d4c59378b66c5bd735ad6a4",
+        [543],
+        _LAMINAR_PHASE1_COUNTERS,
+    ),
+    "graphic": (
+        "2c55ea5f197aa6e24f1440296a57e93e8a6dc5ec6b0400851071fa94b00237fe",
+        [136],
+        {
+            "dt_batch_inserts": 0, "dt_deletes": 0, "dt_insert_calls": 10995, "dt_spanned": 0,
+            "dt_test_calls": 12468, "estimate_f_queries": 7800, "estimator_batches": 5,
+            "estimator_prices": 0, "phase1_decrements": 2017, "phase1_f_queries": 2985,
+            "phase1_frozen": 1, "phase1_iterations": 3, "phase1_samples": 2985,
+            "phase2_f_queries": 11669510, "phase2_rounds": 5, "samples_per_estimate": 449,
+            "total_f_queries": 11680296,
+        },
+    ),
+    "transversal": (
+        "a42c7d6b2e817e9244ffbfa4bb428d85c9356ef16da384babc013059335069a4",
+        [143],
+        # laminar's numbers, but a transversal round runs no checker, so
+        # its sweep counts no test or insert
+        {**_LAMINAR_PHASE1_COUNTERS, "dt_insert_calls": 0, "dt_test_calls": 0},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pipeline_on_triggering_instance_is_pinned(kind) -> None:
+    result = run_pipeline(_heavy_item_instance(_phase1_matroid(kind)), epsilon=0.2, seed=1000)
+    digest, frozen, counters = _PHASE1_PINS[kind]
+    assert hashlib.sha256(json.dumps(result.solution).encode()).hexdigest() == digest
+    assert result.frozen == frozen
+    assert result.counters == counters
 
 
 def test_pipeline_skips_phase1_below_the_rank_bound(monkeypatch) -> None:

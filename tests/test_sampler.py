@@ -7,7 +7,7 @@ from scipy import stats
 from matsub.core import WeightClassifier
 from matsub.instances import stream_rng
 from matsub.sampler import BucketLists
-from reference import bucket_weight, move_bucket
+from reference import bucket_class, bucket_weight, move_bucket
 
 
 def _classifier() -> WeightClassifier:
@@ -21,12 +21,12 @@ def test_insert_remove_bookkeeping() -> None:
     buckets.insert(9, 2)
     assert len(buckets) == 3
     assert 3 in buckets and 9 in buckets and 4 not in buckets
-    assert buckets.class_of(9) == 2
+    assert bucket_class(buckets, 9) == 2
     assert buckets.remove(7) == 0
     assert 7 not in buckets
-    assert buckets.class_of(3) == 0  # swap-remove kept the survivor indexed
+    assert bucket_class(buckets, 3) == 0  # swap-remove kept the survivor indexed
     move_bucket(buckets, 3, 1)
-    assert buckets.class_of(3) == 1
+    assert bucket_class(buckets, 3) == 1
 
 
 def test_insert_and_remove_errors() -> None:

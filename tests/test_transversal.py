@@ -97,7 +97,7 @@ def test_decrement_matched_to_zero_falls_back() -> None:
     assert d.match_of_l == {0: 0}
     assert 0 in d.fallback
     assert d.approx_base_weight() == 0.0
-    assert sorted(c.removed) == sorted(e for e, _ in c.added) == [0]
+    assert sorted(c.removed) == sorted(c.added) == [0]
     _check_invariants(d)
 
 
@@ -105,8 +105,11 @@ def test_freeze_rules() -> None:
     mat = TransversalMatroid(num_right=2, adjacency=[[0], [1]])
     d = LStableMatching(mat, {0: 3.0, 1: 2.0}, epsilon=0.5)
     before = dict(d.match_of_l)
-    d.freeze(0)
+    c = d.freeze(0)
+    assert c.removed == [0] and c.added == []
     assert d.match_of_l == before
+    with pytest.raises(ValueError):
+        d.freeze(0)
     with pytest.raises(ValueError):
         d.decrement(0, 1.0)
     d2 = LStableMatching(mat, {0: 3.0, 1: 0.0}, epsilon=0.5)
@@ -178,7 +181,7 @@ def test_random_runs_keep_invariants_and_ratio() -> None:
                 c = d.decrement(l, float(rng.uniform(0, d.w_val[l] * 0.95)))
                 assert set(c.removed) <= {l}  # L-stability
                 _check_invariants(d)
-                matched = d.matched_left()
+                matched = d.basis()
                 weight_m = sum(d.w_val[e] for e in matched)
                 hung = hungarian_max_weight_matching(
                     mat.adjacency, [d.w_val[e] for e in range(n)], mat.num_right
@@ -311,7 +314,6 @@ def test_dec_single_element() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0]])
     d = DecMatching(mat, epsilon=0.25)
     assert d.batch_insert([0]) == [0]
-    assert d.test(0)
     assert d.basis() == [0]
 
 
@@ -339,8 +341,7 @@ def test_dec_delete_returns_replacements() -> None:
     victim = next(l for l in d2.basis() if 0 in mat.adjacency[l])
     replaced = d2.delete(victim)
     assert victim not in d2.basis()
-    assert not d2.test(victim)
-    assert all(d2.test(l) for l in replaced)
+    assert set(replaced) <= set(d2.basis())
     assert _no_short_augmenting_path(d2)
     with pytest.raises(ValueError):
         d2.delete(victim)
@@ -426,13 +427,12 @@ def test_dec_matches_the_rebuild_reference() -> None:
                 idle = sorted(d.present - set(d.match_of_l))
                 pool = idle if idle and rng.random() < 0.5 else sorted(d.present)
                 victim = int(rng.choice(pool))
-                unmatched_deletes += not d.test(victim)
+                unmatched_deletes += victim not in d.match_of_l
                 got, want = d.delete(victim), ref.delete(victim)
                 deleted_since_batch = True
             assert got == want
             assert dec_matching_pairs(d) == dec_matching_pairs(ref)
             assert d.basis() == ref.basis()
-            assert all(d.test(l) == ref.test(l) for l in range(nl))
             assert {l: d.rank[l] for l in d.present} == {l: ref.rank[l] for l in ref.present}
     assert unmatched_deletes > 0 and batches_after_deletes > 0
 
@@ -484,7 +484,7 @@ def test_dec_skips_failed_searches_on_generator_like_runs() -> None:
             audit = list(got)
             while audit:
                 l = audit.pop()
-                if d.test(l) and rng.random() < 0.3:
+                if l in d.match_of_l and rng.random() < 0.3:
                     got = d.delete(l)
                     agree(got, ref.delete(l))
                     audit += got
