@@ -283,7 +283,8 @@ def dt_incremental(
     ``checker.marked`` counts the retired elements.  So a ladder element
     priced at the current basis was put to the checker at that basis,
     unless the basis is empty and the opening batch priced it; that no is
-    the test's answer, and the element joins untested.
+    the test's answer, and the element joins untested.  So does the
+    top-off's first pick, whose no came at the basis it joins.
 
     The sweep keeps the round state at its basis only while a later pricing
     can read it.  The ladder's inserts reach ``state``, except one that
@@ -359,11 +360,13 @@ def dt_incremental(
         if stale.size:
             rate[stale] = state.marginal_means(pool[stale])
         # no pricing follows the top-off's batch, so its elements join the
-        # basis and the checker but not the round state
-        for e in pool[rest[np.lexsort((pool[rest], -rate[rest]))]].tolist():
+        # basis and the checker but not the round state; the first pick's
+        # span query at this basis just said no, which is its test's answer
+        order = pool[rest[np.lexsort((pool[rest], -rate[rest]))]].tolist()
+        for k, e in enumerate(order):
             if len(basis) >= rank:
                 break
-            if checker.test(e):
+            if k == 0 or checker.test(e):
                 checker.insert(e)
                 basis.append(e)
     if len(basis) != rank:

@@ -618,11 +618,30 @@ def test_turn_takes_a_span_no_as_its_test(kind, objective, n) -> None:
             assert got == want
             assert (spy.inserts, spy.marked) == (forced.inserts, forced.marked)
             assert spy.tests + spy.untested == forced.tests
-            # only the top-off tests again, and only its first pick: the
-            # whole top-off was put to spans before it
-            assert spy.retested <= 1
+            # the top-off's first pick joins on its span query's no too
+            assert spy.retested == 0
             untested += spy.untested
     assert untested > 0
+
+
+@pytest.mark.parametrize(
+    "kind, objective, n", [("graphic", "additive", 1000), ("laminar", "facility", 120)]
+)
+def test_no_test_follows_a_span_no_at_the_same_basis(monkeypatch, kind, objective, n) -> None:
+    # every checker of the sweep: a no from spans is the test's answer until
+    # the next insert, so the element is never tested again at that basis.
+    # Both runs top off some round after putting its whole order to spans.
+    spies: list[_SpanThenTest] = []
+
+    def spied(checker) -> _SpanThenTest:
+        spies.append(_SpanThenTest(checker))
+        return spies[-1]
+
+    monkeypatch.setattr(optimizer, "CountingChecker", spied)
+    result = run_pipeline(generate_instance(kind, objective, n, 1), 0.2, 1000)
+    assert len(spies) == result.counters["phase2_rounds"]
+    assert sum(spy.tests for spy in spies) == result.counters["dt_test_calls"]
+    assert [spy.retested for spy in spies] == [0] * len(spies)
 
 
 def test_sweep_charges_two_queries_per_row_per_priced_element() -> None:
@@ -1359,7 +1378,7 @@ def test_pipeline_on_triggering_instance(kind) -> None:
 # to a structure's build, its reported changes or their mirroring moves them
 _LAMINAR_PHASE1_COUNTERS = {
     "dt_batch_inserts": 0, "dt_deletes": 0, "dt_insert_calls": 5495, "dt_spanned": 0,
-    "dt_test_calls": 5495, "estimate_f_queries": 4500, "estimator_batches": 5,
+    "dt_test_calls": 5490, "estimate_f_queries": 4500, "estimator_batches": 5,
     "estimator_prices": 0, "phase1_decrements": 959, "phase1_f_queries": 1909,
     "phase1_frozen": 1, "phase1_iterations": 2, "phase1_samples": 1909,
     "phase2_f_queries": 5981010, "phase2_rounds": 5, "samples_per_estimate": 399,
@@ -1376,7 +1395,7 @@ _PHASE1_PINS = {
         [136],
         {
             "dt_batch_inserts": 0, "dt_deletes": 0, "dt_insert_calls": 10995, "dt_spanned": 0,
-            "dt_test_calls": 12468, "estimate_f_queries": 7800, "estimator_batches": 5,
+            "dt_test_calls": 12463, "estimate_f_queries": 7800, "estimator_batches": 5,
             "estimator_prices": 0, "phase1_decrements": 2017, "phase1_f_queries": 2985,
             "phase1_frozen": 1, "phase1_iterations": 3, "phase1_samples": 2985,
             "phase2_f_queries": 11669510, "phase2_rounds": 5, "samples_per_estimate": 449,
