@@ -26,33 +26,36 @@ per call, for ``q`` queried elements:
   ``O(universe + u·s)`` memory, for the ``u`` critical items their covers
   share and the ``h`` rows that hold one of them.
 - ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory, once
-  per round, to build the round state; a basis that only grows never
+  per round, to build the round state, a block of rows at a time so each
+  member's pass stays within the block; a basis that only grows never
   rebuilds a row.
 - ``similarity_ranks``: ``O(n·clients·log n)`` time and ``O(n·clients)``
-  memory, once per oracle, which keeps the table.
-- ``facility_summary``: ``O(clients·(s·log s + n))`` time,
-  ``O(clients·(s + n))`` memory.
-- ``facility_price``: ``O(q·clients)`` time and memory, gathers at each
-  queried element's similarity ranks.
+  memory, once per oracle, which keeps the tables.
+- ``class_histogram``: ``O((s + n)·clients)`` time and memory, once per
+  round: the rows per top-1 value class and client.
+- ``class_cumsums``: ``O(n·clients)`` time, in place, on the first
+  pricing after an insert.
+- ``class_price``: ``O(q·clients)`` time and memory, gathers at each
+  queried element's value classes.
 
-A round state also prices one element without a summary
-(``RoundState.price``), straight from its statistics:
+A round state also prices one element without the batch summary
+(``RoundState.price``):
 
 - coverage: ``O(|cover(e)|)`` time when no item of ``e``'s is at count 1
   in any row, else ``O(s + |cover(e)|·(1 + h_e))`` for the ``h_e`` rows
   that hold ``e``, integer hit counts over ``e``'s items;
-- facility: no sort; ``O(s·clients)`` time the first time an element is
-  priced in a round, then ``O(k·clients)`` for the ``k`` rows a basis
-  change touched since its last price, with ``O(s)`` row sums kept per
-  priced element;
+- facility: no sort and no per-row sums; ``class_price`` of the one
+  element plus ``O(s + h_e·clients)`` for the pairs it tops in the
+  ``h_e`` rows that hold it, the same formula a batch uses;
 - additive: ``O(1)``.
 
 No kernel builds an array whose size grows as ``s·n·clients``, and
 coverage pricing builds none of ``s·universe`` floats.  A round state keeps
-the statistics across basis changes (``push_top2`` adds a facility member;
-coverage keeps, per item, its count-0 and count-1 rows' numbers beside the
-cover counts) and values its rows from them: the rows' covered weight, or
-the sum of each row's top-1 similarities.
+the statistics across basis changes (``push_top2`` adds a facility member
+and reports the pairs it tops, whose class counts move; coverage keeps,
+per item, its count-0 and count-1 rows' numbers beside the cover counts)
+and values its rows from them: the rows' covered weight, or the sum of
+each row's top-1 similarities.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ import numpy as np
 
 # queried elements held by some row, priced together by ``coverage_price``
 PRICE_BLOCK = 64
+# rows of the top-2 statistics ``row_top2`` builds at once
+TOP2_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -138,89 +143,91 @@ def coverage_price(uncovered, critical, counts, members, elems, indptr, indices,
 def row_top2(sets, sim):
     """Best and second-best similarity per ``(row, client)`` over the row's
     members, 0 where fewer exist, plus the member holding the best (``n``
-    where no member is positive), in one pass over the elements."""
+    where no member is positive).  ``TOP2_BLOCK_ROWS`` rows at a time, each
+    block in one pass over its members, so every pass stays within the
+    block's rows."""
     n = sim.shape[0]
     shape = (sets.shape[0], sim.shape[1])
     top1 = np.zeros(shape)
     top2 = np.zeros(shape)
     arg1 = np.full(shape, n, dtype=np.intp)
-    for j in np.flatnonzero(sets.any(axis=0)):
-        push_top2(top1, arg1, top2, np.flatnonzero(sets[:, j]), j, sim[j])
+    for lo in range(0, shape[0], TOP2_BLOCK_ROWS):
+        block = slice(lo, lo + TOP2_BLOCK_ROWS)
+        part = sets[block]
+        stats = top1[block], arg1[block], top2[block]
+        for j in np.flatnonzero(part.any(axis=0)):
+            push_top2(*stats, np.flatnonzero(part[:, j]), j, sim[j])
     return top1, arg1, top2
 
 
 def push_top2(top1, arg1, top2, rows, j, v):
-    """Add member ``j``, with similarities ``v``, to the given rows."""
+    """Add member ``j``, with similarities ``v``, to the given rows; return
+    where it became the top-1, ``(len(rows), clients)``."""
     t1 = top1[rows]
     top2[rows] = np.maximum(top2[rows], np.minimum(t1, v))
     top1[rows] = np.maximum(t1, v)
-    arg1[rows] = np.where(v > t1, j, arg1[rows])
+    took = v > t1
+    arg1[rows] = np.where(took, j, arg1[rows])
+    return took
 
 
 def similarity_ranks(sim):
     """Each client's similarities, with a zero appended as element ``n``,
-    ranked.  ``rank[e, c]``, int32 ``(n + 1, clients)``, counts the entries
-    of client ``c``'s column that lie strictly below entry ``e``.
-    ``order[c, p]``, ``(clients, n + 1)``, is ``c·(n + 1) + e`` for the
-    entry ``e`` at position ``p - 1`` of the column in ascending order
-    (ties by element), and ``clients·(n + 1)`` at ``p = 0``."""
+    ranked into value classes.  Entry ``e`` of client ``c``'s column is in
+    class ``k``, the number of entries of the column strictly below it, so
+    equal entries share a class.  ``values``, ``(clients, n + 1)``, holds
+    each column in ascending order (ties by element): class ``k`` has the
+    value at position ``k``.  ``slot[e, c]``, intp ``(n + 1, clients)``, is
+    ``c·(n + 1) + k``, the position of the entry's class in a flat table
+    shaped like ``values``."""
     n, clients = sim.shape
-    ext = np.zeros((n + 1, clients))
-    ext[:n] = sim
-    ascending = np.argsort(ext, axis=0, kind="stable")
-    ext.sort(axis=0)
-    # an entry ranks as the first entry equal to it in ascending order
-    first = np.ones(ext.shape, dtype=bool)
-    np.not_equal(ext[1:], ext[:-1], out=first[1:])
+    ext = np.zeros((clients, n + 1))
+    ext[:, :n] = sim.T
+    ascending = np.argsort(ext, axis=1, kind="stable")
+    values = np.take_along_axis(ext, ascending, axis=1)
     del ext
-    at = np.where(first, np.arange(n + 1, dtype=np.int32)[:, None], np.int32(0))
-    np.maximum.accumulate(at, axis=0, out=at)
-    rank = np.empty(at.shape, dtype=np.int32)
-    np.put_along_axis(rank, ascending, at, axis=0)
-    order = np.empty((clients, n + 1), dtype=np.intp)
-    order[:, 0] = clients * (n + 1)
-    order[:, 1:] = ascending[:-1].T
-    order[:, 1:] += np.arange(clients)[:, None] * (n + 1)
-    return rank, order
+    # an entry ranks as the first entry equal to it in ascending order
+    first = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
+    at = np.where(first, np.arange(n + 1, dtype=np.int32), np.int32(0))
+    del first
+    np.maximum.accumulate(at, axis=1, out=at)
+    rank = np.empty_like(at)
+    np.put_along_axis(rank, ascending, at, axis=1)
+    del ascending, at
+    slot = np.ascontiguousarray(rank.T, dtype=np.intp)
+    slot += np.arange(clients) * (n + 1)
+    return slot, values
 
 
-def facility_summary(top1, arg1, top2, ranks):
-    """What pricing reads of the top-2 statistics: the prefix sums of each
-    client's top1 column sorted over rows; ``below[c, k]``, the rows whose
-    top-1 for client ``c`` ranks below ``k`` among ``ranks`` (the oracle's
-    :func:`similarity_ranks`); and per element the sum of ``top1 - top2``
-    over the ``(row, client)`` pairs it tops (entry ``n`` collects the pairs
-    no member tops)."""
-    rank, order = ranks
-    s, clients = top1.shape
-    width = rank.shape[0]
-    prefix = np.zeros((clients, s + 1))
-    np.cumsum(np.sort(top1.T, axis=1), axis=1, out=prefix[:, 1:])
-    # top1 is the similarity of its argmax, so it ranks as the argmax does:
-    # rows per (client, argmax), read in ascending order and summed
-    keys = (arg1 + np.arange(clients) * width).ravel()
-    below = np.bincount(keys, minlength=clients * width + 1)[order]
-    np.cumsum(below, axis=1, out=below)
-    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=width)
-    return prefix, below, tops
+def class_histogram(arg1, slot):
+    """Rows per ``(client, value class)`` of the rows' top-1, ``(clients,
+    n + 1)`` int32 counts: a top-1 is its argmax's similarity, so its class
+    is the argmax's."""
+    width, clients = slot.shape
+    keys = np.take_along_axis(slot, arg1, axis=0)
+    hist = np.bincount(keys.ravel(), minlength=width * clients)
+    return hist.reshape(clients, width).astype(np.int32)
 
 
-def facility_price(prefix, below, tops, elems, sim, ranks):
-    # Without e a row's best similarity is top1, or top2 in the rows where e
-    # is the best member.  Summing max(sim[e,c] - top1[r,c], 0) over rows
-    # takes the rows whose top1 lies below sim[e,c], counted at e's rank, and
-    # their prefix sum; the bincount over the argmax adds top1 - top2 in the
-    # rows that e tops.  Gathers are flat and client-major, like ``above``,
-    # so its sum adds the clients in order.
-    above = np.ascontiguousarray(sim[elems].T)
-    column = np.arange(above.shape[0])[:, None]
-    at = np.empty(above.shape, dtype=np.intp)
-    np.add(ranks[0][elems].T, column * below.shape[1], out=at)
-    under = below.ravel()[at]
-    np.add(under, column * prefix.shape[1], out=at)
-    np.multiply(under, above, out=above)
-    above -= prefix.ravel()[at]
-    return (above.sum(axis=0) + tops[elems]) / (prefix.shape[1] - 1)
+def class_cumsums(hist, values, below, under):
+    """Fill ``below[c, k]`` (int32), the rows whose top-1 for client ``c``
+    lies in a class under ``k``, and ``under[c, k]``, their top-1 sum: count
+    times class value, added class by class.  Column 0 of both stays 0."""
+    np.cumsum(hist[:, :-1], axis=1, out=below[:, 1:])
+    np.multiply(hist[:, :-1], values[:, :-1], out=under[:, 1:])
+    np.cumsum(under[:, 1:], axis=1, out=under[:, 1:])
+
+
+def class_price(below, under, slot, sim, elems):
+    """Per queried element, the sum over clients and rows of ``max(sim[e, c]
+    - top1[r, c], 0)``: ``below·sim[e, c] - under`` at ``e``'s class
+    ``slot[e, c]``.  Each element's terms are summed along one contiguous
+    row, so an element priced alone gets the float a batch gives it."""
+    at = slot[elems]
+    terms = below.take(at) * sim[elems]
+    terms -= under.take(at)
+    return terms.sum(axis=1)
 
 
 def active_backend() -> str:

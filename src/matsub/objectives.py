@@ -283,9 +283,10 @@ class FacilityLocationOracle(ValueOracle):
 
     @cached_property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per client, the rank of each similarity in its column, for batch
-        pricing (:func:`kernels.similarity_ranks`): ``O(n·clients)`` memory,
-        built for the first batch pricing and freed with the oracle."""
+        """Each similarity's value class and each client's ascending
+        column (:func:`kernels.similarity_ranks`), for the round states:
+        ``O(n·clients)`` memory, built for the first round and freed with
+        the oracle."""
         return kernels.similarity_ranks(self.similarity)
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
@@ -432,12 +433,15 @@ class RoundState:
     ``samples`` alone, and ``rows``, ``members`` and ``values`` refuse it.
     A contraction's rows hold its frozen columns in both layers.
 
-    ``marginal_means`` prices from a summary of the rows, rebuilt on the
-    first pricing after a basis change, which pays off over many elements.
-    ``price`` prices one element straight from the per-row statistics: it
-    builds no summary and leaves the current one in place.  Each row's term
-    leaves ``e``'s own membership out, so ``price(e)`` is the same float,
-    bit for bit, whether or not ``e`` is in ``B``.
+    ``marginal_means`` prices from a batch summary of the rows, rebuilt on
+    the first batch after a basis change, which pays off over many
+    elements.  ``price`` prices one element without it: it builds no batch
+    summary and leaves the current one in place.  A facility round prices
+    one element and a batch by one formula over class cumsums it keeps
+    apart from the summary, so a non-member's ``price(e)`` is
+    ``marginal_means([e])[0]`` bit for bit.  ``price`` leaves ``e``'s own
+    membership out, so ``price(e)`` is the same float, bit for bit,
+    whether or not ``e`` is in ``B``.
 
     A sweep keeps the state at its basis only while a later pricing can
     read it.  An insert is paid in per-row statistics (a coverage insert
@@ -503,8 +507,8 @@ class RoundState:
         return self._means(q)
 
     def price(self, elem: int) -> float:
-        """``marginal_means([elem])[0]`` up to rounding, charged ``2*s``
-        queries."""
+        """``marginal_means([elem])[0]`` up to rounding (bit for bit for a
+        facility non-member), charged ``2*s`` queries."""
         elem = int(elem)
         if not 0 <= elem < self.oracle.n:
             raise ValueError("element id out of range")
@@ -602,59 +606,112 @@ class _CoverageRound(RoundState):
 
 
 class _FacilityRound(RoundState):
-    """Top-1, its argmax and top-2 similarity per ``(row, client)``.
+    """Top-1, its argmax and top-2 similarity per ``(row, client)``, and per
+    client the number of rows whose top-1 lies in each value class of the
+    client's column (:func:`kernels.similarity_ranks`).
 
-    A one-element price sums, per row, ``max(sim[e] - best without e, 0)``
-    over the clients.  Those row sums are kept per priced element, and a
-    later price of the element recomputes only the rows a basis change has
-    touched since, ``O(rows·clients)`` for those rows."""
+    Without ``e`` a row's best similarity is its top-1, or its top-2 in the
+    pairs ``e`` tops.  Summed over the rows, ``max(sim[e, c] - top1, 0)``
+    takes the rows whose top-1 lies in a class below ``e``'s: their count
+    times ``sim[e, c]`` less their top-1 sum, two exclusive cumsums of the
+    histogram read at ``e``'s class.  The pairs ``e`` tops add ``top1 -
+    top2``; a non-member tops pairs only in the rows whose lower layer
+    holds it.  So a one-element price costs ``O(s + clients·(1 + h))`` for
+    the ``h`` rows that hold ``e``, and a batch prices by the same formula,
+    with the ``top1 - top2`` sums of every argmax from one row-major
+    bincount (the batch summary), which adds each element's terms in the
+    order a one-element price does.
+
+    An insert moves one count, per pair its element comes to top, from the
+    pair's old class to the element's: ``O(k·clients)`` for its ``k``
+    flipped rows.  The first pricing after an insert rebuilds the cumsums,
+    ``O(n·clients)``.  A member is priced at its ``e``-less view
+    (:meth:`_own_cumsums`)."""
+
+    # one count of the int32 histogram: a scalar of its dtype keeps
+    # ``ufunc.at`` on its fast path
+    _ONE = np.int32(1)
 
     def __init__(
         self, oracle: FacilityLocationOracle, lower: np.ndarray, upper: np.ndarray
     ) -> None:
         super().__init__(oracle, lower.shape[0], lower, upper)
         self.top = kernels.row_top2(lower, oracle.similarity)
-        # basis changes so far, and per row the number of the last one
-        # that touched it
-        self._changes = 0
-        self._changed_at = np.zeros(lower.shape[0], dtype=np.int64)
-        # element -> (changes when priced, its per-row sums then)
-        self._row_sums: dict[int, tuple[int, np.ndarray]] = {}
+        self.slot, self.class_values = oracle.ranks
+        self.hist = kernels.class_histogram(self.top[1], self.slot)
+        # the histogram's cumsums, rebuilt on the first pricing after an
+        # insert
+        self._below = np.zeros(self.hist.shape, dtype=np.int32)
+        self._under = np.zeros(self.hist.shape)
+        self._stale = True
 
     def _add(self, elem: int) -> None:
         rows = self._flipped(elem)
-        kernels.push_top2(*self.top, rows, elem, self.oracle.similarity[elem])
-        self._changes += 1
-        self._changed_at[rows] = self._changes
+        was = self.top[1][rows]
+        took = np.flatnonzero(
+            kernels.push_top2(*self.top, rows, elem, self.oracle.similarity[elem])
+        )
+        clients = self.hist.shape[0]
+        column = took % clients
+        # each pair it came to top leaves its old class for the element's
+        hist = self.hist.ravel()
+        old = self.slot.ravel()[was.ravel()[took] * clients + column]
+        np.subtract.at(hist, old, self._ONE)
+        hist[self.slot[elem]] += np.bincount(column, minlength=clients)
+        self._stale = True
+
+    def _cumsums(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._stale:
+            kernels.class_cumsums(self.hist, self.class_values, self._below, self._under)
+            self._stale = False
+        return self._below, self._under
 
     def _summarize(self):
-        return kernels.facility_summary(*self.top, self.oracle.ranks)
+        top1, arg1, top2 = self.top
+        return np.bincount(
+            arg1.ravel(), weights=(top1 - top2).ravel(), minlength=self.slot.shape[0]
+        )
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
-        oracle = self.oracle
-        return kernels.facility_price(*self._summary, elems, oracle.similarity, oracle.ranks)
+        sums = kernels.class_price(
+            *self._cumsums(), self.slot, self.oracle.similarity, elems
+        )
+        return (sums + self._summary[elems]) / self.samples
 
     def _price(self, elem: int) -> float:
-        priced, sums = self._row_sums.get(elem, (-1, None))
-        if sums is None:
-            sums = np.empty(self.samples)
-        rows = np.flatnonzero(self._changed_at > priced)
-        if rows.size:
-            # without e a row's best similarity is top1, or top2 in the rows
-            # that hold e where e is the best member (there top1 is e's own
-            # similarity)
+        tops = 0.0
+        held = np.flatnonzero(self.lower[:, elem])
+        if held.size:
             top1, arg1, top2 = self.top
-            sim = self.oracle.similarity[elem]
-            # a first price reads the whole block in place
-            gain = sim - (top1 if rows.size == self.samples else top1[rows])
-            mine = np.flatnonzero(self._holds(elem)[rows])
-            if mine.size:
-                held = rows[mine]
-                gain[mine] = np.where(arg1[held] == elem, sim - top2[held], gain[mine])
-            np.maximum(gain, 0.0, out=gain)
-            sums[rows] = gain.sum(axis=1)
-        self._row_sums[elem] = (self._changes, sums)
-        return float(sums.sum()) / self.samples
+            clients = top1.shape[1]
+            hit = np.flatnonzero(arg1[held] == elem)
+            if hit.size:
+                at = held[hit // clients] * clients + hit % clients
+                # added in the row-major order of the batch summary's bincount
+                tops = np.cumsum(top1.ravel()[at] - top2.ravel()[at])[-1]
+        cumsums = self._own_cumsums(elem) if self.in_basis[elem] else self._cumsums()
+        sums = kernels.class_price(
+            *cumsums, self.slot, self.oracle.similarity, np.array([elem])
+        )
+        return float(sums[0] + tops) / self.samples
+
+    def _own_cumsums(self, elem: int) -> tuple[np.ndarray, np.ndarray]:
+        """The cumsums of a member's ``e``-less view: in its flipped rows,
+        the pairs it tops go back to the class of their top-2, the best
+        similarity without it.  The histogram is then the one from before
+        its insert, count for count."""
+        rows = self._flipped(elem)
+        _, arg1, top2 = self.top
+        row, column = np.nonzero(arg1[rows] == elem)
+        hist = self.hist.copy()
+        np.subtract.at(hist.ravel(), self.slot[elem, column], self._ONE)
+        for c in np.unique(column).tolist():
+            mine = column == c
+            back = self.class_values[c].searchsorted(top2[rows[row[mine]], c], side="left")
+            np.add.at(hist[c], back, self._ONE)
+        below, under = np.zeros(hist.shape, dtype=np.int32), np.zeros(hist.shape)
+        kernels.class_cumsums(hist, self.class_values, below, under)
+        return below, under
 
     def _values(self) -> np.ndarray:
         return self.top[0].sum(axis=1)

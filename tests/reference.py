@@ -1055,21 +1055,34 @@ def tensor_facility_marginal_means(
     return out
 
 
-def searchsorted_facility_means(top1, arg1, top2, elems, sim) -> np.ndarray:
-    """Facility marginal means from top-2 statistics through each client's
-    sorted top1 column, one ``searchsorted`` per client: batch pricing as it
-    ran before the similarity ranks."""
-    n = sim.shape[0]
-    ranked = np.sort(top1.T, axis=1)
-    prefix = np.zeros((ranked.shape[0], ranked.shape[1] + 1))
-    np.cumsum(ranked, axis=1, out=prefix[:, 1:])
-    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=n + 1)
-    query = np.ascontiguousarray(sim[elems].T)
-    below = np.empty(query.shape, dtype=np.intp)
-    for c in range(ranked.shape[0]):
-        below[c] = ranked[c].searchsorted(query[c])
-    above = below * query - np.take_along_axis(prefix, below, axis=1)
-    return (above.sum(axis=0) + tops[elems]) / ranked.shape[1]
+def class_histogram_facility_means(top1, arg1, top2, elems, sim) -> np.ndarray:
+    """Facility marginal means by the value-class formula, with every count
+    and cumsum rebuilt by brute force from top-2 statistics.  Per client
+    ``c``, a row's top-1 lies in class ``k``, the number of entries of
+    ``c``'s column (a zero appended) strictly below it, and class ``k``
+    takes the column's ``k``-th smallest entry as its value.  The counts and
+    the count-times-value sums below each class are added class by class,
+    each element's terms summed along one row of clients, and the pairs an
+    element tops add ``top1 - top2`` in row-major order."""
+    s, clients = top1.shape
+    ext = np.vstack([sim, np.zeros((1, clients))])
+    width = ext.shape[0]
+    terms = np.empty((len(elems), clients))
+    for c in range(clients):
+        column = ext[:, c]
+        ascending = np.sort(column, kind="stable")
+        counts = [0] * width
+        for value in top1[:, c].tolist():
+            counts[int(np.count_nonzero(column < value))] += 1
+        below, under = [0], [0.0]
+        for k in range(width - 1):
+            below.append(below[-1] + counts[k])
+            under.append(under[-1] + counts[k] * ascending[k])
+        for qi, e in enumerate(elems):
+            k = int(np.count_nonzero(column < column[e]))
+            terms[qi, c] = below[k] * column[e] - under[k]
+    tops = np.bincount(arg1.ravel(), weights=(top1 - top2).ravel(), minlength=width)
+    return (terms.sum(axis=1) + tops[elems]) / s
 
 
 def loop_coverage_marginal_means(

@@ -15,8 +15,8 @@ from matsub.objectives import (
     nested_subsets,
 )
 from reference import (
+    class_histogram_facility_means,
     loop_coverage_marginal_means,
-    searchsorted_facility_means,
     slow_coverage_marginal_means,
     slow_coverage_value,
     tensor_facility_marginal_means,
@@ -304,8 +304,27 @@ def test_coverage_marginal_means_build_no_row_summary() -> None:
     np.testing.assert_allclose(got, [state.price(e) for e in elems], rtol=0.0, atol=1e-12)
 
 
+def test_facility_price_after_an_insert_reads_no_row_block() -> None:
+    # one (s, clients) float64 array is 8 MB at these shapes; a price reads
+    # the class cumsums at the element's classes and the rows that hold it
+    s, n, clients = 256, 60, 4000
+    rng = np.random.default_rng(19)
+    oracle = FacilityLocationOracle(rng.uniform(0.0, 1.0, size=(n, clients)))
+    state = oracle.round_state(*nested_subsets(rng.uniform(0.0, 0.3, n), 0.2, s, rng))
+    state.price(0)
+    state.insert(1)
+    tracemalloc.start()
+    try:
+        state.price(2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < s * clients * 8, peak
+
+
 # ---------------------------------------------------------------------------
-# facility batch pricing by similarity rank against the searchsorted kernel
+# facility batch pricing from the round state's class histogram against
+# counts and cumsums rebuilt by brute force from its top-2 statistics
 
 
 def _with_zero_row(sim: np.ndarray) -> np.ndarray:
@@ -327,11 +346,11 @@ def _tied_similarity(
     return sim
 
 
-def _assert_prices_as_searchsorted(state, sim: np.ndarray, elems: np.ndarray) -> None:
+def _assert_prices_as_class_histogram(state, sim: np.ndarray, elems: np.ndarray) -> None:
     top1, arg1, top2 = state.top
     # every top-1 is the similarity of its argmax, the appended zero for n
     np.testing.assert_array_equal(top1, np.take_along_axis(_with_zero_row(sim), arg1, axis=0))
-    want = searchsorted_facility_means(top1, arg1, top2, elems, sim)
+    want = class_histogram_facility_means(top1, arg1, top2, elems, sim)
     np.testing.assert_array_equal(state.marginal_means(elems), want)
 
 
@@ -339,17 +358,18 @@ def test_similarity_ranks_count_the_entries_strictly_below() -> None:
     rng = np.random.default_rng(20)
     sim = _tied_similarity(rng, 9, 7)
     assert np.signbit(sim[sim == 0.0]).any()
-    rank, order = FacilityLocationOracle(sim).ranks
+    slot, values = FacilityLocationOracle(sim).ranks
     ext = _with_zero_row(sim)
     width = ext.shape[0]
-    assert rank.dtype == np.int32 and rank.shape == ext.shape
-    assert order.shape == (sim.shape[1], width)
+    assert slot.dtype == np.intp and slot.shape == ext.shape
+    assert values.shape == ext.T.shape
     for c in range(sim.shape[1]):
         for e in range(width):
-            assert rank[e, c] == np.count_nonzero(ext[:, c] < ext[e, c])
-        assert order[c, 0] == sim.shape[1] * width
-        listed = order[c, 1:] - c * width
-        np.testing.assert_array_equal(listed, np.argsort(ext[:, c], kind="stable")[:-1])
+            rank = slot[e, c] - c * width
+            assert rank == np.count_nonzero(ext[:, c] < ext[e, c])
+            # an entry's class holds its value
+            assert values[c, rank] == ext[e, c]
+        np.testing.assert_array_equal(values[c], np.sort(ext[:, c]))
 
 
 @pytest.mark.parametrize("grid", [4, 7])
@@ -362,8 +382,8 @@ def test_rank_pricing_matches_searchsorted_on_tied_similarities(seed: int, grid:
     sets[:6, :2] = 1  # the duplicated rows 0 and 1 share these rows
     sets[6] = 0
     state = FacilityLocationOracle(sim).round_state(sets, sets)
-    _assert_prices_as_searchsorted(state, sim, np.arange(n, dtype=np.int64))
-    _assert_prices_as_searchsorted(state, sim, np.array([3, 0, 3, n - 1], dtype=np.int64))
+    _assert_prices_as_class_histogram(state, sim, np.arange(n, dtype=np.int64))
+    _assert_prices_as_class_histogram(state, sim, np.array([3, 0, 3, n - 1], dtype=np.int64))
 
 
 @pytest.mark.parametrize("grid", [4, 7, None])
@@ -380,7 +400,7 @@ def test_rank_pricing_matches_searchsorted_through_inserts_and_deletes(grid) -> 
         for elem in rng.permutation(n).tolist():
             state.insert(elem)
             elems = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-            _assert_prices_as_searchsorted(state, sim, elems.astype(np.int64))
+            _assert_prices_as_class_histogram(state, sim, elems.astype(np.int64))
 
 
 def test_rank_pricing_matches_searchsorted_under_frozen_columns() -> None:
@@ -390,7 +410,7 @@ def test_rank_pricing_matches_searchsorted_under_frozen_columns() -> None:
     residual = ResidualOracle(FacilityLocationOracle(sim), [0, 5, 9])
     state = residual.round_state(*nested_subsets(rng.uniform(0.0, 0.5, n), 0.25, 32, rng))
     elems = np.arange(n, dtype=np.int64)
-    _assert_prices_as_searchsorted(state, sim, elems)
+    _assert_prices_as_class_histogram(state, sim, elems)
     for elem in (2, 7, 5, 11):
         state.insert(elem)
-        _assert_prices_as_searchsorted(state, sim, elems)
+        _assert_prices_as_class_histogram(state, sim, elems)

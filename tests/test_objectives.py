@@ -402,6 +402,23 @@ def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("objective", ["facility", "facility-ties"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_facility_price_is_the_batch_formula_bit_for_bit(objective, frozen) -> None:
+    # one element and a batch read the same class cumsums and add the pairs
+    # an element tops in the same order, so a non-member's price is the
+    # float a batch gives it, alone or among others
+    for seed in range(3):
+        base = _objective(objective, seed)
+        f = ResidualOracle(base, frozen) if frozen else base
+        rng = np.random.default_rng(30 + seed)
+        for state, _rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
+            outside = np.flatnonzero(~state.in_basis)
+            prices = [state.price(e) for e in outside]
+            assert prices == [state.marginal_means([e])[0] for e in outside]
+            assert prices == state.marginal_means(outside).tolist()
+
+
 @pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
 @pytest.mark.parametrize("frozen", [(), (2, 5)])
 def test_one_element_price_ignores_the_elements_own_membership(objective, frozen) -> None:
