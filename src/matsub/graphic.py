@@ -1,44 +1,40 @@
 """Half-approximate forest maintenance for graphic matroids.
 
-Each supervertex of the contracted graph keeps a max pairing heap of its
-incident edges and selects the top one; the union of selections, together
-with the contracted (frozen) edges, always forms a forest F whose weight is
-at least half the maximum spanning forest and whose size is at least half
-the rank.  Heaps use lazy invalidation: an entry dies when its edge changes
-weight or both endpoints merge, and dead entries are discarded the next time
-they surface at a heap top.
+Each supervertex of the contracted graph keeps a ``heapq`` list of its
+incident edges, entries ``(-weight, -edge)``, and selects the top one; the
+union of selections, together with the contracted (frozen) edges, always
+forms a forest F whose weight is at least half the maximum spanning forest
+and whose size is at least half the rank.  Entries go stale lazily: weights
+only fall, so an entry is current exactly when its stored weight is the
+edge's weight, and it dies once its edge is frozen or both endpoints merge.
+Dead entries are discarded the next time they surface at a heap top.
 
 It is one of phase 1's three basis structures (see
 ``optimizer.MaxWeightOracle``); its basis is F.  The edge set is fixed at
 construction; only decrement and freeze mutate.  Freezing a forest edge
-contracts its endpoints, which is one union-find link plus an O(1) heap
-meld.  Every mutation reports its change to the unfrozen part of F.
+contracts its endpoints: one union-find link, and the smaller endpoint list
+poured into the larger.  An entry moves only into a list at least as long
+as the one it leaves, so the list holding it at least doubles with each
+move: over ``m`` pushed entries each moves ``O(log m)`` times, and all heap
+work is ``O(m log² m)``.  Every mutation reports its change to the unfrozen
+part of F.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Mapping
 
-from .core import OracleChanges, weight_key
+from .core import OracleChanges
 from .instances import GraphicMatroid, _UnionFind
 
 
-class _HeapNode:
-    __slots__ = ("key", "edge", "version", "child", "sibling")
-
-    def __init__(self, key: tuple[float, int], edge: int, version: int) -> None:
-        self.key = key
-        self.edge = edge
-        self.version = version
-        self.child: _HeapNode | None = None
-        self.sibling: _HeapNode | None = None
-
-
 class ContractedGraph:
-    """Max incident-edge selection per supervertex with heap melding.
+    """Max incident-edge selection per supervertex over ``heapq`` lists.
 
     Ties on weight break toward the larger edge id, so the selected forest
     is unique and the per-vertex picks can never close a cycle.
+    ``heap_ops`` counts pushes, pops and entries moved by a freeze.
     """
 
     def __init__(self, matroid: GraphicMatroid, weights: Mapping[int, float]) -> None:
@@ -46,9 +42,8 @@ class ContractedGraph:
         self.edges = matroid.edges
         self.dsu = _UnionFind(matroid.num_vertices)
         self.weights: dict[int, float] = {}
-        self.version: dict[int, int] = {}
         self.frozen: set[int] = set()
-        self.heaps: dict[int, _HeapNode | None] = {}
+        self.heaps: dict[int, list[tuple[float, int]]] = {}
         self.sel: dict[int, int | None] = {}
         self.sel_count: dict[int, int] = {}
         self._forest_weight = 0.0
@@ -59,65 +54,26 @@ class ContractedGraph:
             if weight < 0:
                 raise ValueError("weights must be nonnegative")
             self.weights[edge] = float(weight)
-            self.version[edge] = 0
             self._push_edge(edge)
-        touched = sorted(self.heaps)
         sink = OracleChanges()
-        for r in touched:
+        for r in sorted(self.heaps):
             self._set_sel(r, self._best(r), sink)
-
-    # -- pairing heap ------------------------------------------------------
-
-    def _meld(self, a: _HeapNode | None, b: _HeapNode | None) -> _HeapNode | None:
-        self.heap_ops += 1
-        if a is None:
-            return b
-        if b is None:
-            return a
-        if a.key < b.key:
-            a, b = b, a
-        b.sibling = a.child
-        a.child = b
-        return a
-
-    def _pop(self, root: _HeapNode) -> _HeapNode | None:
-        self.heap_ops += 1
-        # two-pass pairing: meld children left-to-right in pairs, then fold
-        pairs: list[_HeapNode] = []
-        node = root.child
-        while node is not None:
-            nxt = node.sibling
-            node.sibling = None
-            if nxt is None:
-                pairs.append(node)
-                break
-            nnxt = nxt.sibling
-            nxt.sibling = None
-            pairs.append(self._meld(node, nxt))
-            node = nnxt
-        merged: _HeapNode | None = None
-        for sub in reversed(pairs):
-            merged = self._meld(merged, sub)
-        return merged
 
     # -- selection maintenance --------------------------------------------
 
-    def _key(self, edge: int) -> tuple[float, int]:
-        return weight_key(self.weights[edge], edge)
-
-    def _alive(self, node: _HeapNode) -> bool:
-        e = node.edge
-        if e in self.frozen or node.version != self.version[e]:
+    def _alive(self, entry: tuple[float, int]) -> bool:
+        e = -entry[1]
+        if e in self.frozen or -entry[0] != self.weights[e]:
             return False
         u, v = self.edges[e]
         return self.dsu.find(u) != self.dsu.find(v)
 
     def _best(self, root_id: int) -> int | None:
-        heap = self.heaps.get(root_id)
-        while heap is not None and not self._alive(heap):
-            heap = self._pop(heap)
-        self.heaps[root_id] = heap
-        return None if heap is None else heap.edge
+        heap = self.heaps.get(root_id, [])
+        while heap and not self._alive(heap[0]):
+            heappop(heap)
+            self.heap_ops += 1
+        return -heap[0][1] if heap else None
 
     def _set_sel(self, root_id: int, edge: int | None, changes: OracleChanges) -> None:
         old = self.sel.get(root_id)
@@ -138,14 +94,13 @@ class ContractedGraph:
                 self._forest_weight += self.weights[edge]
 
     def _push_edge(self, edge: int) -> None:
-        u, v = self.edges[edge]
-        ru, rv = self.dsu.find(u), self.dsu.find(v)
-        if ru == rv:
+        roots = self._roots(edge)
+        if len(roots) == 1:
             return
-        key = self._key(edge)
-        version = self.version[edge]
-        self.heaps[ru] = self._meld(self.heaps.get(ru), _HeapNode(key, edge, version))
-        self.heaps[rv] = self._meld(self.heaps.get(rv), _HeapNode(key, edge, version))
+        entry = (-self.weights[edge], -edge)
+        for r in roots:
+            heappush(self.heaps.setdefault(r, []), entry)
+        self.heap_ops += 2
 
     def _roots(self, edge: int) -> list[int]:
         u, v = self.edges[edge]
@@ -166,7 +121,6 @@ class ContractedGraph:
         was_selected = self.sel_count.get(edge, 0) > 0
         old_weight = self.weights[edge]
         self.weights[edge] = new_weight
-        self.version[edge] += 1
         if was_selected:
             self._forest_weight += new_weight - old_weight
         changes = OracleChanges()
@@ -190,7 +144,10 @@ class ContractedGraph:
         self._set_sel(rv, None, changes)
         self.sel.pop(ru, None)
         self.sel.pop(rv, None)
-        heap = self._meld(self.heaps.pop(ru, None), self.heaps.pop(rv, None))
+        small, heap = sorted((self.heaps.pop(ru, []), self.heaps.pop(rv, [])), key=len)
+        for entry in small:
+            heappush(heap, entry)
+        self.heap_ops += len(small)
         self.frozen.add(edge)
         # the frozen edge stays in F, so its weight keeps counting
         self._forest_weight += self.weights[edge]

@@ -168,8 +168,8 @@ class LaminarChecker:
     trusts the caller's ``test``; a member never passes one.
 
     An element passes ``test`` when it is not a member and every node on
-    its path to the root is below capacity: ``O(depth)`` along the parent
-    pointers."""
+    its path to the root is below capacity; ``test`` and ``insert`` each
+    walk the parent pointers in place, ``O(depth)``."""
 
     def __init__(self, matroid: LaminarMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
@@ -193,8 +193,11 @@ class LaminarChecker:
 
     def insert(self, elem: int) -> None:
         self._member[elem] = True
-        for v in self.matroid.path_to_root(self.matroid.element_nodes[elem]):
-            self.counts[v] += 1
+        counts, parents = self.counts, self.matroid.parents
+        node = self.matroid.element_nodes[elem]
+        while node != -1:
+            counts[node] += 1
+            node = parents[node]
 
 
 # ---------------------------------------------------------------------------

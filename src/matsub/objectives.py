@@ -341,9 +341,7 @@ class ResidualOracle(ValueOracle):
             self._frozen_mask[e] = 1
         self._offset = base._value(np.asarray(self.frozen, dtype=np.int64))
 
-    def value(self, subset: Iterable[int]) -> float:
-        idx = self._as_indices(subset)
-        self.counter.count += 1
+    def _value(self, idx: np.ndarray) -> float:
         merged = np.unique(np.concatenate([idx, np.asarray(self.frozen, dtype=np.int64)])) \
             if self.frozen else idx
         return self.base._value(merged) - self._offset

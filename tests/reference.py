@@ -194,7 +194,7 @@ class SlowLaminarBasis:
         self.frozen.add(elem)
         return OracleChanges(removed=[elem])
 
-    # -- primitives for rounding exchanges --------------------------------
+    # -- primitives for SlowLaminarExchanger's unweighted copies ----------
 
     def remove_from_basis(self, elem: int) -> None:
         if elem not in self.in_basis:
@@ -222,9 +222,6 @@ class SlowLaminarBasis:
 
     def basis(self) -> list[int]:
         return sorted(self.in_basis)
-
-    def weight_of(self, elem: int) -> float:
-        return self.weights[elem]
 
     def approx_base_weight(self) -> float:
         return self._basis_weight

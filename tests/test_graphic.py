@@ -221,20 +221,32 @@ def test_differential_random_ops() -> None:
 
 
 def test_heap_ops_amortized_bound() -> None:
+    # decrements with every fifth operation freezing a forest edge, so the
+    # freezes' smaller-into-larger pours are counted too
     rng = np.random.default_rng(7)
-    mat = _random_graph(rng)
+    n = 120
+    edges = [(int(u), int(v)) for u, v in rng.integers(n, size=(400, 2)) if u != v]
+    mat = GraphicMatroid(num_vertices=n, edges=edges)
     m = len(mat.edges)
     weights = {e: float(rng.uniform(1, 100)) for e in range(m)}
     d = ContractedGraph(mat, dict(weights))
-    ops = 0
-    for _ in range(400):
+    ops = freezes = 0
+    for step in range(400):
+        if step % 5 == 4:
+            pool = [e for e in d.basis() if e not in d.frozen]
+            if pool:
+                d.freeze(int(rng.choice(pool)))
+                ops += 1
+                freezes += 1
+            continue
         e = int(rng.integers(m))
-        if e in d.frozen or weights[e] <= 0:
+        if e in d.frozen:
             continue
         new_w = weights[e] * 0.9
         d.decrement(e, new_w)
         weights[e] = new_w
         ops += 1
+    assert freezes >= 60
     budget = 30 * (m + ops) * math.log2(max(2, mat.num_vertices))
     assert d.heap_ops <= budget
 
