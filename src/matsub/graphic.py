@@ -12,12 +12,12 @@ Dead entries are discarded the next time they surface at a heap top.
 It is one of phase 1's three basis structures (see
 ``optimizer.MaxWeightOracle``); its basis is F.  The edge set is fixed at
 construction; only decrement and freeze mutate.  Freezing a forest edge
-contracts its endpoints: one union-find link, and the smaller endpoint list
-poured into the larger.  An entry moves only into a list at least as long
-as the one it leaves, so the list holding it at least doubles with each
-move: over ``m`` pushed entries each moves ``O(log m)`` times, and all heap
-work is ``O(m log² m)``.  Every mutation reports its change to the unfrozen
-part of F.
+contracts its endpoints: one union of component labels, which relabels the
+smaller side, and the smaller endpoint list poured into the larger.  An
+entry moves only into a list at least as long as the one it leaves, so the
+list holding it at least doubles with each move: over ``m`` pushed entries
+each moves ``O(log m)`` times, and all heap work is ``O(m log² m)``.  Every
+mutation reports its change to the unfrozen part of F.
 """
 
 from __future__ import annotations
@@ -34,13 +34,16 @@ class ContractedGraph:
 
     Ties on weight break toward the larger edge id, so the selected forest
     is unique and the per-vertex picks can never close a cycle.
-    ``heap_ops`` counts pushes, pops and entries moved by a freeze.
+    Supervertices are named by their component labels over the matroid's
+    ``ends``.  ``heap_ops`` counts pushes, pops and entries moved by a
+    freeze, ``moved`` the entries moved alone.
     """
 
     def __init__(self, matroid: GraphicMatroid, weights: Mapping[int, float]) -> None:
         self.matroid = matroid
-        self.edges = matroid.edges
-        self.dsu = _UnionFind(matroid.num_vertices)
+        self.edges = matroid.ends
+        self.dsu = _UnionFind(matroid.touched)
+        self.label = self.dsu.label
         self.weights: dict[int, float] = {}
         self.frozen: set[int] = set()
         self.heaps: dict[int, list[tuple[float, int]]] = {}
@@ -48,6 +51,7 @@ class ContractedGraph:
         self.sel_count: dict[int, int] = {}
         self._forest_weight = 0.0
         self.heap_ops = 0
+        self.moved = 0
         for edge, weight in sorted(weights.items()):
             if not 0 <= edge < len(self.edges):
                 raise ValueError(f"edge {edge} is not a declared slot")
@@ -66,7 +70,7 @@ class ContractedGraph:
         if e in self.frozen or -entry[0] != self.weights[e]:
             return False
         u, v = self.edges[e]
-        return self.dsu.find(u) != self.dsu.find(v)
+        return self.label[u] != self.label[v]
 
     def _best(self, root_id: int) -> int | None:
         heap = self.heaps.get(root_id, [])
@@ -104,7 +108,7 @@ class ContractedGraph:
 
     def _roots(self, edge: int) -> list[int]:
         u, v = self.edges[edge]
-        ru, rv = self.dsu.find(u), self.dsu.find(v)
+        ru, rv = self.label[u], self.label[v]
         return [ru] if ru == rv else [ru, rv]
 
     # -- mutations ---------------------------------------------------------
@@ -139,7 +143,7 @@ class ContractedGraph:
             raise ValueError("only unfrozen forest edges can be frozen")
         changes = OracleChanges()
         u, v = self.edges[edge]
-        ru, rv = self.dsu.find(u), self.dsu.find(v)
+        ru, rv = self.label[u], self.label[v]
         self._set_sel(ru, None, changes)
         self._set_sel(rv, None, changes)
         self.sel.pop(ru, None)
@@ -148,11 +152,12 @@ class ContractedGraph:
         for entry in small:
             heappush(heap, entry)
         self.heap_ops += len(small)
+        self.moved += len(small)
         self.frozen.add(edge)
         # the frozen edge stays in F, so its weight keeps counting
         self._forest_weight += self.weights[edge]
         self.dsu.union(u, v)
-        root = self.dsu.find(u)
+        root = self.label[u]
         self.heaps[root] = heap
         self._set_sel(root, self._best(root), changes)
         return changes

@@ -206,7 +206,14 @@ class LaminarChecker:
 
 @dataclass
 class GraphicMatroid:
-    """Edges of a multigraph; independent sets are the acyclic ones."""
+    """Edges of a multigraph; independent sets are the acyclic ones.
+
+    ``ends`` holds each edge's endpoints renumbered ``0..touched-1`` over
+    the vertices some edge touches, in increasing order, and every
+    structure built on the matroid indexes those: its size follows the
+    edges, not the declared ``num_vertices``.  ``payload`` still writes the
+    declared numbering.
+    """
 
     num_vertices: int
     edges: list[tuple[int, int]]
@@ -219,6 +226,9 @@ class GraphicMatroid:
         for u, v in self.edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError("edge endpoint out of range")
+        slot = {x: k for k, x in enumerate(sorted({x for edge in self.edges for x in edge}))}
+        self.ends = [(slot[u], slot[v]) for u, v in self.edges]
+        self.touched = len(slot)
         self._rank: int | None = None
 
     @property
@@ -228,17 +238,17 @@ class GraphicMatroid:
     rank = _cached_rank
 
     def _compute_rank(self) -> int:
-        uf = _UnionFind(self.num_vertices)
+        uf = _UnionFind(self.touched)
         r = 0
-        for u, v in self.edges:
+        for u, v in self.ends:
             if uf.union(u, v):
                 r += 1
         return r
 
     def is_independent(self, subset: Iterable[int]) -> bool:
-        uf = _UnionFind(self.num_vertices)
+        uf = _UnionFind(self.touched)
         for e in set(subset):
-            u, v = self.edges[e]
+            u, v = self.ends[e]
             if not uf.union(u, v):
                 return False
         return True
@@ -251,48 +261,62 @@ class GraphicMatroid:
 
 
 class _UnionFind:
+    """Disjoint sets of ``0..n-1`` kept as component labels.
+
+    ``label[x]`` names ``x``'s component by one of its members, so ``find``
+    is one list read, and ``members`` lists each component's vertices under
+    its label.  ``union`` relabels the smaller side's members (on a tie,
+    ``b``'s) and appends them to the other side's list.  A vertex is
+    relabelled only into a component at least twice the size of the one it
+    leaves, so at most ``log2 n`` times.  ``relabels`` counts the vertices
+    relabelled.
+    """
+
     def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
+        self.label = list(range(n))
+        self.members: list[list[int] | None] = [[x] for x in range(n)]
+        self.relabels = 0
 
     def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+        return self.label[x]
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        label = self.label
+        keep, gone = label[a], label[b]
+        if keep == gone:
             return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+        members = self.members
+        kept, moved = members[keep], members[gone]
+        if len(kept) < len(moved):
+            keep, gone, kept, moved = gone, keep, moved, kept
+        for x in moved:
+            label[x] = keep
+        kept += moved
+        members[gone] = None
+        self.relabels += len(moved)
         return True
 
 
 class GraphicChecker:
-    """Incremental acyclicity tester over a union-find forest.  An edge
-    fails ``test`` when its ends already share a component, self-loops
-    included."""
+    """Incremental acyclicity tester over component labels.  An edge fails
+    ``test`` when its ends carry one label, self-loops included."""
 
     def __init__(self, matroid: GraphicMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
-        self.uf = _UnionFind(matroid.num_vertices)
+        self.ends = matroid.ends
+        self.uf = _UnionFind(matroid.touched)
+        self.label = self.uf.label
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
             self.insert(e)
 
     def test(self, elem: int) -> bool:
-        u, v = self.matroid.edges[elem]
-        return self.uf.find(u) != self.uf.find(v)
+        u, v = self.ends[elem]
+        return self.label[u] != self.label[v]
 
     def insert(self, elem: int) -> None:
-        u, v = self.matroid.edges[elem]
+        u, v = self.ends[elem]
         if not self.uf.union(u, v):
             raise ValueError(f"edge {elem} would close a cycle")
 

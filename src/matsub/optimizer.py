@@ -280,11 +280,12 @@ def dt_incremental(
     whole order, priced or not.  The elements spanned are retired
     unpriced.  The sweep only inserts, so a spanned element stays spanned
     and would fail every later test: retiring it changes no decision.
-    ``checker.marked`` counts the retired elements.  So a ladder element
-    priced at the current basis was put to the checker at that basis,
-    unless the basis is empty and the opening batch priced it; that no is
-    the test's answer, and the element joins untested.  So does the
-    top-off's first pick, whose no came at the basis it joins.
+    ``checker.marked`` counts the retired elements.  A ladder pick is
+    always priced at the basis it would join, so it was put to the checker
+    at that basis unless the basis is empty and the opening batch priced
+    it; that no is the test's answer.  So a pick is tested only on an
+    empty basis, and otherwise joins untested.  So does the top-off's
+    first pick, whose no came at the basis it joins.
 
     The sweep keeps the round state at its basis only while a later pricing
     can read it.  The ladder's inserts reach ``state``, except one that
@@ -320,37 +321,36 @@ def dt_incremental(
             priced_at[stale] = len(basis)
         return idx[live[idx]]
 
-    def take(i: int) -> bool:
-        e = int(pool[i])
-        live[i] = False
-        # one priced at the current, nonempty basis was put to the checker
-        # first, and its no is the test's answer
-        asked = priced_at[i] == len(basis) > 0
-        if not asked and not checker.test(e):
-            return False
-        checker.insert(e)
-        basis.append(e)
-        # a full basis is priced no more
-        if len(basis) < rank:
-            state.insert(e)
-        return True
-
     tau = float(rate.max())
     floor = (epsilon / rank) * opt_estimate
     while floor > 0.0 and live.any() and len(basis) < rank and tau >= floor:
         candidates = reprice(np.flatnonzero(live & (rate >= tau)))
-        for i in candidates[rate[candidates] >= tau].tolist():
-            if priced_at[i] != len(basis):
-                if checker.spans(int(pool[i])):
+        turns = candidates[rate[candidates] >= tau]
+        # each turn's index, element and last-priced basis size as plain
+        # ints: a turn writes only its own entries, so these stay current
+        for i, e, at in zip(turns.tolist(), pool[turns].tolist(), priced_at[turns].tolist()):
+            if at != len(basis):
+                if checker.spans(e):
                     live[i] = False
                     continue
-                rate[i] = state.price(pool[i])
+                price = state.price(e)
+                rate[i] = price
                 priced_at[i] = len(basis)
                 # fell below the bar after an insertion; later levels get it
-                if rate[i] < tau:
+                if price < tau:
                     continue
-            if take(i) and len(basis) >= rank:
+            live[i] = False
+            # the pick is priced at the current basis; unless that basis is
+            # empty, the span query put it to the checker first, and its no
+            # is the test's answer
+            if not basis and not checker.test(e):
+                continue
+            checker.insert(e)
+            basis.append(e)
+            if len(basis) >= rank:
                 break
+            # a full basis is priced no more
+            state.insert(e)
         tau *= 1.0 - epsilon
     if len(basis) < rank and live.any():
         # the whole top-off is put to the checker, priced elements too: each

@@ -17,9 +17,10 @@ located per matroid family:
   node of path(j) \\ path(i) is tight in B1: the maximum addable leaf below
   v once i leaves B1.  ``O(rank·depth)`` to count, then ``O(d·depth)`` per
   exchange.
-- graphic: a union-find contracts the edges both bases share, ``O(rank)``,
-  and each exchange contracts the edge it puts into both, so the two
-  forests hold only the unresolved difference.  Adding i's edge to the
+- graphic: component labels contract the edges both bases share, in
+  ``O(rank·log rank)`` relabels, and each exchange contracts the edge
+  it puts into both, so the two forests hold only the unresolved
+  difference.  Adding i's edge to the
   second closes a unique cycle; the partner is the smallest cycle edge
   outside the first forest that crosses the cut deleting i makes in it
   (contraction keeps both the cycle's edges outside B1 and the cut):
@@ -190,8 +191,9 @@ class _LaminarExchanger:
 class _GraphicExchanger:
     """Cut-and-cycle exchange over two spanning forests with B1 & B2 contracted.
 
-    A union-find merges the ends of every edge both bases hold, and
-    ``adj1``/``adj2`` map each contracted vertex to its incident edges of
+    Component labels (``instances._UnionFind``) merge the ends of every
+    edge both bases hold, so a contracted vertex is a label and ``_ends``
+    reads two list entries; ``adj1``/``adj2`` map each contracted vertex to its incident edges of
     B1 \\ B2 and B2 \\ B1.  An exchange leaves one of its two edges in both
     bases, which is contracted, and the other in neither, which is dropped,
     so the maps always hold exactly the unresolved difference.  For the
@@ -204,9 +206,11 @@ class _GraphicExchanger:
         self.matroid = matroid
         self.set1 = set(b1)
         self.set2 = set(b2)
-        self.uf = _UnionFind(matroid.num_vertices)
+        self.edges = matroid.ends
+        self.uf = _UnionFind(matroid.touched)
+        self.label = self.uf.label
         for e in self.set1 & self.set2:
-            self.uf.union(*matroid.edges[e])
+            self.uf.union(*self.edges[e])
         self.adj1: dict[int, set[int]] = {}
         self.adj2: dict[int, set[int]] = {}
         for e in self.set1 - self.set2:
@@ -218,8 +222,8 @@ class _GraphicExchanger:
         self.cycle: set[int] = set()
 
     def _ends(self, e: int) -> tuple[int, int]:
-        a, b = self.matroid.edges[e]
-        return self.uf.find(a), self.uf.find(b)
+        a, b = self.edges[e]
+        return self.label[a], self.label[b]
 
     def _link(self, adjacency: dict[int, set[int]], e: int) -> None:
         for x in self._ends(e):
@@ -233,7 +237,7 @@ class _GraphicExchanger:
         """Merge the ends of ``e``, now in both bases, and their adjacency."""
         a, b = self._ends(e)
         self.uf.union(a, b)
-        root = self.uf.find(a)
+        root = self.label[a]
         for adjacency in (self.adj1, self.adj2):
             small, big = adjacency.pop(a, set()), adjacency.pop(b, set())
             if len(small) > len(big):

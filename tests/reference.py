@@ -252,6 +252,37 @@ def greedy_laminar_basis(
 
 
 # ---------------------------------------------------------------------------
+# disjoint sets
+
+
+class PathCompressingUnionFind:
+    """Disjoint sets as a parent forest, union by size; ``find`` points
+    every vertex on its walk straight at the root."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+# ---------------------------------------------------------------------------
 # swap-rounding exchangers over whole bases
 
 

@@ -26,7 +26,6 @@ from matsub.instances import (
     GraphicMatroid,
     Matroid,
     TransversalMatroid,
-    _UnionFind,
     generate_instance,
     stream_rng,
 )
@@ -37,6 +36,7 @@ from matsub.rounding import swap_round
 from matsub.sampler import BucketLists
 from matsub.transversal import LStableMatching
 from reference import (
+    PathCompressingUnionFind,
     SlowLaminarBasis,
     fractional_point,
     greedy_laminar_basis,
@@ -190,7 +190,7 @@ def test_criterion_3_max_weight_basis_stability() -> None:
 def _kruskal_weight(
     mat: GraphicMatroid, weights: dict[int, float], frozen: set[int]
 ) -> float:
-    dsu = _UnionFind(mat.num_vertices)
+    dsu = PathCompressingUnionFind(mat.num_vertices)
     total = 0.0
     for e in frozen:
         dsu.union(*mat.edges[e])

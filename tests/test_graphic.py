@@ -3,20 +3,29 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from matsub.core import weight_key
 from matsub.graphic import ContractedGraph
-from matsub.instances import GraphicChecker, GraphicMatroid, _UnionFind
+from matsub.instances import (
+    GraphicChecker,
+    GraphicMatroid,
+    Instance,
+    _UnionFind,
+    generate_instance,
+)
+from matsub.optimizer import run_pipeline
+from reference import PathCompressingUnionFind
 
 
 def _expected_forest(
     mat: GraphicMatroid, weights: dict[int, float], frozen: set[int]
 ) -> tuple[set[int], dict[int, int]]:
     """Per-supervertex max incident edge, recomputed from scratch."""
-    dsu = _UnionFind(mat.num_vertices)
+    dsu = PathCompressingUnionFind(mat.num_vertices)
     for e in frozen:
         u, v = mat.edges[e]
         dsu.union(u, v)
@@ -38,7 +47,7 @@ def _kruskal_weight(
     mat: GraphicMatroid, weights: dict[int, float], frozen: set[int]
 ) -> float:
     """Max-weight forest containing the frozen edges."""
-    dsu = _UnionFind(mat.num_vertices)
+    dsu = PathCompressingUnionFind(mat.num_vertices)
     total = 0.0
     for e in frozen:
         u, v = mat.edges[e]
@@ -55,7 +64,7 @@ def _kruskal_weight(
 
 
 def _is_forest(mat: GraphicMatroid, edges: list[int]) -> bool:
-    dsu = _UnionFind(mat.num_vertices)
+    dsu = PathCompressingUnionFind(mat.num_vertices)
     return all(dsu.union(*mat.edges[e]) for e in edges)
 
 
@@ -250,6 +259,24 @@ def test_heap_ops_amortized_bound() -> None:
     budget = 30 * (m + ops) * math.log2(max(2, mat.num_vertices))
     assert d.heap_ops <= budget
 
+    # a band graph whose freezes each merge one grown supervertex with a
+    # single vertex: pouring the smaller list into the larger moves each
+    # entry O(log pushes) times, the reverse pour moves the grown list's
+    # every entry at every freeze
+    k = 300
+    edges = [(i, i + step) for step in (1, 2, 3) for i in range(k - step)]
+    mat = GraphicMatroid(num_vertices=k, edges=edges)
+    weights = {e: float(rng.uniform(1, 100)) for e in range(len(edges))}
+    d = ContractedGraph(mat, weights)
+    pushes = 2 * len(edges)
+    grown = {0}
+    for _ in range(k - 1):
+        e = next(e for e in d.basis() if e not in d.frozen and len(grown & set(edges[e])) == 1)
+        d.freeze(e)
+        grown |= set(edges[e])
+    assert len(grown) == k
+    assert d.moved <= pushes * math.log2(pushes)
+
 
 def test_incremental_oracle_basic() -> None:
     mat = GraphicMatroid(num_vertices=3, edges=[(0, 1), (1, 2), (0, 2)])
@@ -279,3 +306,64 @@ def test_incremental_oracle_matches_forest_check() -> None:
                 accepted.append(e)
         # the accepted set is a maximal forest
         assert len(accepted) == mat.rank()
+
+
+def _partition(find, n: int) -> list[list[int]]:
+    parts: dict[int, list[int]] = {}
+    for x in range(n):
+        parts.setdefault(find(x), []).append(x)
+    return sorted(parts.values())
+
+
+def test_component_labels_agree_with_a_path_compressing_union_find() -> None:
+    rng = np.random.default_rng(11)
+    for _ in range(60):
+        n = int(rng.integers(1, 40))
+        uf, ref = _UnionFind(n), PathCompressingUnionFind(n)
+        for _ in range(int(rng.integers(0, 3 * n))):
+            a, b = (int(x) for x in rng.integers(n, size=2))
+            assert uf.union(a, b) == ref.union(a, b)
+            assert _partition(uf.find, n) == _partition(ref.find, n)
+            # a label names a member of its own component
+            assert all(uf.find(uf.find(x)) == uf.find(x) for x in range(n))
+
+
+def test_relabels_stay_within_v_log_v() -> None:
+    # one component grown a singleton at a time, then the other half merged
+    # in equal pairs and the halves joined: relabelling the smaller side
+    # moves a vertex at most log2 V times, while relabelling the larger
+    # would move the grown component's every member at each step
+    v = 512
+    half = v // 2
+    uf = _UnionFind(v)
+    for x in range(1, half):
+        assert uf.union(x, 0)
+    width = 1
+    while width < half:
+        for start in range(half, v, 2 * width):
+            assert uf.union(start, start + width)
+        width *= 2
+    assert uf.union(0, half)
+    assert len(set(uf.label)) == 1
+    assert uf.relabels <= v * math.log2(v)
+
+
+def test_graphic_structures_are_sized_by_the_edges() -> None:
+    # thirty edges declared over two million vertices: the structures index
+    # only the vertices the edges touch, so the solve allocates as little
+    # as on the generated instance and returns the same record
+    inst = generate_instance("graphic", "additive", 30, 1)
+    wide = Instance(
+        matroid=GraphicMatroid(num_vertices=2_000_000, edges=inst.matroid.edges),
+        objective=inst.objective,
+    )
+    assert wide.matroid.payload()["num_vertices"] == 2_000_000
+    tracemalloc.start()
+    try:
+        got = run_pipeline(wide, epsilon=0.2, seed=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    want = run_pipeline(inst, epsilon=0.2, seed=1000)
+    assert (got.solution, got.value, got.counters) == (want.solution, want.value, want.counters)

@@ -521,7 +521,8 @@ def test_graphic_adjacency_holds_exactly_the_unresolved_difference():
             if i is not None:
                 ex.apply(i, ex.exchange(i), move_first=bool(rng.integers(2)))
             for adjacency, held in ((ex.adj1, ex.set1 - ex.set2), (ex.adj2, ex.set2 - ex.set1)):
-                # each unresolved edge sits under the contracted vertex of each end
+                # each unresolved edge sits under the contracted vertex of each
+                # end, in the matroid's touched-vertex numbering
                 listed = {(x, e) for x, edges in adjacency.items() for e in edges}
-                want = {(ex.uf.find(v), e) for e in held for v in mat.edges[e]}
+                want = {(ex.uf.find(v), e) for e in held for v in mat.ends[e]}
                 assert listed == want
