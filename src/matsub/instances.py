@@ -463,10 +463,28 @@ Matroid = LaminarMatroid | GraphicMatroid | TransversalMatroid
 # instance bundle
 
 
+# the objective payload field with one entry per ground-set element
+ELEMENT_FIELDS = {"coverage": "covers", "facility": "similarity", "additive": "weights"}
+
+
 @dataclass
 class Instance:
+    """A matroid and an objective payload over the same ground set: the
+    objective's per-element field must have one entry per element, wherever
+    the instance is built (``from_json``, ``generate_instance`` or by
+    hand)."""
+
     matroid: Matroid
     objective: dict
+
+    def __post_init__(self) -> None:
+        name = ELEMENT_FIELDS.get(self.objective.get("kind"))
+        if name in self.objective:
+            size = len(self.objective[name])
+            if size != self.matroid.n:
+                raise ValueError(
+                    f"objective {name} has {size} entries for {self.matroid.n} elements"
+                )
 
     @property
     def n(self) -> int:

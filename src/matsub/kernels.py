@@ -15,8 +15,8 @@ per call, for ``q`` queried elements:
 
 - ``coverage_counts``: ``O(s·m·universe)`` time and
   ``O(s·universe + m·(s + universe))`` memory for the ``m`` elements some
-  row holds; a round's first build, over an empty lower layer, multiplies
-  nothing.
+  row holds, item-major from one product; a round's first build, over an
+  empty lower layer, calls it not at all and builds no incidence.
 - ``coverage_price``: reads the round state's ``O(universe)`` summary, the
   uncovered weight per item and the critical items (those at count 1 in
   some row).  Elements no row holds cost ``O(sum of |cover(e)|)`` time and
@@ -24,7 +24,9 @@ per call, for ``q`` queried elements:
   go 64 at a time: ``O(sum of |cover(e)|)`` for a block whose covers share
   no critical item, else ``O(universe + u·(s + 64·h))`` time and
   ``O(universe + u·s)`` memory, for the ``u`` critical items their covers
-  share and the ``h`` rows that hold one of them.
+  share and the ``h`` rows that hold one of them.  The round state finds
+  the rows that hold each of the ``q_held`` queried elements a row can
+  hold, ``O(q + s·q_held)``, and none when no item is critical.
 - ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory, once
   per round, to build the round state, a block of rows at a time so each
   member's pass stays within the block; a basis that only grows never
@@ -41,9 +43,11 @@ per call, for ``q`` queried elements:
 A round state also prices one element without the batch summary
 (``RoundState.price``):
 
-- coverage: ``O(|cover(e)|)`` time when no item of ``e``'s is at count 1
-  in any row, else ``O(s + |cover(e)|·(1 + h_e))`` for the ``h_e`` rows
-  that hold ``e``, integer hit counts over ``e``'s items;
+- coverage: ``O(|cover(e)|)`` time when no row can hold ``e`` (it is not
+  in the basis and the lower layer holds it nowhere) or no item of
+  ``e``'s is at count 1 in any row, else ``O(s + |cover(e)|·(1 + h_e))``
+  for the ``h_e`` rows that hold ``e``, integer hit counts over ``e``'s
+  items;
 - facility: no sort and no per-row sums; ``class_price`` of the one
   element plus ``O(s + h_e·clients)`` for the pairs it tops in the
   ``h_e`` rows that hold it, the same formula a batch uses;
@@ -74,17 +78,18 @@ TOP2_BLOCK_ROWS = 64
 # ``(n, universe)`` incidence matrix), f(S) = total weight of items covered
 # by S.
 
-def coverage_counts(sets, incidence):
-    """How many members of each row cover each item, ``(s, universe)``
-    float32.  Only the columns some row holds are multiplied, so a batch of
-    empty rows costs nothing; their incidence rows are copied only when
-    some column is left out.  The float32 sums of 0/1 terms are exact while
-    every count, at most the row's size, stays below ``2**24``."""
-    held = sets.any(axis=0)
+def coverage_counts(sets, incidence, held):
+    """How many members of each row cover each item, item-major ``(universe,
+    s)`` int32, from one product over the columns ``held`` marks, those some
+    row holds: a batch of empty rows costs nothing, and the incidence rows
+    are copied only when some column is left out.  The product of the two
+    transposed views comes out item-major, so nothing is transposed.  Its
+    float32 sums of 0/1 terms are exact while every count, at most the
+    row's size, stays below ``2**24``."""
     if not held.all():
         support = np.flatnonzero(held)
         sets, incidence = sets[:, support], incidence[support]
-    return sets.astype(np.float32) @ incidence
+    return (incidence.T @ sets.astype(np.float32).T).astype(np.int32)
 
 
 def _cover_entries(indptr, indices, elems):
@@ -97,24 +102,25 @@ def _cover_entries(indptr, indices, elems):
     return owner, indices[at]
 
 
-def coverage_price(uncovered, critical, counts, members, elems, indptr, indices, weights):
+def coverage_price(uncovered, critical, counts, elems, held, members, indptr, indices, weights):
     # Removing e from a row uncovers item u of e's exactly when no other
     # member covers u there: the row lacks e and u's count is 0, or it holds
-    # e and the count is 1 (``members`` marks the rows that hold e).  The
-    # first term, summed over rows, is ``uncovered[u]``, so an element no
-    # row holds costs |cover(e)|, and nothing when no row leaves an item
-    # uncovered.  The second can be nonzero only at the ``critical`` items,
-    # those at count 1 in some row.  It reads only the rows that hold a
-    # queried element, at the critical items their covers share,
-    # PRICE_BLOCK elements at a time, and a block that shares none is
-    # skipped; its float32 products sum 0/1 terms, exactly.  The entries
-    # left out add 0.0, so the sums are the same floats.
+    # e and the count is 1 (``members`` marks, for the queried positions
+    # ``held`` lists, the rows that hold the element there; any other
+    # position's element is held by no row).  The first term, summed over
+    # rows, is ``uncovered[u]``, so an element no row holds costs
+    # |cover(e)|, and nothing when no row leaves an item uncovered.  The
+    # second can be nonzero only at the ``critical`` items, those at count 1
+    # in some row.  It reads only the rows that hold a queried element, at
+    # the critical items their covers share, PRICE_BLOCK positions at a
+    # time, and a block that shares none is skipped; its float32 products
+    # sum 0/1 terms, exactly.  The entries left out add 0.0, so the sums are
+    # the same floats.
     if uncovered.any():
         owner, items = _cover_entries(indptr, indices, elems)
         out = np.bincount(owner, weights=uncovered[items], minlength=elems.shape[0])
     else:
         out = np.zeros(elems.shape[0])
-    held = np.flatnonzero(members.any(axis=0))
     for lo in range(0, held.shape[0], PRICE_BLOCK):
         block = held[lo:lo + PRICE_BLOCK]
         owner, items = _cover_entries(indptr, indices, elems[block])
@@ -122,7 +128,8 @@ def coverage_price(uncovered, critical, counts, members, elems, indptr, indices,
         if not keep.any():
             continue
         owner, items = owner[keep], items[keep]
-        rows = np.flatnonzero(members[:, block].any(axis=1))
+        holds = members[:, lo:lo + PRICE_BLOCK]
+        rows = np.flatnonzero(holds.any(axis=1))
         shared = np.zeros(counts.shape[0], dtype=bool)
         shared[items] = True
         slot = np.cumsum(shared) - 1
@@ -130,7 +137,7 @@ def coverage_price(uncovered, critical, counts, members, elems, indptr, indices,
         # O(u·s) scratch, but a one-step (u, h) gather of the counts is
         # slower while h is most of s, as it is on the dense generator
         sole = (counts[shared] == 1)[:, rows].astype(np.float32)
-        per_item = sole @ members[np.ix_(rows, block)].astype(np.float32)
+        per_item = sole @ holds[rows].astype(np.float32)
         pairs = per_item[slot[items], owner]
         out[block] += np.bincount(owner, weights=weights[items] * pairs, minlength=block.shape[0])
     return out / counts.shape[1]

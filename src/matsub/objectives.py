@@ -164,19 +164,22 @@ class _Increment:
 
 
 class _CoverageIncrement(_Increment):
-    """A covered-item mask; a gain reads only the element's own items."""
+    """An open-item mask; a gain reads only the element's own items, with
+    the weights laid out in cover order so one gather finds them."""
 
     def __init__(self, oracle: "CoverageOracle") -> None:
         super().__init__(oracle.counter)
-        self.oracle = oracle
-        self.covered = np.zeros(oracle.universe_weights.shape[0], dtype=bool)
+        self.indptr = oracle.indptr.tolist()
+        self.indices = oracle.indices
+        self.weights = oracle.universe_weights[oracle.indices]
+        self.open = np.ones(oracle.universe_weights.shape[0], dtype=bool)
 
     def _gain(self, elem: int) -> float:
-        items = self.oracle.cover(elem)
-        return float(self.oracle.universe_weights[items[~self.covered[items]]].sum())
+        a, b = self.indptr[elem], self.indptr[elem + 1]
+        return float(self.weights[a:b][self.open[self.indices[a:b]]].sum())
 
     def add(self, elem: int) -> None:
-        self.covered[self.oracle.cover(elem)] = True
+        self.open[self.indices[self.indptr[elem]:self.indptr[elem + 1]]] = False
 
 
 class _FacilityIncrement(_Increment):
@@ -542,10 +545,12 @@ class RoundState:
 
 
 class _CoverageRound(RoundState):
-    """Cover counts per item and row, ``(universe, s)``, kept as int32 (the
-    kernel's float32 sums are exact integers).  Item-major, so an element's
+    """Cover counts per item and row, ``(universe, s)`` int32, from one
+    item-major product (:func:`kernels.coverage_counts`), so an element's
     items are whole rows of ``counts``: an insert touches ``|cover(e)|``
-    contiguous rows of ``s`` counts.
+    contiguous rows of ``s`` counts.  A round whose lower layer is empty,
+    as a first round's is, multiplies nothing and leaves the oracle's
+    incidence unbuilt: every count is 0.
 
     ``zeros`` counts, per item, the rows that leave it uncovered, and
     ``ones`` the rows where a single member covers it.  An insert keeps both
@@ -554,20 +559,31 @@ class _CoverageRound(RoundState):
     other member covers it there: the row lacks ``e`` and its count is 0, or
     it holds ``e`` and its count is 1.  A row that holds ``e`` never has
     count 0 on ``e``'s items, so those rows number ``zeros`` plus the
-    count-1 rows among the ``h`` that hold ``e``.  A price reads ``counts``
-    only at ``e``'s items in those ``h`` rows,
-    ``O(s + |cover(e)|·(1 + h))``, and only if ``ones`` is nonzero at one
-    of them; else it costs ``O(|cover(e)|)``.  The batch summary is the uncovered weight per item,
-    ``zeros * weights``, and the critical items, ``ones > 0``: only those
-    can add to a held element's price."""
+    count-1 rows among the ``h`` that hold ``e``.
+
+    Only a basis member or an element the lower layer holds somewhere
+    (``held``) can have ``h > 0``.  A price of any other element reads
+    ``zeros`` at its items alone, ``O(|cover(e)|)``.  A held element's
+    price reads ``counts`` only at ``e``'s items in the ``h`` rows, and
+    only if ``ones`` is nonzero at one of them: ``O(s + |cover(e)|·(1 +
+    h))``.  The batch summary is the uncovered weight per item, ``zeros *
+    weights``, and the critical items, ``ones > 0``: only those can add to
+    a held element's price, so a batch builds its ``(s, q_held)`` membership
+    for the ``q_held`` queried elements that may be held, and none when no
+    item is critical: ``O(q + s·q_held)``."""
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
         super().__init__(oracle, lower.shape[0], lower, upper)
-        self.counts = np.ascontiguousarray(
-            kernels.coverage_counts(lower, oracle.incidence).T, dtype=np.int32
-        )
-        self.zeros = np.count_nonzero(self.counts == 0, axis=1)
-        self.ones = np.count_nonzero(self.counts == 1, axis=1)
+        self.held = lower.any(axis=0)
+        if self.held.any():
+            self.counts = kernels.coverage_counts(lower, oracle.incidence, self.held)
+            self.zeros = np.count_nonzero(self.counts == 0, axis=1)
+            self.ones = np.count_nonzero(self.counts == 1, axis=1)
+        else:
+            universe = oracle.universe_weights.shape[0]
+            self.counts = np.zeros((universe, self.samples), dtype=np.int32)
+            self.zeros = np.full(universe, self.samples, dtype=np.intp)
+            self.ones = np.zeros(universe, dtype=np.intp)
 
     def _add(self, elem: int) -> None:
         rows = self._flipped(elem)
@@ -586,15 +602,20 @@ class _CoverageRound(RoundState):
 
     def _means(self, elems: np.ndarray) -> np.ndarray:
         oracle = self.oracle
+        uncovered, critical = self._summary
+        if critical.any():
+            held = np.flatnonzero(self.held[elems] | self.in_basis[elems])
+        else:
+            held = np.zeros(0, dtype=np.intp)
         return kernels.coverage_price(
-            *self._summary, self.counts, self.members(elems), elems,
+            uncovered, critical, self.counts, elems, held, self.members(elems[held]),
             oracle.indptr, oracle.indices, oracle.universe_weights,
         )
 
     def _price(self, elem: int) -> float:
         items = self.oracle.cover(elem)
         hits = self.zeros[items]
-        if np.count_nonzero(self.ones[items]):
+        if (self.held[elem] or self.in_basis[elem]) and np.count_nonzero(self.ones[items]):
             held = np.flatnonzero(self._holds(elem))
             hits = hits + np.count_nonzero(self.counts[items[:, None], held] == 1, axis=1)
         return float((hits * self.oracle.universe_weights[items]).sum()) / self.samples

@@ -1171,3 +1171,20 @@ def counted_coverage_price(state, elem: int) -> float:
     counts = (state.rows().astype(np.float64) @ oracle.incidence).T
     hits = np.count_nonzero(counts[items] == state._holds(elem), axis=1)
     return float((hits * oracle.universe_weights[items]).sum()) / state.samples
+
+
+class CoveredMaskGains:
+    """Coverage gains from a covered-item mask, ``w[items[~covered[items]]]``
+    summed: the formula the oracle's incremental state used before it kept
+    its weights in cover order."""
+
+    def __init__(self, oracle) -> None:
+        self.oracle = oracle
+        self.covered = np.zeros(oracle.universe_weights.shape[0], dtype=bool)
+
+    def gain(self, elem: int) -> float:
+        items = self.oracle.cover(elem)
+        return float(self.oracle.universe_weights[items[~self.covered[items]]].sum())
+
+    def add(self, elem: int) -> None:
+        self.covered[self.oracle.cover(elem)] = True

@@ -7,7 +7,7 @@ import pytest
 
 from matsub.cli import main
 from matsub.core import greedy_basis_value
-from matsub.instances import Instance
+from matsub.instances import ELEMENT_FIELDS, Instance
 
 
 def _gen(tmp_path, *extra: str) -> str:
@@ -351,3 +351,35 @@ def test_usage_errors_exit_two() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("objective", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("change", ["short", "long"])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_objective_sized_unlike_its_matroid_is_a_corrupt_instance(
+    tmp_path, capsys, objective, change, command
+) -> None:
+    # one entry per element: covers, similarity rows or weights, one too few
+    # or one too many for the matroid's 8 elements
+    path = _gen(tmp_path, "--function", objective, "--n", "8")
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    doc = json.loads(open(path).read())
+    field = doc["objective"][ELEMENT_FIELDS[objective]]
+    assert len(field) == 8
+    if change == "short":
+        field.pop()
+    else:
+        field.append(field[0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", str(bad), "-o", str(tmp_path / "again.json")]
+    else:
+        argv = ["verify", str(bad), out]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: corrupt instance file: ")
+    assert "verify: pass" not in captured.out
+    assert not (tmp_path / "again.json").exists()

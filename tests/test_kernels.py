@@ -211,7 +211,9 @@ def test_coverage_counts_are_exact_where_counts_are_large() -> None:
     sets[1, ::3] = 0
     want = sets.astype(np.int64) @ oracle.incidence.astype(np.int64)
     assert want.max() == n
-    np.testing.assert_array_equal(kernels.coverage_counts(sets, oracle.incidence), want)
+    counts = kernels.coverage_counts(sets, oracle.incidence, sets.any(axis=0))
+    assert counts.dtype == np.int32
+    np.testing.assert_array_equal(counts, want.T)
     state = oracle.round_state(sets, sets)
     assert state.counts.dtype == np.int32
     np.testing.assert_array_equal(state.counts, want.T)

@@ -17,7 +17,10 @@ from matsub.objectives import (
     sample_subsets,
     set_eval_threads,
 )
+from matsub import kernels
+from matsub.core import greedy_basis_value
 from reference import (
+    CoveredMaskGains,
     counted_coverage_price,
     estimate_marginal_on_point,
     estimate_marginals_on_point,
@@ -482,15 +485,119 @@ def test_coverage_round_over_an_empty_lower_layer() -> None:
     lower = np.zeros((samples, base.n), dtype=np.uint8)
     upper = (np.random.default_rng(3).random((samples, base.n)) < 0.25).astype(np.uint8)
     state = base.round_state(lower, upper)
+    # its build multiplies nothing and leaves the incidence unbuilt
+    assert "incidence" not in base.__dict__
     items = base.universe_weights.shape[0]
     np.testing.assert_array_equal(state.counts, np.zeros((items, samples)))
     np.testing.assert_array_equal(state.zeros, np.full(items, samples))
     np.testing.assert_array_equal(state.ones, np.zeros(items))
+    # dtype for dtype what a build over the same rows gives
+    fresh = kernels.coverage_counts(lower, base.incidence, lower.any(axis=0))
+    zeros = np.count_nonzero(fresh == 0, axis=1)
+    ones = np.count_nonzero(fresh == 1, axis=1)
+    for got, want in ((state.counts, fresh), (state.zeros, zeros), (state.ones, ones)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
     elems = np.arange(base.n)
     slow = slow_coverage_marginal_means(
         lower, elems, base.indptr, base.indices, base.universe_weights
     )
     np.testing.assert_allclose(state.marginal_means(elems), slow, rtol=0.0, atol=1e-12)
+    # and the counts follow the rows as the basis grows
+    for e in np.flatnonzero(upper.any(axis=0))[:3].tolist():
+        state.insert(e)
+        rows = state.rows()
+        fresh = kernels.coverage_counts(rows, base.incidence, rows.any(axis=0))
+        np.testing.assert_array_equal(state.counts, fresh)
+        np.testing.assert_array_equal(state.ones, np.count_nonzero(fresh == 1, axis=1))
+        for q in range(base.n):
+            assert state.price(q) == counted_coverage_price(state, q)
+
+
+def test_coverage_marginal_means_on_an_unsorted_query_with_repeats() -> None:
+    # basis members, elements the lower layer holds and elements no row
+    # holds, shuffled and repeated: each position gets its element's price,
+    # the float a sorted query without repeats gives it
+    kinds = {"member": 0, "held": 0, "unheld": 0}
+    for seed in range(3):
+        base = _objective("coverage", seed)
+        rng = np.random.default_rng(60 + seed)
+        x = rng.uniform(0.0, 0.5, size=base.n)
+        x[rng.permutation(base.n)[:4]] = 0.0
+        state = base.round_state(*nested_subsets(x, 0.25, 30, rng))
+        for e in rng.permutation(base.n)[:3].tolist():
+            state.insert(e)
+        assert state.ones.any()
+        elems = np.concatenate([rng.permutation(base.n), rng.integers(0, base.n, size=base.n)])
+        held = state.lower.any(axis=0)
+        kinds["member"] += int(state.in_basis[elems].sum())
+        kinds["held"] += int((held[elems] & ~state.in_basis[elems]).sum())
+        kinds["unheld"] += int((~held[elems] & ~state.in_basis[elems]).sum())
+        got = state.marginal_means(elems)
+        slow = slow_coverage_marginal_means(
+            state.rows(), elems, base.indptr, base.indices, base.universe_weights
+        )
+        np.testing.assert_allclose(got, slow, rtol=0.0, atol=1e-12)
+        unique, back = np.unique(elems, return_inverse=True)
+        np.testing.assert_array_equal(got, state.marginal_means(unique)[back])
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic"])
+def test_coverage_gains_are_the_covered_mask_sums_bit_for_bit(kind) -> None:
+    # every gain of a whole greedy pass, on a generated instance and on
+    # covers with empty and repeated entries
+    inst = generate_instance(kind, "coverage", n=120, seed=9)
+    hand = CoverageOracle(
+        [[3, 1, 3], [], [0, 2, 4], [4], [], [1, 2, 3, 4, 0], [2, 2]],
+        [0.1, 0.7, 1e-3, 2.5, 1 / 3],
+    )
+    for f, elements, checker in (
+        (inst.build_objective(), range(inst.n), inst.matroid.checker),
+        (hand, range(hand.n), lambda: _Uniform(4)),
+    ):
+        pair = _BothGains(f)
+        greedy_basis_value(pair, list(elements), checker)
+        assert pair.gains > len(elements)
+
+
+class _Uniform:
+    """Any ``rank`` elements are independent."""
+
+    def __init__(self, rank: int) -> None:
+        self.left = rank
+
+    def test(self, elem: int) -> bool:
+        return self.left > 0
+
+    def insert(self, elem: int) -> None:
+        self.left -= 1
+
+
+class _BothGains:
+    """A coverage oracle whose incremental state checks every gain against
+    :class:`CoveredMaskGains` on the same set."""
+
+    def __init__(self, f: CoverageOracle) -> None:
+        self.f = f
+        self.gains = 0
+
+    def value(self, subset) -> float:
+        return self.f.value(subset)
+
+    def incremental(self) -> "_BothGains":
+        self.state, self.old = self.f.incremental(), CoveredMaskGains(self.f)
+        return self
+
+    def gain(self, elem: int) -> float:
+        got = self.state.gain(elem)
+        assert type(got) is float and got == self.old.gain(elem)
+        self.gains += 1
+        return got
+
+    def add(self, elem: int) -> None:
+        self.state.add(elem)
+        self.old.add(elem)
 
 
 def test_coverage_prices_on_rows_that_cover_every_item_twice() -> None:
