@@ -327,7 +327,14 @@ class GraphicChecker:
 
 @dataclass
 class TransversalMatroid:
-    """Left vertices of a bipartite graph; independent = matchable."""
+    """Left vertices of a bipartite graph; independent = matchable.
+
+    ``touched_right`` lists, in increasing order, the right vertices some
+    left vertex is adjacent to.  The matching structures keep per-right
+    state for those alone, so their size follows the edges, not the
+    declared ``num_right``; an untouched right vertex has no neighbours, so
+    no search or scan can use it.
+    """
 
     num_right: int
     adjacency: list[list[int]]
@@ -341,6 +348,7 @@ class TransversalMatroid:
             for r in nbrs:
                 if not 0 <= r < self.num_right:
                     raise ValueError("right vertex out of range")
+        self.touched_right = sorted({r for nbrs in self.adjacency for r in nbrs})
         self._rank: int | None = None
 
     @property

@@ -24,9 +24,9 @@ per call, for ``q`` queried elements:
   go 64 at a time: ``O(sum of |cover(e)|)`` for a block whose covers share
   no critical item, else ``O(universe + u·(s + 64·h))`` time and
   ``O(universe + u·s)`` memory, for the ``u`` critical items their covers
-  share and the ``h`` rows that hold one of them.  The round state finds
-  the rows that hold each of the ``q_held`` queried elements a row can
-  hold, ``O(q + s·q_held)``, and none when no item is critical.
+  share and the ``h`` rows that hold one of them.  The round state reads
+  the lower layer's columns of the ``q_held`` queried elements it holds
+  somewhere, ``O(q + s·q_held)``, and none when no item is critical.
 - ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory, once
   per round, to build the round state, a block of rows at a time so each
   member's pass stays within the block; a basis that only grows never
@@ -41,13 +41,12 @@ per call, for ``q`` queried elements:
   queried element's value classes.
 
 A round state also prices one element without the batch summary
-(``RoundState.price``):
+(``RoundState.price``), non-members only:
 
-- coverage: ``O(|cover(e)|)`` time when no row can hold ``e`` (it is not
-  in the basis and the lower layer holds it nowhere) or no item of
-  ``e``'s is at count 1 in any row, else ``O(s + |cover(e)|·(1 + h_e))``
-  for the ``h_e`` rows that hold ``e``, integer hit counts over ``e``'s
-  items;
+- coverage: ``O(|cover(e)|)`` time when the lower layer holds ``e``
+  nowhere or no item of ``e``'s is at count 1 in any row, else
+  ``O(s + |cover(e)|·(1 + h_e))`` for the ``h_e`` rows that hold ``e``,
+  integer hit counts over ``e``'s items;
 - facility: no sort and no per-row sums; ``class_price`` of the one
   element plus ``O(s + h_e·clients)`` for the pairs it tops in the
   ``h_e`` rows that hold it, the same formula a batch uses;

@@ -388,6 +388,7 @@ class TopTreeLaminarBasis:
             self._mutate(self.node_of[elem], 0)
         return changes
 
+    # no package caller; acceptance criterion 2 tests it as the paper's O(log n) delete
     def delete(self, elem: int) -> OracleChanges:
         if elem not in self.weights:
             raise ValueError(f"element {elem} not present")

@@ -424,14 +424,14 @@ class RoundState:
     mean of ``f(R+e) - f(R-e)`` over the current rows, charged ``2*s``
     queries per element, and ``values`` returns ``f(R) - offset`` per row,
     charged ``s`` queries (a contraction sets ``offset`` to the value of
-    its frozen set).  ``f(R+e) - f(R-e)`` does not depend on whether ``e``
-    is in ``B``, so pricing a basis member is pricing it against ``B - e``.
+    its frozen set).  Non-members only, as BV14's descending thresholds
+    ask: pricing a basis member raises ``ValueError`` and charges nothing.
     ``calls`` counts the ``marginal_means`` calls that priced at least one
     element, and ``prices`` the ``price`` calls.
 
     An objective whose prices read no row keeps none: a sampled additive
     round has ``lower`` and ``upper`` unset and charges its queries by
-    ``samples`` alone, and ``rows``, ``members`` and ``values`` refuse it.
+    ``samples`` alone, and ``rows`` and ``values`` refuse it.
     A contraction's rows hold its frozen columns in both layers.
 
     ``marginal_means`` prices from a batch summary of the rows, rebuilt on
@@ -439,10 +439,8 @@ class RoundState:
     elements.  ``price`` prices one element without it: it builds no batch
     summary and leaves the current one in place.  A facility round prices
     one element and a batch by one formula over class cumsums it keeps
-    apart from the summary, so a non-member's ``price(e)`` is
-    ``marginal_means([e])[0]`` bit for bit.  ``price`` leaves ``e``'s own
-    membership out, so ``price(e)`` is the same float, bit for bit,
-    whether or not ``e`` is in ``B``.
+    apart from the summary, so ``price(e)`` is ``marginal_means([e])[0]``
+    bit for bit.
 
     A sweep keeps the state at its basis only while a later pricing can
     read it.  An insert is paid in per-row statistics (a coverage insert
@@ -480,11 +478,6 @@ class RoundState:
         self._drawn()
         return self.lower | (self.upper & self.in_basis.view(np.uint8))
 
-    def members(self, elems: np.ndarray) -> np.ndarray:
-        """``(s, q)`` 0/1: does each row hold each queried element?"""
-        self._drawn()
-        return self.lower[:, elems] | (self.upper[:, elems] & self.in_basis[elems].view(np.uint8))
-
     def _flipped(self, elem: int) -> np.ndarray:
         """The rows whose set gains ``elem`` when it joins the basis."""
         return np.flatnonzero(self.upper[:, elem] > self.lower[:, elem])
@@ -498,6 +491,8 @@ class RoundState:
 
     def marginal_means(self, elems: Sequence[int]) -> np.ndarray:
         q = self.oracle._in_range(np.asarray(elems, dtype=np.int64))
+        if self.in_basis[q].any():
+            raise ValueError("a round state prices only elements outside its basis")
         self.counter.count += 2 * self.samples * q.shape[0]
         if q.size == 0:
             return np.zeros(0, dtype=np.float64)
@@ -509,10 +504,12 @@ class RoundState:
 
     def price(self, elem: int) -> float:
         """``marginal_means([elem])[0]`` up to rounding (bit for bit for a
-        facility non-member), charged ``2*s`` queries."""
+        facility round), charged ``2*s`` queries."""
         elem = int(elem)
         if not 0 <= elem < self.oracle.n:
             raise ValueError("element id out of range")
+        if self.in_basis[elem]:
+            raise ValueError("a round state prices only elements outside its basis")
         self.counter.count += 2 * self.samples
         self.prices += 1
         return self._price(elem)
@@ -538,11 +535,6 @@ class RoundState:
     def _values(self) -> np.ndarray:
         raise NotImplementedError
 
-    def _holds(self, elem: int) -> np.ndarray:
-        """``(s,)`` 0/1: does each row hold ``elem``?"""
-        own = self.lower[:, elem]
-        return own | self.upper[:, elem] if self.in_basis[elem] else own
-
 
 class _CoverageRound(RoundState):
     """Cover counts per item and row, ``(universe, s)`` int32, from one
@@ -561,16 +553,16 @@ class _CoverageRound(RoundState):
     count 0 on ``e``'s items, so those rows number ``zeros`` plus the
     count-1 rows among the ``h`` that hold ``e``.
 
-    Only a basis member or an element the lower layer holds somewhere
-    (``held``) can have ``h > 0``.  A price of any other element reads
-    ``zeros`` at its items alone, ``O(|cover(e)|)``.  A held element's
-    price reads ``counts`` only at ``e``'s items in the ``h`` rows, and
-    only if ``ones`` is nonzero at one of them: ``O(s + |cover(e)|·(1 +
-    h))``.  The batch summary is the uncovered weight per item, ``zeros *
-    weights``, and the critical items, ``ones > 0``: only those can add to
-    a held element's price, so a batch builds its ``(s, q_held)`` membership
-    for the ``q_held`` queried elements that may be held, and none when no
-    item is critical: ``O(q + s·q_held)``."""
+    Non-members only, so the ``h`` rows are those whose lower layer holds
+    ``e``, and an element it holds nowhere (not ``held``) reads ``zeros``
+    at its items alone, ``O(|cover(e)|)``.  A held element's price reads
+    ``counts`` only at ``e``'s items in the ``h`` rows, and only if ``ones``
+    is nonzero at one of them: ``O(s + |cover(e)|·(1 + h))``.  The batch
+    summary is the uncovered weight per item, ``zeros * weights``, and the
+    critical items, ``ones > 0``: only those can add to a held element's
+    price, so a batch reads the lower layer's ``(s, q_held)`` columns of its
+    held queried elements, and none when no item is critical: ``O(q +
+    s·q_held)``."""
 
     def __init__(self, oracle: CoverageOracle, lower: np.ndarray, upper: np.ndarray) -> None:
         super().__init__(oracle, lower.shape[0], lower, upper)
@@ -604,19 +596,19 @@ class _CoverageRound(RoundState):
         oracle = self.oracle
         uncovered, critical = self._summary
         if critical.any():
-            held = np.flatnonzero(self.held[elems] | self.in_basis[elems])
+            held = np.flatnonzero(self.held[elems])
         else:
             held = np.zeros(0, dtype=np.intp)
         return kernels.coverage_price(
-            uncovered, critical, self.counts, elems, held, self.members(elems[held]),
+            uncovered, critical, self.counts, elems, held, self.lower[:, elems[held]],
             oracle.indptr, oracle.indices, oracle.universe_weights,
         )
 
     def _price(self, elem: int) -> float:
         items = self.oracle.cover(elem)
         hits = self.zeros[items]
-        if (self.held[elem] or self.in_basis[elem]) and np.count_nonzero(self.ones[items]):
-            held = np.flatnonzero(self._holds(elem))
+        if self.held[elem] and np.count_nonzero(self.ones[items]):
+            held = np.flatnonzero(self.lower[:, elem])
             hits = hits + np.count_nonzero(self.counts[items[:, None], held] == 1, axis=1)
         return float((hits * self.oracle.universe_weights[items]).sum()) / self.samples
 
@@ -644,8 +636,8 @@ class _FacilityRound(RoundState):
     An insert moves one count, per pair its element comes to top, from the
     pair's old class to the element's: ``O(k·clients)`` for its ``k``
     flipped rows.  The first pricing after an insert rebuilds the cumsums,
-    ``O(n·clients)``.  A member is priced at its ``e``-less view
-    (:meth:`_own_cumsums`)."""
+    ``O(n·clients)``.  Non-members only, so that histogram is the one a
+    price reads."""
 
     # one count of the int32 histogram: a scalar of its dtype keeps
     # ``ufunc.at`` on its fast path
@@ -708,29 +700,10 @@ class _FacilityRound(RoundState):
                 at = held[hit // clients] * clients + hit % clients
                 # added in the row-major order of the batch summary's bincount
                 tops = np.cumsum(top1.ravel()[at] - top2.ravel()[at])[-1]
-        cumsums = self._own_cumsums(elem) if self.in_basis[elem] else self._cumsums()
         sums = kernels.class_price(
-            *cumsums, self.slot, self.oracle.similarity, np.array([elem])
+            *self._cumsums(), self.slot, self.oracle.similarity, np.array([elem])
         )
         return float(sums[0] + tops) / self.samples
-
-    def _own_cumsums(self, elem: int) -> tuple[np.ndarray, np.ndarray]:
-        """The cumsums of a member's ``e``-less view: in its flipped rows,
-        the pairs it tops go back to the class of their top-2, the best
-        similarity without it.  The histogram is then the one from before
-        its insert, count for count."""
-        rows = self._flipped(elem)
-        _, arg1, top2 = self.top
-        row, column = np.nonzero(arg1[rows] == elem)
-        hist = self.hist.copy()
-        np.subtract.at(hist.ravel(), self.slot[elem, column], self._ONE)
-        for c in np.unique(column).tolist():
-            mine = column == c
-            back = self.class_values[c].searchsorted(top2[rows[row[mine]], c], side="left")
-            np.add.at(hist[c], back, self._ONE)
-        below, under = np.zeros(hist.shape, dtype=np.int32), np.zeros(hist.shape)
-        kernels.class_cumsums(hist, self.class_values, below, under)
-        return below, under
 
     def _values(self) -> np.ndarray:
         return self.top[0].sum(axis=1)

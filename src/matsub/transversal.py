@@ -57,21 +57,23 @@ class LStableMatching:
         self.w_lv: list[int | None] = [self._round_level(w) for w in raw]
         self.w_val: list[float] = [self.level_value(lv) for lv in self.w_lv]
         self.vw: list[int | None] = list(self.w_lv)
-        self.n_r: list[list[int]] = [[] for _ in range(matroid.num_right)]
+        # per-right state for the touched right vertices alone, in
+        # increasing declared id (see ``TransversalMatroid.touched_right``)
+        self.n_r: dict[int, list[int]] = {r: [] for r in matroid.touched_right}
         for l in range(n):
             for r in matroid.adjacency[l]:
                 self.n_r[r].append(l)
-        self.m = sum(len(nbrs) for nbrs in self.n_r)
-        self.p_r = [0] * matroid.num_right
-        self.j_r = [self.k] * matroid.num_right
+        self.m = sum(len(nbrs) for nbrs in self.n_r.values())
+        self.p_r = dict.fromkeys(self.n_r, 0)
+        self.j_r = dict.fromkeys(self.n_r, self.k)
         self.match_of_l: dict[int, int] = {}
         self.match_of_r: dict[int, int] = {}
         self.frozen: set[int] = set()
         self.fallback: set[int] = set()
         self.scan_steps = 0
         self.fallback_steps = 0
-        self.per_r_scans = [0] * matroid.num_right
-        for r in range(matroid.num_right):
+        self.per_r_scans = dict.fromkeys(self.n_r, 0)
+        for r in self.n_r:
             self._run_match(r)
 
     # -- weight levels -----------------------------------------------------
@@ -255,13 +257,14 @@ class DecMatching:
         self.matroid = matroid
         self.eps = epsilon
         self.max_len = 2 + 2 / epsilon
-        self.num_right = matroid.num_right
         self.present: set[int] = set()
         self.deleted: set[int] = set()
         self.match_of_l: dict[int, int] = {}
         self.match_of_r: dict[int, int] = {}
         self.rank: dict[int, int] = {}
-        self._n_r: list[set[int]] = [set() for _ in range(matroid.num_right)]
+        # per-right state for the touched right vertices alone, in
+        # increasing declared id (see ``TransversalMatroid.touched_right``)
+        self._n_r: dict[int, set[int]] = {r: set() for r in matroid.touched_right}
         # failed search from r -> (left vertices seen, right vertices expanded)
         self._failed: dict[int, tuple[set[int], list[int]]] = {}
         self._saw_l: dict[int, set[int]] = {}
@@ -342,7 +345,7 @@ class DecMatching:
         progress = True
         while progress:
             progress = False
-            for r in range(self.num_right):
+            for r in self._n_r:
                 if (
                     r not in self.match_of_r
                     and r not in self._failed

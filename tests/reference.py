@@ -919,7 +919,7 @@ def bucket_weight(buckets: BucketLists, elem: int) -> float:
 def dec_matching_pairs(d: DecMatching | RebuildDecMatching) -> dict[int, int]:
     """Left-to-right pairs of a ``DecMatching``; the filter drops the dummy
     pins that only ``RebuildDecMatching`` makes."""
-    return {l: r for l, r in d.match_of_l.items() if r < d.num_right}
+    return {l: r for l, r in d.match_of_l.items() if r < d.matroid.num_right}
 
 
 class DoubleSearchTransversalChecker:
@@ -1168,8 +1168,9 @@ def counted_coverage_price(state, elem: int) -> float:
     equals ``e``'s own membership, that is, where no other member covers it."""
     oracle = state.oracle
     items = oracle.cover(elem)
-    counts = (state.rows().astype(np.float64) @ oracle.incidence).T
-    hits = np.count_nonzero(counts[items] == state._holds(elem), axis=1)
+    rows = state.rows()
+    counts = (rows.astype(np.float64) @ oracle.incidence).T
+    hits = np.count_nonzero(counts[items] == rows[:, elem], axis=1)
     return float((hits * oracle.universe_weights[items]).sum()) / state.samples
 
 

@@ -323,6 +323,7 @@ def test_round_state_prices_its_rows_after_inserts_and_deletes(objective, frozen
         for state, rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
             assert np.array_equal(state.rows(), rows | mask)
             elems = rng.choice(base.n, size=int(rng.integers(1, base.n + 1)), replace=False)
+            elems = elems[~state.in_basis[elems]]
             want = f.batch_marginal_means(rows, elems)
             before = f.query_count
             got = state.marginal_means(elems)
@@ -371,10 +372,10 @@ def test_sampled_additive_round_draws_nothing_and_charges_per_sample(frozen) -> 
     assert f.query_count - before == 2 * 17
     state.insert(4)
     before = f.query_count
-    assert np.array_equal(state.marginal_means([1, 4, 7]), base.weights[[1, 4, 7]])
+    assert np.array_equal(state.marginal_means([1, 5, 7]), base.weights[[1, 5, 7]])
     assert f.query_count - before == 2 * 17 * 3
     before = f.query_count
-    for read in (state.values, state.rows, lambda: state.members(np.arange(3))):
+    for read in (state.values, state.rows):
         with pytest.raises(ValueError, match="drew no rows"):
             read()
     assert f.query_count == before
@@ -391,7 +392,7 @@ def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
         rng = np.random.default_rng(10 + seed)
         for state, rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
             summary = state._summary
-            for e in range(base.n):
+            for e in np.flatnonzero(~state.in_basis).tolist():
                 calls, prices, before = state.calls, state.prices, f.query_count
                 got = state.price(e)
                 assert f.query_count - before == 2 * rows.shape[0]
@@ -424,9 +425,9 @@ def test_facility_price_is_the_batch_formula_bit_for_bit(objective, frozen) -> N
 
 @pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
 @pytest.mark.parametrize("frozen", [(), (2, 5)])
-def test_one_element_price_ignores_the_elements_own_membership(objective, frozen) -> None:
-    # f(R+e) - f(R-e) does not depend on whether R holds e, and the price
-    # leaves e's own membership out row by row, so it is the same float
+def test_round_state_refuses_to_price_a_basis_member(objective, frozen) -> None:
+    # a sweep prices an element only before it inserts it; pricing a member
+    # raises before it charges a query or counts a call
     for seed in range(3):
         base = _objective(objective, seed)
         f = ResidualOracle(base, frozen) if frozen else base
@@ -435,9 +436,14 @@ def test_one_element_price_ignores_the_elements_own_membership(objective, frozen
         x[list(frozen)] = 0.0
         state = f.round_state(*nested_subsets(x, 0.25, 40, rng))
         for e in rng.permutation([v for v in range(base.n) if v not in frozen]).tolist():
-            before = state.price(e)
+            state.price(e)
             state.insert(e)
-            assert np.array_equal(state.price(e), before)
+            before = (f.query_count, state.calls, state.prices)
+            with pytest.raises(ValueError, match="outside its basis"):
+                state.price(e)
+            with pytest.raises(ValueError, match="outside its basis"):
+                state.marginal_means([*np.flatnonzero(~state.in_basis)[:2], e])
+            assert (f.query_count, state.calls, state.prices) == before
 
 
 # -- coverage: per-item uncovered-row counts kept across basis changes -------
@@ -510,15 +516,15 @@ def test_coverage_round_over_an_empty_lower_layer() -> None:
         fresh = kernels.coverage_counts(rows, base.incidence, rows.any(axis=0))
         np.testing.assert_array_equal(state.counts, fresh)
         np.testing.assert_array_equal(state.ones, np.count_nonzero(fresh == 1, axis=1))
-        for q in range(base.n):
+        for q in np.flatnonzero(~state.in_basis).tolist():
             assert state.price(q) == counted_coverage_price(state, q)
 
 
 def test_coverage_marginal_means_on_an_unsorted_query_with_repeats() -> None:
-    # basis members, elements the lower layer holds and elements no row
-    # holds, shuffled and repeated: each position gets its element's price,
-    # the float a sorted query without repeats gives it
-    kinds = {"member": 0, "held": 0, "unheld": 0}
+    # elements the lower layer holds and elements no row holds, shuffled
+    # and repeated: each position gets its element's price, the float a
+    # sorted query without repeats gives it
+    kinds = {"held": 0, "unheld": 0}
     for seed in range(3):
         base = _objective("coverage", seed)
         rng = np.random.default_rng(60 + seed)
@@ -529,10 +535,10 @@ def test_coverage_marginal_means_on_an_unsorted_query_with_repeats() -> None:
             state.insert(e)
         assert state.ones.any()
         elems = np.concatenate([rng.permutation(base.n), rng.integers(0, base.n, size=base.n)])
+        elems = elems[~state.in_basis[elems]]
         held = state.lower.any(axis=0)
-        kinds["member"] += int(state.in_basis[elems].sum())
-        kinds["held"] += int((held[elems] & ~state.in_basis[elems]).sum())
-        kinds["unheld"] += int((~held[elems] & ~state.in_basis[elems]).sum())
+        kinds["held"] += int(held[elems].sum())
+        kinds["unheld"] += int((~held[elems]).sum())
         got = state.marginal_means(elems)
         slow = slow_coverage_marginal_means(
             state.rows(), elems, base.indptr, base.indices, base.universe_weights
@@ -616,18 +622,18 @@ def test_coverage_prices_on_rows_that_cover_every_item_twice() -> None:
     upper = lower.copy()
     upper[:, 8] = 1
     state = f.round_state(lower, upper)
-    elems = np.arange(10)
     for step in range(2):
+        elems = np.flatnonzero(~state.in_basis)
         assert (state.counts >= 2).all()
         np.testing.assert_array_equal(state.zeros, np.zeros(8))
         np.testing.assert_array_equal(state.ones, np.zeros(8))
-        held = state.members(elems).any(axis=0)
-        assert held[:9].all() and not held[9]
+        held = state.rows()[:, elems].any(axis=0)
+        assert np.array_equal(held, elems != 9)
         slow = slow_coverage_marginal_means(state.rows(), elems, f.indptr, f.indices, weights)
         got = state.marginal_means(elems)
-        np.testing.assert_array_equal(got, np.zeros(10))
+        np.testing.assert_array_equal(got, np.zeros(elems.shape[0]))
         np.testing.assert_array_equal(got, slow)
-        assert [state.price(e) for e in elems] == [0.0] * 10
+        assert [state.price(e) for e in elems] == [0.0] * elems.shape[0]
         if step == 0:
             state.insert(8)
 
@@ -638,7 +644,7 @@ def test_coverage_price_is_the_count_formula_bit_for_bit(samples, frozen) -> Non
     for seed in range(3):
         base, walk = _coverage_walk(frozen, samples, seed)
         for state, _rows in walk:
-            for e in range(base.n):
+            for e in np.flatnonzero(~state.in_basis).tolist():
                 assert state.price(e) == counted_coverage_price(state, e)
 
 
@@ -648,9 +654,9 @@ def test_coverage_marginal_means_on_held_and_unheld_elements(samples, frozen) ->
     seen = {True: 0, False: 0}
     for seed in range(3):
         base, walk = _coverage_walk(frozen, samples, seed)
-        elems = np.arange(base.n)
         for state, _rows in walk:
-            held = state.members(elems).any(axis=0)
+            elems = np.flatnonzero(~state.in_basis)
+            held = state.rows()[:, elems].any(axis=0)
             seen[True] += int(held.sum())
             seen[False] += int((~held).sum())
             got = state.marginal_means(elems)
@@ -691,7 +697,7 @@ def test_round_state_rejects_bad_updates_and_ids() -> None:
     state.marginal_means([])
     assert state.calls == 0
     state.marginal_means([0, 2])
-    state.marginal_means([1])
+    state.marginal_means([2])
     assert (state.calls, state.prices) == (2, 0)
     with pytest.raises(ValueError, match="shape"):
         f.round_state(lower[:, :2], upper[:, :2])

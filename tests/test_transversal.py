@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from matsub.instances import TransversalMatroid
+from matsub.instances import TransversalMatroid, generate_instance
 from matsub.transversal import DecMatching, LStableMatching
 from reference import (
     RebuildDecMatching,
@@ -207,7 +208,7 @@ def test_per_vertex_scan_budget() -> None:
             continue
         d.decrement(l, float(rng.uniform(0, d.w_val[l] * 0.95)))
     cap = d.k + math.floor(1 / d.eps) + 2
-    for r in range(mat.num_right):
+    for r in mat.touched_right:
         assert d.per_r_scans[r] <= len(d.n_r[r]) * cap
 
 
@@ -283,7 +284,7 @@ def _no_short_augmenting_path(d: DecMatching) -> bool:
     mat = d.matroid
     matched = dec_matching_pairs(d)
     match_r = {r: l for l, r in matched.items()}
-    for r0 in range(mat.num_right):
+    for r0 in mat.touched_right:
         if r0 in match_r:
             continue
         frontier = [r0]
@@ -544,3 +545,31 @@ def test_dec_a_rematch_drops_the_failed_searches_that_saw_it() -> None:
         assert dec_matching_pairs(d) == dec_matching_pairs(ref)
         assert _no_short_augmenting_path(d)
     assert d.match_of_r[4] == 0
+
+
+def test_matching_structures_are_sized_by_the_right_vertices_they_touch() -> None:
+    # the n=30 generated graph, 24 right vertices, declared among 20,000:
+    # state for every declared right vertex would be megabytes.  Each
+    # structure also finds the matching it finds at the tight declaration
+    adjacency = generate_instance("transversal", "additive", n=30, seed=1).matroid.adjacency
+    sparse = TransversalMatroid(num_right=20_000, adjacency=adjacency)
+    tight = TransversalMatroid(num_right=1 + max(map(max, adjacency)), adjacency=adjacency)
+    weights = {l: 1.0 + (7 * l) % 13 for l in range(sparse.n)}
+
+    def dec(mat):
+        d = DecMatching(mat, epsilon=0.25)
+        d.batch_insert(range(mat.n))
+        return d.match_of_l
+
+    def stable(mat):
+        return LStableMatching(mat, weights, epsilon=0.25).match_of_l
+
+    for build in (dec, stable):
+        tracemalloc.start()
+        try:
+            got = build(sparse)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (build.__name__, peak)
+        assert got == build(tight)
