@@ -210,6 +210,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --epsilon must lie in (0, 1/3)", file=sys.stderr)
         return 2
     if args.algorithm == "full":
+        # the pipeline builds its own oracle; this one only checked the payload
+        del f
         body = _run_full(instance, args)
     elif args.algorithm == "greedy":
         body = _run_greedy(instance, f)

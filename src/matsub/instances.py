@@ -43,6 +43,15 @@ def _require_ints(values: Iterable, what: str) -> None:
         raise ValueError(f"{what} must be integers")
 
 
+def _holds_bool(value) -> bool:
+    """Is ``value``, a number or a list of numbers or of such lists, or any
+    entry in it a bool?  ``np.asarray`` would read one as 1.0 or 0.0."""
+    if type(value) is not list:
+        return type(value) is bool
+    types = set(map(type, value))
+    return bool in types or (list in types and any(map(_holds_bool, value)))
+
+
 def _cached_rank(self) -> int:
     """Size of every basis, computed on the first call and then kept.
 
@@ -473,6 +482,8 @@ Matroid = LaminarMatroid | GraphicMatroid | TransversalMatroid
 
 # the objective payload field with one entry per ground-set element
 ELEMENT_FIELDS = {"coverage": "covers", "facility": "similarity", "additive": "weights"}
+# the objective field that holds its numbers, per objective kind
+NUMBER_FIELDS = {"coverage": "universe_weights", "facility": "similarity", "additive": "weights"}
 
 
 @dataclass
@@ -545,7 +556,11 @@ class Instance:
             )
         else:
             raise ValueError(f"unknown matroid kind: {kind!r}")
-        return Instance(matroid=matroid, objective=doc["objective"])
+        objective = doc["objective"]
+        name = NUMBER_FIELDS.get(objective.get("kind"))
+        if _holds_bool(objective.get(name)):
+            raise ValueError(f"objective {name} must be numbers, not true or false")
+        return Instance(matroid=matroid, objective=objective)
 
 
 # ---------------------------------------------------------------------------

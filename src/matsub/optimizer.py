@@ -573,7 +573,6 @@ class PipelineResult:
     solution: list[int]
     value: float
     frozen: list[int]
-    fractional: FractionalSolution
     counters: dict[str, int | float]
     epsilon: float
     seed: int
@@ -656,7 +655,6 @@ def run_pipeline(
         solution=solution,
         value=value,
         frozen=s0,
-        fractional=fractional,
         counters=counters,
         epsilon=epsilon,
         seed=seed,

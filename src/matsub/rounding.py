@@ -26,12 +26,14 @@ located per matroid family:
   (contraction keeps both the cycle's edges outside B1 and the cut):
   ``O(d)`` per exchange.
 - transversal: certifying matchings for both bases are maintained, and the
-  alternating path from i through their union ends at a valid partner.
+  walk from i through their union, alternating first- and second-matching
+  edges, ends at the partner: ``O(path)`` per exchange.
 
 Every exchange is certified before the coin moves a basis.  Each exchanger
-decides, exactly and from state it keeps for both bases, whether B1 - i + j
-and B2 - j + i are independent; both have the rank's size, so independent
-means basis.  ``merge_bases`` raises ``ExchangeError`` if either is not:
+decides from state it keeps for both bases, exactly for laminar and graphic,
+whether B1 - i + j and B2 - j + i are independent; both have the rank's
+size, so independent means basis.  ``merge_bases`` raises ``ExchangeError``
+if either is not:
 
 - laminar: B1 - i + j is independent iff no node on path(j) \\ path(i) is
   tight in B1, and B2 - j + i iff no node on path(i) \\ path(j) is tight in
@@ -39,13 +41,13 @@ means basis.  ``merge_bases`` raises ``ExchangeError`` if either is not:
 - graphic: B1 - i + j is a forest iff j crosses the cut that deleting i
   makes in B1, and B2 - j + i is one iff j lies on B2's cycle through i:
   both read off the contracted forests, ``O(d)``.
-- transversal: an alternating path for each side, searched along the other
-  side's matching first, so for the walk's partner it retraces the walk in
-  ``O(path)`` (any other candidate costs a full alternating-path search).
-  The check confirms that every flipped edge exists in ``adjacency`` and
-  that each step takes exactly the right vertex the next one frees, ending
-  at the vertex the leaving element frees, again ``O(path)``.  The moving
-  side's path is then flipped into its matching.
+- transversal: both certificates are the walk from i, so only its partner
+  is certified: B1 - i + j takes the walk's second-matching edges and
+  B2 - j + i its first-matching ones.  The check confirms that every
+  flipped edge exists in ``adjacency`` and that each step takes exactly
+  the right vertex the next one frees, ending at the vertex the leaving
+  element frees: ``O(path)``.  The moving side's path is then flipped
+  into its matching.
 
 The full checks, size equal to the (memoized) ``rank()`` and
 independence, run once on every distinct set a merge takes or returns.
@@ -318,9 +320,11 @@ class _TransversalExchanger:
 
     The union of the matchings decomposes into paths and even cycles.  An
     element of B1 \\ B2 has degree one, so the walk from it alternating
-    first-matching and second-matching edges ends at an element of B2 \\ B1.
-    Each side's certificate is an alternating path in that side's matching,
-    and flipping the moving side's path updates its matching.
+    first-matching and second-matching edges ends at an element of B2 \\ B1,
+    the partner.  The walk is both sides' certificate: its second-matching
+    edges match B1 - i + j and its first-matching edges B2 - j + i, so no
+    other candidate is certified.  Flipping the moving side's path into its
+    matching updates it.
     """
 
     def __init__(
@@ -341,56 +345,25 @@ class _TransversalExchanger:
         self.r1 = dict(right1)
         self.r2 = dict(right2)
 
-    def exchange(self, i: int) -> int:
-        e = i
+    def _walk(self, i: int) -> list[tuple[int, int, int]]:
+        """Steps ``(a, r, b)`` of the walk from ``i``: ``a`` holds ``r`` in
+        the first matching and ``b`` in the second; the last ``b`` is the
+        partner."""
+        steps = []
+        a = i
         for _ in range(len(self.set2) + 1):
-            r = self.m1[e]
-            nxt = self.r2.get(r)
-            if nxt is None:
+            r = self.m1[a]
+            b = self.r2.get(r)
+            if b is None:
                 raise ExchangeError(f"walk from {i} left the certificates at right vertex {r}")
-            if nxt not in self.m1:
-                return nxt
-            e = nxt
+            steps.append((a, r, b))
+            if b not in self.m1:
+                return steps
+            a = b
         raise ExchangeError(f"alternating walk from {i} did not terminate")
 
-    def _path(
-        self, match: dict[int, int], owner: dict[int, int], prefer: dict[int, int],
-        inn: int, out: int,
-    ) -> list[tuple[int, int]] | None:
-        """Edges ``(left, right)`` that, flipped into ``match`` with ``out``
-        removed, match ``inn`` too; ``None`` if no alternating path exists.
-
-        Depth-first from ``inn``, each left vertex trying its edge in
-        ``prefer`` (the other side's matching) first.  The path ends at the
-        vertex ``out`` frees or at one ``match`` leaves free.
-        """
-        target = match[out]
-        seen: set[int] = set()
-        path: list[tuple[int, int]] = []
-        stack = [(inn, iter(self._choices(inn, prefer)))]
-        while stack:
-            y, choices = stack[-1]
-            for r in choices:
-                if r in seen:
-                    continue
-                seen.add(r)
-                path.append((y, r))
-                nxt = owner.get(r)
-                if r == target or nxt is None:
-                    return path
-                stack.append((nxt, iter(self._choices(nxt, prefer))))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-        return None
-
-    def _choices(self, y: int, prefer: dict[int, int]) -> list[int]:
-        first = prefer.get(y)
-        return ([first] if first is not None else []) + [
-            r for r in self.adjacency[y] if r != first
-        ]
+    def exchange(self, i: int) -> int:
+        return self._walk(i)[-1][2]
 
     def _valid(
         self, match: dict[int, int], owner: dict[int, int], path: list[tuple[int, int]],
@@ -411,18 +384,20 @@ class _TransversalExchanger:
             and all(r in self.adjacency[y] for y, r in path)
         )
 
-    def _side(self, first: bool, i: int, j: int) -> tuple:
-        """``(match, owner, prefer, inn, out)`` for B1 - i + j or B2 - j + i."""
-        if first:
-            return self.m1, self.r1, self.m2, j, i
-        return self.m2, self.r2, self.m1, i, j
-
     def _certificate(self, first: bool, i: int, j: int) -> list[tuple[int, int]] | None:
-        match, owner, prefer, inn, out = self._side(first, i, j)
-        path = self._path(match, owner, prefer, inn, out)
-        if path is None or not self._valid(match, owner, path, inn, out):
+        """The walk from ``i`` as the path for B1 - i + j (its second-matching
+        edges) or B2 - j + i (its first-matching edges); ``None`` unless the
+        walk ends at ``j`` and the path passes ``_valid``."""
+        steps = self._walk(i)
+        if steps[-1][2] != j:
             return None
-        return path
+        if first:
+            path = [(b, r) for _, r, b in reversed(steps)]
+            valid = self._valid(self.m1, self.r1, path, j, i)
+        else:
+            path = [(a, r) for a, r, _ in steps]
+            valid = self._valid(self.m2, self.r2, path, i, j)
+        return path if valid else None
 
     def admits(self, i: int, j: int) -> tuple[bool, bool]:
         """Are B1 - i + j and B2 - j + i matchable?"""
@@ -435,7 +410,7 @@ class _TransversalExchanger:
         path = self._certificate(move_first, i, j)
         if path is None:
             raise ExchangeError(f"exchange of {i} and {j} has no certificate")
-        match, owner, _, _, out = self._side(move_first, i, j)
+        match, owner, out = (self.m1, self.r1, i) if move_first else (self.m2, self.r2, j)
         del owner[match.pop(out)]
         for y, r in path:
             match[y] = r

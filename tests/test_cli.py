@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 
 import pytest
 
+from matsub import cli
 from matsub.cli import main
 from matsub.core import greedy_basis_value
-from matsub.instances import ELEMENT_FIELDS, Instance
+from matsub.instances import ELEMENT_FIELDS, NUMBER_FIELDS, Instance
 
 
 def _gen(tmp_path, *extra: str) -> str:
@@ -117,6 +119,31 @@ def test_run_records_are_deterministic_up_to_wall_time(tmp_path) -> None:
         record.pop("wall_time_s")
         records.append(record)
     assert records[0] == records[1]
+
+
+def test_run_full_drops_the_checking_oracle_before_the_pipeline(tmp_path, monkeypatch) -> None:
+    # the oracle built to check the payload is freed before the pipeline
+    # builds its own, so the two are never held together
+    path = _gen(tmp_path)
+    built: list[weakref.ref] = []
+    genuine_build = Instance.build_objective
+
+    def build(self):
+        f = genuine_build(self)
+        built.append(weakref.ref(f))
+        return f
+
+    alive: list[bool] = []
+    genuine_run = cli.run_pipeline
+
+    def run(*args, **kwargs):
+        alive.extend(ref() is not None for ref in built)
+        return genuine_run(*args, **kwargs)
+
+    monkeypatch.setattr(Instance, "build_objective", build)
+    monkeypatch.setattr(cli, "run_pipeline", run)
+    _run(path, str(tmp_path / "res.json"))
+    assert alive == [False]
 
 
 def test_run_baselines_bracket_the_pipeline(tmp_path) -> None:
@@ -321,16 +348,13 @@ def test_malformed_files_give_corrupt_errors(tmp_path, capsys, command, damage) 
     assert capsys.readouterr().err.startswith("error: corrupt ")
 
 
-# the payload field of each objective that holds floats
-FLOAT_FIELDS = {"coverage": "universe_weights", "facility": "similarity", "additive": "weights"}
-
-
-@pytest.mark.parametrize("objective", sorted(FLOAT_FIELDS))
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("objective", sorted(NUMBER_FIELDS))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
 def test_non_finite_objective_data_is_a_corrupt_instance(tmp_path, capsys, objective, bad) -> None:
+    # and JSON true, which numpy would read as 1.0
     path = _gen(tmp_path, "--function", objective, "--n", "8")
     doc = json.loads(open(path).read())
-    field = doc["objective"][FLOAT_FIELDS[objective]]
+    field = doc["objective"][NUMBER_FIELDS[objective]]
     if objective == "facility":
         field[3][5] = bad
     else:
@@ -353,7 +377,7 @@ def test_usage_errors_exit_two() -> None:
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("objective", sorted(FLOAT_FIELDS))
+@pytest.mark.parametrize("objective", sorted(NUMBER_FIELDS))
 @pytest.mark.parametrize("change", ["short", "long"])
 @pytest.mark.parametrize("command", ["run", "verify"])
 def test_objective_sized_unlike_its_matroid_is_a_corrupt_instance(

@@ -234,7 +234,9 @@ EXCHANGERS = {
 @pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
 def test_exchange_certificates_agree_with_is_independent(kind):
     # every candidate partner, not only the chosen one, so that the checks
-    # are seen rejecting as well as accepting
+    # are seen rejecting as well as accepting; the transversal certificate
+    # is the walk, so it certifies exactly the walk's partner and never a
+    # side that is not independent
     rng = np.random.default_rng(37)
     seen: set[tuple[bool, bool]] = set()
     for seed in range(8):
@@ -249,7 +251,13 @@ def test_exchange_certificates_agree_with_is_independent(kind):
                         mat.is_independent((ex.set1 - {i}) | {c}),
                         mat.is_independent((ex.set2 - {c}) | {i}),
                     )
-                    assert ex.admits(i, c) == want, (seed, n, i, c)
+                    got = ex.admits(i, c)
+                    if kind == "transversal":
+                        assert got == ((True, True) if c == j else (False, False)), (seed, n, i, c)
+                        assert want[0] or not got[0], (seed, n, i, c)
+                        assert want[1] or not got[1], (seed, n, i, c)
+                    else:
+                        assert got == want, (seed, n, i, c)
                     seen.add(want)
                 assert ex.admits(i, j) == (True, True)
                 ex.apply(i, j, move_first=bool(rng.integers(2)))
@@ -267,7 +275,7 @@ def test_transversal_check_refuses_tampered_paths():
         ex = _TransversalExchanger(mat, _random_basis(mat, rng), _random_basis(mat, rng))
         for i in sorted(ex.set1 - ex.set2):
             j = ex.exchange(i)
-            path = ex._path(ex.m1, ex.r1, ex.m2, j, i)
+            path = ex._certificate(True, i, j)
             assert ex._valid(ex.m1, ex.r1, path, j, i)
             # an edge that is not in the graph
             y, r = path[0]
