@@ -74,7 +74,9 @@ def _fail(message: str) -> int:
 
 def _load_instance(path: str) -> tuple[Instance, ValueOracle]:
     """Parse an instance file and build its objective, which checks the
-    objective payload; malformed content of any shape raises ValueError."""
+    objective payload and converts it into the arrays every later oracle of
+    the instance shares; malformed content of any shape raises
+    ValueError."""
     try:
         instance = Instance.from_json(_read_text(path))
         return instance, instance.build_objective()
@@ -210,7 +212,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("error: --epsilon must lie in (0, 1/3)", file=sys.stderr)
         return 2
     if args.algorithm == "full":
-        # the pipeline builds its own oracle; this one only checked the payload
+        # the pipeline builds its own oracle over the same arrays; this one
+        # only checked the payload
         del f
         body = _run_full(instance, args)
     elif args.algorithm == "greedy":

@@ -491,7 +491,11 @@ class Instance:
     """A matroid and an objective payload over the same ground set: the
     objective's per-element field must have one entry per element, wherever
     the instance is built (``from_json``, ``generate_instance`` or by
-    hand)."""
+    hand).
+
+    No code changes the objective payload after construction, so the
+    arrays ``build_objective`` converts it into on its first call cannot go
+    stale."""
 
     matroid: Matroid
     objective: dict
@@ -504,21 +508,31 @@ class Instance:
                 raise ValueError(
                     f"objective {name} has {size} entries for {self.matroid.n} elements"
                 )
+        self._oracle: ValueOracle | None = None
 
     @property
     def n(self) -> int:
         return self.matroid.n
 
     def build_objective(self) -> ValueOracle:
-        cfg = self.objective
-        kind = cfg.get("kind")
-        if kind == "coverage":
-            return CoverageOracle(cfg["covers"], cfg["universe_weights"])
-        if kind == "facility":
-            return FacilityLocationOracle(np.asarray(cfg["similarity"], dtype=np.float64))
-        if kind == "additive":
-            return AdditiveOracle(cfg["weights"])
-        raise ValueError(f"unknown objective kind: {kind!r}")
+        """An oracle for the objective with a query counter of its own.
+
+        The first call checks the payload and converts it into read-only
+        arrays; every oracle from a later call shares those arrays and the
+        tables derived from them (see :class:`ValueOracle`).
+        """
+        if self._oracle is None:
+            cfg = self.objective
+            kind = cfg.get("kind")
+            if kind == "coverage":
+                self._oracle = CoverageOracle(cfg["covers"], cfg["universe_weights"])
+            elif kind == "facility":
+                self._oracle = FacilityLocationOracle(cfg["similarity"])
+            elif kind == "additive":
+                self._oracle = AdditiveOracle(cfg["weights"])
+            else:
+                raise ValueError(f"unknown objective kind: {kind!r}")
+        return self._oracle.recounted()
 
     def to_json(self) -> str:
         doc = {

@@ -4,9 +4,10 @@ The sampling phases of the optimizer evaluate an objective on hundreds of
 random subsets per marginal estimate.  That work is dense array arithmetic and
 dominates end-to-end runtime.  The kernels hold no state: anything derived
 from an objective's data, such as the coverage incidence matrix or the
-facility similarity ranks, is built and owned by the oracle that passes it
-in, and the per-row statistics are kept by the oracle's round state
-(``objectives.RoundState``), the only place that puts these steps together.
+facility similarity ranks, is built once per instance, shared by the
+oracles built from it and passed in by them, and the per-row statistics
+are kept by the oracle's round state (``objectives.RoundState``), the only
+place that puts these steps together.
 
 Subset batches are ``(s, n)`` uint8 matrices, one row per sampled set.  Ground
 sets use element ids ``0..n-1`` throughout.  Each objective has two steps:
@@ -32,7 +33,7 @@ per call, for ``q`` queried elements:
   member's pass stays within the block; a basis that only grows never
   rebuilds a row.
 - ``similarity_ranks``: ``O(n·clients·log n)`` time and ``O(n·clients)``
-  memory, once per oracle, which keeps the tables.
+  memory, once per instance, whose oracles share the tables.
 - ``class_histogram``: ``O((s + n)·clients)`` time and memory, once per
   round: the rows per top-1 value class and client.
 - ``class_cumsums``: ``O(n·clients)`` time, in place, on the first

@@ -24,8 +24,8 @@ query count has one meaning.
 
 from __future__ import annotations
 
+import copy
 import itertools
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,16 +42,46 @@ def set_eval_threads(count: int) -> None:
         raise ValueError("batched estimates are serial: thread count must be 1")
 
 
-def _nonnegative(values, name: str) -> np.ndarray:
-    """``values`` as float64, checked finite and nonnegative.  A NaN fails
-    every comparison, so ``min() < 0`` alone lets it through, and it has no
-    rank among the values."""
-    out = np.asarray(values, dtype=np.float64)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked so that a write into it raises: every oracle built
+    from one instance reads it."""
+    array.setflags(write=False)
+    return array
+
+
+def _nonnegative(values, name: str, ndim: int) -> np.ndarray:
+    """``values`` as a new read-only ``ndim``-d float64 array, checked
+    finite and nonnegative.  A NaN fails every comparison, so ``min() < 0``
+    alone lets it through, and it has no rank among the values."""
+    out = np.array(values, dtype=np.float64, order="C")
+    if out.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array, not {out.ndim}-d")
     if not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     if out.size and out.min() < 0:
         raise ValueError(f"{name} must be nonnegative")
-    return out
+    return _read_only(out)
+
+
+def _cover_csr(covers: Sequence[Sequence[int]], universe: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's item ids sorted and deduplicated, as read-only CSR
+    ``(indptr, indices)`` int64 arrays; ids must be integers in
+    ``0..universe-1``."""
+    ids = list(itertools.chain.from_iterable(covers))
+    items = np.array(ids)
+    # numpy would truncate a float id and read a true among integers as 1
+    if items.size and (items.dtype.kind not in "iu" or bool in set(map(type, ids))):
+        raise ValueError("covered item ids must be integers")
+    if items.size and (items.min() < 0 or items.max() >= universe):
+        raise ValueError("covered item id out of range")
+    n = len(covers)
+    owners = np.repeat(np.arange(n, dtype=np.int64), [len(c) for c in covers])
+    stride = max(universe, 1)
+    keys = np.sort(owners * stride + items.astype(np.int64))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // stride, minlength=n), out=indptr[1:])
+    return _read_only(indptr), _read_only(keys % stride)
 
 
 class QueryCounter:
@@ -65,7 +95,12 @@ class QueryCounter:
 
 
 class ValueOracle:
-    """Base class: query counting, input checks and the batch entry points."""
+    """Base class: query counting, input checks and the batch entry points.
+
+    An oracle's arrays are read-only, and the tables it derives from them
+    (``_shared``) depend on no seed and charge no query, so ``recounted``
+    copies share both and count their queries apart.
+    """
 
     kind = "abstract"
 
@@ -74,10 +109,27 @@ class ValueOracle:
             raise ValueError("ground set must be nonempty")
         self.n = n
         self.counter = QueryCounter() if counter is None else counter
+        # table name -> table, one dict for this oracle and its copies
+        self._tables: dict[str, object] = {}
 
     @property
     def query_count(self) -> int:
         return self.counter.count
+
+    def recounted(self) -> "ValueOracle":
+        """This oracle, sharing its arrays and tables, with a query counter
+        of its own."""
+        twin = copy.copy(self)
+        twin.counter = QueryCounter()
+        return twin
+
+    def _shared(self, name: str, build):
+        """Table ``name``: ``build()`` on its first use by this oracle or a
+        ``recounted`` copy, then kept for all of them."""
+        tables = self._tables
+        if name not in tables:
+            tables[name] = build()
+        return tables[name]
 
     # -- single-set queries -------------------------------------------------
 
@@ -169,9 +221,8 @@ class _CoverageIncrement(_Increment):
 
     def __init__(self, oracle: "CoverageOracle") -> None:
         super().__init__(oracle.counter)
-        self.indptr = oracle.indptr.tolist()
+        self.indptr, self.weights = oracle._shared("increment", oracle._increment_tables)
         self.indices = oracle.indices
-        self.weights = oracle.universe_weights[oracle.indices]
         self.open = np.ones(oracle.universe_weights.shape[0], dtype=bool)
 
     def _gain(self, elem: int) -> float:
@@ -219,23 +270,8 @@ class CoverageOracle(ValueOracle):
 
     def __init__(self, covers: Sequence[Sequence[int]], universe_weights: Sequence[float]) -> None:
         super().__init__(len(covers))
-        self.universe_weights = _nonnegative(universe_weights, "universe weights")
-        nu = self.universe_weights.shape[0]
-        ids = list(itertools.chain.from_iterable(covers))
-        items = np.array(ids)
-        # numpy would truncate a float id and read a true among integers as 1
-        if items.size and (items.dtype.kind not in "iu" or bool in set(map(type, ids))):
-            raise ValueError("covered item ids must be integers")
-        if items.size and (items.min() < 0 or items.max() >= nu):
-            raise ValueError("covered item id out of range")
-        # each element's ids sorted and deduplicated, as CSR arrays
-        owners = np.repeat(np.arange(self.n, dtype=np.int64), [len(c) for c in covers])
-        stride = max(nu, 1)
-        keys = np.sort(owners * stride + items.astype(np.int64))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        self.indices = keys % stride
-        self.indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // stride, minlength=self.n), out=self.indptr[1:])
+        self.universe_weights = _nonnegative(universe_weights, "universe weights", 1)
+        self.indptr, self.indices = _cover_csr(covers, self.universe_weights.shape[0])
 
     def cover(self, elem: int) -> np.ndarray:
         """The sorted item ids that ``elem`` covers."""
@@ -252,13 +288,22 @@ class CoverageOracle(ValueOracle):
     def incremental(self) -> _Increment:
         return _CoverageIncrement(self)
 
-    @cached_property
+    @property
     def incidence(self) -> np.ndarray:
-        """Dense float32 0/1 ``(n, universe)`` cover matrix for the kernels,
-        built for the first round state and freed with the oracle."""
+        """Dense read-only float32 0/1 ``(n, universe)`` cover matrix for
+        the kernels, built for the first round state that multiplies and
+        then shared like the arrays (see :class:`ValueOracle`)."""
+        return self._shared("incidence", self._incidence)
+
+    def _incidence(self) -> np.ndarray:
         incidence = np.zeros((self.n, self.universe_weights.shape[0]), dtype=np.float32)
         incidence[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = 1.0
-        return incidence
+        return _read_only(incidence)
+
+    def _increment_tables(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """``indptr`` as a tuple of ints and the weights in cover order, for
+        :class:`_CoverageIncrement`."""
+        return tuple(self.indptr.tolist()), _read_only(self.universe_weights[self.indices])
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _CoverageRound(self, lower, upper)
@@ -270,11 +315,9 @@ class FacilityLocationOracle(ValueOracle):
     kind = "facility"
 
     def __init__(self, similarity: np.ndarray) -> None:
-        sim = _nonnegative(similarity, "similarities")
-        if sim.ndim != 2:
-            raise ValueError("similarity must be a 2-d matrix")
+        sim = _nonnegative(similarity, "similarities", 2)
         super().__init__(sim.shape[0])
-        self.similarity = np.ascontiguousarray(sim)
+        self.similarity = sim
 
     def _value(self, idx: np.ndarray) -> float:
         if idx.size == 0:
@@ -284,13 +327,17 @@ class FacilityLocationOracle(ValueOracle):
     def incremental(self) -> _Increment:
         return _FacilityIncrement(self)
 
-    @cached_property
+    @property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """Each similarity's value class and each client's ascending
         column (:func:`kernels.similarity_ranks`), for the round states:
-        ``O(n·clients)`` memory, built for the first round and freed with
-        the oracle."""
-        return kernels.similarity_ranks(self.similarity)
+        ``O(n·clients)`` read-only memory, built for the first round and
+        then shared like the arrays (see :class:`ValueOracle`)."""
+        return self._shared("ranks", self._ranks)
+
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        slot, values = kernels.similarity_ranks(self.similarity)
+        return _read_only(slot), _read_only(values)
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _FacilityRound(self, lower, upper)
@@ -302,7 +349,7 @@ class AdditiveOracle(ValueOracle):
     kind = "additive"
 
     def __init__(self, weights: Sequence[float]) -> None:
-        w = _nonnegative(weights, "weights")
+        w = _nonnegative(weights, "weights", 1)
         super().__init__(w.shape[0])
         self.weights = w
 

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from matsub import cli
+from matsub import cli, objectives
 from matsub.cli import main
 from matsub.core import greedy_basis_value
 from matsub.instances import ELEMENT_FIELDS, NUMBER_FIELDS, Instance
@@ -369,6 +369,49 @@ def test_non_finite_objective_data_is_a_corrupt_instance(tmp_path, capsys, objec
     capsys.readouterr()
     assert main(["verify", str(bad_path), out]) == 1
     assert capsys.readouterr().err.startswith("error: corrupt instance file: ")
+
+
+@pytest.mark.parametrize("objective, reshape", [
+    # a scalar in place of the list of universe weights
+    pytest.param("coverage", lambda weights: weights[0], id="scalar-universe-weights"),
+    # each weight in a one-element list: as many entries as elements
+    pytest.param("additive", lambda weights: [[w] for w in weights], id="nested-weights"),
+])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_objective_numbers_not_a_flat_list_are_a_corrupt_instance(
+    tmp_path, capsys, objective, reshape, command
+) -> None:
+    path = _gen(tmp_path, "--function", objective, "--n", "8")
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    doc = json.loads(open(path).read())
+    name = NUMBER_FIELDS[objective]
+    doc["objective"][name] = reshape(doc["objective"][name])
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", str(bad_path), "-o", str(tmp_path / "again.json")]
+    else:
+        argv = ["verify", str(bad_path), out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt instance file: ")
+
+
+@pytest.mark.parametrize("objective", sorted(NUMBER_FIELDS))
+def test_run_converts_the_objective_once(tmp_path, monkeypatch, objective) -> None:
+    # the oracle that checks the payload and the pipeline's share its arrays
+    path = _gen(tmp_path, "--function", objective)
+    names: list[str] = []
+    genuine = objectives._nonnegative
+
+    def convert(values, name, *rest):
+        names.append(name)
+        return genuine(values, name, *rest)
+
+    monkeypatch.setattr(objectives, "_nonnegative", convert)
+    _run(path, str(tmp_path / "res.json"))
+    assert len(names) == 1
 
 
 def test_usage_errors_exit_two() -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -1316,6 +1317,63 @@ def test_pipeline_counter_schema_is_stable() -> None:
     for inst in instances:
         result = run_pipeline(inst, epsilon=0.2, seed=5)
         assert set(result.counters) == expected
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_a_record_does_not_depend_on_earlier_solves(objective) -> None:
+    # the instance keeps its objective arrays and tables from the first
+    # solve on: seeds a, b, a give a's record twice, the one a freshly
+    # generated copy gives, and each oracle counts its own queries
+    def record(inst, seed):
+        result = dataclasses.asdict(run_pipeline(inst, epsilon=0.2, seed=seed))
+        del result["wall_time"]
+        return result
+
+    inst = generate_instance("graphic", objective, n=40, seed=9)
+    first, _other, again = (record(inst, seed) for seed in (3, 4, 3))
+    fresh = record(generate_instance("graphic", objective, n=40, seed=9), 3)
+    assert first == again == fresh
+    f, g = inst.build_objective(), inst.build_objective()
+    f.value([0, 1])
+    assert (f.query_count, g.query_count) == (1, 0)
+
+
+def test_objective_tables_are_built_once_per_instance(monkeypatch) -> None:
+    # two solves of one instance convert its covers into CSR arrays once,
+    # build the coverage incidence once and rank the similarities once
+    calls: Counter = Counter()
+
+    def count(owner, name):
+        genuine = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return genuine(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(objectives, "_cover_csr")
+    count(objectives.CoverageOracle, "_incidence")
+    count(objectives.kernels, "similarity_ranks")
+    oracles = []
+    for objective in ("coverage", "facility"):
+        inst = generate_instance("graphic", objective, n=40, seed=9)
+        for seed in (3, 4):
+            run_pipeline(inst, epsilon=0.2, seed=seed)
+        oracles.append(inst.build_objective())
+    assert calls == {"_cover_csr": 1, "_incidence": 1, "similarity_ranks": 1}
+    coverage, facility = oracles
+    indptr, cover_weights = coverage._tables["increment"]
+    shared = [
+        coverage.universe_weights, coverage.indptr, coverage.indices, coverage.incidence,
+        cover_weights, facility.similarity, *facility.ranks,
+        generate_instance("graphic", "additive", n=40, seed=9).build_objective().weights,
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 1
+    with pytest.raises(TypeError):
+        indptr[0] = 1
 
 
 def test_pipeline_on_transversal_facility_evicts_from_the_matching() -> None:
