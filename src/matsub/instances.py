@@ -367,27 +367,83 @@ class TransversalMatroid:
     rank = _cached_rank
 
     def _compute_rank(self) -> int:
-        checker = self.checker()
-        r = 0
-        for e in range(self.n):
-            if checker.test(e):
-                checker.insert(e)
-                r += 1
-        return r
+        return _max_matching_size(self.adjacency, range(self.n))
 
     def is_independent(self, subset: Iterable[int]) -> bool:
-        checker = self.checker()
-        for e in set(subset):
-            if not checker.test(e):
-                return False
-            checker.insert(e)
-        return True
+        lefts = set(subset)
+        return _max_matching_size(self.adjacency, sorted(lefts)) == len(lefts)
 
     def checker(self, base: Iterable[int] = ()) -> "TransversalChecker":
         return TransversalChecker(self, base)
 
     def payload(self) -> dict:
         return {"num_right": self.num_right, "adjacency": [list(a) for a in self.adjacency]}
+
+
+def _max_matching_size(adjacency: Sequence[Sequence[int]], lefts: Iterable[int]) -> int:
+    """Size of a maximum matching of the distinct left vertices ``lefts``,
+    by Hopcroft–Karp: a greedy pass, then phases that each lay out the
+    alternating layers from every free left vertex by breadth-first search
+    up to the first free right vertex, and augment along a maximal set of
+    vertex-disjoint shortest paths.  ``O(E·√V)``; the depth-first search
+    runs over an explicit stack, so a path may be of any length."""
+    lefts = list(lefts)
+    match_l: dict[int, int] = {}
+    match_r: dict[int, int] = {}
+    owner_of = match_r.get
+    for l in lefts:
+        for r in adjacency[l]:
+            if r not in match_r:
+                match_l[l] = r
+                match_r[r] = l
+                break
+    while True:
+        roots = [l for l in lefts if l not in match_l]
+        layer = dict.fromkeys(roots, 0)
+        queue = list(roots)
+        # the layer of the first left vertex seen next to a free right one
+        last: int | None = None
+        for l in queue:
+            depth = layer[l]
+            if last is not None and depth > last:
+                break
+            for r in adjacency[l]:
+                owner = owner_of(r)
+                if owner is None:
+                    last = depth
+                elif last is None and owner not in layer:
+                    layer[owner] = depth + 1
+                    queue.append(owner)
+        if last is None:
+            return len(match_l)
+        for root in roots:
+            # the left vertices on the path from root, each in the layer of
+            # its place on it, the right vertex each takes, and the untried
+            # neighbours of each
+            path, taken, frames = [root], [], [iter(adjacency[root])]
+            while frames:
+                for r in frames[-1]:
+                    owner = owner_of(r)
+                    if owner is None:
+                        taken.append(r)
+                        for left, right in zip(path, taken):
+                            match_l[left] = right
+                            match_r[right] = left
+                        for left in path:
+                            del layer[left]
+                        frames = []
+                        break
+                    if layer.get(owner) == len(path):
+                        taken.append(r)
+                        path.append(owner)
+                        frames.append(iter(adjacency[owner]))
+                        break
+                else:
+                    # no shortest path goes on from here in this phase
+                    del layer[path.pop()]
+                    frames.pop()
+                    if taken:
+                        taken.pop()
 
 
 class TransversalChecker:

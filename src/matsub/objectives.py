@@ -51,9 +51,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _nonnegative(values, name: str, ndim: int) -> np.ndarray:
     """``values`` as a new read-only ``ndim``-d float64 array, checked
-    finite and nonnegative.  A NaN fails every comparison, so ``min() < 0``
-    alone lets it through, and it has no rank among the values."""
-    out = np.array(values, dtype=np.float64, order="C")
+    numeric, finite and nonnegative.  Asked for float64 at once, numpy
+    would read the string ``"1.5"`` as a number, so the array is first
+    built with the dtype its entries give it.  A NaN fails every
+    comparison, so ``min() < 0`` alone lets it through, and it has no rank
+    among the values."""
+    out = np.array(values, order="C")
+    if out.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be numbers")
+    out = out.astype(np.float64, copy=False)
     if out.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-d array, not {out.ndim}-d")
     if not np.isfinite(out).all():

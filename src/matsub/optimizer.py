@@ -207,10 +207,15 @@ def lazy_sampling_greedy_plus(
 
 @dataclass
 class FractionalSolution:
-    """Convex combination of bases produced by the continuous phase."""
+    """Convex combination of bases produced by the continuous phase.
+
+    For a transversal matroid, ``matchings`` holds each basis's certifying
+    matching, each element's right vertex, in the order of ``bases``; it is
+    empty for the other kinds."""
 
     n: int
     bases: list[tuple[float, list[int]]]
+    matchings: list[dict[int, int]] = field(default_factory=list)
 
 
 class CountingChecker:
@@ -382,7 +387,7 @@ def dt_approx_indep_set(
     elements: Sequence[int],
     rank: int,
     pinned: Iterable[int] = (),
-) -> list[int]:
+) -> tuple[list[int], dict[int, int]]:
     """Near-max-rate basis via batched inserts and audits, then a top-off.
 
     Transversal counterpart of :func:`dt_incremental`: each threshold level
@@ -408,6 +413,10 @@ def dt_approx_indep_set(
     since its last pricing, and the top-off reprices what is stale.  When
     the ladder ends every matched, unpinned vertex has been kept, and the
     top-off prices the rest there.
+
+    Returns the basis and the matching that certifies it together with the
+    pinned vertices, each one's right vertex: the top-off checker's, or the
+    structure's when there is no top-off.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -418,7 +427,7 @@ def dt_approx_indep_set(
         return [e for e in structure.basis() if e not in pinned_set]
 
     if rank <= 0 or not pool.size:
-        return current()
+        return current(), dict(structure.match_of_l)
     rate = np.zeros(structure.matroid.n)
     # vertices kept at each element's last pricing; -1 means never priced
     priced_at = np.full(rate.size, -1)
@@ -457,19 +466,20 @@ def dt_approx_indep_set(
                     queue.extend(structure.delete(e))
         tau *= 1.0 - epsilon
     basis = current()
-    if len(basis) < rank:
-        checker = structure.checker()
-        matched = np.zeros(rate.size, dtype=bool)
-        matched[basis] = True
-        rest = pool[~matched[pool]]
-        reprice(rest)
-        for e in rest[np.lexsort((rest, -rate[rest]))].tolist():
-            if len(basis) >= rank:
-                break
-            if checker.test(e):
-                checker.insert(e)
-                basis.append(e)
-    return sorted(basis)
+    if len(basis) >= rank:
+        return basis, dict(structure.match_of_l)
+    checker = structure.checker()
+    matched = np.zeros(rate.size, dtype=bool)
+    matched[basis] = True
+    rest = pool[~matched[pool]]
+    reprice(rest)
+    for e in rest[np.lexsort((rest, -rate[rest]))].tolist():
+        if len(basis) >= rank:
+            break
+        if checker.test(e):
+            checker.insert(e)
+            basis.append(e)
+    return sorted(basis), {e: r for r, e in checker.match_right.items()}
 
 
 def continuous_greedy(
@@ -485,7 +495,9 @@ def continuous_greedy(
     Runs ``ceil(1 / epsilon)`` rounds; each round builds one basis of the
     contraction with the kind-appropriate descending-thresholds routine and
     advances the fractional point one step along it.  Returns the convex
-    combination of round bases plus a counter dictionary.
+    combination of round bases plus a counter dictionary; on a transversal
+    matroid each basis comes with the matching its sweep certified it by,
+    together with ``frozen``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -518,6 +530,7 @@ def continuous_greedy(
         return FractionalSolution(n=n, bases=[]), counters
     x = np.zeros(n, dtype=np.float64)
     bases: list[tuple[float, list[int]]] = []
+    matchings: list[dict[int, int]] = []
     for _ in range(rounds):
         counters["phase2_rounds"] += 1
         # a coordinate takes only x_e and min(1, x_e + step) within a round,
@@ -538,7 +551,7 @@ def continuous_greedy(
                 seeded = structure.batch_insert(sorted(frozen_set))
                 if len(seeded) != len(frozen_set):
                     raise RuntimeError("frozen set lost a match during seeding")
-            b = dt_approx_indep_set(
+            b, matching = dt_approx_indep_set(
                 state,
                 structure,
                 epsilon,
@@ -547,6 +560,7 @@ def continuous_greedy(
                 residual_rank,
                 pinned=frozen_set,
             )
+            matchings.append(matching)
             ops = structure.op_counters
             # seeding the contraction is construction, not algorithm work
             counters["dt_batch_inserts"] += ops["batch_inserts"] - (
@@ -563,7 +577,7 @@ def continuous_greedy(
         for e in b:
             x[e] = min(1.0, x[e] + step)
         bases.append((step, b))
-    return FractionalSolution(n=n, bases=bases), counters
+    return FractionalSolution(n=n, bases=bases, matchings=matchings), counters
 
 
 @dataclass
@@ -641,6 +655,7 @@ def run_pipeline(
         full = FractionalSolution(
             n=n,
             bases=[(a, sorted(set(b) | set(s0))) for a, b in fractional.bases],
+            matchings=fractional.matchings,
         )
         solution = sorted(
             swap_round(full, matroid, stream_rng(seed, STREAM_ROUNDING))

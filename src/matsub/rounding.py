@@ -51,14 +51,21 @@ if either is not:
 
 The full checks, size equal to the (memoized) ``rank()`` and
 independence, run once on every distinct set a merge takes or returns.
-For laminar and graphic sets independence is ``is_independent``; for a
-transversal set it is the build of its certifying matching by inserting
-the set in sorted order, which raises on a dependent set.  The record of
-checked sets maps each to its certificate, that matching or ``None``, and
-the transversal exchanger reads both bases' matchings from it, so each
-distinct set is matched once.  ``swap_round`` shares the record across its
-merges, so a merge's output, which is the next merge's first input, is
-checked once.
+For laminar and graphic sets independence is ``is_independent``.  A
+transversal set is independent when a matching certifies it, and its
+check verifies one in ``O(Σ deg)``: each element has one right vertex
+over an edge of ``adjacency`` and no right vertex serves two.  The
+matching is the one it came with: ``swap_round`` takes each round basis's
+from the sweep that built it (``FractionalSolution.matchings``), and a
+merge's output is certified by its exchanger's first matching, kept
+through every exchange.  A set that comes with none, as the inputs of a
+direct ``merge_bases`` call do, gets one built by inserting it in sorted
+order, which raises on a dependent set.  The record of checked sets maps
+each to its certificate, that matching or ``None``, and the transversal
+exchanger reads both bases' matchings from it.  ``swap_round`` verifies
+every handed certificate before its first merge, so a forged one is
+refused before any coin, and shares the record across its merges, so a
+merge's output, which is the next merge's first input, is checked once.
 """
 
 from __future__ import annotations
@@ -85,35 +92,70 @@ class ExchangeError(RuntimeError):
     """No valid exchange partner exists; impossible for genuine bases."""
 
 
-# each fully checked set -> its certificate: the certifying matching
-# (right -> left) for a transversal set, None for the other kinds
+# each fully checked set -> its certificate: the certifying matching (each
+# element's right vertex) for a transversal set, None for the other kinds
 Checked = dict[frozenset[int], dict[int, int] | None]
+
+
+def _build_matching(
+    matroid: TransversalMatroid, subset: frozenset[int], label: str
+) -> dict[int, int]:
+    """Certifying matching of ``subset``, built by inserting it in sorted
+    order, which raises on a dependent set."""
+    try:
+        match_right = TransversalChecker(matroid, sorted(subset)).match_right
+    except ValueError:
+        raise ExchangeError(f"{label} is not independent") from None
+    return {e: r for r, e in match_right.items()}
+
+
+def _verify_matching(
+    matroid: TransversalMatroid, subset: frozenset[int], matching: dict[int, int], label: str
+) -> None:
+    """Raise unless ``matching`` certifies ``subset``: it gives each element
+    one right vertex over an edge of ``adjacency``, no other left vertex
+    any, and no right vertex twice.  ``O(Σ deg)``."""
+    if len(matching) != len(subset) or not all(e in matching for e in subset):
+        raise ExchangeError(f"{label}: certificate does not match exactly its elements")
+    if len(set(matching.values())) != len(matching):
+        raise ExchangeError(f"{label}: certificate gives a right vertex twice")
+    adjacency = matroid.adjacency
+    if not all(matching[e] in adjacency[e] for e in subset):
+        raise ExchangeError(f"{label}: certificate takes an edge not in the graph")
 
 
 def _matching(
     matroid: TransversalMatroid, subset: Iterable[int], label: str, checked: Checked
 ) -> dict[int, int]:
-    """Certifying matching of ``subset`` from ``checked``, else built by
-    inserting it in sorted order, which raises on a dependent set, and
+    """Certifying matching of ``subset`` from ``checked``, else built and
     recorded there."""
     key = frozenset(subset)
     if key not in checked:
-        try:
-            checked[key] = TransversalChecker(matroid, sorted(key)).match_right
-        except ValueError:
-            raise ExchangeError(f"{label} is not independent") from None
+        checked[key] = _build_matching(matroid, key, label)
     return checked[key]
 
 
-def _assert_basis(matroid: Matroid, subset: set[int], label: str, checked: Checked) -> None:
-    """Full check of ``subset``, skipped if it is in ``checked``, which then holds it."""
+def _assert_basis(
+    matroid: Matroid,
+    subset: set[int],
+    label: str,
+    checked: Checked,
+    matching: dict[int, int] | None = None,
+) -> None:
+    """Full check of ``subset``, skipped if it is in ``checked``, which then
+    holds it.  A transversal set's ``matching``, if given, is verified as
+    its certificate; otherwise one is built."""
     key = frozenset(subset)
     if key in checked:
         return
     if len(subset) != matroid.rank():
         raise ExchangeError(f"{label} has size {len(subset)}, rank is {matroid.rank()}")
     if matroid.kind == "transversal":
-        _matching(matroid, key, label, checked)
+        if matching is None:
+            matching = _build_matching(matroid, key, label)
+        else:
+            _verify_matching(matroid, key, matching, label)
+        checked[key] = matching
         return
     if not matroid.is_independent(subset):
         raise ExchangeError(f"{label} is not independent")
@@ -338,12 +380,12 @@ class _TransversalExchanger:
         self.set1 = set(b1)
         self.set2 = set(b2)
         checked = {} if checked is None else checked
-        right1 = _matching(matroid, self.set1, "first basis", checked)
-        right2 = _matching(matroid, self.set2, "second basis", checked)
-        self.m1 = {e: r for r, e in right1.items()}
-        self.m2 = {e: r for r, e in right2.items()}
-        self.r1 = dict(right1)
-        self.r2 = dict(right2)
+        match1 = _matching(matroid, self.set1, "first basis", checked)
+        match2 = _matching(matroid, self.set2, "second basis", checked)
+        self.m1 = dict(match1)
+        self.m2 = dict(match2)
+        self.r1 = {r: e for e, r in match1.items()}
+        self.r2 = {r: e for e, r in match2.items()}
 
     def _walk(self, i: int) -> list[tuple[int, int, int]]:
         """Steps ``(a, r, b)`` of the walk from ``i``: ``a`` holds ``r`` in
@@ -455,8 +497,9 @@ def merge_bases(
     Both inputs and the output are checked in full, each distinct set once
     and none that ``checked`` already holds (every set checked is added to
     it), and every exchange against its certificate; a failed check raises
-    ``ExchangeError``.  Equal bases are returned after their one check, with
-    no exchanger and no coin.
+    ``ExchangeError``.  A transversal output is checked by verifying the
+    exchanger's first matching, which becomes its certificate.  Equal bases
+    are returned after their one check, with no exchanger and no coin.
     """
     if alpha1 <= 0 or alpha2 <= 0:
         raise ValueError("mixture weights must be positive")
@@ -482,7 +525,10 @@ def merge_bases(
         exchanger.apply(i, j, move_first=rng.random() < threshold)
     if exchanger.set1 != exchanger.set2:
         raise ExchangeError("merge finished with distinct bases")
-    _assert_basis(matroid, exchanger.set1, "merged basis", checked)
+    # the first matching, kept through every exchange, certifies the merged
+    # transversal basis
+    matching = exchanger.m1 if matroid.kind == "transversal" else None
+    _assert_basis(matroid, exchanger.set1, "merged basis", checked, matching)
     return sorted(exchanger.set1)
 
 
@@ -495,16 +541,20 @@ def swap_round(
 
     The running merge carries the accumulated mixture weight, so every basis
     enters with influence proportional to its coefficient and the output
-    preserves the fractional marginals elementwise.  The merges share one
-    record of checked sets, so each distinct set a merge takes or returns
-    is checked in full once: a merge's output, the next merge's first
-    input, is not checked again.
+    preserves the fractional marginals elementwise.  The certificate that
+    ``fractional.matchings`` hands with a transversal basis is verified
+    before the first merge and recorded as that basis's check.  The merges
+    share one record of checked sets, so each distinct set a merge takes or
+    returns is checked in full once: a merge's output, the next merge's
+    first input, is not checked again.
     """
     bases: Sequence[tuple[float, Sequence[int]]] = list(fractional.bases)
     if not bases:
         raise ValueError("fractional solution holds no bases")
-    weight, merged = bases[0][0], list(bases[0][1])
     checked: Checked = {}
+    for (_alpha, basis), matching in zip(bases, fractional.matchings):
+        _assert_basis(matroid, set(basis), "round basis", checked, matching)
+    weight, merged = bases[0][0], list(bases[0][1])
     for alpha, basis in bases[1:]:
         merged = merge_bases(weight, merged, alpha, basis, matroid, rng, checked=checked)
         weight += alpha

@@ -398,6 +398,32 @@ def test_objective_numbers_not_a_flat_list_are_a_corrupt_instance(
     assert capsys.readouterr().err.startswith("error: corrupt instance file: ")
 
 
+@pytest.mark.parametrize("objective, respell", [
+    pytest.param("coverage", lambda field: field.__setitem__(0, "1.5"), id="coverage"),
+    pytest.param("additive", lambda field: field.__setitem__(1, "  2 "), id="additive"),
+    pytest.param("facility", lambda field: field[0].__setitem__(0, "0.25"), id="facility"),
+])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_objective_numbers_given_as_strings_are_a_corrupt_instance(
+    tmp_path, capsys, objective, respell, command
+) -> None:
+    # numpy would read each string as the number it spells
+    path = _gen(tmp_path, "--function", objective, "--n", "8")
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    doc = json.loads(open(path).read())
+    respell(doc["objective"][NUMBER_FIELDS[objective]])
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", str(bad_path), "-o", str(tmp_path / "again.json")]
+    else:
+        argv = ["verify", str(bad_path), out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: corrupt instance file: ")
+
+
 @pytest.mark.parametrize("objective", sorted(NUMBER_FIELDS))
 def test_run_converts_the_objective_once(tmp_path, monkeypatch, objective) -> None:
     # the oracle that checks the payload and the pipeline's share its arrays

@@ -188,6 +188,54 @@ def test_transversal_searches_run_deeper_than_the_recursion_limit(tmp_path) -> N
     assert main(["verify", path, out]) == 0
 
 
+def _kuhn_size(mat: TransversalMatroid, lefts) -> int:
+    """Size of the matching a Kuhn checker reaches inserting ``lefts`` in
+    order, each one it can match."""
+    checker = TransversalChecker(mat)
+    for e in lefts:
+        if checker.test(e):
+            checker.insert(e)
+    return len(checker.members)
+
+
+def test_hopcroft_karp_agrees_with_the_kuhn_checker() -> None:
+    # rank() and is_independent match by Hopcroft-Karp, order-free; the
+    # checker's greedy insertion reaches a maximum matching too
+    rng = np.random.default_rng(53)
+    def neighbours(right: int) -> list[int]:
+        degree = int(rng.integers(0, min(right, 4) + 1))
+        return rng.choice(right, size=degree, replace=False).tolist()
+
+    matroids = [
+        TransversalMatroid(num_right=right, adjacency=[neighbours(right) for _ in range(n)])
+        for n, right in zip(rng.integers(1, 30, size=300), rng.integers(1, 25, size=300))
+    ] + [
+        generate_instance("transversal", "additive", n=n, seed=seed).matroid
+        for n in (40, 200)
+        for seed in (5, 6)
+    ]
+    outcomes: Counter[bool] = Counter()
+    for mat in matroids:
+        assert mat.rank() == _kuhn_size(mat, range(mat.n))
+        for _ in range(3):
+            size = int(rng.integers(0, mat.n + 1))
+            subset = rng.choice(mat.n, size=size, replace=False).tolist()
+            independent = mat.is_independent(subset)
+            assert independent == (_kuhn_size(mat, subset) == len(subset))
+            outcomes[independent] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+    # the chain, whose augmenting paths run past the recursion limit, and
+    # the chain with one more left vertex on right 0
+    k = 1200
+    chain = _chain(k)
+    assert chain.rank() == k
+    assert chain.is_independent(range(k)) and chain.is_independent(reversed(range(k)))
+    longer = TransversalMatroid(num_right=k, adjacency=chain.adjacency + [[0]])
+    assert longer.rank() == _kuhn_size(longer, range(k + 1)) == k
+    assert not longer.is_independent(range(k + 1))
+    assert longer.is_independent(range(1, k + 1))
+
+
 def _caterpillar(d: int) -> LaminarMatroid:
     """Spine node ``i`` holds elements ``i..d-1`` under capacity
     ``(d - i + 1) // 2``, and element ``i`` sits on a capacity-1 leaf under

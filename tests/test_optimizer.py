@@ -686,6 +686,14 @@ def test_one_nested_draw_per_round(monkeypatch) -> None:
 # -- descending thresholds, decremental structure ---------------------------
 
 
+def _assert_certifies(matroid: TransversalMatroid, matching: dict[int, int], members) -> None:
+    """``matching`` gives each of ``members``, and no other left vertex, a
+    right vertex of its own over an edge."""
+    assert sorted(matching) == sorted(members)
+    assert len(set(matching.values())) == len(matching)
+    assert all(matching[e] in matroid.adjacency[e] for e in members)
+
+
 def test_dt_approx_single_level_is_one_batch() -> None:
     matroid = TransversalMatroid(
         num_right=4, adjacency=[[0, 1], [1, 2], [2, 3], [0, 3]]
@@ -693,10 +701,11 @@ def test_dt_approx_single_level_is_one_batch() -> None:
     weights = [5.0, 5.0, 5.0, 5.0]
     state = _additive_state(weights, np.random.default_rng(1))
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(state, structure, 0.2, 5.0, range(4), matroid.rank())
+    basis, matching = dt_approx_indep_set(state, structure, 0.2, 5.0, range(4), matroid.rank())
     assert structure.op_counters == {"batch_inserts": 1, "deletes": 0}
     assert matroid.is_independent(basis)
     assert len(basis) == 4
+    _assert_certifies(matroid, matching, basis)
 
 
 def test_dt_approx_tracks_the_incremental_variant() -> None:
@@ -712,7 +721,7 @@ def test_dt_approx_tracks_the_incremental_variant() -> None:
         exact_value = sum(weights[e] for e in exact)
         approx_est = _additive_state(weights, np.random.default_rng(seed))
         structure = DecMatching(inst.matroid, eps)
-        approx = dt_approx_indep_set(approx_est, structure, eps, m, range(inst.n), rank)
+        approx, _matching = dt_approx_indep_set(approx_est, structure, eps, m, range(inst.n), rank)
         assert inst.matroid.is_independent(approx)
         got = sum(weights[e] for e in approx)
         assert got >= (1 - 3 * eps) * exact_value - 1e-9
@@ -761,11 +770,12 @@ def test_sweeps_leave_the_round_state_at_their_basis(objective) -> None:
         state = _counted_state(f, inst.n, seed).state
         structure = DecMatching(inst.matroid, eps)
         structure.batch_insert(frozen)
-        got = dt_approx_indep_set(state, structure, eps, m, free, rank, pinned=frozen)
+        got, matching = dt_approx_indep_set(state, structure, eps, m, free, rank, pinned=frozen)
         deletes += structure.op_counters["deletes"]
         matched = [e for e in structure.basis() if e not in frozen]
         assert np.flatnonzero(state.in_basis).tolist() == matched
         assert set(matched) <= set(got) and len(got) == rank
+        _assert_certifies(inst.matroid, matching, got + frozen)
         spy = _RoundLog(_counted_state(f, inst.n, seed).state)
         checker = CountingChecker(inst.matroid.checker(frozen))
         got = dt_incremental(spy, checker, eps, m, free, rank)
@@ -835,7 +845,7 @@ def test_dt_approx_deletes_once_per_bucket_drop() -> None:
     matroid = TransversalMatroid(num_right=2, adjacency=[[0], [0, 1], [1]])
     rates = _ScriptedRates({0: (10.0, 10.0), 1: (10.0, 1.0), 2: (10.0, 10.0)})
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
+    basis, _matching = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
     assert basis == [0, 2]
     assert structure.op_counters["deletes"] == 1
     assert rates.basis == [0, 2]
@@ -853,7 +863,7 @@ def test_an_elements_own_insert_keeps_its_rate_current() -> None:
         {0: (10.0, float(np.nextafter(10.0, 0.0))), 1: (5.0, 5.0), 2: (5.0, 5.0)}
     )
     structure = DecMatching(matroid, 0.2)
-    basis = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
+    basis, _matching = dt_approx_indep_set(rates, structure, 0.2, 10.0, range(3), 2)
     assert 0 in basis and len(basis) == 2
     assert structure.op_counters["deletes"] == 0
     assert rates.priced.count(0) == 1
@@ -877,7 +887,7 @@ def test_a_singleton_top_level_batch_keeps_its_element(objective, n, seed, run) 
     top = int(np.argmax(first))
     assert np.count_nonzero(first == first[top]) == 1
     structure = DecMatching(inst.matroid, eps)
-    got = dt_approx_indep_set(
+    got, _matching = dt_approx_indep_set(
         f.round_state(*rows), structure, eps, estimate_opt(f, inst.matroid)[0], range(n),
         inst.matroid.rank(),
     )
@@ -912,7 +922,12 @@ def test_lazy_transversal_sweep_matches_the_eager_sweep(objective) -> None:
             got = run(est, structure, eps, m, free, rank, pinned=frozen)
             return got, est.priced, structure.op_counters["deletes"]
 
-        lazy = sweep(dt_approx_indep_set)
+        def lazy_sweep(*args, **kwargs):
+            basis, matching = dt_approx_indep_set(*args, **kwargs)
+            _assert_certifies(inst.matroid, matching, basis + frozen)
+            return basis
+
+        lazy = sweep(lazy_sweep)
         eager = sweep(eager_dt_approx_indep_set)
         # same draw, same matching decisions, same set
         assert lazy[0] == eager[0]
@@ -984,7 +999,7 @@ def test_transversal_sweep_never_prices_above_a_cached_rate(objective) -> None:
             structure.batch_insert(frozen)
         free = [e for e in range(inst.n) if e not in frozen]
         rank = inst.matroid.rank() - len(frozen)
-        got = dt_approx_indep_set(spy, structure, eps, m, free, rank, pinned=frozen)
+        got, _matching = dt_approx_indep_set(spy, structure, eps, m, free, rank, pinned=frozen)
         assert len(got) == rank
         checked += spy.checked
         after_delete += spy.after_delete
@@ -1076,7 +1091,7 @@ def test_transversal_audits_keep_the_state_at_the_kept_vertices(objective) -> No
             structure.batch_insert(frozen)
         free = [e for e in range(inst.n) if e not in frozen]
         rank = inst.matroid.rank() - len(frozen)
-        got = dt_approx_indep_set(log, structure, eps, m, free, rank, pinned=frozen)
+        got, _matching = dt_approx_indep_set(log, structure, eps, m, free, rank, pinned=frozen)
         assert not log.due
         matched = [e for e in structure.basis() if e not in frozen]
         # the top-off writes nothing, so the state holds every matched vertex
@@ -1101,7 +1116,7 @@ def test_transversal_topoff_reuses_the_ladder_prices() -> None:
         est = _counted_state(f, inst.n, 1, samples=13)
         structure = DecMatching(inst.matroid, eps)
         before = f.query_count
-        got = dt_approx_indep_set(est, structure, eps, 1e12, range(inst.n), rank)
+        got, _matching = dt_approx_indep_set(est, structure, eps, 1e12, range(inst.n), rank)
         assert f.query_count - before == 2 * 13 * inst.n
         assert est.priced == inst.n
         assert structure.op_counters == {"batch_inserts": 0, "deletes": 0}
@@ -1144,7 +1159,8 @@ def test_transversal_topoff_checker_from_the_matching_keeps_the_bases(
         monkeypatch.setattr(DecMatching, "checker", counted)
         free = [e for e in range(inst.n) if e not in frozen]
         rank = inst.matroid.rank() - len(frozen)
-        got = dt_approx_indep_set(est, structure, eps, m, free, rank, pinned=frozen)
+        got, matching = dt_approx_indep_set(est, structure, eps, m, free, rank, pinned=frozen)
+        _assert_certifies(inst.matroid, matching, got + frozen)
         topoffs += calls[0]
         return got, est.priced
 
@@ -1233,6 +1249,24 @@ def test_continuous_greedy_respects_the_contraction() -> None:
         assert not set(base) & set(frozen)
         assert len(base) == rank - len(frozen)
         assert inst.matroid.is_independent(sorted(set(base) | set(frozen)))
+    assert fractional.matchings == []
+
+
+def test_transversal_rounds_carry_the_matchings_that_certify_them() -> None:
+    # each round's sweep hands over the matching of its basis plus the
+    # frozen set, which swap rounding takes as that basis's certificate
+    for objective, frozen in (("coverage", []), ("facility", [0, 5]), ("additive", [1])):
+        inst = generate_instance("transversal", objective, n=30, seed=43)
+        assert inst.matroid.is_independent(frozen)
+        base_f = inst.build_objective()
+        f = ResidualOracle(base_f, frozen) if frozen else base_f
+        m, _ = estimate_opt(inst.build_objective(), inst.matroid)
+        fractional, _counters = continuous_greedy(
+            f, inst.matroid, frozen, 0.25, m, np.random.default_rng(11)
+        )
+        assert len(fractional.matchings) == len(fractional.bases) == 4
+        for (_w, base), matching in zip(fractional.bases, fractional.matchings):
+            _assert_certifies(inst.matroid, matching, base + frozen)
 
 
 # -- full pipeline ---------------------------------------------------------
@@ -1461,7 +1495,7 @@ _PHASE1_PINS = {
         },
     ),
     "transversal": (
-        "a42c7d6b2e817e9244ffbfa4bb428d85c9356ef16da384babc013059335069a4",
+        "baa6a86598513afb2ec05c57c42160b3f418e57a1fce09577fda8fc2b941c423",
         [143],
         # laminar's numbers, but a transversal round runs no checker, so
         # its sweep counts no test or insert

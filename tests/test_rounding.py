@@ -30,10 +30,17 @@ from reference import AdjacencyGraphicExchanger, SlowLaminarExchanger
 
 
 class _Mix:
-    """Bare fractional-solution stand-in: a list of (alpha, basis) pairs."""
+    """Bare fractional-solution stand-in: a list of (alpha, basis) pairs and
+    the transversal certificates handed with the first of them (``None``
+    for a basis handed none)."""
 
-    def __init__(self, bases: list[tuple[float, list[int]]]) -> None:
+    def __init__(
+        self,
+        bases: list[tuple[float, list[int]]],
+        matchings: list[dict[int, int] | None] = (),
+    ) -> None:
         self.bases = bases
+        self.matchings = list(matchings)
 
 
 def _random_basis(
@@ -416,19 +423,26 @@ class _Coinless:
 
 
 def _spy_checks(mat: Matroid, monkeypatch) -> list[frozenset[int]]:
-    """Record the set of every full independence check on ``mat``: the
-    sorted build of a transversal set's certifying matching, and
-    ``is_independent`` for the other kinds."""
+    """Record the set of every full independence check on ``mat``: for a
+    transversal set the sorted build of its certifying matching or the
+    verification of one handed to it, and ``is_independent`` for the
+    other kinds."""
     seen: list[frozenset[int]] = []
     if mat.kind == "transversal":
         genuine_checker = rounding.TransversalChecker
+        genuine_verify = rounding._verify_matching
 
         def build(matroid, base):
             base = list(base)
             seen.append(frozenset(base))
             return genuine_checker(matroid, base)
 
+        def verify(matroid, subset, matching, label):
+            seen.append(frozenset(subset))
+            return genuine_verify(matroid, subset, matching, label)
+
         monkeypatch.setattr(rounding, "TransversalChecker", build)
+        monkeypatch.setattr(rounding, "_verify_matching", verify)
         return seen
     genuine = mat.is_independent
 
@@ -485,14 +499,25 @@ def test_swap_round_checks_each_distinct_set_once(kind, monkeypatch):
     assert set(seen) == distinct
 
 
-def test_transversal_swap_round_matches_each_distinct_set_once(monkeypatch):
-    # the exchangers read their matchings from the full checks, so no
-    # TransversalChecker is built anywhere beyond one per distinct set
+def _certificate(mat: TransversalMatroid, basis: list[int]) -> dict[int, int]:
+    """Each element's right vertex in the sorted build of ``basis``."""
+    return {e: r for r, e in TransversalChecker(mat, basis).match_right.items()}
+
+
+def _swap_round_checks(handed: bool, monkeypatch) -> None:
+    """Swap-round a five-basis mix of three transversal bases, handing
+    certificates with the first two bases' rounds if ``handed``, and
+    require one full check per distinct set, and a build only for the
+    sets that came with no certificate."""
     rng = np.random.default_rng(71)
     mat = generate_instance("transversal", "additive", n=40, seed=9).matroid
     a, b, c = (_random_basis(mat, rng) for _ in range(3))
-    mat.rank()  # memoized first: computing it builds a checker of its own
+    mix = _Mix([(0.2, a), (0.1, b), (0.3, a), (0.1, c), (0.3, b)])
+    if handed:
+        cert_a, cert_b = _certificate(mat, a), _certificate(mat, b)
+        mix.matchings = [cert_a, cert_b, cert_a, None, cert_b]
     merges = _log_merges(monkeypatch)
+    seen = _spy_checks(mat, monkeypatch)
     built: list[frozenset[int]] = []
     genuine = TransversalChecker.__init__
 
@@ -502,11 +527,108 @@ def test_transversal_swap_round_matches_each_distinct_set_once(monkeypatch):
         genuine(self, matroid, base)
 
     monkeypatch.setattr(TransversalChecker, "__init__", counted)
-    out = swap_round(_Mix([(0.2, a), (0.1, b), (0.3, a), (0.1, c), (0.3, b)]), mat, rng)
+    out = swap_round(mix, mat, rng)
     assert len(merges) == 4 and merges[-1][2] == out
     distinct = {frozenset(s) for merge in merges for s in merge}
     assert len(distinct) > 3
-    assert len(built) == len(distinct) and set(built) == distinct
+    assert len(seen) == len(set(seen)) == len(distinct) and set(seen) == distinct
+    unhanded = [c] if handed else [a, b, c]
+    assert sorted(map(sorted, built)) == sorted(unhanded)
+
+
+def test_transversal_swap_round_matches_each_distinct_set_once(monkeypatch):
+    # the exchangers read their matchings from the full checks, so no
+    # TransversalChecker is built anywhere beyond one per input set; each
+    # merge output is certified by its exchanger's first matching
+    _swap_round_checks(False, monkeypatch)
+
+
+def test_transversal_swap_round_builds_only_sets_handed_no_certificate(monkeypatch):
+    # a round basis that comes with its own certificate is verified, not
+    # built
+    _swap_round_checks(True, monkeypatch)
+
+
+def _forgeries(mat: TransversalMatroid, basis: list[int], other: list[int]):
+    """Certificates of ``basis`` each broken one way, by name; ``other``
+    is another basis of the same size."""
+    genuine = _certificate(mat, basis)
+    missing = dict(genuine)
+    del missing[basis[0]]
+    # a declared right vertex no element holds, over a pair that is not an
+    # edge (at full rank every touched one is held)
+    non_edge = dict(genuine)
+    free = [r for r in range(mat.num_right) if r not in genuine.values()]
+    e, r = next((e, r) for e in basis for r in free if r not in mat.adjacency[e])
+    non_edge[e] = r
+    # two elements that share a right vertex, the second given it too
+    twice = dict(genuine)
+    x, y = next(
+        (x, y) for x in basis for y in basis
+        if x != y and genuine[x] in mat.adjacency[y]
+    )
+    twice[y] = genuine[x]
+    # each with the part of the message that names the check it fails
+    return {
+        "missing": (missing, "exactly its elements"),
+        "non-edge": (non_edge, "edge not in the graph"),
+        "twice": (twice, "right vertex twice"),
+        "other-set": (_certificate(mat, other), "exactly its elements"),
+    }
+
+
+def test_a_forged_certificate_is_refused_before_any_coin():
+    rng = np.random.default_rng(73)
+    refused = 0
+    for seed in range(6):
+        mat = generate_instance("transversal", "additive", n=40, seed=20 + seed).matroid
+        a, b, c = (_random_basis(mat, rng) for _ in range(3))
+        if len({frozenset(a), frozenset(b), frozenset(c)}) < 3:
+            continue
+        bases = [(0.3, a), (0.3, b), (0.4, c)]
+        genuine = [_certificate(mat, s) for s in (a, b, c)]
+        for forged, message in _forgeries(mat, c, a).values():
+            with pytest.raises(ExchangeError, match=message):
+                swap_round(_Mix(bases, genuine[:2] + [forged]), mat, _Coinless())
+            refused += 1
+        out = swap_round(_Mix(bases, genuine), mat, rng)
+        assert len(out) == mat.rank() and mat.is_independent(out)
+    assert refused >= 16
+
+
+def test_pipeline_swap_round_builds_no_checker_from_a_base(monkeypatch):
+    # every round basis comes with its sweep's matching and every merge
+    # output with its exchanger's, so swap rounding builds none
+    from matsub import optimizer
+    from matsub.optimizer import run_pipeline
+
+    rounding_now = [False]
+    builds: list[list[int]] = []
+    genuine_init = TransversalChecker.__init__
+    genuine_round = optimizer.swap_round
+
+    def counted(self, matroid, base=()):
+        base = list(base)
+        if rounding_now[0] and base:
+            builds.append(base)
+        genuine_init(self, matroid, base)
+
+    def marked(*args, **kwargs):
+        rounding_now[0] = True
+        try:
+            return genuine_round(*args, **kwargs)
+        finally:
+            rounding_now[0] = False
+
+    monkeypatch.setattr(TransversalChecker, "__init__", counted)
+    monkeypatch.setattr(optimizer, "swap_round", marked)
+    merges = _log_merges(monkeypatch)
+    for objective, n in (("coverage", 200), ("facility", 60), ("additive", 300)):
+        inst = generate_instance("transversal", objective, n=n, seed=1)
+        result = run_pipeline(inst, epsilon=0.2, seed=1000)
+        assert inst.matroid.is_independent(result.solution)
+    assert any(set(b1) != set(b2) for b1, b2, _ in merges)
+    assert builds == []
 
 
 def test_laminar_swap_round_builds_no_top_tree(monkeypatch):
