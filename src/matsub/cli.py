@@ -91,6 +91,10 @@ def _record_problem(record: object) -> str | None:
     ``true`` and ``false``, which JSON decodes to bools, out of the numbers."""
     if not isinstance(record, dict):
         return "not a JSON object"
+    # a missing version, or an integer other than the format's, is left to
+    # the verify report
+    if type(record.get("version", 0)) is not int:
+        return "version must be an integer"
     solution = record.get("solution", [])
     if type(solution) is not list or any(type(e) is not int for e in solution):
         return "solution must be a list of integer element ids"

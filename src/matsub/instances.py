@@ -604,7 +604,8 @@ class Instance:
         if not isinstance(doc, dict) or not isinstance(doc.get("objective"), dict):
             raise ValueError("an instance must be a JSON object with an objective object")
         version = doc.get("version")
-        if version != FORMAT_VERSION:
+        # an exact type test: JSON true and 1.0 both compare equal to 1
+        if type(version) is not int or version != FORMAT_VERSION:
             raise ValueError(f"unsupported instance format version: {version!r}")
         mdoc = dict(doc["matroid"])
         kind = mdoc.pop("kind")

@@ -5,10 +5,11 @@ Each entry is what ``matsub run`` writes for one instance and run seed at
 ``epsilon = 0.2``, less ``wall_time_s``: the solution, its value, the
 frozen set, the optimum estimate and every counter.  The instances are the
 CI matrix (three kinds by three objectives at ``n = 30``), the four
-benchmark workloads, the two phase-1 instances CI runs, and the
-``n = 1000`` laminar and graphic runs CI compares across processes, all at
-run seeds 1000 and 1001.  ``tests/test_golden_records.py`` recomputes every
-entry and asks for the same record exactly.
+benchmark workloads, the laminar and transversal phase-1 instances CI
+runs, and the ``n = 1000`` laminar and graphic runs CI compares across
+processes, all at run seeds 1000 and 1001.
+``tests/test_golden_records.py`` recomputes every entry and asks for the
+same record exactly.
 
 A change that moves records on purpose regenerates the file:
 
@@ -22,7 +23,8 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from matsub.instances import Instance, LaminarMatroid, TransversalMatroid, generate_instance
+import families
+from matsub.instances import Instance, generate_instance
 from matsub.optimizer import run_pipeline
 
 PATH = Path(__file__).with_name("golden_records.json")
@@ -35,32 +37,6 @@ def _generated(kind: str, objective: str, n: int) -> Callable[[], Instance]:
     return lambda: generate_instance(kind, objective, n, GEN_SEED)
 
 
-def _heavy_item(matroid) -> Instance:
-    # element e covers a shared heavy item 0 and a light item 1 + e of its
-    # own, so phase 1 fires at the paper's constants
-    n = matroid.n
-    return Instance(matroid=matroid, objective={
-        "kind": "coverage",
-        "covers": [[0, 1 + e] for e in range(n)],
-        "universe_weights": [10.0] + [1e-4] * n,
-    })
-
-
-def _phase1_laminar() -> Instance:
-    n, cap = 1500, 1100
-    return _heavy_item(LaminarMatroid(
-        parents=[-1] + [0] * n, capacities=[cap] + [1] * n,
-        element_nodes=list(range(1, n + 1)),
-    ))
-
-
-def _phase1_transversal() -> Instance:
-    n, right = 1500, 1100
-    return _heavy_item(TransversalMatroid(
-        num_right=right, adjacency=[[e % right, (7 * e + 3) % right] for e in range(n)],
-    ))
-
-
 INSTANCES: dict[str, Callable[[], Instance]] = {
     **{f"{kind}-{objective}-30": _generated(kind, objective, 30)
        for objective in ("coverage", "facility", "additive")
@@ -71,8 +47,8 @@ INSTANCES: dict[str, Callable[[], Instance]] = {
     "transversal-coverage-200": _generated("transversal", "coverage", 200),
     "graphic-additive-1000": _generated("graphic", "additive", 1000),
     # phase 1 fires on both
-    "phase1-laminar-1500": _phase1_laminar,
-    "phase1-transversal-1500": _phase1_transversal,
+    "phase1-laminar-1500": families.PHASE1["laminar"],
+    "phase1-transversal-1500": families.PHASE1["transversal"],
     "graphic-coverage-1000": _generated("graphic", "coverage", 1000),
     "laminar-coverage-1000": _generated("laminar", "coverage", 1000),
     "laminar-additive-1000": _generated("laminar", "additive", 1000),

@@ -282,6 +282,23 @@ class PathCompressingUnionFind:
         return True
 
 
+def max_forest_weight(
+    mat: GraphicMatroid, weights: Mapping[int, float], frozen: set[int]
+) -> float:
+    """Weight of the max-weight forest containing the frozen edges, by
+    Kruskal."""
+    dsu = PathCompressingUnionFind(mat.num_vertices)
+    total = 0.0
+    for e in frozen:
+        dsu.union(*mat.edges[e])
+        total += weights[e]
+    order = sorted(weights, key=lambda e: weight_key(weights[e], e), reverse=True)
+    for e in order:
+        if e not in frozen and dsu.union(*mat.edges[e]):
+            total += weights[e]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # swap-rounding exchangers over whole bases
 

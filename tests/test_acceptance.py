@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from matsub.core import WeightClassifier, weight_key
+from matsub.core import WeightClassifier
 from matsub.graphic import ContractedGraph
 from matsub.instances import (
     GraphicMatroid,
@@ -36,12 +36,12 @@ from matsub.rounding import swap_round
 from matsub.sampler import BucketLists
 from matsub.transversal import LStableMatching
 from reference import (
-    PathCompressingUnionFind,
     SlowLaminarBasis,
     fractional_point,
     greedy_laminar_basis,
     hopcroft_karp,
     hungarian_max_weight_matching,
+    max_forest_weight,
     max_weight_basis,
 )
 
@@ -187,21 +187,6 @@ def test_criterion_3_max_weight_basis_stability() -> None:
 # criterion 4: graphic oracle half-bounds under decrement/freeze
 
 
-def _kruskal_weight(
-    mat: GraphicMatroid, weights: dict[int, float], frozen: set[int]
-) -> float:
-    dsu = PathCompressingUnionFind(mat.num_vertices)
-    total = 0.0
-    for e in frozen:
-        dsu.union(*mat.edges[e])
-        total += weights[e]
-    order = sorted(weights, key=lambda e: weight_key(weights[e], e), reverse=True)
-    for e in order:
-        if e not in frozen and dsu.union(*mat.edges[e]):
-            total += weights[e]
-    return total
-
-
 def test_criterion_4_graphic_forest_bounds() -> None:
     start = time.perf_counter()
     rng = np.random.default_rng(307)
@@ -242,7 +227,7 @@ def test_criterion_4_graphic_forest_bounds() -> None:
             forest = d.basis()
             assert mat.is_independent(forest)
             held = sum(weights[e] for e in forest)
-            assert held >= 0.5 * _kruskal_weight(mat, weights, frozen) - 1e-9
+            assert held >= 0.5 * max_forest_weight(mat, weights, frozen) - 1e-9
             assert len(forest) >= 0.5 * rank
     assert time.perf_counter() - start <= 60.0
 

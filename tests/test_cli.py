@@ -284,6 +284,9 @@ def _put(doc, value, *path):
 
 DAMAGE = {
     "instance-is-a-list": ("laminar", lambda doc: [doc]),
+    # JSON true and 1.0 both compare equal to the format version 1
+    "boolean-version": ("laminar", lambda doc: {**doc, "version": True}),
+    "fractional-version": ("laminar", lambda doc: {**doc, "version": 1.0}),
     "null-parents": ("laminar", lambda doc: {
         **doc, "matroid": {**doc["matroid"], "parents": None}}),
     "integer-covers": ("laminar", lambda doc: {
@@ -304,6 +307,8 @@ DAMAGE = {
     "fractional-num-right": ("transversal", lambda doc: _put(
         doc, doc["matroid"]["num_right"] + 0.7, "matroid", "num_right")),
     "record-is-a-list": ("record", lambda rec: [rec]),
+    "boolean-record-version": ("record", lambda rec: {**rec, "version": True}),
+    "fractional-record-version": ("record", lambda rec: {**rec, "version": 1.0}),
     "string-epsilon": ("record", lambda rec: {**rec, "epsilon": "0.2"}),
     "list-counters": ("record", lambda rec: {**rec, "counters": list(rec["counters"])}),
     "negative-counter": ("record", lambda rec: _put(rec, -5, "counters", "phase2_f_queries")),

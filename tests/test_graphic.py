@@ -18,7 +18,7 @@ from matsub.instances import (
     generate_instance,
 )
 from matsub.optimizer import run_pipeline
-from reference import PathCompressingUnionFind
+from reference import PathCompressingUnionFind, max_forest_weight
 
 
 def _expected_forest(
@@ -43,26 +43,6 @@ def _expected_forest(
     return set(best.values()) | frozen, best
 
 
-def _kruskal_weight(
-    mat: GraphicMatroid, weights: dict[int, float], frozen: set[int]
-) -> float:
-    """Max-weight forest containing the frozen edges."""
-    dsu = PathCompressingUnionFind(mat.num_vertices)
-    total = 0.0
-    for e in frozen:
-        u, v = mat.edges[e]
-        dsu.union(u, v)
-        total += weights[e]
-    order = sorted(weights, key=lambda e: weight_key(weights[e], e), reverse=True)
-    for e in order:
-        if e in frozen:
-            continue
-        u, v = mat.edges[e]
-        if dsu.union(u, v):
-            total += weights[e]
-    return total
-
-
 def _is_forest(mat: GraphicMatroid, edges: list[int]) -> bool:
     dsu = PathCompressingUnionFind(mat.num_vertices)
     return all(dsu.union(*mat.edges[e]) for e in edges)
@@ -81,7 +61,7 @@ def test_four_cycle_half_bounds() -> None:
     d = ContractedGraph(mat, weights)
     assert d.basis() == [0, 2]
     assert d.approx_base_weight() == pytest.approx(20.0)
-    assert _kruskal_weight(mat, weights, set()) == pytest.approx(21.0)
+    assert max_forest_weight(mat, weights, set()) == pytest.approx(21.0)
     assert mat.rank() == 3
     assert 20.0 >= 0.5 * 21.0 and len(d.basis()) >= 0.5 * mat.rank()
 
@@ -223,7 +203,7 @@ def test_differential_random_ops() -> None:
                 sum(weights[e] for e in forest)
             )
             assert _is_forest(mat, forest)
-            assert sum(weights[e] for e in forest) >= 0.5 * _kruskal_weight(
+            assert sum(weights[e] for e in forest) >= 0.5 * max_forest_weight(
                 mat, weights, frozen
             ) - 1e-9
             assert len(forest) >= 0.5 * mat.rank()

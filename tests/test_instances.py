@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import families
 from matsub.cli import main
 from matsub.instances import (
     GraphicMatroid,
@@ -164,23 +165,13 @@ def test_transversal_checker_searches_once_per_element() -> None:
     assert 2 * len(one.match_right.reads) == len(two.match_right.reads)
 
 
-def _chain(k: int) -> TransversalMatroid:
-    """Left ``j`` adjacent to right ``j - 1`` and ``j``.  In id order the
-    search for ``j`` goes down through every earlier left vertex before it
-    takes its free right ``j``."""
-    return TransversalMatroid(num_right=k, adjacency=[[j - 1, j] if j else [0] for j in range(k)])
-
-
 def test_transversal_searches_run_deeper_than_the_recursion_limit(tmp_path) -> None:
     k = 1200
     assert k > sys.getrecursionlimit()
-    mat = _chain(k)
-    assert mat.rank() == k
-    instance = Instance(
-        matroid=mat, objective={"kind": "additive", "weights": [1.0 + (7 * e) % 13 for e in range(k)]}
-    )
+    instance = families.FAMILIES["chain"](k)
+    assert instance.matroid.rank() == k
     result = run_pipeline(instance, epsilon=0.2, seed=1000)
-    assert _chain(k).is_independent(result.solution)
+    assert families.chain(k).is_independent(result.solution)
     path, out = str(tmp_path / "chain.json"), str(tmp_path / "chain-result.json")
     with open(path, "w") as fh:
         fh.write(instance.to_json())
@@ -227,24 +218,13 @@ def test_hopcroft_karp_agrees_with_the_kuhn_checker() -> None:
     # the chain, whose augmenting paths run past the recursion limit, and
     # the chain with one more left vertex on right 0
     k = 1200
-    chain = _chain(k)
+    chain = families.chain(k)
     assert chain.rank() == k
     assert chain.is_independent(range(k)) and chain.is_independent(reversed(range(k)))
     longer = TransversalMatroid(num_right=k, adjacency=chain.adjacency + [[0]])
     assert longer.rank() == _kuhn_size(longer, range(k + 1)) == k
     assert not longer.is_independent(range(k + 1))
     assert longer.is_independent(range(1, k + 1))
-
-
-def _caterpillar(d: int) -> LaminarMatroid:
-    """Spine node ``i`` holds elements ``i..d-1`` under capacity
-    ``(d - i + 1) // 2``, and element ``i`` sits on a capacity-1 leaf under
-    it: ``2d`` nodes, depth ``d``."""
-    return LaminarMatroid(
-        parents=[-1] + list(range(d - 1)) + list(range(d)),
-        capacities=[(d - i + 1) // 2 for i in range(d)] + [1] * d,
-        element_nodes=[d + i for i in range(d)],
-    )
 
 
 def test_laminar_is_independent_matches_the_path_walk() -> None:
@@ -254,7 +234,7 @@ def test_laminar_is_independent_matches_the_path_walk() -> None:
         for n in (5, 20, 60)
         for seed in (1, 2)
         for depth in (None, 6)
-    ] + [_caterpillar(d) for d in (1, 2, 40, 300)]
+    ] + [families.caterpillar(d) for d in (1, 2, 40, 300)]
     outcomes: Counter[bool] = Counter()
     for mat in matroids:
         for _ in range(40):

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import families
 from matsub import objectives, optimizer
 from matsub.cli import _verify_budgets
 from matsub.core import WeightClassifier, estimate_opt
@@ -49,72 +50,17 @@ from reference import (
 )
 
 
-def _rank_one_matroid(n: int) -> LaminarMatroid:
-    return LaminarMatroid(
-        parents=[-1] + [0] * n,
-        capacities=[1] * (n + 1),
-        element_nodes=list(range(1, n + 1)),
-    )
-
-
-def _wide_laminar(n: int, root_cap: int) -> LaminarMatroid:
-    return LaminarMatroid(
-        parents=[-1] + [0] * n,
-        capacities=[root_cap] + [1] * n,
-        element_nodes=list(range(1, n + 1)),
-    )
-
-
 def _shared_cover_instance(n: int, root_cap: int) -> Instance:
     # every element covers the same point, so any nonempty set is optimal
     # and all marginals collapse to zero after the first pick
     return Instance(
-        matroid=_wide_laminar(n, root_cap),
+        matroid=families.wide_laminar(n, root_cap),
         objective={
             "kind": "coverage",
             "covers": [[0]] * n,
             "universe_weights": [10.0],
         },
     )
-
-
-def _heavy_item_instance(matroid) -> Instance:
-    # every element covers a shared heavy item and a light one of its own, so
-    # a basis weighs about rank times the optimum until the first freeze
-    # collapses the heavy item's marginals
-    n = matroid.n
-    return Instance(
-        matroid=matroid,
-        objective={
-            "kind": "coverage",
-            "covers": [[0, 1 + e] for e in range(n)],
-            "universe_weights": [10.0] + [1e-4] * n,
-        },
-    )
-
-
-def _phase1_matroid(kind: str):
-    """Rank past PHASE1_THRESHOLD_FACTOR / eps1, 1000 at eps = 0.2.
-
-    Graphic needs about twice that rank: the contracted graph keeps one
-    pick per vertex, and once chords close cycles two ends can pick the
-    same edge, so its forest may hold about half a basis.  A 1100-edge path
-    with 200 chords never iterates the loop.
-    """
-    if kind == "laminar":
-        return _wide_laminar(1500, 1100)
-    if kind == "transversal":
-        return TransversalMatroid(
-            num_right=1100, adjacency=[[e % 1100, (7 * e + 3) % 1100] for e in range(1500)]
-        )
-    # a 2200-edge path plus 400 random chords
-    rng = np.random.default_rng(0)
-    edges = [(v, v + 1) for v in range(2200)]
-    while len(edges) < 2600:
-        u, v = (int(x) for x in rng.integers(0, 2201, size=2))
-        if u != v:
-            edges.append((u, v))
-    return GraphicMatroid(num_vertices=2201, edges=edges)
 
 
 KINDS = ("laminar", "graphic", "transversal")
@@ -162,7 +108,7 @@ def test_phase1_small_weights_skip_the_loop() -> None:
 
 
 def test_phase1_rank_one_huge_element() -> None:
-    matroid = _rank_one_matroid(3)
+    matroid = families.wide_laminar(3, 1)
     f = AdditiveOracle([1000.0, 1.0, 2.0])
     m, singles = estimate_opt(f, matroid)
     assert m == 1000.0
@@ -234,7 +180,7 @@ def test_phase1_buckets_mirror_the_unfrozen_basis(kind) -> None:
     # every structure reports its decrements and freezes as changes to the
     # unfrozen basis, so the buckets hold exactly that basis, each element
     # under its current class
-    inst = _heavy_item_instance(_phase1_matroid(kind))
+    inst = families.PHASE1[kind]()
     f = inst.build_objective()
     m, singles = estimate_opt(f, inst.matroid)
     eps1 = PHASE1_EPS_FRACTION * 0.2
@@ -319,7 +265,7 @@ def _additive_state(weights: list[float], rng: np.random.Generator) -> RoundStat
 
 def test_dt_incremental_cardinality_one_returns_the_max() -> None:
     weights = [3.0, 9.0, 1.0, 5.0, 2.0]
-    matroid = _rank_one_matroid(5)
+    matroid = families.wide_laminar(5, 1)
     state = _additive_state(weights, np.random.default_rng(0))
     checker = CountingChecker(matroid.checker())
     basis = dt_incremental(state, checker, 0.2, 9.0, range(5), 1)
@@ -1442,7 +1388,7 @@ def test_transversal_bench_solve_reruns_no_failed_search(monkeypatch) -> None:
 @pytest.mark.parametrize("kind", KINDS)
 def test_pipeline_on_triggering_instance(kind) -> None:
     # the paper's constants, no lowered threshold
-    inst = _heavy_item_instance(_phase1_matroid(kind))
+    inst = families.PHASE1[kind]()
     eps = 0.2
     result = run_pipeline(inst, epsilon=eps, seed=1000)
     counters = result.counters
@@ -1506,7 +1452,7 @@ _PHASE1_PINS = {
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_pipeline_on_triggering_instance_is_pinned(kind) -> None:
-    result = run_pipeline(_heavy_item_instance(_phase1_matroid(kind)), epsilon=0.2, seed=1000)
+    result = run_pipeline(families.PHASE1[kind](), epsilon=0.2, seed=1000)
     digest, frozen, counters = _PHASE1_PINS[kind]
     assert hashlib.sha256(json.dumps(result.solution).encode()).hexdigest() == digest
     assert result.frozen == frozen
@@ -1542,7 +1488,7 @@ def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
         return build(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "build_phase1_oracle", spy)
-    at = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1053)), epsilon=eps, seed=1000)
+    at = run_pipeline(families.FAMILIES["wide-laminar"](1500, 1053), epsilon=eps, seed=1000)
     assert len(builds) == 1
     assert at.counters["phase1_iterations"] >= 1
     assert at.counters["phase1_f_queries"] == at.counters["phase1_samples"]
@@ -1552,5 +1498,5 @@ def test_pipeline_runs_phase1_at_the_rank_bound(monkeypatch) -> None:
 
     # one below the bound the loop cannot fire, so phase 1 is not built
     monkeypatch.setattr(optimizer, "build_phase1_oracle", refuse)
-    below = run_pipeline(_heavy_item_instance(_wide_laminar(1500, 1052)), epsilon=eps, seed=1000)
+    below = run_pipeline(families.FAMILIES["wide-laminar"](1500, 1052), epsilon=eps, seed=1000)
     assert below.counters["phase1_f_queries"] == 0

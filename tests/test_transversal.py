@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from matsub.instances import TransversalMatroid, generate_instance
+import families
+from matsub.instances import TransversalMatroid
 from matsub.transversal import DecMatching, LStableMatching
 from reference import (
     RebuildDecMatching,
@@ -551,10 +552,10 @@ def test_matching_structures_are_sized_by_the_right_vertices_they_touch() -> Non
     # the n=30 generated graph, 24 right vertices, declared among 20,000:
     # state for every declared right vertex would be megabytes.  Each
     # structure also finds the matching it finds at the tight declaration
-    adjacency = generate_instance("transversal", "additive", n=30, seed=1).matroid.adjacency
-    sparse = TransversalMatroid(num_right=20_000, adjacency=adjacency)
+    sparse = families.sparse_transversal(20_000).matroid
+    adjacency = sparse.adjacency
     tight = TransversalMatroid(num_right=1 + max(map(max, adjacency)), adjacency=adjacency)
-    weights = {l: 1.0 + (7 * l) % 13 for l in range(sparse.n)}
+    weights = dict(enumerate(families.cyclic_weights(sparse.n)))
 
     def dec(mat):
         d = DecMatching(mat, epsilon=0.25)
