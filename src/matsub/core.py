@@ -25,9 +25,8 @@ class OracleChanges:
 
     ``added`` lists the elements that entered the unfrozen part of the
     maintained basis, ``removed`` the elements that left it; a frozen
-    element counts as removed.  An element whose weight changed while
-    staying inside appears in both lists; hosts mirroring the delta into a
-    sampler treat that as a bucket move.
+    element counts as removed.  An element whose weight fell while it
+    stayed inside is in neither list.
     """
 
     added: list[int] = field(default_factory=list)

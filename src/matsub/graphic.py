@@ -131,11 +131,6 @@ class ContractedGraph:
         self._push_edge(edge)
         for r in self._roots(edge):
             self._set_sel(r, self._best(r), changes)
-        if was_selected and self.sel_count.get(edge, 0) > 0 and edge not in changes.added:
-            # still in F at a lower weight; report a move so callers
-            # re-bucket the edge
-            changes.removed.append(edge)
-            changes.added.append(edge)
         return changes
 
     def freeze(self, edge: int) -> OracleChanges:

@@ -17,7 +17,6 @@ subtree, and the maximum element that could join the basis.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 from .core import OracleChanges, weight_key
@@ -114,13 +113,8 @@ class TopTreeLaminarBasis:
         num_real = len(matroid.parents)
         parents = list(matroid.parents)
         caps = list(matroid.capacities)
-        children: list[list[int]] = [[] for _ in range(num_real)]
-        root = -1
-        for v, p in enumerate(parents):
-            if p == -1:
-                root = v
-            else:
-                children[p].append(v)
+        children = [list(kids) for kids in matroid._children]
+        root = matroid.root
         slack_cap = len(matroid.element_nodes) + 1
 
         def spine(kids: list[int]) -> int:
@@ -147,7 +141,6 @@ class TopTreeLaminarBasis:
         total = len(parents)
         self.caps = caps
         self.bin_parents = parents
-        self.bin_children = children
         self.node_of = {e: node for e, node in enumerate(matroid.element_nodes)}
         self.elem_at: dict[int, int] = {node: e for e, node in self.node_of.items()}
 
@@ -257,8 +250,6 @@ class TopTreeLaminarBasis:
         self.splits += 1
 
     def _key(self, elem: int) -> tuple[float, int]:
-        if elem in self.frozen:
-            return (math.inf, elem)
         return weight_key(self.weights[elem], elem)
 
     def _refresh_base(self, base: _Cluster) -> None:
@@ -428,13 +419,14 @@ class TopTreeLaminarBasis:
         self._basis_weight -= self.weights[elem]
         self.weights[elem] = new_weight
         self._mutate(self.node_of[elem], +1)
-        changes.removed.append(elem)
         refill = self.max_addable()
         # the demoted element is itself addable again, so refill never misses
         self.in_basis.add(refill)
         self._basis_weight += self.weights[refill]
         self._mutate(self.node_of[refill], -1)
-        changes.added.append(refill)
+        if refill != elem:
+            changes.removed.append(elem)
+            changes.added.append(refill)
         return changes
 
     def freeze(self, elem: int) -> OracleChanges:

@@ -70,8 +70,9 @@ class MaxWeightOracle:
     included), and ``decrement(e, w)`` and ``freeze(e)``, which return the
     :class:`OracleChanges` to the unfrozen basis.  ``buckets`` mirrors that
     unfrozen basis, so batch and uniform sampling stay proportional to the
-    number of weight classes.  ``classes`` holds each element's current
-    class, whose value is its rounded weight, never a raw marginal.
+    number of weight classes; a decremented element that stays in the basis
+    is re-filed under its new class here.  ``classes`` holds each element's
+    current class, whose value is its rounded weight, never a raw marginal.
     """
 
     def __init__(
@@ -91,7 +92,12 @@ class MaxWeightOracle:
         if class_index <= self.classes[elem]:
             raise ValueError("decrement must push the class down")
         self.classes[elem] = class_index
-        self._apply(self.structure.decrement(elem, self.classifier.class_value(class_index)))
+        changes = self.structure.decrement(elem, self.classifier.class_value(class_index))
+        if elem in self.buckets and elem not in changes.removed:
+            # still in the basis at a lower class: re-file it
+            changes.removed.append(elem)
+            changes.added.append(elem)
+        self._apply(changes)
 
     def freeze(self, elem: int) -> None:
         self._apply(self.structure.freeze(elem))

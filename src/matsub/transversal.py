@@ -54,6 +54,8 @@ class LStableMatching:
         self.scale = w_max * epsilon / max(1, n) if w_max > 0 else 1.0
         self.low = -math.floor(1 / epsilon)
         self.k = self._ceil_log(w_max / self.scale) if w_max > self.scale else 0
+        # the caller's weights, which a decrement must lower
+        self.weights = raw
         self.w_lv: list[int | None] = [self._round_level(w) for w in raw]
         self.w_val: list[float] = [self.level_value(lv) for lv in self.w_lv]
         self.vw: list[int | None] = list(self.w_lv)
@@ -74,7 +76,7 @@ class LStableMatching:
         self.fallback_steps = 0
         self.per_r_scans = dict.fromkeys(self.n_r, 0)
         for r in self.n_r:
-            self._run_match(r)
+            self._run_match(r, [])
 
     # -- weight levels -----------------------------------------------------
 
@@ -108,15 +110,16 @@ class LStableMatching:
 
     # -- matching ----------------------------------------------------------
 
-    def _run_match(self, r: int) -> None:
+    def _run_match(self, r: int, joined: list[int]) -> None:
         # iterative form of the displacement chain: each round either ends
         # by matching a previously unmatched left vertex (the chain stops)
-        # or displaces one right vertex, which becomes the next round
+        # or displaces one right vertex, which becomes the next round; a
+        # left vertex that becomes matched is appended to ``joined``
         current: int | None = r
         while current is not None:
-            current = self._match_round(current)
+            current = self._match_round(current, joined)
 
-    def _match_round(self, r: int) -> int | None:
+    def _match_round(self, r: int, joined: list[int]) -> int | None:
         displaced: int | None = None
         nbrs = self.n_r[r]
         while self.j_r[r] >= self.low and displaced is None:
@@ -138,6 +141,7 @@ class LStableMatching:
                         self.match_of_l[l] = r
                         self.match_of_r[r] = l
                         self.fallback.discard(l)
+                        joined.append(l)
                         return None
             if displaced is None and self.p_r[r] >= len(nbrs):
                 self.j_r[r] -= 1
@@ -149,6 +153,7 @@ class LStableMatching:
                     self.match_of_l[l] = r
                     self.match_of_r[r] = l
                     self.fallback.add(l)
+                    joined.append(l)
                     break
         return displaced
 
@@ -161,13 +166,14 @@ class LStableMatching:
             raise ValueError("cannot decrement a frozen vertex")
         if w < 0:
             raise ValueError("weights must be nonnegative")
-        if w >= self.w_val[l]:
+        if w >= self.weights[l]:
             raise ValueError("decrement must lower the weight")
-        before = set(self.match_of_l)
+        self.weights[l] = w
         new_lv = self._round_level(w)
         self.w_lv[l] = new_lv
         self.w_val[l] = self.level_value(new_lv)
         cur = self.vw[l]
+        changes = OracleChanges()
         # act whenever the new level does not sit strictly above the
         # virtual weight, so a matched vertex never ends with vw = w
         if cur is not None and (new_lv is None or new_lv <= cur):
@@ -177,25 +183,22 @@ class LStableMatching:
                 del self.match_of_l[l]
                 del self.match_of_r[r]
                 self.fallback.discard(l)
-                self._run_match(r)
+                # L-stability: no other left vertex loses its match, so l
+                # alone can leave and the joiners are the ones matched here
+                joined: list[int] = []
+                self._run_match(r, joined)
                 if l not in self.match_of_l:
                     # wake the other unmatched neighbors; their scans are
                     # exhausted, so each call is one cheap fallback pass,
                     # and it keeps the matching maximal
                     for r2 in self.matroid.adjacency[l]:
                         if r2 not in self.match_of_r:
-                            self._run_match(r2)
+                            self._run_match(r2, joined)
                         if l in self.match_of_l:
                             break
-        after = set(self.match_of_l)
-        changes = OracleChanges()
-        changes.removed = sorted(before - after)
-        changes.added = sorted(after - before)
-        if l in before and l in after:
-            # still matched at a lower weight; report a move so callers
-            # re-bucket the vertex
-            changes.removed.append(l)
-            changes.added.append(l)
+                if l not in self.match_of_l:
+                    changes.removed.append(l)
+                changes.added = sorted(j for j in joined if j != l)
         return changes
 
     def freeze(self, l: int) -> OracleChanges:

@@ -186,7 +186,8 @@ class SlowLaminarBasis:
         refill = self.max_addable()
         # the demoted element stays addable, so the basis never shrinks here
         self._basis_add(refill, changes)
-        return changes
+        # one that takes its own slot back neither entered nor left
+        return OracleChanges() if refill == elem else changes
 
     def freeze(self, elem: int) -> OracleChanges:
         if elem not in self.in_basis or elem in self.frozen:

@@ -100,9 +100,9 @@ def test_decrement_star_center_reselects() -> None:
     assert d.basis() == [0, 1, 2]
     c = d.decrement(0, 0.0)
     # the center now prefers the 2-edge, but the leaf still holds edge 0,
-    # so the forest is unchanged apart from the weight move
+    # so no edge entered or left the forest
     assert d.sel[d.dsu.find(0)] == 1
-    assert c.removed == [0] and c.added == [0]
+    assert c.removed == [] and c.added == []
     assert d.basis() == [0, 1, 2]
     assert d.approx_base_weight() == pytest.approx(3.0)
 

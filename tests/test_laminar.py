@@ -49,9 +49,9 @@ def test_delete_refills_from_whole_tree(cls) -> None:
 @pytest.mark.parametrize("cls", STRUCTURES)
 def test_decrement_moves_weight_or_swaps(cls) -> None:
     d = cls(_nested_matroid(), {0: 10.0, 1: 7.0, 2: 3.0, 3: 2.0, 4: 1.0})
-    # lowering inside the basis without losing the slot: reported as a move
+    # lowering inside the basis without losing the slot: no change
     c = d.decrement(1, 6.0)
-    assert c.removed == [1] and c.added == [1]
+    assert c.removed == [] and c.added == []
     assert d.basis() == [0, 1, 3]
     # lowering far enough to lose the inner slot to element 2
     c = d.decrement(0, 2.5)

@@ -193,6 +193,48 @@ def test_phase1_buckets_mirror_the_unfrozen_basis(kind) -> None:
     assert all(bucket_class(oracle.buckets, e) == oracle.classes[e] for e in unfrozen)
 
 
+@pytest.mark.parametrize("matroid", [
+    # both leaves fit under the root, so the demoted element refills itself
+    families.wide_laminar(2, 2),
+    # the center switches to edge 1, but leaf 1 still holds edge 0
+    GraphicMatroid(num_vertices=4, edges=[(0, 1), (0, 2), (0, 3)]),
+    # right 0 re-matches its only neighbour as a weight-zero fallback
+    TransversalMatroid(num_right=1, adjacency=[[0]]),
+], ids=lambda matroid: matroid.kind)
+def test_mirror_refiles_a_decremented_element_that_stays(matroid) -> None:
+    # the structure reports no change, since element 0 neither entered nor
+    # left its basis; the mirror alone moves it to its new class
+    singles = [3.0, 2.0, 1.0][: matroid.n]
+    classifier = WeightClassifier(3.0, 0.5, matroid.rank())
+    oracle = build_phase1_oracle(singles, matroid, classifier, 0.5)
+    assert 0 in oracle.buckets
+    basis = oracle.structure.basis()
+    changes = oracle.structure.decrement(0, 0.0)
+    assert changes.removed == changes.added == []
+    assert oracle.structure.basis() == basis
+    oracle = build_phase1_oracle(singles, matroid, classifier, 0.5)
+    oracle.decrement(0, classifier.num_classes)
+    assert oracle.structure.basis() == basis
+    assert len(oracle.buckets) == len(basis)
+    assert bucket_class(oracle.buckets, 0) == classifier.num_classes
+
+
+def test_transversal_decrement_below_the_structure_floor() -> None:
+    # left 39's singleton gain sits above the classifier's bottom threshold
+    # but below LStableMatching's floor eps * w_max / n, so its level is
+    # None and the fallback matches it; a lower class must still be accepted
+    n = 40
+    matroid = TransversalMatroid(num_right=n, adjacency=[[l] for l in range(n)])
+    singles = [10.0] * (n - 1) + [0.05 * 10.0 / n / 3]
+    classifier = WeightClassifier(10.0, 0.05, n)
+    oracle = build_phase1_oracle(singles, matroid, classifier, 0.05)
+    structure = oracle.structure
+    assert structure.w_lv[n - 1] is None and n - 1 in structure.fallback
+    oracle.decrement(n - 1, oracle.classes[n - 1] + 1)
+    assert structure.match_of_l[n - 1] == n - 1
+    assert bucket_class(oracle.buckets, n - 1) == oracle.classes[n - 1]
+
+
 def _heaviest_clipped(singles: list[float], m: float, rank: int) -> float:
     """Sum of the ``rank`` largest singleton gains clipped to ``[0, M]``."""
     return float(np.sort(np.clip(singles, 0.0, m))[len(singles) - rank:].sum())
@@ -239,6 +281,66 @@ def test_phase1_build_prices_singletons_in_linear_memory(objective) -> None:
     assert f.query_count == before
     assert oracle.classes == {e: classifier.weight_class(max(g, 0.0))
                               for e, g in enumerate(singles)}
+
+
+def _phase1_loop_counts(
+    inst: Instance, methods: tuple[str, ...], counters: tuple[str, ...] = ()
+) -> dict[str, int]:
+    """Run phase 1 at eps = 0.2 and seed 1000 on ``inst``.  Return how often
+    its loop called each of the structure's ``methods`` and how far it moved
+    each of the structure's ``counters``; the build counts toward neither."""
+    f = inst.build_objective()
+    m, singles = estimate_opt(f, inst.matroid)
+    eps1 = PHASE1_EPS_FRACTION * 0.2
+    classifier = WeightClassifier(m, eps1, inst.matroid.rank())
+    oracle = build_phase1_oracle(singles, inst.matroid, classifier, eps1)
+    structure = oracle.structure
+    counts = Counter({name: -getattr(structure, name) for name in counters})
+    with pytest.MonkeyPatch.context() as mp:
+        for name in methods:
+            def counted(self, *args, _name=name, _method=getattr(type(structure), name)):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            mp.setattr(type(structure), name, counted)
+        state = lazy_sampling_greedy_plus(f, oracle, eps1, m, stream_rng(1000, STREAM_PHASE1))
+    assert state.solution and state.decrements
+    for name in counters:
+        counts[name] += getattr(structure, name)
+    return counts
+
+
+# the phase-1 families at rank about n, n in {1500, 3000}: each loop freezes
+# one element and rests on its decrements, 947 to 3,125 of them; an O(rank)
+# step per operation would double a per-operation count per doubling
+def test_phase1_top_tree_joins_per_mutate_grow_by_a_constant_per_doubling() -> None:
+    per_mutate = []
+    for n in (1500, 3000):
+        inst = families.FAMILIES["wide-laminar"](n, n * 11 // 15)
+        counts = _phase1_loop_counts(inst, ("_mutate",), ("joins",))
+        per_mutate.append(counts["joins"] / counts["_mutate"])
+    # O(log n) clusters on a leaf's spine: 16.8 then 18.2
+    assert per_mutate[1] - per_mutate[0] <= 3
+
+
+def test_phase1_stable_matching_rounds_per_decrement_stay_within_a_constant() -> None:
+    per_decrement = []
+    for n in (1500, 3000):
+        inst = families.FAMILIES["phase1-transversal"](n, n * 11 // 15)
+        counts = _phase1_loop_counts(inst, ("_match_round", "decrement"))
+        per_decrement.append(counts["_match_round"] / counts["decrement"])
+    # 151 then 133 displacement rounds per decrement
+    assert per_decrement[1] <= 1.5 * per_decrement[0]
+
+
+def test_phase1_contracted_graph_heap_ops_per_operation_stay_within_a_constant() -> None:
+    per_op = []
+    for n in (1500, 3000):
+        inst = families.FAMILIES["phase1-graphic"](n, n // 5)
+        counts = _phase1_loop_counts(inst, ("decrement", "freeze"), ("heap_ops",))
+        per_op.append(counts["heap_ops"] / (counts["decrement"] + counts["freeze"]))
+    # 3.6 then 3.9 heap operations per decrement or freeze
+    assert per_op[1] <= 1.5 * per_op[0]
 
 
 def test_gate_needs_a_strict_fresh_majority_per_group() -> None:
@@ -1443,8 +1545,10 @@ _PHASE1_PINS = {
     "transversal": (
         "baa6a86598513afb2ec05c57c42160b3f418e57a1fce09577fda8fc2b941c423",
         [143],
-        # laminar's numbers, but a transversal round runs no checker, so
-        # its sweep counts no test or insert
+        # laminar's numbers, but the transversal sweep's tests and inserts
+        # are not counted: its ladder runs no checker, and the top-off's
+        # exact TransversalChecker, run whenever DecMatching's basis is
+        # short, made 6,928 uncounted tests in this solve
         {**_LAMINAR_PHASE1_COUNTERS, "dt_insert_calls": 0, "dt_test_calls": 0},
     ),
 }
