@@ -75,6 +75,7 @@ class LaminarMatroid:
     ``parents[v]`` is the parent node of tree node ``v`` (-1 for the root),
     ``capacities[v]`` its budget, and ``element_nodes[e]`` the leaf node that
     element ``e`` occupies.  Leaves hosting elements must not have children.
+    ``root`` and ``children`` (child lists, in ``parents`` order) come from ``parents``.
     """
 
     parents: list[int]
@@ -93,12 +94,12 @@ class LaminarMatroid:
         if len(roots) != 1:
             raise ValueError("exactly one root expected")
         self.root = roots[0]
-        self._children: list[list[int]] = [[] for _ in range(m)]
+        self.children: list[list[int]] = [[] for _ in range(m)]
         for v, p in enumerate(self.parents):
             if p != -1:
                 if not 0 <= p < m:
                     raise ValueError("parent id out of range")
-                self._children[p].append(v)
+                self.children[p].append(v)
         # with one root and in-range parents, a node reaches the root
         # exactly when the walk down the children lists from the root finds it
         self._order = self._topo_order()
@@ -109,7 +110,7 @@ class LaminarMatroid:
         for node in self.element_nodes:
             if not 0 <= node < m:
                 raise ValueError("element node out of range")
-            if self._children[node]:
+            if self.children[node]:
                 raise ValueError("element nodes must be leaves")
         if any(c < 0 for c in self.capacities):
             raise ValueError("capacities must be nonnegative")
@@ -132,10 +133,10 @@ class LaminarMatroid:
         has_elem = set(self.element_nodes)
         avail = [0] * len(self.parents)
         for v in reversed(self._order):
-            if not self._children[v]:
+            if not self.children[v]:
                 avail[v] = min(1, self.capacities[v]) if v in has_elem else 0
             else:
-                avail[v] = min(self.capacities[v], sum(avail[c] for c in self._children[v]))
+                avail[v] = min(self.capacities[v], sum(avail[c] for c in self.children[v]))
         return avail[self.root]
 
     def _topo_order(self) -> list[int]:
@@ -143,7 +144,7 @@ class LaminarMatroid:
         order = [self.root]
         i = 0
         while i < len(order):
-            order.extend(self._children[order[i]])
+            order.extend(self.children[order[i]])
             i += 1
         return order
 

@@ -113,7 +113,7 @@ class TopTreeLaminarBasis:
         num_real = len(matroid.parents)
         parents = list(matroid.parents)
         caps = list(matroid.capacities)
-        children = [list(kids) for kids in matroid._children]
+        children = list(matroid.children)
         root = matroid.root
         slack_cap = len(matroid.element_nodes) + 1
 

@@ -76,7 +76,7 @@ class LStableMatching:
         self.fallback_steps = 0
         self.per_r_scans = dict.fromkeys(self.n_r, 0)
         for r in self.n_r:
-            self._run_match(r, [])
+            self._run_match(r)
 
     # -- weight levels -----------------------------------------------------
 
@@ -110,16 +110,18 @@ class LStableMatching:
 
     # -- matching ----------------------------------------------------------
 
-    def _run_match(self, r: int, joined: list[int]) -> None:
+    def _run_match(self, r: int) -> int | None:
         # iterative form of the displacement chain: each round either ends
         # by matching a previously unmatched left vertex (the chain stops)
-        # or displaces one right vertex, which becomes the next round; a
-        # left vertex that becomes matched is appended to ``joined``
-        current: int | None = r
+        # or displaces one right vertex, which becomes the next round.  Every
+        # round starts at an unmatched right vertex, so only the last round
+        # can match a left vertex anew; return that vertex, or None
+        last, current = r, self._match_round(r)
         while current is not None:
-            current = self._match_round(current, joined)
+            last, current = current, self._match_round(current)
+        return self.match_of_r.get(last)
 
-    def _match_round(self, r: int, joined: list[int]) -> int | None:
+    def _match_round(self, r: int) -> int | None:
         displaced: int | None = None
         nbrs = self.n_r[r]
         while self.j_r[r] >= self.low and displaced is None:
@@ -141,7 +143,6 @@ class LStableMatching:
                         self.match_of_l[l] = r
                         self.match_of_r[r] = l
                         self.fallback.discard(l)
-                        joined.append(l)
                         return None
             if displaced is None and self.p_r[r] >= len(nbrs):
                 self.j_r[r] -= 1
@@ -153,7 +154,6 @@ class LStableMatching:
                     self.match_of_l[l] = r
                     self.match_of_r[r] = l
                     self.fallback.add(l)
-                    joined.append(l)
                     break
         return displaced
 
@@ -185,20 +185,19 @@ class LStableMatching:
                 self.fallback.discard(l)
                 # L-stability: no other left vertex loses its match, so l
                 # alone can leave and the joiners are the ones matched here
-                joined: list[int] = []
-                self._run_match(r, joined)
+                joined = [self._run_match(r)]
                 if l not in self.match_of_l:
                     # wake the other unmatched neighbors; their scans are
                     # exhausted, so each call is one cheap fallback pass,
                     # and it keeps the matching maximal
                     for r2 in self.matroid.adjacency[l]:
                         if r2 not in self.match_of_r:
-                            self._run_match(r2, joined)
+                            joined.append(self._run_match(r2))
                         if l in self.match_of_l:
                             break
                 if l not in self.match_of_l:
                     changes.removed.append(l)
-                changes.added = sorted(j for j in joined if j != l)
+                changes.added = sorted(j for j in joined if j is not None and j != l)
         return changes
 
     def freeze(self, l: int) -> OracleChanges:

@@ -283,8 +283,12 @@ def test_criterion_5_transversal_invariants_and_ratio() -> None:
                 l = int(rng.integers(nl))
                 if d.w_val[l] <= 0:
                     continue
+                before = set(d.match_of_l)
                 c = d.decrement(l, float(rng.uniform(0, d.w_val[l] * 0.95)))
-                assert set(c.removed) <= {l}
+                after = set(d.match_of_l)
+                assert before - after <= {l}  # L-stability
+                assert c.removed == sorted(before - after)
+                assert c.added == sorted(after - before)
                 _matching_invariants(d)
                 matched = d.basis()
                 held = sum(d.w_val[e] for e in matched)

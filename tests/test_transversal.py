@@ -181,8 +181,12 @@ def test_random_runs_keep_invariants_and_ratio() -> None:
                 l = int(rng.integers(n))
                 if d.w_val[l] <= 0:
                     continue
+                before = set(d.match_of_l)
                 c = d.decrement(l, float(rng.uniform(0, d.w_val[l] * 0.95)))
-                assert set(c.removed) <= {l}  # L-stability
+                after = set(d.match_of_l)
+                assert before - after <= {l}  # L-stability
+                assert c.removed == sorted(before - after)
+                assert c.added == sorted(after - before)
                 _check_invariants(d)
                 matched = d.basis()
                 weight_m = sum(d.w_val[e] for e in matched)
