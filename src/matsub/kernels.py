@@ -16,8 +16,10 @@ per call, for ``q`` queried elements:
 
 - ``coverage_counts``: ``O(s·m·universe)`` time and
   ``O(s·universe + m·(s + universe))`` memory for the ``m`` elements some
-  row holds, item-major from one product; a round's first build, over an
-  empty lower layer, calls it not at all and builds no incidence.
+  row holds, item-major from one float32 product, kept as uint8 counts
+  capped at 2 (``s·universe`` bytes; pricing and valuing tell only 0, 1
+  and more apart); a round's first build, over an empty lower layer,
+  calls it not at all and builds no incidence.
 - ``coverage_price``: reads the round state's ``O(universe)`` summary, the
   uncovered weight per item and the critical items (those at count 1 in
   some row).  Elements no row holds cost ``O(sum of |cover(e)|)`` time and
@@ -79,17 +81,20 @@ TOP2_BLOCK_ROWS = 64
 # by S.
 
 def coverage_counts(sets, incidence, held):
-    """How many members of each row cover each item, item-major ``(universe,
-    s)`` int32, from one product over the columns ``held`` marks, those some
-    row holds: a batch of empty rows costs nothing, and the incidence rows
-    are copied only when some column is left out.  The product of the two
-    transposed views comes out item-major, so nothing is transposed.  Its
-    float32 sums of 0/1 terms are exact while every count, at most the
-    row's size, stays below ``2**24``."""
+    """How many members of each row cover each item, capped at 2, item-major
+    ``(universe, s)`` uint8, from one product over the columns ``held``
+    marks, those some row holds: a batch of empty rows costs nothing, and
+    the incidence rows are copied only when some column is left out.  The
+    product of the two transposed views comes out item-major, so nothing is
+    transposed.  Every reader tells only 0, 1 and more apart, so the cap
+    loses nothing; float32 adds 0/1 terms exactly until a sum reaches
+    ``2**24``, far past the cap, so the capped counts are exact at any
+    size."""
     if not held.all():
         support = np.flatnonzero(held)
         sets, incidence = sets[:, support], incidence[support]
-    return (incidence.T @ sets.astype(np.float32).T).astype(np.int32)
+    prod = incidence.T @ sets.astype(np.float32).T
+    return np.minimum(prod, 2, out=prod).astype(np.uint8)
 
 
 def _cover_entries(indptr, indices, elems):

@@ -222,21 +222,21 @@ class _Increment:
 
 
 class _CoverageIncrement(_Increment):
-    """An open-item mask; a gain reads only the element's own items, with
-    the weights laid out in cover order so one gather finds them."""
+    """An open-item mask; a gain reads only the element's own items, from
+    per-element views of its items and of their weights in cover order, so
+    one gather finds them and no pop slices the CSR arrays again."""
 
     def __init__(self, oracle: "CoverageOracle") -> None:
         super().__init__(oracle.counter)
-        self.indptr, self.weights = oracle._shared("increment", oracle._increment_tables)
-        self.indices = oracle.indices
+        self.weights, self.items = oracle._shared("increment", oracle._increment_tables)
         self.open = np.ones(oracle.universe_weights.shape[0], dtype=bool)
 
     def _gain(self, elem: int) -> float:
-        a, b = self.indptr[elem], self.indptr[elem + 1]
-        return float(self.weights[a:b][self.open[self.indices[a:b]]].sum())
+        # the reduction ``.sum()`` calls, so the float is the same
+        return float(np.add.reduce(self.weights[elem][self.open[self.items[elem]]]))
 
     def add(self, elem: int) -> None:
-        self.open[self.indices[self.indptr[elem]:self.indptr[elem + 1]]] = False
+        self.open[self.items[elem]] = False
 
 
 class _FacilityIncrement(_Increment):
@@ -306,10 +306,14 @@ class CoverageOracle(ValueOracle):
         incidence[np.repeat(np.arange(self.n), np.diff(self.indptr)), self.indices] = 1.0
         return _read_only(incidence)
 
-    def _increment_tables(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """``indptr`` as a tuple of ints and the weights in cover order, for
-        :class:`_CoverageIncrement`."""
-        return tuple(self.indptr.tolist()), _read_only(self.universe_weights[self.indices])
+    def _increment_tables(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Per element, read-only views of its weights in cover order and of
+        its items, for :class:`_CoverageIncrement`: two view objects, about
+        240 bytes, per element beside the ``|cover(e)|`` weights."""
+        weights = _read_only(self.universe_weights[self.indices])
+        ends = self.indptr.tolist()
+        spans = list(zip(ends, ends[1:]))
+        return tuple(weights[a:b] for a, b in spans), tuple(self.indices[a:b] for a, b in spans)
 
     def _round_state(self, lower: np.ndarray, upper: np.ndarray) -> "RoundState":
         return _CoverageRound(self, lower, upper)
@@ -590,12 +594,13 @@ class RoundState:
 
 
 class _CoverageRound(RoundState):
-    """Cover counts per item and row, ``(universe, s)`` int32, from one
-    item-major product (:func:`kernels.coverage_counts`), so an element's
-    items are whole rows of ``counts``: an insert touches ``|cover(e)|``
-    contiguous rows of ``s`` counts.  A round whose lower layer is empty,
-    as a first round's is, multiplies nothing and leaves the oracle's
-    incidence unbuilt: every count is 0.
+    """Cover counts per item and row, ``(universe, s)`` uint8, capped at 2,
+    from one item-major product (:func:`kernels.coverage_counts`), so an
+    element's items are whole rows of ``counts``: an insert touches
+    ``|cover(e)|`` contiguous rows of ``s`` counts.  Every reader tells only
+    0, 1 and more apart, so the cap changes no price and no value.  A round
+    whose lower layer is empty, as a first round's is, multiplies nothing
+    and leaves the oracle's incidence unbuilt: every count is 0.
 
     ``zeros`` counts, per item, the rows that leave it uncovered, and
     ``ones`` the rows where a single member covers it.  An insert keeps both
@@ -626,7 +631,7 @@ class _CoverageRound(RoundState):
             self.ones = np.count_nonzero(self.counts == 1, axis=1)
         else:
             universe = oracle.universe_weights.shape[0]
-            self.counts = np.zeros((universe, self.samples), dtype=np.int32)
+            self.counts = np.zeros((universe, self.samples), dtype=np.uint8)
             self.zeros = np.full(universe, self.samples, dtype=np.intp)
             self.ones = np.zeros(universe, dtype=np.intp)
 
@@ -635,11 +640,11 @@ class _CoverageRound(RoundState):
         items = self.oracle.cover(elem)
         block = self.counts[items]
         flipped = block[:, rows]
-        # the counts at 0 go to 1 and those at 1 to 2
+        # the counts at 0 go to 1 and those at 1 to 2, where they stay
         at_zero = (flipped == 0).sum(axis=1, dtype=np.intp)
         self.zeros[items] -= at_zero
         self.ones[items] += at_zero - (flipped == 1).sum(axis=1, dtype=np.intp)
-        block[:, rows] = flipped + 1
+        block[:, rows] = np.minimum(flipped + 1, 2)
         self.counts[items] = block
 
     def _summarize(self):
@@ -663,7 +668,7 @@ class _CoverageRound(RoundState):
         if self.held[elem] and np.count_nonzero(self.ones[items]):
             held = np.flatnonzero(self.lower[:, elem])
             hits = hits + np.count_nonzero(self.counts[items[:, None], held] == 1, axis=1)
-        return float((hits * self.oracle.universe_weights[items]).sum()) / self.samples
+        return float(np.add.reduce(hits * self.oracle.universe_weights[items])) / self.samples
 
     def _values(self) -> np.ndarray:
         return (self.counts.T > 0) @ self.oracle.universe_weights

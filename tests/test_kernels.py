@@ -204,7 +204,8 @@ def test_coverage_marginal_means_by_cover_multiplicity() -> None:
 
 def test_coverage_counts_are_exact_where_counts_are_large() -> None:
     # every element covers item 0 and the even ones item 1, over full rows:
-    # counts up to 3001, odd and past 2048, which no float16 result holds
+    # counts up to 3001, odd and past 2048, which no float16 result holds,
+    # capped at 2 like every count
     n, s = 3001, 4
     oracle = CoverageOracle([[0, 1] if e % 2 == 0 else [0] for e in range(n)], [1.0, 2.0])
     sets = np.ones((s, n), dtype=np.uint8)
@@ -212,11 +213,83 @@ def test_coverage_counts_are_exact_where_counts_are_large() -> None:
     want = sets.astype(np.int64) @ oracle.incidence.astype(np.int64)
     assert want.max() == n
     counts = kernels.coverage_counts(sets, oracle.incidence, sets.any(axis=0))
-    assert counts.dtype == np.int32
-    np.testing.assert_array_equal(counts, want.T)
+    assert counts.dtype == np.uint8
+    np.testing.assert_array_equal(counts, np.minimum(want.T, 2))
     state = oracle.round_state(sets, sets)
-    assert state.counts.dtype == np.int32
-    np.testing.assert_array_equal(state.counts, want.T)
+    assert state.counts.dtype == np.uint8
+    np.testing.assert_array_equal(state.counts, np.minimum(want.T, 2))
+
+
+def _check_capped_round(state, oracle, elems) -> None:
+    """A coverage round's counts, zeros, ones and prices against counts
+    built afresh from its rows in int64 and prices summed row by row; the
+    weights are multiples of 1/4, so every sum is exact in any order."""
+    rows = state.rows()
+    brute = (rows.astype(np.int64) @ oracle.incidence.astype(np.int64)).T
+    np.testing.assert_array_equal(state.counts, np.minimum(brute, 2))
+    np.testing.assert_array_equal(state.zeros, np.count_nonzero(brute == 0, axis=1))
+    np.testing.assert_array_equal(state.ones, np.count_nonzero(brute == 1, axis=1))
+    slow = slow_coverage_marginal_means(
+        rows, elems, oracle.indptr, oracle.indices, oracle.universe_weights
+    )
+    np.testing.assert_array_equal(state.marginal_means(elems), slow)
+    np.testing.assert_array_equal([state.price(e) for e in elems], slow)
+
+
+def test_capped_counts_past_int16_and_uint8() -> None:
+    # build path: every element covers item 0 and the even ones item 1, so
+    # row 0, which holds them all, covers item 0 more than 2**15 times;
+    # rows 1 and 2 leave items at counts 0, 1 and 2
+    n = 2**15 + 3
+    covers = [[0, 1] if e % 2 == 0 else [0] for e in range(n)]
+    covers[5], covers[7], covers[9] = [0, 2], [0, 3], [0, 3]
+    oracle = CoverageOracle(covers, [0.25, 0.5, 1.75, 1.0])
+    sets = np.zeros((3, n), dtype=np.uint8)
+    sets[0] = 1
+    sets[1, [5, 7]] = 1
+    sets[2, 4] = 1
+    state = oracle.round_state(sets, sets)
+    assert state.counts.dtype == np.uint8
+    assert (sets.astype(np.int64) @ oracle.incidence.astype(np.int64)).max() > 2**15
+    _check_capped_round(state, oracle, np.array([4, 5, 7, 9, n - 1]))
+
+    # insert path: 300 inserts, each onto item 0 in rows 0 and 1, which
+    # a uint8 count would wrap at the 256th
+    n = 306
+    covers = [[0, 1] if e % 3 == 0 else [0] for e in range(n)]
+    covers[301] = [2]
+    oracle = CoverageOracle(covers, [0.75, 1.25, 0.5])
+    lower = np.zeros((3, n), dtype=np.uint8)
+    lower[2, 300:] = 1
+    upper = lower.copy()
+    upper[:2] = 1
+    upper[2, :300:2] = 1
+    state = oracle.round_state(lower, upper)
+    for e in range(300):
+        state.insert(e)
+        if e in (0, 1, 2, 254, 255, 256, 299):
+            _check_capped_round(state, oracle, np.arange(300, n))
+
+
+def test_coverage_round_build_keeps_no_wide_count_copy() -> None:
+    # the counts are the one (universe, s) array a build keeps besides the
+    # float32 product; an int32 copy of it would exceed the bound
+    s, n, universe = 256, 400, 4000
+    rng = np.random.default_rng(20)
+    covers = [rng.choice(universe, size=int(rng.integers(1, 100)), replace=False)
+              for _ in range(n)]
+    oracle = CoverageOracle(covers, rng.uniform(0.1, 2.0, size=universe))
+    sets = (rng.random((s, n)) < 0.3).astype(np.uint8)
+    sets[:, 100:] = 0
+    held = np.count_nonzero(sets.any(axis=0))
+    oracle.incidence  # built once per instance, before any round
+    tracemalloc.start()
+    try:
+        oracle.round_state(sets, sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * universe * s + 4 * held * universe + 5 * s * held, peak
 
 
 @pytest.mark.parametrize("s, n, cohort", [(1, 5, 5), (7, 5, 1), (6, 1, 1), (1, 1, 1)])

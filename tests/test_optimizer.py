@@ -1445,17 +1445,19 @@ def test_objective_tables_are_built_once_per_instance(monkeypatch) -> None:
         oracles.append(inst.build_objective())
     assert calls == {"_cover_csr": 1, "_incidence": 1, "similarity_ranks": 1}
     coverage, facility = oracles
-    indptr, cover_weights = coverage._tables["increment"]
+    cover_weights, cover_items = coverage._tables["increment"]
     shared = [
         coverage.universe_weights, coverage.indptr, coverage.indices, coverage.incidence,
-        cover_weights, facility.similarity, *facility.ranks,
+        cover_weights[0], cover_items[0], facility.similarity, *facility.ranks,
         generate_instance("graphic", "additive", n=40, seed=9).build_objective().weights,
     ]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 1
-    with pytest.raises(TypeError):
-        indptr[0] = 1
+    for views in (cover_weights, cover_items):
+        assert all(not view.flags.writeable for view in views)
+        with pytest.raises(TypeError):
+            views[0] = views[1]
 
 
 def test_pipeline_on_transversal_facility_evicts_from_the_matching() -> None:
