@@ -26,6 +26,8 @@ from typing import Sequence
 
 from .core import greedy_basis_value
 from .instances import (
+    MATROIDS,
+    OBJECTIVES,
     STREAM_GEN,
     STREAM_MULTILINEAR,
     STREAM_PHASE1,
@@ -39,11 +41,35 @@ from .oracles import BRUTE_FORCE_LIMIT, brute_force_opt
 
 RESULT_FORMAT_VERSION = 1
 
-# the counters the budget checks of a ``full`` record read
-BUDGET_COUNTERS = (
-    "estimate_f_queries", "phase1_f_queries", "phase2_f_queries", "total_f_queries",
-    "dt_test_calls", "dt_insert_calls", "dt_batch_inserts", "dt_deletes", "dt_spanned",
+# the stages whose query counts, plus one, make up ``total_f_queries``
+QUERY_STAGES = ("estimate_f_queries", "phase1_f_queries", "phase2_f_queries")
+
+
+def _retired_cap(n: int, _rank: int, eps: float) -> int:
+    # a matching delete, like a span, retires its element for the rest of
+    # its round, and phase 2 runs ceil(1/eps) rounds
+    return n * max(1, math.ceil(1.0 / eps))
+
+
+# the budgets ``verify`` audits on a ``full`` record, in report order: a
+# label, the counters summed, and the cap from n, the rank and eps; a cap of
+# None, phase 1's at rank 0, skips the line
+BUDGETS = (
+    ("phase-1 query budget", ("phase1_f_queries",),
+     lambda n, r, eps: 8 * n / eps * math.log(max(r, 2) / eps) if r > 0 else None),
+    ("phase-2 query budget", ("phase2_f_queries",),
+     lambda n, r, eps: 8 * n * eps**-5 * math.log(n / eps) ** 2),
+    ("incremental oracle budget", ("dt_test_calls", "dt_insert_calls"),
+     lambda n, r, eps: 8 * n / eps),
+    ("batch-insert budget", ("dt_batch_inserts",),
+     lambda n, r, eps: 8 / eps * max(1.0, math.log(max(r, 1)))),
+    ("delete budget", ("dt_deletes",), _retired_cap),
+    ("span budget", ("dt_spanned",), _retired_cap),
 )
+# the counters the budget checks of a ``full`` record read
+BUDGET_COUNTERS = tuple(dict.fromkeys(
+    (*QUERY_STAGES, "total_f_queries", *(key for _label, keys, _cap in BUDGETS for key in keys))
+))
 
 
 # ---------------------------------------------------------------------------
@@ -174,23 +200,14 @@ def _run_full(instance: Instance, args: argparse.Namespace) -> dict:
     }
 
 
-def _run_greedy(instance: Instance, f: ValueOracle) -> dict:
+def _run_baseline(instance: Instance, f: ValueOracle, algorithm: str) -> dict:
     start = time.perf_counter()
-    value, chosen = greedy_basis_value(f, range(instance.n), instance.matroid.checker)
+    if algorithm == "greedy":
+        value, chosen = greedy_basis_value(f, range(instance.n), instance.matroid.checker)
+    else:
+        value, chosen = brute_force_opt(f, instance.matroid)
     return {
-        "algorithm": "greedy",
-        "solution": sorted(chosen),
-        "value": value,
-        "counters": {"total_f_queries": f.query_count},
-        "wall_time_s": time.perf_counter() - start,
-    }
-
-
-def _run_brute(instance: Instance, f: ValueOracle) -> dict:
-    start = time.perf_counter()
-    value, chosen = brute_force_opt(f, instance.matroid)
-    return {
-        "algorithm": "brute",
+        "algorithm": algorithm,
         "solution": sorted(chosen),
         "value": value,
         "counters": {"total_f_queries": f.query_count},
@@ -220,10 +237,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # only checked the payload
         del f
         body = _run_full(instance, args)
-    elif args.algorithm == "greedy":
-        body = _run_greedy(instance, f)
     else:
-        body = _run_brute(instance, f)
+        body = _run_baseline(instance, f, args.algorithm)
     record = {
         "version": RESULT_FORMAT_VERSION,
         "seed": args.seed,
@@ -257,44 +272,15 @@ def _verify_budgets(
         return True
     # ``_record_problem`` refuses a full record that lacks one of these
     counters, eps = record["counters"], record["epsilon"]
-    n = instance.n
-    r = instance.matroid.rank()
+    n, r = instance.n, instance.matroid.rank()
     good = True
-    if r > 0:
-        cap1 = 8 * n / eps * math.log(max(r, 2) / eps)
-        got1 = counters["phase1_f_queries"]
-        good &= _check(
-            report, "phase-1 query budget", got1 <= cap1, f"{got1} <= {cap1:.0f}"
-        )
-    cap2 = 8 * n * eps**-5 * math.log(n / eps) ** 2
-    got2 = counters["phase2_f_queries"]
-    good &= _check(
-        report, "phase-2 query budget", got2 <= cap2, f"{got2} <= {cap2:.0f}"
-    )
-    cap_dt = 8 * n / eps
-    got_dt = counters["dt_test_calls"] + counters["dt_insert_calls"]
-    good &= _check(
-        report, "incremental oracle budget", got_dt <= cap_dt, f"{got_dt} <= {cap_dt:.0f}"
-    )
-    cap_bi = 8 / eps * max(1.0, math.log(max(r, 1)))
-    got_bi = counters["dt_batch_inserts"]
-    good &= _check(
-        report, "batch-insert budget", got_bi <= cap_bi, f"{got_bi} <= {cap_bi:.0f}"
-    )
-    # a matching delete, like a span, retires its element for the rest of
-    # its round, and phase 2 runs ceil(1/eps) rounds
-    cap_retired = n * max(1, math.ceil(1.0 / eps))
-    got_del = counters["dt_deletes"]
-    good &= _check(
-        report, "delete budget", got_del <= cap_retired, f"{got_del} <= {cap_retired}"
-    )
-    got_span = counters["dt_spanned"]
-    good &= _check(
-        report, "span budget", got_span <= cap_retired, f"{got_span} <= {cap_retired}"
-    )
+    for label, keys, cap_of in BUDGETS:
+        cap = cap_of(n, r, eps)
+        if cap is not None:
+            got = sum(counters[key] for key in keys)
+            good &= _check(report, label, got <= cap, f"{got} <= {cap:.0f}")
     # the stages' counts add up to the total, plus the final value query
-    stages = ("estimate_f_queries", "phase1_f_queries", "phase2_f_queries")
-    parts = sum(counters[key] for key in stages)
+    parts = sum(counters[key] for key in QUERY_STAGES)
     total = counters["total_f_queries"]
     good &= _check(
         report, "query total", total == parts + 1, f"{total} == {parts} + 1"
@@ -360,10 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--matroid", required=True,
-                     choices=["laminar", "graphic", "transversal"])
-    gen.add_argument("--function", required=True,
-                     choices=["coverage", "facility", "additive"])
+    gen.add_argument("--matroid", required=True, choices=list(MATROIDS))
+    gen.add_argument("--function", required=True, choices=list(OBJECTIVES))
     gen.add_argument("--n", type=int, required=True, help="ground set size")
     gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--tree-depth", type=int, default=None,

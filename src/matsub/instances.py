@@ -1,9 +1,11 @@
 """Problem instances: matroid descriptions, generation and serialization.
 
-A matroid description is plain data plus definitional independence checks; the
-dynamic structures elsewhere in the package are built *from* these
-descriptions and never share code with them, so differential tests compare
-two genuinely independent routes.
+A matroid description is plain data plus definitional independence checks.
+The dynamic structures elsewhere in the package are built *from* these
+descriptions and share two classes with them: ``_UnionFind`` (``graphic.py``,
+``rounding.py``) and ``TransversalChecker`` (``transversal.py``,
+``rounding.py``).  The references in ``tests/reference.py`` share no code
+with either.
 
 Serialized instances are versioned JSON.  ``matsub gen`` writes them,
 ``matsub run`` reads them; byte-for-byte determinism per (seed, config) holds
@@ -15,8 +17,8 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -165,13 +167,6 @@ class LaminarMatroid:
     def checker(self, base: Iterable[int] = ()) -> "LaminarChecker":
         return LaminarChecker(self, base)
 
-    def payload(self) -> dict:
-        return {
-            "parents": list(self.parents),
-            "capacities": list(self.capacities),
-            "element_nodes": list(self.element_nodes),
-        }
-
 
 class LaminarChecker:
     """Incremental independence tester over ancestor counts.  ``insert``
@@ -221,8 +216,8 @@ class GraphicMatroid:
     ``ends`` holds each edge's endpoints renumbered ``0..touched-1`` over
     the vertices some edge touches, in increasing order, and every
     structure built on the matroid indexes those: its size follows the
-    edges, not the declared ``num_vertices``.  ``payload`` still writes the
-    declared numbering.
+    edges, not the declared ``num_vertices``.  An instance file still holds
+    the declared numbering.
     """
 
     num_vertices: int
@@ -265,9 +260,6 @@ class GraphicMatroid:
 
     def checker(self, base: Iterable[int] = ()) -> "GraphicChecker":
         return GraphicChecker(self, base)
-
-    def payload(self) -> dict:
-        return {"num_vertices": self.num_vertices, "edges": [list(e) for e in self.edges]}
 
 
 class _UnionFind:
@@ -377,9 +369,6 @@ class TransversalMatroid:
     def checker(self, base: Iterable[int] = ()) -> "TransversalChecker":
         return TransversalChecker(self, base)
 
-    def payload(self) -> dict:
-        return {"num_right": self.num_right, "adjacency": [list(a) for a in self.adjacency]}
-
 
 def _max_matching_size(adjacency: Sequence[Sequence[int]], lefts: Iterable[int]) -> int:
     """Size of a maximum matching of the distinct left vertices ``lefts``,
@@ -465,12 +454,13 @@ class TransversalChecker:
 
     def __init__(self, matroid: TransversalMatroid, base: Iterable[int] = ()) -> None:
         self.matroid = matroid
+        # each member's right vertex, and each matched right vertex's member
+        self.match_left: dict[int, int] = {}
         self.match_right: dict[int, int] = {}
         # (element, path) of the last successful test, valid until an insert
         self._found: tuple[int, list[tuple[int, int]]] | None = None
         # right vertices visited by failed searches
         self._dead: set[int] = set()
-        self.members: set[int] = set()
         for e in base:
             if not self.test(e):
                 raise ValueError("base set is not independent")
@@ -485,7 +475,7 @@ class TransversalChecker:
         Depth first over an explicit stack of neighbour iterators, so it
         tries neighbours in adjacency order, as a recursive search would,
         at any path length."""
-        if elem in self.members:
+        if elem in self.match_left:
             return []
         adjacency, dead, match_right = self.matroid.adjacency, self._dead, self.match_right
         visited: set[int] = set()
@@ -525,30 +515,72 @@ class TransversalChecker:
         path = found[1] if found is not None and found[0] == elem else self._search(elem)
         if not path:
             raise ValueError("insert would break independence")
-        self.members.add(elem)
         for r, left in path:
+            self.match_left[left] = r
             self.match_right[r] = left
 
 
 Matroid = LaminarMatroid | GraphicMatroid | TransversalMatroid
+
+# each matroid kind's class; an instance file's matroid fields are the
+# class's constructor fields
+MATROIDS: dict[str, type[Matroid]] = {
+    cls.kind: cls for cls in (LaminarMatroid, GraphicMatroid, TransversalMatroid)
+}
+
+
+def _kind_entry(table: dict, kind: object, what: str):
+    """``table``'s entry for ``kind``; a kind it lacks, or one that is not a
+    string, is an error that names it."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind: {kind!r}")
+    return table[kind]
 
 
 # ---------------------------------------------------------------------------
 # instance bundle
 
 
-# the objective payload field with one entry per ground-set element
-ELEMENT_FIELDS = {"coverage": "covers", "facility": "similarity", "additive": "weights"}
-# the objective field that holds its numbers, per objective kind
-NUMBER_FIELDS = {"coverage": "universe_weights", "facility": "similarity", "additive": "weights"}
+def _gen_coverage_objective(n: int, rng: np.random.Generator) -> tuple:
+    nu = max(4, 3 * n)
+    covers = []
+    for _ in range(n):
+        d = int(rng.integers(1, max(2, nu // 3)))
+        covers.append(sorted(rng.choice(nu, size=min(d, nu), replace=False).tolist()))
+    weights = np.round(rng.uniform(0.25, 1.75, size=nu), 6)
+    return covers, weights.tolist()
+
+
+def _gen_facility_objective(n: int, rng: np.random.Generator) -> tuple:
+    clients = max(4, 2 * n)
+    sim = np.round(rng.uniform(0.0, 1.0, size=(n, clients)), 6)
+    return (sim.tolist(),)
+
+
+def _gen_additive_objective(n: int, rng: np.random.Generator) -> tuple:
+    return (np.round(rng.uniform(0.1, 2.0, size=n), 6).tolist(),)
+
+
+# each objective kind's oracle class, its payload fields in the order the
+# class's constructor takes them, and its generator, which returns their
+# values in that order
+OBJECTIVES: dict[str, tuple[type[ValueOracle], tuple[str, ...], Callable]] = {
+    "coverage": (CoverageOracle, ("covers", "universe_weights"), _gen_coverage_objective),
+    "facility": (FacilityLocationOracle, ("similarity",), _gen_facility_objective),
+    "additive": (AdditiveOracle, ("weights",), _gen_additive_objective),
+}
+# the field with one entry per ground-set element comes first, and the one
+# that holds the objective's numbers last
+ELEMENT_FIELDS = {kind: names[0] for kind, (_cls, names, _gen) in OBJECTIVES.items()}
+NUMBER_FIELDS = {kind: names[-1] for kind, (_cls, names, _gen) in OBJECTIVES.items()}
 
 
 @dataclass
 class Instance:
     """A matroid and an objective payload over the same ground set: the
-    objective's per-element field must have one entry per element, wherever
-    the instance is built (``from_json``, ``generate_instance`` or by
-    hand).
+    objective's kind must be known and its per-element field must have one
+    entry per element, wherever the instance is built (``from_json``,
+    ``generate_instance`` or by hand).
 
     No code changes the objective payload after construction, so the
     arrays ``build_objective`` converts it into on its first call cannot go
@@ -558,7 +590,7 @@ class Instance:
     objective: dict
 
     def __post_init__(self) -> None:
-        name = ELEMENT_FIELDS.get(self.objective.get("kind"))
+        name = _kind_entry(ELEMENT_FIELDS, self.objective.get("kind"), "objective")
         if name in self.objective:
             size = len(self.objective[name])
             if size != self.matroid.n:
@@ -579,22 +611,16 @@ class Instance:
         tables derived from them (see :class:`ValueOracle`).
         """
         if self._oracle is None:
-            cfg = self.objective
-            kind = cfg.get("kind")
-            if kind == "coverage":
-                self._oracle = CoverageOracle(cfg["covers"], cfg["universe_weights"])
-            elif kind == "facility":
-                self._oracle = FacilityLocationOracle(cfg["similarity"])
-            elif kind == "additive":
-                self._oracle = AdditiveOracle(cfg["weights"])
-            else:
-                raise ValueError(f"unknown objective kind: {kind!r}")
+            cls, names, _gen = OBJECTIVES[self.objective["kind"]]
+            self._oracle = cls(*(self.objective[name] for name in names))
         return self._oracle.recounted()
 
     def to_json(self) -> str:
+        m = self.matroid
+        payload = {f.name: getattr(m, f.name) for f in fields(m) if f.init}
         doc = {
             "version": FORMAT_VERSION,
-            "matroid": {"kind": self.matroid.kind, **self.matroid.payload()},
+            "matroid": {"kind": m.kind, **payload},
             "objective": self.objective,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -608,28 +634,12 @@ class Instance:
         # an exact type test: JSON true and 1.0 both compare equal to 1
         if type(version) is not int or version != FORMAT_VERSION:
             raise ValueError(f"unsupported instance format version: {version!r}")
-        mdoc = dict(doc["matroid"])
-        kind = mdoc.pop("kind")
-        if kind == "laminar":
-            matroid: Matroid = LaminarMatroid(
-                parents=list(mdoc["parents"]),
-                capacities=list(mdoc["capacities"]),
-                element_nodes=list(mdoc["element_nodes"]),
-            )
-        elif kind == "graphic":
-            matroid = GraphicMatroid(
-                num_vertices=mdoc["num_vertices"],
-                edges=[tuple(e) for e in mdoc["edges"]],
-            )
-        elif kind == "transversal":
-            matroid = TransversalMatroid(
-                num_right=mdoc["num_right"],
-                adjacency=[list(a) for a in mdoc["adjacency"]],
-            )
-        else:
-            raise ValueError(f"unknown matroid kind: {kind!r}")
+        mdoc = doc["matroid"]
+        cls = _kind_entry(MATROIDS, mdoc["kind"], "matroid")
+        # a missing field is a KeyError; one no constructor takes is ignored
+        matroid = cls(**{f.name: mdoc[f.name] for f in fields(cls) if f.init})
         objective = doc["objective"]
-        name = NUMBER_FIELDS.get(objective.get("kind"))
+        name = _kind_entry(NUMBER_FIELDS, objective.get("kind"), "objective")
         if _holds_bool(objective.get(name)):
             raise ValueError(f"objective {name} must be numbers, not true or false")
         return Instance(matroid=matroid, objective=objective)
@@ -731,26 +741,6 @@ def _gen_transversal_matroid(
     return TransversalMatroid(num_right=num_right, adjacency=adjacency)
 
 
-def _gen_coverage_objective(n: int, rng: np.random.Generator) -> dict:
-    nu = max(4, 3 * n)
-    covers = []
-    for _ in range(n):
-        d = int(rng.integers(1, max(2, nu // 3)))
-        covers.append(sorted(rng.choice(nu, size=min(d, nu), replace=False).tolist()))
-    weights = np.round(rng.uniform(0.25, 1.75, size=nu), 6)
-    return {"kind": "coverage", "covers": covers, "universe_weights": weights.tolist()}
-
-
-def _gen_facility_objective(n: int, rng: np.random.Generator) -> dict:
-    clients = max(4, 2 * n)
-    sim = np.round(rng.uniform(0.0, 1.0, size=(n, clients)), 6)
-    return {"kind": "facility", "similarity": sim.tolist()}
-
-
-def _gen_additive_objective(n: int, rng: np.random.Generator) -> dict:
-    return {"kind": "additive", "weights": np.round(rng.uniform(0.1, 2.0, size=n), 6).tolist()}
-
-
 def generate_instance(
     matroid_kind: str,
     objective_kind: str,
@@ -775,20 +765,12 @@ def generate_instance(
         "graphic": ("density", density, _gen_graphic_matroid),
         "transversal": ("degree", degree, _gen_transversal_matroid),
     }
-    if matroid_kind not in shapes:
-        raise ValueError(f"unknown matroid kind: {matroid_kind!r}")
-    for family, (knob, value, _gen) in shapes.items():
-        if value is not None and family != matroid_kind:
+    _knob, value, gen = _kind_entry(shapes, matroid_kind, "matroid")
+    for family, (knob, other, _gen) in shapes.items():
+        if other is not None and family != matroid_kind:
             raise ValueError(f"{knob} shapes {family} matroids only, not {matroid_kind}")
-    _knob, value, gen = shapes[matroid_kind]
+    _cls, names, gen_objective = _kind_entry(OBJECTIVES, objective_kind, "objective")
     rng = stream_rng(seed, STREAM_GEN)
     matroid: Matroid = gen(n, rng, value)
-    if objective_kind == "coverage":
-        objective = _gen_coverage_objective(n, rng)
-    elif objective_kind == "facility":
-        objective = _gen_facility_objective(n, rng)
-    elif objective_kind == "additive":
-        objective = _gen_additive_objective(n, rng)
-    else:
-        raise ValueError(f"unknown objective kind: {objective_kind!r}")
+    objective = {"kind": objective_kind, **dict(zip(names, gen_objective(n, rng)))}
     return Instance(matroid=matroid, objective=objective)

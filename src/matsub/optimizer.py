@@ -485,7 +485,7 @@ def dt_approx_indep_set(
         if checker.test(e):
             checker.insert(e)
             basis.append(e)
-    return sorted(basis), {e: r for r, e in checker.match_right.items()}
+    return sorted(basis), checker.match_left
 
 
 def continuous_greedy(

@@ -103,10 +103,9 @@ def _build_matching(
     """Certifying matching of ``subset``, built by inserting it in sorted
     order, which raises on a dependent set."""
     try:
-        match_right = TransversalChecker(matroid, sorted(subset)).match_right
+        return TransversalChecker(matroid, sorted(subset)).match_left
     except ValueError:
         raise ExchangeError(f"{label} is not independent") from None
-    return {e: r for r, e in match_right.items()}
 
 
 def _verify_matching(

@@ -406,8 +406,8 @@ class DecMatching:
         on the certifying matching, and Kuhn's dead-set rule holds for any
         matching of the members, so its answers are a fresh build's."""
         checker = TransversalChecker(self.matroid)
+        checker.match_left = dict(self.match_of_l)
         checker.match_right = dict(self.match_of_r)
-        checker.members = set(self.match_of_l)
         return checker
 
     # -- inspection --------------------------------------------------------

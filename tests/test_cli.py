@@ -9,7 +9,7 @@ import pytest
 from matsub import cli, objectives
 from matsub.cli import main
 from matsub.core import greedy_basis_value
-from matsub.instances import ELEMENT_FIELDS, NUMBER_FIELDS, Instance
+from matsub.instances import ELEMENT_FIELDS, NUMBER_FIELDS, Instance, LaminarMatroid
 
 
 def _gen(tmp_path, *extra: str) -> str:
@@ -481,3 +481,163 @@ def test_objective_sized_unlike_its_matroid_is_a_corrupt_instance(
     assert captured.err.startswith("error: corrupt instance file: ")
     assert "verify: pass" not in captured.out
     assert not (tmp_path / "again.json").exists()
+
+
+def _refuse_instance(tmp_path, capsys, command: str, doc: dict, out: str) -> str:
+    """Write ``doc`` as an instance file, put it to ``command`` (``run``, or
+    ``verify`` against the record ``out``), check that it exits 1 and writes
+    nothing, and return its error output."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    if command == "run":
+        argv = ["run", str(bad), "-o", str(tmp_path / "again.json")]
+    else:
+        argv = ["verify", str(bad), out]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not (tmp_path / "again.json").exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("section, kind", [("matroid", "laminar"), ("objective", "additive")])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_kind_that_is_not_a_string_is_named_in_the_error(
+    tmp_path, capsys, section, kind, command
+) -> None:
+    path = _gen(tmp_path, "--function", "additive")
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    doc = json.loads(open(path).read())
+    doc[section]["kind"] = [kind]
+    err = _refuse_instance(tmp_path, capsys, command, doc, out)
+    assert err == f"error: corrupt instance file: unknown {section} kind: ['{kind}']\n"
+
+
+def _drop(field: str):
+    return lambda matroid: matroid.pop(field)
+
+
+@pytest.mark.parametrize("kind, damage", [
+    *(pytest.param(kind, _drop(field), id=f"{kind}-without-{field}") for kind, field in [
+        ("laminar", "parents"), ("laminar", "capacities"), ("laminar", "element_nodes"),
+        ("graphic", "num_vertices"), ("graphic", "edges"),
+        ("transversal", "num_right"), ("transversal", "adjacency"),
+    ]),
+    # laminar ``parents: null`` is a DAMAGE case above
+    pytest.param("graphic", lambda m: m["edges"][0].append(0), id="three-endpoint-edge"),
+])
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_matroid_field_missing_or_misshapen_is_a_corrupt_instance(
+    tmp_path, capsys, kind, damage, command
+) -> None:
+    path = _gen(tmp_path, "--matroid", kind)
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    doc = json.loads(open(path).read())
+    damage(doc["matroid"])
+    err = _refuse_instance(tmp_path, capsys, command, doc, out)
+    assert err.startswith("error: corrupt instance file: ")
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+def test_a_matroid_field_no_kind_reads_is_ignored(tmp_path, capsys, kind) -> None:
+    path = _gen(tmp_path, "--matroid", kind)
+    doc = json.loads(open(path).read())
+    doc["matroid"]["colour"] = "blue"
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps(doc))
+    plain, padded = str(tmp_path / "plain.json"), str(tmp_path / "padded.json")
+    _run(path, plain)
+    _run(str(extra), padded)
+    records = [json.loads(open(out).read()) for out in (plain, padded)]
+    for record in records:
+        record.pop("wall_time_s")
+    assert records[0] == records[1]
+    assert main(["verify", str(extra), padded]) == 0
+    assert capsys.readouterr().out.endswith("verify: pass\n")
+
+
+def _verify_report(capsys, instance: str, record: str) -> list[str]:
+    capsys.readouterr()
+    assert main(["verify", instance, record]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("kind, budgets", [
+    # coverage at rank > 0: graphic spans, transversal batch inserts and deletes
+    ("graphic", [
+        "phase-1 query budget: ok (0 <= 1280)",
+        "phase-2 query budget: ok (13432 <= 3260403)",
+        "incremental oracle budget: ok (41 <= 360)",
+        "batch-insert budget: ok (0 <= 78)",
+        "delete budget: ok (0 <= 45)",
+        "span budget: ok (9 <= 45)",
+        "query total: ok (13464 == 13463 + 1)",
+    ]),
+    ("transversal", [
+        "phase-1 query budget: ok (0 <= 1328)",
+        "phase-2 query budget: ok (17082 <= 3260403)",
+        "incremental oracle budget: ok (0 <= 360)",
+        "batch-insert budget: ok (31 <= 83)",
+        "delete budget: ok (6 <= 45)",
+        "span budget: ok (0 <= 45)",
+        "query total: ok (17114 == 17113 + 1)",
+    ]),
+], ids=["graphic", "transversal"])
+def test_verify_reports_every_budget_in_order(tmp_path, capsys, kind, budgets) -> None:
+    path = _gen(tmp_path, "--matroid", kind)
+    out = str(tmp_path / "res.json")
+    _run(path, out)
+    value = json.loads(open(out).read())["value"]
+    assert _verify_report(capsys, path, out) == [
+        "format version: ok (1)",
+        "element range: ok",
+        "feasibility: ok",
+        f"value: ok (recomputed {value!r} vs {value!r})",
+        *budgets,
+        "verify: pass",
+    ]
+
+
+def test_verify_report_at_rank_zero_has_no_phase_1_line(tmp_path, capsys) -> None:
+    # a root of capacity 0 over two leaves: no element fits
+    instance = Instance(
+        matroid=LaminarMatroid(parents=[-1, 0, 0], capacities=[0, 1, 1], element_nodes=[1, 2]),
+        objective={"kind": "additive", "weights": [1.0, 2.0]},
+    )
+    assert instance.matroid.rank() == 0
+    path, out = tmp_path / "zero.json", str(tmp_path / "res.json")
+    path.write_text(instance.to_json())
+    _run(str(path), out)
+    assert _verify_report(capsys, str(path), out) == [
+        "format version: ok (1)",
+        "element range: ok",
+        "feasibility: ok",
+        "value: ok (recomputed 0.0 vs 0.0)",
+        "phase-2 query budget: ok (0 <= 265095)",
+        "incremental oracle budget: ok (0 <= 80)",
+        "batch-insert budget: ok (0 <= 40)",
+        "delete budget: ok (0 <= 10)",
+        "span budget: ok (0 <= 10)",
+        "query total: ok (6 == 5 + 1)",
+        "verify: pass",
+    ]
+
+
+@pytest.mark.parametrize("counter", cli.BUDGET_COUNTERS)
+def test_a_full_record_without_a_budget_counter_is_corrupt(tmp_path, capsys, counter) -> None:
+    path = _gen(tmp_path)
+    out = tmp_path / "res.json"
+    _run(path, str(out))
+    record = json.loads(out.read_text())
+    del record["counters"][counter]
+    out.write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["verify", path, str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: corrupt result record: a full record must carry the counters {counter}\n"
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -337,7 +338,7 @@ def test_graphic_structures_are_sized_by_the_edges() -> None:
         matroid=GraphicMatroid(num_vertices=2_000_000, edges=inst.matroid.edges),
         objective=inst.objective,
     )
-    assert wide.matroid.payload()["num_vertices"] == 2_000_000
+    assert json.loads(wide.to_json())["matroid"]["num_vertices"] == 2_000_000
     tracemalloc.start()
     try:
         got = run_pipeline(wide, epsilon=0.2, seed=1000)

@@ -186,7 +186,7 @@ def _kuhn_size(mat: TransversalMatroid, lefts) -> int:
     for e in lefts:
         if checker.test(e):
             checker.insert(e)
-    return len(checker.members)
+    return len(checker.match_left)
 
 
 def test_hopcroft_karp_agrees_with_the_kuhn_checker() -> None:

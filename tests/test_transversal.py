@@ -522,13 +522,13 @@ def test_dec_checker_answers_as_a_fresh_build() -> None:
             else:
                 d.delete(int(rng.choice(sorted(d.present))))
             seeded = d.checker()
-            assert seeded.members == set(d.basis())
+            assert seeded.match_left == d.match_of_l
             assert seeded.match_right == d.match_of_r
             fresh = mat.checker(d.basis())
             # one seeded checker answers a whole run of tests, as the
             # top-off asks them
             for l in range(nl):
-                if l not in seeded.members:
+                if l not in seeded.match_left:
                     assert seeded.test(l) == fresh.test(l)
                     compared += 1
                     refused += not fresh.test(l)
