@@ -28,7 +28,6 @@ from .core import greedy_basis_value
 from .instances import (
     MATROIDS,
     OBJECTIVES,
-    STREAM_GEN,
     STREAM_MULTILINEAR,
     STREAM_PHASE1,
     STREAM_ROUNDING,
@@ -189,6 +188,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _run_full(instance: Instance, args: argparse.Namespace) -> dict:
     result = run_pipeline(instance, args.epsilon, args.seed)
     return {
+        # the pipeline's stages draw from these substreams of the run seed
+        "streams": {
+            "phase1": [args.seed, STREAM_PHASE1],
+            "multilinear": [args.seed, STREAM_MULTILINEAR],
+            "rounding": [args.seed, STREAM_ROUNDING],
+        },
         "algorithm": "full",
         "epsilon": result.epsilon,
         "solution": result.solution,
@@ -239,17 +244,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         body = _run_full(instance, args)
     else:
         body = _run_baseline(instance, f, args.algorithm)
-    record = {
-        "version": RESULT_FORMAT_VERSION,
-        "seed": args.seed,
-        "streams": {
-            "generation": [args.seed, STREAM_GEN],
-            "phase1": [args.seed, STREAM_PHASE1],
-            "multilinear": [args.seed, STREAM_MULTILINEAR],
-            "rounding": [args.seed, STREAM_ROUNDING],
-        },
-        **body,
-    }
+    record = {"version": RESULT_FORMAT_VERSION, "seed": args.seed, **body}
     _write_text(args.output, _dump_record(record))
     return 0
 

@@ -12,8 +12,9 @@ steps together.  It keeps per-row statistics (coverage counts, facility
 top-2) over one phase-2 round's rows as the round's partial basis grows,
 and prices elements or values rows from them.  ``sampled_round`` draws a
 round's rows once, by :func:`nested_subsets`, and only where the objective
-reads them: an additive round draws none, and a contraction draws its
-frozen columns at probability 1 rather than setting them afterwards.  The
+reads them: an additive round draws none.  A phase-2 round over the
+contraction by a frozen set is a round at a point whose frozen
+coordinates are 1, so every row holds that set.  The
 batch entry points (``batch_values``, ``batch_marginal_means``) are a
 round state over a fixed batch.  No code in this package calls them; they
 are kept for the brute-force checks in ``tests/test_kernels.py`` and the
@@ -385,9 +386,11 @@ class AdditiveOracle(ValueOracle):
 class ResidualOracle(ValueOracle):
     """f(T | S0) = f(S0 + T) - f(S0), with queries counted on the base oracle.
 
-    Phase 2 runs on this contraction of the phase-1 output.  The residual
-    shares the base oracle's ``counter``, so one count covers both phases;
-    callers read per-phase deltas.
+    The pipeline does not build one: ``optimizer.continuous_greedy``
+    contracts by ``S0`` itself, by holding its coordinates at 1.  This
+    oracle serves the batch entry points, the brute-force checks in
+    ``tests/`` and the tracer in ``pipebench/spans.py``.  It shares the
+    base oracle's ``counter``, so one count covers both.
     """
 
     kind = "residual"
@@ -417,18 +420,6 @@ class ResidualOracle(ValueOracle):
         # no basis change flips them
         mask = self._frozen_mask
         state = self.base._round_state(self._as_rows(lower) | mask, self._as_rows(upper) | mask)
-        state.offset = self._offset
-        return state
-
-    def sampled_round(
-        self, x: np.ndarray, step: float, samples: int, rng: np.random.Generator
-    ) -> "RoundState":
-        # a uniform lies below 1, so a frozen coordinate at 1 is drawn into
-        # both layers of every row: the rows ``round_state`` gives for the
-        # same uniforms, without OR-ing the mask in
-        x = np.array(x, dtype=np.float64)
-        x[self.frozen] = 1.0
-        state = self.base.sampled_round(x, step, samples, rng)
         state.offset = self._offset
         return state
 

@@ -4,8 +4,9 @@ Phase 1 freezes a short prefix of very heavy elements: it maintains an
 approximate max-weight basis under rounded marginal weights, repeatedly
 audits a random batch for staleness, and only when a majority of the batch
 is still fresh does it freeze one uniform basis element.  Phase 2 runs a
-sampled continuous greedy on the contraction ``f(. | S0)``, assembling each
-round's direction with a descending-thresholds routine, and swap rounding
+sampled continuous greedy on the contraction ``f(. | S0)`` by holding the
+frozen coordinates at 1, assembling each round's direction with a
+descending-thresholds routine; its bases contain ``S0``, and swap rounding
 turns the fractional point into a single independent set.  The combined
 guarantee is ``1 - 1/e - eps`` in expectation for monotone submodular
 objectives.
@@ -43,7 +44,7 @@ from .instances import (
     stream_rng,
 )
 from .laminar import TopTreeLaminarBasis
-from .objectives import ResidualOracle, RoundState, ValueOracle
+from .objectives import RoundState, ValueOracle
 from .rounding import swap_round
 from .sampler import BucketLists
 from .transversal import DecMatching, LStableMatching
@@ -215,9 +216,10 @@ def lazy_sampling_greedy_plus(
 class FractionalSolution:
     """Convex combination of bases produced by the continuous phase.
 
-    For a transversal matroid, ``matchings`` holds each basis's certifying
-    matching, each element's right vertex, in the order of ``bases``; it is
-    empty for the other kinds."""
+    Each basis holds the frozen set.  For a transversal matroid,
+    ``matchings`` holds the matching that certifies each basis, each of its
+    elements' right vertex, in the order of ``bases``; it is empty for the
+    other kinds."""
 
     n: int
     bases: list[tuple[float, list[int]]]
@@ -496,14 +498,17 @@ def continuous_greedy(
     opt_estimate: float,
     rng: np.random.Generator,
 ) -> tuple[FractionalSolution, dict[str, int]]:
-    """Sampled continuous greedy over the contraction by ``frozen``.
+    """Sampled continuous greedy over the contraction ``f(. | frozen)``.
 
-    Runs ``ceil(1 / epsilon)`` rounds; each round builds one basis of the
+    The one place phase 2 contracts by ``frozen``: the fractional point
+    holds the frozen coordinates at 1, so every drawn row holds them in
+    both layers and each price is a gain over the frozen set.  Runs
+    ``ceil(1 / epsilon)`` rounds; each round builds one basis of the
     contraction with the kind-appropriate descending-thresholds routine and
     advances the fractional point one step along it.  Returns the convex
-    combination of round bases plus a counter dictionary; on a transversal
-    matroid each basis comes with the matching its sweep certified it by,
-    together with ``frozen``.
+    combination of round bases, each joined with ``frozen`` into a basis of
+    the matroid, plus a counter dictionary; on a transversal matroid each
+    basis comes with the matching that certifies it.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
@@ -535,6 +540,8 @@ def continuous_greedy(
     if residual_rank <= 0 or not elements:
         return FractionalSolution(n=n, bases=[]), counters
     x = np.zeros(n, dtype=np.float64)
+    # a uniform lies below 1, so every row holds the frozen set
+    x[list(frozen_set)] = 1.0
     bases: list[tuple[float, list[int]]] = []
     matchings: list[dict[int, int]] = []
     for _ in range(rounds):
@@ -579,10 +586,9 @@ def continuous_greedy(
         del state
         if len(b) != residual_rank:
             raise RuntimeError("round direction is not a full basis")
-        b = sorted(b)
         for e in b:
             x[e] = min(1.0, x[e] + step)
-        bases.append((step, b))
+        bases.append((step, sorted(frozen_set.union(b))))
     return FractionalSolution(n=n, bases=bases, matchings=matchings), counters
 
 
@@ -619,7 +625,6 @@ def run_pipeline(
     start = time.perf_counter()
     matroid = instance.matroid
     f = instance.build_objective()
-    n = matroid.n
     rank = matroid.rank()
     counters: dict[str, int | float] = {}
     m_est, singles = estimate_opt(f, matroid)
@@ -646,25 +651,14 @@ def run_pipeline(
     counters["phase1_samples"] = state.samples_drawn
     counters["phase1_frozen"] = len(s0)
     after_phase1 = f.query_count
-    residual = ResidualOracle(f, s0)
     fractional, cg_counters = continuous_greedy(
-        residual,
-        matroid,
-        s0,
-        epsilon,
-        m_est,
-        stream_rng(seed, STREAM_MULTILINEAR),
+        f, matroid, s0, epsilon, m_est, stream_rng(seed, STREAM_MULTILINEAR)
     )
     counters.update(cg_counters)
     counters["phase2_f_queries"] = f.query_count - after_phase1
     if fractional.bases:
-        full = FractionalSolution(
-            n=n,
-            bases=[(a, sorted(set(b) | set(s0))) for a, b in fractional.bases],
-            matchings=fractional.matchings,
-        )
         solution = sorted(
-            swap_round(full, matroid, stream_rng(seed, STREAM_ROUNDING))
+            swap_round(fractional, matroid, stream_rng(seed, STREAM_ROUNDING))
         )
     else:
         solution = list(s0)

@@ -56,9 +56,8 @@ class LStableMatching:
         self.k = self._ceil_log(w_max / self.scale) if w_max > self.scale else 0
         # the caller's weights, which a decrement must lower
         self.weights = raw
-        self.w_lv: list[int | None] = [self._round_level(w) for w in raw]
-        self.w_val: list[float] = [self.level_value(lv) for lv in self.w_lv]
-        self.vw: list[int | None] = list(self.w_lv)
+        self.vw: list[int | None] = [self._round_level(w) for w in raw]
+        self.w_val: list[float] = [self.level_value(lv) for lv in self.vw]
         # per-right state for the touched right vertices alone, in
         # increasing declared id (see ``TransversalMatroid.touched_right``)
         self.n_r: dict[int, list[int]] = {r: [] for r in matroid.touched_right}
@@ -170,7 +169,6 @@ class LStableMatching:
             raise ValueError("decrement must lower the weight")
         self.weights[l] = w
         new_lv = self._round_level(w)
-        self.w_lv[l] = new_lv
         self.w_val[l] = self.level_value(new_lv)
         cur = self.vw[l]
         changes = OracleChanges()

@@ -241,12 +241,13 @@ def _matching_invariants(d: LStableMatching) -> None:
     # virtual weights: unmatched pinned at the weight level, matched at
     # least one level below it (weight-zero fallbacks carry no level)
     for l in range(mat.n):
+        level = d._round_level(d.weights[l])
         if l not in d.match_of_l:
-            assert d.vw[l] == d.w_lv[l]
-        elif d.w_lv[l] is None:
+            assert d.vw[l] == level
+        elif level is None:
             assert d.vw[l] is None
         else:
-            assert d.vw[l] is None or d.vw[l] <= d.w_lv[l] - 1
+            assert d.vw[l] is None or d.vw[l] <= level - 1
     # level stability around every matched right vertex
     for r, l in d.match_of_r.items():
         lv = d.vw[l]

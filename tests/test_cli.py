@@ -121,6 +121,30 @@ def test_run_records_are_deterministic_up_to_wall_time(tmp_path) -> None:
     assert records[0] == records[1]
 
 
+def test_only_a_full_record_names_the_streams_it_drew_from(tmp_path) -> None:
+    # the pipeline draws from three substreams of the run seed; an instance
+    # does not record the seed that generated it, and the baselines draw
+    # from no stream
+    path = _gen(tmp_path)
+    keys = {}
+    for algo in ("full", "greedy", "brute"):
+        out = str(tmp_path / f"{algo}.json")
+        _run(path, out, "--algorithm", algo)
+        record = json.loads(open(out).read())
+        keys[algo] = set(record)
+        if algo == "full":
+            assert record["streams"] == {
+                "phase1": [11, 1], "multilinear": [11, 2], "rounding": [11, 3]
+            }
+    assert keys["full"] == {
+        "version", "seed", "streams", "algorithm", "epsilon", "solution", "value",
+        "frozen", "opt_estimate", "counters", "wall_time_s",
+    }
+    assert keys["greedy"] == keys["brute"] == {
+        "version", "seed", "algorithm", "solution", "value", "counters", "wall_time_s",
+    }
+
+
 def test_run_full_drops_the_checking_oracle_before_the_pipeline(tmp_path, monkeypatch) -> None:
     # the oracle built to check the payload is freed before the pipeline
     # builds its own, so the two are never held together
@@ -177,7 +201,7 @@ def test_gen_rejects_a_negative_seed(tmp_path) -> None:
 
 @pytest.mark.parametrize("algorithm", ["full", "greedy", "brute"])
 def test_run_rejects_a_negative_seed(tmp_path, algorithm) -> None:
-    # a record's streams name numpy generators, which take no negative seed
+    # a run seed names numpy streams, which take no negative seed
     path = _gen(tmp_path)
     out = tmp_path / "r.json"
     with pytest.raises(SystemExit) as exc:

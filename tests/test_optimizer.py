@@ -229,7 +229,7 @@ def test_transversal_decrement_below_the_structure_floor() -> None:
     classifier = WeightClassifier(10.0, 0.05, n)
     oracle = build_phase1_oracle(singles, matroid, classifier, 0.05)
     structure = oracle.structure
-    assert structure.w_lv[n - 1] is None and n - 1 in structure.fallback
+    assert structure.w_val[n - 1] == 0.0 and n - 1 in structure.fallback
     oracle.decrement(n - 1, oracle.classes[n - 1] + 1)
     assert structure.match_of_l[n - 1] == n - 1
     assert bucket_class(oracle.buckets, n - 1) == oracle.classes[n - 1]
@@ -1287,34 +1287,61 @@ def test_continuous_greedy_respects_the_contraction() -> None:
         if checker.test(e):
             checker.insert(e)
             frozen.append(e)
-    residual = ResidualOracle(base_f, frozen)
     m, _ = estimate_opt(inst.build_objective(), inst.matroid)
     fractional, _counters = continuous_greedy(
-        residual, inst.matroid, frozen, 0.25, m, np.random.default_rng(9)
+        base_f, inst.matroid, frozen, 0.25, m, np.random.default_rng(9)
     )
     rank = inst.matroid.rank()
+    assert fractional.bases
     for _w, base in fractional.bases:
-        assert not set(base) & set(frozen)
-        assert len(base) == rank - len(frozen)
-        assert inst.matroid.is_independent(sorted(set(base) | set(frozen)))
+        assert set(frozen) <= set(base)
+        assert len(base) == rank
+        assert inst.matroid.is_independent(base)
     assert fractional.matchings == []
 
 
 def test_transversal_rounds_carry_the_matchings_that_certify_them() -> None:
-    # each round's sweep hands over the matching of its basis plus the
-    # frozen set, which swap rounding takes as that basis's certificate
+    # each round's sweep hands over the matching of its basis, frozen set
+    # included, which swap rounding takes as that basis's certificate
     for objective, frozen in (("coverage", []), ("facility", [0, 5]), ("additive", [1])):
         inst = generate_instance("transversal", objective, n=30, seed=43)
         assert inst.matroid.is_independent(frozen)
-        base_f = inst.build_objective()
-        f = ResidualOracle(base_f, frozen) if frozen else base_f
+        f = inst.build_objective()
         m, _ = estimate_opt(inst.build_objective(), inst.matroid)
         fractional, _counters = continuous_greedy(
             f, inst.matroid, frozen, 0.25, m, np.random.default_rng(11)
         )
         assert len(fractional.matchings) == len(fractional.bases) == 4
         for (_w, base), matching in zip(fractional.bases, fractional.matchings):
-            _assert_certifies(inst.matroid, matching, base + frozen)
+            assert set(frozen) <= set(base)
+            _assert_certifies(inst.matroid, matching, base)
+
+
+@pytest.mark.parametrize("kind", ["laminar", "graphic", "transversal"])
+@pytest.mark.parametrize("objective", ["coverage", "facility", "additive"])
+def test_continuous_greedy_on_the_base_oracle_is_the_contraction(kind, objective) -> None:
+    # holding the frozen coordinates at 1 draws the rows a residual oracle
+    # gives, so a sweep over the base oracle picks the same bases at the
+    # same cost
+    inst = generate_instance(kind, objective, n=30, seed=47)
+    checker = inst.matroid.checker()
+    frozen = []
+    for e in (3, 11, 20, 26):
+        if checker.test(e):
+            checker.insert(e)
+            frozen.append(e)
+    assert frozen
+    m, _ = estimate_opt(inst.build_objective(), inst.matroid)
+    runs = []
+    for contract in (False, True):
+        base = inst.build_objective()
+        f = ResidualOracle(base, frozen) if contract else base
+        fractional, counters = continuous_greedy(
+            f, inst.matroid, frozen, 0.25, m, np.random.default_rng(13)
+        )
+        runs.append((fractional.bases, fractional.matchings, counters, base.query_count))
+    assert runs[0] == runs[1]
+    assert runs[0][2]["phase2_rounds"] == 4
 
 
 # -- full pipeline ---------------------------------------------------------
@@ -1512,6 +1539,29 @@ def test_pipeline_on_triggering_instance(kind) -> None:
     record = {"algorithm": "full", "epsilon": eps, "counters": counters}
     assert _verify_budgets(report, inst, record), report
     assert report[0].startswith("phase-1 query budget: ok")
+
+
+def test_pipeline_when_phase1_freezes_a_whole_basis(monkeypatch) -> None:
+    # phase 1 freezes the one heavy element of a rank-one matroid, so the
+    # contraction has rank 0: phase 2 runs no round and the frozen set is
+    # the solution
+    monkeypatch.setattr(optimizer, "PHASE1_THRESHOLD_FACTOR", 0.05)
+    inst = Instance(
+        matroid=families.wide_laminar(3, 1),
+        objective={"kind": "additive", "weights": [1000.0, 1.0, 2.0]},
+    )
+    eps = 0.2
+    result = run_pipeline(inst, epsilon=eps, seed=1000)
+    assert result.solution == result.frozen == [0]
+    assert result.value == 1000.0
+    counters = result.counters
+    assert counters["phase1_frozen"] == 1
+    assert counters["phase2_rounds"] == 0
+    assert counters["phase2_f_queries"] == 0
+    assert counters["total_f_queries"] == 9
+    report: list[str] = []
+    record = {"algorithm": "full", "epsilon": eps, "counters": counters}
+    assert _verify_budgets(report, inst, record), report
 
 
 # the triggering instances' records at run seed 1000: the solution's sha256

@@ -20,18 +20,24 @@ from reference import (
 )
 
 
+def _level(d: LStableMatching, l: int) -> int | None:
+    """The weight level of left vertex ``l``, from its current weight."""
+    return d._round_level(d.weights[l])
+
+
 def _check_invariants(d: LStableMatching) -> None:
     mat = d.matroid
     for l in range(mat.n):
+        level = _level(d, l)
         if l not in d.match_of_l:
-            assert d.vw[l] == d.w_lv[l]
+            assert d.vw[l] == level
         else:
             # matched: virtual weight sits at least one level below the
             # weight, except for weight-zero fallback partners
-            if d.w_lv[l] is None:
+            if level is None:
                 assert d.vw[l] is None
             else:
-                assert d.vw[l] is None or d.vw[l] <= d.w_lv[l] - 1
+                assert d.vw[l] is None or d.vw[l] <= level - 1
     for r, l in d.match_of_r.items():
         lv = d.vw[l]
         if lv is None or lv < d.low:
@@ -51,7 +57,7 @@ def test_single_edge() -> None:
     mat = TransversalMatroid(num_right=1, adjacency=[[0]])
     d = LStableMatching(mat, {0: 4.0}, epsilon=0.5)
     assert d.match_of_l == {0: 0}
-    assert d.vw[0] == d.w_lv[0] - 1
+    assert d.vw[0] == _level(d, 0) - 1
     _check_invariants(d)
 
 
@@ -256,7 +262,7 @@ def test_alternating_path_lower_bound() -> None:
             d.decrement(l, float(rng.uniform(0, d.w_val[l] * 0.9)))
         opt = _max_weight_pairs(mat, [d.w_val[l] for l in range(n)])
         for start in range(n):
-            if start in d.match_of_l or start not in opt or d.w_lv[start] is None:
+            if start in d.match_of_l or start not in opt or _level(d, start) is None:
                 continue
             # walk the alternating path from the unmatched start
             path_l = [start]
@@ -270,7 +276,7 @@ def test_alternating_path_lower_bound() -> None:
                     break
                 r = opt[nxt]
             gained = sum(d.w_val[e] for e in path_l if e in d.match_of_l)
-            j_star = d.w_lv[start]
+            j_star = _level(d, start)
             for e in path_l:
                 lv = d.vw[e]
                 if e == start or lv is None:
