@@ -188,6 +188,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _run_full(instance: Instance, args: argparse.Namespace) -> dict:
     result = run_pipeline(instance, args.epsilon, args.seed)
     return {
+        "seed": args.seed,
         # the pipeline's stages draw from these substreams of the run seed
         "streams": {
             "phase1": [args.seed, STREAM_PHASE1],
@@ -244,7 +245,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         body = _run_full(instance, args)
     else:
         body = _run_baseline(instance, f, args.algorithm)
-    record = {"version": RESULT_FORMAT_VERSION, "seed": args.seed, **body}
+    record = {"version": RESULT_FORMAT_VERSION, **body}
     _write_text(args.output, _dump_record(record))
     return 0
 

@@ -11,10 +11,11 @@ is one of phase 1's three basis structures (see
 ``optimizer.MaxWeightOracle``); its basis is the matched left vertices.
 
 The second maintains one matching with no augmenting path of at most
-2 + 2/eps edges, which keeps its size within (1-eps) of maximum.  A batch
-of left vertices joins it in place and bounded-depth augmenting searches
-from the free right vertices extend it, none rerun to a failure it already
-met; deleting a left vertex unlinks it and repairs from its freed partner.
+2 + 2/eps edges, which keeps its size within (1-eps) of maximum.  It
+augments by bounded Hopcroft–Karp phases: a batch of left vertices joins
+it in place and phases from every free right vertex extend it until one
+matches nothing; deleting a left vertex unlinks it and runs one phase
+from its freed partner.
 """
 
 from __future__ import annotations
@@ -227,28 +228,17 @@ class DecMatching:
     """Near-maximum matching under left-vertex deletions.
 
     The matching never has an augmenting path of at most ``2 + 2/eps``
-    edges, so its size stays within (1-eps) of the maximum.  Left vertices
-    matched once stay matched until deleted.  A batch insert adds its
-    vertices to the one maintained matching and augments until no short
-    path is left; a delete unlinks the vertex and repairs from its freed
-    partner with one bounded-depth augmenting search.
-
-    No search runs twice to the same failure.  A failed search from a free
-    right vertex r saw only matched left vertices, and its outcome depends
-    only on their partners and on the neighbour sets of the right vertices
-    it expanded: the ``(rank, id)`` order picks which path is found first,
-    not which vertices a layer reaches.  An augmentation never unmatches a
-    left vertex and a delete only removes vertices and edges, so the search
-    can only shrink, and it fails again until a path rematches a left
-    vertex it saw or a batch insert gives a right vertex it expanded a new
-    neighbour.  ``_failed`` records each such r with what it saw and
-    expanded, ``_saw_l``/``_saw_r`` index the records by those vertices,
-    and the two events drop the records they reach.  A recorded r is free
-    (a free right vertex is matched only by its own search), the sweep
-    skips it and a delete searches only from a vertex that was matched, so
-    no record is ever overwritten.  A failed search changes nothing, so the
-    skip leaves every path found, and so the matching and ranks, as a
-    rerun would.
+    edges, so its size stays within (1-eps) of the maximum.  An augmenting
+    path unmatches no left vertex, so a left vertex matched once stays
+    matched until deleted.  Both operations augment by Hopcroft–Karp
+    phases (``_phase``), ``O(m)`` each.  A phase that augments from every
+    free right vertex lengthens the shortest augmenting path, so a batch
+    insert, which runs such phases until one matches nothing, runs at most
+    ``floor((max_len + 1) / 2) + 1`` of them.  A delete frees at most its
+    partner, and every augmenting path it creates starts there: one phase
+    from that vertex takes the shortest, and leaves none of at most
+    ``max_len`` edges.  Each right vertex keeps its neighbours in insertion
+    order, and that order alone picks the paths found.
     """
 
     def __init__(self, matroid: TransversalMatroid, epsilon: float) -> None:
@@ -261,106 +251,78 @@ class DecMatching:
         self.deleted: set[int] = set()
         self.match_of_l: dict[int, int] = {}
         self.match_of_r: dict[int, int] = {}
-        self.rank: dict[int, int] = {}
-        # per-right state for the touched right vertices alone, in
-        # increasing declared id (see ``TransversalMatroid.touched_right``)
-        self._n_r: dict[int, set[int]] = {r: set() for r in matroid.touched_right}
-        # failed search from r -> (left vertices seen, right vertices expanded)
-        self._failed: dict[int, tuple[set[int], list[int]]] = {}
-        self._saw_l: dict[int, set[int]] = {}
-        self._saw_r: dict[int, set[int]] = {}
+        # per-right neighbours, in insertion order, for the touched right
+        # vertices alone, in increasing declared id (see
+        # ``TransversalMatroid.touched_right``)
+        self._n_r: dict[int, dict[int, None]] = {r: {} for r in matroid.touched_right}
         self.batch_inserts = 0
         self.deletes = 0
 
-    # -- augmenting search -------------------------------------------------
+    def _phase(self, sources: list[int]) -> list[int]:
+        """One Hopcroft–Karp phase from the free right vertices ``sources``;
+        returns the left vertices it matched.
 
-    def _neighbors(self, r: int) -> list[int]:
-        return sorted(self._n_r[r], key=lambda l: (self.rank[l], l))
-
-    def _augment_from(self, r0: int) -> int | None:
-        """Shortest augmenting path of at most max_len edges, or None."""
-        parent_l: dict[int, int] = {}
-        frontier = [r0]
-        seen_r = {r0}
-        seen_l: set[int] = set()
-        expanded: list[int] = []
-        depth = 1
-        while frontier and 2 * depth - 1 <= self.max_len:
-            expanded += frontier
-            layer: list[int] = []
+        A breadth-first search lays out the alternating layers from every
+        source at once, up to the first layer that holds a free left vertex
+        and never past ``max_len`` edges.  Depth-first searches along layer
+        edges then augment a maximal set of vertex-disjoint shortest paths,
+        over an explicit stack; each left vertex they pass leaves its layer,
+        on a path or as a dead end, so none is tried twice."""
+        n_r, match_of_l = self._n_r, self.match_of_l
+        # layer[l] = k: the shortest alternating path to l has 2k - 1 edges
+        layer: dict[int, int] = {}
+        frontier, depth, last = sources, 1, None
+        while frontier and last is None and 2 * depth - 1 <= self.max_len:
+            reached = []
             for r in frontier:
-                for l in self._neighbors(r):
-                    if l in seen_l:
+                for l in n_r[r]:
+                    if l not in layer:
+                        layer[l] = depth
+                        if l in match_of_l:
+                            reached.append(match_of_l[l])
+                        else:
+                            last = depth
+            frontier, depth = reached, depth + 1
+        if last is None:
+            return []
+        joined = []
+        for r0 in sources:
+            # the right vertices on the path from r0, and the untried
+            # neighbours of each
+            path, frames = [r0], [iter(n_r[r0])]
+            while frames:
+                depth = len(frames)
+                for l in frames[-1]:
+                    if layer.get(l) != depth:
                         continue
-                    seen_l.add(l)
-                    parent_l[l] = r
-                    if l not in self.match_of_l:
-                        return self._apply_path(l, parent_l)
-                    layer.append(l)
-            frontier = []
-            for l in layer:
-                rm = self.match_of_l[l]
-                if rm not in seen_r:
-                    seen_r.add(rm)
-                    frontier.append(rm)
-            depth += 1
-        self._failed[r0] = (seen_l, expanded)
-        for l in seen_l:
-            self._saw_l.setdefault(l, set()).add(r0)
-        for r in expanded:
-            self._saw_r.setdefault(r, set()).add(r0)
-        return None
-
-    def _forget(self, r0: int) -> None:
-        """Drop the record of a failed search from ``r0``, if any."""
-        record = self._failed.pop(r0, None)
-        if record is not None:
-            seen_l, expanded = record
-            for l in seen_l:
-                self._saw_l[l].discard(r0)
-            for r in expanded:
-                self._saw_r[r].discard(r0)
-
-    def _forget_all(self, index: dict[int, set[int]], v: int) -> None:
-        """Drop every failed search that ``index`` files under vertex ``v``."""
-        for r0 in list(index.get(v, ())):
-            self._forget(r0)
-
-    def _apply_path(self, l_end: int, parent_l: dict[int, int]) -> int:
-        l = l_end
-        while True:
-            r = parent_l[l]
-            prev = self.match_of_r.get(r)
-            self.match_of_l[l] = r
-            self.match_of_r[r] = l
-            self.rank[l] += 1
-            self._forget_all(self._saw_l, l)
-            if prev is None:
-                break
-            l = prev
-        return l_end
-
-    def _exhaust(self) -> None:
-        """Augment until no short augmenting path remains."""
-        progress = True
-        while progress:
-            progress = False
-            for r in self._n_r:
-                if (
-                    r not in self.match_of_r
-                    and r not in self._failed
-                    and self._augment_from(r) is not None
-                ):
-                    progress = True
+                    del layer[l]
+                    r = match_of_l.get(l)
+                    if r is None:
+                        joined.append(l)
+                        for r in reversed(path):
+                            prev = self.match_of_r.get(r)
+                            match_of_l[l] = r
+                            self.match_of_r[r] = l
+                            l = prev
+                        frames = []
+                        break
+                    if depth < last:
+                        path.append(r)
+                        frames.append(iter(n_r[r]))
+                        break
+                else:
+                    frames.pop()
+                    path.pop()
+        return joined
 
     # -- public operations -------------------------------------------------
 
     def batch_insert(self, elems: Iterable[int]) -> list[int]:
-        """Add ``elems`` and augment until no short path is left.
+        """Add ``elems`` and run phases from every free right vertex until
+        one matches nothing.
 
         An augmenting path never unmatches a left vertex, so the return
-        value lists exactly the vertices this call matched.  Rematch counts
-        restart at 1 for matched vertices and 0 for the rest.
+        value lists exactly the vertices this call matched.
         """
         new = sorted(set(elems))
         for l in new:
@@ -369,18 +331,14 @@ class DecMatching:
             if l in self.present or l in self.deleted:
                 raise ValueError(f"element {l} was already inserted")
         self.batch_inserts += 1
-        grown: set[int] = set()
         for l in new:
             for r in self.matroid.adjacency[l]:
-                self._n_r[r].add(l)
-                grown.add(r)
-        for r in grown:
-            self._forget_all(self._saw_r, r)
+                self._n_r[r][l] = None
         self.present.update(new)
-        self.rank = {l: int(l in self.match_of_l) for l in self.present}
-        before = set(self.match_of_l)
-        self._exhaust()
-        return sorted(l for l in self.match_of_l if l not in before)
+        joined: list[int] = []
+        while found := self._phase([r for r in self._n_r if r not in self.match_of_r]):
+            joined += found
+        return sorted(joined)
 
     def delete(self, l: int) -> list[int]:
         if l not in self.present:
@@ -389,14 +347,12 @@ class DecMatching:
         self.present.discard(l)
         self.deleted.add(l)
         for r in self.matroid.adjacency[l]:
-            self._n_r[r].discard(l)
-        del self.rank[l]
+            del self._n_r[r][l]
         r_old = self.match_of_l.pop(l, None)
         if r_old is None:
             return []
         del self.match_of_r[r_old]
-        got = self._augment_from(r_old)
-        return [] if got is None else [got]
+        return self._phase([r_old])
 
     def checker(self) -> TransversalChecker:
         """An exact checker whose members are the matched vertices, certified

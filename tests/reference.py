@@ -973,7 +973,14 @@ class DoubleSearchTransversalChecker:
 class RebuildDecMatching:
     """``DecMatching`` by rebuild and pinning: each batch insert throws the
     matching away and rebuilds it, re-seeding the prior pairs, and a delete
-    pins its vertex to a fresh degree-1 dummy right vertex."""
+    pins its vertex to a fresh right vertex adjacent to it alone.
+
+    It augments by the same phase rule, written the textbook way: a
+    breadth-first search gives each right vertex its distance from the
+    sources, up to the first layer with a free left vertex, and a recursive
+    search follows edges one layer out, marking a right vertex it fails
+    from as spent.  Each right vertex reads its neighbours in the order
+    they were first inserted."""
 
     def __init__(self, matroid: TransversalMatroid, epsilon: float) -> None:
         self.matroid = matroid
@@ -983,90 +990,79 @@ class RebuildDecMatching:
         self.deleted: set[int] = set()
         self.match_of_l: dict[int, int] = {}
         self.match_of_r: dict[int, int] = {}
-        self.rank: dict[int, int] = {}
-        self._next_dummy = matroid.num_right
-        self._n_r: list[list[int]] = [[] for _ in range(matroid.num_right)]
+        self._order: list[int] = []
+        self._n_r: dict[int, list[int]] = {}
 
-    def _augment_from(self, r0: int) -> int | None:
-        parent_l: dict[int, int] = {}
-        frontier = [r0]
-        seen_r = {r0}
-        seen_l: set[int] = set()
-        depth = 1
-        while frontier and 2 * depth - 1 <= self.max_len:
-            layer: list[int] = []
-            for r in frontier:
-                for l in sorted(self._n_r[r], key=lambda l: (self.rank[l], l)):
-                    if l in seen_l:
-                        continue
-                    seen_l.add(l)
-                    parent_l[l] = r
-                    if l not in self.match_of_l:
-                        # apply the path back to r0
-                        end = l
-                        while True:
-                            r = parent_l[l]
-                            prev = self.match_of_r.get(r)
-                            self.match_of_l[l] = r
-                            self.match_of_r[r] = l
-                            self.rank[l] += 1
-                            if prev is None:
-                                return end
-                            l = prev
-                    layer.append(l)
-            frontier = []
-            for l in layer:
-                rm = self.match_of_l[l]
-                if rm >= self.num_right or rm in seen_r:
-                    continue  # pinned-to-dummy vertices are dead ends
-                seen_r.add(rm)
-                frontier.append(rm)
-            depth += 1
-        return None
+    def _phase(self, sources: list[int]) -> list[int]:
+        dist = dict.fromkeys(sources, 0)
+        queue = list(sources)
+        final = None
+        for r in queue:
+            k = dist[r] + 1
+            if (final is not None and k > final) or 2 * k - 1 > self.max_len:
+                break
+            for l in self._n_r.get(r, []):
+                rm = self.match_of_l.get(l)
+                if rm is None:
+                    final = k
+                elif rm not in dist:
+                    dist[rm] = k
+                    queue.append(rm)
+        if final is None:
+            return []
+
+        def search(r: int) -> int | None:
+            for l in self._n_r.get(r, []):
+                rm = self.match_of_l.get(l)
+                if rm is None:
+                    found = l if dist[r] + 1 == final else None
+                elif dist.get(rm) == dist[r] + 1 and dist[rm] < final:
+                    found = search(rm)
+                else:
+                    continue
+                if found is not None:
+                    self.match_of_l[l] = r
+                    self.match_of_r[r] = l
+                    return found
+            dist[r] = -1
+            return None
+
+        return [l for l in map(search, sources) if l is not None]
 
     def batch_insert(self, elems: Iterable[int]) -> list[int]:
         new = sorted(set(elems))
         prior = sorted((l, r) for l, r in self.match_of_l.items() if r < self.num_right)
         self.present.update(new)
+        self._order += new
         self.match_of_l = {}
         self.match_of_r = {}
-        self._next_dummy = self.num_right
-        self.rank = {l: 0 for l in self.present}
-        self._n_r = [[] for _ in range(self.num_right)]
-        for l in sorted(self.present):
-            for r in self.matroid.adjacency[l]:
-                self._n_r[r].append(l)
-        seeded: set[int] = set()
+        self._n_r = {}
+        for l in self._order:
+            if l in self.present:
+                for r in self.matroid.adjacency[l]:
+                    self._n_r.setdefault(r, []).append(l)
         for l, r in prior:
             self.match_of_l[l] = r
             self.match_of_r[r] = l
-            self.rank[l] += 1
-            seeded.add(r)
-        for r in range(self.num_right):
-            if r not in seeded:
-                self._augment_from(r)
-        progress = True
-        while progress:
-            progress = False
-            for r in range(self.num_right):
-                if r not in self.match_of_r and self._augment_from(r) is not None:
-                    progress = True
-        before = {l for l, _ in prior}
-        return sorted(l for l in self.match_of_l if l not in before)
+        joined: list[int] = []
+        while True:
+            found = self._phase([r for r in range(self.num_right) if r not in self.match_of_r])
+            if not found:
+                return sorted(joined)
+            joined += found
 
     def delete(self, l: int) -> list[int]:
         self.present.discard(l)
         self.deleted.add(l)
-        dummy = self._next_dummy
-        self._next_dummy += 1
+        dummy = self.num_right + len(self.deleted)
+        self._n_r[dummy] = [l]
         r_old = self.match_of_l.get(l)
         self.match_of_l[l] = dummy
         self.match_of_r[dummy] = l
         if r_old is None:
             return []
         del self.match_of_r[r_old]
-        got = self._augment_from(r_old)
-        return [] if got is None else [got]
+        return self._phase([r_old])
 
     def basis(self) -> list[int]:
         return sorted(dec_matching_pairs(self))

@@ -124,7 +124,7 @@ def test_run_records_are_deterministic_up_to_wall_time(tmp_path) -> None:
 def test_only_a_full_record_names_the_streams_it_drew_from(tmp_path) -> None:
     # the pipeline draws from three substreams of the run seed; an instance
     # does not record the seed that generated it, and the baselines draw
-    # from no stream
+    # from no stream, so their records carry no seed
     path = _gen(tmp_path)
     keys = {}
     for algo in ("full", "greedy", "brute"):
@@ -141,7 +141,7 @@ def test_only_a_full_record_names_the_streams_it_drew_from(tmp_path) -> None:
         "frozen", "opt_estimate", "counters", "wall_time_s",
     }
     assert keys["greedy"] == keys["brute"] == {
-        "version", "seed", "algorithm", "solution", "value", "counters", "wall_time_s",
+        "version", "algorithm", "solution", "value", "counters", "wall_time_s",
     }
 
 

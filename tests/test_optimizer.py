@@ -1499,21 +1499,74 @@ def test_pipeline_on_transversal_facility_evicts_from_the_matching() -> None:
         assert result.value >= (1 - 1 / math.e - 0.2) * result.opt_estimate
 
 
-def test_transversal_bench_solve_reruns_no_failed_search(monkeypatch) -> None:
-    # the bench's transversal-coverage solve; a sweep that reruns every
-    # failed search makes 6,286 bounded searches here for 199 paths
-    calls = 0
-    genuine = DecMatching._augment_from
+def _count_phases(monkeypatch) -> dict[str, list[int]]:
+    """Phases run by each ``DecMatching`` batch insert, and by each delete
+    of a matched and of an unmatched vertex, in the lists returned."""
+    phases = 0
+    runs: dict[str, list[int]] = {"batch_insert": [], "matched": [], "unmatched": []}
+    genuine_phase = DecMatching._phase
+    genuine_insert = DecMatching.batch_insert
+    genuine_delete = DecMatching.delete
 
-    def counted(self, r0):
-        nonlocal calls
-        calls += 1
-        return genuine(self, r0)
+    def phase(self, sources):
+        nonlocal phases
+        phases += 1
+        return genuine_phase(self, sources)
 
-    monkeypatch.setattr(DecMatching, "_augment_from", counted)
-    inst = generate_instance("transversal", "coverage", n=200, seed=1)
+    def counted(key, call):
+        before = phases
+        got = call()
+        runs[key].append(phases - before)
+        return got
+
+    def batch_insert(self, elems):
+        return counted("batch_insert", lambda: genuine_insert(self, elems))
+
+    def delete(self, l):
+        key = "matched" if l in self.match_of_l else "unmatched"
+        return counted(key, lambda: genuine_delete(self, l))
+
+    monkeypatch.setattr(DecMatching, "_phase", phase)
+    monkeypatch.setattr(DecMatching, "batch_insert", batch_insert)
+    monkeypatch.setattr(DecMatching, "delete", delete)
+    return runs
+
+
+def _phase_bound(epsilon: float) -> int:
+    """Phases a batch insert may run: one per odd augmenting-path length up
+    to ``2 + 2/eps`` edges, and the last, which finds none."""
+    return math.floor((2 + 2 / epsilon + 1) / 2) + 1
+
+
+@pytest.mark.parametrize(
+    "objective, n, degree",
+    [("coverage", 200, None), ("additive", 5000, 4), ("additive", 5000, 6), ("additive", 5000, 8)],
+)
+def test_dec_matching_phases_per_operation(monkeypatch, objective, n, degree) -> None:
+    # the bench's transversal-coverage solve, and transversal additive at
+    # growing degree; no clock is read
+    runs = _count_phases(monkeypatch)
+    inst = generate_instance("transversal", objective, n=n, seed=1, degree=degree)
     run_pipeline(inst, epsilon=0.2, seed=1000)
-    assert 0 < calls <= 1500
+    assert runs["batch_insert"] and max(runs["batch_insert"]) <= _phase_bound(0.2) == 7
+    # a delete that frees a partner repairs by exactly one phase
+    assert set(runs["matched"]) <= {1} and set(runs["unmatched"]) <= {0}
+    assert runs["matched"] or objective == "additive"
+
+
+@pytest.mark.parametrize("epsilon", [0.2, 1 / 20_002])
+def test_dec_matching_phases_on_a_hub_graph(monkeypatch, epsilon) -> None:
+    # 50 hubs, left j on hub j % 50 and, when j is odd, on a right vertex of
+    # its own: 10,025 is the maximum, and each hub has 400 neighbours.  At
+    # eps = 1/(n + 2) no augmenting path of at most 2n + 6 edges is left,
+    # so the matching is maximum
+    n = 20_000
+    adjacency = [[j % 50] + ([50 + j] if j % 2 else []) for j in range(n)]
+    mat = TransversalMatroid(num_right=n + 50, adjacency=adjacency)
+    runs = _count_phases(monkeypatch)
+    d = DecMatching(mat, epsilon)
+    assert len(d.batch_insert(range(n))) == 10_025 == mat.rank()
+    assert runs["batch_insert"][0] <= _phase_bound(epsilon)
 
 
 @pytest.mark.parametrize("kind", KINDS)
