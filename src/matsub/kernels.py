@@ -30,14 +30,16 @@ per call, for ``q`` queried elements:
   share and the ``h`` rows that hold one of them.  The round state reads
   the lower layer's columns of the ``q_held`` queried elements it holds
   somewhere, ``O(q + s·q_held)``, and none when no item is critical.
-- ``row_top2``: ``O(s·n·clients)`` time, ``O(s·clients)`` memory, once
-  per round, to build the round state, a block of rows at a time so each
-  member's pass stays within the block; a basis that only grows never
-  rebuilds a row.
+- ``row_top2``: ``O(nnz·clients)`` time for the ``nnz`` row memberships,
+  one integer max/min pass over the clients of each, and ``O(s·clients)``
+  scratch (two key arrays, int32 until ``(n + 1)**2`` passes ``2**31``),
+  no row blocks, once per round, to build the round state; a basis that
+  only grows never rebuilds a row.
 - ``similarity_ranks``: ``O(n·clients·log n)`` time and ``O(n·clients)``
   memory, once per instance, whose oracles share the tables.
-- ``class_histogram``: ``O((s + n)·clients)`` time and memory, once per
-  round: the rows per top-1 value class and client.
+- ``class_histogram``: ``O(s·clients + n·clients)`` time and memory, once
+  per round: the rows per top-1 value class and client, one ``bincount``
+  of the classes ``row_top2`` decodes.
 - ``class_cumsums``: ``O(n·clients)`` time, in place, on the first
   pricing after an insert.
 - ``class_price``: ``O(q·clients)`` time and memory, gathers at each
@@ -70,8 +72,6 @@ import numpy as np
 
 # queried elements held by some row, priced together by ``coverage_price``
 PRICE_BLOCK = 64
-# rows of the top-2 statistics ``row_top2`` builds at once
-TOP2_BLOCK_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +152,56 @@ def coverage_price(uncovered, critical, counts, elems, held, members, indptr, in
 # facility-location objectives: similarity matrix sim (n clients columns),
 # f(S) = sum over clients of the best similarity among selected elements.
 
-def row_top2(sets, sim):
+def row_top2(sets, slot, values):
     """Best and second-best similarity per ``(row, client)`` over the row's
     members, 0 where fewer exist, plus the member holding the best (``n``
-    where no member is positive).  ``TOP2_BLOCK_ROWS`` rows at a time, each
-    block in one pass over its members, so every pass stays within the
-    block's rows."""
-    n = sim.shape[0]
-    shape = (sets.shape[0], sim.shape[1])
-    top1 = np.zeros(shape)
-    top2 = np.zeros(shape)
-    arg1 = np.full(shape, n, dtype=np.intp)
-    for lo in range(0, shape[0], TOP2_BLOCK_ROWS):
-        block = slice(lo, lo + TOP2_BLOCK_ROWS)
-        part = sets[block]
-        stats = top1[block], arg1[block], top2[block]
-        for j in np.flatnonzero(part.any(axis=0)):
-            push_top2(*stats, np.flatnonzero(part[:, j]), j, sim[j])
-    return top1, arg1, top2
+    where no member is positive), from the class tables of
+    :func:`similarity_ranks`; also the flat ``values`` position of each
+    top-1's class, as ``slot`` numbers them.
+
+    Member ``j``'s key for client ``c`` is its class times ``n + 1`` plus
+    ``n - j``, and 0 in class 0, the key of the appended zero element
+    ``n``.  Keys order by class, then by smaller id, so the largest key of
+    a row's members (and the zero) is the member that :func:`push_top2`,
+    adding them in id order, keeps on its strict ``v > top1``, and the
+    second largest has the class of the second-best similarity, ties
+    included.  Each member takes one max/min
+    pass over the rows that hold it, and the keys are decoded once: a
+    class holds the column's own entry, so the floats are exact, though a
+    zero may carry either sign.  The largest key, ``(n + 1)**2 - 1``, sets
+    the key dtype: int32 unless it does not fit."""
+    width, clients = slot.shape
+    n = width - 1
+    offsets = np.arange(0, clients * width, width)
+    members = np.flatnonzero(sets.any(axis=0))
+    rank = slot[members] - offsets
+    keys = rank * width + np.where(rank > 0, n - members[:, None], 0)
+    fits = (n + 1) ** 2 - 1 <= np.iinfo(np.int32).max
+    keys = keys.astype(np.int32 if fits else np.int64)
+    k1 = np.zeros((sets.shape[0], clients), dtype=keys.dtype)
+    k2 = np.zeros_like(k1)
+    for j, key in zip(members.tolist(), keys):
+        rows = np.flatnonzero(sets[:, j])
+        t1 = k1.take(rows, axis=0)
+        t2 = np.minimum(t1, key)
+        np.maximum(t2, k2.take(rows, axis=0), out=t2)
+        k2[rows] = t2
+        np.maximum(t1, key, out=t1)
+        k1[rows] = t1
+    # decode in place, each scratch array dropped once read; ``arg1`` is
+    # ``n - k1 mod (n + 1)``, taken through integer division by a scalar,
+    # which has a fast path that ``%`` lacks
+    cls1 = k1 // width
+    k1 -= cls1 * width
+    np.subtract(n, k1, out=k1)
+    arg1 = k1.astype(np.intp)
+    del k1
+    at1 = cls1 + offsets
+    del cls1
+    k2 //= width
+    top2 = values.take(k2 + offsets)
+    del k2
+    return (values.take(at1), arg1, top2), at1
 
 
 def push_top2(top1, arg1, top2, rows, j, v):
@@ -212,14 +244,12 @@ def similarity_ranks(sim):
     return slot, values
 
 
-def class_histogram(arg1, slot):
-    """Rows per ``(client, value class)`` of the rows' top-1, ``(clients,
-    n + 1)`` int32 counts: a top-1 is its argmax's similarity, so its class
-    is the argmax's."""
-    width, clients = slot.shape
-    keys = np.take_along_axis(slot, arg1, axis=0)
-    hist = np.bincount(keys.ravel(), minlength=width * clients)
-    return hist.reshape(clients, width).astype(np.int32)
+def class_histogram(at1, values):
+    """Rows per ``(client, value class)`` of the rows' top-1, shaped like
+    ``values``, int32 counts, from the flat class positions ``at1`` that
+    :func:`row_top2` decodes."""
+    hist = np.bincount(at1.ravel(), minlength=values.size)
+    return hist.reshape(values.shape).astype(np.int32)
 
 
 def class_cumsums(hist, values, below, under):

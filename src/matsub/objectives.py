@@ -686,7 +686,12 @@ class _FacilityRound(RoundState):
     pair's old class to the element's: ``O(k·clients)`` for its ``k``
     flipped rows.  The first pricing after an insert rebuilds the cumsums,
     ``O(n·clients)``.  Non-members only, so that histogram is the one a
-    price reads."""
+    price reads.
+
+    A zero ``top1`` or ``top2`` may carry either sign: the build decodes
+    the column's first zero entry, ``-0.0`` or not, and ``push_top2``
+    keeps ``np.maximum``'s.  No price, summary or record reads the sign;
+    a row valued 0 may read ``-0.0``."""
 
     # one count of the int32 histogram: a scalar of its dtype keeps
     # ``ufunc.at`` on its fast path
@@ -696,9 +701,9 @@ class _FacilityRound(RoundState):
         self, oracle: FacilityLocationOracle, lower: np.ndarray, upper: np.ndarray
     ) -> None:
         super().__init__(oracle, lower.shape[0], lower, upper)
-        self.top = kernels.row_top2(lower, oracle.similarity)
         self.slot, self.class_values = oracle.ranks
-        self.hist = kernels.class_histogram(self.top[1], self.slot)
+        self.top, at1 = kernels.row_top2(lower, self.slot, self.class_values)
+        self.hist = kernels.class_histogram(at1, self.class_values)
         # the histogram's cumsums, rebuilt on the first pricing after an
         # insert
         self._below = np.zeros(self.hist.shape, dtype=np.int32)

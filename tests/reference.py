@@ -1097,6 +1097,28 @@ def tensor_facility_marginal_means(
     return out
 
 
+def sorted_row_top2(sets: np.ndarray, sim: np.ndarray):
+    """Per row and client, the row's members sorted by ``(-sim, id)``: the
+    first two similarities (0 where fewer members exist) and the first
+    member's id, ``n`` where its similarity is 0 or the row is empty."""
+    s, n = sets.shape
+    clients = sim.shape[1]
+    top1 = np.zeros((s, clients))
+    top2 = np.zeros((s, clients))
+    arg1 = np.full((s, clients), n, dtype=np.intp)
+    for r in range(s):
+        members = np.flatnonzero(sets[r]).tolist()
+        for c in range(clients):
+            order = sorted(members, key=lambda j: (-sim[j, c], j))
+            if order:
+                top1[r, c] = sim[order[0], c]
+                if sim[order[0], c] > 0:
+                    arg1[r, c] = order[0]
+            if len(order) > 1:
+                top2[r, c] = sim[order[1], c]
+    return top1, arg1, top2
+
+
 def class_histogram_facility_means(top1, arg1, top2, elems, sim) -> np.ndarray:
     """Facility marginal means by the value-class formula, with every count
     and cumsum rebuilt by brute force from top-2 statistics.  Per client

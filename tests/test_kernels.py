@@ -19,6 +19,7 @@ from reference import (
     loop_coverage_marginal_means,
     slow_coverage_marginal_means,
     slow_coverage_value,
+    sorted_row_top2,
     tensor_facility_marginal_means,
     tensor_facility_values,
 )
@@ -445,6 +446,78 @@ def test_similarity_ranks_count_the_entries_strictly_below() -> None:
             # an entry's class holds its value
             assert values[c, rank] == ext[e, c]
         np.testing.assert_array_equal(values[c], np.sort(ext[:, c]))
+
+
+def _assert_top2_as_sorted_members(sets: np.ndarray, sim: np.ndarray) -> None:
+    slot, values = kernels.similarity_ranks(sim)
+    (top1, arg1, top2), at1 = kernels.row_top2(sets, slot, values)
+    want1, want_arg1, want2 = sorted_row_top2(sets, sim)
+    assert arg1.dtype == np.intp
+    np.testing.assert_array_equal(arg1, want_arg1)
+    assert np.array_equal(top1, want1) and np.array_equal(top2, want2)
+    # each top-1's class, at its flat position in ``values``
+    ext = _with_zero_row(sim)
+    below = np.count_nonzero(ext[None, :, :] < top1[:, None, :], axis=1)
+    np.testing.assert_array_equal(at1, below + np.arange(sim.shape[1]) * ext.shape[0])
+
+
+@pytest.mark.parametrize("grid", [4, 7])
+@pytest.mark.parametrize("seed", [40, 41])
+def test_row_top2_matches_sorted_members_on_tied_similarities(seed: int, grid: int) -> None:
+    rng = np.random.default_rng(seed)
+    n = 14
+    sim = _tied_similarity(rng, n, 9, grid)
+    sim[5] = 0.0
+    sim[6] = np.where(rng.random(9) < 0.5, -0.0, 0.0)
+    sets = (rng.random((40, n)) < 0.4).astype(np.uint8)
+    sets[:6, :2] = 1  # the duplicated elements 0 and 1 share these rows
+    sets[6:10] = 0  # an empty row, then three hand-built ones
+    sets[7, [5, 6]] = 1  # every member at similarity 0
+    sets[8, 4] = 1  # one member
+    sets[9, [2, n - 1]] = 1  # two members with equal similarities
+    _assert_top2_as_sorted_members(sets, sim)
+
+
+def test_row_top2_keys_past_int32() -> None:
+    # at n = 46341 the largest key, (n + 1)**2 - 1, passes int32's maximum:
+    # it is the key of a column's unique maximum, so the rows hold those
+    rng = np.random.default_rng(42)
+    n, clients = 46341, 2
+    sim = rng.uniform(0.0, 1.0, (n, clients))
+    sim[rng.random((n, clients)) < 0.1] = 0.0
+    best = sim.argmax(axis=0)
+    assert (np.sort(sim, axis=0)[-2] < sim[best, [0, 1]]).all()
+    sets = np.zeros((6, n), dtype=np.uint8)
+    for r in range(1, 4):
+        sets[r, rng.choice(n, size=8, replace=False)] = 1
+        sets[r, best] = 1
+    sets[3, [0, n - 1]] = 1
+    sets[4, best[1]] = 1
+    sets[5, rng.choice(n, size=5, replace=False)] = 1
+    _assert_top2_as_sorted_members(sets, sim)
+
+
+@pytest.mark.parametrize("s, n, clients", [(200, 200, 400), (400, 100, 500)])
+def test_facility_round_build_peak_stays_linear_in_rows_and_classes(
+    s: int, n: int, clients: int
+) -> None:
+    # an (s, n, clients) float64 array is 122 or 153 MB at these shapes, and
+    # an (s, support, clients) int32 one half that
+    rng = np.random.default_rng(43)
+    oracle = FacilityLocationOracle(rng.uniform(0.0, 1.0, size=(n, clients)))
+    sets = (rng.random((s, n)) < 0.5).astype(np.uint8)
+    oracle.ranks  # once per instance, shared by its rounds
+    tracemalloc.start()
+    try:
+        oracle.round_state(sets, sets)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a round keeps top1, arg1 and top2 (24 bytes a row and client) and the
+    # class histogram with its two cumsums (16 bytes a class and client);
+    # the build's scratch stays within as much again
+    kept = (24 * s + 16 * (n + 1)) * clients
+    assert peak < 2 * kept, (peak, kept)
 
 
 @pytest.mark.parametrize("grid", [4, 7])
