@@ -39,11 +39,15 @@ per call, for ``q`` queried elements:
   memory, once per instance, whose oracles share the tables.
 - ``class_histogram``: ``O(s·clients + n·clients)`` time and memory, once
   per round: the rows per top-1 value class and client, one ``bincount``
-  of the classes ``row_top2`` decodes.
+  of the classes ``row_top2`` decodes, and the products table, each count
+  times its class value, which the round state then keeps at the classes
+  an insert moves.
 - ``class_cumsums``: ``O(n·clients)`` time, in place, on the first
-  pricing after an insert.
+  pricing after an insert: two prefix passes, over the counts and over the
+  kept products, with no multiply.
 - ``class_price``: ``O(q·clients)`` time and memory, gathers at each
-  queried element's value classes.
+  queried element's value classes; one element reads its rows of the
+  class and similarity tables as views.
 
 A round state also prices one element without the batch summary
 (``RoundState.price``), non-members only:
@@ -53,8 +57,9 @@ A round state also prices one element without the batch summary
   ``O(s + |cover(e)|·(1 + h_e))`` for the ``h_e`` rows that hold ``e``,
   integer hit counts over ``e``'s items;
 - facility: no sort and no per-row sums; ``class_price`` of the one
-  element plus ``O(s + h_e·clients)`` for the pairs it tops in the
-  ``h_e`` rows that hold it, the same formula a batch uses;
+  element plus, when the lower layer holds ``e`` somewhere,
+  ``O(s + h_e·clients)`` for the pairs it tops in the ``h_e`` rows that
+  hold it, the same formula a batch uses;
 - additive: ``O(1)``.
 
 No kernel builds an array whose size grows as ``s·n·clients``, and
@@ -247,29 +252,33 @@ def similarity_ranks(sim):
 def class_histogram(at1, values):
     """Rows per ``(client, value class)`` of the rows' top-1, shaped like
     ``values``, int32 counts, from the flat class positions ``at1`` that
-    :func:`row_top2` decodes."""
+    :func:`row_top2` decodes; and the products table, each count times its
+    class value."""
     hist = np.bincount(at1.ravel(), minlength=values.size)
-    return hist.reshape(values.shape).astype(np.int32)
+    hist = hist.reshape(values.shape).astype(np.int32)
+    return hist, hist * values
 
 
-def class_cumsums(hist, values, below, under):
+def class_cumsums(hist, products, below, under):
     """Fill ``below[c, k]`` (int32), the rows whose top-1 for client ``c``
-    lies in a class under ``k``, and ``under[c, k]``, their top-1 sum: count
-    times class value, added class by class.  Column 0 of both stays 0."""
+    lies in a class under ``k``, and ``under[c, k]``, their top-1 sum: two
+    prefix passes, over the counts and over their ``products`` with the
+    class values, added class by class.  Column 0 of both stays 0."""
     np.cumsum(hist[:, :-1], axis=1, out=below[:, 1:])
-    np.multiply(hist[:, :-1], values[:, :-1], out=under[:, 1:])
-    np.cumsum(under[:, 1:], axis=1, out=under[:, 1:])
+    np.cumsum(products[:, :-1], axis=1, out=under[:, 1:])
 
 
 def class_price(below, under, slot, sim, elems):
     """Per queried element, the sum over clients and rows of ``max(sim[e, c]
     - top1[r, c], 0)``: ``below·sim[e, c] - under`` at ``e``'s class
-    ``slot[e, c]``.  Each element's terms are summed along one contiguous
-    row, so an element priced alone gets the float a batch gives it."""
+    ``slot[e, c]``.  ``elems`` is an index array, or one id, which reads
+    its rows of ``slot`` and ``sim`` as views and returns a scalar.  Each
+    element's terms are summed along one contiguous row, so an element
+    priced alone gets the float a batch gives it."""
     at = slot[elems]
     terms = below.take(at) * sim[elems]
     terms -= under.take(at)
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
 def active_backend() -> str:

@@ -673,20 +673,26 @@ class _FacilityRound(RoundState):
     Without ``e`` a row's best similarity is its top-1, or its top-2 in the
     pairs ``e`` tops.  Summed over the rows, ``max(sim[e, c] - top1, 0)``
     takes the rows whose top-1 lies in a class below ``e``'s: their count
-    times ``sim[e, c]`` less their top-1 sum, two exclusive cumsums of the
-    histogram read at ``e``'s class.  The pairs ``e`` tops add ``top1 -
+    times ``sim[e, c]`` less their top-1 sum, two exclusive cumsums read at
+    ``e``'s class, one of the histogram and one of ``products``, each
+    count times its class value.  The pairs ``e`` tops add ``top1 -
     top2``; a non-member tops pairs only in the rows whose lower layer
-    holds it.  So a one-element price costs ``O(s + clients·(1 + h))`` for
-    the ``h`` rows that hold ``e``, and a batch prices by the same formula,
-    with the ``top1 - top2`` sums of every argmax from one row-major
-    bincount (the batch summary), which adds each element's terms in the
-    order a one-element price does.
+    holds it (``held`` marks the elements it holds somewhere).  So a
+    one-element price costs ``O(clients)`` for an element not ``held``,
+    else ``O(s + clients·(1 + h))`` for the ``h`` rows that hold ``e``;
+    it reads ``e``'s rows of ``slot`` and the similarities as views.  A
+    batch prices by the same formula, with the ``top1 - top2`` sums of
+    every argmax from one row-major bincount (the batch summary), which
+    adds each element's terms in the order a one-element price does.  When
+    the lower layer holds nothing, as in a run's first round, only members
+    top pairs, and the summary is zeros with no bincount.
 
     An insert moves one count, per pair its element comes to top, from the
-    pair's old class to the element's: ``O(k·clients)`` for its ``k``
-    flipped rows.  The first pricing after an insert rebuilds the cumsums,
-    ``O(n·clients)``.  Non-members only, so that histogram is the one a
-    price reads.
+    pair's old class to the element's, and makes the product of each
+    class it moves afresh, the same single multiply a fresh table does:
+    ``O(k·clients)`` for its ``k`` flipped rows.  The first pricing after
+    an insert rebuilds the cumsums, two prefix passes, ``O(n·clients)``.
+    Non-members only, so that histogram is the one a price reads.
 
     A zero ``top1`` or ``top2`` may carry either sign: the build decodes
     the column's first zero entry, ``-0.0`` or not, and ``push_top2``
@@ -702,8 +708,9 @@ class _FacilityRound(RoundState):
     ) -> None:
         super().__init__(oracle, lower.shape[0], lower, upper)
         self.slot, self.class_values = oracle.ranks
+        self.held = lower.any(axis=0)
         self.top, at1 = kernels.row_top2(lower, self.slot, self.class_values)
-        self.hist = kernels.class_histogram(at1, self.class_values)
+        self.hist, self.products = kernels.class_histogram(at1, self.class_values)
         # the histogram's cumsums, rebuilt on the first pricing after an
         # insert
         self._below = np.zeros(self.hist.shape, dtype=np.int32)
@@ -722,16 +729,24 @@ class _FacilityRound(RoundState):
         hist = self.hist.ravel()
         old = self.slot.ravel()[was.ravel()[took] * clients + column]
         np.subtract.at(hist, old, self._ONE)
-        hist[self.slot[elem]] += np.bincount(column, minlength=clients)
+        new = self.slot[elem]
+        hist[new] += np.bincount(column, minlength=clients)
+        # each moved class's product, count times value, made afresh
+        products, values = self.products.ravel(), self.class_values.ravel()
+        for moved in (old, new):
+            products[moved] = hist[moved] * values[moved]
         self._stale = True
 
     def _cumsums(self) -> tuple[np.ndarray, np.ndarray]:
         if self._stale:
-            kernels.class_cumsums(self.hist, self.class_values, self._below, self._under)
+            kernels.class_cumsums(self.hist, self.products, self._below, self._under)
             self._stale = False
         return self._below, self._under
 
     def _summarize(self):
+        if not self.held.any():
+            # only basis members top a pair, and none is priced
+            return np.zeros(self.slot.shape[0])
         top1, arg1, top2 = self.top
         return np.bincount(
             arg1.ravel(), weights=(top1 - top2).ravel(), minlength=self.slot.shape[0]
@@ -745,8 +760,8 @@ class _FacilityRound(RoundState):
 
     def _price(self, elem: int) -> float:
         tops = 0.0
-        held = np.flatnonzero(self.lower[:, elem])
-        if held.size:
+        if self.held[elem]:
+            held = np.flatnonzero(self.lower[:, elem])
             top1, arg1, top2 = self.top
             clients = top1.shape[1]
             hit = np.flatnonzero(arg1[held] == elem)
@@ -755,9 +770,9 @@ class _FacilityRound(RoundState):
                 # added in the row-major order of the batch summary's bincount
                 tops = np.cumsum(top1.ravel()[at] - top2.ravel()[at])[-1]
         sums = kernels.class_price(
-            *self._cumsums(), self.slot, self.oracle.similarity, np.array([elem])
+            *self._cumsums(), self.slot, self.oracle.similarity, elem
         )
-        return float(sums[0] + tops) / self.samples
+        return float(sums + tops) / self.samples
 
     def _values(self) -> np.ndarray:
         return self.top[0].sum(axis=1)

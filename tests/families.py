@@ -99,6 +99,18 @@ def sparse_transversal(right: int) -> Instance:
     return Instance(matroid=matroid, objective=inst.objective)
 
 
+def tied_facility(n: int) -> Instance:
+    """The generated laminar facility instance on ``n`` elements with its
+    similarities floored to a quarter grid, so rows hold many tied top-1 and
+    top-2 values, and about half its zeros (a quarter of all entries) signed
+    ``-0.0``."""
+    inst = generate_instance("laminar", "facility", n=n, seed=1)
+    sim = np.floor(np.asarray(inst.objective["similarity"]) * 4) / 4
+    sim[(sim == 0.0) & (np.random.default_rng(0).random(sim.shape) < 0.5)] = -0.0
+    objective = {"kind": "facility", "similarity": sim.tolist()}
+    return Instance(matroid=inst.matroid, objective=objective)
+
+
 FAMILIES: dict[str, Callable[..., Instance]] = {
     "wide-laminar": lambda n, root_cap: heavy_item(wide_laminar(n, root_cap)),
     "phase1-transversal": lambda n, right: heavy_item(phase1_transversal(n, right)),
@@ -106,6 +118,7 @@ FAMILIES: dict[str, Callable[..., Instance]] = {
     "chain": lambda k: _cyclic_additive(chain(k)),
     "caterpillar": lambda d: _cyclic_additive(caterpillar(d)),
     "sparse-transversal": sparse_transversal,
+    "tied-facility": tied_facility,
 }
 
 # by matroid kind, the size where phase 1 fires at the paper's constants:

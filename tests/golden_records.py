@@ -5,7 +5,7 @@ Each entry is what ``matsub run`` writes for one instance and run seed at
 ``epsilon = 0.2``, less ``wall_time_s``: the solution, its value, the
 frozen set, the optimum estimate and every counter.  The instances are the
 CI matrix (three kinds by three objectives at ``n = 30``), the four
-benchmark workloads, the laminar and transversal phase-1 instances CI
+benchmark workloads, graphic facility at ``n = 300``, the laminar and transversal phase-1 instances CI
 runs, and the ``n = 1000`` laminar and graphic runs CI compares across
 processes, all at run seeds 1000 and 1001.
 ``tests/test_golden_records.py`` recomputes every entry and asks for the
@@ -46,6 +46,8 @@ INSTANCES: dict[str, Callable[[], Instance]] = {
     "graphic-coverage-300": _generated("graphic", "coverage", 300),
     "transversal-coverage-200": _generated("transversal", "coverage", 200),
     "graphic-additive-1000": _generated("graphic", "additive", 1000),
+    # a facility round past n = 30 outside the laminar workload
+    "graphic-facility-300": _generated("graphic", "facility", 300),
     # phase 1 fires on both
     "phase1-laminar-1500": families.PHASE1["laminar"],
     "phase1-transversal-1500": families.PHASE1["transversal"],

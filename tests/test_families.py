@@ -30,6 +30,7 @@ DIGESTS = {
     "caterpillar 2000": "b1b5188a4b30a47cb30a031cec343d46b8a1a62d083d8cf0c86f71b5924f89e4",
     "sparse-transversal 20000": "6bee5093bad5952eff058288890476a9f42b81534b75d22e403ff841b39338d9",
     "sparse-transversal 1000000": "544ab0abc31307956eb54d09cc584a390caa6a1aa886fffad4cd9670bef67427",
+    "tied-facility 120": "8cffecaa091037650b0cfcd3e6a646765fbb575fd6a4aa4b67cf857978e7e6fe",
 }
 
 

@@ -515,7 +515,8 @@ def test_facility_round_build_peak_stays_linear_in_rows_and_classes(
         tracemalloc.stop()
     # a round keeps top1, arg1 and top2 (24 bytes a row and client) and the
     # class histogram with its two cumsums (16 bytes a class and client);
-    # the build's scratch stays within as much again
+    # the build's scratch and the kept class products (8 bytes a class and
+    # client) stay within as much again
     kept = (24 * s + 16 * (n + 1)) * clients
     assert peak < 2 * kept, (peak, kept)
 
@@ -551,6 +552,42 @@ def test_rank_pricing_matches_searchsorted_through_inserts_and_deletes(grid) -> 
             # a round state prices only elements outside its basis
             elems = elems[~state.in_basis[elems]]
             _assert_prices_as_class_histogram(state, sim, elems.astype(np.int64))
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """Float64 bit patterns, so that ``-0.0`` and ``0.0`` differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("grid", [4, 7])
+def test_kept_class_products_and_cumsums_follow_inserts_bit_for_bit(grid: int) -> None:
+    # an insert remakes the product of each class whose count it moves, so
+    # every kept product is the one count-times-value product a fresh table
+    # holds, signed zeros included, and the cumsums are plain prefix sums;
+    # on a grid of sevenths a product kept by adding and subtracting class
+    # values rounds apart from it, and on either grid it flips a zero's sign
+    rng = np.random.default_rng(60 + grid)
+    n, clients = 15, 11
+    sim = _tied_similarity(rng, n, clients, grid)
+    assert np.signbit(sim[sim == 0.0]).any()
+    oracle = FacilityLocationOracle(sim)
+    slot, values = oracle.ranks
+    for _ in range(3):
+        x = rng.uniform(0.0, 0.6, n)
+        state = oracle.round_state(*nested_subsets(x, 0.3, 30, rng))
+        for elem in rng.permutation(n).tolist():
+            state.insert(elem)
+            _, at1 = kernels.row_top2(state.rows(), slot, values)
+            hist, _ = kernels.class_histogram(at1, values)
+            np.testing.assert_array_equal(state.hist, hist)
+            np.testing.assert_array_equal(_bits(state.products), _bits(hist * values))
+            below, under = state._cumsums()
+            np.testing.assert_array_equal(below[:, 0], 0)
+            np.testing.assert_array_equal(below[:, 1:], np.cumsum(hist[:, :-1], axis=1))
+            np.testing.assert_array_equal(_bits(under[:, 0]), _bits(np.zeros(clients)))
+            np.testing.assert_array_equal(
+                _bits(under[:, 1:]), _bits(np.cumsum(hist[:, :-1] * values[:, :-1], axis=1))
+            )
 
 
 def test_rank_pricing_matches_searchsorted_under_frozen_columns() -> None:

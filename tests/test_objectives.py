@@ -21,6 +21,7 @@ from matsub import kernels
 from matsub.core import greedy_basis_value
 from reference import (
     CoveredMaskGains,
+    class_histogram_facility_means,
     counted_coverage_price,
     estimate_marginal_on_point,
     estimate_marginals_on_point,
@@ -386,14 +387,23 @@ def test_sampled_additive_round_draws_nothing_and_charges_per_sample() -> None:
         f.sampled_round(x, 0.25, 0, rng)
 
 
-@pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
-@pytest.mark.parametrize("frozen", [(), (2, 5)])
-def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
+def _walk(objective, frozen, seed: int, stream: int, first_round: bool):
+    """The base objective and a walk of its round state, plain or
+    contracted by ``frozen``, drawn from generator seed ``stream``.  A
+    first-round walk idles every free element, as a round after a phase 1
+    that froze nothing does: no row holds an element until it joins the
+    basis."""
+    base = _objective(objective, seed)
+    f = ResidualOracle(base, frozen) if frozen else base
+    idle = [e for e in range(base.n) if e not in frozen] if first_round else []
+    rng = np.random.default_rng(stream)
+    return base, f, _random_rows_and_basis_walk(f, base.n, frozen, rng, 30, idle=idle)
+
+
+def _assert_one_element_prices_match_marginal_means(objective, frozen, first_round) -> None:
     for seed in range(3):
-        base = _objective(objective, seed)
-        f = ResidualOracle(base, frozen) if frozen else base
-        rng = np.random.default_rng(10 + seed)
-        for state, rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
+        _, f, walk = _walk(objective, frozen, seed, 10 + seed, first_round)
+        for state, rows in walk:
             summary = state._summary
             for e in np.flatnonzero(~state.in_basis).tolist():
                 calls, prices, before = state.calls, state.prices, f.query_count
@@ -409,21 +419,50 @@ def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
                 assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("objective", ["facility", "facility-ties"])
+@pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
 @pytest.mark.parametrize("frozen", [(), (2, 5)])
-def test_facility_price_is_the_batch_formula_bit_for_bit(objective, frozen) -> None:
+def test_one_element_price_matches_marginal_means(objective, frozen) -> None:
+    _assert_one_element_prices_match_marginal_means(objective, frozen, first_round=False)
+
+
+@pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_one_element_price_matches_marginal_means_in_a_first_round(objective, frozen) -> None:
+    _assert_one_element_prices_match_marginal_means(objective, frozen, first_round=True)
+
+
+def _assert_facility_prices_are_the_batch_formula(objective, frozen, first_round) -> None:
     # one element and a batch read the same class cumsums and add the pairs
     # an element tops in the same order, so a non-member's price is the
-    # float a batch gives it, alone or among others
+    # float a batch gives it, alone or among others, and the float of the
+    # formula rebuilt by brute force from the round's top-2 statistics
     for seed in range(3):
-        base = _objective(objective, seed)
-        f = ResidualOracle(base, frozen) if frozen else base
-        rng = np.random.default_rng(30 + seed)
-        for state, _rows in _random_rows_and_basis_walk(f, base.n, frozen, rng, 30):
+        base, _, walk = _walk(objective, frozen, seed, 30 + seed, first_round)
+        for state, _rows in walk:
             outside = np.flatnonzero(~state.in_basis)
             prices = [state.price(e) for e in outside]
             assert prices == [state.marginal_means([e])[0] for e in outside]
             assert prices == state.marginal_means(outside).tolist()
+            want = class_histogram_facility_means(*state.top, outside, base.similarity)
+            assert prices == want.tolist()
+            if first_round and outside.size:
+                # no row holds a free non-member, so none tops a pair; with
+                # nothing frozen no row holds any non-member, and the
+                # summary is zeros, even at the members that top pairs
+                free = np.setdiff1d(outside, frozen)
+                assert not (state._summary[free] if frozen else state._summary).any()
+
+
+@pytest.mark.parametrize("objective", ["facility", "facility-ties"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_facility_price_is_the_batch_formula_bit_for_bit(objective, frozen) -> None:
+    _assert_facility_prices_are_the_batch_formula(objective, frozen, first_round=False)
+
+
+@pytest.mark.parametrize("objective", ["facility", "facility-ties"])
+@pytest.mark.parametrize("frozen", [(), (2, 5)])
+def test_facility_price_is_the_batch_formula_in_a_first_round(objective, frozen) -> None:
+    _assert_facility_prices_are_the_batch_formula(objective, frozen, first_round=True)
 
 
 @pytest.mark.parametrize("objective", ["coverage", "facility", "facility-ties", "additive"])
